@@ -32,9 +32,18 @@
 ///   a hang or a panic;
 /// * the completed task set is deterministic across repeated runs;
 /// * moldable specs (allotment caps) are first-class.
+///
+/// Platforms that run payloads on an in-process worker pool add
+/// `payload_panic: <constructor>` — a `fn(workers) -> Platform` whose
+/// result has the no-op payload and a `with_workload` builder. The suite
+/// then also asserts, for every worker count of
+/// [`RuntimeConfig::worker_counts_from_env`](crate::RuntimeConfig::worker_counts_from_env):
+///
+/// * a panicking payload is a `WorkerPanic` error, never a hang or a
+///   propagated panic, and the same platform value runs cleanly after it.
 #[macro_export]
 macro_rules! platform_conformance {
-    ($suite:ident, $platform:expr) => {
+    ($suite:ident, $platform:expr $(, payload_panic: $pool:expr)?) => {
         mod $suite {
             use $crate::platform::Platform as _;
 
@@ -124,6 +133,38 @@ macro_rules! platform_conformance {
                     "the transform adds fictitious tasks"
                 );
             }
+
+            $(
+            #[test]
+            fn payload_panic_is_a_clean_error() {
+                let tree = ::memtree_gen::synthetic::paper_tree(40, 3);
+                let spec = ::memtree_sched::PolicySpec::new(
+                    ::memtree_sched::HeuristicKind::MemBooking,
+                    roomy(&tree),
+                );
+                for workers in $crate::RuntimeConfig::worker_counts_from_env(&[1, 2, 4]) {
+                    let platform = ($pool)(workers);
+                    // Task 7 is in every schedule of this tree, so the
+                    // fault fires on every run, whatever the order.
+                    let err = platform
+                        .with_workload($crate::Workload::FailAt { node: 7 })
+                        .run(&tree, &spec)
+                        .unwrap_err();
+                    assert!(
+                        matches!(
+                            err,
+                            $crate::PlatformError::Runtime($crate::RuntimeError::WorkerPanic)
+                        ),
+                        "{} with {workers} workers: {err}",
+                        platform.name()
+                    );
+                    // The failed run took its pool with it, not the
+                    // platform: the next run gets a fresh one.
+                    let report = platform.run(&tree, &spec).unwrap();
+                    assert_eq!(report.tasks_run, tree.len());
+                }
+            }
+            )?
         }
     };
 }

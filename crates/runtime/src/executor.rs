@@ -3,16 +3,20 @@
 //! `memtree_sim::driver` gang loop.
 //!
 //! The main thread owns the scheduler and runs
-//! [`memtree_sim::drive_gang`]; workers pull **gang-member** messages from
-//! an MPMC channel, run their shard of the [`Workload`] payload and report
-//! completions back. A moldable task with allotment `q` is launched as `q`
-//! member messages sharing one [`GangState`]: the driver only launches
-//! when `q` workers are idle, so all members are picked up without any
-//! hold-and-wait — no partial gangs, no deadlock. Members claim payload
-//! shards from a shared atomic index (the same dynamic-scheduling idiom as
-//! the vendored rayon stand-in), so a member delayed by the OS donates its
-//! shards to its gang mates, and the last member out reports the single
-//! completion that releases the whole gang.
+//! [`memtree_sim::drive_gang`]; workers pull **gang-member** entries from
+//! a [`BatchQueue`], run their shard of the [`Workload`] payload and report
+//! completions back through a second one. A moldable task with allotment
+//! `q` is launched as `q` member entries sharing one [`GangState`]: the
+//! driver only launches when `q` workers are idle, so all members are
+//! picked up without any hold-and-wait — no partial gangs, no deadlock.
+//! Dispatch is **batched per driver event** (DESIGN.md §6.4): launches and
+//! grows only buffer their entries, and the one flush — one lock, wakes
+//! counted against parked workers — happens when the driver is about to
+//! block for completions, which it then drains all at once. Members claim
+//! payload shards from a shared atomic index (the same dynamic-scheduling
+//! idiom as the vendored rayon stand-in), so a member delayed by the OS
+//! donates its shards to its gang mates, and the last member out reports
+//! the single completion that releases the whole gang.
 //!
 //! Sequential policies ride the very same pool through unit allotments
 //! ([`memtree_sim::UnitAllotments`]): every task is a gang of one. The
@@ -21,9 +25,9 @@
 //! at every event, so a booking bug aborts the run rather than silently
 //! overcommitting.
 
+use crate::dispatch::BatchQueue;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::workload::Workload;
-use crossbeam::channel;
 use memtree_sim::driver::{
     drive_gang_with, DriveConfig, DriveError, GangBackend, Rescheduler, UnitAllotments,
 };
@@ -31,6 +35,7 @@ use memtree_sim::{MoldableScheduler, Scheduler};
 use memtree_tree::{NodeId, TaskTree};
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Payload shards per *worker* for a malleable gang. A fixed-allotment
@@ -180,10 +185,10 @@ pub struct GangState {
     /// Only the driver thread moves it (via resize), and it never drops
     /// below 1 while the gang runs.
     target: AtomicUsize,
-    /// Members admitted and not yet exited. Counts queued member messages
-    /// too: admission increments on the driver thread *before* the
-    /// message is sent, so a slow pickup can never let the count touch
-    /// zero early and double-report the completion.
+    /// Members admitted and not yet exited. Counts buffered and queued
+    /// member entries too: admission increments on the driver thread
+    /// *before* the entry is staged, so a slow pickup can never let the
+    /// count touch zero early and double-report the completion.
     active: AtomicUsize,
     /// Latches the single completion report. A grow can land on a gang
     /// whose completion is already in flight (the driver resizes before
@@ -211,7 +216,7 @@ impl GangState {
     pub fn claim(&self) -> Option<u32> {
         // ordering: Relaxed — the fetch_add only allocates a unique shard
         // index; the payload it indexes was published to every member by
-        // the spawn/channel-send edge before the gang started. Model-
+        // the spawn/queue-push edge before the gang started. Model-
         // checked by model/gang.rs::claim_complete_exhaustive.
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
         (shard < self.shards as usize).then_some(shard as u32)
@@ -278,7 +283,7 @@ impl GangState {
     }
 
     /// Admits `extra` members (driver thread, **before** their member
-    /// messages are queued).
+    /// entries are staged).
     pub fn admit(&self, extra: usize) {
         // ordering: AcqRel ×2, and `target` must rise FIRST. A running
         // member's retire check loads `active` then `target` (both
@@ -335,34 +340,47 @@ struct GangMember {
     gang: Arc<GangState>,
 }
 
-/// The worker-thread gang backend: launching a task with allotment `q`
-/// sends `q` member messages to the channel (the driver guarantees `q`
-/// idle workers, so the claim is effectively atomic); awaiting blocks on
-/// the completion channel and drains stragglers. Running gangs are kept
-/// in a registry so a [`Rescheduler`] can resize them mid-flight.
-struct GangThreadedBackend {
-    task_tx: channel::Sender<GangMember>,
-    done_rx: channel::Receiver<NodeId>,
+/// The worker-thread gang backend. Launching a task with allotment `q`
+/// (or growing a gang by `q`) only stages `q` member entries; the whole
+/// driver tick is flushed to the workers under one lock when the driver
+/// is about to block, and completions come back the same way — block for
+/// one, take everything. A completion is the reporting member itself, so
+/// the gang's state comes home with it and is freed on the driver thread
+/// that allocated it (measured ≈ 10 % of a no-op unit task against the
+/// last worker out freeing it). With a [`Rescheduler`] attached, running
+/// gangs are kept in a registry so it can resize them mid-flight.
+struct GangThreadedBackend<'q> {
+    tasks: &'q BatchQueue<GangMember>,
+    done: &'q BatchQueue<GangMember>,
+    /// Member entries staged since the last flush. The driver's capacity
+    /// ledger bounds one tick's launches by the worker count, so the
+    /// buffer is sized once and the steady state never reallocates it.
+    pending: Vec<GangMember>,
+    /// Reporting members of the completion batch being reaped (scratch,
+    /// recycled across ticks like `pending`).
+    reaped: Vec<GangMember>,
+    /// Running gangs by task, for `resize`/`progress` — the rescheduler's
+    /// hooks and the registry's only readers, so it stays empty without
+    /// one.
     gangs: HashMap<NodeId, Arc<GangState>>,
     workers: usize,
     malleable: bool,
 }
 
-impl GangThreadedBackend {
-    fn send_members(&self, i: NodeId, gang: &Arc<GangState>, n: usize) -> Result<(), DriveError> {
-        for _ in 0..n {
-            self.task_tx
-                .send(GangMember {
-                    task: i,
-                    gang: gang.clone(),
-                })
-                .map_err(|_| DriveError::Backend("workers exited early".into()))?;
+impl GangThreadedBackend<'_> {
+    /// Stages `n ≥ 1` member entries of `gang` for the next flush.
+    fn stage_members(&mut self, task: NodeId, gang: Arc<GangState>, n: usize) {
+        for _ in 1..n {
+            self.pending.push(GangMember {
+                task,
+                gang: gang.clone(),
+            });
         }
-        Ok(())
+        self.pending.push(GangMember { task, gang });
     }
 }
 
-impl GangBackend for GangThreadedBackend {
+impl GangBackend for GangThreadedBackend<'_> {
     fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
         let shards = if self.malleable {
             (self.workers * MALLEABLE_CHUNKS) as u32
@@ -370,21 +388,29 @@ impl GangBackend for GangThreadedBackend {
             procs as u32
         };
         let gang = Arc::new(GangState::new(procs, shards));
-        self.gangs.insert(i, gang.clone());
-        self.send_members(i, &gang, procs)
+        if self.malleable {
+            self.gangs.insert(i, gang.clone());
+        }
+        self.stage_members(i, gang, procs);
+        Ok(())
     }
 
     fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-        // Block for one completion, then drain whatever else arrived.
-        match self.done_rx.recv() {
-            Ok(i) => batch.push(i),
-            Err(_) => return Err(DriveError::Backend("a worker thread panicked".into())),
-        }
-        while let Ok(i) = self.done_rx.try_recv() {
-            batch.push(i);
-        }
-        for i in batch.iter() {
-            self.gangs.remove(i);
+        // The tick is settled: hand every staged member to the workers in
+        // one flush, then block for one completion and take whatever else
+        // has arrived. A tick the driver aborts never gets here, and its
+        // staged entries are dropped with the backend.
+        self.tasks
+            .push_batch(&mut self.pending)
+            .map_err(|_| DriveError::Backend("workers exited early".into()))?;
+        self.done
+            .drain_blocking(&mut self.reaped)
+            .map_err(|_| DriveError::Backend("a worker thread panicked".into()))?;
+        for member in self.reaped.drain(..) {
+            if self.malleable {
+                self.gangs.remove(&member.task);
+            }
+            batch.push(member.task);
         }
         Ok(())
     }
@@ -396,10 +422,10 @@ impl GangBackend for GangThreadedBackend {
             .cloned()
             .ok_or_else(|| DriveError::Backend(format!("resize of unknown gang {i:?}")))?;
         if to > from {
-            // Admit before queueing: the active count covers the queued
-            // messages, so the completion countdown cannot race them.
+            // Admit before staging: the active count covers the buffered
+            // entries, so the completion countdown cannot race them.
             gang.admit(to - from);
-            self.send_members(i, &gang, to - from)?;
+            self.stage_members(i, gang, to - from);
         } else if to < from {
             gang.release(from - to);
         }
@@ -408,6 +434,22 @@ impl GangBackend for GangThreadedBackend {
 
     fn progress(&self, i: NodeId) -> Option<(u32, u32)> {
         self.gangs.get(&i).map(|g| g.progress())
+    }
+}
+
+/// Closes both dispatch queues when its thread — a worker or the driver —
+/// is done with them, however that happens: a pool that has lost a member
+/// must not leave the other workers parked on the task queue or the
+/// driver parked on the completion queue.
+struct CloseOnExit<'q> {
+    tasks: &'q BatchQueue<GangMember>,
+    done: &'q BatchQueue<GangMember>,
+}
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.tasks.close();
+        self.done.close();
     }
 }
 
@@ -439,8 +481,8 @@ pub fn execute_moldable<S: MoldableScheduler>(
 /// [`execute_moldable`] with an optional [`Rescheduler`] closing the
 /// feedback loop: the driver ticks it once per event with a
 /// [`memtree_sim::LiveStats`] snapshot, and grow/shrink actions land on
-/// the running gangs through the shared [`GangState`] — growing queues
-/// extra member messages, shrinking retires surplus members at their next
+/// the running gangs through the shared [`GangState`] — growing stages
+/// extra member entries, shrinking retires surplus members at their next
 /// shard boundary. With a rescheduler present, gangs shard their payload
 /// at machine granularity so any allotment divides it usefully.
 pub fn execute_moldable_with<S: MoldableScheduler>(
@@ -456,8 +498,8 @@ pub fn execute_moldable_with<S: MoldableScheduler>(
     let started_at = std::time::Instant::now();
     let malleable = rescheduler.is_some();
 
-    let (task_tx, task_rx) = channel::unbounded::<GangMember>();
-    let (done_tx, done_rx) = channel::unbounded::<NodeId>();
+    let tasks = BatchQueue::<GangMember>::with_capacity(cfg.workers);
+    let done = BatchQueue::<GangMember>::with_capacity(cfg.workers);
     // Worker-side occupancy measurement, independent of the driver's
     // processor ledger.
     let busy = AtomicUsize::new(0);
@@ -465,63 +507,68 @@ pub fn execute_moldable_with<S: MoldableScheduler>(
 
     let stats = std::thread::scope(|scope| {
         for _ in 0..cfg.workers {
-            let task_rx = task_rx.clone();
-            let done_tx = done_tx.clone();
+            let (tasks, done) = (&tasks, &done);
             let (busy, peak_busy) = (&busy, &peak_busy);
             scope.spawn(move || {
-                while let Ok(member) = task_rx.recv() {
+                let _shutdown = CloseOnExit { tasks, done };
+                while let Some(member) = tasks.pop() {
                     let gang = &member.gang;
                     let now_busy = busy.fetch_add(1, Ordering::AcqRel) + 1;
                     peak_busy.fetch_max(now_busy, Ordering::AcqRel);
-                    let mut retired = false;
-                    loop {
+                    // A panicking payload must not unwind out of the
+                    // scope (it would re-panic on join, and the other
+                    // workers would never learn): it ends this worker,
+                    // whose exit guard fails the run cleanly.
+                    let retired = catch_unwind(AssertUnwindSafe(|| loop {
                         // Shard boundaries are the only malleability
                         // points: check for retirement before claiming.
                         if gang.try_retire() {
-                            retired = true;
-                            break;
+                            break true;
                         }
-                        let Some(shard) = gang.claim() else { break };
+                        let Some(shard) = gang.claim() else {
+                            break false;
+                        };
                         workload.run_shard(tree, member.task, shard, gang.shards);
                         gang.finish_shard();
-                    }
+                    }));
                     busy.fetch_sub(1, Ordering::AcqRel);
+                    let Ok(retired) = retired else { return };
                     // Retired members never report: the member ledger
                     // keeps at least one member who exits via payload
                     // exhaustion, and the last such exit is the
                     // completion — every shard claimed and finished,
                     // every member already out of the occupancy count.
-                    if !retired && member.gang.member_exit() && done_tx.send(member.task).is_err() {
+                    if !retired && gang.member_exit() && done.push(member).is_err() {
                         return;
                     }
                 }
             });
         }
-        drop(task_rx);
-        drop(done_tx);
 
+        // Closing the task queue ends the workers once its backlog is
+        // empty (a completion pushed after that is simply refused) — on
+        // every way out of the driver, a panicking scheduler included, or
+        // the scope's join would wait on parked workers forever.
+        let _shutdown = CloseOnExit {
+            tasks: &tasks,
+            done: &done,
+        };
         let mut backend = GangThreadedBackend {
-            task_tx,
-            done_rx,
+            tasks: &tasks,
+            done: &done,
+            pending: Vec::with_capacity(cfg.workers),
+            reaped: Vec::with_capacity(cfg.workers),
             gangs: HashMap::new(),
             workers: cfg.workers,
             malleable,
         };
-        let result = drive_gang_with(
+        drive_gang_with(
             tree,
             DriveConfig::new(cfg.workers, cfg.memory),
             scheduler,
             &mut backend,
             rescheduler,
-        );
-        // Closing the task channel terminates the workers; drain stragglers
-        // so the scope join does not race a worker mid-send.
-        let GangThreadedBackend {
-            task_tx, done_rx, ..
-        } = backend;
-        drop(task_tx);
-        while done_rx.try_recv().is_ok() {}
-        result
+        )
     });
     debug_assert_eq!(
         busy.load(Ordering::Acquire),
@@ -718,6 +765,107 @@ mod tests {
             "a whole-machine gang must occupy several workers, got {}",
             report.peak_busy
         );
+    }
+
+    fn backend<'q>(
+        tasks: &'q BatchQueue<GangMember>,
+        done: &'q BatchQueue<GangMember>,
+        malleable: bool,
+    ) -> GangThreadedBackend<'q> {
+        GangThreadedBackend {
+            tasks,
+            done,
+            pending: Vec::with_capacity(4),
+            reaped: Vec::with_capacity(4),
+            gangs: HashMap::new(),
+            workers: 4,
+            malleable,
+        }
+    }
+
+    /// Launches and grows only stage their members; the one flush of a
+    /// tick happens in `await_batch`, in launch order, before the driver
+    /// blocks — and it reuses the staging buffer.
+    #[test]
+    fn a_tick_is_flushed_once_when_the_driver_blocks() {
+        let (tasks, done) = (BatchQueue::with_capacity(4), BatchQueue::with_capacity(4));
+        let mut backend = backend(&tasks, &done, true);
+        backend.launch(NodeId(5), 2, 1).unwrap();
+        backend.launch(NodeId(6), 1, 1).unwrap();
+        backend.resize(NodeId(6), 1, 2, 1).unwrap();
+        assert_eq!(backend.pending.len(), 4, "nothing dispatched mid-tick");
+        let staged_at = backend.pending.as_ptr();
+
+        // A completion is already waiting, so the flush is the only thing
+        // `await_batch` has left to do before it returns.
+        done.push(GangMember {
+            task: NodeId(9),
+            gang: Arc::new(GangState::new(1, 1)),
+        })
+        .unwrap();
+        let mut batch = Vec::new();
+        backend.await_batch(1, &mut batch).unwrap();
+        assert_eq!(batch, [NodeId(9)]);
+        assert!(backend.pending.is_empty());
+        assert_eq!(backend.pending.as_ptr(), staged_at, "buffer recycled");
+
+        tasks.close();
+        let flushed: Vec<u32> = std::iter::from_fn(|| tasks.pop())
+            .map(|m| m.task.0)
+            .collect();
+        assert_eq!(flushed, [5, 5, 6, 6]);
+    }
+
+    /// A tick the driver aborts (protocol error after a legal launch)
+    /// never reaches the flush: its staged members go away with the
+    /// backend instead of reaching a worker.
+    #[test]
+    fn staged_members_of_an_aborted_tick_are_dropped() {
+        let (tasks, done) = (BatchQueue::with_capacity(4), BatchQueue::with_capacity(4));
+        let mut backend = backend(&tasks, &done, false);
+        backend.launch(NodeId(0), 3, 1).unwrap();
+        assert!(
+            backend.gangs.is_empty(),
+            "no registry without a rescheduler"
+        );
+        drop(backend);
+        tasks.close();
+        assert!(tasks.pop().is_none());
+    }
+
+    /// The same through the whole executor: a legal start followed by a
+    /// double start in one event.
+    struct DoubleStarter {
+        leaf: NodeId,
+    }
+
+    impl memtree_sim::MoldableScheduler for DoubleStarter {
+        fn name(&self) -> &str {
+            "double-starter"
+        }
+        fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<(NodeId, usize)>) {
+            to_start.extend([(self.leaf, 1), (self.leaf, 1)]);
+        }
+        fn booked(&self) -> u64 {
+            u64::MAX / 2
+        }
+    }
+
+    /// The run must return the protocol error with every worker released,
+    /// not wait on a pool parked on a queue nobody will ever flush.
+    #[test]
+    fn aborted_tick_releases_the_pool() {
+        let tree = memtree_gen::synthetic::paper_tree(20, 9);
+        let leaf = tree.leaves().next().unwrap();
+        for workers in [2, 4] {
+            let cfg = RuntimeConfig {
+                workers,
+                memory: u64::MAX / 2,
+            };
+            let err =
+                execute_moldable(&tree, cfg, DoubleStarter { leaf }, Workload::Noop).unwrap_err();
+            assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
+        }
     }
 
     /// A moldable policy that over-claims processors must abort with a

@@ -27,6 +27,7 @@
 
 pub mod async_platform;
 pub mod conformance;
+pub mod dispatch;
 pub mod executor;
 pub mod platform;
 pub mod process;

@@ -1,0 +1,132 @@
+// Real-thread integration test: excluded from the `memtree_loom` model
+// build, where sync primitives only work inside a minloom model.
+#![cfg(not(memtree_loom))]
+
+//! Allocation counts of the threaded executor's dispatch path
+//! (DESIGN.md §6.4), in the image of `crates/sim/tests/alloc_count.rs`:
+//! the driver loop itself is allocation-free (§6.11), and batching must
+//! not spend that on the way to the workers. The staging buffer and both
+//! queues are sized once per run; per task the executor allocates exactly
+//! one thing, the gang's shared `Arc<GangState>`.
+//!
+//! The shim lives in its own integration-test binary because a global
+//! allocator is process-wide, and everything is one `#[test]` so no
+//! concurrent test can perturb the counter between snapshots.
+
+// `GlobalAlloc` is an unsafe trait by definition; this impl only forwards
+// to `System` around a counter (the same sanctioned shim as in
+// memtree_sim's alloc_count.rs — DESIGN.md §6.13, unsafe inventory).
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A growth realloc is an allocation for the purpose of the claim.
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+use memtree_runtime::dispatch::BatchQueue;
+use memtree_runtime::{execute, RuntimeConfig, Workload};
+use memtree_sched::MemBooking;
+use memtree_tree::{TaskSpec, TaskTree};
+
+const WORKERS: usize = 4;
+
+fn allocs() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocation count of one threaded no-op run (pool start-up and
+/// scheduler state included — both are per-run constants).
+fn allocs_for_run(tree: &TaskTree) -> u64 {
+    let ao = memtree_order::mem_postorder(tree);
+    let memory = ao.sequential_peak(tree) * 2;
+    let before = allocs();
+    let sched = MemBooking::try_new(tree, &ao, &ao, memory).expect("feasible");
+    let cfg = RuntimeConfig {
+        workers: WORKERS,
+        memory,
+    };
+    let report = execute(tree, cfg, sched, Workload::Noop).expect("run completes");
+    let after = allocs();
+    assert_eq!(report.tasks_run, tree.len());
+    after - before
+}
+
+#[test]
+fn dispatch_steady_state_does_not_allocate() {
+    // The protocol of one driver tick, on the executor's own sizing: stage
+    // a machine's worth of members, flush, pop each, push its completion,
+    // drain. After the first cycle nothing on this path may allocate.
+    let tasks = BatchQueue::<u32>::with_capacity(WORKERS);
+    let done = BatchQueue::<u32>::with_capacity(WORKERS);
+    let mut pending: Vec<u32> = Vec::with_capacity(WORKERS);
+    let mut batch: Vec<u32> = Vec::with_capacity(WORKERS);
+    let mut tick = |round: u32| {
+        pending.extend((0..WORKERS as u32).map(|k| round + k));
+        tasks.push_batch(&mut pending).expect("open");
+        for _ in 0..WORKERS {
+            let member = tasks.pop().expect("flushed");
+            done.push(member).expect("open");
+        }
+        batch.clear();
+        done.drain_blocking(&mut batch).expect("open");
+        assert_eq!(batch.len(), WORKERS);
+    };
+    tick(0);
+    let before = allocs();
+    for round in 1..10_000 {
+        tick(round);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "the staging buffer or a queue reallocated in steady state"
+    );
+
+    // The whole executor: 10x the tasks must cost 10x the per-task gang
+    // allocations and nothing else — no registry entry (no rescheduler is
+    // attached), no staging-buffer or queue growth, no per-tick scratch.
+    // Caterpillar: bursts of parallel leaves plus a serial spine, so ticks
+    // of every size from 1 to `WORKERS` members are flushed.
+    let spine = TaskSpec::new(2, 6, 1.0);
+    let leg = TaskSpec::new(1, 3, 1.0);
+    let small = memtree_gen::shapes::caterpillar(250, 3, spine, leg);
+    let big = memtree_gen::shapes::caterpillar(2_500, 3, spine, leg);
+    allocs_for_run(&small); // absorbs one-time lazy init
+    let a_small = allocs_for_run(&small);
+    let a_big = allocs_for_run(&big);
+    let extra_tasks = (big.len() - small.len()) as u64;
+    let delta = a_big.saturating_sub(a_small);
+    assert!(
+        delta >= extra_tasks,
+        "counting allocator not engaged: {delta} allocations for {extra_tasks} gangs"
+    );
+    assert!(
+        delta <= extra_tasks + 64,
+        "{a_big} vs {a_small} allocations: {delta} for {extra_tasks} extra tasks — \
+         the dispatch path allocates beyond one GangState per task"
+    );
+}

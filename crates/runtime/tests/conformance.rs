@@ -14,7 +14,13 @@
 
 memtree_runtime::platform_conformance!(sim, memtree_runtime::SimPlatform::new(4));
 
-memtree_runtime::platform_conformance!(threaded, memtree_runtime::ThreadedPlatform::new(4));
+// The in-process pools (threads, futures) also take the payload-panic
+// case: a constructor by worker count, swept over MEMTREE_TEST_WORKERS.
+memtree_runtime::platform_conformance!(
+    threaded,
+    memtree_runtime::ThreadedPlatform::new(4),
+    payload_panic: memtree_runtime::ThreadedPlatform::new
+);
 
 memtree_runtime::platform_conformance!(
     sharded_x2,
@@ -23,7 +29,11 @@ memtree_runtime::platform_conformance!(
 
 memtree_runtime::platform_conformance!(sharded_x4, memtree_runtime::ShardedPlatform::new(4));
 
-memtree_runtime::platform_conformance!(async_x4, memtree_runtime::AsyncPlatform::new(4));
+memtree_runtime::platform_conformance!(
+    async_x4,
+    memtree_runtime::AsyncPlatform::new(4),
+    payload_panic: memtree_runtime::AsyncPlatform::new
+);
 
 // Process backend: the shard protocol over real worker processes. The
 // suite runs completely unmodified — CARGO_BIN_EXE pins the worker
@@ -46,7 +56,8 @@ memtree_runtime::platform_conformance!(
 // contract.
 memtree_runtime::platform_conformance!(
     async_single_thread,
-    memtree_runtime::AsyncPlatform::new(4).with_threads(1)
+    memtree_runtime::AsyncPlatform::new(4).with_threads(1),
+    payload_panic: |workers| memtree_runtime::AsyncPlatform::new(workers).with_threads(1)
 );
 
 // Malleable flavours: the same backends with the feedback rescheduler

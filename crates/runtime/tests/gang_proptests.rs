@@ -9,7 +9,10 @@
 //! themselves, not the driver's ledger; (b) releases every launched gang —
 //! the run finishes the whole tree instead of deadlocking whenever the
 //! largest allotment fits the machine; and (c) matches the paper policy's
-//! booking envelope when the policy is MoldableMemBooking.
+//! booking envelope when the policy is MoldableMemBooking. Dispatch is
+//! batched per driver tick (DESIGN.md §6.4), so (d) pins the tick
+//! boundary: members a rescheduler adds in the very tick that launched
+//! their gang reach the workers before the driver blocks.
 
 use memtree_order::mem_postorder;
 use memtree_runtime::{execute_moldable, execute_moldable_with, RuntimeConfig, Workload};
@@ -184,8 +187,63 @@ impl Rescheduler for ChaosRescheduler {
     }
 }
 
+/// Grows every gang to the whole machine in the very tick that launched
+/// it, so the launch and the grow share one staging buffer and one flush.
+struct GrowAtLaunch {
+    seen: Vec<bool>,
+    grows: usize,
+}
+
+impl Rescheduler for GrowAtLaunch {
+    fn tick(&mut self, stats: &LiveStats, actions: &mut Vec<RescheduleAction>) {
+        let mut idle = stats.idle;
+        for gang in &stats.gangs {
+            if idle > 0 && !std::mem::replace(&mut self.seen[gang.node.index()], true) {
+                actions.push(RescheduleAction::Grow {
+                    node: gang.node,
+                    extra: idle,
+                });
+                self.grows += 1;
+                idle = 0;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A chain under unit caps launches exactly one task per tick with
+    /// `p − 1` processors idle, and the rescheduler grows it on the spot.
+    /// The grown members are admitted to the gang's ledger immediately,
+    /// so the task can only complete once every one of them has been
+    /// delivered to a worker and has exited: a flush that left the grow
+    /// behind would park the driver forever. Completion of every task is
+    /// the proof that one flush carried both.
+    #[test]
+    fn grow_in_the_launch_tick_is_flushed_with_it(
+        n in 1usize..40,
+        p in arb_workers(),
+    ) {
+        let tree = memtree_gen::shapes::chain(n, TaskSpec::new(1, 2, 1.0));
+        let ao = mem_postorder(&tree);
+        let m = ao.sequential_peak(&tree);
+        let caps = AllotmentCaps::uniform(&tree, 1);
+        let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
+        let mut grower = GrowAtLaunch { seen: vec![false; n], grows: 0 };
+        let report = execute_moldable_with(
+            &tree,
+            RuntimeConfig { workers: p, memory: m },
+            sched,
+            Workload::Noop,
+            Some(&mut grower),
+        )
+        .unwrap();
+        prop_assert_eq!(report.tasks_run, n);
+        prop_assert!(report.peak_busy <= p);
+        // Every tick had idle processors to grow into (none when p = 1).
+        prop_assert_eq!(grower.grows, if p > 1 { n } else { 0 });
+    }
 
     /// Arbitrary legal gang patterns: the pool never runs more concurrent
     /// members than workers, and every gang is released — the tree always

@@ -24,7 +24,7 @@ fn member(gang: &GangState, shard_runs: &[AtomicUsize]) -> (bool, bool) {
     }
     let reported = gang.member_exit();
     if reported {
-        // The invariant the executor's done-channel send rides on, and it
+        // The invariant the executor's completion push rides on, and it
         // must hold HERE, on the reporter thread, at report time: the
         // exit chain's AcqRel decrements are the only edges carrying the
         // other members' finish_shard writes to the reporter. (Asserting
@@ -76,7 +76,7 @@ fn claim_complete_exhaustive() {
         check_all_shards_ran_once(&shard_runs[..]);
         assert_eq!(reports, 1, "exactly one completion report");
         // The last member out must have seen the payload complete — this
-        // is what the reporter's caller (done_tx.send) relies on.
+        // is what the reporter's caller (the completion push) relies on.
         let (done, total) = gang.progress();
         assert_eq!((done, total), (3, 3), "reporter left unfinished shards");
     });
@@ -132,7 +132,7 @@ fn grow_after_final_shard_reports_once() {
             let shard_runs = shard_runs.clone();
             thread::spawn(move || member(&gang, &shard_runs[..]))
         };
-        // Driver: admit before queueing the member message, as
+        // Driver: admit before staging the member entry, as
         // GangThreadedBackend::resize does — racing the first member's
         // completion.
         gang.admit(1);

@@ -1,6 +1,7 @@
 //! Exhaustive-interleaving model suite (DESIGN.md §6.13): drives the
-//! gang member ledger, the quarantine gauge, the minitok wake protocol,
-//! and the vendored channel under minloom's DFS scheduler.
+//! gang member ledger, the executor's dispatch queue, the quarantine
+//! gauge, the minitok wake protocol, and the vendored channel under
+//! minloom's DFS scheduler.
 //!
 //! Build and run with:
 //!
@@ -15,11 +16,12 @@
 //! Every test picks the smallest configuration that still contains the
 //! race it guards, and a CHESS-style preemption bound where the full
 //! interleaving space is infeasible (most concurrency bugs — including
-//! all three seeded `memtree_loom_mutate_*` regressions — need at most
+//! all four seeded `memtree_loom_mutate_*` regressions — need at most
 //! two forced preemptions). Failures print a `MINLOOM_REPLAY` seed.
 #![cfg(memtree_loom)]
 
 mod channel;
+mod dispatch;
 mod gang;
 mod minitok_model;
 mod quarantine;
