@@ -232,6 +232,26 @@ mod tests {
     }
 
     #[test]
+    fn random_trees_match_their_golden_digests() {
+        // The sweep cache addresses cells by tree content, so a corpus
+        // builder that drifts (a tie-break in `minimum_degree`, say)
+        // silently orphans every cached cell of these trees.
+        let spec = CorpusSpec::small();
+        let digests: Vec<(String, u64)> = spec
+            .case_ids()
+            .iter()
+            .filter(|id| matches!(id, CaseId::Random(..)))
+            .map(|id| spec.build_case(id))
+            .map(|(name, tree)| (name, tree.content_hash()))
+            .collect();
+        let golden = [
+            ("random-300-300-1".to_string(), 0x190c_e25f_33de_3803),
+            ("random-500-600-2".to_string(), 0xc1b1_3ab4_c3c7_6ac8),
+        ];
+        assert_eq!(digests, golden);
+    }
+
+    #[test]
     fn amalgamation_shrinks_trees() {
         let mut spec = CorpusSpec::small();
         let base: usize = assembly_corpus(&spec).iter().map(|(_, t)| t.len()).sum();

@@ -4,7 +4,6 @@
 //! then relabelled with [`crate::pattern::SparsePattern::permute`].
 
 use crate::pattern::SparsePattern;
-use std::collections::HashSet;
 
 /// The identity ordering.
 pub fn identity(n: usize) -> Vec<usize> {
@@ -123,38 +122,100 @@ pub fn nested_dissection_grid3d(k: usize) -> Vec<usize> {
     perm
 }
 
-/// Greedy minimum-degree ordering with clique elimination.
+/// Greedy minimum-degree ordering on a quotient graph.
 ///
-/// At each step the vertex of minimum current degree is eliminated and its
-/// neighbourhood turned into a clique. This is the textbook algorithm
-/// (no supervariables or element absorption) — `O(n · fill)` — adequate
-/// for the corpus sizes used here.
+/// At each step the vertex of minimum current degree is eliminated; its
+/// neighbours become pairwise adjacent. The elimination graph is never
+/// materialised. Following George–Liu and Amestoy–Davis–Duff, each live
+/// *variable* `a` keeps `A_a`, its un-eliminated original neighbours, and
+/// `E_a`, the *elements* (eliminated vertices) it is adjacent to; each
+/// element `e` keeps its member list `L_e`. The neighbourhood of `a` in the
+/// elimination graph is `A_a ∪ ⋃_{e∈E_a} L_e \ {a}`. Eliminating `v`:
+///
+/// 1. forms `L_v = A_v ∪ ⋃_{e∈E_v} L_e \ {v}` and frees `A_v`, `E_v` and
+///    every absorbed `L_e` (each member of such an `e` is in `L_v`);
+/// 2. for each member `a` of `L_v`: removes `L_v ∪ {v}` from `A_a`, drops
+///    the absorbed elements from `E_a`, absorbs any other `e ∈ E_a` with
+///    `L_e ⊆ L_v` (it adds nothing `v` does not), adds `v` to `E_a`, and
+///    recounts the degree of `a` with a marker array.
+///
+/// **Exactness and tie-breaks.** The recount is the true external degree
+/// `|L_v| − 1 + |A_a| + |⋃_{e∈E_a∖{v}} L_e ∖ L_v|` (`A_a` is disjoint from
+/// every `L_e`, `e ∈ E_a`, by step 2), not AMD's upper bound, and there are
+/// no supervariables. Either would pick different vertices on ties, and
+/// the ordering is load-bearing: corpus trees are rebuilt on demand and
+/// addressed by content hash, so the permutation must stay a pure function
+/// of the pattern, the same one the clique-elimination version this
+/// replaced computed (`tests/reference`, compared in
+/// `tests/minimum_degree.rs`). The tie-break is the bucket queue's:
+/// vertices enter their degree bucket in index order, the members of each
+/// `L_v` are re-pushed in ascending order, buckets pop last-in first-out,
+/// and a popped entry whose degree has moved is re-pushed where it belongs.
+///
+/// **Cost.** Clique elimination inserts `|L_v|²` hash-set edges per step.
+/// Step 2 instead reads each element next to `L_v` once, moving `L_e ∖ L_v`
+/// to the front of `L_e`; a member with one such element takes its count,
+/// and only members with several scan those prefixes for the size of their
+/// union — which is where the time goes. Adjacency storage
+/// (`A`, `E` and `L` together) starts at `nnz(A)` and never grows: `L_v`
+/// fits in the space `A_v` and the absorbed lists give up, and a member
+/// gains `v` in `E_a` only after losing `v` from `A_a` or an absorbed
+/// element from `E_a`. Only the bucket queue, with one `u32` per re-push
+/// (`nnz(L)` in total), can exceed that.
 pub fn minimum_degree(pattern: &SparsePattern) -> Vec<usize> {
+    minimum_degree_with_degrees(pattern).0
+}
+
+/// [`minimum_degree`] plus, for each step `k`, the degree `perm[k]` had
+/// when it was eliminated — `column_counts` of the permuted pattern minus
+/// the diagonal, which is how the tests tie the ordering to `colcount`.
+#[doc(hidden)]
+pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<usize>) {
     let n = pattern.order();
-    let mut adj: Vec<HashSet<u32>> = (0..n)
-        .map(|j| pattern.column(j).iter().copied().collect())
-        .collect();
+    let nnz = pattern.nnz_off_diagonal();
+
+    // A_a lives in a[a_start[a]..a_end[a]], a copy of column `a` that only
+    // ever shrinks; E_a is elems[a]; L_e is members[e], empty once absorbed.
+    let mut a = Vec::with_capacity(nnz);
+    let mut a_start = Vec::with_capacity(n);
+    let mut a_end = Vec::with_capacity(n);
+    for j in 0..n {
+        a_start.push(a.len());
+        a.extend_from_slice(pattern.column(j));
+        a_end.push(a.len());
+    }
+    let mut elems: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut degree: Vec<usize> = (0..n).map(|j| a_end[j] - a_start[j]).collect();
+    // For a variable x, mark[x] == in_lv: x ∈ L_v ∪ {v}; mark[x] == seen:
+    // x already counted for the member being recounted. For an element e,
+    // mark[e] == in_lv: this step has put L_e ∖ L_v in members[e][..ext[e]].
+    // Stamps only increase, so nothing is ever reset.
+    let mut mark = vec![0u64; n];
+    let mut stamp = 0u64;
+    let mut ext = vec![0usize; n];
+
     let mut eliminated = vec![false; n];
     let mut perm = Vec::with_capacity(n);
+    let mut degrees = Vec::with_capacity(n);
 
     // Bucket queue keyed by degree; lazily revalidated.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n.max(1)];
-    for (j, a) in adj.iter().enumerate() {
-        let d = a.len().min(n - 1);
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (j, &d) in degree.iter().enumerate() {
         buckets[d].push(j as u32);
     }
     let mut cursor = 0usize;
     for _ in 0..n {
         // Find the true minimum-degree vertex (lazy deletion).
         let v = loop {
-            while cursor < buckets.len() && buckets[cursor].is_empty() {
+            while buckets[cursor].is_empty() {
                 cursor += 1;
             }
             let cand = buckets[cursor].pop().expect("bucket nonempty") as usize;
             if eliminated[cand] {
                 continue;
             }
-            let d = adj[cand].len().min(n - 1);
+            let d = degree[cand];
             if d != cursor {
                 buckets[d].push(cand as u32);
                 cursor = cursor.min(d);
@@ -162,32 +223,104 @@ pub fn minimum_degree(pattern: &SparsePattern) -> Vec<usize> {
             }
             break cand;
         };
-
         eliminated[v] = true;
         perm.push(v);
-        let mut neigh: Vec<u32> = adj[v].iter().copied().collect();
-        // Sorted so the whole ordering is a pure function of the pattern:
-        // `HashSet` iteration order varies per instance, and downstream
-        // re-push order (hence tie-breaking) follows this loop. Corpus
-        // builders must be deterministic — the sweep cache addresses cells
-        // by tree content, so rebuilding a tree must reproduce it exactly.
-        neigh.sort_unstable();
-        // Clique the neighbourhood.
-        for (ai, &a) in neigh.iter().enumerate() {
-            let a = a as usize;
-            adj[a].remove(&(v as u32));
-            for &b in &neigh[ai + 1..] {
-                if adj[a].insert(b) {
-                    adj[b as usize].insert(a as u32);
+        degrees.push(cursor);
+
+        // Step 1: L_v, sorted; A_v, E_v and the absorbed lists are freed.
+        stamp += 1;
+        let in_lv = stamp;
+        mark[v] = in_lv;
+        let mut lv = a[a_start[v]..a_end[v]].to_vec();
+        a_end[v] = a_start[v];
+        for &x in &lv {
+            mark[x as usize] = in_lv;
+        }
+        for e in std::mem::take(&mut elems[v]) {
+            for x in std::mem::take(&mut members[e as usize]) {
+                if mark[x as usize] != in_lv {
+                    mark[x as usize] = in_lv;
+                    lv.push(x);
                 }
             }
-            let d = adj[a].len().min(n - 1);
-            buckets[d].push(a as u32);
+        }
+        // Ascending, so the re-push order below (hence every tie-break)
+        // is a pure function of the pattern.
+        lv.sort_unstable();
+
+        // Step 2, member by member.
+        for &m in &lv {
+            let m = m as usize;
+            let mut end = a_start[m];
+            for r in a_start[m]..a_end[m] {
+                let x = a[r];
+                if mark[x as usize] != in_lv {
+                    a[end] = x;
+                    end += 1;
+                }
+            }
+            a_end[m] = end;
+
+            let mut es = std::mem::take(&mut elems[m]);
+            es.retain(|&e| {
+                let e = e as usize;
+                let le = &mut members[e];
+                if mark[e] != in_lv && !le.is_empty() {
+                    // First visit this step: move L_e ∖ L_v to the front.
+                    let mut k = 0;
+                    for i in 0..le.len() {
+                        if mark[le[i] as usize] != in_lv {
+                            le.swap(k, i);
+                            k += 1;
+                        }
+                    }
+                    mark[e] = in_lv;
+                    ext[e] = k;
+                    if k == 0 {
+                        *le = Vec::new(); // L_e ⊆ L_v: absorbed
+                    }
+                }
+                !le.is_empty() // empty: absorbed, in step 1 or just now
+            });
+            let outside = match es[..] {
+                [] => 0,
+                [e] => ext[e as usize],
+                _ => {
+                    stamp += 1;
+                    let seen = stamp;
+                    let mut outside = 0;
+                    for &e in &es {
+                        for &x in &members[e as usize][..ext[e as usize]] {
+                            let mx = &mut mark[x as usize];
+                            if *mx != seen {
+                                *mx = seen;
+                                outside += 1;
+                            }
+                        }
+                    }
+                    outside
+                }
+            };
+            es.push(v as u32);
+            elems[m] = es;
+
+            let d = lv.len() - 1 + (end - a_start[m]) + outside;
+            degree[m] = d;
+            buckets[d].push(m as u32);
             cursor = cursor.min(d);
         }
-        adj[v].clear();
+        members[v] = lv;
+
+        debug_assert!(
+            (0..n)
+                .map(|x| a_end[x] - a_start[x] + elems[x].len() + members[x].len())
+                .sum::<usize>()
+                <= nnz,
+            "quotient graph outgrew the pattern at step {}",
+            perm.len()
+        );
     }
-    perm
+    (perm, degrees)
 }
 
 /// Checks `perm` is a permutation of `0..n`.
@@ -245,6 +378,20 @@ mod tests {
         // orphan every cached cell of the random-pattern corpus.
         let p = SparsePattern::random_connected(200, 300, 7);
         assert_eq!(minimum_degree(&p), minimum_degree(&p));
+    }
+
+    #[test]
+    fn minimum_degree_matches_its_golden_digest() {
+        // Determinism across *versions*, not just runs: any drift in a
+        // tie-break changes every random corpus tree, hence its content
+        // hash, hence every cached sweep cell. Captured from the
+        // clique-elimination implementation this one replaced.
+        let p = SparsePattern::random_connected(200, 300, 7);
+        let mut h = memtree_tree::hash::Fnv64::new();
+        for v in minimum_degree(&p) {
+            h.write_u64(v as u64);
+        }
+        assert_eq!(h.finish(), 0x2d17_a101_3a39_6405);
     }
 
     #[test]

@@ -75,16 +75,22 @@ impl SparsePattern {
             assert!(inv[old] == usize::MAX, "permutation repeats index {old}");
             inv[old] = new;
         }
-        let mut edges = Vec::with_capacity(self.rows.len() / 2);
-        for j in 0..self.n {
-            for &i in self.column(j) {
-                let (a, b) = (inv[i as usize], inv[j]);
-                if a < b {
-                    edges.push((a, b));
-                }
-            }
+        // Column `new` is column `perm[new]` relabelled: same length, and
+        // `inv` is a bijection, so sorting is all that is left to do.
+        let mut col_ptr = Vec::with_capacity(self.n + 1);
+        let mut rows = Vec::with_capacity(self.rows.len());
+        col_ptr.push(0);
+        for &old in perm {
+            let start = rows.len();
+            rows.extend(self.column(old).iter().map(|&i| inv[i as usize] as u32));
+            rows[start..].sort_unstable();
+            col_ptr.push(rows.len());
         }
-        SparsePattern::from_edges(self.n, &edges)
+        SparsePattern {
+            n: self.n,
+            col_ptr,
+            rows,
+        }
     }
 
     /// The 5-point-stencil Laplacian of a `k × k` grid (order `k²`).
@@ -223,6 +229,12 @@ mod tests {
         assert_eq!(q.nnz_off_diagonal(), p.nnz_off_diagonal());
         // Entry (0,1) of the original appears as (15,14).
         assert!(q.column(15).contains(&14));
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation repeats index 1")]
+    fn permute_rejects_a_repeated_index() {
+        SparsePattern::grid2d(2).permute(&[0, 1, 1, 3]);
     }
 
     #[test]

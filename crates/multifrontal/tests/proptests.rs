@@ -1,10 +1,14 @@
 //! Property tests of the symbolic-analysis pipeline.
 
+mod reference;
+
 use memtree_multifrontal::colcount::{column_counts, factor_nnz};
-use memtree_multifrontal::ordering::{is_permutation, minimum_degree};
+use memtree_multifrontal::ordering::{is_permutation, minimum_degree, minimum_degree_with_degrees};
 use memtree_multifrontal::{elimination_tree, etree_postorder, CorpusSpec, SparsePattern};
 use memtree_tree::validate::check_consistency;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_pattern() -> impl Strategy<Value = SparsePattern> {
     (2usize..40, 0usize..80, 0u64..1000)
@@ -58,6 +62,46 @@ proptest! {
         prop_assert!(is_permutation(&perm, p.order()));
         let q = p.permute(&perm);
         prop_assert_eq!(q.nnz_off_diagonal(), p.nnz_off_diagonal());
+    }
+
+    /// The quotient-graph ordering is the clique-elimination ordering it
+    /// replaced, tie-breaks included.
+    #[test]
+    fn minimum_degree_matches_reference(p in arb_pattern()) {
+        prop_assert_eq!(minimum_degree(&p), reference::minimum_degree(&p));
+    }
+
+    /// An oracle that owes nothing to the old code: the degree a vertex is
+    /// eliminated at is the off-diagonal count of its column of the factor.
+    #[test]
+    fn elimination_degrees_are_column_counts(p in arb_pattern()) {
+        let (perm, degrees) = minimum_degree_with_degrees(&p);
+        let q = p.permute(&perm);
+        let cc = column_counts(&q, &elimination_tree(&q));
+        for (k, (&d, &c)) in degrees.iter().zip(&cc).enumerate() {
+            prop_assert_eq!(d as u64 + 1, c, "step {}", k);
+        }
+    }
+
+    /// `permute` builds its CSC directly; relabelling the edge list and
+    /// going through `from_edges` must give the same pattern.
+    #[test]
+    fn permute_matches_the_edge_list_route(p in arb_pattern(), seed in 0u64..1000) {
+        let n = p.order();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.random_range(0..i + 1));
+        }
+        let mut inv = vec![0; n];
+        for (new, &old) in perm.iter().enumerate() {
+            inv[old] = new;
+        }
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|j| p.column(j).iter().map(move |&i| (i as usize, j)))
+            .map(|(i, j)| (inv[i], inv[j]))
+            .collect();
+        prop_assert_eq!(p.permute(&perm), SparsePattern::from_edges(n, &edges));
     }
 
     /// The full pipeline yields a valid assembly tree whose pivots cover
