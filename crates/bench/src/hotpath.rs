@@ -10,8 +10,10 @@
 //!
 //! Per cell the sweep reports **ns per scheduled node** —
 //! `wall_seconds × 10⁹ / tasks_run`, where the platform's `wall_seconds`
-//! covers scheduler minting plus the event loop but *not* tree
-//! generation or order construction — and its reciprocal, nodes/sec.
+//! covers scheduler minting plus the event loop and, on the simulator,
+//! the per-run relayout into activation-order numbering that precedes
+//! them, but *not* tree generation or order construction — and its
+//! reciprocal, nodes/sec.
 //! Policy axis per shape:
 //!
 //! * every shape runs [`HeuristicKind::Activation`] (O(1) per event) —
@@ -49,8 +51,9 @@ pub struct HotCell {
     pub events: usize,
     /// Tasks executed.
     pub tasks_run: usize,
-    /// Wall-clock seconds inside the platform run (scheduler minting +
-    /// event loop; excludes tree generation and order construction).
+    /// Wall-clock seconds inside the platform run (relayout on the
+    /// simulator, scheduler minting, event loop; excludes tree generation
+    /// and order construction).
     pub wall_seconds: f64,
     /// Wall-clock seconds inside scheduler callbacks alone.
     pub scheduling_seconds: f64,

@@ -50,6 +50,9 @@ pub struct TreeCase {
     pub min_memory: u64,
     orders: OrderCache,
     redtree: OnceLock<RedCase>,
+    /// Instances in activation-order numbering, bound unset — see
+    /// [`TreeCase::relaid_instance`].
+    relaid: Mutex<HashMap<(HeuristicKind, OrderPair), PolicyInstance>>,
     content_hash: OnceLock<u64>,
 }
 
@@ -258,6 +261,7 @@ impl TreeCase {
             min_memory,
             orders: OrderCache::default(),
             redtree: OnceLock::new(),
+            relaid: Mutex::default(),
             content_hash: OnceLock::new(),
         };
         case.orders
@@ -340,6 +344,34 @@ impl TreeCase {
         PolicyInstance::from_parts(kind, memory, transformed, ao, eo, None)
             .expect("cache-built parts are consistent")
     }
+
+    /// [`TreeCase::instance`] in activation-order numbering
+    /// ([`PolicyInstance::relaid`]) — what the simulator runs on. Relaid
+    /// once per (kind, orders) and cached, so on in-cache trees, where
+    /// the renumbering is a visible share of a run, a sweep pays it once
+    /// per tree instead of once per cell: every later cell stamps its
+    /// bound onto the cached instance, and the platform's own `relaid`
+    /// is then a clone.
+    pub fn relaid_instance(
+        &self,
+        kind: HeuristicKind,
+        orders: OrderPair,
+        memory: u64,
+    ) -> PolicyInstance {
+        let lock = || self.relaid.lock().expect("relaid cache poisoned");
+        if let Some(hit) = lock().get(&(kind, orders)) {
+            return hit.with_memory(memory);
+        }
+        // Relaid outside the lock, like the orders: first insert wins.
+        let fresh = self
+            .instance(kind, orders, memory)
+            .relaid(&self.tree)
+            .expect("cache-built parts are consistent");
+        lock()
+            .entry((kind, orders))
+            .or_insert(fresh)
+            .with_memory(memory)
+    }
 }
 
 /// Runs `kind` on `case` at `(orders, p, factor)` on the simulator and
@@ -360,7 +392,7 @@ pub fn run_heuristic(
     factor: f64,
 ) -> RunOutcome {
     let memory = case.memory_at(factor);
-    let instance = case.instance(kind, orders, memory);
+    let instance = case.relaid_instance(kind, orders, memory);
     let report = match SimPlatform::new(processors).run_instance(&case.tree, &instance) {
         Ok(report) => report,
         Err(e) if e.is_infeasible() => return RunOutcome::unscheduled(),
@@ -675,6 +707,24 @@ mod tests {
         let a = c.order(OrderKind::CriticalPath);
         let b = c.order(OrderKind::CriticalPath);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn relaid_instances_are_cached_per_kind_and_orders() {
+        let c = case();
+        let pair = OrderPair::default_pair();
+        let a = c.relaid_instance(HeuristicKind::MemBooking, pair, c.memory_at(1.0));
+        let b = c.relaid_instance(HeuristicKind::MemBooking, pair, c.memory_at(2.0));
+        assert!(std::ptr::eq(a.exec_tree(&c.tree), b.exec_tree(&c.tree)));
+        assert_eq!(b.memory(), c.memory_at(2.0), "each cell's own bound");
+        // The platform's relayout of a cached instance is a clone.
+        let again = b.relaid(&c.tree).unwrap();
+        assert!(std::ptr::eq(again.exec_tree(&c.tree), b.exec_tree(&c.tree)));
+        let other = c.relaid_instance(HeuristicKind::Activation, pair, c.memory_at(1.0));
+        assert!(!std::ptr::eq(
+            other.exec_tree(&c.tree),
+            a.exec_tree(&c.tree)
+        ));
     }
 
     #[test]

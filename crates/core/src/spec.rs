@@ -16,13 +16,14 @@
 //! executed on a simulator, on real threads, or fanned out across a
 //! parallel sweep.
 
+use crate::activation::check_orders;
 use crate::error::SchedError;
 use crate::moldable::{AllotmentCaps, MoldableMemBooking};
 use crate::redtree::to_reduction_tree;
 use crate::{Activation, HeuristicKind, MemBooking, MemBookingRef, RedTreeBooking, Sequential};
 use memtree_order::{make_order, Order, OrderKind};
 use memtree_sim::Scheduler;
-use memtree_tree::TaskTree;
+use memtree_tree::{NodeId, TaskTree};
 use std::sync::Arc;
 
 /// A declarative description of a scheduling policy: everything needed to
@@ -306,11 +307,16 @@ pub fn spec_from_str(s: &str) -> Result<PolicySpec, SchedError> {
 pub struct PolicyInstance {
     kind: HeuristicKind,
     memory: u64,
-    /// `Some` when the policy schedules a transformed tree (RedTree).
+    /// `Some` when the policy schedules a tree of its own rather than the
+    /// caller's: RedTree's transform, and any [relaid](Self::relaid)
+    /// instance's renumbered tree.
     transformed: Option<Arc<TaskTree>>,
     ao: Arc<Order>,
     eo: Arc<Order>,
     caps: Option<AllotmentCaps>,
+    /// Whether this instance is in activation-order numbering
+    /// ([`PolicyInstance::relaid`]).
+    relaid: bool,
 }
 
 impl PolicyInstance {
@@ -347,6 +353,76 @@ impl PolicyInstance {
             ao,
             eo,
             caps,
+            relaid: false,
+        })
+    }
+
+    /// The same instance under another memory bound — how a sweep stamps
+    /// each cell's `M` onto preprocessing it shares across cells.
+    pub fn with_memory(&self, memory: u64) -> Self {
+        PolicyInstance {
+            memory,
+            ..self.clone()
+        }
+    }
+
+    /// The same policy in **activation-order numbering**: its
+    /// [`exec_tree`](Self::exec_tree) is `self.exec_tree(original)`
+    /// [renumbered](TaskTree::renumbered) along `AO`, so `AO` is the
+    /// identity, `EO` and the allotment caps are carried over to the new
+    /// ids, and every per-node array a scheduler or the driver keeps is
+    /// laid out in the order the policies walk it — at 10⁶ nodes, the
+    /// difference between a cache miss and a hit per touch
+    /// (DESIGN.md §6.11).
+    ///
+    /// Node ids of the relaid instance are positions in `AO`;
+    /// `exec_tree(..).label(i)` gives back the caller's id. Executions
+    /// break id ties by label, so a relaid run produces the caller-space
+    /// schedule record for record. Relaying a relaid instance is a clone.
+    ///
+    /// # Errors
+    /// [`SchedError::OrderMismatch`] / [`SchedError::InvalidSpec`] when
+    /// the instance's orders or caps do not belong to `original`.
+    pub fn relaid(&self, original: &TaskTree) -> Result<PolicyInstance, SchedError> {
+        if self.relaid {
+            return Ok(self.clone());
+        }
+        let exec = self.exec_tree(original);
+        check_orders(exec, &self.ao, &self.eo)?;
+        let foreign =
+            |e| SchedError::InvalidSpec(format!("the orders do not belong to the tree: {e}"));
+        let layout = exec
+            .renumbered(self.ao.shared_sequence())
+            .map_err(foreign)?;
+        let ao = Arc::new(Order::identity(&layout, self.ao.kind()).map_err(foreign)?);
+        let eo = if Arc::ptr_eq(&self.ao, &self.eo) {
+            ao.clone()
+        } else {
+            let seq = self.eo.sequence().iter();
+            let seq = seq.map(|&i| NodeId(self.ao.rank(i))).collect();
+            Arc::new(Order::new(&layout, seq, self.eo.kind()).map_err(foreign)?)
+        };
+        let caps = match &self.caps {
+            Some(caps) if caps.as_slice().len() != exec.len() => {
+                return Err(SchedError::InvalidSpec(format!(
+                    "{} allotment caps for {} tasks",
+                    caps.as_slice().len(),
+                    exec.len()
+                )));
+            }
+            Some(caps) => Some(AllotmentCaps::from_caps(
+                self.ao.sequence().iter().map(|&i| caps.cap(i)).collect(),
+            )),
+            None => None,
+        };
+        Ok(PolicyInstance {
+            kind: self.kind,
+            memory: self.memory,
+            transformed: Some(Arc::new(layout)),
+            ao,
+            eo,
+            caps,
+            relaid: true,
         })
     }
 
@@ -383,7 +459,8 @@ impl PolicyInstance {
     }
 
     /// The tree the policy actually schedules: the reduction-tree
-    /// transform for RedTree, `original` otherwise.
+    /// transform for RedTree, the renumbered tree for a
+    /// [relaid](Self::relaid) instance, `original` otherwise.
     ///
     /// Platforms must simulate/execute *this* tree, not `original`.
     pub fn exec_tree<'t>(&'t self, original: &'t TaskTree) -> &'t TaskTree {
@@ -614,6 +691,82 @@ mod tests {
         reject(format!("{good}caps\n"), "caps without value");
         // Comments and blank lines remain legal anywhere.
         PolicySpec::spec_from_str(&format!("# c\n\n{good}# tail\n")).unwrap();
+    }
+
+    #[test]
+    fn relaid_instance_is_the_same_policy_in_activation_order_numbering() {
+        let tree = memtree_gen::synthetic::paper_tree(90, 4);
+        for kind in HeuristicKind::all() {
+            let spec =
+                PolicySpec::new(kind, 0).with_orders(OrderKind::OptSeq, OrderKind::CriticalPath);
+            let inst = spec
+                .clone()
+                .with_memory(spec.min_feasible(&tree))
+                .instantiate(&tree)
+                .unwrap();
+            let exec = inst.exec_tree(&tree);
+            let relaid = inst.relaid(&tree).unwrap();
+            let layout = relaid.exec_tree(&tree);
+            assert_eq!(layout.len(), exec.len(), "{kind}");
+            assert_eq!((relaid.kind(), relaid.memory()), (kind, inst.memory()));
+            assert_eq!(relaid.ao().kind(), OrderKind::OptSeq);
+            assert_eq!(relaid.eo().kind(), OrderKind::CriticalPath);
+            for k in layout.nodes() {
+                // AO is the identity; labels, specs and EO ranks carry over.
+                assert_eq!(relaid.ao().rank(k), k.0);
+                assert_eq!(layout.label(k), inst.ao().at(k.index()));
+                assert_eq!(layout.spec(k), exec.spec(layout.label(k)));
+                assert_eq!(relaid.eo().rank(k), inst.eo().rank(layout.label(k)));
+            }
+            // The policy's own feasibility floor is numbering-independent.
+            assert!(relaid.scheduler(&tree).is_ok(), "{kind}");
+            assert!(matches!(
+                relaid.with_memory(inst.memory() - 1).scheduler(&tree),
+                Err(SchedError::InfeasibleMemory { .. })
+            ));
+            // Idempotent: relaying again shares the layout tree.
+            let again = relaid.relaid(&tree).unwrap();
+            assert!(std::ptr::eq(again.exec_tree(&tree), layout));
+        }
+    }
+
+    #[test]
+    fn relaid_permutes_caps_and_shares_a_common_order() {
+        let tree = memtree_gen::synthetic::paper_tree(60, 5);
+        let caps = AllotmentCaps::sqrt_of_time(&tree, 6);
+        let inst = PolicySpec::new(HeuristicKind::MemBooking, u64::MAX / 4)
+            .with_caps(caps.clone())
+            .instantiate(&tree)
+            .unwrap();
+        let relaid = inst.relaid(&tree).unwrap();
+        let layout = relaid.exec_tree(&tree);
+        let relaid_caps = relaid.caps().expect("caps carried over");
+        for k in layout.nodes() {
+            assert_eq!(relaid_caps.cap(k), caps.cap(layout.label(k)));
+        }
+        // memPO/memPO: one identity order serves as AO and EO.
+        assert!(std::ptr::eq(relaid.ao(), relaid.eo()));
+        relaid.moldable(&tree).unwrap();
+    }
+
+    #[test]
+    fn relaid_refuses_orders_of_another_tree() {
+        let tree = memtree_gen::synthetic::paper_tree(60, 5);
+        let inst = PolicySpec::new(HeuristicKind::MemBooking, 1_000)
+            .instantiate(&tree)
+            .unwrap();
+        let shorter = memtree_gen::synthetic::paper_tree(40, 5);
+        assert!(matches!(
+            inst.relaid(&shorter),
+            Err(SchedError::OrderMismatch { .. })
+        ));
+        // Same size, other shape: a chain has a single topological order,
+        // and the memPO of a branching tree is not it.
+        let chain = memtree_gen::shapes::chain(60, memtree_tree::TaskSpec::default());
+        assert!(matches!(
+            inst.relaid(&chain),
+            Err(SchedError::InvalidSpec(_))
+        ));
     }
 
     #[test]

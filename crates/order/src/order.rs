@@ -1,6 +1,7 @@
 //! The [`Order`] type: a validated topological sequence plus rank lookup.
 
 use memtree_tree::{NodeId, TaskTree, TreeError};
+use std::sync::Arc;
 
 /// Identifies which traversal strategy produced an [`Order`].
 ///
@@ -63,8 +64,10 @@ impl std::fmt::Display for OrderKind {
 /// execution priority (`EO`, smaller rank = higher priority).
 #[derive(Clone, Debug)]
 pub struct Order {
-    seq: Vec<NodeId>,
-    rank: Vec<u32>,
+    seq: Arc<[NodeId]>,
+    /// `rank[i]` is the position of node `i`; `None` for the identity
+    /// order, where it is `i` itself.
+    rank: Option<Vec<u32>>,
     kind: OrderKind,
 }
 
@@ -76,7 +79,25 @@ impl Order {
         for (k, &i) in seq.iter().enumerate() {
             rank[i.index()] = k as u32;
         }
-        Ok(Order { seq, rank, kind })
+        Ok(Order {
+            seq: seq.into(),
+            rank: Some(rank),
+            kind,
+        })
+    }
+
+    /// The order `0, 1, …, n − 1` of a tree whose ids already are
+    /// topological (every parent id above its children's, as after
+    /// [`TaskTree::renumbered`]). It stores no rank array: a node's rank
+    /// is its id.
+    pub fn identity(tree: &TaskTree, kind: OrderKind) -> Result<Self, TreeError> {
+        let seq: Arc<[NodeId]> = tree.nodes().collect();
+        tree.check_topological(&seq)?;
+        Ok(Order {
+            seq,
+            rank: None,
+            kind,
+        })
     }
 
     /// The sequence, children always before parents.
@@ -85,10 +106,19 @@ impl Order {
         &self.seq
     }
 
+    /// The sequence as a shared allocation, for holders that outlive the
+    /// borrow (a tree renumbered along this order keeps it as its labels).
+    pub fn shared_sequence(&self) -> Arc<[NodeId]> {
+        self.seq.clone()
+    }
+
     /// Position of `i` in the sequence (0 = first).
     #[inline]
     pub fn rank(&self, i: NodeId) -> u32 {
-        self.rank[i.index()]
+        match &self.rank {
+            Some(rank) => rank[i.index()],
+            None => i.0,
+        }
     }
 
     /// The node at position `k`.

@@ -14,39 +14,38 @@
 //! than the swapped cost exactly when `P_a − f_a ≥ P_b − f_b`.
 
 use crate::order::{Order, OrderKind};
-use memtree_tree::traverse::{postorder, postorder_with_child_order};
+use memtree_tree::traverse::{postorder_over, PostorderIter};
 use memtree_tree::{NodeId, TaskTree};
+
+/// `P(i)` of every subtree, and every child list sorted by non-increasing
+/// `P − f` — the order that achieves it — aligned with the tree's own
+/// child lists ([`TaskTree::child_range`]).
+fn peaks_and_child_order(tree: &TaskTree) -> (Vec<u64>, Vec<NodeId>) {
+    let mut peaks = vec![0u64; tree.len()];
+    let mut order = vec![NodeId(0); tree.len() - 1];
+    for i in PostorderIter::new(tree) {
+        let sorted = &mut order[tree.child_range(i)];
+        sorted.copy_from_slice(tree.children(i));
+        // Stable, ties by id for determinism. P ≥ n + f ≥ f, so the
+        // subtraction is safe.
+        sorted.sort_by_key(|&c| std::cmp::Reverse(peaks[c.index()] - tree.output(c)));
+        let mut outputs_so_far = 0u64;
+        let mut peak = 0u64;
+        for &c in sorted.iter() {
+            peak = peak.max(outputs_so_far + peaks[c.index()]);
+            outputs_so_far += tree.output(c);
+        }
+        peaks[i.index()] = peak.max(outputs_so_far + tree.exec(i) + tree.output(i));
+    }
+    (peaks, order)
+}
 
 /// Peak memory `P(i)` of the optimal postorder of every subtree.
 ///
 /// `peaks[root]` is the minimum peak over all postorders of the whole tree —
 /// the quantity the paper's "normalized memory bound" is a multiple of.
 pub fn postorder_peaks(tree: &TaskTree) -> Vec<u64> {
-    let mut peaks = vec![0u64; tree.len()];
-    // Reused scratch: children sorted by non-increasing P - f.
-    let mut sorted: Vec<NodeId> = Vec::new();
-    for i in postorder(tree) {
-        let children = tree.children(i);
-        if children.is_empty() {
-            peaks[i.index()] = tree.exec(i) + tree.output(i);
-            continue;
-        }
-        sorted.clear();
-        sorted.extend_from_slice(children);
-        sorted.sort_by_key(|&c| {
-            // Non-increasing P - f; stable, ties by id for determinism.
-            std::cmp::Reverse(peaks[c.index()] - tree.output(c))
-        });
-        let mut outputs_so_far = 0u64;
-        let mut peak = 0u64;
-        for &c in &sorted {
-            peak = peak.max(outputs_so_far + peaks[c.index()]);
-            outputs_so_far += tree.output(c);
-        }
-        peak = peak.max(outputs_so_far + tree.exec(i) + tree.output(i));
-        peaks[i.index()] = peak;
-    }
-    peaks
+    peaks_and_child_order(tree).0
 }
 
 /// The minimum sequential-postorder peak of the whole tree.
@@ -57,14 +56,8 @@ pub fn min_postorder_peak(tree: &TaskTree) -> u64 {
 /// Builds the `memPO` order: a postorder whose children are expanded by
 /// non-increasing `P(c) − f(c)`.
 pub fn mem_postorder(tree: &TaskTree) -> Order {
-    let peaks = postorder_peaks(tree);
-    // Rank children ascending by the *negated* key so smaller rank = larger
-    // P - f. P ≥ f always (P ≥ n + f ≥ f), so the subtraction is safe.
-    let rank: Vec<u64> = tree
-        .nodes()
-        .map(|i| u64::MAX - (peaks[i.index()] - tree.output(i)))
-        .collect();
-    let seq = postorder_with_child_order(tree, &rank);
+    let (_, child_order) = peaks_and_child_order(tree);
+    let seq = postorder_over(tree, &child_order);
     Order::new(tree, seq, OrderKind::MemPostorder).expect("postorder is topological")
 }
 

@@ -3,11 +3,14 @@
 use memtree_order::exhaustive::{min_enumerated_postorder_peak, min_topological_peak};
 use memtree_order::{
     avg_mem_postorder, cp_order, make_order, mem_postorder, optimal_traversal, perf_postorder,
-    OrderKind,
+    Order, OrderKind,
 };
 use memtree_tree::memory::{sequential_average_memory, sequential_peak};
-use memtree_tree::{TaskSpec, TaskTree};
+use memtree_tree::{TaskSpec, TaskTree, TreeStats};
 use proptest::prelude::*;
+
+#[path = "../../tree/tests/reference/mod.rs"]
+mod reference;
 
 /// Random tree of up to `max_n` nodes with small, adversarial data sizes
 /// (zeros included).
@@ -103,6 +106,66 @@ proptest! {
             }
             prop_assert_eq!(o.kind(), kind);
         }
+    }
+
+    /// memPO, perfPO and avgMemPO are still, bit for bit, "the postorder
+    /// with this child priority" as the per-frame-`Vec` traversal emitted
+    /// it — memPO although it now reuses the child order its peak
+    /// computation sorted. Small sizes make equal priorities common.
+    #[test]
+    fn postorders_match_the_reference_traversal(tree in arb_tree(40)) {
+        let peaks = memtree_order::postorder_peaks(&tree);
+        let stats = TreeStats::compute(&tree);
+        let mem: Vec<u64> = tree
+            .nodes()
+            .map(|i| u64::MAX - (peaks[i.index()] - tree.output(i)))
+            .collect();
+        let perf: Vec<u64> = tree
+            .nodes()
+            .map(|i| u64::MAX - stats.subtree_cp[i.index()].to_bits())
+            .collect();
+        let avg: Vec<u64> = tree
+            .nodes()
+            .map(|i| {
+                let (t, f) = (stats.subtree_time[i.index()], tree.output(i));
+                let ratio = if f == 0 { f64::INFINITY } else { t / f as f64 };
+                u64::MAX - ratio.to_bits()
+            })
+            .collect();
+        for (order, rank) in [
+            (mem_postorder(&tree), mem),
+            (perf_postorder(&tree), perf),
+            (avg_mem_postorder(&tree), avg),
+        ] {
+            prop_assert_eq!(
+                order.sequence(),
+                &reference::postorder_with_child_order(&tree, &rank)[..],
+                "{}", order.kind()
+            );
+        }
+    }
+
+    /// Renumbered along any topological order, a tree's identity order
+    /// *is* that order: rank = id, same sequential peak.
+    #[test]
+    fn identity_order_of_a_renumbered_tree(tree in arb_tree(40), seed in 0u64..1000) {
+        let seq = reference::random_topological(&tree, seed);
+        let peak = sequential_peak(&tree, &seq).unwrap();
+        let layout = tree.renumbered(seq).unwrap();
+        let identity = Order::identity(&layout, OrderKind::OptSeq).unwrap();
+        prop_assert_eq!(identity.len(), tree.len());
+        prop_assert_eq!(identity.sequential_peak(&layout), peak);
+        for (k, &i) in identity.sequence().iter().enumerate() {
+            prop_assert_eq!(i.index(), k);
+            prop_assert_eq!(identity.rank(i) as usize, k);
+            prop_assert_eq!(identity.at(k), i);
+        }
+        // The strategy numbers parents below their children: no identity
+        // order there.
+        prop_assert_eq!(
+            Order::identity(&tree, OrderKind::OptSeq).is_err(),
+            tree.len() > 1
+        );
     }
 
     /// CP and perfPO break ties deterministically: two runs agree.

@@ -31,7 +31,9 @@ use crate::workload::Workload;
 use memtree_sched::{
     LedgerError, PolicyInstance, PolicySpec, ProportionalRescheduler, ReschedulePolicy, SchedError,
 };
-use memtree_sim::{simulate, MoldableScheduler, SimConfig, SimError, SpeedupModel};
+use memtree_sim::{
+    simulate, simulate_summary, MoldableScheduler, SimConfig, SimError, SpeedupModel,
+};
 use memtree_tree::TaskTree;
 use std::fmt;
 
@@ -207,6 +209,13 @@ pub trait Platform {
 }
 
 /// The discrete-event simulator as a platform.
+///
+/// One-processor-per-task instances are always run
+/// [relaid](PolicyInstance::relaid) — in activation-order numbering, the
+/// layout that keeps a 10⁶-node run in cache (DESIGN.md §6.11) — and
+/// schedule exactly as they would in the caller's ids. Handing
+/// `run_instance` an instance that is already relaid skips the
+/// renumbering, which is how sweeps pay for it once per tree.
 #[derive(Clone, Copy, Debug)]
 pub struct SimPlatform {
     /// Simulated processor count `p`.
@@ -253,9 +262,9 @@ impl Platform for SimPlatform {
         tree: &TaskTree,
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        let exec = instance.exec_tree(tree);
         let started_at = std::time::Instant::now();
         if instance.is_moldable() {
+            let exec = instance.exec_tree(tree);
             let sched = instance.moldable(tree)?;
             let mut resched = self
                 .reschedule
@@ -284,23 +293,30 @@ impl Platform for SimPlatform {
                 quarantined: 0,
             });
         }
-        let sched = instance.scheduler(tree)?;
-        let trace = simulate(
-            exec,
-            SimConfig::new(self.processors, instance.memory()),
-            sched,
-        )?;
-        debug_assert!(memtree_sim::validate::validate_trace(exec, &trace).is_ok());
+        // Nothing in the report names a node, so the ids can be AO ranks.
+        let relaid = instance.relaid(tree)?;
+        let exec = relaid.exec_tree(tree);
+        let sched = relaid.scheduler(tree)?;
+        let cfg = SimConfig::new(self.processors, relaid.memory());
+        // The report reads only aggregates, so release builds keep no
+        // per-task records; debug builds record to re-validate the trace.
+        let summary = if cfg!(debug_assertions) {
+            let trace = simulate(exec, cfg, sched)?;
+            debug_assert!(memtree_sim::validate::validate_trace(exec, &trace).is_ok());
+            trace.summary()
+        } else {
+            simulate_summary(exec, cfg, sched)?
+        };
         Ok(RunReport {
             platform: self.name(),
-            policy: trace.scheduler.clone(),
-            makespan: trace.makespan,
+            policy: summary.scheduler,
+            makespan: summary.makespan,
             wall_seconds: started_at.elapsed().as_secs_f64(),
-            peak_booked: trace.peak_booked,
-            peak_actual: trace.peak_actual,
-            events: trace.events,
-            scheduling_seconds: trace.scheduling_seconds,
-            tasks_run: trace.records.len(),
+            peak_booked: summary.peak_booked,
+            peak_actual: summary.peak_actual,
+            events: summary.events,
+            scheduling_seconds: summary.scheduling_seconds,
+            tasks_run: summary.tasks_run,
             quarantined: 0,
         })
     }

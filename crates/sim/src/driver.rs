@@ -664,7 +664,11 @@ pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
         // its whole gang back to the idle pool.
         finished_batch.clear();
         backend.await_batch(events as u64, &mut finished_batch)?;
-        finished_batch.sort_unstable();
+        // Simultaneous completions are delivered in ascending order of the
+        // ids the caller knows them by: the delivery order is part of the
+        // scheduler contract, and keying it by label makes a renumbered
+        // tree schedule like its source under any policy.
+        finished_batch.sort_unstable_by_key(|&i| tree.label(i));
         for &i in &finished_batch {
             debug_assert!(started.get(i.index()) && !finished.get(i.index()));
             finished.set(i.index());
@@ -790,6 +794,56 @@ mod tests {
         // Leaves in one batch, root in the next, plus the final event.
         assert_eq!(stats.events, 3);
         assert_eq!(stats.peak_actual, 6);
+    }
+
+    #[test]
+    fn batches_are_delivered_in_ascending_label() {
+        /// Starts every leaf at once, then the root, and keeps the
+        /// labels of each batch it is handed.
+        struct Recorder<'a> {
+            tree: &'a TaskTree,
+            seen: &'a mut Vec<Vec<NodeId>>,
+        }
+        impl Scheduler for Recorder<'_> {
+            fn name(&self) -> &str {
+                "recorder"
+            }
+            fn on_event(&mut self, finished: &[NodeId], _: usize, to_start: &mut Vec<NodeId>) {
+                if finished.is_empty() {
+                    to_start.extend(self.tree.leaves());
+                } else if finished != [self.tree.root()] {
+                    to_start.push(self.tree.root());
+                }
+                let labels = finished.iter().map(|&i| self.tree.label(i));
+                self.seen.push(labels.collect());
+            }
+            fn booked(&self) -> u64 {
+                u64::MAX
+            }
+        }
+        // The caller's leaves 1 and 2 become nodes 1 and 0: in one batch,
+        // the caller's order is the reverse of the layout's.
+        let t = fork()
+            .renumbered(vec![NodeId(2), NodeId(1), NodeId(0)])
+            .unwrap();
+        let mut seen = Vec::new();
+        let recorder = Recorder {
+            tree: &t,
+            seen: &mut seen,
+        };
+        let mut backend = Immediate {
+            pending: Vec::new(),
+        };
+        let cfg = DriveConfig {
+            enforce_booking: false,
+            ..DriveConfig::new(2, u64::MAX)
+        };
+        drive(&t, cfg, recorder, &mut backend).unwrap();
+        assert_eq!(
+            seen,
+            [vec![], vec![NodeId(1), NodeId(2)], vec![NodeId(0)]],
+            "completions are ordered by the ids the caller knows"
+        );
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   from scratch (precedence, concurrency, memory).
 //!
 //! Determinism: simultaneous completions are delivered in ascending node
-//! id, and all scheduler queues are tie-broken explicitly, so a simulation
-//! is a pure function of (tree, config, scheduler).
+//! id (ascending [`memtree_tree::TaskTree::label`] on a renumbered tree),
+//! and all scheduler queues are tie-broken explicitly, so a simulation is
+//! a pure function of (tree, config, scheduler).
 
 pub mod driver;
 pub mod engine;
@@ -34,11 +35,11 @@ pub use driver::{
     drive, drive_gang, drive_gang_with, Backend, DriveConfig, DriveError, DriveStats, GangBackend,
     GangSnapshot, LiveStats, RescheduleAction, Rescheduler, UnitAllotments,
 };
-pub use engine::{simulate, SimConfig};
+pub use engine::{simulate, simulate_summary, SimConfig};
 pub use error::SimError;
 pub use moldable::{
     simulate_moldable, simulate_moldable_with, AllotmentSegment, MoldableRecord, MoldableScheduler,
     MoldableTrace, SpeedupModel,
 };
 pub use scheduler::Scheduler;
-pub use trace::{TaskRecord, Trace};
+pub use trace::{RunSummary, TaskRecord, Trace};

@@ -528,7 +528,7 @@ pub fn simulate_moldable_with<S: MoldableScheduler>(
         &mut backend,
         rescheduler,
     )
-    .map_err(crate::engine::to_sim_error)?;
+    .map_err(|e| crate::engine::to_sim_error(e, tree))?;
     Ok(MoldableTrace {
         scheduler: name,
         processors,

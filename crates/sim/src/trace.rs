@@ -56,7 +56,40 @@ pub struct Trace {
     pub profile: Vec<MemSample>,
 }
 
+/// The aggregates of a simulation — a [`Trace`] without its per-task
+/// records and profile ([`crate::simulate_summary`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunSummary {
+    /// Scheduler name.
+    pub scheduler: String,
+    /// Total completion time.
+    pub makespan: f64,
+    /// Peak of the actual resident memory.
+    pub peak_actual: u64,
+    /// Peak of the scheduler's booked memory.
+    pub peak_booked: u64,
+    /// Wall-clock seconds spent inside scheduler callbacks.
+    pub scheduling_seconds: f64,
+    /// Number of events processed.
+    pub events: usize,
+    /// Tasks completed (the whole tree on success).
+    pub tasks_run: usize,
+}
+
 impl Trace {
+    /// The aggregates of this trace.
+    pub fn summary(&self) -> RunSummary {
+        RunSummary {
+            scheduler: self.scheduler.clone(),
+            makespan: self.makespan,
+            peak_actual: self.peak_actual,
+            peak_booked: self.peak_booked,
+            scheduling_seconds: self.scheduling_seconds,
+            events: self.events,
+            tasks_run: self.records.len(),
+        }
+    }
+
     /// The record of node `i`.
     #[inline]
     pub fn record(&self, i: NodeId) -> TaskRecord {

@@ -49,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+use memtree_runtime::{Platform, SimPlatform};
 use memtree_sched::{HeuristicKind, PolicySpec};
 use memtree_sim::{simulate, SimConfig};
 use memtree_tree::{TaskSpec, TaskTree};
@@ -65,6 +66,26 @@ fn allocs_for_run(tree: &TaskTree, kind: HeuristicKind, p: usize) -> u64 {
     let trace = simulate(tree, SimConfig::new(p, memory), sched).expect("run completes");
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(trace.records.len(), tree.len());
+    after - before
+}
+
+/// Allocation count of one `SimPlatform` run: relayout into activation
+/// order (a dozen arrays, whatever the size), scheduler minting and the
+/// event loop — plus, in debug builds, the recorded trace and its
+/// re-validation.
+fn allocs_for_platform_run(tree: &TaskTree, kind: HeuristicKind, p: usize) -> u64 {
+    let spec = PolicySpec::new(kind, 0);
+    let memory = spec.min_feasible(tree).saturating_mul(2);
+    let instance = spec
+        .with_memory(memory)
+        .instantiate(tree)
+        .expect("spec instantiates");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let report = SimPlatform::new(p)
+        .run_instance(tree, &instance)
+        .expect("run completes");
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(report.tasks_run, tree.len());
     after - before
 }
 
@@ -102,6 +123,19 @@ fn steady_state_is_allocation_free() {
                 a_big <= 256,
                 "{kind} p={p}: {a_big} allocations for one run — setup \
                  should be a handful of arena/ledger vectors"
+            );
+
+            // The platform path runs the same loop on the relaid tree:
+            // keying ties by label must not cost an allocation per event.
+            allocs_for_platform_run(&small, kind, p);
+            let r_small = allocs_for_platform_run(&small, kind, p);
+            let r_big = allocs_for_platform_run(&big, kind, p);
+            assert!(r_small > a_small, "the relayout allocates its arrays");
+            let delta = r_big.saturating_sub(r_small);
+            assert!(
+                delta <= 16,
+                "{kind} p={p}: relaid platform run took {r_big} allocs at 10x \
+                 events vs {r_small} (delta {delta})"
             );
         }
     }

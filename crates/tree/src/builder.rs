@@ -2,7 +2,7 @@
 
 use crate::error::TreeError;
 use crate::node::{NodeId, TaskSpec};
-use crate::tree::{TaskTree, NO_PARENT};
+use crate::tree::{csr_children, TaskTree, NO_PARENT};
 use crate::Result;
 
 /// Builds a [`TaskTree`] node by node.
@@ -140,27 +140,7 @@ impl TreeBuilder {
             }
         }
 
-        // Build the CSR children structure via counting sort; iterating
-        // nodes in id order yields id-sorted children groups.
-        let mut counts = vec![0u32; n + 1];
-        for &p in &self.parent {
-            if p != NO_PARENT {
-                counts[p as usize + 1] += 1;
-            }
-        }
-        let mut child_ptr = counts;
-        for i in 0..n {
-            child_ptr[i + 1] += child_ptr[i];
-        }
-        let mut cursor = child_ptr.clone();
-        let mut children = vec![NodeId(0); n - 1];
-        for (ix, &p) in self.parent.iter().enumerate() {
-            if p != NO_PARENT {
-                let slot = cursor[p as usize] as usize;
-                children[slot] = NodeId::from_index(ix);
-                cursor[p as usize] += 1;
-            }
-        }
+        let (child_ptr, children) = csr_children(&self.parent);
 
         Ok(TaskTree {
             parent: self.parent,
@@ -170,6 +150,7 @@ impl TreeBuilder {
             output: self.output,
             time: self.time,
             root,
+            labels: None,
         })
     }
 }

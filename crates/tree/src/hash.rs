@@ -4,7 +4,9 @@
 //! problem — the parent array plus every task's `(n_i, f_i, t_i)` — into a
 //! stable 64-bit value. Two trees hash equal iff they are equal as
 //! [`TaskTree`] values (the CSR children arrays are derived from the
-//! parents, so the parent array is the canonical structure). The hash is
+//! parents, so the parent array is the canonical structure; the labels of
+//! a [renumbered](TaskTree::renumbered) tree name its nodes for a caller,
+//! they are not part of the problem and are not hashed). The hash is
 //! the key ingredient of sweep-level caching: a persisted experiment cell
 //! is addressed by the tree's content, not by its name or its position in
 //! a corpus, so renaming or reordering a corpus never invalidates results

@@ -145,8 +145,17 @@ pub fn sequential_profile(tree: &TaskTree, order: &[NodeId]) -> Result<Sequentia
 ///
 /// This is the quantity the paper normalises memory bounds by: the minimum
 /// feasible `M` for the one-processor schedule following `order`.
+///
+/// Every scheduler mint and feasibility probe asks for this one number, so
+/// unlike [`sequential_profile`] it records no per-step profile.
 pub fn sequential_peak(tree: &TaskTree, order: &[NodeId]) -> Result<u64> {
-    Ok(sequential_profile(tree, order)?.peak)
+    tree.check_topological(order)?;
+    let mut live = LiveSet::new(tree);
+    for &i in order {
+        live.start(i);
+        live.finish(i);
+    }
+    Ok(live.peak())
 }
 
 /// The average memory of a sequential traversal (Appendix A):

@@ -79,36 +79,56 @@ pub fn postorder(tree: &TaskTree) -> Vec<NodeId> {
     PostorderIter::new(tree).collect()
 }
 
-/// Postorder where, at every node, children are expanded in the order given
-/// by `child_rank`: smaller rank is visited first.
+/// Every child list sorted by `child_rank` (smaller first), in one array
+/// aligned with the tree's own: the sorted children of `i` occupy
+/// [`TaskTree::child_range`]`(i)`.
 ///
-/// This is the workhorse behind all postorder-based activation orders
-/// (memPO, perfPO, avgMemPO): each of them is "a postorder with a specific
-/// child priority".
-pub fn postorder_with_child_order(tree: &TaskTree, child_rank: &[u64]) -> Vec<NodeId> {
+/// Stable sort: equal ranks keep id order, so traversals over the result
+/// are deterministic.
+fn children_sorted_by_rank(tree: &TaskTree, child_rank: &[u64]) -> Vec<NodeId> {
     assert_eq!(child_rank.len(), tree.len(), "one rank per node required");
+    let mut sorted = tree.children.clone();
+    for i in tree.nodes() {
+        sorted[tree.child_range(i)].sort_by_key(|c| child_rank[c.index()]);
+    }
+    sorted
+}
+
+/// Postorder that expands the children of `i` in the order
+/// `child_order[tree.child_range(i)]` lists them. `child_order` must hold
+/// every child list, each permuted in place.
+///
+/// One stack of `(node, next slot)` pairs: no allocation per node.
+pub fn postorder_over(tree: &TaskTree, child_order: &[NodeId]) -> Vec<NodeId> {
+    assert_eq!(
+        child_order.len(),
+        tree.children.len(),
+        "one slot per edge required"
+    );
     let mut out = Vec::with_capacity(tree.len());
-    // Stack entries hold the node's children pre-sorted by rank.
-    let mut stack: Vec<(NodeId, Vec<NodeId>, usize)> = Vec::new();
-    let sorted_children = |n: NodeId| {
-        let mut ch: Vec<NodeId> = tree.children(n).to_vec();
-        // Stable sort: equal ranks keep id order, so the traversal is
-        // deterministic.
-        ch.sort_by_key(|c| child_rank[c.index()]);
-        ch
-    };
-    stack.push((tree.root(), sorted_children(tree.root()), 0));
-    while let Some(&mut (node, ref ch, ref mut next)) = stack.last_mut() {
-        if *next < ch.len() {
-            let c = ch[*next];
+    let mut stack = vec![(tree.root(), tree.child_range(tree.root()).start)];
+    while let Some(&mut (node, ref mut next)) = stack.last_mut() {
+        if *next < tree.child_range(node).end {
+            let c = child_order[*next];
             *next += 1;
-            stack.push((c, sorted_children(c), 0));
+            stack.push((c, tree.child_range(c).start));
         } else {
             out.push(node);
             stack.pop();
         }
     }
     out
+}
+
+/// Postorder where, at every node, children are expanded in the order given
+/// by `child_rank`: smaller rank is visited first.
+///
+/// This is the workhorse behind the postorder-based activation orders
+/// (perfPO, avgMemPO; memPO feeds [`postorder_over`] the child order its
+/// peak computation already sorted): each of them is "a postorder with a
+/// specific child priority".
+pub fn postorder_with_child_order(tree: &TaskTree, child_rank: &[u64]) -> Vec<NodeId> {
+    postorder_over(tree, &children_sorted_by_rank(tree, child_rank))
 }
 
 /// Depth of every node (root has depth 0).

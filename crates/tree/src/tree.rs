@@ -3,6 +3,7 @@
 use crate::error::TreeError;
 use crate::node::{NodeId, TaskSpec};
 use crate::Result;
+use std::sync::Arc;
 
 /// Sentinel parent value meaning "no parent" (the root).
 pub(crate) const NO_PARENT: u32 = u32::MAX;
@@ -34,6 +35,41 @@ pub struct TaskTree {
     pub(crate) time: Vec<f64>,
     /// The unique root.
     pub(crate) root: NodeId,
+    /// `labels[i]` is the id node `i` had in the tree this one was
+    /// [`renumbered`](TaskTree::renumbered) from; `None` for a tree whose
+    /// ids are its caller's.
+    #[cfg_attr(feature = "serde", serde(skip))]
+    pub(crate) labels: Option<Arc<[NodeId]>>,
+}
+
+/// The CSR children arrays of a parent array: `(child_ptr, children)`.
+/// A counting sort over nodes in id order, so every group is id-sorted.
+pub(crate) fn csr_children(parent: &[u32]) -> (Vec<u32>, Vec<NodeId>) {
+    let n = parent.len();
+    let mut child_ptr = vec![0u32; n + 1];
+    for &p in parent {
+        if p != NO_PARENT {
+            child_ptr[p as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        child_ptr[i + 1] += child_ptr[i];
+    }
+    let mut cursor = child_ptr.clone();
+    let mut children = vec![NodeId(0); n - 1];
+    for (ix, &p) in parent.iter().enumerate() {
+        if p != NO_PARENT {
+            let slot = cursor[p as usize] as usize;
+            children[slot] = NodeId::from_index(ix);
+            cursor[p as usize] += 1;
+        }
+    }
+    (child_ptr, children)
+}
+
+/// `src` read in the order `seq` lists: `out[k] = src[seq[k]]`.
+fn gather<T: Copy>(src: &[T], seq: &[NodeId]) -> Vec<T> {
+    seq.iter().map(|&i| src[i.index()]).collect()
 }
 
 impl TaskTree {
@@ -82,9 +118,15 @@ impl TaskTree {
     /// The children of `i`, sorted by id.
     #[inline]
     pub fn children(&self, i: NodeId) -> &[NodeId] {
-        let lo = self.child_ptr[i.index()] as usize;
-        let hi = self.child_ptr[i.index() + 1] as usize;
-        &self.children[lo..hi]
+        &self.children[self.child_range(i)]
+    }
+
+    /// Where the children of `i` sit in the flat array of all child lists
+    /// (`len() - 1` entries, grouped per node in id order) — the slots a
+    /// per-edge array aligned with [`TaskTree::children`] uses for `i`.
+    #[inline]
+    pub fn child_range(&self, i: NodeId) -> std::ops::Range<usize> {
+        self.child_ptr[i.index()] as usize..self.child_ptr[i.index() + 1] as usize
     }
 
     /// Number of children of `i`.
@@ -207,6 +249,84 @@ impl TaskTree {
             }
         }
         Ok(())
+    }
+
+    /// The id the caller knows node `i` by: `i` itself, unless this tree
+    /// was [`renumbered`](TaskTree::renumbered), in which case it is the
+    /// node's id in the tree the (first) renumbering started from.
+    ///
+    /// Anything that orders nodes *by id* inside an execution — the
+    /// driver's completion batches, the simulator's event heap — orders by
+    /// label, so a renumbered tree schedules exactly like its source.
+    #[inline]
+    pub fn label(&self, i: NodeId) -> NodeId {
+        match &self.labels {
+            Some(labels) => labels[i.index()],
+            None => i,
+        }
+    }
+
+    /// The same tree with node `seq[k]` renamed `k`.
+    ///
+    /// `seq` must be a topological order of the tree (children first), so
+    /// in the result every parent id is larger than its children's and the
+    /// root is last: laid out along `seq`, a traversal in that order walks
+    /// every per-node array front to back. The result remembers the ids it
+    /// was renumbered from ([`TaskTree::label`]); renumbering it again
+    /// composes the labels. Linear time, CSR arrays built directly.
+    ///
+    /// # Errors
+    /// [`TreeError::BadPermutation`] when `seq` is not a permutation of the
+    /// nodes, [`TreeError::NotTopological`] when a parent precedes one of
+    /// its children.
+    pub fn renumbered(&self, seq: impl Into<Arc<[NodeId]>>) -> Result<TaskTree> {
+        let seq: Arc<[NodeId]> = seq.into();
+        let n = self.len();
+        let bad_permutation = || TreeError::BadPermutation {
+            expected: n,
+            got: seq.len(),
+        };
+        if seq.len() != n {
+            return Err(bad_permutation());
+        }
+        let mut new_id = vec![NO_PARENT; n];
+        for (k, &i) in seq.iter().enumerate() {
+            match new_id.get_mut(i.index()) {
+                Some(slot) if *slot == NO_PARENT => *slot = k as u32,
+                _ => return Err(bad_permutation()),
+            }
+        }
+        let mut parent = Vec::with_capacity(n);
+        for (k, &i) in seq.iter().enumerate() {
+            let p = self.parent[i.index()];
+            // The root keeps the sentinel, which is above every position.
+            let new_parent = if p == NO_PARENT {
+                NO_PARENT
+            } else {
+                new_id[p as usize]
+            };
+            if new_parent as usize <= k {
+                return Err(TreeError::NotTopological {
+                    parent: NodeId(p),
+                    child: i,
+                });
+            }
+            parent.push(new_parent);
+        }
+        let (child_ptr, children) = csr_children(&parent);
+        Ok(TaskTree {
+            parent,
+            child_ptr,
+            children,
+            exec: gather(&self.exec, &seq),
+            output: gather(&self.output, &seq),
+            time: gather(&self.time, &seq),
+            root: NodeId(new_id[self.root.index()]),
+            labels: Some(match &self.labels {
+                None => seq,
+                Some(old) => gather(old, &seq).into(),
+            }),
+        })
     }
 
     /// Replaces every task description through `f(id, old) -> new`,

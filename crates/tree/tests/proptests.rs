@@ -1,12 +1,15 @@
 //! Property-based tests of the tree substrate.
 
+mod reference;
+
 use memtree_tree::io::{tree_from_str, tree_to_string};
-use memtree_tree::memory::{sequential_peak, LiveSet};
+use memtree_tree::memory::{sequential_peak, sequential_profile, LiveSet};
 use memtree_tree::partition::{partition, PartitionPolicy, RESIDUAL};
 use memtree_tree::traverse::{postorder, postorder_with_child_order};
 use memtree_tree::validate::check_consistency;
-use memtree_tree::{NodeId, TaskSpec, TaskTree, TreeStats};
+use memtree_tree::{NodeId, TaskSpec, TaskTree, TreeError, TreeStats};
 use proptest::prelude::*;
+use reference::random_topological;
 
 /// Short lowercase/digit garbage for strictness tests — built from index
 /// vectors because the vendored proptest has no string-regex strategies.
@@ -63,6 +66,122 @@ proptest! {
         tree.check_topological(&po).unwrap();
     }
 
+    /// The allocation-free traversal emits the sequence of the
+    /// per-frame-`Vec` one it replaced; ranks drawn from a small range so
+    /// ties (broken by id) are the common case.
+    #[test]
+    fn child_order_postorder_matches_reference(
+        tree in arb_tree(64),
+        seed in 0u64..1000,
+        modulus in 1u64..6,
+    ) {
+        let rank: Vec<u64> = (0..tree.len() as u64)
+            .map(|i| (i.wrapping_mul(seed.wrapping_add(0x9E3779B97F4A7C15)) >> 7) % modulus)
+            .collect();
+        prop_assert_eq!(
+            postorder_with_child_order(&tree, &rank),
+            reference::postorder_with_child_order(&tree, &rank)
+        );
+    }
+
+    /// `sequential_peak` keeps no profile but reports the profile's peak,
+    /// on any topological order (postorder or not).
+    #[test]
+    fn sequential_peak_equals_profile_peak(tree in arb_tree(64), seed in 0u64..1000) {
+        for order in [postorder(&tree), random_topological(&tree, seed)] {
+            prop_assert_eq!(
+                sequential_peak(&tree, &order).unwrap(),
+                sequential_profile(&tree, &order).unwrap().peak
+            );
+        }
+        let mut reversed = postorder(&tree);
+        reversed.reverse();
+        prop_assert_eq!(
+            sequential_peak(&tree, &reversed).is_err(),
+            tree.len() > 1,
+            "the order is still validated"
+        );
+    }
+
+    /// A renumbered tree is the same tree under new names: node `k` is
+    /// the old `seq[k]`, and the new ids follow the order.
+    #[test]
+    fn renumbered_is_an_isomorphic_relabelling(tree in arb_tree(64), seed in 0u64..1000) {
+        let seq = random_topological(&tree, seed);
+        let r = tree.renumbered(seq.clone()).unwrap();
+        check_consistency(&r).unwrap();
+        prop_assert_eq!(r.len(), tree.len());
+        prop_assert_eq!(r.label(r.root()), tree.root());
+        prop_assert_eq!(r.root().index(), tree.len() - 1, "the root is last in any order");
+        for k in r.nodes() {
+            let old = seq[k.index()];
+            prop_assert_eq!(r.label(k), old);
+            prop_assert_eq!(r.spec(k), tree.spec(old));
+            prop_assert_eq!(r.parent(k).map(|p| r.label(p)), tree.parent(old));
+            prop_assert!(r.parent(k).is_none_or(|p| p > k), "parent ids above children's");
+            let mut children: Vec<NodeId> = r.children(k).iter().map(|&c| r.label(c)).collect();
+            children.sort_unstable();
+            prop_assert_eq!(&children[..], tree.children(old));
+            prop_assert!(r.children(k).windows(2).all(|w| w[0] < w[1]), "children id-sorted");
+        }
+        // Ids are topological now, so the identity order is one.
+        let identity: Vec<NodeId> = r.nodes().collect();
+        r.check_topological(&identity).unwrap();
+        // An ordinary tree is its own labelling.
+        prop_assert!(tree.nodes().all(|i| tree.label(i) == i));
+    }
+
+    /// Labels always name the ids of the tree the first renumbering
+    /// started from.
+    #[test]
+    fn renumbered_labels_compose(tree in arb_tree(48), seed in 0u64..1000) {
+        let first = random_topological(&tree, seed);
+        let once = tree.renumbered(first.clone()).unwrap();
+        let second = random_topological(&once, seed ^ 0xABCD);
+        let twice = once.renumbered(second.clone()).unwrap();
+        for k in twice.nodes() {
+            prop_assert_eq!(twice.label(k), first[second[k.index()].index()]);
+            prop_assert_eq!(twice.spec(k), tree.spec(twice.label(k)));
+        }
+        // Renumbering along the identity changes nothing but stays labelled.
+        let identity: Vec<NodeId> = once.nodes().collect();
+        prop_assert_eq!(&once.renumbered(identity).unwrap(), &once);
+    }
+
+    /// Anything but a topological permutation is refused.
+    #[test]
+    fn renumbered_rejects_bad_sequences(tree in arb_tree(48), seed in 0u64..1000) {
+        let seq = random_topological(&tree, seed);
+        if tree.len() > 1 {
+            // Move some non-root node's parent in front of it.
+            let child = seq[(seed as usize) % (tree.len() - 1)];
+            let parent = tree.parent(child).expect("only the last entry is the root");
+            let mut early: Vec<NodeId> = vec![parent];
+            early.extend(seq.iter().copied().filter(|&i| i != parent));
+            prop_assert!(matches!(
+                tree.renumbered(early),
+                Err(TreeError::NotTopological { .. })
+            ));
+            let mut repeated = seq.clone();
+            repeated[0] = repeated[1];
+            prop_assert!(matches!(
+                tree.renumbered(repeated),
+                Err(TreeError::BadPermutation { .. })
+            ));
+        }
+        let short = &seq[1..];
+        prop_assert!(matches!(
+            tree.renumbered(short),
+            Err(TreeError::BadPermutation { .. })
+        ));
+        let mut out_of_range = seq.clone();
+        out_of_range[0] = NodeId::from_index(tree.len());
+        prop_assert!(matches!(
+            tree.renumbered(out_of_range),
+            Err(TreeError::BadPermutation { .. })
+        ));
+    }
+
     #[test]
     fn io_roundtrip(tree in arb_tree(48)) {
         let text = tree_to_string(&tree);
@@ -117,7 +236,7 @@ proptest! {
         // Driving the LiveSet in postorder, current() right after start(i)
         // must equal the step's `during` from the profile.
         let po = postorder(&tree);
-        let profile = memtree_tree::memory::sequential_profile(&tree, &po).unwrap();
+        let profile = sequential_profile(&tree, &po).unwrap();
         let mut ls = LiveSet::new(&tree);
         for step in &profile.steps {
             ls.start(step.node);
