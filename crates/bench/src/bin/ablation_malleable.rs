@@ -23,7 +23,8 @@ use memtree_sched::{
     AllotmentCaps, HeuristicKind, MoldableMemBooking, PolicySpec, ProportionalRescheduler,
     ReschedulePolicy,
 };
-use memtree_sim::moldable::{simulate_moldable, simulate_moldable_with, SpeedupModel};
+use memtree_sim::validate::validate_trace;
+use memtree_sim::{simulate, simulate_with, SimConfig};
 use memtree_tree::TaskSpec;
 use std::io::Write;
 use std::path::PathBuf;
@@ -126,23 +127,14 @@ fn main() {
         let caps = AllotmentCaps::uniform(&c.tree, 1);
 
         let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps.clone()).unwrap();
-        let sim_static = simulate_moldable(&c.tree, p, m, SpeedupModel::Linear, sched).unwrap();
-        sim_static.validate(&c.tree, SpeedupModel::Linear).unwrap();
+        let sim_static = simulate(&c.tree, SimConfig::new(p, m), sched).unwrap();
+        validate_trace(&c.tree, &sim_static).unwrap();
 
         let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps.clone()).unwrap();
         let mut resched = ProportionalRescheduler::new(&c.tree, policy);
-        let sim_malleable = simulate_moldable_with(
-            &c.tree,
-            p,
-            m,
-            SpeedupModel::Linear,
-            sched,
-            Some(&mut resched),
-        )
-        .unwrap();
-        sim_malleable
-            .validate(&c.tree, SpeedupModel::Linear)
-            .unwrap();
+        let sim_malleable =
+            simulate_with(&c.tree, SimConfig::new(p, m), sched, Some(&mut resched)).unwrap();
+        validate_trace(&c.tree, &sim_malleable).unwrap();
         println!(
             "{},sim,{:.1},{:.1},{:.2}",
             c.name,

@@ -9,8 +9,8 @@
 use memtree_bench::TreeCase;
 use memtree_runtime::{Platform, ThreadedPlatform, Workload};
 use memtree_sched::{AllotmentCaps, HeuristicKind, MemBooking, MoldableMemBooking, PolicySpec};
-use memtree_sim::moldable::{simulate_moldable, SpeedupModel};
-use memtree_sim::{simulate, SimConfig};
+use memtree_sim::validate::validate_trace;
+use memtree_sim::{simulate, SimConfig, SpeedupModel};
 use memtree_tree::TaskSpec;
 
 fn main() {
@@ -65,8 +65,8 @@ fn main() {
         ] {
             let caps = AllotmentCaps::uniform(&c.tree, p as u32);
             let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps).unwrap();
-            let t = simulate_moldable(&c.tree, p, m, model, sched).unwrap();
-            t.validate(&c.tree, model).unwrap();
+            let t = simulate(&c.tree, SimConfig::new(p, m).with_speedup(model), sched).unwrap();
+            validate_trace(&c.tree, &t).unwrap();
             println!(
                 "{},{label},sim,{seq:.1},{:.1},{:.2}",
                 c.name,

@@ -89,7 +89,7 @@ impl Scheduler for Activation<'_> {
         "Activation"
     }
 
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         // Free the memory booked by each finished node: execution data plus
         // the inputs it consumed. Its own output stays booked (the parent's
         // input from now on).
@@ -109,7 +109,7 @@ impl Scheduler for Activation<'_> {
             let Some(rank) = self.ready.pop_min() else {
                 break;
             };
-            to_start.push(self.eo.at(rank as usize));
+            to_start.push((self.eo.at(rank as usize), 1));
         }
     }
 

@@ -190,7 +190,7 @@ impl Scheduler for MemBooking<'_> {
         "MemBooking"
     }
 
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         for &j in finished {
             self.dispatch_memory(j);
         }
@@ -205,7 +205,7 @@ impl Scheduler for MemBooking<'_> {
                 self.mem_needed[i.index()],
                 "Lemma 5: booked must equal MemNeeded when a node starts"
             );
-            to_start.push(i);
+            to_start.push((i, 1));
         }
     }
 

@@ -174,7 +174,7 @@ impl Scheduler for MemBookingRef<'_> {
         "MemBookingRef"
     }
 
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         for &j in finished {
             self.state[j.index()] = State::Fin;
             self.dispatch_memory(j);
@@ -200,7 +200,7 @@ impl Scheduler for MemBookingRef<'_> {
                 break;
             };
             self.state[i.index()] = State::Run;
-            to_start.push(i);
+            to_start.push((i, 1));
         }
     }
 

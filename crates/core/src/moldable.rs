@@ -18,7 +18,6 @@
 use crate::error::SchedError;
 use crate::membooking::MemBooking;
 use memtree_order::Order;
-use memtree_sim::moldable::MoldableScheduler;
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 
@@ -87,10 +86,6 @@ impl AllotmentCaps {
 pub struct MoldableMemBooking<'a> {
     inner: MemBooking<'a>,
     caps: AllotmentCaps,
-    /// Event-loop scratch (DESIGN.md §6.11: buffers are recycled across
-    /// events — the steady state allocates nothing).
-    picks: Vec<NodeId>,
-    allotments: Vec<usize>,
 }
 
 impl<'a> MoldableMemBooking<'a> {
@@ -107,65 +102,55 @@ impl<'a> MoldableMemBooking<'a> {
         Ok(MoldableMemBooking {
             inner: MemBooking::try_new(tree, ao, eo, memory)?,
             caps,
-            picks: Vec::new(),
-            allotments: Vec::new(),
         })
     }
 }
 
-impl MoldableScheduler for MoldableMemBooking<'_> {
+impl Scheduler for MoldableMemBooking<'_> {
     fn name(&self) -> &str {
         "MoldableMemBooking"
     }
 
     fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-        // Let the sequential policy pick which tasks may start: tree
-        // parallelism first.
-        self.picks.clear();
-        self.inner.on_event(finished, idle, &mut self.picks);
-        if self.picks.is_empty() {
+        // Let the sequential policy pick which tasks may start (each on
+        // one processor): tree parallelism first.
+        self.inner.on_event(finished, idle, to_start);
+        if to_start.is_empty() {
             return;
         }
         // Spread the idle processors evenly, capped per task; leftovers go
-        // to the earliest picks (they have the highest EO priority).
-        let base = idle / self.picks.len();
-        let mut extra = idle % self.picks.len();
+        // to the earliest picks (they have the highest EO priority). The
+        // allotments are rewritten in place.
+        let base = idle / to_start.len();
+        let mut extra = idle % to_start.len();
         let mut spare = 0usize;
-        self.allotments.clear();
-        for &i in &self.picks {
-            let mut q = base;
+        for (i, q) in to_start.iter_mut() {
+            *q = base;
             if extra > 0 {
-                q += 1;
+                *q += 1;
                 extra -= 1;
             }
-            let cap = self.caps.cap(i) as usize;
-            if q > cap {
-                spare += q - cap;
-                q = cap;
+            let cap = self.caps.cap(*i) as usize;
+            if *q > cap {
+                spare += *q - cap;
+                *q = cap;
             }
-            self.allotments.push(q.max(1));
+            *q = (*q).max(1);
         }
         // Second pass: hand the spare processors to uncapped tasks.
-        for (k, &i) in self.picks.iter().enumerate() {
+        for (i, q) in to_start.iter_mut() {
             if spare == 0 {
                 break;
             }
-            let cap = self.caps.cap(i) as usize;
-            let room = cap.saturating_sub(self.allotments[k]);
+            let room = (self.caps.cap(*i) as usize).saturating_sub(*q);
             let give = room.min(spare);
-            self.allotments[k] += give;
+            *q += give;
             spare -= give;
         }
-        to_start.extend(
-            self.picks
-                .iter()
-                .copied()
-                .zip(self.allotments.iter().copied()),
-        );
     }
 
     fn booked(&self) -> u64 {
-        Scheduler::booked(&self.inner)
+        self.inner.booked()
     }
 }
 
@@ -173,8 +158,8 @@ impl MoldableScheduler for MoldableMemBooking<'_> {
 mod tests {
     use super::*;
     use memtree_order::mem_postorder;
-    use memtree_sim::moldable::{simulate_moldable, SpeedupModel};
-    use memtree_sim::{simulate, SimConfig};
+    use memtree_sim::validate::validate_trace;
+    use memtree_sim::{simulate, SimConfig, SpeedupModel};
     use memtree_tree::TaskSpec;
 
     #[test]
@@ -194,8 +179,8 @@ mod tests {
 
             let caps = AllotmentCaps::uniform(&tree, p as u32);
             let mold = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-            let mold_trace = simulate_moldable(&tree, p, m, SpeedupModel::Linear, mold).unwrap();
-            mold_trace.validate(&tree, SpeedupModel::Linear).unwrap();
+            let mold_trace = simulate(&tree, SimConfig::new(p, m), mold).unwrap();
+            validate_trace(&tree, &mold_trace).unwrap();
             assert!(
                 mold_trace.makespan <= seq_trace.makespan + 1e-9,
                 "seed {seed}: moldable {} vs sequential-task {}",
@@ -215,8 +200,8 @@ mod tests {
         let p = 4;
         let caps = AllotmentCaps::uniform(&tree, p as u32);
         let mold = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let trace = simulate_moldable(&tree, p, m, SpeedupModel::Linear, mold).unwrap();
-        trace.validate(&tree, SpeedupModel::Linear).unwrap();
+        let trace = simulate(&tree, SimConfig::new(p, m), mold).unwrap();
+        validate_trace(&tree, &trace).unwrap();
         assert!((trace.makespan - tree.total_time() / p as f64).abs() < 1e-9);
     }
 
@@ -231,8 +216,8 @@ mod tests {
         };
         let caps = AllotmentCaps::uniform(&tree, p as u32);
         let mold = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let trace = simulate_moldable(&tree, p, m, model, mold).unwrap();
-        trace.validate(&tree, model).unwrap();
+        let trace = simulate(&tree, SimConfig::new(p, m).with_speedup(model), mold).unwrap();
+        validate_trace(&tree, &trace).unwrap();
         // Amdahl with f = 0.5 cannot double the speed no matter what.
         assert!(trace.makespan >= tree.total_time() / 2.0 - 1e-9);
         assert!(trace.makespan < tree.total_time());
@@ -245,7 +230,7 @@ mod tests {
         let m = ao.sequential_peak(&tree);
         let caps = AllotmentCaps::uniform(&tree, 2);
         let mold = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let trace = simulate_moldable(&tree, 8, m, SpeedupModel::Linear, mold).unwrap();
+        let trace = simulate(&tree, SimConfig::new(8, m), mold).unwrap();
         assert!(trace.records.iter().all(|r| r.procs <= 2));
     }
 
@@ -274,8 +259,8 @@ mod tests {
             let m = ao.sequential_peak(&tree);
             let caps = AllotmentCaps::sqrt_of_time(&tree, 8);
             let mold = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-            let trace = simulate_moldable(&tree, 8, m, SpeedupModel::Linear, mold).unwrap();
-            trace.validate(&tree, SpeedupModel::Linear).unwrap();
+            let trace = simulate(&tree, SimConfig::new(8, m), mold).unwrap();
+            validate_trace(&tree, &trace).unwrap();
             assert!(trace.peak_booked <= m);
             assert!(trace.peak_actual <= trace.peak_booked);
         }

@@ -185,7 +185,7 @@ impl Scheduler for RedTreeBooking<'_> {
         "MemBookingRedTree"
     }
 
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         for &j in finished {
             // Release inputs and execution data; the subtree's remaining
             // escrow (≥ f_j) stays booked for the ancestors.
@@ -216,7 +216,7 @@ impl Scheduler for RedTreeBooking<'_> {
             let Some(rank) = self.ready.pop_min() else {
                 break;
             };
-            to_start.push(self.eo.at(rank as usize));
+            to_start.push((self.eo.at(rank as usize), 1));
         }
     }
 

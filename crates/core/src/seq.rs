@@ -43,7 +43,7 @@ impl Scheduler for Sequential<'_> {
         "Sequential"
     }
 
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         // Free inputs and execution data of what just finished; the output
         // stays resident.
         for &j in finished {
@@ -55,7 +55,7 @@ impl Scheduler for Sequential<'_> {
             self.next += 1;
             self.running = true;
             self.booked += self.tree.exec(i) + self.tree.output(i);
-            to_start.push(i);
+            to_start.push((i, 1));
         }
     }
 

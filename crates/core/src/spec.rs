@@ -467,7 +467,11 @@ impl PolicyInstance {
         self.transformed.as_deref().unwrap_or(original)
     }
 
-    /// Mints a fresh scheduler state for one run over `original`.
+    /// Mints a fresh scheduler state for one run over `original` — the
+    /// kind's policy, or its moldable adaptation ([`MoldableMemBooking`])
+    /// when the instance carries allotment caps. Either way it is a
+    /// [`Scheduler`]: drive it with `memtree_sim::simulate` (virtual time)
+    /// or `memtree_runtime::execute` (real threads, gang-scheduled).
     ///
     /// Fails with [`SchedError::InfeasibleMemory`] when the bound is below
     /// the policy's sequential booking peak (Theorem 1's feasibility
@@ -481,31 +485,15 @@ impl PolicyInstance {
         let (ao, eo, m) = (&*self.ao, &*self.eo, self.memory);
         Ok(match self.kind {
             HeuristicKind::Activation => Box::new(Activation::try_new(tree, ao, eo, m)?),
-            HeuristicKind::MemBooking => Box::new(MemBooking::try_new(tree, ao, eo, m)?),
+            // Caps ride on MemBooking only (`from_parts` refuses the rest).
+            HeuristicKind::MemBooking => match self.caps.clone() {
+                Some(caps) => Box::new(MoldableMemBooking::try_new(tree, ao, eo, m, caps)?),
+                None => Box::new(MemBooking::try_new(tree, ao, eo, m)?),
+            },
             HeuristicKind::MemBookingRef => Box::new(MemBookingRef::try_new(tree, ao, eo, m)?),
             HeuristicKind::MemBookingRedTree => Box::new(RedTreeBooking::try_new(tree, ao, eo, m)?),
             HeuristicKind::Sequential => Box::new(Sequential::try_new(tree, ao, m)?),
         })
-    }
-
-    /// Mints a fresh *moldable* scheduler state (requires caps; MemBooking
-    /// only). Drive it with `memtree_sim::simulate_moldable` (virtual
-    /// time) or `memtree_runtime::execute_moldable` (gang-scheduled real
-    /// threads).
-    pub fn moldable<'t>(
-        &'t self,
-        original: &'t TaskTree,
-    ) -> Result<MoldableMemBooking<'t>, SchedError> {
-        let caps = self.caps.clone().ok_or_else(|| {
-            SchedError::InvalidSpec("moldable() requires a spec with allotment caps".into())
-        })?;
-        MoldableMemBooking::try_new(
-            self.exec_tree(original),
-            &self.ao,
-            &self.eo,
-            self.memory,
-            caps,
-        )
     }
 }
 
@@ -593,13 +581,11 @@ mod tests {
         let spec = PolicySpec::new(HeuristicKind::MemBooking, m).with_caps(caps);
         let inst = spec.instantiate(&tree).unwrap();
         assert!(inst.is_moldable());
-        let sched = inst.moldable(&tree).unwrap();
-        let trace =
-            memtree_sim::simulate_moldable(&tree, 4, m, memtree_sim::SpeedupModel::Linear, sched)
-                .unwrap();
-        trace
-            .validate(&tree, memtree_sim::SpeedupModel::Linear)
-            .unwrap();
+        let sched = inst.scheduler(&tree).unwrap();
+        assert_eq!(sched.name(), "MoldableMemBooking");
+        let trace = simulate(&tree, SimConfig::new(4, m), sched).unwrap();
+        memtree_sim::validate::validate_trace(&tree, &trace).unwrap();
+        assert!(trace.records.iter().any(|r| r.procs > 1), "gangs formed");
     }
 
     #[test]
@@ -613,14 +599,6 @@ mod tests {
             .instantiate(&tree)
             .unwrap_err();
         assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
-        // moldable() without caps errors likewise.
-        let inst = PolicySpec::new(HeuristicKind::MemBooking, 1_000)
-            .instantiate(&tree)
-            .unwrap();
-        assert!(matches!(
-            inst.moldable(&tree),
-            Err(SchedError::InvalidSpec(_))
-        ));
     }
 
     #[test]
@@ -746,7 +724,7 @@ mod tests {
         }
         // memPO/memPO: one identity order serves as AO and EO.
         assert!(std::ptr::eq(relaid.ao(), relaid.eo()));
-        relaid.moldable(&tree).unwrap();
+        relaid.scheduler(&tree).unwrap();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! in-flight IO rides on a single-threaded executor.
 //!
 //! The scheduling contract is untouched: the platform runs the very same
-//! gang-aware driver loop (`memtree_sim::drive_gang`) as every other
+//! gang-aware driver loop (`memtree_sim::drive`) as every other
 //! backend — the driver's capacity ledger still counts `workers` logical
 //! processors, booking is still audited at every event, and completions
 //! arrive through a channel exactly as they do from real threads. Every
@@ -23,14 +23,12 @@
 //! `ThreadedPlatform`.
 
 use crate::executor::{to_runtime_error, GangState, RuntimeError, RuntimeReport, MALLEABLE_CHUNKS};
-use crate::platform::{Platform, PlatformError, RunReport};
+use crate::platform::{rescheduler_for, Platform, PlatformError, RunReport};
 use crate::workload::Workload;
 use crossbeam::channel::{self, RecvTimeoutError};
-use memtree_sched::{ProportionalRescheduler, ReschedulePolicy};
-use memtree_sim::driver::{
-    drive_gang_with, DriveConfig, DriveError, GangBackend, Rescheduler, UnitAllotments,
-};
-use memtree_sim::MoldableScheduler;
+use memtree_sched::ReschedulePolicy;
+use memtree_sim::driver::{drive, Backend, DriveConfig, DriveError, Rescheduler};
+use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -100,7 +98,7 @@ impl AsyncPlatform {
         &self,
         exec: &TaskTree,
         memory: u64,
-        scheduler: impl MoldableScheduler,
+        scheduler: impl Scheduler,
         rescheduler: Option<&mut dyn Rescheduler>,
     ) -> Result<RuntimeReport, RuntimeError> {
         if self.workers == 0 {
@@ -113,7 +111,7 @@ impl AsyncPlatform {
         let tree = Arc::new(exec.clone());
         let rt = minitok::Runtime::new(self.threads);
         let (done_tx, done_rx) = channel::unbounded::<NodeId>();
-        let mut backend = AsyncGangBackend {
+        let mut backend = AsyncBackend {
             rt: &rt,
             tree,
             workload: self.workload,
@@ -123,7 +121,7 @@ impl AsyncPlatform {
             workers: self.workers,
             malleable,
         };
-        let stats = drive_gang_with(
+        let stats = drive(
             exec,
             DriveConfig::new(self.workers, memory),
             scheduler,
@@ -150,7 +148,7 @@ impl AsyncPlatform {
 /// Running gangs live in a registry so a [`Rescheduler`] can resize them:
 /// growing spawns extra member futures over the shared [`GangState`],
 /// shrinking retires members at their next shard boundary.
-struct AsyncGangBackend<'rt> {
+struct AsyncBackend<'rt> {
     rt: &'rt minitok::Runtime,
     tree: Arc<TaskTree>,
     workload: Workload,
@@ -161,7 +159,7 @@ struct AsyncGangBackend<'rt> {
     malleable: bool,
 }
 
-impl AsyncGangBackend<'_> {
+impl AsyncBackend<'_> {
     /// Spawns `n` member futures running the same claim-retire-report
     /// protocol as the threaded pool's worker loop.
     fn spawn_members(&self, i: NodeId, gang: &Arc<GangState>, n: usize) {
@@ -195,7 +193,7 @@ impl AsyncGangBackend<'_> {
     }
 }
 
-impl GangBackend for AsyncGangBackend<'_> {
+impl Backend for AsyncBackend<'_> {
     fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
         let shards = if self.malleable {
             (self.workers * MALLEABLE_CHUNKS) as u32
@@ -271,25 +269,13 @@ impl Platform for AsyncPlatform {
         instance: &memtree_sched::PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
         let exec = instance.exec_tree(tree);
-        let report;
-        let policy;
-        if instance.is_moldable() {
-            // Moldable specs gang-schedule: allotment q spawns q member
-            // futures sharing the payload's shard index.
-            let sched = instance.moldable(tree)?;
-            policy = MoldableScheduler::name(&sched).to_string();
-            report = match self.reschedule {
-                Some(p) => {
-                    let mut resched = ProportionalRescheduler::new(exec, p);
-                    self.execute(exec, instance.memory(), sched, Some(&mut resched))?
-                }
-                None => self.execute(exec, instance.memory(), sched, None)?,
-            };
-        } else {
-            let sched = instance.scheduler(tree)?;
-            policy = sched.name().to_string();
-            report = self.execute(exec, instance.memory(), UnitAllotments::new(sched), None)?;
-        }
+        // Allotment q spawns q member futures sharing the payload's shard
+        // index; a sequential task is one future.
+        let sched = instance.scheduler(tree)?;
+        let policy = sched.name().to_string();
+        let mut resched = rescheduler_for(self.reschedule, instance, exec);
+        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+        let report = self.execute(exec, instance.memory(), sched, resched)?;
         Ok(RunReport {
             platform: self.name(),
             policy,

@@ -1,9 +1,9 @@
 //! The threaded executor: real worker threads as a
-//! [`GangBackend`](memtree_sim::GangBackend) under the shared
-//! `memtree_sim::driver` gang loop.
+//! [`Backend`](memtree_sim::Backend) under the shared
+//! `memtree_sim::driver` loop.
 //!
 //! The main thread owns the scheduler and runs
-//! [`memtree_sim::drive_gang`]; workers pull **gang-member** entries from
+//! [`memtree_sim::drive`]; workers pull **gang-member** entries from
 //! a [`BatchQueue`], run their shard of the [`Workload`] payload and report
 //! completions back through a second one. A moldable task with allotment
 //! `q` is launched as `q` member entries sharing one [`GangState`]: the
@@ -18,9 +18,8 @@
 //! donates its shards to its gang mates, and the last member out reports
 //! the single completion that releases the whole gang.
 //!
-//! Sequential policies ride the very same pool through unit allotments
-//! ([`memtree_sim::UnitAllotments`]): every task is a gang of one. The
-//! scheduler sees completions in real-time order — the dynamic regime the
+//! Sequential policies ride the very same pool: they start every task
+//! on an allotment of 1, a gang of one. The scheduler sees completions in real-time order — the dynamic regime the
 //! paper designs for — while the driver re-asserts `actual ≤ booked ≤ M`
 //! at every event, so a booking bug aborts the run rather than silently
 //! overcommitting.
@@ -28,10 +27,8 @@
 use crate::dispatch::BatchQueue;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::workload::Workload;
-use memtree_sim::driver::{
-    drive_gang_with, DriveConfig, DriveError, GangBackend, Rescheduler, UnitAllotments,
-};
-use memtree_sim::{MoldableScheduler, Scheduler};
+use memtree_sim::driver::{drive, Backend, DriveConfig, DriveError, Rescheduler};
+use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 use std::collections::HashMap;
 use std::fmt;
@@ -179,7 +176,7 @@ pub struct GangState {
     /// member delayed by the OS donates its shards to its gang mates).
     next_shard: AtomicUsize,
     /// Shards whose payload has finished executing — the backlog signal
-    /// [`GangBackend::progress`] reports to the rescheduler.
+    /// [`Backend::progress`] reports to the rescheduler.
     shards_done: AtomicUsize,
     /// Members the gang is entitled to — the driver's current allotment.
     /// Only the driver thread moves it (via resize), and it never drops
@@ -380,7 +377,7 @@ impl GangThreadedBackend<'_> {
     }
 }
 
-impl GangBackend for GangThreadedBackend<'_> {
+impl Backend for GangThreadedBackend<'_> {
     fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
         let shards = if self.malleable {
             (self.workers * MALLEABLE_CHUNKS) as u32
@@ -453,39 +450,19 @@ impl Drop for CloseOnExit<'_> {
     }
 }
 
-/// Executes `tree` with `cfg.workers` real threads under a sequential
-/// `scheduler` — every task a gang of one, via the same pool as
-/// [`execute_moldable`].
+/// Executes `tree` with `cfg.workers` real threads under `scheduler`:
+/// each started task claims its allotment of workers as a gang and runs
+/// its payload `q`-way parallel (one shard per gang member, dynamically
+/// claimed) — a sequential policy's tasks are gangs of one.
+///
+/// An optional [`Rescheduler`] closes the feedback loop: the driver ticks
+/// it once per event with a [`memtree_sim::LiveStats`] snapshot, and
+/// grow/shrink actions land on the running gangs through the shared
+/// [`GangState`] — growing stages extra member entries, shrinking retires
+/// surplus members at their next shard boundary. With a rescheduler
+/// present, gangs shard their payload at machine granularity so any
+/// allotment divides it usefully.
 pub fn execute<S: Scheduler>(
-    tree: &TaskTree,
-    cfg: RuntimeConfig,
-    scheduler: S,
-    workload: Workload,
-) -> Result<RuntimeReport, RuntimeError> {
-    execute_moldable(tree, cfg, UnitAllotments::new(scheduler), workload)
-}
-
-/// Executes `tree` with `cfg.workers` real threads under a moldable
-/// `scheduler`: each started task claims its allotment of workers as a
-/// gang and runs its payload `q`-way parallel (one shard per gang member,
-/// dynamically claimed).
-pub fn execute_moldable<S: MoldableScheduler>(
-    tree: &TaskTree,
-    cfg: RuntimeConfig,
-    scheduler: S,
-    workload: Workload,
-) -> Result<RuntimeReport, RuntimeError> {
-    execute_moldable_with(tree, cfg, scheduler, workload, None)
-}
-
-/// [`execute_moldable`] with an optional [`Rescheduler`] closing the
-/// feedback loop: the driver ticks it once per event with a
-/// [`memtree_sim::LiveStats`] snapshot, and grow/shrink actions land on
-/// the running gangs through the shared [`GangState`] — growing stages
-/// extra member entries, shrinking retires surplus members at their next
-/// shard boundary. With a rescheduler present, gangs shard their payload
-/// at machine granularity so any allotment divides it usefully.
-pub fn execute_moldable_with<S: MoldableScheduler>(
     tree: &TaskTree,
     cfg: RuntimeConfig,
     scheduler: S,
@@ -562,7 +539,7 @@ pub fn execute_moldable_with<S: MoldableScheduler>(
             workers: cfg.workers,
             malleable,
         };
-        drive_gang_with(
+        drive(
             tree,
             DriveConfig::new(cfg.workers, cfg.memory),
             scheduler,
@@ -611,6 +588,7 @@ mod tests {
                 },
                 sched,
                 Workload::Noop,
+                None,
             )
             .unwrap();
             assert_eq!(report.tasks_run, tree.len());
@@ -633,6 +611,7 @@ mod tests {
             },
             sched,
             Workload::quick(),
+            None,
         )
         .unwrap();
         assert_eq!(report.tasks_run, tree.len());
@@ -659,6 +638,7 @@ mod tests {
                 bytes_per_output_unit: 8.0,
                 max_bytes: 1 << 20,
             },
+            None,
         )
         .unwrap();
         assert_eq!(report.tasks_run, 60);
@@ -678,7 +658,8 @@ mod tests {
                     memory: m
                 },
                 sched,
-                Workload::Noop
+                Workload::Noop,
+                None,
             ),
             Err(RuntimeError::BadConfig(_))
         ));
@@ -693,7 +674,7 @@ mod tests {
             let m = ao.sequential_peak(&tree);
             let caps = AllotmentCaps::uniform(&tree, 4);
             let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-            let report = execute_moldable(
+            let report = execute(
                 &tree,
                 RuntimeConfig {
                     workers: 4,
@@ -701,6 +682,7 @@ mod tests {
                 },
                 sched,
                 Workload::Noop,
+                None,
             )
             .unwrap();
             assert_eq!(report.tasks_run, tree.len());
@@ -719,7 +701,7 @@ mod tests {
         procs: usize,
     }
 
-    impl memtree_sim::MoldableScheduler for WholeMachineChain {
+    impl memtree_sim::Scheduler for WholeMachineChain {
         fn name(&self) -> &str {
             "whole-machine-chain"
         }
@@ -739,7 +721,7 @@ mod tests {
         let p = 4;
         let tree = memtree_gen::shapes::chain(20, memtree_tree::TaskSpec::new(1, 2, 4.0));
         let order = memtree_tree::traverse::postorder(&tree);
-        let report = execute_moldable(
+        let report = execute(
             &tree,
             RuntimeConfig {
                 workers: p,
@@ -756,6 +738,7 @@ mod tests {
                 nanos_per_time_unit: 1_000_000.0,
                 max_nanos: 4_000_000,
             },
+            None,
         )
         .unwrap();
         assert_eq!(report.tasks_run, tree.len());
@@ -839,7 +822,7 @@ mod tests {
         leaf: NodeId,
     }
 
-    impl memtree_sim::MoldableScheduler for DoubleStarter {
+    impl memtree_sim::Scheduler for DoubleStarter {
         fn name(&self) -> &str {
             "double-starter"
         }
@@ -863,7 +846,7 @@ mod tests {
                 memory: u64::MAX / 2,
             };
             let err =
-                execute_moldable(&tree, cfg, DoubleStarter { leaf }, Workload::Noop).unwrap_err();
+                execute(&tree, cfg, DoubleStarter { leaf }, Workload::Noop, None).unwrap_err();
             assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
         }
     }
@@ -875,7 +858,7 @@ mod tests {
         procs: usize,
     }
 
-    impl memtree_sim::MoldableScheduler for OverClaimer {
+    impl memtree_sim::Scheduler for OverClaimer {
         fn name(&self) -> &str {
             "over-claimer"
         }
@@ -895,11 +878,23 @@ mod tests {
             workers: 2,
             memory: u64::MAX / 2,
         };
-        let err = execute_moldable(&tree, cfg, OverClaimer { leaf, procs: 3 }, Workload::Noop)
-            .unwrap_err();
+        let err = execute(
+            &tree,
+            cfg,
+            OverClaimer { leaf, procs: 3 },
+            Workload::Noop,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
-        let err = execute_moldable(&tree, cfg, OverClaimer { leaf, procs: 0 }, Workload::Noop)
-            .unwrap_err();
+        let err = execute(
+            &tree,
+            cfg,
+            OverClaimer { leaf, procs: 0 },
+            Workload::Noop,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
     }
 
@@ -918,12 +913,12 @@ mod tests {
             &mut self,
             _: &[memtree_tree::NodeId],
             _: usize,
-            to_start: &mut Vec<memtree_tree::NodeId>,
+            to_start: &mut Vec<(memtree_tree::NodeId, usize)>,
         ) {
             if !self.issued {
                 self.issued = true;
                 // Issue exactly one leaf, then go silent forever.
-                to_start.push(self.tree.leaves().next().expect("tree has a leaf"));
+                to_start.push((self.tree.leaves().next().expect("tree has a leaf"), 1));
             }
         }
         fn booked(&self) -> u64 {
@@ -945,6 +940,7 @@ mod tests {
                 issued: false,
             },
             Workload::Noop,
+            None,
         )
         .unwrap_err();
         match err {
@@ -970,12 +966,12 @@ mod tests {
             &mut self,
             finished: &[memtree_tree::NodeId],
             idle: usize,
-            to_start: &mut Vec<memtree_tree::NodeId>,
+            to_start: &mut Vec<(memtree_tree::NodeId, usize)>,
         ) {
             let _ = finished;
             while to_start.len() < idle {
                 let Some(i) = self.ready.pop() else { break };
-                to_start.push(i);
+                to_start.push((i, 1));
             }
         }
         fn booked(&self) -> u64 {
@@ -995,6 +991,7 @@ mod tests {
             },
             UnderBooker { ready },
             Workload::Noop,
+            None,
         )
         .unwrap_err();
         match err {
@@ -1022,11 +1019,11 @@ mod tests {
             &mut self,
             _: &[memtree_tree::NodeId],
             _: usize,
-            to_start: &mut Vec<memtree_tree::NodeId>,
+            to_start: &mut Vec<(memtree_tree::NodeId, usize)>,
         ) {
             if !self.started {
                 self.started = true;
-                to_start.push(self.tree.leaves().next().expect("tree has a leaf"));
+                to_start.push((self.tree.leaves().next().expect("tree has a leaf"), 1));
             }
         }
         fn booked(&self) -> u64 {
@@ -1048,6 +1045,7 @@ mod tests {
                 started: false,
             },
             Workload::Noop,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, RuntimeError::Ledger(_)), "got {err}");

@@ -5,9 +5,9 @@
 //!
 //! The paper argues MemBooking's overhead is small enough "to allow its
 //! runtime execution" — this crate closes the loop by driving the very
-//! same [`memtree_sim::Scheduler`] (and, gang-scheduled,
-//! [`memtree_sim::MoldableScheduler`]) implementations with genuine
-//! threads instead of simulated time. Completion order is whatever the OS
+//! same [`memtree_sim::Scheduler`] implementations — sequential and,
+//! gang-scheduled, moldable ones — with genuine threads instead of
+//! simulated time. Completion order is whatever the OS
 //! makes of it, exercising the schedulers' dynamic behaviour; the shared
 //! `memtree_sim::driver` loop re-asserts `actual ≤ booked ≤ M` at every
 //! event, so a booking bug aborts the run rather than silently
@@ -37,9 +37,7 @@ pub mod sync;
 pub mod workload;
 
 pub use async_platform::AsyncPlatform;
-pub use executor::{
-    execute, execute_moldable, execute_moldable_with, RuntimeConfig, RuntimeError, RuntimeReport,
-};
+pub use executor::{execute, RuntimeConfig, RuntimeError, RuntimeReport};
 pub use platform::{Platform, PlatformError, RunReport, SimPlatform, ThreadedPlatform};
 pub use process::{ChaosKill, ProcessPlatform};
 pub use sharded::{ShardedPlatform, ShardedReport};

@@ -26,13 +26,13 @@
 //! assert_eq!(sim.tasks_run, real.tasks_run);
 //! ```
 
-use crate::executor::{execute, execute_moldable_with, RuntimeConfig, RuntimeError};
+use crate::executor::{execute, RuntimeConfig, RuntimeError};
 use crate::workload::Workload;
 use memtree_sched::{
     LedgerError, PolicyInstance, PolicySpec, ProportionalRescheduler, ReschedulePolicy, SchedError,
 };
 use memtree_sim::{
-    simulate, simulate_summary, MoldableScheduler, SimConfig, SimError, SpeedupModel,
+    simulate_summary, simulate_with, Rescheduler, SimConfig, SimError, SpeedupModel,
 };
 use memtree_tree::TaskTree;
 use std::fmt;
@@ -208,12 +208,26 @@ pub trait Platform {
     }
 }
 
+/// The malleability a platform applies to `instance`: a
+/// [`ProportionalRescheduler`] over the tree the run executes when a
+/// policy is configured *and* the instance is moldable — sequential
+/// policies ignore it.
+pub(crate) fn rescheduler_for(
+    policy: Option<ReschedulePolicy>,
+    instance: &PolicyInstance,
+    exec: &TaskTree,
+) -> Option<ProportionalRescheduler> {
+    policy
+        .filter(|_| instance.is_moldable())
+        .map(|policy| ProportionalRescheduler::new(exec, policy))
+}
+
 /// The discrete-event simulator as a platform.
 ///
-/// One-processor-per-task instances are always run
-/// [relaid](PolicyInstance::relaid) — in activation-order numbering, the
-/// layout that keeps a 10⁶-node run in cache (DESIGN.md §6.11) — and
-/// schedule exactly as they would in the caller's ids. Handing
+/// Every instance — sequential, moldable or malleable — is run
+/// [relaid](PolicyInstance::relaid): in activation-order numbering, the
+/// layout that keeps a 10⁶-node run in cache (DESIGN.md §6.11), and
+/// scheduling exactly as it would in the caller's ids. Handing
 /// `run_instance` an instance that is already relaid skips the
 /// renumbering, which is how sweeps pay for it once per tree.
 #[derive(Clone, Copy, Debug)]
@@ -263,46 +277,20 @@ impl Platform for SimPlatform {
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
         let started_at = std::time::Instant::now();
-        if instance.is_moldable() {
-            let exec = instance.exec_tree(tree);
-            let sched = instance.moldable(tree)?;
-            let mut resched = self
-                .reschedule
-                .map(|p| ProportionalRescheduler::new(exec, p));
-            let trace = memtree_sim::simulate_moldable_with(
-                exec,
-                self.processors,
-                instance.memory(),
-                self.speedup,
-                sched,
-                resched
-                    .as_mut()
-                    .map(|r| r as &mut dyn memtree_sim::Rescheduler),
-            )?;
-            debug_assert!(trace.validate(exec, self.speedup).is_ok());
-            return Ok(RunReport {
-                platform: self.name(),
-                policy: trace.scheduler.clone(),
-                makespan: trace.makespan,
-                wall_seconds: started_at.elapsed().as_secs_f64(),
-                peak_booked: trace.peak_booked,
-                peak_actual: trace.peak_actual,
-                events: trace.events,
-                scheduling_seconds: trace.scheduling_seconds,
-                tasks_run: trace.records.len(),
-                quarantined: 0,
-            });
-        }
-        // Nothing in the report names a node, so the ids can be AO ranks.
+        // Nothing in the report names a node, and a rescheduler sees
+        // caller ids through the driver, so the ids can be AO ranks.
         let relaid = instance.relaid(tree)?;
         let exec = relaid.exec_tree(tree);
         let sched = relaid.scheduler(tree)?;
-        let cfg = SimConfig::new(self.processors, relaid.memory());
-        // The report reads only aggregates, so release builds keep no
-        // per-task records; debug builds record to re-validate the trace.
-        let summary = if cfg!(debug_assertions) {
-            let trace = simulate(exec, cfg, sched)?;
-            debug_assert!(memtree_sim::validate::validate_trace(exec, &trace).is_ok());
+        let cfg = SimConfig::new(self.processors, relaid.memory()).with_speedup(self.speedup);
+        let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
+        // The report reads only aggregates, so release builds of a static
+        // run keep no per-task records; debug builds (and malleable runs,
+        // whose point is the allotment history) record and re-validate.
+        let summary = if cfg!(debug_assertions) || resched.is_some() {
+            let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+            let trace = simulate_with(exec, cfg, sched, resched)?;
+            debug_assert_eq!(memtree_sim::validate::validate_trace(exec, &trace), Ok(()));
             trace.summary()
         } else {
             simulate_summary(exec, cfg, sched)?
@@ -375,25 +363,14 @@ impl Platform for ThreadedPlatform {
             workers: self.workers,
             memory: instance.memory(),
         };
-        let report;
-        let policy;
-        if instance.is_moldable() {
-            // Moldable specs gang-schedule: each task claims its allotment
-            // of workers and runs its payload shard-parallel.
-            let sched = instance.moldable(tree)?;
-            policy = MoldableScheduler::name(&sched).to_string();
-            report = match self.reschedule {
-                Some(p) => {
-                    let mut resched = ProportionalRescheduler::new(exec, p);
-                    execute_moldable_with(exec, cfg, sched, self.workload, Some(&mut resched))?
-                }
-                None => execute_moldable_with(exec, cfg, sched, self.workload, None)?,
-            };
-        } else {
-            let sched = instance.scheduler(tree)?;
-            policy = sched.name().to_string();
-            report = execute(exec, cfg, sched, self.workload)?;
-        }
+        // One pool for every spec: a moldable task claims its allotment
+        // of workers and runs its payload shard-parallel, a sequential
+        // one is a gang of one.
+        let sched = instance.scheduler(tree)?;
+        let policy = sched.name().to_string();
+        let mut resched = rescheduler_for(self.reschedule, instance, exec);
+        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+        let report = execute(exec, cfg, sched, self.workload, resched)?;
         Ok(RunReport {
             platform: self.name(),
             policy,

@@ -69,7 +69,7 @@ fn allocs_for_run(tree: &TaskTree) -> u64 {
         workers: WORKERS,
         memory,
     };
-    let report = execute(tree, cfg, sched, Workload::Noop).expect("run completes");
+    let report = execute(tree, cfg, sched, Workload::Noop, None).expect("run completes");
     let after = allocs();
     assert_eq!(report.tasks_run, tree.len());
     after - before

@@ -15,11 +15,11 @@
 //! their gang reach the workers before the driver blocks.
 
 use memtree_order::mem_postorder;
-use memtree_runtime::{execute_moldable, execute_moldable_with, RuntimeConfig, Workload};
+use memtree_runtime::{execute, RuntimeConfig, Workload};
 use memtree_sched::{AllotmentCaps, MoldableMemBooking};
 use memtree_sim::{
-    simulate_moldable_with, LiveStats, MoldableScheduler, RescheduleAction, Rescheduler,
-    SpeedupModel,
+    simulate_with, validate::validate_trace, LiveStats, RescheduleAction, Rescheduler, Scheduler,
+    SimConfig,
 };
 use memtree_tree::{NodeId, TaskSpec, TaskTree};
 use proptest::prelude::*;
@@ -90,7 +90,7 @@ impl<'a> ChaosGang<'a> {
     }
 }
 
-impl MoldableScheduler for ChaosGang<'_> {
+impl Scheduler for ChaosGang<'_> {
     fn name(&self) -> &str {
         "chaos-gang"
     }
@@ -231,7 +231,7 @@ proptest! {
         let caps = AllotmentCaps::uniform(&tree, 1);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
         let mut grower = GrowAtLaunch { seen: vec![false; n], grows: 0 };
-        let report = execute_moldable_with(
+        let report = execute(
             &tree,
             RuntimeConfig { workers: p, memory: m },
             sched,
@@ -260,11 +260,12 @@ proptest! {
             .map(|i| tree.exec(i) + tree.output(i))
             .sum::<u64>()
             .max(1);
-        let report = execute_moldable(
+        let report = execute(
             &tree,
             RuntimeConfig { workers: p, memory: bound },
             ChaosGang::new(&tree, bound, cap, seed),
             Workload::Noop,
+            None,
         )
         .unwrap();
         // Every launched gang was released: the whole tree completed.
@@ -295,11 +296,12 @@ proptest! {
         let caps = AllotmentCaps::uniform(&tree, cap);
         prop_assert!(caps.max_cap() <= p as u32);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let report = execute_moldable(
+        let report = execute(
             &tree,
             RuntimeConfig { workers: p, memory: m },
             sched,
             Workload::Noop,
+            None,
         )
         .unwrap();
         prop_assert_eq!(report.tasks_run, tree.len());
@@ -319,11 +321,12 @@ proptest! {
         let m = ao.sequential_peak(&tree);
         let caps = AllotmentCaps::sqrt_of_time(&tree, p as u32);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let report = execute_moldable(
+        let report = execute(
             &tree,
             RuntimeConfig { workers: p, memory: m },
             sched,
             Workload::Noop,
+            None,
         )
         .unwrap();
         prop_assert_eq!(report.tasks_run, tree.len());
@@ -348,7 +351,7 @@ proptest! {
             .sum::<u64>()
             .max(1);
         let mut chaos = ChaosRescheduler::new(seed.wrapping_mul(0x9E3779B97F4A7C15));
-        let report = execute_moldable_with(
+        let report = execute(
             &tree,
             RuntimeConfig { workers: p, memory: bound },
             ChaosGang::new(&tree, bound, cap, seed),
@@ -367,12 +370,11 @@ proptest! {
     }
 
     /// The same churn through the simulator: the resulting malleable trace
-    /// replays cleanly (work conservation per allotment segment, precedence,
-    /// booking), and a sweep over the replayed trace's allotment segments
-    /// never exceeds the driver's `peak_busy` ledger — the ledger bounds
-    /// what actually ran (it can only exceed the sweep by pre-resize
-    /// transients at zero-width segments; the deterministic rescheduler
-    /// tests pin exact equality on well-separated traces).
+    /// replays cleanly under the one oracle — work conservation per
+    /// allotment segment, precedence, memory, and an epoch-ordered
+    /// occupancy sweep over the segments that reproduces the driver's
+    /// `peak_busy` ledger exactly (segment epochs order the same-instant
+    /// launch/resize transients a time-only sweep cannot see).
     #[test]
     fn chaos_reschedule_sim_trace_replays_exactly(
         tree in arb_tree(30),
@@ -385,18 +387,9 @@ proptest! {
         let caps = AllotmentCaps::uniform(&tree, cap.min(p as u32));
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
         let mut chaos = ChaosRescheduler::new(seed);
-        let trace = simulate_moldable_with(
-            &tree,
-            p,
-            m,
-            SpeedupModel::Linear,
-            sched,
-            Some(&mut chaos),
-        )
-        .unwrap();
-        trace.validate(&tree, SpeedupModel::Linear).unwrap();
+        let trace = simulate_with(&tree, SimConfig::new(p, m), sched, Some(&mut chaos)).unwrap();
+        validate_trace(&tree, &trace).unwrap();
         prop_assert!(trace.peak_busy <= p);
-        prop_assert!(trace.occupancy_peak() <= trace.peak_busy);
         prop_assert!(trace.peak_booked <= m);
         prop_assert!(trace.peak_actual <= trace.peak_booked);
     }

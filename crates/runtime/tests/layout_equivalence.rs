@@ -14,6 +14,13 @@
 //! `SimPlatform::run_instance`, which always relays, is compared field
 //! for field with the caller-space run.
 //!
+//! Moldable and malleable instances run relaid too, so the same holds
+//! with allotment caps (uniform 2 and 4, `sqrt_of_time`), static and
+//! under a `ProportionalRescheduler`: records including `procs`, the
+//! allotment segments (through `label`), `peak_busy`, and the platform
+//! report. The rescheduler sees caller ids on both sides — the driver
+//! publishes `LiveStats` by `label`.
+//!
 //! The order pairs cover the cases that matter to the renumbering:
 //! AO = EO (one shared identity order), AO ≠ EO (EO mapped through AO's
 //! ranks), an AO that is not a postorder (OptSeq), and an AO whose child
@@ -24,8 +31,11 @@
 use memtree_gen::large::{self, LargeShape};
 use memtree_order::OrderKind;
 use memtree_runtime::{Platform, SimPlatform};
-use memtree_sched::{HeuristicKind, PolicySpec};
-use memtree_sim::{simulate, SimConfig};
+use memtree_sched::{
+    AllotmentCaps, HeuristicKind, PolicyInstance, PolicySpec, ProportionalRescheduler,
+    ReschedulePolicy,
+};
+use memtree_sim::{simulate, simulate_with, Rescheduler, SimConfig, Trace};
 use memtree_tree::{TaskSpec, TaskTree};
 
 fn corpus() -> Vec<(String, TaskTree)> {
@@ -135,6 +145,110 @@ fn relaid_runs_reproduce_caller_space_schedules_record_for_record() {
     // reference-engine cells on the 3000-node tree.
     assert_eq!(cells, 10 * 5 * 36 - 36);
     assert!(records > 500_000, "{records} records compared");
+}
+
+/// One capped cell, static (`reschedule` = `None`) or malleable; returns
+/// the number of task records and allotment segments compared.
+fn assert_capped_cell(
+    ctx: &str,
+    tree: &TaskTree,
+    spec: &PolicySpec,
+    p: usize,
+    reschedule: Option<ReschedulePolicy>,
+) -> (usize, usize) {
+    let cfg = SimConfig::new(p, spec.memory);
+    let run = |instance: &PolicyInstance| -> Trace {
+        let exec = instance.exec_tree(tree);
+        let mut resched = reschedule.map(|policy| ProportionalRescheduler::new(exec, policy));
+        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+        simulate_with(exec, cfg, instance.scheduler(tree).unwrap(), resched)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+    };
+    let plain = spec.instantiate(tree).unwrap();
+    let caller = run(&plain);
+    let relaid = plain.relaid(tree).unwrap();
+    let layout = relaid.exec_tree(tree);
+    let trace = run(&relaid);
+
+    assert_eq!(trace.records.len(), caller.records.len(), "{ctx}");
+    for k in layout.nodes() {
+        assert_eq!(
+            trace.record(k),
+            caller.record(layout.label(k)),
+            "{ctx}: task {:?} (layout {k:?})",
+            layout.label(k)
+        );
+    }
+    assert_eq!(trace.segments.len(), caller.segments.len(), "{ctx}");
+    assert_eq!(trace.segments.is_empty(), reschedule.is_none(), "{ctx}");
+    for (mine, theirs) in trace.segments.iter().zip(&caller.segments) {
+        let mut mine = *mine;
+        mine.node = layout.label(mine.node);
+        assert_eq!(mine, *theirs, "{ctx}");
+    }
+    let mut summary = trace.summary();
+    summary.scheduling_seconds = caller.scheduling_seconds; // wall clock
+    assert_eq!(summary, caller.summary(), "{ctx} (peak_busy included)");
+
+    let mut platform = SimPlatform::new(p);
+    platform.reschedule = reschedule;
+    for instance in [&plain, &relaid] {
+        let report = platform
+            .run_instance(tree, instance)
+            .unwrap_or_else(|e| panic!("{ctx} (platform): {e}"));
+        assert_eq!(report.policy, caller.scheduler, "{ctx}");
+        assert_eq!(report.makespan, caller.makespan, "{ctx}");
+        assert_eq!(report.peak_booked, caller.peak_booked, "{ctx}");
+        assert_eq!(report.peak_actual, caller.peak_actual, "{ctx}");
+        assert_eq!(report.events, caller.events, "{ctx}");
+        assert_eq!(report.tasks_run, tree.len(), "{ctx}");
+    }
+    (caller.records.len(), caller.segments.len())
+}
+
+#[test]
+fn relaid_moldable_and_malleable_runs_reproduce_caller_space_schedules() {
+    let (mut cells, mut records, mut segments, mut gangs) = (0usize, 0usize, 0usize, 0usize);
+    for (name, tree) in corpus() {
+        let caps = [
+            ("uniform2", AllotmentCaps::uniform(&tree, 2)),
+            ("uniform4", AllotmentCaps::uniform(&tree, 4)),
+            ("sqrt", AllotmentCaps::sqrt_of_time(&tree, 8)),
+        ];
+        for (caps_name, caps) in caps {
+            for (ao, eo) in ORDER_PAIRS {
+                let spec = PolicySpec::new(HeuristicKind::MemBooking, 0)
+                    .with_orders(ao, eo)
+                    .with_caps(caps.clone());
+                let min = spec.min_feasible(&tree);
+                for memory in [min, min + min / 2, min.saturating_mul(1000)] {
+                    let spec = spec.clone().with_memory(memory);
+                    for p in [1usize, 3, 8] {
+                        for reschedule in [None, Some(ReschedulePolicy::new())] {
+                            let mode = if reschedule.is_some() {
+                                "malleable"
+                            } else {
+                                "static"
+                            };
+                            let ctx =
+                                format!("{name} {caps_name} {mode} {ao}/{eo} M={memory} p={p}");
+                            let (r, s) = assert_capped_cell(&ctx, &tree, &spec, p, reschedule);
+                            records += r;
+                            segments += s;
+                            gangs += usize::from(s > r);
+                            cells += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // 10 trees × 3 caps × 4 pairs × 3 bounds × 3 p × {static, malleable}.
+    assert_eq!(cells, 10 * 3 * 36 * 2);
+    assert!(records > 500_000, "{records} records compared");
+    // The malleable half is not vacuous: gangs were resized mid-flight.
+    assert!(gangs > 100, "{gangs} cells with a resized gang");
+    assert!(segments > records / 2, "{segments} segments compared");
 }
 
 /// The platform accepts an already relaid instance (what a sweep caches)

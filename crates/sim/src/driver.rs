@@ -5,16 +5,14 @@
 //! deliver a completion batch to the scheduler, start the requested tasks,
 //! re-check the booking invariants, drain the next batch. The only genuine
 //! difference between them is *where completions come from* — a virtual
-//! clock or real worker threads. [`drive_gang`] owns the loop once; a
-//! [`GangBackend`] supplies the completions.
+//! clock or real worker threads. [`drive`] owns the loop once; a
+//! [`Backend`] supplies the completions.
 //!
 //! The loop is **gang-aware**: every start carries a processor allotment
-//! `q ≥ 1`, and the driver's capacity ledger counts processors, not tasks,
-//! so a moldable policy ([`MoldableScheduler`]) runs under exactly the same
-//! contract as a sequential one. The classic single-processor-per-task
-//! regime ([`drive`] + [`Backend`] + [`crate::Scheduler`]) is a thin
-//! adapter that pins every allotment to 1 — one loop, one contract, every
-//! platform.
+//! `q ≥ 1`, and the driver's capacity ledger counts processors, not tasks.
+//! The classic one-processor-per-task regime is the allotment `q ≡ 1` —
+//! not an adapter over this loop but this loop: one [`Scheduler`] trait,
+//! one [`Backend`] trait, one contract, every platform.
 //!
 //! The driver enforces the full scheduler contract on every platform:
 //!
@@ -30,7 +28,6 @@
 //! This is strictly stronger than the old threaded executor, which only
 //! checked the booking ledger.
 
-use crate::moldable::MoldableScheduler;
 use crate::scheduler::Scheduler;
 use memtree_tree::memory::LiveSet;
 use memtree_tree::{BitSet, NodeId, TaskTree};
@@ -66,12 +63,13 @@ impl DriveConfig {
 /// [`Rescheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct GangSnapshot {
-    /// The running task.
+    /// The running task, by the id the caller knows it by
+    /// ([`TaskTree::label`]).
     pub node: NodeId,
     /// Processors currently allotted to it.
     pub allotment: u32,
     /// Payload shards the gang was launched with (0 when the backend does
-    /// not track shard progress — e.g. the unit-allotment adapters).
+    /// not track shard progress).
     pub shards: u32,
     /// Shards already completed.
     pub shards_done: u32,
@@ -90,7 +88,9 @@ impl GangSnapshot {
 
 /// Snapshot of the driver's state between events, handed to a
 /// [`Rescheduler`] once per event (after starts and invariant checks,
-/// before the driver blocks for the next completion batch).
+/// before the driver blocks for the next completion batch). Nodes are
+/// named by [`TaskTree::label`] on every backend, so a rescheduler sees
+/// the caller's ids also when the run is over a renumbered tree.
 #[derive(Clone, Debug)]
 pub struct LiveStats {
     /// The current event index (1-based; the initial event is 1).
@@ -105,18 +105,16 @@ pub struct LiveStats {
     pub completed: usize,
     /// Total tasks in the tree.
     pub total: usize,
-    /// Tasks the scheduler reports ready-but-not-started (0 when the
-    /// policy does not track a ready set).
-    pub ready_depth: usize,
     /// Memory currently booked by the policy.
     pub booked: u64,
     /// Actual resident memory at this instant.
     pub actual: u64,
-    /// One snapshot per running gang, in ascending node id.
+    /// One snapshot per running gang, in ascending (caller) node id.
     pub gangs: Vec<GangSnapshot>,
 }
 
-/// An allotment change requested by a [`Rescheduler`]. The driver applies
+/// An allotment change requested by a [`Rescheduler`], naming the task as
+/// [`LiveStats`] does (by [`TaskTree::label`]). The driver applies
 /// actions in order and keeps its processor ledger exact: growing claims
 /// idle processors immediately, shrinking returns them immediately (the
 /// backend retires the members at the next chunk boundary).
@@ -195,8 +193,8 @@ pub enum DriveError {
         /// The prematurely started task.
         node: NodeId,
     },
-    /// A moldable scheduler assigned a task an allotment of zero
-    /// processors.
+    /// The scheduler assigned a task an allotment of zero processors (or
+    /// a rescheduler shrank one to zero).
     ZeroAllotment {
         /// The task with the empty gang.
         node: NodeId,
@@ -270,14 +268,13 @@ impl std::fmt::Display for DriveError {
 
 impl std::error::Error for DriveError {}
 
-/// An execution vehicle for **gang-scheduled** tasks under the shared
-/// driver loop.
+/// An execution vehicle for tasks under the shared driver loop.
 ///
 /// The driver owns scheduler interaction and every invariant check; the
-/// backend owns task execution: [`GangBackend::launch`] makes a task run
-/// on a gang of `procs` workers, [`GangBackend::await_batch`] blocks until
-/// at least one task completes.
-pub trait GangBackend {
+/// backend owns task execution: [`Backend::launch`] makes a task run on a
+/// gang of `procs` workers (one, for a sequential task),
+/// [`Backend::await_batch`] blocks until at least one task completes.
+pub trait Backend {
     /// Starts task `i` on a gang of `procs` workers at the current
     /// instant. `epoch` is the driver's event index (useful for trace
     /// records; `u64` — a million-node tree clears 2^32 events without
@@ -322,127 +319,28 @@ pub trait GangBackend {
     fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError>;
 }
 
-/// An execution vehicle for classic one-processor-per-task scheduling.
-///
-/// Implementations are driven through [`drive`], which adapts them onto
-/// the gang loop with every allotment pinned to 1.
-pub trait Backend {
-    /// Starts task `i` at the current instant. `epoch` is the driver's
-    /// event index (useful for trace records; `u64`, never wrapping at
-    /// realistic tree sizes). The driver guarantees a worker is idle.
-    fn launch(&mut self, i: NodeId, epoch: u64) -> Result<(), DriveError>;
-
-    /// Observation hook, called once per event after the booking checks
-    /// with the current memory state (used for memory profiles).
-    fn observe(&mut self, actual: u64, booked: u64) {
-        let _ = (actual, booked);
-    }
-
-    /// Blocks until at least one launched task completes and pushes the
-    /// completions into `batch` (driver sorts them). `epoch` is the event
-    /// index the completions will take effect at, minus one. The driver
-    /// guarantees at least one task is in flight.
-    fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError>;
-}
-
-/// Adapter: a sequential [`Scheduler`] viewed as a [`MoldableScheduler`]
-/// that assigns every task a unit allotment. This is how the classic
-/// engines ride the gang loop; it is public so any platform can reuse it.
-pub struct UnitAllotments<S> {
-    inner: S,
-    buf: Vec<NodeId>,
-}
-
-impl<S: Scheduler> UnitAllotments<S> {
-    /// Wraps `inner`, pinning every allotment to 1.
-    pub fn new(inner: S) -> Self {
-        UnitAllotments {
-            inner,
-            buf: Vec::new(),
-        }
-    }
-}
-
-impl<S: Scheduler> MoldableScheduler for UnitAllotments<S> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-        self.buf.clear();
-        self.inner.on_event(finished, idle, &mut self.buf);
-        to_start.extend(self.buf.iter().map(|&i| (i, 1)));
-    }
-    fn booked(&self) -> u64 {
-        self.inner.booked()
-    }
-    fn on_begin(&mut self) {
-        self.inner.on_begin()
-    }
-}
-
-/// Adapter: a sequential [`Backend`] viewed as a [`GangBackend`] (every
-/// gang is a single worker).
-struct UnitBackend<'a, B>(&'a mut B);
-
-impl<B: Backend> GangBackend for UnitBackend<'_, B> {
-    fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError> {
-        debug_assert_eq!(procs, 1, "UnitAllotments only issues unit gangs");
-        self.0.launch(i, epoch)
-    }
-    fn observe(&mut self, actual: u64, booked: u64) {
-        self.0.observe(actual, booked)
-    }
-    fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-        self.0.await_batch(epoch, batch)
-    }
-}
-
 /// Runs `scheduler` over `tree` on `backend` until the whole tree has
-/// completed or an invariant breaks — the classic one-processor-per-task
-/// regime, adapted onto [`drive_gang`] with unit allotments.
-pub fn drive<S: Scheduler, B: Backend>(
-    tree: &TaskTree,
-    cfg: DriveConfig,
-    scheduler: S,
-    backend: &mut B,
-) -> Result<DriveStats, DriveError> {
-    drive_gang(
-        tree,
-        cfg,
-        UnitAllotments::new(scheduler),
-        &mut UnitBackend(backend),
-    )
-}
-
-/// Runs a moldable `scheduler` over `tree` on `backend` until the whole
-/// tree has completed or an invariant breaks.
+/// completed or an invariant breaks.
 ///
 /// Every started task carries a processor allotment `q`; the driver's
 /// capacity ledger counts processors (the live allotments sum to at most
 /// `cfg.workers`), releases a completed task's whole gang at once, and
-/// enforces precedence, single-start, booking and stall detection exactly
-/// as the sequential loop does — there is only this loop.
-pub fn drive_gang<S: MoldableScheduler, B: GangBackend>(
-    tree: &TaskTree,
-    cfg: DriveConfig,
-    scheduler: S,
-    backend: &mut B,
-) -> Result<DriveStats, DriveError> {
-    drive_gang_with(tree, cfg, scheduler, backend, None)
-}
-
-/// [`drive_gang`] with an optional [`Rescheduler`] hook: once per event —
-/// after starts are issued and the invariants re-checked, before the
-/// driver blocks for the next completion batch — the rescheduler sees a
-/// [`LiveStats`] snapshot and may grow or shrink running gangs. The
-/// processor ledger stays exact through every transition (grow claims
-/// idle processors, shrink returns them immediately), and booking is
-/// untouched: memory is booked per task, not per processor.
+/// enforces precedence, single-start, booking and stall detection — for
+/// sequential (`q ≡ 1`) and moldable policies alike, there is only this
+/// loop.
+///
+/// With a [`Rescheduler`] attached, once per event — after starts are
+/// issued and the invariants re-checked, before the driver blocks for the
+/// next completion batch — the rescheduler sees a [`LiveStats`] snapshot
+/// and may grow or shrink running gangs. The processor ledger stays exact
+/// through every transition (grow claims idle processors, shrink returns
+/// them immediately), and booking is untouched: memory is booked per task,
+/// not per processor.
 ///
 /// The hook is a parameter rather than a `DriveConfig` field because the
 /// config is a plain `Copy` value shared by every platform; a trait
 /// object would poison that.
-pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
+pub fn drive<S: Scheduler, B: Backend>(
     tree: &TaskTree,
     cfg: DriveConfig,
     mut scheduler: S,
@@ -480,8 +378,8 @@ pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
     let mut actions: Vec<RescheduleAction> = Vec::new();
     // LiveStats is built only when a rescheduler is attached; the snapshot
     // struct and its gang vector are recycled across ticks, and the
-    // ascending-node-id ordering contract is met by sorting a scratch copy
-    // of `running` only when a snapshot is actually published.
+    // ascending-caller-id ordering contract is met by sorting a scratch
+    // copy of `running` only when a snapshot is actually published.
     let mut stats = LiveStats {
         event: 0,
         workers: cfg.workers,
@@ -489,7 +387,6 @@ pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
         idle: 0,
         completed: 0,
         total: n,
-        ready_depth: 0,
         booked: 0,
         actual: 0,
         gangs: Vec::with_capacity(if rescheduler.is_some() {
@@ -579,24 +476,23 @@ pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
         // re-checked, at least one task in flight), the driver is about to
         // block — the one instant per event where allotments may change.
         if let Some(resched) = rescheduler.as_deref_mut() {
-            // The snapshot contract (gangs in ascending node id) is paid
+            // The snapshot contract (gangs in ascending caller id) is paid
             // for only here, on the publish path: the running set itself
             // stays unordered for O(1) completion removal.
             snapshot_order.clear();
             snapshot_order.extend_from_slice(&running);
-            snapshot_order.sort_unstable();
+            snapshot_order.sort_unstable_by_key(|&i| tree.label(i));
             stats.event = events as u64;
             stats.busy = busy;
             stats.idle = cfg.workers - busy;
             stats.completed = completed;
-            stats.ready_depth = scheduler.ready_depth();
             stats.booked = booked;
             stats.actual = live.current();
             stats.gangs.clear();
             stats.gangs.extend(snapshot_order.iter().map(|&i| {
                 let (done, shards) = backend.progress(i).unwrap_or((0, 0));
                 GangSnapshot {
-                    node: i,
+                    node: tree.label(i),
                     allotment: allotment[i.index()],
                     shards,
                     shards_done: done,
@@ -609,50 +505,41 @@ pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
                 scheduling_seconds += t0.elapsed().as_secs_f64();
             }
             for &action in &actions {
-                match action {
-                    RescheduleAction::Grow { node, extra } => {
-                        if extra == 0 {
-                            continue;
-                        }
-                        let k = node.index();
-                        if !started.get(k) || finished.get(k) {
-                            return Err(DriveError::Backend(format!(
-                                "rescheduler grew {node:?}, which is not running"
-                            )));
-                        }
-                        let idle_now = cfg.workers - busy;
-                        if extra > idle_now {
-                            return Err(DriveError::TooManyStarts {
-                                requested: extra,
-                                idle: idle_now,
-                            });
-                        }
-                        let from = allotment[k] as usize;
-                        backend.resize(node, from, from + extra, events as u64)?;
-                        allotment[k] += extra as u32;
-                        busy += extra;
-                    }
-                    RescheduleAction::Shrink { node, release } => {
-                        if release == 0 {
-                            continue;
-                        }
-                        let k = node.index();
-                        if !started.get(k) || finished.get(k) {
-                            return Err(DriveError::Backend(format!(
-                                "rescheduler shrank {node:?}, which is not running"
-                            )));
-                        }
-                        let from = allotment[k] as usize;
-                        if release >= from {
-                            // Shrinking to zero members is starting a gang
-                            // with none: the same contract violation.
-                            return Err(DriveError::ZeroAllotment { node });
-                        }
-                        backend.resize(node, from, from - release, events as u64)?;
-                        allotment[k] -= release as u32;
-                        busy -= release;
-                    }
+                let (node, grow, by) = match action {
+                    RescheduleAction::Grow { node, extra } => (node, true, extra),
+                    RescheduleAction::Shrink { node, release } => (node, false, release),
+                };
+                if by == 0 {
+                    continue;
                 }
+                // Actions name tasks as the snapshot did; at most `workers`
+                // tasks run, so resolving the label is a short scan.
+                let Some(i) = running.iter().copied().find(|&i| tree.label(i) == node) else {
+                    return Err(DriveError::Backend(format!(
+                        "rescheduler resized {node:?}, which is not running"
+                    )));
+                };
+                let from = allotment[i.index()] as usize;
+                let to = if grow {
+                    let idle_now = cfg.workers - busy;
+                    if by > idle_now {
+                        return Err(DriveError::TooManyStarts {
+                            requested: by,
+                            idle: idle_now,
+                        });
+                    }
+                    from + by
+                } else {
+                    if by >= from {
+                        // Shrinking to zero members is starting a gang
+                        // with none: the same contract violation.
+                        return Err(DriveError::ZeroAllotment { node: i });
+                    }
+                    from - by
+                };
+                backend.resize(i, from, to, events as u64)?;
+                allotment[i.index()] = to as u32;
+                busy = busy + to - from;
             }
             // One tick's resizes are atomic for the occupancy ledger: the
             // peak reflects the settled allotments, not the transient
@@ -701,16 +588,21 @@ pub fn drive_gang_with<S: MoldableScheduler, B: GangBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{fork, Greedy, InOrder, Lazy, Once, Script};
 
     /// A trivial backend: tasks complete immediately, one batch per event,
-    /// in launch order.
+    /// in launch order. It keeps the trait's defaults: no resize, no
+    /// progress.
+    #[derive(Default)]
     struct Immediate {
         pending: Vec<NodeId>,
+        launched: Vec<(NodeId, usize)>,
     }
 
     impl Backend for Immediate {
-        fn launch(&mut self, i: NodeId, _epoch: u64) -> Result<(), DriveError> {
+        fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
             self.pending.push(i);
+            self.launched.push((i, procs));
             Ok(())
         }
         fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
@@ -719,76 +611,83 @@ mod tests {
         }
     }
 
-    /// Greedy test scheduler: books the whole bound, starts any available
-    /// task.
-    struct Greedy<'a> {
-        tree: &'a TaskTree,
-        bound: u64,
-        remaining: Vec<usize>,
-        ready: Vec<NodeId>,
+    /// [`Immediate`] plus resize support and canned progress — the
+    /// minimal malleable backend.
+    #[derive(Default)]
+    struct Resizable {
+        inner: Immediate,
+        resized: Vec<(NodeId, usize, usize)>,
     }
 
-    impl<'a> Greedy<'a> {
-        fn new(tree: &'a TaskTree, bound: u64) -> Self {
-            Greedy {
-                tree,
-                bound,
-                remaining: tree.nodes().map(|i| tree.degree(i)).collect(),
-                ready: tree.leaves().collect(),
-            }
+    impl Backend for Resizable {
+        fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError> {
+            self.inner.launch(i, procs, epoch)
         }
-    }
-
-    impl Scheduler for Greedy<'_> {
-        fn name(&self) -> &str {
-            "greedy-driver-test"
+        fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
+            self.inner.await_batch(epoch, batch)
         }
-        fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
-            for &j in finished {
-                if let Some(p) = self.tree.parent(j) {
-                    self.remaining[p.index()] -= 1;
-                    if self.remaining[p.index()] == 0 {
-                        self.ready.push(p);
-                    }
-                }
-            }
-            self.ready.sort_unstable();
-            while to_start.len() < idle {
-                let Some(i) = self.ready.pop() else { break };
-                to_start.push(i);
-            }
+        fn resize(&mut self, i: NodeId, from: usize, to: usize, _: u64) -> Result<(), DriveError> {
+            self.resized.push((i, from, to));
+            Ok(())
         }
-        fn booked(&self) -> u64 {
-            self.bound
+        fn progress(&self, _i: NodeId) -> Option<(u32, u32)> {
+            Some((1, 4))
         }
     }
 
-    fn fork() -> TaskTree {
-        use memtree_tree::TaskSpec;
-        TaskTree::from_parents(
-            &[None, Some(0), Some(0)],
-            &[
-                TaskSpec::new(0, 1, 1.0),
-                TaskSpec::new(0, 2, 2.0),
-                TaskSpec::new(0, 3, 3.0),
-            ],
-        )
-        .unwrap()
+    /// Drives the fork under `scheduler` on `workers` processors, with no
+    /// rescheduler.
+    fn drive_fork<S: Scheduler>(
+        workers: usize,
+        memory: u64,
+        scheduler: S,
+    ) -> (Result<DriveStats, DriveError>, Immediate) {
+        let mut backend = Immediate::default();
+        let cfg = DriveConfig::new(workers, memory);
+        let outcome = drive(&fork(), cfg, scheduler, &mut backend, None);
+        (outcome, backend)
+    }
+
+    /// Drives the fork one gang of `procs` at a time, in the order 1, 2, 0,
+    /// under a rescheduler that applies `action` at event 1.
+    fn drive_fork_resized<B: Backend + Default>(
+        workers: usize,
+        procs: usize,
+        action: RescheduleAction,
+    ) -> (Result<DriveStats, DriveError>, B, Script) {
+        let mut backend = B::default();
+        let mut script = Script {
+            plan: vec![(1, action)],
+            ..Script::default()
+        };
+        let outcome = drive(
+            &fork(),
+            DriveConfig::new(workers, 1_000),
+            InOrder::new(vec![NodeId(1), NodeId(2), NodeId(0)], Some(procs), 1_000),
+            &mut backend,
+            Some(&mut script),
+        );
+        (outcome, backend, script)
+    }
+
+    fn grow(node: u32, extra: usize) -> RescheduleAction {
+        RescheduleAction::Grow {
+            node: NodeId(node),
+            extra,
+        }
+    }
+
+    fn shrink(node: u32, release: usize) -> RescheduleAction {
+        RescheduleAction::Shrink {
+            node: NodeId(node),
+            release,
+        }
     }
 
     #[test]
     fn drives_to_completion() {
         let t = fork();
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
-        let stats = drive(
-            &t,
-            DriveConfig::new(2, 1000),
-            Greedy::new(&t, 1000),
-            &mut backend,
-        )
-        .unwrap();
+        let stats = drive_fork(2, 1000, Greedy::new(&t, 1000)).0.unwrap();
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.peak_booked, 1000);
         // Leaves in one batch, root in the next, plus the final event.
@@ -808,11 +707,16 @@ mod tests {
             fn name(&self) -> &str {
                 "recorder"
             }
-            fn on_event(&mut self, finished: &[NodeId], _: usize, to_start: &mut Vec<NodeId>) {
+            fn on_event(
+                &mut self,
+                finished: &[NodeId],
+                _: usize,
+                to_start: &mut Vec<(NodeId, usize)>,
+            ) {
                 if finished.is_empty() {
-                    to_start.extend(self.tree.leaves());
+                    to_start.extend(self.tree.leaves().map(|i| (i, 1)));
                 } else if finished != [self.tree.root()] {
-                    to_start.push(self.tree.root());
+                    to_start.push((self.tree.root(), 1));
                 }
                 let labels = finished.iter().map(|&i| self.tree.label(i));
                 self.seen.push(labels.collect());
@@ -831,14 +735,12 @@ mod tests {
             tree: &t,
             seen: &mut seen,
         };
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
+        let mut backend = Immediate::default();
         let cfg = DriveConfig {
             enforce_booking: false,
             ..DriveConfig::new(2, u64::MAX)
         };
-        drive(&t, cfg, recorder, &mut backend).unwrap();
+        drive(&t, cfg, recorder, &mut backend, None).unwrap();
         assert_eq!(
             seen,
             [vec![], vec![NodeId(1), NodeId(2)], vec![NodeId(0)]],
@@ -849,39 +751,16 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         let t = fork();
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
         assert!(matches!(
-            drive(
-                &t,
-                DriveConfig::new(0, 10),
-                Greedy::new(&t, 10),
-                &mut backend
-            ),
+            drive_fork(0, 10, Greedy::new(&t, 10)).0,
             Err(DriveError::BadConfig(_))
         ));
     }
 
     #[test]
     fn stall_detected_with_booked_memory() {
-        struct Lazy;
-        impl Scheduler for Lazy {
-            fn name(&self) -> &str {
-                "lazy"
-            }
-            fn on_event(&mut self, _: &[NodeId], _: usize, _: &mut Vec<NodeId>) {}
-            fn booked(&self) -> u64 {
-                7
-            }
-        }
-        let t = fork();
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
-        let err = drive(&t, DriveConfig::new(2, 10), Lazy, &mut backend).unwrap_err();
         assert_eq!(
-            err,
+            drive_fork(2, 10, Lazy(7)).0.unwrap_err(),
             DriveError::Stalled {
                 completed: 0,
                 total: 3,
@@ -893,94 +772,17 @@ mod tests {
     #[test]
     fn booking_violations_detected() {
         let t = fork();
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
-        let err = drive(
-            &t,
-            DriveConfig::new(2, 10),
-            Greedy::new(&t, 1000),
-            &mut backend,
-        )
-        .unwrap_err();
+        let err = drive_fork(2, 10, Greedy::new(&t, 1000)).0.unwrap_err();
         assert!(matches!(err, DriveError::BookedOverBound { .. }));
-
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
-        let err = drive(
-            &t,
-            DriveConfig::new(2, 10),
-            Greedy::new(&t, 1),
-            &mut backend,
-        )
-        .unwrap_err();
+        let err = drive_fork(2, 10, Greedy::new(&t, 1)).0.unwrap_err();
         assert!(matches!(err, DriveError::ActualOverBooked { .. }));
-    }
-
-    /// A gang backend where tasks complete immediately, one batch per
-    /// event.
-    struct ImmediateGang {
-        pending: Vec<NodeId>,
-        launched: Vec<(NodeId, usize)>,
-    }
-
-    impl GangBackend for ImmediateGang {
-        fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
-            self.pending.push(i);
-            self.launched.push((i, procs));
-            Ok(())
-        }
-        fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-            batch.append(&mut self.pending);
-            Ok(())
-        }
-    }
-
-    /// Runs tasks one at a time on the full machine.
-    struct WholeMachine<'a> {
-        tree: &'a TaskTree,
-        order: Vec<NodeId>,
-        next: usize,
-        procs: usize,
-    }
-
-    impl MoldableScheduler for WholeMachine<'_> {
-        fn name(&self) -> &str {
-            "whole-machine"
-        }
-        fn on_event(&mut self, _: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-            let _ = self.tree;
-            if idle >= self.procs && self.next < self.order.len() {
-                to_start.push((self.order[self.next], self.procs));
-                self.next += 1;
-            }
-        }
-        fn booked(&self) -> u64 {
-            1_000
-        }
     }
 
     #[test]
     fn gangs_claim_and_release_whole_allotments() {
-        let t = fork();
         let order = vec![NodeId(1), NodeId(2), NodeId(0)];
-        let mut backend = ImmediateGang {
-            pending: Vec::new(),
-            launched: Vec::new(),
-        };
-        let stats = drive_gang(
-            &t,
-            DriveConfig::new(3, 1_000),
-            WholeMachine {
-                tree: &t,
-                order,
-                next: 0,
-                procs: 3,
-            },
-            &mut backend,
-        )
-        .unwrap();
+        let (stats, backend) = drive_fork(3, 1_000, InOrder::new(order, Some(3), 1_000));
+        let stats = stats.unwrap();
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.peak_busy, 3);
         assert!(backend.launched.iter().all(|&(_, q)| q == 3));
@@ -992,27 +794,10 @@ mod tests {
     #[test]
     fn gang_capacity_counts_processors_not_tasks() {
         // Two tasks of 2 processors each on a 3-worker machine: 4 > 3.
-        struct Greedy2;
-        impl MoldableScheduler for Greedy2 {
-            fn name(&self) -> &str {
-                "greedy2"
-            }
-            fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<(NodeId, usize)>) {
-                to_start.push((NodeId(1), 2));
-                to_start.push((NodeId(2), 2));
-            }
-            fn booked(&self) -> u64 {
-                u64::MAX
-            }
-        }
-        let t = fork();
-        let mut backend = ImmediateGang {
-            pending: Vec::new(),
-            launched: Vec::new(),
-        };
-        let err = drive_gang(&t, DriveConfig::new(3, 1_000), Greedy2, &mut backend).unwrap_err();
+        let greedy = Once(vec![(NodeId(1), 2), (NodeId(2), 2)]);
+        let (err, backend) = drive_fork(3, 1_000, greedy);
         assert_eq!(
-            err,
+            err.unwrap_err(),
             DriveError::TooManyStarts {
                 requested: 4,
                 idle: 3
@@ -1026,105 +811,16 @@ mod tests {
 
     #[test]
     fn zero_allotment_rejected() {
-        struct Empty;
-        impl MoldableScheduler for Empty {
-            fn name(&self) -> &str {
-                "empty-gang"
-            }
-            fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<(NodeId, usize)>) {
-                to_start.push((NodeId(1), 0));
-            }
-            fn booked(&self) -> u64 {
-                u64::MAX
-            }
-        }
-        let t = fork();
-        let mut backend = ImmediateGang {
-            pending: Vec::new(),
-            launched: Vec::new(),
-        };
-        let err = drive_gang(&t, DriveConfig::new(2, 1_000), Empty, &mut backend).unwrap_err();
+        let err = drive_fork(2, 1_000, Once(vec![(NodeId(1), 0)]))
+            .0
+            .unwrap_err();
         assert_eq!(err, DriveError::ZeroAllotment { node: NodeId(1) });
-    }
-
-    /// [`ImmediateGang`] plus resize support and canned progress — the
-    /// minimal malleable backend.
-    struct ResizableGang {
-        pending: Vec<NodeId>,
-        resized: Vec<(NodeId, usize, usize)>,
-    }
-
-    impl GangBackend for ResizableGang {
-        fn launch(&mut self, i: NodeId, _procs: usize, _epoch: u64) -> Result<(), DriveError> {
-            self.pending.push(i);
-            Ok(())
-        }
-        fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-            batch.append(&mut self.pending);
-            Ok(())
-        }
-        fn resize(
-            &mut self,
-            i: NodeId,
-            from: usize,
-            to: usize,
-            _epoch: u64,
-        ) -> Result<(), DriveError> {
-            self.resized.push((i, from, to));
-            Ok(())
-        }
-        fn progress(&self, _i: NodeId) -> Option<(u32, u32)> {
-            Some((1, 4))
-        }
-    }
-
-    /// Replays canned actions at given events and records every snapshot.
-    struct Script {
-        plan: Vec<(u64, RescheduleAction)>,
-        snapshots: Vec<LiveStats>,
-    }
-
-    impl Rescheduler for Script {
-        fn tick(&mut self, stats: &LiveStats, actions: &mut Vec<RescheduleAction>) {
-            self.snapshots.push(stats.clone());
-            for &(ev, a) in &self.plan {
-                if ev == stats.event {
-                    actions.push(a);
-                }
-            }
-        }
     }
 
     #[test]
     fn rescheduler_tick_sees_settled_state_and_grows() {
-        let t = fork();
-        let mut backend = ResizableGang {
-            pending: Vec::new(),
-            resized: Vec::new(),
-        };
-        let mut script = Script {
-            plan: vec![(
-                1,
-                RescheduleAction::Grow {
-                    node: NodeId(1),
-                    extra: 2,
-                },
-            )],
-            snapshots: Vec::new(),
-        };
-        let stats = drive_gang_with(
-            &t,
-            DriveConfig::new(4, 1_000),
-            WholeMachine {
-                tree: &t,
-                order: vec![NodeId(1), NodeId(2), NodeId(0)],
-                next: 0,
-                procs: 2,
-            },
-            &mut backend,
-            Some(&mut script),
-        )
-        .unwrap();
+        let (stats, backend, script) = drive_fork_resized::<Resizable>(4, 2, grow(1, 2));
+        let stats = stats.unwrap();
         assert_eq!(stats.completed, 3);
         // The grown gang held 4 processors before its completion event.
         assert_eq!(stats.peak_busy, 4);
@@ -1143,35 +839,8 @@ mod tests {
 
     #[test]
     fn rescheduler_shrink_frees_capacity_in_the_ledger() {
-        let t = fork();
-        let mut backend = ResizableGang {
-            pending: Vec::new(),
-            resized: Vec::new(),
-        };
-        let mut script = Script {
-            plan: vec![(
-                1,
-                RescheduleAction::Shrink {
-                    node: NodeId(1),
-                    release: 2,
-                },
-            )],
-            snapshots: Vec::new(),
-        };
-        let stats = drive_gang_with(
-            &t,
-            DriveConfig::new(3, 1_000),
-            WholeMachine {
-                tree: &t,
-                order: vec![NodeId(1), NodeId(2), NodeId(0)],
-                next: 0,
-                procs: 3,
-            },
-            &mut backend,
-            Some(&mut script),
-        )
-        .unwrap();
-        assert_eq!(stats.completed, 3);
+        let (stats, backend, script) = drive_fork_resized::<Resizable>(3, 3, shrink(1, 2));
+        assert_eq!(stats.unwrap().completed, 3);
         assert_eq!(backend.resized, vec![(NodeId(1), 3, 1)]);
         // The completion after the shrink released the *current*
         // allotment (1), not the launch allotment (3): the ledger would
@@ -1186,36 +855,9 @@ mod tests {
 
     #[test]
     fn rescheduler_overgrow_rejected() {
-        let t = fork();
-        let mut backend = ResizableGang {
-            pending: Vec::new(),
-            resized: Vec::new(),
-        };
-        let mut script = Script {
-            plan: vec![(
-                1,
-                RescheduleAction::Grow {
-                    node: NodeId(1),
-                    extra: 3,
-                },
-            )],
-            snapshots: Vec::new(),
-        };
-        let err = drive_gang_with(
-            &t,
-            DriveConfig::new(4, 1_000),
-            WholeMachine {
-                tree: &t,
-                order: vec![NodeId(1), NodeId(2), NodeId(0)],
-                next: 0,
-                procs: 2,
-            },
-            &mut backend,
-            Some(&mut script),
-        )
-        .unwrap_err();
+        let (err, backend, _) = drive_fork_resized::<Resizable>(4, 2, grow(1, 3));
         assert_eq!(
-            err,
+            err.unwrap_err(),
             DriveError::TooManyStarts {
                 requested: 3,
                 idle: 2
@@ -1226,69 +868,18 @@ mod tests {
 
     #[test]
     fn rescheduler_shrink_to_zero_rejected() {
-        let t = fork();
-        let mut backend = ResizableGang {
-            pending: Vec::new(),
-            resized: Vec::new(),
-        };
-        let mut script = Script {
-            plan: vec![(
-                1,
-                RescheduleAction::Shrink {
-                    node: NodeId(1),
-                    release: 2,
-                },
-            )],
-            snapshots: Vec::new(),
-        };
-        let err = drive_gang_with(
-            &t,
-            DriveConfig::new(4, 1_000),
-            WholeMachine {
-                tree: &t,
-                order: vec![NodeId(1), NodeId(2), NodeId(0)],
-                next: 0,
-                procs: 2,
-            },
-            &mut backend,
-            Some(&mut script),
-        )
-        .unwrap_err();
-        assert_eq!(err, DriveError::ZeroAllotment { node: NodeId(1) });
+        let (err, ..) = drive_fork_resized::<Resizable>(4, 2, shrink(1, 2));
+        assert_eq!(
+            err.unwrap_err(),
+            DriveError::ZeroAllotment { node: NodeId(1) }
+        );
     }
 
     #[test]
     fn rescheduler_resize_of_not_running_task_rejected() {
-        let t = fork();
-        let mut backend = ResizableGang {
-            pending: Vec::new(),
-            resized: Vec::new(),
-        };
         // Node 0 (the root) has not started at event 1.
-        let mut script = Script {
-            plan: vec![(
-                1,
-                RescheduleAction::Grow {
-                    node: NodeId(0),
-                    extra: 1,
-                },
-            )],
-            snapshots: Vec::new(),
-        };
-        let err = drive_gang_with(
-            &t,
-            DriveConfig::new(4, 1_000),
-            WholeMachine {
-                tree: &t,
-                order: vec![NodeId(1), NodeId(2), NodeId(0)],
-                next: 0,
-                procs: 2,
-            },
-            &mut backend,
-            Some(&mut script),
-        )
-        .unwrap_err();
-        match err {
+        let (err, ..) = drive_fork_resized::<Resizable>(4, 2, grow(0, 1));
+        match err.unwrap_err() {
             DriveError::Backend(msg) => assert!(msg.contains("not running"), "{msg}"),
             other => panic!("expected Backend, got {other:?}"),
         }
@@ -1296,95 +887,58 @@ mod tests {
 
     #[test]
     fn backend_without_resize_support_errors_loudly() {
-        let t = fork();
-        let mut backend = ImmediateGang {
-            pending: Vec::new(),
-            launched: Vec::new(),
-        };
-        let mut script = Script {
-            plan: vec![(
-                1,
-                RescheduleAction::Grow {
-                    node: NodeId(1),
-                    extra: 1,
-                },
-            )],
-            snapshots: Vec::new(),
-        };
-        let err = drive_gang_with(
-            &t,
-            DriveConfig::new(4, 1_000),
-            WholeMachine {
-                tree: &t,
-                order: vec![NodeId(1), NodeId(2), NodeId(0)],
-                next: 0,
-                procs: 2,
-            },
-            &mut backend,
-            Some(&mut script),
-        )
-        .unwrap_err();
-        match err {
+        let (err, ..) = drive_fork_resized::<Immediate>(4, 2, grow(1, 1));
+        match err.unwrap_err() {
             DriveError::Backend(msg) => assert!(msg.contains("resize"), "{msg}"),
             other => panic!("expected Backend, got {other:?}"),
         }
     }
 
+    /// A rescheduler sees — and names — tasks by the ids the caller knows,
+    /// whatever numbering the run executes in.
     #[test]
-    fn unit_adapter_reports_task_level_peak_busy() {
-        let t = fork();
-        let mut backend = Immediate {
-            pending: Vec::new(),
+    fn live_stats_and_actions_are_in_caller_ids() {
+        // Leaves first: the caller's leaves 1 and 2 are nodes 1 and 0.
+        let t = fork()
+            .renumbered(vec![NodeId(2), NodeId(1), NodeId(0)])
+            .unwrap();
+        let mut backend = Resizable::default();
+        let mut script = Script {
+            plan: vec![(1, grow(2, 1))],
+            ..Script::default()
         };
-        let stats = drive(
-            &t,
-            DriveConfig::new(2, 1000),
-            Greedy::new(&t, 1000),
-            &mut backend,
-        )
-        .unwrap();
+        let leaves = Once(vec![(NodeId(0), 1), (NodeId(1), 1)]);
+        let cfg = DriveConfig {
+            enforce_booking: false,
+            ..DriveConfig::new(3, u64::MAX)
+        };
+        // The policy never starts the root, so the run ends stalled; the
+        // first tick is what this test reads.
+        drive(&t, cfg, leaves, &mut backend, Some(&mut script)).unwrap_err();
+        let gangs: Vec<NodeId> = script.snapshots[0].gangs.iter().map(|g| g.node).collect();
+        assert_eq!(gangs, [NodeId(1), NodeId(2)], "ascending caller id");
+        // Growing the caller's leaf 2 resized the layout's node 0.
+        assert_eq!(backend.resized, vec![(NodeId(0), 1, 2)]);
+    }
+
+    #[test]
+    fn unit_allotments_report_task_level_peak_busy() {
+        let t = fork();
+        let stats = drive_fork(2, 1000, Greedy::new(&t, 1000)).0.unwrap();
         // Both leaves run concurrently on unit allotments.
         assert_eq!(stats.peak_busy, 2);
     }
 
     #[test]
     fn precedence_enforced() {
-        struct Eager<'a> {
-            tree: &'a TaskTree,
-            fired: bool,
-        }
-        impl Scheduler for Eager<'_> {
-            fn name(&self) -> &str {
-                "eager"
-            }
-            fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<NodeId>) {
-                if !self.fired {
-                    self.fired = true;
-                    to_start.push(self.tree.root());
-                }
-            }
-            fn booked(&self) -> u64 {
-                u64::MAX
-            }
-        }
         let t = fork();
-        let mut backend = Immediate {
-            pending: Vec::new(),
-        };
+        let mut backend = Immediate::default();
         let cfg = DriveConfig {
             enforce_booking: false,
             ..DriveConfig::new(2, u64::MAX)
         };
-        let err = drive(
-            &t,
-            cfg,
-            Eager {
-                tree: &t,
-                fired: false,
-            },
-            &mut backend,
-        )
-        .unwrap_err();
+        let eager = Once(vec![(t.root(), 1)]);
+        let err = drive(&t, cfg, eager, &mut backend, None).unwrap_err();
         assert!(matches!(err, DriveError::PrecedenceViolation { .. }));
     }
 }

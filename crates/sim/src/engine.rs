@@ -1,10 +1,11 @@
-//! The discrete-event engine: a virtual-clock [`Backend`] under the shared
-//! [`crate::driver`] loop.
+//! The discrete-event engine: the virtual-clock [`Backend`] under the
+//! shared [`crate::driver`] loop.
 
-use crate::driver::{drive, Backend, DriveConfig, DriveError};
+use crate::driver::{drive, Backend, DriveConfig, DriveError, Rescheduler};
 use crate::error::SimError;
+use crate::moldable::SpeedupModel;
 use crate::scheduler::Scheduler;
-use crate::trace::{MemSample, RunSummary, TaskRecord, Trace};
+use crate::trace::{AllotmentSegment, MemSample, RunSummary, TaskRecord, Trace};
 use memtree_tree::{NodeId, TaskTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,6 +17,10 @@ pub struct SimConfig {
     pub processors: usize,
     /// Shared memory bound `M`.
     pub memory: u64,
+    /// How a task's running time scales with its allotment; a unit
+    /// allotment under the default [`SpeedupModel::Linear`] runs in
+    /// exactly `t_i`.
+    pub speedup: SpeedupModel,
     /// Check `actual ≤ booked ≤ M` at every event. Booking-sound
     /// schedulers (all of the paper's) must pass; disable only for
     /// deliberately unsound baselines.
@@ -27,11 +32,13 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// `p` processors, memory `M`, all checks on, no profile.
+    /// `p` processors, memory `M`, linear speedup, all checks on, no
+    /// profile.
     pub fn new(processors: usize, memory: u64) -> Self {
         SimConfig {
             processors,
             memory,
+            speedup: SpeedupModel::Linear,
             enforce_booking: true,
             record_profile: false,
             measure_overhead: true,
@@ -41,6 +48,12 @@ impl SimConfig {
     /// Enables memory-profile recording.
     pub fn with_profile(mut self) -> Self {
         self.record_profile = true;
+        self
+    }
+
+    /// Overrides the speedup model.
+    pub fn with_speedup(mut self, speedup: SpeedupModel) -> Self {
+        self.speedup = speedup;
         self
     }
 }
@@ -64,71 +77,156 @@ impl Ord for Time {
     }
 }
 
-/// A running task on the completion heap. The derived order compares
-/// `(finish, label)` first and labels are unique, so simultaneous
-/// completions pop in ascending caller id whatever the tree's own
-/// numbering — and the pop order decides which processor frees first.
+/// A predicted completion on the heap. The derived order compares
+/// `(finish, label)` first and labels are unique among running tasks, so
+/// simultaneous completions pop in ascending caller id whatever the
+/// tree's own numbering — and the pop order decides which lane frees
+/// first. A resize leaves the old prediction behind; `gen` tells it from
+/// the current one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Running {
     finish: Time,
     label: NodeId,
     node: NodeId,
-    processor: u32,
+    lane: u32,
+    gen: u32,
 }
 
-/// The virtual-clock backend: tasks "run" on a completion-time heap, and a
-/// batch is everything finishing at the next instant.
+/// Virtual-clock state of the task running on one lane.
+#[derive(Clone, Copy)]
+struct Lane {
+    /// The task, `None` while the lane is free.
+    node: Option<NodeId>,
+    /// Sequential work left as of `segment_start`.
+    remaining: f64,
+    /// When the current constant-allotment segment began, and the driver
+    /// event that opened it.
+    segment_start: f64,
+    segment_epoch: u64,
+    /// Current allotment.
+    procs: u32,
+    /// Bumped on every resize; heap entries carry the generation they were
+    /// pushed under, so stale completion times are skipped on pop.
+    gen: u32,
+}
+
+/// The virtual-clock backend: tasks "run" on a completion-time heap with
+/// the speedup model applied, and a batch is everything finishing at the
+/// next instant. Every running task holds one *lane* — a processor id off
+/// the free list, its [`TaskRecord::processor`] — and its state lives in
+/// the `p`-sized lane table, so a run that records nothing keeps no
+/// per-node array at all. Resizes are exact: the model is linear in the
+/// sequential time, so the work a segment consumed is `len / t(1, q)` and
+/// the remainder reruns at the new allotment from the resize instant.
 struct SimBackend<'t> {
     tree: &'t TaskTree,
+    model: SpeedupModel,
     now: f64,
     running: BinaryHeap<Reverse<Running>>,
-    free_procs: Vec<u32>,
+    lanes: Vec<Lane>,
+    free_lanes: Vec<u32>,
     /// Per-task records, indexed by node id; `None` when the caller only
     /// wants the run's aggregates.
     records: Option<Vec<TaskRecord>>,
+    /// Allotment history, kept only for a recorded run that can resize.
+    segments: Option<Vec<AllotmentSegment>>,
     record_profile: bool,
     profile: Vec<MemSample>,
 }
 
 impl<'t> SimBackend<'t> {
-    fn new(tree: &'t TaskTree, cfg: &SimConfig, record_tasks: bool) -> Self {
+    fn new(tree: &'t TaskTree, cfg: &SimConfig, record_tasks: bool, malleable: bool) -> Self {
+        let free = Lane {
+            node: None,
+            remaining: 0.0,
+            segment_start: 0.0,
+            segment_epoch: 0,
+            procs: 0,
+            gen: 0,
+        };
         SimBackend {
             tree,
+            model: cfg.speedup,
             now: 0.0,
-            // At most one entry per processor is ever in flight; sizing
-            // up front keeps the steady-state loop allocation-free.
+            // Without resizes at most one entry per processor is ever in
+            // flight; sizing up front keeps the steady-state loop
+            // allocation-free.
             running: BinaryHeap::with_capacity(cfg.processors.min(tree.len()) + 1),
-            free_procs: (0..cfg.processors as u32).rev().collect(),
+            lanes: vec![free; cfg.processors],
+            free_lanes: (0..cfg.processors as u32).rev().collect(),
             records: record_tasks.then(|| {
                 vec![
                     TaskRecord {
                         start: f64::NAN,
                         finish: f64::NAN,
                         processor: 0,
+                        procs: 0,
                         start_epoch: 0,
                         finish_epoch: 0,
                     };
                     tree.len()
                 ]
             }),
+            segments: (record_tasks && malleable).then(Vec::new),
             record_profile: cfg.record_profile,
             profile: Vec::new(),
+        }
+    }
+
+    /// The lane task `i` runs on (a scan of at most `p` entries).
+    fn lane_of(&self, i: NodeId) -> Option<usize> {
+        self.lanes.iter().position(|l| l.node == Some(i))
+    }
+
+    /// Whether heap entry `r` is still its task's prediction: a resize
+    /// outdates it, and once the task is gone its lane may be reused.
+    fn is_live(&self, r: &Running) -> bool {
+        let l = &self.lanes[r.lane as usize];
+        l.node == Some(r.node) && l.gen == r.gen
+    }
+
+    /// Sequential work lane `l` has left at the current instant.
+    fn remaining_now(&self, l: &Lane) -> f64 {
+        let elapsed = self.now - l.segment_start;
+        (l.remaining - elapsed / self.model.time(1.0, l.procs as usize)).max(0.0)
+    }
+
+    /// Closes lane `l`'s current segment at the current instant.
+    fn close_segment(&mut self, l: Lane) {
+        if let (Some(segments), Some(node)) = (&mut self.segments, l.node) {
+            segments.push(AllotmentSegment {
+                node,
+                start: l.segment_start,
+                end: self.now,
+                procs: l.procs,
+                epoch: l.segment_epoch,
+            });
         }
     }
 }
 
 impl Backend for SimBackend<'_> {
-    fn launch(&mut self, i: NodeId, epoch: u64) -> Result<(), DriveError> {
-        let processor = self
-            .free_procs
+    fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError> {
+        let lane = self
+            .free_lanes
             .pop()
             .expect("driver enforces the idle limit");
-        let finish = self.now + self.tree.time(i);
+        let time = self.tree.time(i);
+        let finish = self.now + self.model.time(time, procs);
+        self.lanes[lane as usize] = Lane {
+            node: Some(i),
+            remaining: time,
+            segment_start: self.now,
+            segment_epoch: epoch,
+            procs: procs as u32,
+            gen: 0,
+        };
         if let Some(records) = &mut self.records {
             records[i.index()] = TaskRecord {
                 start: self.now,
                 finish,
-                processor,
+                processor: lane,
+                procs: procs as u32,
                 start_epoch: epoch,
                 finish_epoch: 0,
             };
@@ -137,9 +235,50 @@ impl Backend for SimBackend<'_> {
             finish: Time(finish),
             label: self.tree.label(i),
             node: i,
-            processor,
+            lane,
+            gen: 0,
         }));
         Ok(())
+    }
+
+    fn resize(&mut self, i: NodeId, from: usize, to: usize, epoch: u64) -> Result<(), DriveError> {
+        let lane = self
+            .lane_of(i)
+            .ok_or_else(|| DriveError::Backend(format!("resize of idle task {i:?}")))?;
+        let mut l = self.lanes[lane];
+        debug_assert_eq!(l.procs as usize, from, "driver and backend agree");
+        self.close_segment(l);
+        l.remaining = self.remaining_now(&l);
+        l.segment_start = self.now;
+        l.segment_epoch = epoch;
+        l.procs = to as u32;
+        l.gen += 1;
+        self.lanes[lane] = l;
+        let finish = self.now + self.model.time(l.remaining, to);
+        if let Some(records) = &mut self.records {
+            let r = &mut records[i.index()];
+            r.finish = finish;
+            r.procs = r.procs.max(to as u32);
+        }
+        self.running.push(Reverse(Running {
+            finish: Time(finish),
+            label: self.tree.label(i),
+            node: i,
+            lane: lane as u32,
+            gen: l.gen,
+        }));
+        Ok(())
+    }
+
+    fn progress(&self, i: NodeId) -> Option<(u32, u32)> {
+        const GRAIN: u32 = 1_000;
+        let l = &self.lanes[self.lane_of(i)?];
+        let total = self.tree.time(i);
+        if total <= 0.0 {
+            return Some((GRAIN, GRAIN));
+        }
+        let done = (1.0 - self.remaining_now(l) / total).clamp(0.0, 1.0);
+        Some(((done * GRAIN as f64).round() as u32, GRAIN))
     }
 
     fn observe(&mut self, actual: u64, booked: u64) {
@@ -153,6 +292,11 @@ impl Backend for SimBackend<'_> {
     }
 
     fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
+        // The clock advances to the next *genuine* completion: drop the
+        // predictions resizes have outdated first.
+        while self.running.peek().is_some_and(|r| !self.is_live(&r.0)) {
+            self.running.pop();
+        }
         let Some(&Reverse(Running { finish, .. })) = self.running.peek() else {
             // Unreachable through `drive` (it checks in-flight > 0 first).
             return Err(DriveError::Backend("no task is running".into()));
@@ -163,11 +307,19 @@ impl Backend for SimBackend<'_> {
                 break;
             }
             self.running.pop();
+            if !self.is_live(&next) {
+                continue;
+            }
             batch.push(next.node);
-            self.free_procs.push(next.processor);
+            let lane = self.lanes[next.lane as usize];
+            self.close_segment(lane);
+            self.lanes[next.lane as usize].node = None;
+            self.free_lanes.push(next.lane);
             if let Some(records) = &mut self.records {
+                let r = &mut records[next.node.index()];
+                r.finish = finish.0;
                 // Completions take effect at the *next* scheduler epoch.
-                records[next.node.index()].finish_epoch = epoch + 1;
+                r.finish_epoch = epoch + 1;
             }
         }
         Ok(())
@@ -177,7 +329,7 @@ impl Backend for SimBackend<'_> {
 /// Maps a driver failure onto the simulator's error type. Nodes are named
 /// by [`TaskTree::label`]: the id the caller knows them by, also when the
 /// run was over a renumbered tree.
-pub(crate) fn to_sim_error(e: DriveError, tree: &TaskTree) -> SimError {
+fn to_sim_error(e: DriveError, tree: &TaskTree) -> SimError {
     match e {
         DriveError::TooManyStarts { requested, idle } => {
             SimError::TooManyStarts { requested, idle }
@@ -210,28 +362,33 @@ pub(crate) fn to_sim_error(e: DriveError, tree: &TaskTree) -> SimError {
     }
 }
 
-/// Drives `scheduler` over `tree` on a fresh virtual-clock backend.
+/// The one run core: drives `scheduler` over `tree` on a fresh
+/// virtual-clock backend and returns the aggregates plus the backend,
+/// which holds whatever the run was asked to record.
 fn run<'t, S: Scheduler>(
     tree: &'t TaskTree,
     cfg: SimConfig,
     scheduler: S,
+    rescheduler: Option<&mut dyn Rescheduler>,
     record_tasks: bool,
 ) -> Result<(RunSummary, SimBackend<'t>), SimError> {
+    cfg.speedup.check().map_err(SimError::BadConfig)?;
     let name = scheduler.name().to_string();
-    let mut backend = SimBackend::new(tree, &cfg, record_tasks);
+    let mut backend = SimBackend::new(tree, &cfg, record_tasks, rescheduler.is_some());
     let drive_cfg = DriveConfig {
         workers: cfg.processors,
         memory: cfg.memory,
         enforce_booking: cfg.enforce_booking,
         measure_overhead: cfg.measure_overhead,
     };
-    let stats =
-        drive(tree, drive_cfg, scheduler, &mut backend).map_err(|e| to_sim_error(e, tree))?;
+    let stats = drive(tree, drive_cfg, scheduler, &mut backend, rescheduler)
+        .map_err(|e| to_sim_error(e, tree))?;
     let summary = RunSummary {
         scheduler: name,
         makespan: backend.now,
         peak_actual: stats.peak_actual,
         peak_booked: stats.peak_booked,
+        peak_busy: stats.peak_busy,
         scheduling_seconds: stats.scheduling_seconds,
         events: stats.events,
         tasks_run: stats.completed,
@@ -241,25 +398,45 @@ fn run<'t, S: Scheduler>(
 
 /// Runs `scheduler` on `tree` under `cfg` and returns the trace.
 ///
-/// The engine is generic over the policy; all of the paper's heuristics
-/// (Activation, MemBooking, MemBookingRedTree) implement [`Scheduler`].
+/// The engine is generic over the policy: the paper's heuristics
+/// (Activation, MemBooking, MemBookingRedTree) start every task on one
+/// processor, a moldable policy starts gangs whose running time
+/// [`SimConfig::speedup`] scales — the same [`Scheduler`] trait, loop and
+/// trace either way.
 pub fn simulate<S: Scheduler>(
     tree: &TaskTree,
     cfg: SimConfig,
     scheduler: S,
 ) -> Result<Trace, SimError> {
-    let (summary, backend) = run(tree, cfg, scheduler, true)?;
+    simulate_with(tree, cfg, scheduler, None)
+}
+
+/// [`simulate`] with an optional [`Rescheduler`]: the policy's malleable
+/// decisions run against the virtual clock, predicting the makespan the
+/// threaded/async backends should approach. With a rescheduler the trace
+/// carries the full [`Trace::segments`] history (and validates
+/// segment-wise).
+pub fn simulate_with<S: Scheduler>(
+    tree: &TaskTree,
+    cfg: SimConfig,
+    scheduler: S,
+    rescheduler: Option<&mut dyn Rescheduler>,
+) -> Result<Trace, SimError> {
+    let (summary, backend) = run(tree, cfg, scheduler, rescheduler, true)?;
     Ok(Trace {
         scheduler: summary.scheduler,
         processors: cfg.processors,
         memory: cfg.memory,
+        speedup: cfg.speedup,
         makespan: summary.makespan,
         records: backend.records.expect("asked to record"),
         peak_actual: summary.peak_actual,
         peak_booked: summary.peak_booked,
+        peak_busy: summary.peak_busy,
         scheduling_seconds: summary.scheduling_seconds,
         events: summary.events,
         profile: backend.profile,
+        segments: backend.segments.unwrap_or_default(),
     })
 }
 
@@ -271,82 +448,14 @@ pub fn simulate_summary<S: Scheduler>(
     cfg: SimConfig,
     scheduler: S,
 ) -> Result<RunSummary, SimError> {
-    run(tree, cfg, scheduler, false).map(|(summary, _)| summary)
+    run(tree, cfg, scheduler, None, false).map(|(summary, _)| summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{fork, Greedy, Lazy, Once};
     use memtree_tree::{TaskSpec, TaskTree};
-
-    /// A permissive scheduler used to exercise the engine: books the whole
-    /// memory bound up front and greedily starts any available task in id
-    /// order.
-    struct Greedy<'a> {
-        tree: &'a TaskTree,
-        bound: u64,
-        remaining_children: Vec<usize>,
-        ready: Vec<NodeId>,
-        started: Vec<bool>,
-    }
-
-    impl<'a> Greedy<'a> {
-        fn new(tree: &'a TaskTree, bound: u64) -> Self {
-            let remaining_children: Vec<usize> = tree.nodes().map(|i| tree.degree(i)).collect();
-            let ready = tree.leaves().collect();
-            Greedy {
-                tree,
-                bound,
-                remaining_children,
-                ready,
-                started: vec![false; tree.len()],
-            }
-        }
-    }
-
-    impl Scheduler for Greedy<'_> {
-        fn name(&self) -> &str {
-            "greedy-test"
-        }
-        fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
-            for &j in finished {
-                if let Some(p) = self.tree.parent(j) {
-                    self.remaining_children[p.index()] -= 1;
-                    if self.remaining_children[p.index()] == 0 {
-                        self.ready.push(p);
-                    }
-                }
-            }
-            self.ready.sort_unstable();
-            let mut k = 0;
-            while k < self.ready.len() && to_start.len() < idle {
-                let i = self.ready[k];
-                if !self.started[i.index()] {
-                    self.started[i.index()] = true;
-                    to_start.push(i);
-                    self.ready.remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-        }
-        fn booked(&self) -> u64 {
-            self.bound
-        }
-    }
-
-    fn fork() -> TaskTree {
-        // Root 0 (t=1); leaves 1 (t=2), 2 (t=3).
-        TaskTree::from_parents(
-            &[None, Some(0), Some(0)],
-            &[
-                TaskSpec::new(0, 1, 1.0),
-                TaskSpec::new(0, 2, 2.0),
-                TaskSpec::new(0, 3, 3.0),
-            ],
-        )
-        .unwrap()
-    }
 
     #[test]
     fn parallel_fork_runs_leaves_concurrently() {
@@ -405,21 +514,9 @@ mod tests {
     }
 
     /// A scheduler that never starts anything stalls.
-    struct Lazy;
-    impl Scheduler for Lazy {
-        fn name(&self) -> &str {
-            "lazy"
-        }
-        fn on_event(&mut self, _: &[NodeId], _: usize, _: &mut Vec<NodeId>) {}
-        fn booked(&self) -> u64 {
-            0
-        }
-    }
-
     #[test]
     fn stall_detected() {
-        let t = fork();
-        let err = simulate(&t, SimConfig::new(2, 10), Lazy).unwrap_err();
+        let err = simulate(&fork(), SimConfig::new(2, 10), Lazy(0)).unwrap_err();
         assert_eq!(
             err,
             SimError::Stalled {
@@ -430,56 +527,19 @@ mod tests {
         );
     }
 
-    /// A scheduler that violates precedence.
-    struct Eager<'a> {
-        tree: &'a TaskTree,
-        fired: bool,
-    }
-    impl Scheduler for Eager<'_> {
-        fn name(&self) -> &str {
-            "eager"
-        }
-        fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<NodeId>) {
-            if !self.fired {
-                self.fired = true;
-                to_start.push(self.tree.root());
-            }
-        }
-        fn booked(&self) -> u64 {
-            u64::MAX
+    fn unchecked(processors: usize) -> SimConfig {
+        SimConfig {
+            enforce_booking: false,
+            ..SimConfig::new(processors, u64::MAX)
         }
     }
 
+    /// A scheduler that starts the root before its children.
     #[test]
     fn precedence_violation_detected() {
         let t = fork();
-        let err = simulate(
-            &t,
-            SimConfig {
-                enforce_booking: false,
-                ..SimConfig::new(2, u64::MAX)
-            },
-            Eager {
-                tree: &t,
-                fired: false,
-            },
-        )
-        .unwrap_err();
+        let err = simulate(&t, unchecked(2), Once(vec![(t.root(), 1)])).unwrap_err();
         assert!(matches!(err, SimError::PrecedenceViolation { .. }));
-    }
-
-    /// A scheduler that starts the same leaf twice.
-    struct Twice(NodeId);
-    impl Scheduler for Twice {
-        fn name(&self) -> &str {
-            "twice"
-        }
-        fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<NodeId>) {
-            to_start.extend([self.0, self.0]);
-        }
-        fn booked(&self) -> u64 {
-            u64::MAX
-        }
     }
 
     #[test]
@@ -489,21 +549,15 @@ mod tests {
         let t = fork()
             .renumbered(vec![NodeId(2), NodeId(1), NodeId(0)])
             .unwrap();
-        let cfg = SimConfig {
-            enforce_booking: false,
-            ..SimConfig::new(2, u64::MAX)
-        };
-        let eager = Eager {
-            tree: &t,
-            fired: false,
-        };
         assert_eq!(t.root(), NodeId(2));
         assert_eq!(
-            simulate(&t, cfg, eager).unwrap_err(),
+            simulate(&t, unchecked(2), Once(vec![(t.root(), 1)])).unwrap_err(),
             SimError::PrecedenceViolation { node: NodeId(0) }
         );
+        // The same leaf started twice.
+        let twice = Once(vec![(NodeId(0), 1), (NodeId(0), 1)]);
         assert_eq!(
-            simulate_summary(&t, cfg, Twice(NodeId(0))).unwrap_err(),
+            simulate_summary(&t, unchecked(2), twice).unwrap_err(),
             SimError::DoubleStart { node: NodeId(2) }
         );
     }

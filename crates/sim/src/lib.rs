@@ -5,18 +5,26 @@
 //! The platform model of the paper: `p` identical processors sharing a
 //! memory of size `M`. A scheduler (the [`Scheduler`] trait) reacts to task
 //! completions — the only events — by starting new tasks on idle
-//! processors. The engine:
+//! processors, each on an allotment of `q ≥ 1` of them. A sequential task
+//! is the allotment `q = 1`, so the paper's policies and their moldable
+//! and malleable extensions share everything below the trait: one
+//! [`drive`] loop over one [`Backend`] trait, one virtual-clock engine,
+//! one [`Trace`] and one [`validate::validate_trace`]. The engine:
 //!
 //! * advances time from completion to completion (plus the initial `t = 0`
-//!   event),
+//!   event), scaling a task's running time by [`SimConfig::speedup`] for
+//!   its allotment (`t / 1` under the default linear model: exactly `t`),
 //! * charges the scheduler's *booked* memory and independently replays the
 //!   **actual** resident memory through [`memtree_tree::memory::LiveSet`],
 //! * asserts at every instant that actual ≤ booked ≤ `M` for
 //!   booking-sound schedulers (configurable),
 //! * measures the wall-clock time spent inside scheduler callbacks — the
 //!   "scheduling time" of Figures 5, 6 and 13,
+//! * lets an optional [`Rescheduler`] grow and shrink running gangs
+//!   between events ([`simulate_with`]),
 //! * produces a full [`Trace`] that [`validate::validate_trace`] re-checks
-//!   from scratch (precedence, concurrency, memory).
+//!   from scratch (precedence, durations or work conservation, occupancy,
+//!   memory, makespan) — or only the aggregates ([`simulate_summary`]).
 //!
 //! Determinism: simultaneous completions are delivered in ascending node
 //! id (ascending [`memtree_tree::TaskTree::label`] on a renumbered tree),
@@ -28,18 +36,17 @@ pub mod engine;
 pub mod error;
 pub mod moldable;
 pub mod scheduler;
+#[cfg(test)]
+mod testutil;
 pub mod trace;
 pub mod validate;
 
 pub use driver::{
-    drive, drive_gang, drive_gang_with, Backend, DriveConfig, DriveError, DriveStats, GangBackend,
-    GangSnapshot, LiveStats, RescheduleAction, Rescheduler, UnitAllotments,
+    drive, Backend, DriveConfig, DriveError, DriveStats, GangSnapshot, LiveStats, RescheduleAction,
+    Rescheduler,
 };
-pub use engine::{simulate, simulate_summary, SimConfig};
+pub use engine::{simulate, simulate_summary, simulate_with, SimConfig};
 pub use error::SimError;
-pub use moldable::{
-    simulate_moldable, simulate_moldable_with, AllotmentSegment, MoldableRecord, MoldableScheduler,
-    MoldableTrace, SpeedupModel,
-};
+pub use moldable::SpeedupModel;
 pub use scheduler::Scheduler;
-pub use trace::{RunSummary, TaskRecord, Trace};
+pub use trace::{AllotmentSegment, RunSummary, TaskRecord, Trace};

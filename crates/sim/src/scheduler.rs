@@ -4,16 +4,20 @@ use memtree_tree::NodeId;
 
 /// A dynamic scheduling policy driven by task-completion events.
 ///
-/// The engine calls [`Scheduler::on_event`] once at `t = 0` (with an empty
+/// The driver calls [`Scheduler::on_event`] once at `t = 0` (with an empty
 /// `finished` batch) and once per completion instant thereafter. The
-/// scheduler pushes the tasks it wants to start **now** into `to_start`
-/// (at most `idle` of them); the engine starts them immediately at the
-/// current simulated time.
+/// scheduler pushes the tasks it wants to start **now** into `to_start`,
+/// each with the number of processors it runs on — its *allotment* `q`;
+/// the driver starts them immediately at the current instant. A
+/// sequential task is the allotment `q = 1`: the paper's five policies
+/// push `(task, 1)`, a moldable policy pushes larger gangs, and both run
+/// under the one loop ([`crate::drive`]).
 ///
 /// Contract:
 /// * a pushed task must have all children finished (be *available*) and
 ///   must not have been started before;
-/// * `len(to_start) ≤ idle`;
+/// * every allotment is at least 1 and the allotments pushed in one event
+///   sum to at most `idle`;
 /// * [`Scheduler::booked`] reports the memory currently reserved by the
 ///   policy — the engine checks `actual ≤ booked ≤ M` when
 ///   [`crate::SimConfig::enforce_booking`] is set.
@@ -26,14 +30,15 @@ pub trait Scheduler {
 
     /// React to a batch of completions (empty at `t = 0`).
     ///
-    /// `finished` is sorted by node id. `idle` is the number of free
-    /// processors *after* the completions.
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>);
+    /// `finished` is sorted by node id (by [`memtree_tree::TaskTree::label`]
+    /// on a renumbered tree). `idle` is the number of free processors
+    /// *after* the completions; `to_start` arrives empty.
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>);
 
     /// Memory currently booked by the policy.
     fn booked(&self) -> u64;
 
-    /// Optional hook: called once by the engine before the first event.
+    /// Optional hook: called once by the driver before the first event.
     fn on_begin(&mut self) {}
 }
 
@@ -42,7 +47,7 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         (**self).on_event(finished, idle, to_start)
     }
     fn booked(&self) -> u64 {
@@ -57,7 +62,7 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         (**self).on_event(finished, idle, to_start)
     }
     fn booked(&self) -> u64 {

@@ -1,5 +1,6 @@
 //! Execution traces produced by the engine.
 
+use crate::moldable::SpeedupModel;
 use memtree_tree::NodeId;
 
 /// Start/finish record of one task.
@@ -9,8 +10,15 @@ pub struct TaskRecord {
     pub start: f64,
     /// Simulated completion time.
     pub finish: f64,
-    /// Processor that ran the task.
+    /// The task's lane: the processor that ran it, or — for a gang — the
+    /// one named member of the `procs` processors it held. No two tasks
+    /// overlap on a lane.
     pub processor: u32,
+    /// Processors allotted (1 for a sequential task). On a malleable run
+    /// (a [`crate::Rescheduler`] resized gangs mid-flight) this is the
+    /// task's **peak** allotment; the full history lives in
+    /// [`Trace::segments`].
+    pub procs: u32,
     /// Engine event index at which the task started. Zero-duration tasks
     /// start and finish at the same simulated time; epochs disambiguate
     /// the causal order for trace validation.
@@ -30,6 +38,26 @@ pub struct MemSample {
     pub booked: u64,
 }
 
+/// One constant-allotment stretch of a task's execution on a malleable
+/// run. A task that was never resized has exactly one segment spanning
+/// start to finish.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AllotmentSegment {
+    /// The task.
+    pub node: NodeId,
+    /// Segment start time.
+    pub start: f64,
+    /// Segment end time (the next resize or the task's completion).
+    pub end: f64,
+    /// Processors held during the segment.
+    pub procs: u32,
+    /// Driver event index at which the segment opened: the task's
+    /// [`TaskRecord::start_epoch`] for its first segment, the event whose
+    /// rescheduler tick resized it for the others. Like the record epochs,
+    /// it orders what happens at one simulated instant.
+    pub epoch: u64,
+}
+
 /// The full outcome of a simulation.
 #[derive(Clone, Debug)]
 pub struct Trace {
@@ -39,6 +67,8 @@ pub struct Trace {
     pub processors: usize,
     /// Memory bound.
     pub memory: u64,
+    /// The speedup model task durations were scaled by.
+    pub speedup: SpeedupModel,
     /// Per-task records, indexed by node id.
     pub records: Vec<TaskRecord>,
     /// Total completion time.
@@ -47,6 +77,8 @@ pub struct Trace {
     pub peak_actual: u64,
     /// Peak of the scheduler's booked memory.
     pub peak_booked: u64,
+    /// Peak sum of live allotments, from the driver's processor ledger.
+    pub peak_busy: usize,
     /// Wall-clock seconds spent inside scheduler callbacks — the paper's
     /// "scheduling time".
     pub scheduling_seconds: f64,
@@ -54,6 +86,11 @@ pub struct Trace {
     pub events: usize,
     /// Memory profile sampled at each event (empty unless requested).
     pub profile: Vec<MemSample>,
+    /// Per-task allotment history, in execution order. Empty unless a
+    /// [`crate::Rescheduler`] was attached (no resizes possible); on a
+    /// malleable run every task contributes one segment per
+    /// constant-allotment stretch.
+    pub segments: Vec<AllotmentSegment>,
 }
 
 /// The aggregates of a simulation — a [`Trace`] without its per-task
@@ -68,6 +105,8 @@ pub struct RunSummary {
     pub peak_actual: u64,
     /// Peak of the scheduler's booked memory.
     pub peak_booked: u64,
+    /// Peak sum of live allotments, from the driver's processor ledger.
+    pub peak_busy: usize,
     /// Wall-clock seconds spent inside scheduler callbacks.
     pub scheduling_seconds: f64,
     /// Number of events processed.
@@ -84,6 +123,7 @@ impl Trace {
             makespan: self.makespan,
             peak_actual: self.peak_actual,
             peak_booked: self.peak_booked,
+            peak_busy: self.peak_busy,
             scheduling_seconds: self.scheduling_seconds,
             events: self.events,
             tasks_run: self.records.len(),
@@ -179,6 +219,7 @@ mod tests {
             start,
             finish,
             processor,
+            procs: 1,
             start_epoch: 0,
             finish_epoch: 1,
         }
@@ -189,13 +230,16 @@ mod tests {
             scheduler: "test".into(),
             processors: 2,
             memory: 100,
+            speedup: SpeedupModel::Linear,
             makespan: records.iter().map(|r| r.finish).fold(0.0, f64::max),
             records,
             peak_actual: 60,
             peak_booked: 80,
+            peak_busy: 2,
             scheduling_seconds: 1e-3,
             events: 3,
             profile: Vec::new(),
+            segments: Vec::new(),
         }
     }
 

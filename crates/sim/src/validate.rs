@@ -2,26 +2,48 @@
 //!
 //! [`validate_trace`] recomputes everything from the per-task records
 //! without trusting the engine's incremental bookkeeping: it is the final
-//! arbiter used by integration tests and the experiment harness.
+//! arbiter used by integration tests and the experiment harness — the one
+//! oracle for sequential, moldable and malleable runs alike.
 
-use crate::trace::Trace;
+use crate::trace::{AllotmentSegment, Trace};
 use memtree_tree::memory::LiveSet;
 use memtree_tree::{NodeId, TaskTree};
+
+/// One step of the causal replay, as its sort key: time, then engine
+/// epoch, then kind — completions before starts before resizes inside one
+/// epoch — then the payload, which breaks the remaining ties
+/// deterministically: the node id of a [`FINISH`] or [`START`], the
+/// allotment delta of a [`RESIZE`] (so a tick's shrinks replay before its
+/// grows and the occupancy never overshoots the settled value the
+/// driver's ledger saw).
+type Step = (f64, u64, u8, i64);
+const FINISH: u8 = 0;
+const START: u8 = 1;
+const RESIZE: u8 = 2;
 
 /// Checks `trace` against `tree` and the platform limits it claims.
 ///
 /// Verifies:
-/// 1. every task ran exactly once, with `finish = start + t_i`;
+/// 1. every task ran exactly once on `1 ≤ procs ≤ p` processors, and its
+///    duration is what [`Trace::speedup`] gives for its allotment — or,
+///    on a malleable trace (non-empty [`Trace::segments`]), its segments
+///    tile `[start, finish]` without gaps and conserve its sequential
+///    work across resizes;
 /// 2. precedence: every child finished no later than its parent started;
-/// 3. at most `processors` tasks overlap, and no two tasks overlap on the
-///    same processor;
-/// 4. replayed actual memory stays within `memory` at all times;
+/// 3. replayed in epoch order, the live allotments never sum to more than
+///    `processors`, no two tasks overlap on the same lane
+///    ([`crate::TaskRecord::processor`]), and the occupancy peak is the
+///    recorded [`Trace::peak_busy`];
+/// 4. replayed actual memory stays within `memory` at all times, and its
+///    peak is the recorded [`Trace::peak_actual`];
 /// 5. the recorded makespan is the latest finish time.
 pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
     let n = tree.len();
     if trace.records.len() != n {
         return Err(format!("{} records for {n} tasks", trace.records.len()));
     }
+    trace.speedup.check()?;
+    let malleable = !trace.segments.is_empty();
 
     // (1) Sane records.
     for i in tree.nodes() {
@@ -29,17 +51,27 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
         if !r.start.is_finite() || !r.finish.is_finite() {
             return Err(format!("task {i:?} never ran"));
         }
-        let expected = r.start + tree.time(i);
-        if (r.finish - expected).abs() > 1e-9 * expected.abs().max(1.0) {
-            return Err(format!(
-                "task {i:?} duration mismatch: {} -> {} with t = {}",
-                r.start,
-                r.finish,
-                tree.time(i)
-            ));
+        if r.procs == 0 {
+            return Err(format!("task {i:?} ran on zero processors"));
+        }
+        if r.finish_epoch <= r.start_epoch {
+            return Err(format!("task {i:?} finish epoch not after its start epoch"));
         }
         if (r.processor as usize) >= trace.processors {
             return Err(format!("task {i:?} ran on ghost processor {}", r.processor));
+        }
+        if malleable {
+            continue; // durations are checked segment-wise below
+        }
+        let expected = r.start + trace.speedup.time(tree.time(i), r.procs as usize);
+        if (r.finish - expected).abs() > 1e-9 * expected.abs().max(1.0) {
+            return Err(format!(
+                "task {i:?} duration mismatch: {} -> {} with t = {} on {} processors",
+                r.start,
+                r.finish,
+                tree.time(i),
+                r.procs
+            ));
         }
     }
 
@@ -57,57 +89,51 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
         }
     }
 
-    // (3) Concurrency and per-processor exclusivity; (4) memory replay.
-    // Sweep events in causal order: by time, then by engine epoch, with
-    // completions before starts inside one epoch. Epochs disambiguate
-    // zero-duration tasks that start and finish at the same instant.
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Finish(NodeId),
-        Start(NodeId),
-    }
-    let mut events: Vec<(f64, u64, u8, Ev)> = Vec::with_capacity(2 * n);
+    // (3) Occupancy and per-lane exclusivity; (4) memory replay. Sweep
+    // steps in causal order; epochs disambiguate zero-duration tasks that
+    // start and finish at the same instant.
+    let mut steps: Vec<Step> = Vec::with_capacity(2 * n + trace.segments.len());
+    // The allotment each task was launched with and the one it finished
+    // on: its record's, unless it was resized in between.
+    let resized = match malleable {
+        true => Some(check_segments(tree, trace, &mut steps)?),
+        false => None,
+    };
+    let ends = |i: NodeId| match &resized {
+        Some(ends) => ends[i.index()],
+        None => (trace.record(i).procs, trace.record(i).procs),
+    };
     for i in tree.nodes() {
         let r = trace.record(i);
-        if r.finish_epoch <= r.start_epoch {
-            return Err(format!("task {i:?} finish epoch not after its start epoch"));
-        }
-        events.push((r.finish, r.finish_epoch, 0, Ev::Finish(i)));
-        events.push((r.start, r.start_epoch, 1, Ev::Start(i)));
+        steps.push((r.finish, r.finish_epoch, FINISH, i.index() as i64));
+        steps.push((r.start, r.start_epoch, START, i.index() as i64));
     }
-    events.sort_by(|a, b| {
+    steps.sort_unstable_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .unwrap()
             .then(a.1.cmp(&b.1))
             .then(a.2.cmp(&b.2))
-            .then_with(|| {
-                let id = |e: &Ev| match e {
-                    Ev::Finish(i) | Ev::Start(i) => i.index(),
-                };
-                id(&a.3).cmp(&id(&b.3))
-            })
+            .then(a.3.cmp(&b.3))
     });
 
     let mut live = LiveSet::new(tree);
-    let mut busy: Vec<Option<NodeId>> = vec![None; trace.processors];
-    let mut running = 0usize;
-    for (_, _, _, ev) in events {
-        match ev {
-            Ev::Start(i) => {
-                let p = trace.record(i).processor as usize;
-                if let Some(other) = busy[p] {
+    let mut lanes: Vec<Option<NodeId>> = vec![None; trace.processors];
+    let mut busy = 0i64;
+    let mut peak_busy = 0i64;
+    for (_, _, kind, payload) in steps {
+        if kind == RESIZE {
+            busy += payload;
+        } else {
+            let i = NodeId(payload as u32);
+            let p = trace.record(i).processor as usize;
+            if kind == START {
+                if let Some(other) = lanes[p] {
                     return Err(format!(
                         "tasks {other:?} and {i:?} overlap on processor {p}"
                     ));
                 }
-                busy[p] = Some(i);
-                running += 1;
-                if running > trace.processors {
-                    return Err(format!(
-                        "{running} tasks running with {} processors",
-                        trace.processors
-                    ));
-                }
+                lanes[p] = Some(i);
+                busy += ends(i).0 as i64;
                 live.start(i);
                 if live.current() > trace.memory {
                     return Err(format!(
@@ -116,19 +142,30 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
                         trace.memory
                     ));
                 }
-            }
-            Ev::Finish(i) => {
-                let p = trace.record(i).processor as usize;
-                if busy[p] != Some(i) {
+            } else {
+                if lanes[p] != Some(i) {
                     return Err(format!(
                         "task {i:?} finished on processor {p} it did not hold"
                     ));
                 }
-                busy[p] = None;
-                running -= 1;
+                lanes[p] = None;
+                busy -= ends(i).1 as i64;
                 live.finish(i);
             }
         }
+        if busy > trace.processors as i64 {
+            return Err(format!(
+                "{busy} processors in use with {}",
+                trace.processors
+            ));
+        }
+        peak_busy = peak_busy.max(busy);
+    }
+    if peak_busy != trace.peak_busy as i64 {
+        return Err(format!(
+            "replayed occupancy peak {peak_busy} differs from recorded {}",
+            trace.peak_busy
+        ));
     }
 
     // (5) Makespan.
@@ -154,6 +191,70 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
     }
 
     Ok(())
+}
+
+/// The malleable half of check (1): per task, the allotment segments tile
+/// `[start, finish]` in epoch order and conserve the sequential work under
+/// the speedup model (`Σ len / t(1, q) = t_seq` — both models are linear
+/// in `t`), and the record's `procs` is their peak. Pushes one [`RESIZE`]
+/// step per allotment change and returns every task's (launch, final)
+/// allotment.
+fn check_segments(
+    tree: &TaskTree,
+    trace: &Trace,
+    steps: &mut Vec<Step>,
+) -> Result<Vec<(u32, u32)>, String> {
+    for s in &trace.segments {
+        if s.node.index() >= tree.len() {
+            return Err(format!("segment for unknown task {:?}", s.node));
+        }
+        if s.procs == 0 {
+            return Err(format!("zero-processor segment for {:?}", s.node));
+        }
+        if s.end < s.start - 1e-12 {
+            return Err(format!("segment of {:?} ends before it starts", s.node));
+        }
+    }
+    // Stable: a task's segments stay in execution order.
+    let mut by_task: Vec<&AllotmentSegment> = trace.segments.iter().collect();
+    by_task.sort_by_key(|s| s.node);
+    let mut ends = vec![(0u32, 0u32); tree.len()];
+    for list in by_task.chunk_by(|a, b| a.node == b.node) {
+        let (i, first, last) = (list[0].node, list[0], list[list.len() - 1]);
+        let r = trace.record(i);
+        let eps = 1e-9 * r.finish.abs().max(1.0);
+        if (first.start - r.start).abs() > eps || first.epoch != r.start_epoch {
+            return Err(format!("task {i:?} first segment misses its start"));
+        }
+        if (last.end - r.finish).abs() > eps || last.epoch >= r.finish_epoch {
+            return Err(format!("task {i:?} last segment misses its finish"));
+        }
+        let mut consumed = 0.0;
+        for (k, s) in list.iter().enumerate() {
+            if let Some(next) = list.get(k + 1) {
+                if (s.end - next.start).abs() > eps || next.epoch < s.epoch {
+                    return Err(format!("task {i:?} has a gap between segments"));
+                }
+                let delta = next.procs as i64 - s.procs as i64;
+                steps.push((next.start, next.epoch, RESIZE, delta));
+            }
+            consumed += (s.end - s.start) / trace.speedup.time(1.0, s.procs as usize);
+        }
+        let t = tree.time(i);
+        if (consumed - t).abs() > 1e-6 * t.max(1.0) {
+            return Err(format!(
+                "task {i:?} work not conserved: did {consumed}, needs {t}"
+            ));
+        }
+        if list.iter().map(|s| s.procs).max() != Some(r.procs) {
+            return Err(format!("task {i:?} record procs is not the segment peak"));
+        }
+        ends[i.index()] = (first.procs, last.procs);
+    }
+    match ends.iter().position(|&(q, _)| q == 0) {
+        Some(i) => Err(format!("task NodeId({i}) has no allotment segment")),
+        None => Ok(ends),
+    }
 }
 
 /// The assignment value meaning "this node stays in the residual tree"
@@ -249,30 +350,21 @@ pub fn validate_shard_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, SimConfig};
-    use crate::scheduler::Scheduler;
+    use crate::driver::RescheduleAction;
+    use crate::engine::{simulate, simulate_with, SimConfig};
+    use crate::testutil::{InOrder, Script};
     use memtree_tree::{TaskSpec, TaskTree};
 
-    struct Serial<'a> {
-        order: Vec<NodeId>,
-        next: usize,
-        bound: u64,
-        _tree: &'a TaskTree,
-    }
-
-    impl Scheduler for Serial<'_> {
-        fn name(&self) -> &str {
-            "serial-test"
-        }
-        fn on_event(&mut self, _: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
-            if idle > 0 && self.next < self.order.len() {
-                to_start.push(self.order[self.next]);
-                self.next += 1;
-            }
-        }
-        fn booked(&self) -> u64 {
-            self.bound
-        }
+    /// Runs `tree` in postorder, one task at a time on `procs` processors
+    /// of `p` (all idle ones for `None`), booking 1000.
+    fn in_postorder(tree: &TaskTree, p: usize, procs: Option<usize>) -> Trace {
+        let order = memtree_tree::traverse::postorder(tree);
+        simulate(
+            tree,
+            SimConfig::new(p, 1000),
+            InOrder::new(order, procs, 1000),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -287,18 +379,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let order = memtree_tree::traverse::postorder(&t);
-        let trace = simulate(
-            &t,
-            SimConfig::new(1, 1000),
-            Serial {
-                order,
-                next: 0,
-                bound: 1000,
-                _tree: &t,
-            },
-        )
-        .unwrap();
+        let trace = in_postorder(&t, 1, Some(1));
         validate_trace(&t, &trace).unwrap();
         assert_eq!(trace.makespan, 10.0);
     }
@@ -310,18 +391,7 @@ mod tests {
             &[TaskSpec::new(0, 1, 1.0), TaskSpec::new(0, 1, 1.0)],
         )
         .unwrap();
-        let order = memtree_tree::traverse::postorder(&t);
-        let mut trace = simulate(
-            &t,
-            SimConfig::new(1, 100),
-            Serial {
-                order,
-                next: 0,
-                bound: 100,
-                _tree: &t,
-            },
-        )
-        .unwrap();
+        let mut trace = in_postorder(&t, 1, Some(1));
         validate_trace(&t, &trace).unwrap();
 
         // Break precedence: make the root start before the leaf ends.
@@ -330,31 +400,106 @@ mod tests {
         assert!(validate_trace(&t, &trace).is_err());
     }
 
-    #[test]
-    fn memory_bound_violation_rejected() {
-        let t = TaskTree::from_parents(
+    /// Leaf 1 (f = 60) under root 0 (f = 50): the replayed peak is
+    /// 60 + 50 = 110, while the root runs.
+    fn heavy_pair() -> TaskTree {
+        TaskTree::from_parents(
             &[None, Some(0)],
             &[TaskSpec::new(0, 50, 1.0), TaskSpec::new(0, 60, 1.0)],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn memory_bound_violation_rejected() {
+        let t = heavy_pair();
+        // Claim a tighter bound than the replayed peak — on a sequential
+        // trace and on a moldable one (every task a gang of 3).
+        for procs in [Some(1), None] {
+            let mut trace = in_postorder(&t, 3, procs);
+            validate_trace(&t, &trace).unwrap();
+            assert_eq!(trace.peak_actual, 110);
+            trace.memory = 100;
+            assert!(validate_trace(&t, &trace)
+                .unwrap_err()
+                .contains("exceeds bound"));
+        }
+    }
+
+    /// A four-task chain (t = 4 each) run one gang of 2 at a time on
+    /// p = 4, with the leaf grown to 4 in its launch tick and the next
+    /// task shrunk to 1 in its own: a valid malleable trace with zero-width
+    /// and proper segments.
+    fn malleable_chain() -> (TaskTree, Trace) {
+        let t = memtree_gen::shapes::chain(4, TaskSpec::new(1, 3, 4.0));
         let order = memtree_tree::traverse::postorder(&t);
-        let mut trace = simulate(
-            &t,
-            SimConfig::new(1, 1000),
-            Serial {
-                order,
-                next: 0,
-                bound: 1000,
-                _tree: &t,
-            },
-        )
-        .unwrap();
-        // Claim a tighter bound than the replayed peak (60 + 50 + 50 = 110
-        // during the root).
-        trace.memory = 100;
-        assert!(validate_trace(&t, &trace)
-            .unwrap_err()
-            .contains("exceeds bound"));
+        let (leaf, next) = (order[0], order[1]);
+        let mut script = Script {
+            plan: vec![
+                (
+                    1,
+                    RescheduleAction::Grow {
+                        node: leaf,
+                        extra: 2,
+                    },
+                ),
+                (
+                    2,
+                    RescheduleAction::Shrink {
+                        node: next,
+                        release: 1,
+                    },
+                ),
+            ],
+            ..Script::default()
+        };
+        let sched = InOrder::new(order, Some(2), 1000);
+        let trace = simulate_with(&t, SimConfig::new(4, 1000), sched, Some(&mut script)).unwrap();
+        validate_trace(&t, &trace).unwrap();
+        assert_eq!(trace.segments.len(), 6, "two resized tasks, two plain ones");
+        assert_eq!(
+            (trace.peak_busy, trace.makespan),
+            (4, 1.0 + 4.0 + 2.0 + 2.0)
+        );
+        (t, trace)
+    }
+
+    #[test]
+    fn malleable_gap_between_segments_rejected() {
+        let (t, mut trace) = malleable_chain();
+        // The shrunk task's second segment opens half a unit late.
+        let late = trace.segments.iter_mut().find(|s| s.procs == 1).unwrap();
+        late.start += 0.5;
+        let err = validate_trace(&t, &trace).unwrap_err();
+        assert!(err.contains("gap between segments"), "{err}");
+    }
+
+    #[test]
+    fn malleable_occupancy_over_p_rejected() {
+        let (t, trace) = malleable_chain();
+        // The grown leaf held 4 processors: one too many for p = 3 …
+        let mut tight = trace.clone();
+        tight.processors = 3;
+        let err = validate_trace(&t, &tight).unwrap_err();
+        assert!(err.contains("4 processors in use with 3"), "{err}");
+        // … and more than a ledger that claims a peak of 3 saw.
+        let mut short = trace;
+        short.peak_busy = 3;
+        let err = validate_trace(&t, &short).unwrap_err();
+        assert!(err.contains("occupancy peak 4"), "{err}");
+    }
+
+    #[test]
+    fn makespan_that_is_not_the_last_finish_rejected() {
+        let (t, mut trace) = malleable_chain();
+        trace.makespan -= 1.0;
+        let err = validate_trace(&t, &trace).unwrap_err();
+        assert!(err.contains("makespan"), "{err}");
+        let t = heavy_pair();
+        let mut trace = in_postorder(&t, 3, None);
+        trace.makespan += 1.0;
+        let err = validate_trace(&t, &trace).unwrap_err();
+        assert!(err.contains("makespan"), "{err}");
     }
 
     /// Root 0; children 1, 2; 1 has children 3, 4.

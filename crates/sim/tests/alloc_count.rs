@@ -50,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use memtree_runtime::{Platform, SimPlatform};
-use memtree_sched::{HeuristicKind, PolicySpec};
+use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
 use memtree_sim::{simulate, SimConfig};
 use memtree_tree::{TaskSpec, TaskTree};
 
@@ -72,9 +72,18 @@ fn allocs_for_run(tree: &TaskTree, kind: HeuristicKind, p: usize) -> u64 {
 /// Allocation count of one `SimPlatform` run: relayout into activation
 /// order (a dozen arrays, whatever the size), scheduler minting and the
 /// event loop — plus, in debug builds, the recorded trace and its
-/// re-validation.
-fn allocs_for_platform_run(tree: &TaskTree, kind: HeuristicKind, p: usize) -> u64 {
-    let spec = PolicySpec::new(kind, 0);
+/// re-validation. With `cap`, the spec is moldable (uniform caps): gangs
+/// of up to `cap` processors on the same loop.
+fn allocs_for_platform_run(
+    tree: &TaskTree,
+    kind: HeuristicKind,
+    p: usize,
+    cap: Option<u32>,
+) -> u64 {
+    let mut spec = PolicySpec::new(kind, 0);
+    if let Some(cap) = cap {
+        spec = spec.with_caps(AllotmentCaps::uniform(tree, cap));
+    }
     let memory = spec.min_feasible(tree).saturating_mul(2);
     let instance = spec
         .with_memory(memory)
@@ -127,9 +136,9 @@ fn steady_state_is_allocation_free() {
 
             // The platform path runs the same loop on the relaid tree:
             // keying ties by label must not cost an allocation per event.
-            allocs_for_platform_run(&small, kind, p);
-            let r_small = allocs_for_platform_run(&small, kind, p);
-            let r_big = allocs_for_platform_run(&big, kind, p);
+            allocs_for_platform_run(&small, kind, p, None);
+            let r_small = allocs_for_platform_run(&small, kind, p, None);
+            let r_big = allocs_for_platform_run(&big, kind, p, None);
             assert!(r_small > a_small, "the relayout allocates its arrays");
             let delta = r_big.saturating_sub(r_small);
             assert!(
@@ -138,5 +147,22 @@ fn steady_state_is_allocation_free() {
                  events vs {r_small} (delta {delta})"
             );
         }
+    }
+
+    // Gangs ride the very same loop: a capped (moldable) static run keeps
+    // its running-task state in the p-sized lane table and records a
+    // profile or allotment segments only when asked to, so q > 1 costs no
+    // allocation per event either.
+    for (p, cap) in [(4usize, 2u32), (8, 4)] {
+        let kind = HeuristicKind::MemBooking;
+        allocs_for_platform_run(&small, kind, p, Some(cap));
+        let g_small = allocs_for_platform_run(&small, kind, p, Some(cap));
+        let g_big = allocs_for_platform_run(&big, kind, p, Some(cap));
+        let delta = g_big.saturating_sub(g_small);
+        assert!(
+            delta <= 16,
+            "caps {cap} p={p}: capped platform run took {g_big} allocs at 10x \
+             events vs {g_small} (delta {delta})"
+        );
     }
 }

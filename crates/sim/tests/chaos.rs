@@ -1,7 +1,7 @@
 //! Chaos testing: drive the engine with a randomized-but-legal scheduler
 //! and check that the engine's incremental bookkeeping always agrees with
-//! the independent trace validator — in both the sequential-task and the
-//! moldable (gang-allotment) regime.
+//! the independent trace validator — for unit allotments (sequential
+//! tasks) and gangs alike, on the one engine.
 //!
 //! The `shard_chaos` module extends the suite to the sharded platform:
 //! kill or stall a shard worker mid-run and assert the coordinator
@@ -9,10 +9,7 @@
 //! reservations — the same failure-path discipline the `Stalled`/`Ledger`
 //! executor tests pin down for the threaded runtime.
 
-use memtree_sim::{
-    simulate, simulate_moldable, validate::validate_trace, MoldableScheduler, Scheduler, SimConfig,
-    SpeedupModel,
-};
+use memtree_sim::{simulate, validate::validate_trace, Scheduler, SimConfig};
 use memtree_tree::{NodeId, TaskSpec, TaskTree};
 use proptest::prelude::*;
 
@@ -56,7 +53,7 @@ impl Scheduler for Chaos<'_> {
         "chaos"
     }
 
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<NodeId>) {
+    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
         self.running -= finished.len();
         for &j in finished {
             if let Some(p) = self.tree.parent(j) {
@@ -79,7 +76,7 @@ impl Scheduler for Chaos<'_> {
                 break;
             }
             let i = self.ready.pop().expect("nonempty");
-            to_start.push(i);
+            to_start.push((i, 1));
             budget -= 1;
         }
         self.running += to_start.len();
@@ -99,7 +96,6 @@ struct MoldChaos<'a> {
     inner: Chaos<'a>,
     cap: usize,
     allot_state: u64,
-    buf: Vec<NodeId>,
 }
 
 impl<'a> MoldChaos<'a> {
@@ -108,7 +104,6 @@ impl<'a> MoldChaos<'a> {
             inner: Chaos::new(tree, bound, seed),
             cap: cap.max(1),
             allot_state: seed.rotate_left(17) | 1,
-            buf: Vec::new(),
         }
     }
 
@@ -122,30 +117,26 @@ impl<'a> MoldChaos<'a> {
     }
 }
 
-impl MoldableScheduler for MoldChaos<'_> {
+impl Scheduler for MoldChaos<'_> {
     fn name(&self) -> &str {
         "mold-chaos"
     }
 
     fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-        self.buf.clear();
-        self.inner.on_event(finished, idle, &mut self.buf);
+        self.inner.on_event(finished, idle, to_start);
         // Every pick holds one processor; spread the rest randomly.
-        let mut leftover = idle - self.buf.len();
-        for k in 0..self.buf.len() {
-            let i = self.buf[k];
-            let mut q = 1;
-            if self.cap > 1 {
+        let mut leftover = idle - to_start.len();
+        if self.cap > 1 {
+            for (_, q) in to_start.iter_mut() {
                 let extra = (self.next_allot_rand() as usize) % ((self.cap - 1).min(leftover) + 1);
-                q += extra;
+                *q += extra;
                 leftover -= extra;
             }
-            to_start.push((i, q));
         }
     }
 
     fn booked(&self) -> u64 {
-        Scheduler::booked(&self.inner)
+        self.inner.booked()
     }
 }
 
@@ -219,9 +210,9 @@ proptest! {
     }
 
     /// Moldable chaos: randomized allotment caps, randomized gang sizes —
-    /// whatever legal pattern comes out, the gang engine's trace passes
-    /// the independent moldable validator (precedence, per-task duration
-    /// under the speedup model, allotment sweep ≤ p, every task ran).
+    /// whatever legal pattern comes out, the engine's trace passes the one
+    /// independent validator (precedence, per-task duration under the
+    /// speedup model, occupancy ≤ p, memory replay, every task ran).
     #[test]
     fn moldable_chaos_traces_always_validate(
         tree in arb_tree(50),
@@ -234,26 +225,24 @@ proptest! {
             .map(|i| tree.exec(i) + tree.output(i))
             .sum::<u64>()
             .max(1);
-        let trace = simulate_moldable(
+        let trace = simulate(
             &tree,
-            p,
-            bound,
-            SpeedupModel::Linear,
+            SimConfig::new(p, bound).with_profile(),
             MoldChaos::new(&tree, bound, seed, cap),
         )
         .unwrap();
-        trace.validate(&tree, SpeedupModel::Linear).unwrap();
+        validate_trace(&tree, &trace).unwrap();
         prop_assert_eq!(trace.records.len(), tree.len());
-        prop_assert!(trace.max_allotment() as usize <= cap.min(p));
-        prop_assert!(trace.allotments().iter().all(|&q| q >= 1));
-        // The always-on profile agrees with the recorded peaks.
+        prop_assert!(trace.records.iter().all(|r| (1..=cap.min(p)).contains(&(r.procs as usize))));
+        prop_assert!(trace.peak_busy <= p);
+        // The recorded profile agrees with the recorded peaks.
         let prof_max = trace.profile.iter().map(|s| s.actual).max().unwrap_or(0);
         prop_assert_eq!(prof_max, trace.peak_actual);
     }
 
     /// Single-worker gangs are not a special case: with every cap at 1
-    /// the moldable engine replays the sequential engine bit-for-bit —
-    /// same starts, finishes, makespan, peaks and event count.
+    /// the moldable chaos policy replays the sequential one bit-for-bit
+    /// on the one engine — same records, makespan, peaks and event count.
     #[test]
     fn unit_gangs_degenerate_to_the_sequential_path_bit_for_bit(
         tree in arb_tree(50),
@@ -271,17 +260,15 @@ proptest! {
             Chaos::new(&tree, bound, seed),
         )
         .unwrap();
-        let mold = simulate_moldable(
+        let mold = simulate(
             &tree,
-            p,
-            bound,
-            SpeedupModel::Linear,
+            SimConfig::new(p, bound),
             MoldChaos::new(&tree, bound, seed, 1),
         )
         .unwrap();
         prop_assert_eq!(mold.records.len(), seq.records.len());
         for i in tree.nodes() {
-            let m = mold.records[i.index()];
+            let m = mold.record(i);
             let s = seq.record(i);
             prop_assert_eq!(m.procs, 1);
             // Bit-for-bit: same f64s, not same-within-epsilon.

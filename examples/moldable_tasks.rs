@@ -11,8 +11,8 @@
 use memtree::order::mem_postorder;
 use memtree::runtime::{Platform, ThreadedPlatform, Workload};
 use memtree::sched::{AllotmentCaps, HeuristicKind, MemBooking, MoldableMemBooking, PolicySpec};
-use memtree::sim::moldable::{simulate_moldable, SpeedupModel};
-use memtree::sim::{simulate, SimConfig};
+use memtree::sim::validate::validate_trace;
+use memtree::sim::{simulate, SimConfig, SpeedupModel};
 
 fn main() {
     // A band matrix's assembly tree: essentially a chain of fronts.
@@ -62,8 +62,11 @@ fn main() {
         // Fronts are dense kernels: let any of them use every core.
         let caps = AllotmentCaps::uniform(&tree, p as u32);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).expect("feasible");
-        let trace = simulate_moldable(&tree, p, m, model, sched).expect("completes");
-        trace.validate(&tree, model).expect("valid");
+        // Same engine, same trace, same validator as the sequential run:
+        // only the allotments and the speedup model differ.
+        let cfg = SimConfig::new(p, m).with_speedup(model);
+        let trace = simulate(&tree, cfg, sched).expect("completes");
+        validate_trace(&tree, &trace).expect("valid");
         println!(
             "moldable, {label}: makespan {:10.1} ({:.2}x vs sequential tasks), peak mem {}/{}",
             trace.makespan,

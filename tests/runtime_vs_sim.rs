@@ -1,13 +1,13 @@
 //! Cross-validation between the discrete-event simulator and the real
-//! threaded runtime, plus moldable-engine integration.
+//! threaded runtime, plus moldable (gang-allotment) integration.
 
 use memtree::gen::synthetic::paper_tree;
 use memtree::multifrontal::{assembly_corpus, CorpusSpec};
 use memtree::order::{cp_order, mem_postorder, OrderKind};
 use memtree::runtime::{execute, Platform, RuntimeConfig, SimPlatform, ThreadedPlatform, Workload};
 use memtree::sched::{AllotmentCaps, HeuristicKind, MemBooking, MoldableMemBooking, PolicySpec};
-use memtree::sim::moldable::{simulate_moldable, SpeedupModel};
-use memtree::sim::{simulate, SimConfig};
+use memtree::sim::validate::validate_trace;
+use memtree::sim::{simulate, SimConfig, SpeedupModel};
 use memtree::tree::TaskTree;
 
 /// Worker counts the cross-platform cases sweep: the CI matrix pins one
@@ -94,6 +94,7 @@ fn threaded_and_simulated_agree_on_feasibility() {
             },
             MemBooking::try_new(&tree, &ao, &eo, m).unwrap(),
             Workload::Noop,
+            None,
         )
         .unwrap();
         assert_eq!(report.tasks_run, tree.len());
@@ -159,8 +160,8 @@ fn redtree_spec_runs_on_both_platforms() {
     );
 }
 
-/// The moldable engine degenerates to the sequential-task engine when
-/// every cap is 1: identical makespans.
+/// The moldable policy degenerates to the sequential-task one when every
+/// cap is 1: identical makespans.
 #[test]
 fn moldable_with_unit_caps_equals_sequential_tasks() {
     for seed in 0..4 {
@@ -178,8 +179,8 @@ fn moldable_with_unit_caps_equals_sequential_tasks() {
 
         let caps = AllotmentCaps::uniform(&tree, 1);
         let mold = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let trace = simulate_moldable(&tree, p, m, SpeedupModel::Linear, mold).unwrap();
-        trace.validate(&tree, SpeedupModel::Linear).unwrap();
+        let trace = simulate(&tree, SimConfig::new(p, m), mold).unwrap();
+        validate_trace(&tree, &trace).unwrap();
         assert!(
             (trace.makespan - seq.makespan).abs() < 1e-9,
             "seed {seed}: moldable/unit {} vs sequential {}",
@@ -199,7 +200,8 @@ fn amdahl_between_serial_and_linear() {
     let run = |model: SpeedupModel| {
         let caps = AllotmentCaps::uniform(&tree, p as u32);
         let s = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        simulate_moldable(&tree, p, m, model, s).unwrap().makespan
+        let cfg = SimConfig::new(p, m).with_speedup(model);
+        simulate(&tree, cfg, s).unwrap().makespan
     };
     let linear = run(SpeedupModel::Linear);
     let amdahl = run(SpeedupModel::Amdahl {
@@ -208,9 +210,7 @@ fn amdahl_between_serial_and_linear() {
     let serial_caps = {
         let caps = AllotmentCaps::uniform(&tree, 1);
         let s = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        simulate_moldable(&tree, p, m, SpeedupModel::Linear, s)
-            .unwrap()
-            .makespan
+        simulate(&tree, SimConfig::new(p, m), s).unwrap().makespan
     };
     assert!(
         linear <= amdahl + 1e-9,
