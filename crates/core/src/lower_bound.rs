@@ -7,6 +7,7 @@
 //! bounds (average workload and critical path), this is what all
 //! "normalized makespan" plots divide by.
 
+use memtree_tree::stats::subtree_critical_paths;
 use memtree_tree::{TaskTree, TreeStats};
 
 /// The three makespan lower bounds for a tree on `p` processors with
@@ -22,10 +23,11 @@ pub struct LowerBounds {
 }
 
 impl LowerBounds {
-    /// Computes all three bounds.
+    /// Computes all three bounds; the critical path is one children-first
+    /// sweep, not a full [`TreeStats`].
     pub fn compute(tree: &TaskTree, processors: usize, memory: u64) -> Self {
-        let stats = TreeStats::compute(tree);
-        Self::compute_with_stats(tree, &stats, processors, memory)
+        let critical_path = subtree_critical_paths(tree)[tree.root().index()];
+        Self::with_critical_path(tree, critical_path, processors, memory)
     }
 
     /// As [`LowerBounds::compute`] with precomputed statistics.
@@ -35,10 +37,20 @@ impl LowerBounds {
         processors: usize,
         memory: u64,
     ) -> Self {
+        Self::with_critical_path(tree, stats.critical_path(tree), processors, memory)
+    }
+
+    fn with_critical_path(
+        tree: &TaskTree,
+        critical_path: f64,
+        processors: usize,
+        memory: u64,
+    ) -> Self {
         assert!(processors > 0, "need at least one processor");
         assert!(memory > 0, "need a positive memory bound");
         let work = tree.total_time() / processors as f64;
-        let critical_path = stats.critical_path(tree);
+        // Summed in id order: the order of a floating-point sum is part of
+        // its value, and the bound is compared bit for bit across runs.
         let memory_aware = tree
             .nodes()
             .map(|i| tree.mem_needed(i) as f64 * tree.time(i))

@@ -21,6 +21,7 @@ use crate::error::SchedError;
 use crate::moldable::{AllotmentCaps, MoldableMemBooking};
 use crate::redtree::to_reduction_tree;
 use crate::{Activation, HeuristicKind, MemBooking, MemBookingRef, RedTreeBooking, Sequential};
+use memtree_order::po_mem::min_postorder_peak;
 use memtree_order::{make_order, Order, OrderKind};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
@@ -107,13 +108,17 @@ impl PolicySpec {
     ///
     /// Sharded platforms size per-shard ledger budgets with this, so a
     /// split that succeeds grants every shard a constructible policy.
+    ///
+    /// A memPO activation order needs no order at all: its sequential
+    /// peak is Liu's `P(root)`, which the peak sweep computes directly.
     pub fn min_feasible(&self, tree: &TaskTree) -> u64 {
-        match self.kind {
-            HeuristicKind::MemBookingRedTree => {
+        match (self.kind, self.ao) {
+            (HeuristicKind::MemBookingRedTree, _) => {
                 let tr = to_reduction_tree(tree);
                 let ao = make_order(&tr.tree, self.ao);
                 RedTreeBooking::min_memory(&tr.tree, &ao).max(1)
             }
+            (_, OrderKind::MemPostorder) => min_postorder_peak(tree).max(1),
             _ => {
                 let ao = make_order(tree, self.ao);
                 ao.sequential_peak(tree).max(1)

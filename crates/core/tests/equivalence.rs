@@ -2,8 +2,11 @@
 //! Theorem-1 termination guarantee and global memory invariants for every
 //! policy.
 
-use memtree_order::{cp_order, mem_postorder, OrderKind};
-use memtree_sched::{Activation, MemBooking, MemBookingRef, SchedError};
+use memtree_order::{cp_order, make_order, mem_postorder, OrderKind};
+use memtree_sched::{
+    to_reduction_tree, Activation, HeuristicKind, MemBooking, MemBookingRef, PolicySpec,
+    RedTreeBooking, SchedError,
+};
 use memtree_sim::{simulate, validate::validate_trace, SimConfig};
 use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
@@ -104,6 +107,34 @@ proptest! {
         // MemBooking books no more than it needs: peak booked ≤ M always
         // (engine-checked) and never exceeds the total footprint.
         prop_assert!(mb.peak_booked <= m);
+    }
+
+    /// `min_feasible` is the replayed sequential peak of the spec's
+    /// activation order — for memPO read off Liu's peak sweep without
+    /// building the order — or, for RedTree, the escrow minimum on the
+    /// transformed tree; for every kind and every order.
+    #[test]
+    fn min_feasible_is_the_activation_orders_peak(tree in arb_tree(40)) {
+        for kind in HeuristicKind::all() {
+            for ao in [
+                OrderKind::MemPostorder,
+                OrderKind::OptSeq,
+                OrderKind::CriticalPath,
+                OrderKind::PerfPostorder,
+                OrderKind::AvgMemPostorder,
+                OrderKind::NaturalPostorder,
+            ] {
+                let expected = match kind {
+                    HeuristicKind::MemBookingRedTree => {
+                        let red = to_reduction_tree(&tree).tree;
+                        RedTreeBooking::min_memory(&red, &make_order(&red, ao))
+                    }
+                    _ => make_order(&tree, ao).sequential_peak(&tree),
+                };
+                let spec = PolicySpec::new(kind, 0).with_orders(ao, OrderKind::CriticalPath);
+                prop_assert_eq!(spec.min_feasible(&tree), expected.max(1), "{} / {}", kind, ao);
+            }
+        }
     }
 
     /// MemBooking with one processor takes exactly the serial time.

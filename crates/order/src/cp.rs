@@ -7,23 +7,31 @@
 //! the paper reports it as the best execution order (Figures 8 and 14).
 
 use crate::order::{Order, OrderKind};
-use memtree_tree::{NodeId, TaskTree, TreeStats};
+use memtree_tree::stats::bottom_levels;
+use memtree_tree::traverse::depths;
+use memtree_tree::{NodeId, TaskTree};
 
 /// Builds the `CP` order.
 ///
 /// Ties are broken by depth (deeper first) and then id, which keeps the
 /// order topological even when processing times are zero: on a root-to-leaf
 /// path, bottom levels are non-decreasing with depth, so the deeper node
-/// sorts first.
+/// sorts first. This is [`memtree_tree::TreeStats::cp_before`]'s order.
+///
+/// Bottom levels and depths come from top-down sweeps, and the order from
+/// one sort of packed integer keys: bottom levels are finite and `≥ +0.0`,
+/// so their bit patterns order like the values.
 pub fn cp_order(tree: &TaskTree) -> Order {
-    let stats = TreeStats::compute(tree);
-    cp_order_with_stats(tree, &stats)
-}
-
-/// As [`cp_order`] but reusing precomputed statistics.
-pub fn cp_order_with_stats(tree: &TaskTree, stats: &TreeStats) -> Order {
-    let mut seq: Vec<NodeId> = tree.nodes().collect();
-    seq.sort_by(|&a, &b| stats.cp_before(a, b));
+    let (bottom_level, depth) = (bottom_levels(tree), depths(tree));
+    let mut keys: Vec<u128> = tree
+        .nodes()
+        .map(|i| {
+            let (bl, d) = (bottom_level[i.index()], depth[i.index()]);
+            (u128::from(!bl.to_bits()) << 64) | (u128::from(!d) << 32) | u128::from(i.0)
+        })
+        .collect();
+    keys.sort_unstable();
+    let seq = keys.into_iter().map(|k| NodeId(k as u32)).collect();
     Order::new(tree, seq, OrderKind::CriticalPath).expect("CP order is topological")
 }
 

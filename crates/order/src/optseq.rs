@@ -28,7 +28,6 @@
 //! topological orders in this crate's tests (`exhaustive` module).
 
 use crate::order::{Order, OrderKind};
-use memtree_tree::traverse::postorder;
 use memtree_tree::{NodeId, TaskTree};
 
 /// One segment of a hill–valley decomposition, in memory units relative to
@@ -87,7 +86,7 @@ pub fn optimal_traversal(tree: &TaskTree) -> OptimalTraversal {
     // combines them.
     let mut reprs: Vec<Option<Vec<Piece>>> = vec![None; tree.len()];
 
-    for i in postorder(tree) {
+    for i in tree.children_first() {
         let children = tree.children(i);
 
         // Gather children's segments in relative (delta) form, remembering

@@ -86,6 +86,36 @@ impl Order {
         })
     }
 
+    /// Wraps and validates the order whose position of node `i` is
+    /// `rank[i]`, keeping `rank` as the lookup table.
+    pub(crate) fn from_ranks(
+        tree: &TaskTree,
+        rank: Vec<u32>,
+        kind: OrderKind,
+    ) -> Result<Self, TreeError> {
+        let bad = || TreeError::BadPermutation {
+            expected: tree.len(),
+            got: rank.len(),
+        };
+        if rank.len() != tree.len() {
+            return Err(bad());
+        }
+        // Slots no rank names keep an out-of-range id, so a table that is
+        // not a permutation fails the check below. Filled in place: the
+        // shared slice is the only n-sized allocation.
+        let mut seq: Arc<[NodeId]> = std::iter::repeat_n(NodeId(u32::MAX), rank.len()).collect();
+        let slots = Arc::get_mut(&mut seq).expect("not shared yet");
+        for (i, &r) in rank.iter().enumerate() {
+            *slots.get_mut(r as usize).ok_or_else(bad)? = NodeId::from_index(i);
+        }
+        tree.check_topological(&seq)?;
+        Ok(Order {
+            seq,
+            rank: Some(rank),
+            kind,
+        })
+    }
+
     /// The order `0, 1, …, n − 1` of a tree whose ids already are
     /// topological (every parent id above its children's, as after
     /// [`TaskTree::renumbered`]). It stores no rank array: a node's rank
@@ -200,6 +230,20 @@ mod tests {
             OrderKind::NaturalPostorder
         )
         .is_err());
+    }
+
+    #[test]
+    fn from_ranks_validates_like_new() {
+        let t = tree();
+        let kind = OrderKind::NaturalPostorder;
+        let o = Order::from_ranks(&t, vec![2, 0, 1], kind).unwrap();
+        assert_eq!(o.sequence(), &[NodeId(1), NodeId(2), NodeId(0)]);
+        assert_eq!(o.rank(NodeId(0)), 2);
+        // A repeated rank leaves a position empty, one past the end has
+        // none, and the root first is not topological.
+        for bad in [vec![2, 0, 0], vec![3, 0, 1], vec![0, 1, 2], vec![1, 0]] {
+            assert!(Order::from_ranks(&t, bad.clone(), kind).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

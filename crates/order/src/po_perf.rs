@@ -13,11 +13,6 @@ use memtree_tree::{TaskTree, TreeStats};
 /// non-increasing subtree critical path.
 pub fn perf_postorder(tree: &TaskTree) -> Order {
     let stats = TreeStats::compute(tree);
-    perf_postorder_with_stats(tree, &stats)
-}
-
-/// As [`perf_postorder`] but reusing precomputed statistics.
-pub fn perf_postorder_with_stats(tree: &TaskTree, stats: &TreeStats) -> Order {
     // Larger critical path = smaller rank. Critical paths are non-negative
     // finite floats, so their bit patterns order like the values.
     let rank: Vec<u64> = tree

@@ -1,10 +1,12 @@
 //! Oracle tests: the clever traversal algorithms against brute force.
 
+use memtree_gen::large::LargeShape;
 use memtree_order::exhaustive::{min_enumerated_postorder_peak, min_topological_peak};
 use memtree_order::{
     avg_mem_postorder, cp_order, make_order, mem_postorder, optimal_traversal, perf_postorder,
     Order, OrderKind,
 };
+use memtree_sched::to_reduction_tree;
 use memtree_tree::memory::{sequential_average_memory, sequential_peak};
 use memtree_tree::{TaskSpec, TaskTree, TreeStats};
 use proptest::prelude::*;
@@ -168,6 +170,27 @@ proptest! {
         );
     }
 
+    /// Every order built from id sweeps equals its walk-based reference —
+    /// Liu's peaks, memPO, CP, perfPO, avgMemPO and OptSeq — with parents
+    /// numbered above, below or on either side of their children, and on
+    /// the RedTree transform (original ids, fictitious leaves appended).
+    #[test]
+    fn orders_match_the_references_on_every_id_layout(tree in arb_tree(40), seed in 0u64..1000) {
+        let [up, down, mixed] = reference::id_layouts(&tree, seed);
+        let red = to_reduction_tree(&tree).tree;
+        for t in [&up, &down, &mixed, &red] {
+            let (peaks, mem) = reference::mem_postorder(t);
+            prop_assert_eq!(memtree_order::postorder_peaks(t), peaks);
+            prop_assert_eq!(mem_postorder(t).sequence(), &mem[..]);
+            prop_assert_eq!(cp_order(t).sequence(), &reference::cp_order(t)[..]);
+            prop_assert_eq!(perf_postorder(t).sequence(), &reference::perf_postorder(t)[..]);
+            prop_assert_eq!(avg_mem_postorder(t).sequence(), &reference::avg_mem_postorder(t)[..]);
+            let (opt, peak) = reference::optimal_traversal(t);
+            let got = optimal_traversal(t);
+            prop_assert_eq!((got.order.sequence(), got.peak), (&opt[..], peak));
+        }
+    }
+
     /// CP and perfPO break ties deterministically: two runs agree.
     #[test]
     fn orders_are_deterministic(tree in arb_tree(32)) {
@@ -175,5 +198,26 @@ proptest! {
         prop_assert_eq!(a.sequence(), b.sequence());
         let (a, b) = (perf_postorder(&tree), perf_postorder(&tree));
         prop_assert_eq!(a.sequence(), b.sequence());
+    }
+}
+
+/// The sweeps at the scale they were written for: memPO and CP of a
+/// 10⁶-node tree numbered parents-below (as `memtree_gen::large` builds
+/// it) and of its memPO layout (parents above) equal the references.
+/// Release mode: `cargo test --release -p memtree_order --test oracle --
+/// --ignored`.
+#[test]
+#[ignore]
+fn million_node_orders_match_the_references() {
+    let tree = memtree_gen::large::build(LargeShape::Random, 1_000_000, 42);
+    let layout = tree
+        .renumbered(mem_postorder(&tree).shared_sequence())
+        .unwrap();
+    for t in [&tree, &layout] {
+        assert_eq!(
+            mem_postorder(t).sequence(),
+            &reference::mem_postorder(t).1[..]
+        );
+        assert_eq!(cp_order(t).sequence(), &reference::cp_order(t)[..]);
     }
 }

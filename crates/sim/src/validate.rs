@@ -9,17 +9,17 @@ use crate::trace::{AllotmentSegment, Trace};
 use memtree_tree::memory::LiveSet;
 use memtree_tree::{NodeId, TaskTree};
 
-/// One step of the causal replay, as its sort key: time, then engine
-/// epoch, then kind — completions before starts before resizes inside one
-/// epoch — then the payload, which breaks the remaining ties
-/// deterministically: the node id of a [`FINISH`] or [`START`], the
-/// allotment delta of a [`RESIZE`] (so a tick's shrinks replay before its
-/// grows and the occupancy never overshoots the settled value the
-/// driver's ledger saw).
-type Step = (f64, u64, u8, i64);
-const FINISH: u8 = 0;
-const START: u8 = 1;
-const RESIZE: u8 = 2;
+/// The replay's record steps inside one epoch: completions, then starts.
+const FINISH: usize = 0;
+const START: usize = 1;
+
+/// A replay step of a malleable trace: one running task's allotment
+/// changes by `delta` at `time`, in the rescheduler tick of event `epoch`.
+struct Resize {
+    epoch: u64,
+    delta: i64,
+    time: f64,
+}
 
 /// Checks `trace` against `tree` and the platform limits it claims.
 ///
@@ -28,19 +28,33 @@ const RESIZE: u8 = 2;
 ///    duration is what [`Trace::speedup`] gives for its allotment — or,
 ///    on a malleable trace (non-empty [`Trace::segments`]), its segments
 ///    tile `[start, finish]` without gaps and conserve its sequential
-///    work across resizes;
+///    work across resizes; every epoch is an event of the trace
+///    (`≤` [`Trace::events`], itself at most one more than the task
+///    count: every event after the first completes a task);
 /// 2. precedence: every child finished no later than its parent started;
-/// 3. replayed in epoch order, the live allotments never sum to more than
-///    `processors`, no two tasks overlap on the same lane
-///    ([`crate::TaskRecord::processor`]), and the occupancy peak is the
-///    recorded [`Trace::peak_busy`];
+/// 3. replayed in epoch order — inside an epoch completions, then starts,
+///    each by ascending id, then resizes by delta, so a tick's shrinks
+///    come before its grows — time never runs backwards, the live
+///    allotments never sum to more than `processors`, no two tasks overlap
+///    on the same lane ([`crate::TaskRecord::processor`]), and the
+///    occupancy peak is the recorded [`Trace::peak_busy`];
 /// 4. replayed actual memory stays within `memory` at all times, and its
 ///    peak is the recorded [`Trace::peak_actual`];
 /// 5. the recorded makespan is the latest finish time.
+///
+/// Epochs are event indices, so the replay is ordered by a counting sort
+/// over them: linear in the trace. Because its times must not decrease,
+/// that order is also the time order the records claim.
 pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
     let n = tree.len();
     if trace.records.len() != n {
         return Err(format!("{} records for {n} tasks", trace.records.len()));
+    }
+    if trace.events > n + 1 {
+        return Err(format!(
+            "{} events for {n} tasks: every event after the first completes one",
+            trace.events
+        ));
     }
     trace.speedup.check()?;
     let malleable = !trace.segments.is_empty();
@@ -56,6 +70,12 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
         }
         if r.finish_epoch <= r.start_epoch {
             return Err(format!("task {i:?} finish epoch not after its start epoch"));
+        }
+        if r.finish_epoch > trace.events as u64 {
+            return Err(format!(
+                "task {i:?} finishes in epoch {} of a {}-event trace",
+                r.finish_epoch, trace.events
+            ));
         }
         if (r.processor as usize) >= trace.processors {
             return Err(format!("task {i:?} ran on ghost processor {}", r.processor));
@@ -89,44 +109,80 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
         }
     }
 
-    // (3) Occupancy and per-lane exclusivity; (4) memory replay. Sweep
-    // steps in causal order; epochs disambiguate zero-duration tasks that
+    // (3) Occupancy and per-lane exclusivity; (4) memory replay, in the
+    // engine's causal order. Epochs disambiguate zero-duration tasks that
     // start and finish at the same instant.
-    let mut steps: Vec<Step> = Vec::with_capacity(2 * n + trace.segments.len());
+    let mut resizes: Vec<Resize> = Vec::new();
     // The allotment each task was launched with and the one it finished
     // on: its record's, unless it was resized in between.
     let resized = match malleable {
-        true => Some(check_segments(tree, trace, &mut steps)?),
+        true => Some(check_segments(tree, trace, &mut resizes)?),
         false => None,
     };
     let ends = |i: NodeId| match &resized {
         Some(ends) => ends[i.index()],
         None => (trace.record(i).procs, trace.record(i).procs),
     };
-    for i in tree.nodes() {
-        let r = trace.record(i);
-        steps.push((r.finish, r.finish_epoch, FINISH, i.index() as i64));
-        steps.push((r.start, r.start_epoch, START, i.index() as i64));
-    }
-    steps.sort_unstable_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .unwrap()
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-            .then(a.3.cmp(&b.3))
+    resizes.sort_unstable_by(|a, b| {
+        (a.epoch, a.delta)
+            .cmp(&(b.epoch, b.delta))
+            .then(a.time.total_cmp(&b.time))
     });
+    let mut resizes = resizes.into_iter().peekable();
+
+    // Counting sort of the 2n record steps: bucket `2e + kind` holds
+    // epoch e's completions or starts, ids ascending. Counted one bucket
+    // up, so after the prefix sum `next[b]` is where bucket b begins, and
+    // after the fill where it ends.
+    let mut next = vec![0u32; 2 * (trace.events + 1) + 1];
+    let bucket = |epoch: u64, kind: usize| 2 * epoch as usize + kind;
+    for r in &trace.records {
+        next[bucket(r.finish_epoch, FINISH) + 1] += 1;
+        next[bucket(r.start_epoch, START) + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let mut steps = vec![NodeId(0); 2 * n];
+    for (i, r) in tree.nodes().zip(&trace.records) {
+        for b in [bucket(r.finish_epoch, FINISH), bucket(r.start_epoch, START)] {
+            steps[next[b] as usize] = i;
+            next[b] += 1;
+        }
+    }
 
     let mut live = LiveSet::new(tree);
     let mut lanes: Vec<Option<NodeId>> = vec![None; trace.processors];
     let mut busy = 0i64;
     let mut peak_busy = 0i64;
-    for (_, _, kind, payload) in steps {
-        if kind == RESIZE {
-            busy += payload;
-        } else {
-            let i = NodeId(payload as u32);
-            let p = trace.record(i).processor as usize;
+    let mut now = f64::NEG_INFINITY;
+    let mut advance = |time: f64, epoch: usize| {
+        if time.is_nan() || time < now {
+            return Err(format!(
+                "replay time runs backwards in epoch {epoch}: {time} after {now}"
+            ));
+        }
+        now = time;
+        Ok(())
+    };
+    let mut occupy = |busy: i64| {
+        if busy > trace.processors as i64 {
+            return Err(format!(
+                "{busy} processors in use with {}",
+                trace.processors
+            ));
+        }
+        peak_busy = peak_busy.max(busy);
+        Ok(())
+    };
+    let mut begin = 0;
+    for (b, &end) in next[..next.len() - 1].iter().enumerate() {
+        let (epoch, kind) = (b / 2, b % 2);
+        for &i in &steps[begin..end as usize] {
+            let r = trace.record(i);
+            let p = r.processor as usize;
             if kind == START {
+                advance(r.start, epoch)?;
                 if let Some(other) = lanes[p] {
                     return Err(format!(
                         "tasks {other:?} and {i:?} overlap on processor {p}"
@@ -143,6 +199,7 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
                     ));
                 }
             } else {
+                advance(r.finish, epoch)?;
                 if lanes[p] != Some(i) {
                     return Err(format!(
                         "task {i:?} finished on processor {p} it did not hold"
@@ -152,15 +209,18 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
                 busy -= ends(i).1 as i64;
                 live.finish(i);
             }
+            occupy(busy)?;
         }
-        if busy > trace.processors as i64 {
-            return Err(format!(
-                "{busy} processors in use with {}",
-                trace.processors
-            ));
+        begin = end as usize;
+        if kind == START {
+            while let Some(s) = resizes.next_if(|s| s.epoch == epoch as u64) {
+                advance(s.time, epoch)?;
+                busy += s.delta;
+                occupy(busy)?;
+            }
         }
-        peak_busy = peak_busy.max(busy);
     }
+    debug_assert!(resizes.next().is_none(), "segments end before finishes");
     if peak_busy != trace.peak_busy as i64 {
         return Err(format!(
             "replayed occupancy peak {peak_busy} differs from recorded {}",
@@ -196,13 +256,13 @@ pub fn validate_trace(tree: &TaskTree, trace: &Trace) -> Result<(), String> {
 /// The malleable half of check (1): per task, the allotment segments tile
 /// `[start, finish]` in epoch order and conserve the sequential work under
 /// the speedup model (`Σ len / t(1, q) = t_seq` — both models are linear
-/// in `t`), and the record's `procs` is their peak. Pushes one [`RESIZE`]
-/// step per allotment change and returns every task's (launch, final)
+/// in `t`), and the record's `procs` is their peak. Pushes one [`Resize`]
+/// per allotment change and returns every task's (launch, final)
 /// allotment.
 fn check_segments(
     tree: &TaskTree,
     trace: &Trace,
-    steps: &mut Vec<Step>,
+    resizes: &mut Vec<Resize>,
 ) -> Result<Vec<(u32, u32)>, String> {
     for s in &trace.segments {
         if s.node.index() >= tree.len() {
@@ -235,8 +295,11 @@ fn check_segments(
                 if (s.end - next.start).abs() > eps || next.epoch < s.epoch {
                     return Err(format!("task {i:?} has a gap between segments"));
                 }
-                let delta = next.procs as i64 - s.procs as i64;
-                steps.push((next.start, next.epoch, RESIZE, delta));
+                resizes.push(Resize {
+                    epoch: next.epoch,
+                    delta: next.procs as i64 - s.procs as i64,
+                    time: next.start,
+                });
             }
             consumed += (s.end - s.start) / trace.speedup.time(1.0, s.procs as usize);
         }
@@ -352,7 +415,7 @@ mod tests {
     use super::*;
     use crate::driver::RescheduleAction;
     use crate::engine::{simulate, simulate_with, SimConfig};
-    use crate::testutil::{InOrder, Script};
+    use crate::testutil::{fork, Greedy, InOrder, Script};
     use memtree_tree::{TaskSpec, TaskTree};
 
     /// Runs `tree` in postorder, one task at a time on `procs` processors
@@ -500,6 +563,46 @@ mod tests {
         trace.makespan += 1.0;
         let err = validate_trace(&t, &trace).unwrap_err();
         assert!(err.contains("makespan"), "{err}");
+    }
+
+    #[test]
+    fn epoch_beyond_the_trace_rejected_before_any_bucket() {
+        let t = heavy_pair();
+        let trace = in_postorder(&t, 1, Some(1));
+        validate_trace(&t, &trace).unwrap();
+        // An epoch no `Vec` could bucket: the bound check must refuse it
+        // before the counting sort sizes anything by it.
+        let mut far = trace.clone();
+        far.records[0].finish_epoch = u64::MAX;
+        let err = validate_trace(&t, &far).unwrap_err();
+        assert!(err.contains("finishes in epoch"), "{err}");
+        // One past the last event is already out of bounds.
+        let mut late = trace.clone();
+        late.records[0].finish_epoch = trace.events as u64 + 1;
+        let err = validate_trace(&t, &late).unwrap_err();
+        assert!(err.contains("-event trace"), "{err}");
+        // The bound itself is checked: no event without a completion.
+        let mut padded = trace;
+        padded.events = usize::MAX;
+        let err = validate_trace(&t, &padded).unwrap_err();
+        assert!(err.contains("events for 2 tasks"), "{err}");
+    }
+
+    #[test]
+    fn epoch_order_against_time_order_rejected() {
+        // Leaves 1 (t = 2) and 2 (t = 3) run side by side and finish in
+        // epochs 2 and 3; the root starts in epoch 3 at t = 3.
+        let t = fork();
+        let mut trace = simulate(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000)).unwrap();
+        validate_trace(&t, &trace).unwrap();
+        let (a, b) = (trace.records[1], trace.records[2]);
+        assert!(a.finish < b.finish && a.finish_epoch < b.finish_epoch);
+        // Swap the finish epochs: every record stays self-consistent, but
+        // replayed in epoch order t = 3 comes before t = 2.
+        trace.records[1].finish_epoch = b.finish_epoch;
+        trace.records[2].finish_epoch = a.finish_epoch;
+        let err = validate_trace(&t, &trace).unwrap_err();
+        assert!(err.contains("runs backwards"), "{err}");
     }
 
     /// Root 0; children 1, 2; 1 has children 3, 4.

@@ -30,7 +30,8 @@
 //!
 //! All algorithms in this crate are iterative, never recursive: assembly
 //! trees of sparse factorizations routinely reach heights of 10⁵, which
-//! would overflow any thread stack.
+//! would overflow any thread stack. Whole-tree passes are id sweeps along
+//! [`TaskTree::children_first`].
 
 pub mod bitset;
 pub mod builder;
@@ -53,7 +54,7 @@ pub use memory::{mem_needed_slice, LiveSet, SequentialProfile};
 pub use node::{NodeId, TaskSpec};
 pub use partition::{partition, Partition, PartitionPolicy, ResidualPart, ShardPart};
 pub use stats::TreeStats;
-pub use traverse::{BfsIter, PostorderIter};
+pub use traverse::{ChildrenFirst, PostorderIter};
 pub use tree::TaskTree;
 
 /// Crate-wide result alias.

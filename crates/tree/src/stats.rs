@@ -1,14 +1,14 @@
 //! Structural statistics of task trees.
 
 use crate::node::NodeId;
-use crate::traverse::{depths, postorder, BfsIter};
+use crate::traverse::depths;
 use crate::tree::TaskTree;
 
 /// Precomputed structural statistics of a [`TaskTree`].
 ///
 /// The paper characterises its corpora by node count, height and maximum
 /// degree, and its orders rely on subtree totals (`T_i`), critical paths and
-/// bottom levels; this struct computes all of them in two linear passes.
+/// bottom levels; this struct computes all of them in linear id sweeps.
 #[derive(Clone, Debug)]
 pub struct TreeStats {
     /// Depth of each node; the root has depth 0.
@@ -33,10 +33,13 @@ pub struct TreeStats {
 }
 
 impl TreeStats {
-    /// Computes all statistics for `tree`.
+    /// Computes all statistics for `tree`: two top-down sweeps and two
+    /// children-first sweeps ([`TaskTree::children_first`]).
     pub fn compute(tree: &TaskTree) -> Self {
         let n = tree.len();
         let depth = depths(tree);
+        let bottom_level = bottom_levels(tree);
+        let subtree_cp = subtree_critical_paths(tree);
         let height = depth.iter().copied().max().unwrap_or(0);
         let max_degree = tree
             .nodes()
@@ -46,23 +49,13 @@ impl TreeStats {
 
         let mut subtree_size = vec![1u32; n];
         let mut subtree_time = vec![0f64; n];
-        let mut subtree_cp = vec![0f64; n];
-        for i in postorder(tree) {
+        for i in tree.children_first() {
             let ix = i.index();
             subtree_time[ix] += tree.time(i);
-            let mut best_child_cp = 0f64;
             for &c in tree.children(i) {
                 subtree_size[ix] += subtree_size[c.index()];
                 subtree_time[ix] += subtree_time[c.index()];
-                best_child_cp = best_child_cp.max(subtree_cp[c.index()]);
             }
-            subtree_cp[ix] = tree.time(i) + best_child_cp;
-        }
-
-        let mut bottom_level = vec![0f64; n];
-        for i in BfsIter::new(tree) {
-            let base = tree.parent(i).map_or(0.0, |p| bottom_level[p.index()]);
-            bottom_level[i.index()] = base + tree.time(i);
         }
 
         TreeStats {
@@ -93,6 +86,32 @@ impl TreeStats {
             .then(self.depth[ib].cmp(&self.depth[ia]))
             .then(a.cmp(&b))
     }
+}
+
+/// The critical path of every subtree ([`TreeStats::subtree_cp`]): one
+/// children-first sweep, each subtree pushing its path up to its parent.
+pub fn subtree_critical_paths(tree: &TaskTree) -> Vec<f64> {
+    // Holds the longest path below a node until the sweep reaches it.
+    let mut cp = vec![0f64; tree.len()];
+    for i in tree.children_first() {
+        let here = tree.time(i) + cp[i.index()];
+        cp[i.index()] = here;
+        if let Some(p) = tree.parent(i) {
+            cp[p.index()] = cp[p.index()].max(here);
+        }
+    }
+    cp
+}
+
+/// The bottom level of every node ([`TreeStats::bottom_level`]): one
+/// top-down sweep.
+pub fn bottom_levels(tree: &TaskTree) -> Vec<f64> {
+    let mut bl = vec![0f64; tree.len()];
+    for i in tree.children_first().rev() {
+        let base = tree.parent(i).map_or(0.0, |p| bl[p.index()]);
+        bl[i.index()] = base + tree.time(i);
+    }
+    bl
 }
 
 #[cfg(test)]

@@ -1,15 +1,105 @@
-//! Iterative traversal utilities.
+//! Traversal utilities.
 //!
-//! Everything here is stack-explicit: assembly trees can be 10⁵ deep, so
-//! recursion is banned throughout the workspace.
+//! Bottom-up and top-down passes sweep [`TaskTree::children_first`]: on
+//! every tree this repository builds the ids are already topological, so
+//! that is `0..n` or its reverse and a pass walks its arrays front to back
+//! (DESIGN.md §3). Postorders are *placed*, not walked: subtree sizes from
+//! one children-first sweep, then every node's position from one top-down
+//! sweep. Nothing here recurses or keeps a stack of the tree's height —
+//! assembly trees can be 10⁵ deep — except [`PostorderIter`], the explicit-
+//! stack walk of a single subtree.
 
 use crate::node::NodeId;
-use crate::tree::TaskTree;
+use crate::tree::{TaskTree, NO_PARENT};
 
-/// Iterative postorder traversal (children before parents).
+/// The sequence [`TaskTree::children_first`] returns: every node once,
+/// each child before its parent. Double-ended, so `.rev()` is a top-down
+/// pass; cloning an id range is free.
+#[derive(Clone, Debug)]
+pub struct ChildrenFirst(Sweep);
+
+#[derive(Clone, Debug)]
+enum Sweep {
+    /// Ids ascending: every parent id is above its children's.
+    Up(std::ops::Range<u32>),
+    /// Ids descending: every parent id is below its children's.
+    Down(std::ops::Range<u32>),
+    /// Neither: a reversed breadth-first order.
+    Listed(std::vec::IntoIter<NodeId>),
+}
+
+/// [`TaskTree::children_first`]: the id direction, read off the parent
+/// array in one linear pass, or a reversed breadth-first order.
+pub(crate) fn children_first(tree: &TaskTree) -> ChildrenFirst {
+    let ids = 0..tree.len() as u32;
+    let parents_all = |above: bool| {
+        tree.parent
+            .iter()
+            .zip(ids.clone())
+            .all(|(&p, i)| p == NO_PARENT || (p > i) == above)
+    };
+    ChildrenFirst(if parents_all(true) {
+        Sweep::Up(ids)
+    } else if parents_all(false) {
+        Sweep::Down(ids)
+    } else {
+        let mut seq = breadth_first(tree);
+        seq.reverse();
+        Sweep::Listed(seq.into_iter())
+    })
+}
+
+impl Iterator for ChildrenFirst {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        match &mut self.0 {
+            Sweep::Up(ids) => ids.next().map(NodeId),
+            Sweep::Down(ids) => ids.next_back().map(NodeId),
+            Sweep::Listed(seq) => seq.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Sweep::Up(ids) | Sweep::Down(ids) => ids.size_hint(),
+            Sweep::Listed(seq) => seq.size_hint(),
+        }
+    }
+}
+
+impl DoubleEndedIterator for ChildrenFirst {
+    #[inline]
+    fn next_back(&mut self) -> Option<NodeId> {
+        match &mut self.0 {
+            Sweep::Up(ids) => ids.next_back().map(NodeId),
+            Sweep::Down(ids) => ids.next().map(NodeId),
+            Sweep::Listed(seq) => seq.next_back(),
+        }
+    }
+}
+
+impl ExactSizeIterator for ChildrenFirst {}
+
+/// The nodes reachable from the root in breadth-first order, children in
+/// id order: a plain `Vec` used as its own queue.
+pub(crate) fn breadth_first(tree: &TaskTree) -> Vec<NodeId> {
+    let mut seq = Vec::with_capacity(tree.len());
+    seq.push(tree.root());
+    let mut next = 0;
+    while let Some(&i) = seq.get(next) {
+        seq.extend_from_slice(tree.children(i));
+        next += 1;
+    }
+    seq
+}
+
+/// Iterative postorder traversal (children before parents) of one subtree.
 ///
-/// Children are visited in id order by default; see
-/// [`postorder_with_child_order`] for custom child priorities.
+/// Children are visited in id order. Whole-tree passes sweep
+/// [`TaskTree::children_first`] instead; this explicit-stack walk remains
+/// for the callers that need one subtree's nodes contiguously.
 pub struct PostorderIter<'a> {
     tree: &'a TaskTree,
     /// Stack of (node, next child rank to expand).
@@ -49,34 +139,9 @@ impl Iterator for PostorderIter<'_> {
     }
 }
 
-/// Breadth-first traversal from the root.
-pub struct BfsIter<'a> {
-    tree: &'a TaskTree,
-    queue: std::collections::VecDeque<NodeId>,
-}
-
-impl<'a> BfsIter<'a> {
-    /// BFS over the whole tree.
-    pub fn new(tree: &'a TaskTree) -> Self {
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(tree.root());
-        BfsIter { tree, queue }
-    }
-}
-
-impl Iterator for BfsIter<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let node = self.queue.pop_front()?;
-        self.queue.extend(self.tree.children(node).iter().copied());
-        Some(node)
-    }
-}
-
 /// Postorder of the whole tree as a vector (children in id order).
 pub fn postorder(tree: &TaskTree) -> Vec<NodeId> {
-    PostorderIter::new(tree).collect()
+    sequence_of(&postorder_ranks(tree, &tree.children))
 }
 
 /// Every child list sorted by `child_rank` (smaller first), in one array
@@ -94,47 +159,68 @@ fn children_sorted_by_rank(tree: &TaskTree, child_rank: &[u64]) -> Vec<NodeId> {
     sorted
 }
 
-/// Postorder that expands the children of `i` in the order
-/// `child_order[tree.child_range(i)]` lists them. `child_order` must hold
-/// every child list, each permuted in place.
+/// The position of every node in the postorder that expands the children
+/// of `i` in the order `child_order[tree.child_range(i)]` lists them.
+/// `child_order` must hold every child list, each permuted in place.
 ///
-/// One stack of `(node, next slot)` pairs: no allocation per node.
-pub fn postorder_over(tree: &TaskTree, child_order: &[NodeId]) -> Vec<NodeId> {
+/// Placed, not walked. In a postorder the subtree of `i` fills the
+/// `size(i)` positions ending at `i`'s own, and its children's subtrees
+/// tile the positions below `i`, the last child's ending right below it.
+/// So one children-first sweep counts subtree sizes, and one top-down
+/// sweep hands each child the position its block ends at, overwriting the
+/// child's size: one `n`-sized array, no stack.
+pub fn postorder_ranks(tree: &TaskTree, child_order: &[NodeId]) -> Vec<u32> {
     assert_eq!(
         child_order.len(),
         tree.children.len(),
         "one slot per edge required"
     );
-    let mut out = Vec::with_capacity(tree.len());
-    let mut stack = vec![(tree.root(), tree.child_range(tree.root()).start)];
-    while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-        if *next < tree.child_range(node).end {
-            let c = child_order[*next];
-            *next += 1;
-            stack.push((c, tree.child_range(c).start));
-        } else {
-            out.push(node);
-            stack.pop();
+    let sweep = tree.children_first();
+    let mut slot = vec![1u32; tree.len()];
+    for i in sweep.clone() {
+        if let Some(p) = tree.parent(i) {
+            slot[p.index()] += slot[i.index()];
         }
     }
-    out
+    slot[tree.root().index()] = tree.len() as u32 - 1;
+    for i in sweep.rev() {
+        let mut end = slot[i.index()];
+        for &c in child_order[tree.child_range(i)].iter().rev() {
+            let size = slot[c.index()];
+            slot[c.index()] = end - 1;
+            end -= size;
+        }
+    }
+    slot
 }
 
-/// Postorder where, at every node, children are expanded in the order given
-/// by `child_rank`: smaller rank is visited first.
+/// The sequence a permutation's ranks describe: `seq[rank[i]] = i`.
+fn sequence_of(rank: &[u32]) -> Vec<NodeId> {
+    let mut seq = vec![NodeId(0); rank.len()];
+    for (i, &r) in rank.iter().enumerate() {
+        seq[r as usize] = NodeId::from_index(i);
+    }
+    seq
+}
+
+/// Postorder where, at every node, children are expanded in the order
+/// given by `child_rank`: smaller rank is visited first.
 ///
 /// This is the workhorse behind the postorder-based activation orders
-/// (perfPO, avgMemPO; memPO feeds [`postorder_over`] the child order its
+/// (perfPO, avgMemPO; memPO feeds [`postorder_ranks`] the child order its
 /// peak computation already sorted): each of them is "a postorder with a
 /// specific child priority".
 pub fn postorder_with_child_order(tree: &TaskTree, child_rank: &[u64]) -> Vec<NodeId> {
-    postorder_over(tree, &children_sorted_by_rank(tree, child_rank))
+    sequence_of(&postorder_ranks(
+        tree,
+        &children_sorted_by_rank(tree, child_rank),
+    ))
 }
 
-/// Depth of every node (root has depth 0).
+/// Depth of every node (root has depth 0): one top-down sweep.
 pub fn depths(tree: &TaskTree) -> Vec<u32> {
     let mut d = vec![0u32; tree.len()];
-    for i in BfsIter::new(tree) {
+    for i in tree.children_first().rev() {
         if let Some(p) = tree.parent(i) {
             d[i.index()] = d[p.index()] + 1;
         }
@@ -201,9 +287,8 @@ mod tests {
     #[test]
     fn bfs_visits_by_level() {
         let t = bushy();
-        let bfs: Vec<_> = BfsIter::new(&t).collect();
         assert_eq!(
-            bfs,
+            breadth_first(&t),
             vec![
                 NodeId(0),
                 NodeId(1),
@@ -213,6 +298,35 @@ mod tests {
                 NodeId(5)
             ]
         );
+    }
+
+    #[test]
+    fn children_first_follows_the_id_direction() {
+        // Parents below children: the reversed id range.
+        let down = bushy();
+        assert!(down.children_first().eq(down.nodes().rev()));
+        // Renumbered along its postorder: parents above, the id range.
+        let up = down.renumbered(postorder(&down)).unwrap();
+        assert!(up.children_first().eq(up.nodes()));
+        assert!(up.children_first().rev().eq(up.nodes().rev()));
+        // Mixed: node 1 hangs under 4 (parent above), the rest under 0
+        // (parent below) — the reversed breadth-first order.
+        let mixed = TaskTree::from_parents(
+            &[None, Some(4), Some(0), Some(0), Some(0), Some(0)],
+            &[TaskSpec::default(); 6],
+        )
+        .unwrap();
+        let seq: Vec<NodeId> = mixed.children_first().collect();
+        assert_eq!(
+            seq,
+            [1, 5, 4, 3, 2, 0].map(NodeId).to_vec(),
+            "reversed breadth-first order"
+        );
+        assert_eq!(mixed.children_first().len(), 6);
+        for t in [&down, &up, &mixed] {
+            let seq: Vec<NodeId> = t.children_first().collect();
+            t.check_topological(&seq).unwrap();
+        }
     }
 
     #[test]

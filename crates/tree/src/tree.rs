@@ -2,6 +2,7 @@
 
 use crate::error::TreeError;
 use crate::node::{NodeId, TaskSpec};
+use crate::traverse::ChildrenFirst;
 use crate::Result;
 use std::sync::Arc;
 
@@ -189,6 +190,20 @@ impl TaskTree {
     /// Iterator over all node ids in index order.
     pub fn nodes(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
         (0..self.len() as u32).map(NodeId)
+    }
+
+    /// Every node once, each child before its parent; `.rev()` is the
+    /// top-down order. A bottom-up pass over it is one sweep of the
+    /// per-node arrays, with no stack:
+    /// - `0..n` when every parent id is above its children's (assembly
+    ///   trees, [`renumbered`](TaskTree::renumbered) layouts);
+    /// - `(0..n).rev()` when every parent id is below them (trees grown
+    ///   root first, such as `memtree_gen`'s);
+    /// - otherwise a reversed breadth-first order from the root.
+    ///
+    /// The direction is read off the parent array in one linear pass.
+    pub fn children_first(&self) -> ChildrenFirst {
+        crate::traverse::children_first(self)
     }
 
     /// Iterator over the leaves in index order.

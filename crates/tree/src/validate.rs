@@ -39,11 +39,7 @@ pub fn check_consistency(tree: &TaskTree) -> Result<(), String> {
     }
 
     // Every node reaches the root (no disconnected cycles), counted once.
-    let mut reached = 0usize;
-    for i in crate::traverse::BfsIter::new(tree) {
-        let _ = i;
-        reached += 1;
-    }
+    let reached = crate::traverse::breadth_first(tree).len();
     if reached != n {
         return Err(format!("only {reached}/{n} nodes reachable from the root"));
     }

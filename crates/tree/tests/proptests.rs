@@ -5,7 +5,7 @@ mod reference;
 use memtree_tree::io::{tree_from_str, tree_to_string};
 use memtree_tree::memory::{sequential_peak, sequential_profile, LiveSet};
 use memtree_tree::partition::{partition, PartitionPolicy, RESIDUAL};
-use memtree_tree::traverse::{postorder, postorder_with_child_order};
+use memtree_tree::traverse::{depths, postorder, postorder_with_child_order};
 use memtree_tree::validate::check_consistency;
 use memtree_tree::{NodeId, TaskSpec, TaskTree, TreeError, TreeStats};
 use proptest::prelude::*;
@@ -262,6 +262,32 @@ proptest! {
         // Height equals max depth.
         let maxd = s.depth.iter().copied().max().unwrap();
         prop_assert_eq!(s.height, maxd);
+    }
+
+    /// The id sweeps compute what the walks they replaced computed, bit for
+    /// bit, with parents numbered above, below, or on either side of their
+    /// children.
+    #[test]
+    fn sweeps_match_the_walks_on_every_id_layout(tree in arb_tree(64), seed in 0u64..1000) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for t in reference::id_layouts(&tree, seed) {
+            let sweep: Vec<NodeId> = t.children_first().collect();
+            t.check_topological(&sweep).unwrap();
+            let (s, r) = (TreeStats::compute(&t), reference::stats(&t));
+            prop_assert_eq!(&s.depth, &r.depth);
+            prop_assert_eq!(&s.subtree_size, &r.subtree_size);
+            prop_assert_eq!(bits(&s.subtree_time), bits(&r.subtree_time));
+            prop_assert_eq!(bits(&s.subtree_cp), bits(&r.subtree_cp));
+            prop_assert_eq!(bits(&s.bottom_level), bits(&r.bottom_level));
+            prop_assert_eq!((s.height, s.max_degree), (r.height, r.max_degree));
+            prop_assert_eq!(depths(&t), r.depth);
+            prop_assert_eq!(postorder(&t), reference::postorder(&t));
+            let rank: Vec<u64> = t.nodes().map(|i| (i.0 as u64 * 7 + seed) % 3).collect();
+            prop_assert_eq!(
+                postorder_with_child_order(&t, &rank),
+                reference::postorder_with_child_order(&t, &rank)
+            );
+        }
     }
 
     #[test]
