@@ -94,6 +94,11 @@ pub struct ProportionalRescheduler {
     quiet_ticks: u32,
     /// Node ids of the gangs seen running last tick, for change detection.
     prev_running: Vec<memtree_tree::NodeId>,
+    // Acting-tick scratch, one slot per running gang, recycled so the
+    // malleable steady state allocates nothing.
+    backlog: Vec<f64>,
+    order: Vec<usize>,
+    target: Vec<usize>,
 }
 
 impl ProportionalRescheduler {
@@ -118,6 +123,9 @@ impl ProportionalRescheduler {
             stage: Stage::RootFirst,
             quiet_ticks: 0,
             prev_running: Vec::new(),
+            backlog: Vec::new(),
+            order: Vec::new(),
+            target: Vec::new(),
         }
     }
 
@@ -129,16 +137,12 @@ impl ProportionalRescheduler {
             Stage::Static => "static",
         }
     }
+}
 
-    fn backlog(&self, g: &memtree_sim::GangSnapshot) -> f64 {
-        let w = self
-            .weights
-            .get(g.node.index())
-            .copied()
-            .unwrap_or(1.0)
-            .max(0.0);
-        w * g.remaining_fraction()
-    }
+/// `weight · remaining fraction` of gang `g`, weights by caller id.
+fn gang_backlog(weights: &[f64], g: &memtree_sim::GangSnapshot) -> f64 {
+    let w = weights.get(g.node.index()).copied().unwrap_or(1.0).max(0.0);
+    w * g.remaining_fraction()
 }
 
 impl Rescheduler for ProportionalRescheduler {
@@ -179,8 +183,8 @@ impl Rescheduler for ProportionalRescheduler {
                         .gangs
                         .iter()
                         .max_by(|a, b| {
-                            self.backlog(a)
-                                .partial_cmp(&self.backlog(b))
+                            gang_backlog(&self.weights, a)
+                                .partial_cmp(&gang_backlog(&self.weights, b))
                                 .expect("finite backlog")
                                 .then(b.node.cmp(&a.node))
                         })
@@ -197,7 +201,15 @@ impl Rescheduler for ProportionalRescheduler {
 
         // Proportional targets: p · backlog / Σ backlog, floored at 1.
         let g = stats.gangs.len();
-        let mut backlog: Vec<f64> = stats.gangs.iter().map(|s| self.backlog(s)).collect();
+        let Self {
+            weights,
+            backlog,
+            order,
+            target,
+            ..
+        } = self;
+        backlog.clear();
+        backlog.extend(stats.gangs.iter().map(|s| gang_backlog(weights, s)));
         let mut total: f64 = backlog.iter().sum();
         if total <= 0.0 {
             // All-but-done everywhere: fall back to an even split.
@@ -205,15 +217,19 @@ impl Rescheduler for ProportionalRescheduler {
             total = g as f64;
         }
         // Largest backlog first (ties to the lowest node id), so floors
-        // and leftovers favour the gangs that gate the makespan.
-        let mut order: Vec<usize> = (0..g).collect();
-        order.sort_by(|&a, &b| {
+        // and leftovers favour the gangs that gate the makespan. Node ids
+        // are unique, so the order is total and an unstable sort (which
+        // needs no buffer) gives the stable one's result.
+        order.clear();
+        order.extend(0..g);
+        order.sort_unstable_by(|&a, &b| {
             backlog[b]
                 .partial_cmp(&backlog[a])
                 .expect("finite backlog")
                 .then(stats.gangs[a].node.cmp(&stats.gangs[b].node))
         });
-        let mut target = vec![0usize; g];
+        target.clear();
+        target.resize(g, 0);
         let mut budget = stats.workers;
         for (k, &gi) in order.iter().enumerate() {
             let behind = order.len() - k - 1; // gangs still owed their floor
@@ -246,7 +262,7 @@ impl Rescheduler for ProportionalRescheduler {
                 }
             }
         }
-        for &gi in &order {
+        for &gi in order.iter() {
             let s = &stats.gangs[gi];
             let cur = s.allotment as usize;
             if target[gi] > cur {

@@ -476,7 +476,8 @@ impl PolicyInstance {
     /// kind's policy, or its moldable adaptation ([`MoldableMemBooking`])
     /// when the instance carries allotment caps. Either way it is a
     /// [`Scheduler`]: drive it with `memtree_sim::simulate` (virtual time)
-    /// or `memtree_runtime::execute` (real threads, gang-scheduled).
+    /// or `memtree_runtime::execute` (real threads, gang-scheduled — it is
+    /// `Send` because whichever worker finishes a task steps it).
     ///
     /// Fails with [`SchedError::InfeasibleMemory`] when the bound is below
     /// the policy's sequential booking peak (Theorem 1's feasibility
@@ -485,7 +486,7 @@ impl PolicyInstance {
     pub fn scheduler<'t>(
         &'t self,
         original: &'t TaskTree,
-    ) -> Result<Box<dyn Scheduler + 't>, SchedError> {
+    ) -> Result<Box<dyn Scheduler + Send + 't>, SchedError> {
         let tree = self.exec_tree(original);
         let (ao, eo, m) = (&*self.ao, &*self.eo, self.memory);
         Ok(match self.kind {

@@ -1,18 +1,15 @@
-//! [`BatchQueue`]: the threaded executor's dispatch queue, in both
-//! directions (DESIGN.md §6.4).
+//! [`BatchQueue`]: the threaded executor's dispatch queue (DESIGN.md
+//! §6.4).
 //!
-//! The driver thread and the worker pool exchange two kinds of entries:
-//! gang-member launches (driver → workers) and task completions (workers
-//! → driver). On a general-purpose MPMC channel each entry is one `send`
-//! — one lock and one unconditional condvar notify, i.e. one futex
-//! syscall — and on a busy CPU every such wake preempts the sender, so
-//! the driver is switched out once per *task*. This queue is shaped for
-//! the protocol instead:
+//! A worker that steps the driver core hands the gang-member entries of
+//! the tasks it launched — all but the one it keeps to run itself — to
+//! the rest of the pool. On a general-purpose MPMC channel each entry is
+//! one `send` — one lock and one unconditional condvar notify, i.e. one
+//! futex syscall — and on a busy CPU every such wake preempts the sender.
+//! This queue is shaped for the protocol instead:
 //!
-//! * **One lock per driver tick.** [`BatchQueue::push_batch`] moves a
-//!   whole tick's member entries in under one lock;
-//!   [`BatchQueue::drain_blocking`] blocks for one completion, then takes
-//!   everything that has arrived under the same lock.
+//! * **One lock per step.** [`BatchQueue::push_batch`] moves a whole
+//!   step's member entries in under one lock.
 //! * **Wakes follow demand.** The queue counts its parked receivers. A
 //!   push wakes one while there is both unclaimed work and a parked
 //!   receiver, and re-checks under the lock after every wake: when the
@@ -21,8 +18,7 @@
 //!   cores) the next parked receiver is woken straight away, up to one
 //!   per entry.
 //! * **No syscall without a sleeper.** A push that finds nobody parked
-//!   never touches the condvar — the common case for a completion, which
-//!   lands while the driver is still flushing or scheduling.
+//!   never touches the condvar.
 //!
 //! Built on the [`crate::sync`] façade, so the minloom suite
 //! (`tests/model/dispatch.rs`, DESIGN.md §6.13) checks the wake protocol
@@ -34,8 +30,8 @@ use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::PoisonError;
 
-/// Returned by the push and drain operations once [`BatchQueue::close`]
-/// has been called (a drain reports it only after the backlog is empty).
+/// Returned by the push operations once [`BatchQueue::close`] has been
+/// called.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Closed;
 
@@ -50,8 +46,8 @@ struct State<T> {
     closed: bool,
 }
 
-/// An unbounded FIFO queue with batch push, batch drain and
-/// demand-counted wakes; see the module docs.
+/// An unbounded FIFO queue with batch push and demand-counted wakes; see
+/// the module docs.
 pub struct BatchQueue<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
@@ -158,22 +154,6 @@ impl<T> BatchQueue<T> {
         }
     }
 
-    /// Blocks until at least one entry is queued, then appends the whole
-    /// backlog to `out` in FIFO order under the same lock. Entries pushed
-    /// before `close` are still delivered; `Err(Closed)` means closed
-    /// *and* empty.
-    pub fn drain_blocking(&self, out: &mut Vec<T>) -> Result<(), Closed> {
-        let mut st = self.lock();
-        while st.queue.is_empty() {
-            if st.closed {
-                return Err(Closed);
-            }
-            st = self.park(st);
-        }
-        out.extend(st.queue.drain(..));
-        Ok(())
-    }
-
     /// Refuses further pushes and wakes every parked receiver; the
     /// backlog stays poppable. Idempotent.
     pub fn close(&self) {
@@ -203,20 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_drain_returns_the_whole_backlog() {
-        let q = BatchQueue::with_capacity(2);
-        for i in 0..10 {
-            q.push(i).unwrap();
-        }
-        let mut out = vec![99];
-        q.drain_blocking(&mut out).unwrap();
-        assert_eq!(out, [99, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        // Nothing is left behind for a second drain.
-        q.close();
-        assert_eq!(q.drain_blocking(&mut out), Err(Closed));
-    }
-
-    #[test]
     fn close_keeps_the_backlog_and_refuses_new_entries() {
         let q = BatchQueue::with_capacity(2);
         q.push(1).unwrap();
@@ -240,14 +206,12 @@ mod tests {
         let q = BatchQueue::<u32>::with_capacity(1);
         std::thread::scope(|scope| {
             let poppers: Vec<_> = (0..3).map(|_| scope.spawn(|| q.pop())).collect();
-            let drainer = scope.spawn(|| q.drain_blocking(&mut Vec::new()));
             // Whether the receivers have parked yet or not, close must
             // release every one of them.
             q.close();
             for p in poppers {
                 assert_eq!(p.join().unwrap(), None);
             }
-            assert_eq!(drainer.join().unwrap(), Err(Closed));
         });
     }
 

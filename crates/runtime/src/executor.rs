@@ -1,33 +1,31 @@
-//! The threaded executor: real worker threads as a
-//! [`Backend`](memtree_sim::Backend) under the shared
-//! `memtree_sim::driver` loop.
+//! The threaded executor: real worker threads that step the shared
+//! [`DriverCore`] themselves — there is no driver thread.
 //!
-//! The main thread owns the scheduler and runs
-//! [`memtree_sim::drive`]; workers pull **gang-member** entries from
-//! a [`BatchQueue`], run their shard of the [`Workload`] payload and report
-//! completions back through a second one. A moldable task with allotment
-//! `q` is launched as `q` member entries sharing one [`GangState`]: the
-//! driver only launches when `q` workers are idle, so all members are
-//! picked up without any hold-and-wait — no partial gangs, no deadlock.
-//! Dispatch is **batched per driver event** (DESIGN.md §6.4): launches and
-//! grows only buffer their entries, and the one flush — one lock, wakes
-//! counted against parked workers — happens when the driver is about to
-//! block for completions, which it then drains all at once. Members claim
-//! payload shards from a shared atomic index (the same dynamic-scheduling
-//! idiom as the vendored rayon stand-in), so a member delayed by the OS
-//! donates its shards to its gang mates, and the last member out reports
-//! the single completion that releases the whole gang.
+//! The core (the scheduler, every check and ledger) sits behind one lock
+//! in a [`WorkerPool`]. A moldable task with allotment `q` is launched as
+//! `q` member entries sharing one [`GangState`]: the core only launches
+//! when `q` processors are idle, so all members are picked up without any
+//! hold-and-wait — no partial gangs, no deadlock. Members claim payload
+//! shards from a shared atomic index (the same dynamic-scheduling idiom as
+//! the vendored rayon stand-in), so a member delayed by the OS donates its
+//! shards to its gang mates, and the last member out reports the gang's
+//! completion by stepping the core under the lock (DESIGN.md §6.4). The
+//! step's launches and grows become member entries: the reporter keeps one
+//! member of the first launched gang and runs it next itself — a chain
+//! never leaves its worker — and flushes the rest to the other workers
+//! through a [`BatchQueue`] in one batch.
 //!
-//! Sequential policies ride the very same pool: they start every task
-//! on an allotment of 1, a gang of one. The scheduler sees completions in real-time order — the dynamic regime the
-//! paper designs for — while the driver re-asserts `actual ≤ booked ≤ M`
-//! at every event, so a booking bug aborts the run rather than silently
-//! overcommitting.
+//! Sequential policies ride the very same pool: they start every task on
+//! an allotment of 1, a gang of one. The scheduler sees completions in
+//! real-time order, one per step — the dynamic regime the paper designs
+//! for — while the core re-asserts `actual ≤ booked ≤ M` at every event,
+//! so a booking bug aborts the run rather than silently overcommitting.
 
 use crate::dispatch::BatchQueue;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::Mutex;
 use crate::workload::Workload;
-use memtree_sim::driver::{drive, Backend, DriveConfig, DriveError, Rescheduler};
+use memtree_sim::driver::{DriveConfig, DriveError, DriverCore, Rescheduler};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 use std::collections::HashMap;
@@ -88,7 +86,8 @@ pub struct RuntimeReport {
     pub peak_actual: u64,
     /// Peak booked memory.
     pub peak_booked: u64,
-    /// Scheduler events processed on the main thread.
+    /// Scheduler events processed: one per completion, plus the initial
+    /// one.
     pub events: usize,
     /// Wall-clock seconds spent inside scheduler callbacks.
     pub scheduling_seconds: f64,
@@ -176,20 +175,21 @@ pub struct GangState {
     /// member delayed by the OS donates its shards to its gang mates).
     next_shard: AtomicUsize,
     /// Shards whose payload has finished executing — the backlog signal
-    /// [`Backend::progress`] reports to the rescheduler.
+    /// the rescheduler's [`memtree_sim::LiveStats`] snapshot reports.
     shards_done: AtomicUsize,
     /// Members the gang is entitled to — the driver's current allotment.
-    /// Only the driver thread moves it (via resize), and it never drops
+    /// Only the driver side moves it (via resize: the async pump, or the
+    /// worker stepping the core under the pool lock), and it never drops
     /// below 1 while the gang runs.
     target: AtomicUsize,
     /// Members admitted and not yet exited. Counts buffered and queued
-    /// member entries too: admission increments on the driver thread
+    /// member entries too: admission increments on the driver side
     /// *before* the entry is staged, so a slow pickup can never let the
     /// count touch zero early and double-report the completion.
     active: AtomicUsize,
     /// Latches the single completion report. A grow can land on a gang
-    /// whose completion is already in flight (the driver resizes before
-    /// it reaps the batch); the late members re-raise `active` from zero
+    /// whose completion is already in flight (a resize can land before
+    /// the reporter's completion reaches the core); the late members re-raise `active` from zero
     /// and drain it again, and without the latch the last of them would
     /// report the gang a second time.
     reported: AtomicBool,
@@ -279,7 +279,7 @@ impl GangState {
         }
     }
 
-    /// Admits `extra` members (driver thread, **before** their member
+    /// Admits `extra` members (driver side, **before** their member
     /// entries are staged).
     pub fn admit(&self, extra: usize) {
         // ordering: AcqRel ×2, and `target` must rise FIRST. A running
@@ -303,7 +303,7 @@ impl GangState {
     pub fn release(&self, members: usize) {
         // ordering: AcqRel — the lowered entitlement must be observable
         // to [`try_retire`]'s Acquire loads; acquire half orders it after
-        // any prior admit on the driver thread.
+        // any prior admit on the driver side.
         self.target.fetch_sub(members, Ordering::AcqRel);
     }
 
@@ -337,232 +337,303 @@ struct GangMember {
     gang: Arc<GangState>,
 }
 
-/// The worker-thread gang backend. Launching a task with allotment `q`
-/// (or growing a gang by `q`) only stages `q` member entries; the whole
-/// driver tick is flushed to the workers under one lock when the driver
-/// is about to block, and completions come back the same way — block for
-/// one, take everything. A completion is the reporting member itself, so
-/// the gang's state comes home with it and is freed on the driver thread
-/// that allocated it (measured ≈ 10 % of a no-op unit task against the
-/// last worker out freeing it). With a [`Rescheduler`] attached, running
-/// gangs are kept in a registry so it can resize them mid-flight.
-struct GangThreadedBackend<'q> {
-    tasks: &'q BatchQueue<GangMember>,
-    done: &'q BatchQueue<GangMember>,
-    /// Member entries staged since the last flush. The driver's capacity
-    /// ledger bounds one tick's launches by the worker count, so the
-    /// buffer is sized once and the steady state never reallocates it.
-    pending: Vec<GangMember>,
-    /// Reporting members of the completion batch being reaped (scratch,
-    /// recycled across ticks like `pending`).
-    reaped: Vec<GangMember>,
-    /// Running gangs by task, for `resize`/`progress` — the rescheduler's
+/// Pushes `n` member entries of `task`'s gang onto `staged`.
+fn stage(staged: &mut Vec<GangMember>, task: NodeId, gang: &Arc<GangState>, n: usize) {
+    staged.extend((0..n).map(|_| GangMember {
+        task,
+        gang: gang.clone(),
+    }));
+}
+
+/// What the pool's one lock guards.
+struct Shared<'a, S> {
+    core: DriverCore<'a, S, dyn Rescheduler + Send + 'a>,
+    /// Running gangs by task, for resizes and progress — the rescheduler's
     /// hooks and the registry's only readers, so it stays empty without
     /// one.
     gangs: HashMap<NodeId, Arc<GangState>>,
-    workers: usize,
-    malleable: bool,
+    /// The run's first error; later ones are dropped.
+    error: Option<DriveError>,
 }
 
-impl GangThreadedBackend<'_> {
-    /// Stages `n ≥ 1` member entries of `gang` for the next flush.
-    fn stage_members(&mut self, task: NodeId, gang: Arc<GangState>, n: usize) {
-        for _ in 1..n {
-            self.pending.push(GangMember {
-                task,
-                gang: gang.clone(),
-            });
-        }
-        self.pending.push(GangMember { task, gang });
-    }
-}
-
-impl Backend for GangThreadedBackend<'_> {
-    fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
-        let shards = if self.malleable {
-            (self.workers * MALLEABLE_CHUNKS) as u32
-        } else {
-            procs as u32
-        };
-        let gang = Arc::new(GangState::new(procs, shards));
-        if self.malleable {
-            self.gangs.insert(i, gang.clone());
-        }
-        self.stage_members(i, gang, procs);
-        Ok(())
-    }
-
-    fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-        // The tick is settled: hand every staged member to the workers in
-        // one flush, then block for one completion and take whatever else
-        // has arrived. A tick the driver aborts never gets here, and its
-        // staged entries are dropped with the backend.
-        self.tasks
-            .push_batch(&mut self.pending)
-            .map_err(|_| DriveError::Backend("workers exited early".into()))?;
-        self.done
-            .drain_blocking(&mut self.reaped)
-            .map_err(|_| DriveError::Backend("a worker thread panicked".into()))?;
-        for member in self.reaped.drain(..) {
-            if self.malleable {
-                self.gangs.remove(&member.task);
-            }
-            batch.push(member.task);
-        }
-        Ok(())
-    }
-
-    fn resize(&mut self, i: NodeId, from: usize, to: usize, _epoch: u64) -> Result<(), DriveError> {
-        let gang = self
-            .gangs
-            .get(&i)
-            .cloned()
-            .ok_or_else(|| DriveError::Backend(format!("resize of unknown gang {i:?}")))?;
-        if to > from {
-            // Admit before staging: the active count covers the buffered
-            // entries, so the completion countdown cannot race them.
-            gang.admit(to - from);
-            self.stage_members(i, gang, to - from);
-        } else if to < from {
-            gang.release(from - to);
-        }
-        Ok(())
-    }
-
-    fn progress(&self, i: NodeId) -> Option<(u32, u32)> {
-        self.gangs.get(&i).map(|g| g.progress())
-    }
-}
-
-/// Closes both dispatch queues when its thread — a worker or the driver —
-/// is done with them, however that happens: a pool that has lost a member
-/// must not leave the other workers parked on the task queue or the
-/// driver parked on the completion queue.
-struct CloseOnExit<'q> {
-    tasks: &'q BatchQueue<GangMember>,
-    done: &'q BatchQueue<GangMember>,
-}
+/// Closes the task queue when its worker is done with it, however that
+/// happens: a pool that has lost a member — a payload or a scheduler
+/// panic — must not leave the other workers parked on it.
+struct CloseOnExit<'q>(&'q BatchQueue<GangMember>);
 
 impl Drop for CloseOnExit<'_> {
     fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The worker pool of one threaded run, with no driver thread: the
+/// [`DriverCore`] and the gang registry sit behind one lock, and the
+/// worker whose member reports a gang's completion steps the core itself
+/// (DESIGN.md §6.4).
+///
+/// [`execute`] is the way to run one. The pool is public so the
+/// `memtree_loom` model suite (`tests/model/stepping.rs`) can drive the
+/// production protocol under minloom: `payload(task, shard, shards)` runs
+/// one shard of a task's payload.
+pub struct WorkerPool<'a, S, F> {
+    shared: Mutex<Shared<'a, S>>,
+    tasks: BatchQueue<GangMember>,
+    payload: F,
+    workers: usize,
+    malleable: bool,
+    /// Worker-side occupancy measurement, independent of the core's
+    /// processor ledger.
+    busy: AtomicUsize,
+    peak_busy: AtomicUsize,
+}
+
+impl<'a, S, F> WorkerPool<'a, S, F>
+where
+    S: Scheduler + Send,
+    F: Fn(NodeId, u32, u32) + Sync,
+{
+    /// A pool of `cfg.workers` workers for one run of `scheduler` over
+    /// `tree`. With a rescheduler, gangs shard their payload at machine
+    /// granularity so any allotment divides it usefully.
+    pub fn new(
+        tree: &'a TaskTree,
+        cfg: RuntimeConfig,
+        scheduler: S,
+        rescheduler: Option<&'a mut (dyn Rescheduler + Send + 'a)>,
+        payload: F,
+    ) -> Result<Self, RuntimeError> {
+        let malleable = rescheduler.is_some();
+        let drive_cfg = DriveConfig::new(cfg.workers, cfg.memory);
+        let core =
+            DriverCore::new(tree, drive_cfg, scheduler, rescheduler).map_err(to_runtime_error)?;
+        Ok(WorkerPool {
+            shared: Mutex::new(Shared {
+                core,
+                gangs: HashMap::new(),
+                error: None,
+            }),
+            tasks: BatchQueue::with_capacity(cfg.workers),
+            payload,
+            workers: cfg.workers,
+            malleable,
+            busy: AtomicUsize::new(0),
+            peak_busy: AtomicUsize::new(0),
+        })
+    }
+
+    /// The initial event: steps the core with no completion and hands
+    /// every member it launches to the queue.
+    pub fn start(&self) {
+        let mut staged = Vec::with_capacity(self.workers);
+        let kept = self.step(&mut [], &mut staged);
+        staged.extend(kept);
+        // A refused flush means the run already failed.
+        let _ = self.tasks.push_batch(&mut staged);
+    }
+
+    /// One worker's loop, until the queue closes. A member whose exit
+    /// makes it its gang's reporter steps the core with that completion;
+    /// the member the step keeps runs next on this thread, without a trip
+    /// through the queue.
+    pub fn work(&self) {
+        let _close = CloseOnExit(&self.tasks);
+        let mut staged = Vec::with_capacity(self.workers);
+        let mut next = None;
+        while let Some(member) = next.take().or_else(|| self.tasks.pop()) {
+            // A panicking payload must not unwind out of the scope (it
+            // would re-panic on join, and the other workers would never
+            // learn): it ends this worker and fails the run.
+            let Ok(retired) = self.run_member(&member) else {
+                self.fail(DriveError::Backend("a worker thread panicked".into()));
+                return;
+            };
+            // Retired members never report: the member ledger keeps at
+            // least one member who exits via payload exhaustion, and the
+            // last such exit is the completion — every shard claimed and
+            // finished, every member already out of the occupancy count.
+            if retired || !member.gang.member_exit() {
+                continue;
+            }
+            next = self.step(&mut [member.task], &mut staged);
+            if self.tasks.push_batch(&mut staged).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// The run's verdict once every worker has returned: the first error,
+    /// or the report (`started_at` dates the wall clock).
+    pub fn finish(&self, started_at: std::time::Instant) -> Result<RuntimeReport, RuntimeError> {
+        let shared = self.shared.lock().map_err(|_| RuntimeError::WorkerPanic)?;
+        if let Some(e) = &shared.error {
+            return Err(to_runtime_error(e.clone()));
+        }
+        if !shared.core.is_done() {
+            return Err(RuntimeError::WorkerPanic);
+        }
+        debug_assert_eq!(
+            self.busy.load(Ordering::Acquire),
+            0,
+            "every gang member left its payload before the pool shut down"
+        );
+        let stats = shared.core.stats();
+        Ok(RuntimeReport {
+            wall_seconds: started_at.elapsed().as_secs_f64(),
+            tasks_run: stats.completed,
+            peak_actual: stats.peak_actual,
+            peak_booked: stats.peak_booked,
+            events: stats.events,
+            scheduling_seconds: stats.scheduling_seconds,
+            peak_busy: self.peak_busy.load(Ordering::Acquire),
+        })
+    }
+
+    /// Runs `member` until the payload is exhausted (`Ok(false)`) or the
+    /// member retires at a shard boundary (`Ok(true)`).
+    fn run_member(&self, member: &GangMember) -> std::thread::Result<bool> {
+        let gang = &member.gang;
+        let now_busy = self.busy.fetch_add(1, Ordering::AcqRel) + 1;
+        self.peak_busy.fetch_max(now_busy, Ordering::AcqRel);
+        let retired = catch_unwind(AssertUnwindSafe(|| loop {
+            // Shard boundaries are the only malleability points: check for
+            // retirement before claiming.
+            if gang.try_retire() {
+                break true;
+            }
+            let Some(shard) = gang.claim() else {
+                break false;
+            };
+            (self.payload)(member.task, shard, gang.shards);
+            gang.finish_shard();
+        }));
+        self.busy.fetch_sub(1, Ordering::AcqRel);
+        retired
+    }
+
+    /// Steps the core under the lock with `completions`, stages the
+    /// tick's launches and grows onto `staged` (admitting before staging)
+    /// and applies its shrinks. Returns one member of the first launched
+    /// gang, for the caller to run itself. Closes the queue when the run
+    /// is over: on the final step, or on the first error.
+    fn step(&self, completions: &mut [NodeId], staged: &mut Vec<GangMember>) -> Option<GangMember> {
+        // A poisoned lock means a scheduler panicked mid-step on another
+        // worker: the run is over, and the scope re-raises the panic.
+        let Ok(mut guard) = self.shared.lock() else {
+            self.tasks.close();
+            return None;
+        };
+        let Shared { core, gangs, error } = &mut *guard;
+        if error.is_some() {
+            return None;
+        }
+        if self.malleable {
+            for i in completions.iter() {
+                gangs.remove(i);
+            }
+        }
+        let tick = match core.step(completions, |i| gangs.get(&i).map(|g| g.progress())) {
+            Ok(tick) => tick,
+            Err(e) => {
+                *error = Some(e);
+                self.tasks.close();
+                return None;
+            }
+        };
+        let mut kept = None;
+        for &(task, procs) in tick.launches {
+            let shards = if self.malleable {
+                (self.workers * MALLEABLE_CHUNKS) as u32
+            } else {
+                procs as u32
+            };
+            let gang = Arc::new(GangState::new(procs, shards));
+            if self.malleable {
+                gangs.insert(task, gang.clone());
+            }
+            let mut members = procs;
+            if kept.is_none() {
+                kept = Some(GangMember {
+                    task,
+                    gang: gang.clone(),
+                });
+                members -= 1;
+            }
+            stage(staged, task, &gang, members);
+        }
+        for r in tick.resizes {
+            let Some(gang) = gangs.get(&r.node) else {
+                *error = Some(DriveError::Backend(format!(
+                    "resize of unknown gang {:?}",
+                    r.node
+                )));
+                self.tasks.close();
+                return None;
+            };
+            if r.to > r.from {
+                // Admit before staging: the active count covers the staged
+                // entries, so the completion countdown cannot race them.
+                gang.admit(r.to - r.from);
+                stage(staged, r.node, gang, r.to - r.from);
+            } else {
+                gang.release(r.from - r.to);
+            }
+        }
+        // Seeded regression (CI teeth check): taking "this step launched
+        // nothing" for "the run is over" closes the queue at the first
+        // completion that readies no task, under the feet of the gangs
+        // still to come — model/stepping.rs must see the tree unfinished.
+        #[cfg(memtree_loom_mutate_early_close)]
+        let over = tick.done || tick.launches.is_empty();
+        #[cfg(not(memtree_loom_mutate_early_close))]
+        let over = tick.done;
+        if over {
+            self.tasks.close();
+        }
+        kept
+    }
+
+    /// Records `e` unless an error came first, and ends the run.
+    fn fail(&self, e: DriveError) {
+        if let Ok(mut shared) = self.shared.lock() {
+            shared.error.get_or_insert(e);
+        }
         self.tasks.close();
-        self.done.close();
     }
 }
 
 /// Executes `tree` with `cfg.workers` real threads under `scheduler`:
 /// each started task claims its allotment of workers as a gang and runs
 /// its payload `q`-way parallel (one shard per gang member, dynamically
-/// claimed) — a sequential policy's tasks are gangs of one.
+/// claimed) — a sequential policy's tasks are gangs of one. The calling
+/// thread runs the initial event and then works as one of the
+/// `cfg.workers`.
 ///
-/// An optional [`Rescheduler`] closes the feedback loop: the driver ticks
+/// An optional [`Rescheduler`] closes the feedback loop: the core ticks
 /// it once per event with a [`memtree_sim::LiveStats`] snapshot, and
 /// grow/shrink actions land on the running gangs through the shared
 /// [`GangState`] — growing stages extra member entries, shrinking retires
-/// surplus members at their next shard boundary. With a rescheduler
-/// present, gangs shard their payload at machine granularity so any
-/// allotment divides it usefully.
-pub fn execute<S: Scheduler>(
+/// surplus members at their next shard boundary.
+pub fn execute<S: Scheduler + Send>(
     tree: &TaskTree,
     cfg: RuntimeConfig,
     scheduler: S,
     workload: Workload,
-    rescheduler: Option<&mut dyn Rescheduler>,
+    rescheduler: Option<&mut (dyn Rescheduler + Send)>,
 ) -> Result<RuntimeReport, RuntimeError> {
-    if cfg.workers == 0 {
-        return Err(RuntimeError::BadConfig("zero workers".into()));
-    }
     let started_at = std::time::Instant::now();
-    let malleable = rescheduler.is_some();
-
-    let tasks = BatchQueue::<GangMember>::with_capacity(cfg.workers);
-    let done = BatchQueue::<GangMember>::with_capacity(cfg.workers);
-    // Worker-side occupancy measurement, independent of the driver's
-    // processor ledger.
-    let busy = AtomicUsize::new(0);
-    let peak_busy = AtomicUsize::new(0);
-
-    let stats = std::thread::scope(|scope| {
-        for _ in 0..cfg.workers {
-            let (tasks, done) = (&tasks, &done);
-            let (busy, peak_busy) = (&busy, &peak_busy);
-            scope.spawn(move || {
-                let _shutdown = CloseOnExit { tasks, done };
-                while let Some(member) = tasks.pop() {
-                    let gang = &member.gang;
-                    let now_busy = busy.fetch_add(1, Ordering::AcqRel) + 1;
-                    peak_busy.fetch_max(now_busy, Ordering::AcqRel);
-                    // A panicking payload must not unwind out of the
-                    // scope (it would re-panic on join, and the other
-                    // workers would never learn): it ends this worker,
-                    // whose exit guard fails the run cleanly.
-                    let retired = catch_unwind(AssertUnwindSafe(|| loop {
-                        // Shard boundaries are the only malleability
-                        // points: check for retirement before claiming.
-                        if gang.try_retire() {
-                            break true;
-                        }
-                        let Some(shard) = gang.claim() else {
-                            break false;
-                        };
-                        workload.run_shard(tree, member.task, shard, gang.shards);
-                        gang.finish_shard();
-                    }));
-                    busy.fetch_sub(1, Ordering::AcqRel);
-                    let Ok(retired) = retired else { return };
-                    // Retired members never report: the member ledger
-                    // keeps at least one member who exits via payload
-                    // exhaustion, and the last such exit is the
-                    // completion — every shard claimed and finished,
-                    // every member already out of the occupancy count.
-                    if !retired && gang.member_exit() && done.push(member).is_err() {
-                        return;
-                    }
-                }
-            });
+    // Shorten the rescheduler's object lifetime to the tree's borrow.
+    let rescheduler = rescheduler.map(|r| -> &mut (dyn Rescheduler + Send) { r });
+    let payload = |task, shard, shards| workload.run_shard(tree, task, shard, shards);
+    let pool = WorkerPool::new(tree, cfg, scheduler, rescheduler, payload)?;
+    pool.start();
+    std::thread::scope(|scope| {
+        for _ in 1..cfg.workers {
+            scope.spawn(|| pool.work());
         }
-
-        // Closing the task queue ends the workers once its backlog is
-        // empty (a completion pushed after that is simply refused) — on
-        // every way out of the driver, a panicking scheduler included, or
-        // the scope's join would wait on parked workers forever.
-        let _shutdown = CloseOnExit {
-            tasks: &tasks,
-            done: &done,
-        };
-        let mut backend = GangThreadedBackend {
-            tasks: &tasks,
-            done: &done,
-            pending: Vec::with_capacity(cfg.workers),
-            reaped: Vec::with_capacity(cfg.workers),
-            gangs: HashMap::new(),
-            workers: cfg.workers,
-            malleable,
-        };
-        drive(
-            tree,
-            DriveConfig::new(cfg.workers, cfg.memory),
-            scheduler,
-            &mut backend,
-            rescheduler,
-        )
+        pool.work();
     });
-    debug_assert_eq!(
-        busy.load(Ordering::Acquire),
-        0,
-        "every gang member left its payload before the pool shut down"
-    );
-
-    let stats = stats.map_err(to_runtime_error)?;
-    Ok(RuntimeReport {
-        wall_seconds: started_at.elapsed().as_secs_f64(),
-        tasks_run: stats.completed,
-        peak_actual: stats.peak_actual,
-        peak_booked: stats.peak_booked,
-        events: stats.events,
-        scheduling_seconds: stats.scheduling_seconds,
-        peak_busy: peak_busy.load(Ordering::Acquire),
-    })
+    pool.finish(started_at)
 }
 
 // Unit tests drive real thread pools; under the loom cfg the façade's
@@ -615,10 +686,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.tasks_run, tree.len());
-        // Completions are drained in batches, so events ≤ n + 1, and at
-        // least one event per batch of ≤ `workers` completions.
-        assert!(report.events >= tree.len() / 3);
-        assert!(report.events <= tree.len() + 1);
+        // The reporter of each completion steps the core with it alone:
+        // one event per task plus the initial one.
+        assert_eq!(report.events, tree.len() + 1);
     }
 
     #[test]
@@ -750,74 +820,7 @@ mod tests {
         );
     }
 
-    fn backend<'q>(
-        tasks: &'q BatchQueue<GangMember>,
-        done: &'q BatchQueue<GangMember>,
-        malleable: bool,
-    ) -> GangThreadedBackend<'q> {
-        GangThreadedBackend {
-            tasks,
-            done,
-            pending: Vec::with_capacity(4),
-            reaped: Vec::with_capacity(4),
-            gangs: HashMap::new(),
-            workers: 4,
-            malleable,
-        }
-    }
-
-    /// Launches and grows only stage their members; the one flush of a
-    /// tick happens in `await_batch`, in launch order, before the driver
-    /// blocks — and it reuses the staging buffer.
-    #[test]
-    fn a_tick_is_flushed_once_when_the_driver_blocks() {
-        let (tasks, done) = (BatchQueue::with_capacity(4), BatchQueue::with_capacity(4));
-        let mut backend = backend(&tasks, &done, true);
-        backend.launch(NodeId(5), 2, 1).unwrap();
-        backend.launch(NodeId(6), 1, 1).unwrap();
-        backend.resize(NodeId(6), 1, 2, 1).unwrap();
-        assert_eq!(backend.pending.len(), 4, "nothing dispatched mid-tick");
-        let staged_at = backend.pending.as_ptr();
-
-        // A completion is already waiting, so the flush is the only thing
-        // `await_batch` has left to do before it returns.
-        done.push(GangMember {
-            task: NodeId(9),
-            gang: Arc::new(GangState::new(1, 1)),
-        })
-        .unwrap();
-        let mut batch = Vec::new();
-        backend.await_batch(1, &mut batch).unwrap();
-        assert_eq!(batch, [NodeId(9)]);
-        assert!(backend.pending.is_empty());
-        assert_eq!(backend.pending.as_ptr(), staged_at, "buffer recycled");
-
-        tasks.close();
-        let flushed: Vec<u32> = std::iter::from_fn(|| tasks.pop())
-            .map(|m| m.task.0)
-            .collect();
-        assert_eq!(flushed, [5, 5, 6, 6]);
-    }
-
-    /// A tick the driver aborts (protocol error after a legal launch)
-    /// never reaches the flush: its staged members go away with the
-    /// backend instead of reaching a worker.
-    #[test]
-    fn staged_members_of_an_aborted_tick_are_dropped() {
-        let (tasks, done) = (BatchQueue::with_capacity(4), BatchQueue::with_capacity(4));
-        let mut backend = backend(&tasks, &done, false);
-        backend.launch(NodeId(0), 3, 1).unwrap();
-        assert!(
-            backend.gangs.is_empty(),
-            "no registry without a rescheduler"
-        );
-        drop(backend);
-        tasks.close();
-        assert!(tasks.pop().is_none());
-    }
-
-    /// The same through the whole executor: a legal start followed by a
-    /// double start in one event.
+    /// A legal start followed by a double start in one event.
     struct DoubleStarter {
         leaf: NodeId,
     }

@@ -284,16 +284,16 @@ impl Platform for SimPlatform {
         let sched = relaid.scheduler(tree)?;
         let cfg = SimConfig::new(self.processors, relaid.memory()).with_speedup(self.speedup);
         let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
-        // The report reads only aggregates, so release builds of a static
-        // run keep no per-task records; debug builds (and malleable runs,
-        // whose point is the allotment history) record and re-validate.
-        let summary = if cfg!(debug_assertions) || resched.is_some() {
-            let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+        // The report reads only aggregates, so release builds keep no
+        // per-task record or allotment segment; debug builds record the
+        // trace and re-validate it.
+        let summary = if cfg!(debug_assertions) {
             let trace = simulate_with(exec, cfg, sched, resched)?;
             debug_assert_eq!(memtree_sim::validate::validate_trace(exec, &trace), Ok(()));
             trace.summary()
         } else {
-            simulate_summary(exec, cfg, sched)?
+            simulate_summary(exec, cfg, sched, resched)?
         };
         Ok(RunReport {
             platform: self.name(),
@@ -369,7 +369,7 @@ impl Platform for ThreadedPlatform {
         let sched = instance.scheduler(tree)?;
         let policy = sched.name().to_string();
         let mut resched = rescheduler_for(self.reschedule, instance, exec);
-        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
+        let resched = resched.as_mut().map(|r| r as &mut (dyn Rescheduler + Send));
         let report = execute(exec, cfg, sched, self.workload, resched)?;
         Ok(RunReport {
             platform: self.name(),

@@ -4,10 +4,11 @@
 
 //! Allocation counts of the threaded executor's dispatch path
 //! (DESIGN.md §6.4), in the image of `crates/sim/tests/alloc_count.rs`:
-//! the driver loop itself is allocation-free (§6.11), and batching must
-//! not spend that on the way to the workers. The staging buffer and both
-//! queues are sized once per run; per task the executor allocates exactly
-//! one thing, the gang's shared `Arc<GangState>`.
+//! the driver core is allocation-free (§6.11), and worker stepping must
+//! not spend that on the way to the other workers. The staging buffers
+//! and the queue are sized once per run; per task the executor allocates
+//! exactly one thing, the gang's shared `Arc<GangState>`, and per step
+//! nothing.
 //!
 //! The shim lives in its own integration-test binary because a global
 //! allocator is process-wide, and everything is one `#[test]` so no
@@ -77,40 +78,34 @@ fn allocs_for_run(tree: &TaskTree) -> u64 {
 
 #[test]
 fn dispatch_steady_state_does_not_allocate() {
-    // The protocol of one driver tick, on the executor's own sizing: stage
-    // a machine's worth of members, flush, pop each, push its completion,
-    // drain. After the first cycle nothing on this path may allocate.
+    // The queue's side of one step, on the executor's own sizing: stage a
+    // machine's worth of members, flush them under one lock, pop each as
+    // the workers do. After the first cycle nothing here may allocate.
     let tasks = BatchQueue::<u32>::with_capacity(WORKERS);
-    let done = BatchQueue::<u32>::with_capacity(WORKERS);
-    let mut pending: Vec<u32> = Vec::with_capacity(WORKERS);
-    let mut batch: Vec<u32> = Vec::with_capacity(WORKERS);
-    let mut tick = |round: u32| {
-        pending.extend((0..WORKERS as u32).map(|k| round + k));
-        tasks.push_batch(&mut pending).expect("open");
+    let mut staged: Vec<u32> = Vec::with_capacity(WORKERS);
+    let mut step = |round: u32| {
+        staged.extend((0..WORKERS as u32).map(|k| round + k));
+        tasks.push_batch(&mut staged).expect("open");
         for _ in 0..WORKERS {
-            let member = tasks.pop().expect("flushed");
-            done.push(member).expect("open");
+            tasks.pop().expect("flushed");
         }
-        batch.clear();
-        done.drain_blocking(&mut batch).expect("open");
-        assert_eq!(batch.len(), WORKERS);
     };
-    tick(0);
+    step(0);
     let before = allocs();
     for round in 1..10_000 {
-        tick(round);
+        step(round);
     }
     assert_eq!(
         allocs() - before,
         0,
-        "the staging buffer or a queue reallocated in steady state"
+        "the staging buffer or the queue reallocated in steady state"
     );
 
     // The whole executor: 10x the tasks must cost 10x the per-task gang
     // allocations and nothing else — no registry entry (no rescheduler is
-    // attached), no staging-buffer or queue growth, no per-tick scratch.
-    // Caterpillar: bursts of parallel leaves plus a serial spine, so ticks
-    // of every size from 1 to `WORKERS` members are flushed.
+    // attached), no staging-buffer or queue growth, no per-step scratch.
+    // Caterpillar: bursts of parallel leaves plus a serial spine, so steps
+    // launching every count from 0 to `WORKERS` tasks occur.
     let spine = TaskSpec::new(2, 6, 1.0);
     let leg = TaskSpec::new(1, 3, 1.0);
     let small = memtree_gen::shapes::caterpillar(250, 3, spine, leg);
@@ -125,7 +120,7 @@ fn dispatch_steady_state_does_not_allocate() {
         "counting allocator not engaged: {delta} allocations for {extra_tasks} gangs"
     );
     assert!(
-        delta <= extra_tasks + 64,
+        delta <= extra_tasks + 8,
         "{a_big} vs {a_small} allocations: {delta} for {extra_tasks} extra tasks — \
          the dispatch path allocates beyond one GangState per task"
     );

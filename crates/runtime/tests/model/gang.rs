@@ -24,11 +24,11 @@ fn member(gang: &GangState, shard_runs: &[AtomicUsize]) -> (bool, bool) {
     }
     let reported = gang.member_exit();
     if reported {
-        // The invariant the executor's completion push rides on, and it
+        // The invariant the executor's completion step rides on, and it
         // must hold HERE, on the reporter thread, at report time: the
         // exit chain's AcqRel decrements are the only edges carrying the
         // other members' finish_shard writes to the reporter. (Asserting
-        // this after join() on the driver thread would prove nothing —
+        // this after join() on the main thread would prove nothing —
         // joins synchronize everything.) The relaxed-exit teeth check
         // breaks exactly this read.
         let (done, total) = gang.progress();
@@ -132,8 +132,8 @@ fn grow_after_final_shard_reports_once() {
             let shard_runs = shard_runs.clone();
             thread::spawn(move || member(&gang, &shard_runs[..]))
         };
-        // Driver: admit before staging the member entry, as
-        // GangThreadedBackend::resize does — racing the first member's
+        // Driver side: admit before staging the member entry, as the
+        // stepping worker applies a grow — racing the first member's
         // completion.
         gang.admit(1);
         let second = {

@@ -1,7 +1,7 @@
 //! Exhaustive-interleaving model suite (DESIGN.md §6.13): drives the
-//! gang member ledger, the executor's dispatch queue, the quarantine
-//! gauge, the minitok wake protocol, and the vendored channel under
-//! minloom's DFS scheduler.
+//! gang member ledger, the executor's dispatch queue, its worker-stepping
+//! loop, the quarantine gauge, the minitok wake protocol, and the vendored
+//! channel under minloom's DFS scheduler.
 //!
 //! Build and run with:
 //!
@@ -16,7 +16,7 @@
 //! Every test picks the smallest configuration that still contains the
 //! race it guards, and a CHESS-style preemption bound where the full
 //! interleaving space is infeasible (most concurrency bugs — including
-//! all four seeded `memtree_loom_mutate_*` regressions — need at most
+//! all five seeded `memtree_loom_mutate_*` regressions — need at most
 //! two forced preemptions). Failures print a `MINLOOM_REPLAY` seed.
 #![cfg(memtree_loom)]
 
@@ -25,3 +25,4 @@ mod dispatch;
 mod gang;
 mod minitok_model;
 mod quarantine;
+mod stepping;

@@ -1,20 +1,25 @@
-//! The shared event-loop driver behind every execution platform.
+//! The shared driver behind every execution platform: one step core that
+//! never blocks, and a short blocking pump over it.
 //!
-//! The discrete-event engine ([`crate::simulate`]) and the threaded runtime
-//! (`memtree_runtime::execute`) used to each hand-roll the same loop:
-//! deliver a completion batch to the scheduler, start the requested tasks,
-//! re-check the booking invariants, drain the next batch. The only genuine
-//! difference between them is *where completions come from* — a virtual
-//! clock or real worker threads. [`drive`] owns the loop once; a
-//! [`Backend`] supplies the completions.
+//! Every regime runs the same loop: deliver a completion batch to the
+//! scheduler, start the requested tasks, re-check the booking invariants,
+//! wait for the next batch. Only *where completions come from* differs —
+//! a virtual clock, futures, or real worker threads. [`DriverCore`] holds
+//! one iteration of that loop and every check and ledger in it: its
+//! [`DriverCore::step`] takes the completions, runs the scheduler and
+//! returns the tick's launches and resizes for the caller to apply, and
+//! never waits for anything. [`drive`] is the pump for backends that hand
+//! completions to a blocking [`Backend::await_batch`]; the threaded
+//! executor has no pump at all — the worker that finishes a task steps the
+//! core itself (DESIGN.md §6.4).
 //!
-//! The loop is **gang-aware**: every start carries a processor allotment
-//! `q ≥ 1`, and the driver's capacity ledger counts processors, not tasks.
-//! The classic one-processor-per-task regime is the allotment `q ≡ 1` —
-//! not an adapter over this loop but this loop: one [`Scheduler`] trait,
-//! one [`Backend`] trait, one contract, every platform.
+//! The core is **gang-aware**: every start carries a processor allotment
+//! `q ≥ 1`, and the capacity ledger counts processors, not tasks. The
+//! classic one-processor-per-task regime is the allotment `q ≡ 1` — not an
+//! adapter over this core but this core: one [`Scheduler`] trait, one
+//! contract, every platform.
 //!
-//! The driver enforces the full scheduler contract on every platform:
+//! The core enforces the full scheduler contract on every platform:
 //!
 //! * precedence — a started task has all children finished;
 //! * single start — no task starts twice;
@@ -24,9 +29,6 @@
 //! * booking — `actual ≤ booked ≤ M` at every event (configurable);
 //! * progress — no event may leave zero tasks in flight while the tree is
 //!   unfinished (the stall/deadlock check).
-//!
-//! This is strictly stronger than the old threaded executor, which only
-//! checked the booking ledger.
 
 use crate::scheduler::Scheduler;
 use memtree_tree::memory::LiveSet;
@@ -88,9 +90,9 @@ impl GangSnapshot {
 
 /// Snapshot of the driver's state between events, handed to a
 /// [`Rescheduler`] once per event (after starts and invariant checks,
-/// before the driver blocks for the next completion batch). Nodes are
-/// named by [`TaskTree::label`] on every backend, so a rescheduler sees
-/// the caller's ids also when the run is over a renumbered tree.
+/// at the end of the step). Nodes are named by [`TaskTree::label`] on
+/// every backend, so a rescheduler sees the caller's ids also when the run
+/// is over a renumbered tree.
 #[derive(Clone, Debug)]
 pub struct LiveStats {
     /// The current event index (1-based; the initial event is 1).
@@ -157,7 +159,7 @@ impl<R: Rescheduler + ?Sized> Rescheduler for &mut R {
 /// What the driver learned from a completed run.
 #[derive(Clone, Copy, Debug)]
 pub struct DriveStats {
-    /// Events processed (task-completion batches + the initial event).
+    /// Events processed (steps: completion batches + the initial event).
     pub events: usize,
     /// Wall-clock seconds spent inside scheduler callbacks.
     pub scheduling_seconds: f64,
@@ -172,8 +174,8 @@ pub struct DriveStats {
     pub peak_busy: usize,
 }
 
-/// Errors raised by [`drive`]; the platforms map these onto their public
-/// error types.
+/// Errors raised by [`DriverCore::step`] and [`drive`]; the platforms map
+/// these onto their public error types.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DriveError {
     /// The scheduler requested more starts than idle workers.
@@ -268,12 +270,380 @@ impl std::fmt::Display for DriveError {
 
 impl std::error::Error for DriveError {}
 
-/// An execution vehicle for tasks under the shared driver loop.
+/// A validated allotment change of a running task, in the numbering of the
+/// tree the core drives: the gang of `node` goes from `from` to `to`
+/// members. The core's processor ledger already counts `to`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Resize {
+    /// The running task.
+    pub node: NodeId,
+    /// Its allotment before the change.
+    pub from: usize,
+    /// Its allotment after the change (≥ 1).
+    pub to: usize,
+}
+
+/// What one [`DriverCore::step`] asks its caller to do, in this order:
+/// launch `launches` (each task on a gang of its allotment), then apply
+/// `resizes`. Every check has passed by the time a tick exists.
+#[derive(Debug)]
+pub struct Tick<'c> {
+    /// The step's event index (1-based; the initial step is 1).
+    pub epoch: u64,
+    /// `(task, allotment)` pairs in the order the scheduler pushed them.
+    /// The idle pool covers all of them at once.
+    pub launches: &'c [(NodeId, usize)],
+    /// The rescheduler's validated grows and shrinks, in its order.
+    pub resizes: &'c [Resize],
+    /// Actual resident memory after the launches.
+    pub actual: u64,
+    /// Memory booked by the policy after the launches.
+    pub booked: u64,
+    /// Every task has completed: there is nothing left to wait for.
+    pub done: bool,
+}
+
+/// One run's scheduler, optional rescheduler and every ledger and check
+/// of the driver, stepped one completion batch at a time. `step` never
+/// blocks and never touches a backend: it returns what to launch and
+/// resize, so the caller can be a pump around a blocking backend
+/// ([`drive`]) or a worker thread that has just finished a task.
 ///
-/// The driver owns scheduler interaction and every invariant check; the
-/// backend owns task execution: [`Backend::launch`] makes a task run on a
-/// gang of `procs` workers (one, for a sequential task),
-/// [`Backend::await_batch`] blocks until at least one task completes.
+/// `R` is the rescheduler's type — `dyn Rescheduler` by default; a core
+/// that must cross threads names `dyn Rescheduler + Send`.
+pub struct DriverCore<'a, S, R: Rescheduler + ?Sized + 'a = dyn Rescheduler + 'a> {
+    tree: &'a TaskTree,
+    cfg: DriveConfig,
+    scheduler: S,
+    rescheduler: Option<&'a mut R>,
+    started: BitSet,
+    finished: BitSet,
+    /// Live allotment of each running task, for gang release on completion.
+    allotment: Vec<u32>,
+    /// Running tasks, unordered; `run_pos[i]` is task i's slot in `running`
+    /// (u32::MAX when not running), so completion removal is a swap-remove.
+    /// Every gang needs ≥ 1 processor, so at most `workers` tasks run.
+    running: Vec<NodeId>,
+    run_pos: Vec<u32>,
+    live: LiveSet<'a>,
+    peak_booked: u64,
+    completed: usize,
+    /// Processors busy (sum of live allotments); tasks in flight are
+    /// `running.len()` — distinct ledgers under gangs.
+    busy: usize,
+    peak_busy: usize,
+    events: usize,
+    scheduling_seconds: f64,
+    done: bool,
+    // Step scratch, recycled across every step: the steady state
+    // allocates nothing (asserted by tests/alloc_count.rs).
+    to_start: Vec<(NodeId, usize)>,
+    resizes: Vec<Resize>,
+    actions: Vec<RescheduleAction>,
+    /// Built only when a rescheduler is attached; the snapshot and its
+    /// gang vector are recycled across ticks, and the ascending-caller-id
+    /// ordering contract is met by sorting a scratch copy of `running`
+    /// only when a snapshot is actually published.
+    stats: LiveStats,
+    snapshot_order: Vec<NodeId>,
+}
+
+impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
+    /// A core for one run of `scheduler` over `tree`; calls the
+    /// scheduler's `on_begin`. The first [`step`](Self::step) is the
+    /// initial event, with no completions.
+    pub fn new(
+        tree: &'a TaskTree,
+        cfg: DriveConfig,
+        mut scheduler: S,
+        rescheduler: Option<&'a mut R>,
+    ) -> Result<Self, DriveError> {
+        if cfg.workers == 0 {
+            return Err(DriveError::BadConfig("zero workers".into()));
+        }
+        let n = tree.len();
+        let slots = cfg.workers.min(n);
+        let snapshot_slots = if rescheduler.is_some() { slots } else { 0 };
+        scheduler.on_begin();
+        Ok(DriverCore {
+            tree,
+            cfg,
+            scheduler,
+            rescheduler,
+            started: BitSet::new(n),
+            finished: BitSet::new(n),
+            allotment: vec![0; n],
+            running: Vec::with_capacity(slots),
+            run_pos: vec![u32::MAX; n],
+            live: LiveSet::new(tree),
+            peak_booked: 0,
+            completed: 0,
+            busy: 0,
+            peak_busy: 0,
+            events: 0,
+            scheduling_seconds: 0.0,
+            done: false,
+            to_start: Vec::with_capacity(slots),
+            resizes: Vec::new(),
+            actions: Vec::new(),
+            stats: LiveStats {
+                event: 0,
+                workers: cfg.workers,
+                busy: 0,
+                idle: 0,
+                completed: 0,
+                total: n,
+                booked: 0,
+                actual: 0,
+                gangs: Vec::with_capacity(snapshot_slots),
+            },
+            snapshot_order: Vec::with_capacity(snapshot_slots),
+        })
+    }
+
+    /// One event: releases the gangs of `completions` (tasks launched by
+    /// earlier ticks, sorted here by the ids the caller knows them by),
+    /// hands them to the scheduler, checks and books its starts, checks
+    /// `actual ≤ booked ≤ M`, decides done or stalled, and ticks the
+    /// rescheduler, whose `progress` reads a running task's shard
+    /// progress as `(done, total)` (`None`: not tracked — also the answer
+    /// for a gang this very step launches, which has run nothing yet).
+    ///
+    /// An `Err` is the run's verdict: nothing of the failed step is
+    /// returned to launch, and the core must not be stepped again.
+    pub fn step(
+        &mut self,
+        completions: &mut [NodeId],
+        progress: impl Fn(NodeId) -> Option<(u32, u32)>,
+    ) -> Result<Tick<'_>, DriveError> {
+        debug_assert!(!self.done, "stepped a finished run");
+        let tree = self.tree;
+        // Simultaneous completions are delivered in ascending order of the
+        // ids the caller knows them by: the delivery order is part of the
+        // scheduler contract, and keying it by label makes a renumbered
+        // tree schedule like its source under any policy.
+        completions.sort_unstable_by_key(|&i| tree.label(i));
+        for &i in completions.iter() {
+            self.release(i);
+        }
+
+        self.to_start.clear();
+        self.resizes.clear();
+        let idle = self.cfg.workers - self.busy;
+        let t0 = self.cfg.measure_overhead.then(std::time::Instant::now);
+        self.scheduler
+            .on_event(completions, idle, &mut self.to_start);
+        if let Some(t0) = t0 {
+            self.scheduling_seconds += t0.elapsed().as_secs_f64();
+        }
+        self.events += 1;
+        self.start_requested(idle)?;
+
+        // Booking invariants at this instant.
+        let booked = self.scheduler.booked();
+        let actual = self.live.current();
+        self.peak_booked = self.peak_booked.max(booked);
+        if self.cfg.enforce_booking {
+            if booked > self.cfg.memory {
+                return Err(DriveError::BookedOverBound {
+                    booked,
+                    bound: self.cfg.memory,
+                });
+            }
+            if actual > booked {
+                return Err(DriveError::ActualOverBooked { actual, booked });
+            }
+        }
+
+        if self.completed == tree.len() {
+            self.done = true;
+        } else if self.running.is_empty() {
+            return Err(DriveError::Stalled {
+                completed: self.completed,
+                total: tree.len(),
+                booked,
+            });
+        } else if self.rescheduler.is_some() {
+            // State is settled (starts booked and checked, at least one
+            // task in flight): the one instant per event where allotments
+            // may change.
+            self.tick_rescheduler(booked, actual, progress)?;
+        }
+        Ok(Tick {
+            epoch: self.events as u64,
+            launches: &self.to_start,
+            resizes: &self.resizes,
+            actual,
+            booked,
+            done: self.done,
+        })
+    }
+
+    /// Whether every task has completed.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// The run's aggregates so far (final once [`Tick::done`]).
+    pub fn stats(&self) -> DriveStats {
+        DriveStats {
+            events: self.events,
+            scheduling_seconds: self.scheduling_seconds,
+            peak_booked: self.peak_booked,
+            peak_actual: self.live.peak(),
+            completed: self.completed,
+            peak_busy: self.peak_busy,
+        }
+    }
+
+    /// Completion of running task `i`: its whole gang returns to the idle
+    /// pool, and its output becomes resident.
+    fn release(&mut self, i: NodeId) {
+        debug_assert!(self.started.get(i.index()) && !self.finished.get(i.index()));
+        self.finished.set(i.index());
+        self.live.finish(i);
+        self.completed += 1;
+        self.busy -= self.allotment[i.index()] as usize;
+        // Swap-remove from the unordered running set, patching the moved
+        // task's position index.
+        let pos = self.run_pos[i.index()] as usize;
+        debug_assert!(pos < self.running.len() && self.running[pos] == i);
+        self.run_pos[i.index()] = u32::MAX;
+        self.running.swap_remove(pos);
+        if let Some(&moved) = self.running.get(pos) {
+            self.run_pos[moved.index()] = pos as u32;
+        }
+    }
+
+    /// Checks and books the scheduler's starts. The capacity check counts
+    /// processors and comes first: either every requested gang fits in
+    /// the idle pool or nothing starts — no partial gangs.
+    fn start_requested(&mut self, idle: usize) -> Result<(), DriveError> {
+        let requested: usize = self.to_start.iter().map(|&(_, q)| q).sum();
+        if requested > idle {
+            return Err(DriveError::TooManyStarts { requested, idle });
+        }
+        for &(i, q) in &self.to_start {
+            if q == 0 {
+                return Err(DriveError::ZeroAllotment { node: i });
+            }
+            if self.started.get(i.index()) {
+                return Err(DriveError::DoubleStart { node: i });
+            }
+            if self
+                .tree
+                .children(i)
+                .iter()
+                .any(|c| !self.finished.get(c.index()))
+            {
+                return Err(DriveError::PrecedenceViolation { node: i });
+            }
+            self.started.set(i.index());
+            self.allotment[i.index()] = q as u32;
+            self.live.start(i);
+            self.busy += q;
+            self.run_pos[i.index()] = self.running.len() as u32;
+            self.running.push(i);
+        }
+        self.peak_busy = self.peak_busy.max(self.busy);
+        Ok(())
+    }
+
+    /// Publishes a [`LiveStats`] snapshot to the rescheduler and validates
+    /// its actions into `resizes`, keeping the processor ledger exact.
+    fn tick_rescheduler(
+        &mut self,
+        booked: u64,
+        actual: u64,
+        progress: impl Fn(NodeId) -> Option<(u32, u32)>,
+    ) -> Result<(), DriveError> {
+        let tree = self.tree;
+        let Some(resched) = self.rescheduler.as_deref_mut() else {
+            return Ok(());
+        };
+        // The snapshot contract (gangs in ascending caller id) is paid for
+        // only here, on the publish path: the running set itself stays
+        // unordered for O(1) completion removal.
+        self.snapshot_order.clear();
+        self.snapshot_order.extend_from_slice(&self.running);
+        self.snapshot_order.sort_unstable_by_key(|&i| tree.label(i));
+        let stats = &mut self.stats;
+        stats.event = self.events as u64;
+        stats.busy = self.busy;
+        stats.idle = self.cfg.workers - self.busy;
+        stats.completed = self.completed;
+        stats.booked = booked;
+        stats.actual = actual;
+        stats.gangs.clear();
+        let allotment = &self.allotment;
+        stats.gangs.extend(self.snapshot_order.iter().map(|&i| {
+            let (done, shards) = progress(i).unwrap_or((0, 0));
+            GangSnapshot {
+                node: tree.label(i),
+                allotment: allotment[i.index()],
+                shards,
+                shards_done: done,
+            }
+        }));
+        self.actions.clear();
+        let t0 = self.cfg.measure_overhead.then(std::time::Instant::now);
+        resched.tick(&self.stats, &mut self.actions);
+        if let Some(t0) = t0 {
+            self.scheduling_seconds += t0.elapsed().as_secs_f64();
+        }
+        for &action in &self.actions {
+            let (node, grow, by) = match action {
+                RescheduleAction::Grow { node, extra } => (node, true, extra),
+                RescheduleAction::Shrink { node, release } => (node, false, release),
+            };
+            if by == 0 {
+                continue;
+            }
+            // Actions name tasks as the snapshot did; at most `workers`
+            // tasks run, so resolving the label is a short scan.
+            let Some(i) = self
+                .running
+                .iter()
+                .copied()
+                .find(|&i| tree.label(i) == node)
+            else {
+                return Err(DriveError::Backend(format!(
+                    "rescheduler resized {node:?}, which is not running"
+                )));
+            };
+            let from = self.allotment[i.index()] as usize;
+            let to = if grow {
+                let idle_now = self.cfg.workers - self.busy;
+                if by > idle_now {
+                    return Err(DriveError::TooManyStarts {
+                        requested: by,
+                        idle: idle_now,
+                    });
+                }
+                from + by
+            } else {
+                if by >= from {
+                    // Shrinking to zero members is starting a gang with
+                    // none: the same contract violation.
+                    return Err(DriveError::ZeroAllotment { node: i });
+                }
+                from - by
+            };
+            self.resizes.push(Resize { node: i, from, to });
+            self.allotment[i.index()] = to as u32;
+            self.busy = self.busy + to - from;
+        }
+        // One tick's resizes are atomic for the occupancy ledger: the peak
+        // reflects the settled allotments, not the transient order actions
+        // were applied in.
+        self.peak_busy = self.peak_busy.max(self.busy);
+        Ok(())
+    }
+}
+
+/// An execution vehicle that [`drive`] pumps: it applies a tick's
+/// launches and resizes and blocks for completions. (The threaded
+/// executor steps [`DriverCore`] from its workers instead.)
 pub trait Backend {
     /// Starts task `i` on a gang of `procs` workers at the current
     /// instant. `epoch` is the driver's event index (useful for trace
@@ -283,8 +653,8 @@ pub trait Backend {
     /// unconditionally — no partial gangs, no hold-and-wait deadlock.
     fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError>;
 
-    /// Observation hook, called once per event after the booking checks
-    /// with the current memory state (used for memory profiles).
+    /// Observation hook, called once per event after the launches with
+    /// the current memory state (used for memory profiles).
     fn observe(&mut self, actual: u64, booked: u64) {
         let _ = (actual, booked);
     }
@@ -311,31 +681,25 @@ pub trait Backend {
     }
 
     /// Blocks until at least one launched task completes and pushes the
-    /// completions into `batch` (driver sorts them). `epoch` is the event
-    /// index the completions will take effect at, minus one. The driver
-    /// guarantees at least one task is in flight. A completion releases
-    /// the task's whole gang at once — the driver returns its allotment to
-    /// the idle pool before the next scheduler event.
+    /// completions into `batch` (the core sorts them). `epoch` is the
+    /// event index the completions will take effect at, minus one. The
+    /// driver guarantees at least one task is in flight. A completion
+    /// releases the task's whole gang at once.
     fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError>;
 }
 
 /// Runs `scheduler` over `tree` on `backend` until the whole tree has
-/// completed or an invariant breaks.
-///
-/// Every started task carries a processor allotment `q`; the driver's
-/// capacity ledger counts processors (the live allotments sum to at most
-/// `cfg.workers`), releases a completed task's whole gang at once, and
-/// enforces precedence, single-start, booking and stall detection — for
-/// sequential (`q ≡ 1`) and moldable policies alike, there is only this
-/// loop.
+/// completed or an invariant breaks: the blocking pump over
+/// [`DriverCore`]. Each step's launches, memory state and resizes go to
+/// the backend, then the pump blocks in [`Backend::await_batch`] for the
+/// next completion batch.
 ///
 /// With a [`Rescheduler`] attached, once per event — after starts are
-/// issued and the invariants re-checked, before the driver blocks for the
-/// next completion batch — the rescheduler sees a [`LiveStats`] snapshot
-/// and may grow or shrink running gangs. The processor ledger stays exact
-/// through every transition (grow claims idle processors, shrink returns
-/// them immediately), and booking is untouched: memory is booked per task,
-/// not per processor.
+/// issued and the invariants re-checked, before the pump blocks — the
+/// rescheduler sees a [`LiveStats`] snapshot and may grow or shrink
+/// running gangs. The processor ledger stays exact through every
+/// transition, and booking is untouched: memory is booked per task, not
+/// per processor.
 ///
 /// The hook is a parameter rather than a `DriveConfig` field because the
 /// config is a plain `Copy` value shared by every platform; a trait
@@ -343,246 +707,29 @@ pub trait Backend {
 pub fn drive<S: Scheduler, B: Backend>(
     tree: &TaskTree,
     cfg: DriveConfig,
-    mut scheduler: S,
+    scheduler: S,
     backend: &mut B,
-    mut rescheduler: Option<&mut dyn Rescheduler>,
+    rescheduler: Option<&mut dyn Rescheduler>,
 ) -> Result<DriveStats, DriveError> {
-    if cfg.workers == 0 {
-        return Err(DriveError::BadConfig("zero workers".into()));
-    }
-    let n = tree.len();
-    let mut started = BitSet::new(n);
-    let mut finished = BitSet::new(n);
-    // Live allotment of each running task, for gang release on completion.
-    let mut allotment = vec![0u32; n];
-    // Running tasks, unordered; `run_pos[i]` is task i's slot in `running`
-    // (u32::MAX when not running), so completion removal is a swap-remove —
-    // O(1) instead of the old sorted-insert/shift. Every gang needs ≥ 1
-    // processor, so at most `workers` tasks run at once.
-    let mut running: Vec<NodeId> = Vec::with_capacity(cfg.workers.min(n));
-    let mut run_pos: Vec<u32> = vec![u32::MAX; n];
-    let mut live = LiveSet::new(tree);
-    let mut peak_booked = 0u64;
-    let mut completed = 0usize;
-    // Processors busy (sum of live allotments) and tasks in flight are
-    // distinct ledgers under gangs.
-    let mut busy = 0usize;
-    let mut peak_busy = 0usize;
-    let mut in_flight = 0usize;
-    let mut events = 0usize;
-    let mut scheduling_seconds = 0f64;
-    // Event-loop scratch, recycled across every event: the steady state
-    // allocates nothing (asserted by tests/alloc_count.rs).
-    let mut to_start: Vec<(NodeId, usize)> = Vec::with_capacity(cfg.workers.min(n));
-    let mut finished_batch: Vec<NodeId> = Vec::with_capacity(cfg.workers.min(n));
-    let mut actions: Vec<RescheduleAction> = Vec::new();
-    // LiveStats is built only when a rescheduler is attached; the snapshot
-    // struct and its gang vector are recycled across ticks, and the
-    // ascending-caller-id ordering contract is met by sorting a scratch
-    // copy of `running` only when a snapshot is actually published.
-    let mut stats = LiveStats {
-        event: 0,
-        workers: cfg.workers,
-        busy: 0,
-        idle: 0,
-        completed: 0,
-        total: n,
-        booked: 0,
-        actual: 0,
-        gangs: Vec::with_capacity(if rescheduler.is_some() {
-            cfg.workers.min(n)
-        } else {
-            0
-        }),
-    };
-    let mut snapshot_order: Vec<NodeId> = Vec::with_capacity(if rescheduler.is_some() {
-        cfg.workers.min(n)
-    } else {
-        0
-    });
-
-    scheduler.on_begin();
-
+    // Shorten the rescheduler's object lifetime to the tree's borrow.
+    let rescheduler = rescheduler.map(|r| -> &mut dyn Rescheduler { r });
+    let mut core: DriverCore<'_, S> = DriverCore::new(tree, cfg, scheduler, rescheduler)?;
+    let mut batch = Vec::with_capacity(cfg.workers.min(tree.len()));
     loop {
-        // Deliver the event (initial or completions) to the scheduler.
-        to_start.clear();
-        let idle = cfg.workers - busy;
-        let t0 = cfg.measure_overhead.then(std::time::Instant::now);
-        scheduler.on_event(&finished_batch, idle, &mut to_start);
-        if let Some(t0) = t0 {
-            scheduling_seconds += t0.elapsed().as_secs_f64();
+        let tick = core.step(&mut batch, |i| backend.progress(i))?;
+        for &(i, q) in tick.launches {
+            backend.launch(i, q, tick.epoch)?;
         }
-        events += 1;
-
-        // Start the requested gangs. The capacity check counts processors,
-        // and it happens before any launch: either every requested gang
-        // fits in the idle pool or nothing starts — no partial gangs.
-        let requested: usize = to_start.iter().map(|&(_, q)| q).sum();
-        if requested > idle {
-            return Err(DriveError::TooManyStarts { requested, idle });
+        backend.observe(tick.actual, tick.booked);
+        for r in tick.resizes {
+            backend.resize(r.node, r.from, r.to, tick.epoch)?;
         }
-        for &(i, q) in &to_start {
-            if q == 0 {
-                return Err(DriveError::ZeroAllotment { node: i });
-            }
-            if started.get(i.index()) {
-                return Err(DriveError::DoubleStart { node: i });
-            }
-            if tree.children(i).iter().any(|c| !finished.get(c.index())) {
-                return Err(DriveError::PrecedenceViolation { node: i });
-            }
-            started.set(i.index());
-            allotment[i.index()] = q as u32;
-            backend.launch(i, q, events as u64)?;
-            live.start(i);
-            busy += q;
-            in_flight += 1;
-            run_pos[i.index()] = running.len() as u32;
-            running.push(i);
+        if tick.done {
+            return Ok(core.stats());
         }
-        peak_busy = peak_busy.max(busy);
-
-        // Booking invariants at this instant.
-        let booked = scheduler.booked();
-        peak_booked = peak_booked.max(booked);
-        if cfg.enforce_booking {
-            if booked > cfg.memory {
-                return Err(DriveError::BookedOverBound {
-                    booked,
-                    bound: cfg.memory,
-                });
-            }
-            if live.current() > booked {
-                return Err(DriveError::ActualOverBooked {
-                    actual: live.current(),
-                    booked,
-                });
-            }
-        }
-        backend.observe(live.current(), booked);
-
-        if completed == n {
-            break;
-        }
-        if in_flight == 0 {
-            return Err(DriveError::Stalled {
-                completed,
-                total: n,
-                booked,
-            });
-        }
-
-        // The rescheduler tick: state is settled (starts issued, booking
-        // re-checked, at least one task in flight), the driver is about to
-        // block — the one instant per event where allotments may change.
-        if let Some(resched) = rescheduler.as_deref_mut() {
-            // The snapshot contract (gangs in ascending caller id) is paid
-            // for only here, on the publish path: the running set itself
-            // stays unordered for O(1) completion removal.
-            snapshot_order.clear();
-            snapshot_order.extend_from_slice(&running);
-            snapshot_order.sort_unstable_by_key(|&i| tree.label(i));
-            stats.event = events as u64;
-            stats.busy = busy;
-            stats.idle = cfg.workers - busy;
-            stats.completed = completed;
-            stats.booked = booked;
-            stats.actual = live.current();
-            stats.gangs.clear();
-            stats.gangs.extend(snapshot_order.iter().map(|&i| {
-                let (done, shards) = backend.progress(i).unwrap_or((0, 0));
-                GangSnapshot {
-                    node: tree.label(i),
-                    allotment: allotment[i.index()],
-                    shards,
-                    shards_done: done,
-                }
-            }));
-            actions.clear();
-            let t0 = cfg.measure_overhead.then(std::time::Instant::now);
-            resched.tick(&stats, &mut actions);
-            if let Some(t0) = t0 {
-                scheduling_seconds += t0.elapsed().as_secs_f64();
-            }
-            for &action in &actions {
-                let (node, grow, by) = match action {
-                    RescheduleAction::Grow { node, extra } => (node, true, extra),
-                    RescheduleAction::Shrink { node, release } => (node, false, release),
-                };
-                if by == 0 {
-                    continue;
-                }
-                // Actions name tasks as the snapshot did; at most `workers`
-                // tasks run, so resolving the label is a short scan.
-                let Some(i) = running.iter().copied().find(|&i| tree.label(i) == node) else {
-                    return Err(DriveError::Backend(format!(
-                        "rescheduler resized {node:?}, which is not running"
-                    )));
-                };
-                let from = allotment[i.index()] as usize;
-                let to = if grow {
-                    let idle_now = cfg.workers - busy;
-                    if by > idle_now {
-                        return Err(DriveError::TooManyStarts {
-                            requested: by,
-                            idle: idle_now,
-                        });
-                    }
-                    from + by
-                } else {
-                    if by >= from {
-                        // Shrinking to zero members is starting a gang
-                        // with none: the same contract violation.
-                        return Err(DriveError::ZeroAllotment { node: i });
-                    }
-                    from - by
-                };
-                backend.resize(i, from, to, events as u64)?;
-                allotment[i.index()] = to as u32;
-                busy = busy + to - from;
-            }
-            // One tick's resizes are atomic for the occupancy ledger: the
-            // peak reflects the settled allotments, not the transient
-            // order actions were applied in.
-            peak_busy = peak_busy.max(busy);
-        }
-
-        // Block until the next completion batch; each completion releases
-        // its whole gang back to the idle pool.
-        finished_batch.clear();
-        backend.await_batch(events as u64, &mut finished_batch)?;
-        // Simultaneous completions are delivered in ascending order of the
-        // ids the caller knows them by: the delivery order is part of the
-        // scheduler contract, and keying it by label makes a renumbered
-        // tree schedule like its source under any policy.
-        finished_batch.sort_unstable_by_key(|&i| tree.label(i));
-        for &i in &finished_batch {
-            debug_assert!(started.get(i.index()) && !finished.get(i.index()));
-            finished.set(i.index());
-            live.finish(i);
-            completed += 1;
-            in_flight -= 1;
-            busy -= allotment[i.index()] as usize;
-            // Swap-remove from the unordered running set, patching the
-            // moved task's position index.
-            let pos = run_pos[i.index()] as usize;
-            debug_assert!(pos < running.len() && running[pos] == i);
-            run_pos[i.index()] = u32::MAX;
-            running.swap_remove(pos);
-            if pos < running.len() {
-                run_pos[running[pos].index()] = pos as u32;
-            }
-        }
+        batch.clear();
+        backend.await_batch(tick.epoch, &mut batch)?;
     }
-
-    Ok(DriveStats {
-        events,
-        scheduling_seconds,
-        peak_booked,
-        peak_actual: live.peak(),
-        completed,
-        peak_busy,
-    })
 }
 
 #[cfg(test)]
@@ -940,5 +1087,42 @@ mod tests {
         let eager = Once(vec![(t.root(), 1)]);
         let err = drive(&t, cfg, eager, &mut backend, None).unwrap_err();
         assert!(matches!(err, DriveError::PrecedenceViolation { .. }));
+    }
+
+    /// One tick's launches come out in the order the scheduler pushed
+    /// them, and a completion stepped on its own is one event.
+    #[test]
+    fn a_ticks_launches_come_out_in_launch_order() {
+        let t = fork();
+        let cfg = DriveConfig {
+            enforce_booking: false,
+            ..DriveConfig::new(4, u64::MAX)
+        };
+        let starts = Once(vec![(NodeId(2), 1), (NodeId(1), 3)]);
+        let mut core: DriverCore<'_, _> = DriverCore::new(&t, cfg, starts, None).unwrap();
+        let tick = core.step(&mut [], |_| None).unwrap();
+        assert_eq!(tick.launches, [(NodeId(2), 1), (NodeId(1), 3)]);
+        assert_eq!((tick.epoch, tick.done), (1, false));
+        assert!(tick.resizes.is_empty());
+        let tick = core.step(&mut [NodeId(1)], |_| None).unwrap();
+        assert!(tick.launches.is_empty());
+        assert_eq!(tick.epoch, 2);
+        assert_eq!(core.stats().completed, 1);
+    }
+
+    /// A step that fails returns nothing to launch — not even the legal
+    /// gang the scheduler pushed before the illegal one.
+    #[test]
+    fn an_aborted_step_returns_no_launches() {
+        let twice = Once(vec![(NodeId(1), 1), (NodeId(2), 1), (NodeId(1), 1)]);
+        let (err, backend) = drive_fork(3, 1_000, twice);
+        assert_eq!(
+            err.unwrap_err(),
+            DriveError::DoubleStart { node: NodeId(1) }
+        );
+        assert!(
+            backend.launched.is_empty(),
+            "an aborted tick reached the backend"
+        );
     }
 }

@@ -440,15 +440,17 @@ pub fn simulate_with<S: Scheduler>(
     })
 }
 
-/// [`simulate`] for callers that read only the aggregates: the same run,
-/// schedule and checks, but no per-task record is kept (40 bytes a node,
-/// and two fewer cache lines touched per task).
+/// [`simulate_with`] for callers that read only the aggregates: the same
+/// run, schedule and checks, but no per-task record (40 bytes a node, and
+/// two fewer cache lines touched per task) and no allotment segment is
+/// kept.
 pub fn simulate_summary<S: Scheduler>(
     tree: &TaskTree,
     cfg: SimConfig,
     scheduler: S,
+    rescheduler: Option<&mut dyn Rescheduler>,
 ) -> Result<RunSummary, SimError> {
-    run(tree, cfg, scheduler, None, false).map(|(summary, _)| summary)
+    run(tree, cfg, scheduler, rescheduler, false).map(|(summary, _)| summary)
 }
 
 #[cfg(test)]
@@ -557,7 +559,7 @@ mod tests {
         // The same leaf started twice.
         let twice = Once(vec![(NodeId(0), 1), (NodeId(0), 1)]);
         assert_eq!(
-            simulate_summary(&t, unchecked(2), twice).unwrap_err(),
+            simulate_summary(&t, unchecked(2), twice, None).unwrap_err(),
             SimError::DoubleStart { node: NodeId(2) }
         );
     }
@@ -567,7 +569,7 @@ mod tests {
         let t = fork();
         let trace = simulate(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000)).unwrap();
         let mut summary =
-            simulate_summary(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000)).unwrap();
+            simulate_summary(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000), None).unwrap();
         summary.scheduling_seconds = trace.scheduling_seconds; // wall clock
         assert_eq!(summary, trace.summary());
         assert_eq!(summary.tasks_run, t.len());

@@ -8,8 +8,10 @@
 //! processors, each on an allotment of `q ≥ 1` of them. A sequential task
 //! is the allotment `q = 1`, so the paper's policies and their moldable
 //! and malleable extensions share everything below the trait: one
-//! [`drive`] loop over one [`Backend`] trait, one virtual-clock engine,
-//! one [`Trace`] and one [`validate::validate_trace`]. The engine:
+//! [`DriverCore`] holding every check and ledger (pumped by [`drive`] over
+//! a [`Backend`], or stepped by the threaded executor's workers), one
+//! virtual-clock engine, one [`Trace`] and one
+//! [`validate::validate_trace`]. The engine:
 //!
 //! * advances time from completion to completion (plus the initial `t = 0`
 //!   event), scaling a task's running time by [`SimConfig::speedup`] for
@@ -42,8 +44,8 @@ pub mod trace;
 pub mod validate;
 
 pub use driver::{
-    drive, Backend, DriveConfig, DriveError, DriveStats, GangSnapshot, LiveStats, RescheduleAction,
-    Rescheduler,
+    drive, Backend, DriveConfig, DriveError, DriveStats, DriverCore, GangSnapshot, LiveStats,
+    RescheduleAction, Rescheduler, Resize, Tick,
 };
 pub use engine::{simulate, simulate_summary, simulate_with, SimConfig};
 pub use error::SimError;

@@ -50,8 +50,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use memtree_runtime::{Platform, SimPlatform};
-use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
-use memtree_sim::{simulate, SimConfig};
+use memtree_sched::{
+    AllotmentCaps, HeuristicKind, PolicySpec, ProportionalRescheduler, ReschedulePolicy,
+};
+use memtree_sim::{simulate, simulate_summary, SimConfig};
 use memtree_tree::{TaskSpec, TaskTree};
 
 /// Allocation count of one full sim run (scheduler minting included —
@@ -95,6 +97,28 @@ fn allocs_for_platform_run(
         .expect("run completes");
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(report.tasks_run, tree.len());
+    after - before
+}
+
+/// Allocation count of one malleable run as release builds of
+/// `SimPlatform` make it: moldable MemBooking under a
+/// `ProportionalRescheduler`, aggregates only (rescheduler state and
+/// scheduler minting included — both per-run constants).
+fn allocs_for_malleable_run(tree: &TaskTree, p: usize, cap: u32) -> u64 {
+    let spec =
+        PolicySpec::new(HeuristicKind::MemBooking, 0).with_caps(AllotmentCaps::uniform(tree, cap));
+    let memory = spec.min_feasible(tree).saturating_mul(2);
+    let instance = spec
+        .with_memory(memory)
+        .instantiate(tree)
+        .expect("spec instantiates");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let sched = instance.scheduler(tree).expect("feasible");
+    let mut resched = ProportionalRescheduler::new(tree, ReschedulePolicy::new());
+    let cfg = SimConfig::new(p, memory);
+    let summary = simulate_summary(tree, cfg, sched, Some(&mut resched)).expect("run completes");
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(summary.tasks_run, tree.len());
     after - before
 }
 
@@ -163,6 +187,19 @@ fn steady_state_is_allocation_free() {
             delta <= 16,
             "caps {cap} p={p}: capped platform run took {g_big} allocs at 10x \
              events vs {g_small} (delta {delta})"
+        );
+
+        // Malleable: the rescheduler ticks every event and resizes gangs,
+        // and neither its scratch nor the snapshot nor the resize path
+        // allocates per tick.
+        allocs_for_malleable_run(&small, p, cap);
+        let m_small = allocs_for_malleable_run(&small, p, cap);
+        let m_big = allocs_for_malleable_run(&big, p, cap);
+        let delta = m_big.saturating_sub(m_small);
+        assert!(
+            delta <= 16,
+            "caps {cap} p={p}: malleable run took {m_big} allocs at 10x \
+             events vs {m_small} (delta {delta})"
         );
     }
 }
