@@ -13,7 +13,8 @@
 //!    [`ALLOWLIST`]. Acquire/Release/AcqRel sites are encouraged but not
 //!    forced: the two extremes are where reviewers most need the "why"
 //!    (Relaxed because a proof says so, SeqCst because it costs).
-//! 2. **no-unwrap** — `.unwrap()` / `.expect(` are banned in
+//! 2. **no-unwrap** — `.unwrap()` / `.expect(` and the `unreachable!` /
+//!    `todo!` / `unimplemented!` macros are banned in
 //!    `memtree_runtime` and `memtree_service` library code (panicking
 //!    in the scheduling substrate kills a worker silently; errors must
 //!    flow through `PlatformError`). Tests, benches, bins, and other
@@ -53,6 +54,16 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "crates/lint/",
         "the linter itself: its needle string literals are not atomic sites",
     ),
+];
+
+/// What the no-unwrap rule bans. `panic!` is deliberately absent:
+/// `Workload::FailAt` panics by design.
+const UNWRAP_NEEDLES: [&str; 5] = [
+    ".unwrap()",
+    ".expect(",
+    "unreachable!(",
+    "todo!(",
+    "unimplemented!(",
 ];
 
 /// `(path, reason)` pairs exempt from the no-unwrap rule.
@@ -211,7 +222,7 @@ fn check_unwrap(rel: &str, text: &str, violations: &mut Vec<String>) {
         if is_comment(line) {
             continue;
         }
-        for needle in [".unwrap()", ".expect("] {
+        for needle in UNWRAP_NEEDLES {
             if line.contains(needle) {
                 let mut v = String::new();
                 let _ = write!(

@@ -1,9 +1,10 @@
 //! The shard-worker executable behind
 //! [`memtree_runtime::ProcessPlatform`]: reads one `memtree-worker v1`
 //! job from stdin (see [`memtree_runtime::process::wire`]), runs the
-//! shard subtree through the ordinary in-process `ThreadedPlatform`, and
-//! writes the line-framed report stream — `ready`, periodic `heartbeat`
-//! ticks, then exactly one `done`/`failed` verdict — to stdout.
+//! shard subtree through [`run_part`] (the body a thread-backed shard
+//! worker runs too), and writes the line-framed report stream — `ready`,
+//! periodic `heartbeat` ticks, then exactly one `done`/`failed` verdict —
+//! to stdout.
 //!
 //! Exit code 0 means the protocol completed (the verdict, success *or*
 //! clean failure, was written); any other exit — including death by
@@ -11,7 +12,7 @@
 //! its verdict, which is the retryable path.
 
 use memtree_runtime::process::wire;
-use memtree_runtime::{Platform, PlatformError, RuntimeError, ThreadedPlatform};
+use memtree_runtime::sharded::run_part;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -85,15 +86,7 @@ fn run() -> i32 {
         })
     });
 
-    let platform = ThreadedPlatform {
-        workers: job.workers,
-        workload: job.workload,
-        reschedule: None,
-    };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        platform.run(&job.tree, &job.spec)
-    }))
-    .unwrap_or(Err(PlatformError::Runtime(RuntimeError::WorkerPanic)));
+    let outcome = run_part(&job.tree, &job.spec, job.workers, job.workload);
 
     // ordering: SeqCst — pairs with the heartbeat loop's load above.
     stop.store(true, Ordering::SeqCst);

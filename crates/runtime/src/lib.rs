@@ -15,11 +15,11 @@
 //!
 //! The [`platform`] module is the one entry point for running a
 //! `memtree_sched::PolicySpec` in any regime — [`SimPlatform`] (virtual
-//! time), [`ThreadedPlatform`] (real threads), [`ShardedPlatform`]
-//! (the tree cut into shard subtrees, each on its own channel-connected
-//! worker with an independent booking ledger; see [`sharded`]),
-//! [`ProcessPlatform`] (the same shard protocol over real worker
-//! *processes* behind strict stdin/stdout wire framing; see [`process`])
+//! time), [`ThreadedPlatform`] (real threads), [`ShardedPlatform`] and
+//! [`ProcessPlatform`] (the tree cut into shard subtrees, each run by a
+//! worker with an independent booking ledger: one shard coordinator in
+//! [`sharded`] over two transports, a thread per shard or a worker
+//! *process* behind strict stdin/stdout wire framing, see [`process`])
 //! or [`AsyncPlatform`] (workers are futures on a small hand-rolled
 //! executor, for IO-bound fronts; see [`async_platform`]) — behind
 //! the common [`Platform`] trait returning a common [`RunReport`]. The

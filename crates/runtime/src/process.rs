@@ -1,48 +1,38 @@
-//! **`ProcessPlatform`** — the shard protocol over real worker
-//! *processes* (DESIGN.md §6.12).
+//! **`ProcessPlatform`** — the shard coordinator of [`crate::sharded`]
+//! over real worker *processes* (DESIGN.md §6.12).
 //!
-//! The coordinator speaks exactly the protocol [`crate::sharded`]
-//! established — budgets split through [`ShardBudget`], reports merged
-//! shard-by-shard, failures surfaced as [`PlatformError::ShardFailed`] /
-//! [`PlatformError::ShardStalled`] — but each shard worker is a spawned
-//! `memtree-shard-worker` process connected only by its stdin/stdout
-//! pipes. The coordinator serialises the shard's subtree (the
-//! `memtree_tree::io` v1 text format), the shard's [`PolicySpec`] (the
-//! `memtree-spec v1` format, pinned to `PolicySpec::fingerprint`) and the
-//! run parameters down the pipe; the worker answers with a line-framed
-//! report stream (`ready`, `heartbeat`, then exactly one `done …` or
-//! `failed …` verdict). Both parsers are strict — across a process
-//! boundary, lenient parsing turns corruption into a silently different
-//! schedule.
+//! Each shard attempt is a spawned `memtree-shard-worker` process
+//! connected only by its stdin/stdout pipes. The transport serialises the
+//! shard's subtree (the `memtree_tree::io` v1 text format), its
+//! [`PolicySpec`] (the `memtree-spec v1` format, pinned to
+//! `PolicySpec::fingerprint`) and the run parameters down the pipe; the
+//! worker answers with a line-framed report stream (`ready`, `heartbeat`,
+//! then exactly one `done …` or `failed …` verdict). Both parsers are
+//! strict — across a process boundary, lenient parsing turns corruption
+//! into a silently different schedule.
 //!
-//! Process death is first-class: a worker that exits nonzero, is killed
-//! by a signal, or closes its pipe before a verdict surfaces as a
-//! retryable failure, and the coordinator **requeues** the shard onto a
-//! fresh worker process (budget kept reserved across the retry — the
-//! shard still owns its memory slice) up to [`ProcessPlatform::retries`];
-//! only then does it fail the run as [`PlatformError::ShardFailed`]. On a
-//! stall the coordinator kills every live worker and *waits* for each
-//! exit: unlike the thread backend there is nothing to quarantine,
-//! because a reaped process provably holds no memory — the stall error
-//! always carries `quarantined: 0`, with every reservation released.
-//!
-//! Heartbeats keep the idle watchdog honest: a worker mid-subtree emits
-//! `heartbeat` lines on a timer, so the watchdog only fires on a worker
-//! that is genuinely gone (killed, wedged, or its heartbeats disabled).
+//! A worker that exits nonzero, is killed by a signal, or closes its pipe
+//! before a verdict surfaces as `Died`, and the coordinator **requeues**
+//! the shard onto a fresh worker process (its budget kept reserved) up to
+//! [`ProcessPlatform::retries`] times before failing the run with
+//! [`PlatformError::ShardFailed`]. Stopping an attempt kills the worker
+//! and waits for its exit, so a stall releases every reservation and
+//! quarantines nothing. Heartbeats keep the idle watchdog honest: it only
+//! fires on a worker that is genuinely gone (killed, wedged, or its
+//! heartbeats disabled).
 
-use crate::platform::{Platform, PlatformError, RunReport, ThreadedPlatform};
-use crate::sharded::ShardedReport;
+use crate::platform::{Platform, PlatformError};
+use crate::sharded::{coordinate, ShardTransport, ShardedPlatform, ShardedReport, Stop};
 use crate::workload::Workload;
-use crossbeam::channel::{self, RecvTimeoutError, Sender, TryRecvError};
-use memtree_sched::{BudgetLedger, PolicyInstance, PolicySpec, ShardBudget};
-use memtree_sim::validate::validate_shard_plan;
-use memtree_tree::partition::{partition, Partition, PartitionPolicy};
+use crossbeam::channel::Sender;
+use memtree_sched::{PolicySpec, ShardBudget};
+use memtree_tree::partition::Partition;
 use memtree_tree::TaskTree;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub mod wire;
 
@@ -217,307 +207,60 @@ impl ProcessPlatform {
         tree: &TaskTree,
         spec: &PolicySpec,
     ) -> Result<ShardedReport, PlatformError> {
-        let started_at = Instant::now();
-        let part = partition(tree, &PartitionPolicy::balanced(self.shards));
-        validate_shard_plan(tree, &part.assignment, part.shard_count())
-            .map_err(PlatformError::Partition)?;
+        // The coordinator settings are exactly a thread-backed platform's.
+        let settings = ShardedPlatform {
+            shards: self.shards,
+            workers_per_shard: self.workers_per_shard,
+            budget: self.budget,
+            workload: self.workload,
+            shard_timeout: self.shard_timeout,
+            shard_deadline: self.shard_deadline,
+        };
+        coordinate(&settings, self.name(), self.retries, self, tree, spec)
+    }
+}
 
-        let mins: Vec<u64> = part
+/// One supervised worker process per attempt.
+impl ShardTransport for ProcessPlatform {
+    /// The worker binary and one serialized job per shard, reused
+    /// verbatim across retries — a requeued worker sees byte-identical
+    /// input.
+    type Jobs = (PathBuf, Vec<String>);
+    type Attempt = Supervisor;
+
+    fn prepare(
+        &self,
+        part: &Arc<Partition>,
+        specs: Vec<PolicySpec>,
+    ) -> Result<Self::Jobs, PlatformError> {
+        let worker_bin = self.resolve_worker_bin()?;
+        let payloads = part
             .shards
             .iter()
-            .map(|s| spec.min_feasible(&s.tree))
+            .zip(&specs)
+            .map(|(shard, spec)| {
+                wire::job_to_string(
+                    &shard.tree,
+                    spec,
+                    self.workers_per_shard,
+                    self.workload,
+                    self.heartbeat,
+                )
+            })
             .collect();
-        let shard_specs = spec
-            .shard_specs(self.budget, &mins)
-            .map_err(PlatformError::Sched)?;
-        let budgets: Vec<u64> = shard_specs.iter().map(|s| s.memory).collect();
-        let mut ledger = BudgetLedger::new(spec.memory);
-        for &b in &budgets {
-            ledger.reserve(b)?;
-        }
-
-        // Phase 1: one worker process per shard, retried across deaths.
-        let shard_reports = self.run_shard_phase(&part, spec, shard_specs, &budgets, &mut ledger);
-        debug_assert_eq!(ledger.reserved(), 0, "a shard budget leaked");
-        let shard_reports = shard_reports?;
-
-        // Phase 2: the merge runs locally (the residual tree is tiny —
-        // one proxy leaf per shard plus the glue above the frontier), on
-        // the whole machine under the full bound.
-        ledger.reserve(spec.memory)?;
-        let mut residual_spec = PolicySpec {
-            kind: spec.kind,
-            ao: spec.ao,
-            eo: spec.eo,
-            memory: spec.memory,
-            caps: None,
-        };
-        if let Some(caps) = &spec.caps {
-            residual_spec.caps = Some(crate::sharded::project_caps(
-                caps,
-                part.residual.origin.iter().copied(),
-            ));
-        }
-        let residual = ThreadedPlatform {
-            workers: self.total_workers(),
-            workload: self.workload,
-            reschedule: None,
-        }
-        .run(&part.residual.tree, &residual_spec)?;
-        ledger.release(spec.memory)?;
-        debug_assert_eq!(ledger.reserved(), 0);
-
-        Ok(ShardedReport::roll_up_on(
-            "process",
-            &part,
-            budgets,
-            shard_reports,
-            residual,
-            started_at.elapsed().as_secs_f64(),
-        ))
-    }
-
-    /// Spawns, supervises and (on death) requeues one worker process per
-    /// shard. Budget rule: a shard's reservation is released exactly once
-    /// — on its verdict (success or clean failure), on retry exhaustion,
-    /// or on the stall path after the worker's exit has been *confirmed*
-    /// by a reap. Never while a worker that could still report is alive.
-    fn run_shard_phase(
-        &self,
-        part: &Partition,
-        spec: &PolicySpec,
-        shard_specs: Vec<PolicySpec>,
-        budgets: &[u64],
-        ledger: &mut BudgetLedger,
-    ) -> Result<Vec<RunReport>, PlatformError> {
-        let total = part.shard_count();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
-        let worker_bin = self.resolve_worker_bin()?;
-
-        // One serialized job per shard, reused verbatim across retries —
-        // a requeued worker sees byte-identical input.
-        let mut payloads = Vec::with_capacity(total);
-        for (k, mut shard_spec) in shard_specs.into_iter().enumerate() {
-            if let Some(caps) = &spec.caps {
-                shard_spec.caps = Some(crate::sharded::project_caps(
-                    caps,
-                    part.shards[k].to_global.iter().map(|&g| Some(g)),
-                ));
-            }
-            payloads.push(wire::job_to_string(
-                &part.shards[k].tree,
-                &shard_spec,
-                self.workers_per_shard,
-                self.workload,
-                self.heartbeat,
-            ));
-        }
-
-        let (tx, rx) = channel::unbounded::<(usize, wire::WorkerMsg)>();
-        let mut live: Vec<Option<Supervisor>> = (0..total).map(|_| None).collect();
-        let mut attempts = vec![0usize; total];
-        let mut reports: Vec<Option<RunReport>> = (0..total).map(|_| None).collect();
-        let mut released = vec![false; total];
-        let mut first_err: Option<(usize, PlatformError)> = None;
-        let mut reported = 0usize;
-
-        // A failed spawn is not retryable (the environment, not the
-        // worker, is broken): account the shard as failed immediately.
-        for k in 0..total {
-            match self.spawn_attempt(k, 0, &worker_bin, &payloads[k], tx.clone()) {
-                Ok(sup) => live[k] = Some(sup),
-                Err(e) => {
-                    ledger.release(budgets[k])?;
-                    released[k] = true;
-                    reported += 1;
-                    if first_err.as_ref().is_none_or(|(j, _)| k < *j) {
-                        first_err = Some((k, e));
-                    }
-                }
-            }
-        }
-
-        // The coordinator keeps `tx` alive for respawns, so the channel
-        // never disconnects; stalls are judged purely by the clocks.
-        let deadline = self.shard_deadline.map(|d| Instant::now() + d);
-        let mut stalled = false;
-        while reported < total {
-            let msg = match rx.try_recv() {
-                Ok(m) => Some(m),
-                Err(TryRecvError::Disconnected) => unreachable!("coordinator holds a sender"),
-                Err(TryRecvError::Empty) => {
-                    let until_deadline =
-                        deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                    if until_deadline.is_some_and(|d| d.is_zero()) {
-                        stalled = true;
-                        break;
-                    }
-                    let timeout = match (self.shard_timeout, until_deadline) {
-                        (Some(idle), Some(rest)) => Some(idle.min(rest)),
-                        (Some(idle), None) => Some(idle),
-                        (None, rest) => rest,
-                    };
-                    match timeout {
-                        Some(timeout) => match rx.recv_timeout(timeout) {
-                            Ok(m) => Some(m),
-                            Err(RecvTimeoutError::Timeout) => {
-                                stalled = true;
-                                break;
-                            }
-                            Err(RecvTimeoutError::Disconnected) => {
-                                unreachable!("coordinator holds a sender")
-                            }
-                        },
-                        None => match rx.recv() {
-                            Ok(m) => Some(m),
-                            // The coordinator holds `tx`, so disconnection
-                            // is impossible; treat it as a stall rather
-                            // than panic if it ever happens.
-                            Err(_) => {
-                                stalled = true;
-                                break;
-                            }
-                        },
-                    }
-                }
-            };
-            let Some((k, msg)) = msg else { continue };
-            match msg {
-                // Any line from a worker proves liveness; the heartbeat
-                // reset the watchdog simply by arriving.
-                wire::WorkerMsg::Ready | wire::WorkerMsg::Heartbeat => {}
-                wire::WorkerMsg::Done(report) => {
-                    self.reap_supervisor(&mut live[k]);
-                    ledger.release(budgets[k])?;
-                    released[k] = true;
-                    reports[k] = Some(report);
-                    reported += 1;
-                }
-                wire::WorkerMsg::Failed(e) => {
-                    // A clean verdict: deterministic, never requeued.
-                    self.reap_supervisor(&mut live[k]);
-                    ledger.release(budgets[k])?;
-                    released[k] = true;
-                    reported += 1;
-                    if first_err.as_ref().is_none_or(|(j, _)| k < *j) {
-                        first_err = Some((k, e));
-                    }
-                }
-                wire::WorkerMsg::Died(reason) => {
-                    self.reap_supervisor(&mut live[k]);
-                    if attempts[k] < self.retries {
-                        // Requeue onto a fresh process; the budget stays
-                        // reserved — the shard still owns its slice.
-                        attempts[k] += 1;
-                        match self.spawn_attempt(
-                            k,
-                            attempts[k],
-                            &worker_bin,
-                            &payloads[k],
-                            tx.clone(),
-                        ) {
-                            Ok(sup) => live[k] = Some(sup),
-                            Err(e) => {
-                                ledger.release(budgets[k])?;
-                                released[k] = true;
-                                reported += 1;
-                                if first_err.as_ref().is_none_or(|(j, _)| k < *j) {
-                                    first_err = Some((k, e));
-                                }
-                            }
-                        }
-                    } else {
-                        ledger.release(budgets[k])?;
-                        released[k] = true;
-                        reported += 1;
-                        let e = PlatformError::Process(format!(
-                            "worker died after {} attempts: {reason}",
-                            attempts[k] + 1
-                        ));
-                        if first_err.as_ref().is_none_or(|(j, _)| k < *j) {
-                            first_err = Some((k, e));
-                        }
-                    }
-                }
-            }
-        }
-
-        if stalled {
-            // Kill every live worker, then *wait* for each: a reaped
-            // process provably holds no memory, so — unlike the thread
-            // backend — every budget comes back with nothing quarantined.
-            for sup in live.iter().flatten() {
-                sup.kill();
-            }
-            for slot in live.iter_mut() {
-                self.reap_supervisor(slot);
-            }
-            // Verdicts that raced the kill still count as releases (the
-            // run fails as stalled regardless — the watchdog's verdict
-            // stands), and double releases are guarded below.
-            drop(tx);
-            while let Ok((k, msg)) = rx.try_recv() {
-                if matches!(msg, wire::WorkerMsg::Done(_) | wire::WorkerMsg::Failed(_))
-                    && !released[k]
-                {
-                    ledger.release(budgets[k])?;
-                    released[k] = true;
-                }
-            }
-            for (k, done) in released.iter_mut().enumerate() {
-                if !*done {
-                    ledger.release(budgets[k])?;
-                    *done = true;
-                }
-            }
-            return Err(PlatformError::ShardStalled {
-                reported,
-                total,
-                quarantined: 0,
-            });
-        }
-
-        for slot in live.iter_mut() {
-            self.reap_supervisor(slot);
-        }
-        if let Some((shard, source)) = first_err {
-            return Err(PlatformError::ShardFailed {
-                shard,
-                source: Box::new(source),
-            });
-        }
-        let mut out = Vec::with_capacity(total);
-        for (k, report) in reports.into_iter().enumerate() {
-            match report {
-                Some(report) => out.push(report),
-                // `reported == total` with no first_err should imply every
-                // slot is filled; a hole is a coordinator bug surfaced as
-                // an error, not a panic.
-                None => {
-                    return Err(PlatformError::Process(format!(
-                        "shard {k} never produced a report"
-                    )));
-                }
-            }
-        }
-        Ok(out)
+        Ok((worker_bin, payloads))
     }
 
     /// Spawns one worker process and its supervisor thread. The
     /// supervisor writes the job down stdin, closes it, then relays every
     /// stdout line to the coordinator channel; on EOF it reaps the child
-    /// and, if no verdict was seen, reports the death. Exactly one
-    /// terminal message ([`wire::WorkerMsg::Done`] / `Failed` / `Died`)
-    /// is sent per attempt.
-    fn spawn_attempt(
+    /// and, if no verdict was seen, reports the death.
+    fn launch(
         &self,
+        (worker_bin, payloads): &Self::Jobs,
         shard: usize,
         attempt: usize,
-        worker_bin: &PathBuf,
-        payload: &str,
-        tx: Sender<(usize, wire::WorkerMsg)>,
+        tx: &Sender<(usize, wire::WorkerMsg)>,
     ) -> Result<Supervisor, PlatformError> {
         let mut cmd = Command::new(worker_bin);
         cmd.arg("--shard")
@@ -549,8 +292,8 @@ impl ProcessPlatform {
             )));
         };
         let child = Arc::new(Mutex::new(Some(child)));
-        let payload = payload.to_string();
-        let thread_child = child.clone();
+        let payload = payloads[shard].clone();
+        let (thread_child, tx) = (child.clone(), tx.clone());
         let thread = std::thread::Builder::new()
             .name(format!("memtree-proc-sup-{shard}-{attempt}"))
             .spawn(move || {
@@ -570,38 +313,33 @@ impl ProcessPlatform {
         Ok(Supervisor { child, thread })
     }
 
-    /// Joins a finished (or killed) supervisor. Safe to call on an empty
-    /// slot; blocks until the supervisor has reaped its child, which is
-    /// prompt once the child is dead or has closed its pipe.
-    fn reap_supervisor(&self, slot: &mut Option<Supervisor>) {
-        if let Some(sup) = slot.take() {
-            let _ = sup.thread.join();
+    /// SIGKILLs the worker if it is still ours to kill, then joins the
+    /// supervisor, which returns only after reaping it: a process's exit
+    /// is always confirmed. The lock is never held across a blocking
+    /// wait (the supervisor reaps with `try_wait` under the same
+    /// discipline), so this cannot deadlock.
+    fn stop(&self, supervisor: Supervisor, _reported: bool) -> Stop {
+        if let Ok(mut guard) = supervisor.child.lock() {
+            if let Some(child) = guard.as_mut() {
+                let _ = child.kill();
+            }
         }
+        let _ = supervisor.thread.join();
+        Stop::Exited
     }
 }
 
 /// One worker-process attempt under supervision: the shared child handle
 /// (the coordinator kills through it; the supervisor reaps through it)
 /// and the supervisor thread.
-struct Supervisor {
+pub(crate) struct Supervisor {
     child: Arc<Mutex<Option<Child>>>,
     thread: std::thread::JoinHandle<()>,
 }
 
-impl Supervisor {
-    /// SIGKILLs the child if it is still ours to kill. The lock is never
-    /// held across a blocking wait (the supervisor reaps with `try_wait`
-    /// under the same discipline), so this cannot deadlock.
-    fn kill(&self) {
-        if let Ok(mut guard) = self.child.lock() {
-            if let Some(child) = guard.as_mut() {
-                let _ = child.kill();
-            }
-        }
-    }
-}
-
 /// The supervisor body: feed the job, relay the report stream, reap.
+/// Exactly one terminal message ([`wire::WorkerMsg::Done`] / `Failed` /
+/// `Died`) is sent per attempt.
 fn supervise(
     shard: usize,
     mut stdin: std::process::ChildStdin,
@@ -678,32 +416,5 @@ fn supervise(
             (Ok(()), None) => "worker exited without a verdict".to_string(),
         };
         let _ = tx.send((shard, wire::WorkerMsg::Died(reason)));
-    }
-}
-
-impl Platform for ProcessPlatform {
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn run_instance(
-        &self,
-        tree: &TaskTree,
-        instance: &PolicyInstance,
-    ) -> Result<RunReport, PlatformError> {
-        // Like the thread-backed shard platform: per-part specs are
-        // re-derived, so reconstruct the spec from the instance.
-        let spec = PolicySpec {
-            kind: instance.kind(),
-            ao: instance.ao().kind(),
-            eo: instance.eo().kind(),
-            memory: instance.memory(),
-            caps: instance.caps().cloned(),
-        };
-        Ok(self.run_detailed(tree, &spec)?.report)
-    }
-
-    fn run(&self, tree: &TaskTree, spec: &PolicySpec) -> Result<RunReport, PlatformError> {
-        Ok(self.run_detailed(tree, spec)?.report)
     }
 }

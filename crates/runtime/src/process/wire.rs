@@ -72,9 +72,10 @@ pub struct Job {
     pub heartbeat: Duration,
 }
 
-/// A message relayed from a worker to the coordinator. `Ready` and
+/// A message from a shard worker to the shard coordinator — over this
+/// wire for worker processes, directly for shard threads. `Ready` and
 /// `Heartbeat` prove liveness; `Done`/`Failed` are the worker's verdict;
-/// `Died` is synthesised by the supervisor when the process exits
+/// `Died` is synthesised by the process supervisor when the worker exits
 /// without one (the retryable case).
 #[derive(Debug)]
 pub enum WorkerMsg {
