@@ -235,8 +235,9 @@ impl BenchArgs {
         })
     }
 
-    /// The shard-count axis for [`crate::Sweep::shards`]: the explicit
-    /// `--shards` list, or the single unsharded backend when unset.
+    /// The shard-count axis behind [`BenchArgs::backends_axis`]'s
+    /// fallback: the explicit `--shards` list, or the single unsharded
+    /// backend when unset.
     pub fn shards_axis(&self) -> Vec<usize> {
         self.shards.clone().unwrap_or_else(|| vec![0])
     }

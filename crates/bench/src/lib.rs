@@ -21,7 +21,6 @@ pub mod cache;
 pub mod cli;
 pub mod corpus;
 pub mod figures;
-pub mod hotpath;
 pub mod runner;
 pub mod service_load;
 pub mod sweep;
@@ -30,7 +29,6 @@ pub use aggregate::Summary;
 pub use cache::{cell_key, CellCache, CellKey};
 pub use cli::{ArgParser, BenchArgs};
 pub use corpus::{assembly_cases, assembly_source, synthetic_cases, synthetic_source, Scale};
-pub use hotpath::{HotCell, HotSweep};
 pub use runner::{
     run_heuristic, run_heuristic_backend, run_on_platform, Backend, CaseSource, OrderPair,
     RunOutcome, TreeCase,

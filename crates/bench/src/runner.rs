@@ -498,27 +498,6 @@ pub fn run_heuristic_backend(
     }
 }
 
-/// The PR-4 shard-count entry point: `shards == 0` is the unsharded
-/// simulator, `s ≥ 1` the sharded platform — a thin
-/// [`Backend::from_shards`] wrapper over [`run_heuristic_backend`].
-pub fn run_heuristic_sharded(
-    case: &TreeCase,
-    kind: HeuristicKind,
-    orders: OrderPair,
-    processors: usize,
-    factor: f64,
-    shards: usize,
-) -> RunOutcome {
-    run_heuristic_backend(
-        case,
-        kind,
-        orders,
-        processors,
-        factor,
-        Backend::from_shards(shards),
-    )
-}
-
 /// A corpus as a *source* of [`TreeCase`]s rather than a materialised
 /// slice: each case is either ready (already built) or a builder closure
 /// that realises it on demand.

@@ -6,7 +6,7 @@
 //! in the paper is an aggregation over such a grid (the backend axis
 //! defaults to the simulator). [`Sweep::run`] *streams*: trees come from
 //! a [`CaseSource`] and are realised in a bounded in-flight window —
-//! while one window's cells execute on the rayon pool, the next window's
+//! while one window's cells execute on every core, the next window's
 //! trees generate concurrently, and each case is dropped as soon as its
 //! last cell completes. Peak RSS is O(window), not O(corpus), so
 //! full-scale sweeps (100k-node trees × thousands of cells) run under the
@@ -22,7 +22,6 @@
 use crate::cache::{cell_key, CellCache};
 use crate::runner::{run_heuristic_backend, Backend, CaseSource, OrderPair, RunOutcome, TreeCase};
 use memtree_sched::HeuristicKind;
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,8 +73,8 @@ pub struct SweepCtx {
     /// Ignore existing cache entries (recompute and overwrite) — the
     /// `--fresh` flag.
     pub fresh: bool,
-    /// Override the in-flight case window (`None` = one window per rayon
-    /// thread, min 2).
+    /// Override the in-flight case window (`None` = one case per available
+    /// core, min 2).
     pub window: Option<usize>,
 }
 
@@ -298,7 +297,7 @@ pub struct Sweep<'a> {
 impl<'a> Sweep<'a> {
     /// A sweep over `source` with the paper's defaults: MemBooking,
     /// memPO/memPO, 8 processors, the simulator backend, memory factor 2,
-    /// a window of one case per rayon thread, no cache.
+    /// a window of one case per available core, no cache.
     pub fn new(source: &'a CaseSource) -> Self {
         Sweep {
             source,
@@ -307,7 +306,7 @@ impl<'a> Sweep<'a> {
             processors: vec![8],
             backends: vec![Backend::Sim],
             factors: vec![2.0],
-            window: rayon::current_num_threads().max(2),
+            window: available_threads().max(2),
             cache: None,
             fresh: false,
         }
@@ -354,17 +353,6 @@ impl<'a> Sweep<'a> {
         assert!(!backends.is_empty(), "Sweep: empty backend axis");
         self.backends = backends;
         self
-    }
-
-    /// Sets the backend axis through the PR-4 shard-count encoding: 0 is
-    /// the unsharded simulator, `s ≥ 1` the sharded forest platform with
-    /// up to `s` shard workers ([`Backend::from_shards`]).
-    ///
-    /// # Panics
-    /// On an empty axis (see [`Sweep::kinds`]).
-    pub fn shards(self, shards: Vec<usize>) -> Self {
-        assert!(!shards.is_empty(), "Sweep: empty shard-count axis");
-        self.backends(shards.into_iter().map(Backend::from_shards).collect())
     }
 
     /// Sets the memory-factor axis.
@@ -428,10 +416,10 @@ impl<'a> Sweep<'a> {
     /// Runs every cell; cells return in grid order.
     ///
     /// Streaming: the source's cases are realised `window` at a time; the
-    /// cells of the current window fan out over the rayon pool while the
-    /// next window's trees generate concurrently (`rayon::join`), and each
-    /// window is dropped wholesale once its cells are in — so peak RSS
-    /// tracks the window, not the corpus.
+    /// cells of the current window fan out over every core while one more
+    /// scoped thread generates the next window's trees, and each window is
+    /// dropped wholesale once its cells are in — so peak RSS tracks the
+    /// window, not the corpus.
     pub fn run(&self) -> SweepReport {
         let start_time = Instant::now();
         let n = self.source.len();
@@ -444,37 +432,29 @@ impl<'a> Sweep<'a> {
         let mut cases: Vec<CaseMeta> = Vec::with_capacity(n);
         let mut start = 0usize;
         // The initial window builds in parallel — nothing competes yet.
-        let mut current: Vec<Arc<TreeCase>> = (0..self.window.min(n))
-            .collect::<Vec<usize>>()
-            .into_par_iter()
-            .map(|i| self.source.build(i))
-            .collect();
+        let mut current: Vec<Arc<TreeCase>> = par_map(self.window.min(n), |i| self.source.build(i));
         while start < n {
             let end = start + current.len();
             let next_range = end..(end + self.window).min(n);
-            let (window_cells, next) = rayon::join(
-                || {
-                    (0..current.len() * per_case)
-                        .collect::<Vec<usize>>()
-                        .into_par_iter()
-                        .map(|flat| {
-                            let (local, rest) = (flat / per_case, flat % per_case);
-                            self.run_cell(
-                                start + local,
-                                &current[local],
-                                rest,
-                                &threads,
-                                &hits,
-                                &computed,
-                            )
-                        })
-                        .collect::<Vec<SweepCell>>()
-                },
-                // The next window generates on the join's one extra thread
-                // while the full pool executes cells — sequential here, so
-                // the two sides never oversubscribe the machine 2×.
-                || next_range.map(|i| self.source.build(i)).collect::<Vec<_>>(),
-            );
+            let (window_cells, next) = std::thread::scope(|scope| {
+                // The next window generates on one extra thread while every
+                // core executes cells — sequential there, so the two sides
+                // never oversubscribe the machine 2×.
+                let next =
+                    scope.spawn(|| next_range.map(|i| self.source.build(i)).collect::<Vec<_>>());
+                let cells = par_map(current.len() * per_case, |flat| {
+                    let (local, rest) = (flat / per_case, flat % per_case);
+                    self.run_cell(
+                        start + local,
+                        &current[local],
+                        rest,
+                        &threads,
+                        &hits,
+                        &computed,
+                    )
+                });
+                (cells, joined(next))
+            });
             cases.extend(current.iter().map(|c| CaseMeta {
                 name: c.name.clone(),
                 nodes: c.len(),
@@ -544,7 +524,7 @@ impl<'a> Sweep<'a> {
             if let (Some(cache), Some(key)) = (&self.cache, &key) {
                 if let Some(outcome) = cache.lookup(key) {
                     // ordering: Relaxed — statistics counter; read only
-                    // after the rayon join barrier, which orders it.
+                    // after the scoped threads are joined, which orders it.
                     hits.fetch_add(1, Ordering::Relaxed);
                     return SweepCell {
                         case_index,
@@ -562,7 +542,7 @@ impl<'a> Sweep<'a> {
         }
         let outcome = run_heuristic_backend(case, kind, pair, processors, factor, backend);
         // ordering: Relaxed — statistics counter; read only after the
-        // rayon join barrier, which orders it.
+        // scoped threads are joined, which orders it.
         computed.fetch_add(1, Ordering::Relaxed);
         if let (Some(cache), Some(key)) = (&self.cache, &key) {
             // Best-effort: a full disk must not kill the sweep.
@@ -580,6 +560,47 @@ impl<'a> Sweep<'a> {
             from_cache: false,
         }
     }
+}
+
+/// Threads a sweep fans out over: the machine's available parallelism.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `(0..n).map(f)` on up to [`available_threads`] scoped threads, results
+/// in index order. Indices are claimed one at a time, so unevenly sized
+/// cells still balance across cores.
+fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let workers = available_threads().min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut out = Vec::new();
+        loop {
+            // ordering: Relaxed — allocates a unique index only; the inputs
+            // are shared read-only and the results come back through join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return out;
+            }
+            out.push((i, f(i)));
+        }
+    };
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+        spawned.into_iter().flat_map(joined).collect()
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Joins a scoped thread, re-raising its panic on the caller.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 #[cfg(test)]
@@ -681,7 +702,7 @@ mod tests {
         for cell in report.cells.iter().filter(|c| c.factor == 30.0) {
             assert!(cell.outcome.scheduled, "{} at 30x", cell.kind);
         }
-        if rayon::current_num_threads() > 1 {
+        if available_threads() > 1 {
             assert!(
                 report.threads_used > 1,
                 "sweep should use multiple threads, used {}",
@@ -750,12 +771,11 @@ mod tests {
         let cs = cases(2);
         let report = Sweep::new(&cs)
             .processors(vec![4])
-            .shards(vec![0, 2])
+            .backends(vec![Backend::Sim, Backend::Sharded(2)])
             .factors(vec![8.0])
             .run();
         assert_eq!(report.cells.len(), 2 * 2);
-        // Grid order: the backend axis sits between processors and factor,
-        // and the shard-count encoding maps onto it.
+        // Grid order: the backend axis sits between processors and factor.
         assert_eq!(report.cells[0].backend, Backend::Sim);
         assert_eq!(report.cells[1].backend, Backend::Sharded(2));
         assert!(report.cells.iter().all(|c| c.outcome.scheduled));
@@ -865,10 +885,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty shard-count axis")]
+    #[should_panic(expected = "empty backend axis")]
     fn empty_shard_axis_is_a_construction_error() {
         let cs = cases(1);
-        let _ = Sweep::new(&cs).shards(vec![]);
+        let _ = Sweep::new(&cs).backends(vec![]);
     }
 
     #[test]

@@ -47,10 +47,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
         "offline stand-in mirroring upstream proptest internals",
     ),
     (
-        "vendor/criterion/",
-        "offline stand-in mirroring upstream criterion internals",
-    ),
-    (
         "crates/lint/",
         "the linter itself: its needle string literals are not atomic sites",
     ),

@@ -104,6 +104,9 @@ impl AsyncPlatform {
         if self.workers == 0 {
             return Err(RuntimeError::BadConfig("zero workers".into()));
         }
+        if self.threads == 0 {
+            return Err(RuntimeError::BadConfig("zero executor threads".into()));
+        }
         let started_at = std::time::Instant::now();
         let malleable = rescheduler.is_some();
         // Spawned member futures are `'static`, so they share the tree by
@@ -350,18 +353,20 @@ mod tests {
     fn zero_workers_rejected() {
         let tree = memtree_gen::synthetic::paper_tree(10, 1);
         let spec = PolicySpec::new(HeuristicKind::MemBooking, min_memory(&tree));
-        let err = AsyncPlatform {
-            workers: 0,
-            threads: 1,
-            workload: Workload::Noop,
-            reschedule: None,
+        for (workers, threads) in [(0, 1), (2, 0)] {
+            let err = AsyncPlatform {
+                workers,
+                threads,
+                workload: Workload::Noop,
+                reschedule: None,
+            }
+            .run(&tree, &spec)
+            .unwrap_err();
+            assert!(matches!(
+                err,
+                PlatformError::Runtime(RuntimeError::BadConfig(_))
+            ));
         }
-        .run(&tree, &spec)
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            PlatformError::Runtime(RuntimeError::BadConfig(_))
-        ));
     }
 
     #[test]

@@ -17,6 +17,30 @@
 //! The expansion site must have `memtree_gen` and `memtree_sched`
 //! available (they are dev-dependencies wherever platforms are tested).
 
+/// Worker counts a cross-platform test sweep should cover: the
+/// comma-separated `MEMTREE_TEST_WORKERS` environment variable when set
+/// (the CI matrix pins one count per job), `default` otherwise.
+///
+/// # Panics
+/// When `MEMTREE_TEST_WORKERS` is set but contains no count ≥ 1.
+pub fn worker_counts_from_env(default: &[usize]) -> Vec<usize> {
+    match std::env::var("MEMTREE_TEST_WORKERS") {
+        Ok(v) => {
+            let counts: Vec<usize> = v
+                .split(',')
+                .filter_map(|s| s.trim().parse().ok())
+                .filter(|&p| p >= 1)
+                .collect();
+            assert!(
+                !counts.is_empty(),
+                "MEMTREE_TEST_WORKERS has no counts: {v}"
+            );
+            counts
+        }
+        Err(_) => default.to_vec(),
+    }
+}
+
 /// Stamps out the platform invariant suite as a test module named
 /// `$suite`, running every check against the platform built by the
 /// `$platform` expression (evaluated fresh per test).
@@ -37,7 +61,7 @@
 /// `payload_panic: <constructor>` — a `fn(workers) -> Platform` whose
 /// result has the no-op payload and a `with_workload` builder. The suite
 /// then also asserts, for every worker count of
-/// [`RuntimeConfig::worker_counts_from_env`](crate::RuntimeConfig::worker_counts_from_env):
+/// [`worker_counts_from_env`]:
 ///
 /// * a panicking payload is a `WorkerPanic` error, never a hang or a
 ///   propagated panic, and the same platform value runs cleanly after it.
@@ -142,7 +166,7 @@ macro_rules! platform_conformance {
                     ::memtree_sched::HeuristicKind::MemBooking,
                     roomy(&tree),
                 );
-                for workers in $crate::RuntimeConfig::worker_counts_from_env(&[1, 2, 4]) {
+                for workers in $crate::worker_counts_from_env(&[1, 2, 4]) {
                     let platform = ($pool)(workers);
                     // Task 7 is in every schedule of this tree, so the
                     // fault fires on every run, whatever the order.

@@ -6,10 +6,10 @@
 //! `q` member entries sharing one [`GangState`]: the core only launches
 //! when `q` processors are idle, so all members are picked up without any
 //! hold-and-wait — no partial gangs, no deadlock. Members claim payload
-//! shards from a shared atomic index (the same dynamic-scheduling idiom as
-//! the vendored rayon stand-in), so a member delayed by the OS donates its
-//! shards to its gang mates, and the last member out reports the gang's
-//! completion by stepping the core under the lock (DESIGN.md §6.4). The
+//! shards from a shared atomic index, so a member delayed by the OS
+//! donates its shards to its gang mates, and the last member out reports
+//! the gang's completion by stepping the core under the lock (DESIGN.md
+//! §6.4). The
 //! step's launches and grows become member entries: the reporter keeps one
 //! member of the first launched gang and runs it next itself — a chain
 //! never leaves its worker — and flushes the rest to the other workers
@@ -39,41 +39,6 @@ use std::sync::Arc;
 /// oversubscription factor, so retirement (which only happens at shard
 /// boundaries) stays responsive and grown members find work to claim.
 pub(crate) const MALLEABLE_CHUNKS: usize = 4;
-
-/// Executor configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct RuntimeConfig {
-    /// Number of worker threads (the model's `p`).
-    pub workers: usize,
-    /// Memory bound `M` (model units).
-    pub memory: u64,
-}
-
-impl RuntimeConfig {
-    /// Worker counts a cross-platform test sweep should cover: the
-    /// comma-separated `MEMTREE_TEST_WORKERS` environment variable when
-    /// set (the CI matrix pins one count per job), `default` otherwise.
-    ///
-    /// # Panics
-    /// When `MEMTREE_TEST_WORKERS` is set but contains no count ≥ 1.
-    pub fn worker_counts_from_env(default: &[usize]) -> Vec<usize> {
-        match std::env::var("MEMTREE_TEST_WORKERS") {
-            Ok(v) => {
-                let counts: Vec<usize> = v
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .filter(|&p| p >= 1)
-                    .collect();
-                assert!(
-                    !counts.is_empty(),
-                    "MEMTREE_TEST_WORKERS has no counts: {v}"
-                );
-                counts
-            }
-            Err(_) => default.to_vec(),
-        }
-    }
-}
 
 /// Outcome of a threaded execution.
 #[derive(Clone, Debug)]
@@ -171,8 +136,8 @@ pub struct GangState {
     /// (workers × [`MALLEABLE_CHUNKS`]) so any allotment in `1..=p`
     /// divides the payload usefully.
     pub(crate) shards: u32,
-    /// Next unclaimed payload shard (rayon-style dynamic claiming: a
-    /// member delayed by the OS donates its shards to its gang mates).
+    /// Next unclaimed payload shard (dynamic claiming: a member delayed
+    /// by the OS donates its shards to its gang mates).
     next_shard: AtomicUsize,
     /// Shards whose payload has finished executing — the backlog signal
     /// the rescheduler's [`memtree_sim::LiveStats`] snapshot reports.
@@ -398,15 +363,13 @@ where
     /// granularity so any allotment divides it usefully.
     pub fn new(
         tree: &'a TaskTree,
-        cfg: RuntimeConfig,
+        cfg: DriveConfig,
         scheduler: S,
         rescheduler: Option<&'a mut (dyn Rescheduler + Send + 'a)>,
         payload: F,
     ) -> Result<Self, RuntimeError> {
         let malleable = rescheduler.is_some();
-        let drive_cfg = DriveConfig::new(cfg.workers, cfg.memory);
-        let core =
-            DriverCore::new(tree, drive_cfg, scheduler, rescheduler).map_err(to_runtime_error)?;
+        let core = DriverCore::new(tree, cfg, scheduler, rescheduler).map_err(to_runtime_error)?;
         Ok(WorkerPool {
             shared: Mutex::new(Shared {
                 core,
@@ -616,7 +579,7 @@ where
 /// surplus members at their next shard boundary.
 pub fn execute<S: Scheduler + Send>(
     tree: &TaskTree,
-    cfg: RuntimeConfig,
+    cfg: DriveConfig,
     scheduler: S,
     workload: Workload,
     rescheduler: Option<&mut (dyn Rescheduler + Send)>,
@@ -653,7 +616,7 @@ mod tests {
             let sched = MemBooking::try_new(&tree, &ao, &ao, m).unwrap();
             let report = execute(
                 &tree,
-                RuntimeConfig {
+                DriveConfig {
                     workers: 4,
                     memory: m,
                 },
@@ -676,7 +639,7 @@ mod tests {
         let sched = Activation::try_new(&tree, &ao, &ao, m).unwrap();
         let report = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: 3,
                 memory: m,
             },
@@ -699,7 +662,7 @@ mod tests {
         let sched = MemBooking::try_new(&tree, &ao, &ao, m).unwrap();
         let report = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: 2,
                 memory: m,
             },
@@ -723,7 +686,7 @@ mod tests {
         assert!(matches!(
             execute(
                 &tree,
-                RuntimeConfig {
+                DriveConfig {
                     workers: 0,
                     memory: m
                 },
@@ -746,7 +709,7 @@ mod tests {
             let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
             let report = execute(
                 &tree,
-                RuntimeConfig {
+                DriveConfig {
                     workers: 4,
                     memory: m,
                 },
@@ -793,7 +756,7 @@ mod tests {
         let order = memtree_tree::traverse::postorder(&tree);
         let report = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: p,
                 memory: u64::MAX / 2,
             },
@@ -844,7 +807,7 @@ mod tests {
         let tree = memtree_gen::synthetic::paper_tree(20, 9);
         let leaf = tree.leaves().next().unwrap();
         for workers in [2, 4] {
-            let cfg = RuntimeConfig {
+            let cfg = DriveConfig {
                 workers,
                 memory: u64::MAX / 2,
             };
@@ -877,7 +840,7 @@ mod tests {
     fn gang_overclaim_and_zero_allotment_rejected() {
         let tree = memtree_gen::synthetic::paper_tree(20, 9);
         let leaf = tree.leaves().next().unwrap();
-        let cfg = RuntimeConfig {
+        let cfg = DriveConfig {
             workers: 2,
             memory: u64::MAX / 2,
         };
@@ -934,7 +897,7 @@ mod tests {
         let tree = memtree_gen::synthetic::paper_tree(40, 3);
         let err = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: 2,
                 memory: u64::MAX / 2,
             },
@@ -988,7 +951,7 @@ mod tests {
         let ready: Vec<_> = tree.leaves().collect();
         let err = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: 2,
                 memory: u64::MAX / 2,
             },
@@ -1039,7 +1002,7 @@ mod tests {
         let tree = memtree_gen::synthetic::paper_tree(30, 5);
         let err = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: 2,
                 memory: 1_000,
             },

@@ -37,7 +37,8 @@ pub mod sync;
 pub mod workload;
 
 pub use async_platform::AsyncPlatform;
-pub use executor::{execute, RuntimeConfig, RuntimeError, RuntimeReport};
+pub use conformance::worker_counts_from_env;
+pub use executor::{execute, RuntimeError, RuntimeReport};
 pub use platform::{Platform, PlatformError, RunReport, SimPlatform, ThreadedPlatform};
 pub use process::{ChaosKill, ProcessPlatform};
 pub use sharded::{ShardedPlatform, ShardedReport};

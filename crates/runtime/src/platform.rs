@@ -26,13 +26,13 @@
 //! assert_eq!(sim.tasks_run, real.tasks_run);
 //! ```
 
-use crate::executor::{execute, RuntimeConfig, RuntimeError};
+use crate::executor::{execute, RuntimeError};
 use crate::workload::Workload;
 use memtree_sched::{
     LedgerError, PolicyInstance, PolicySpec, ProportionalRescheduler, ReschedulePolicy, SchedError,
 };
 use memtree_sim::{
-    simulate_summary, simulate_with, Rescheduler, SimConfig, SimError, SpeedupModel,
+    simulate_summary, simulate_with, DriveConfig, Rescheduler, SimConfig, SimError, SpeedupModel,
 };
 use memtree_tree::TaskTree;
 use std::fmt;
@@ -359,10 +359,7 @@ impl Platform for ThreadedPlatform {
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
         let exec = instance.exec_tree(tree);
-        let cfg = RuntimeConfig {
-            workers: self.workers,
-            memory: instance.memory(),
-        };
+        let cfg = DriveConfig::new(self.workers, instance.memory());
         // One pool for every spec: a moldable task claims its allotment
         // of workers and runs its payload shard-parallel, a sequential
         // one is a gang of one.

@@ -49,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use memtree_runtime::dispatch::BatchQueue;
-use memtree_runtime::{execute, RuntimeConfig, Workload};
+use memtree_runtime::{execute, Workload};
 use memtree_sched::MemBooking;
+use memtree_sim::DriveConfig;
 use memtree_tree::{TaskSpec, TaskTree};
 
 const WORKERS: usize = 4;
@@ -66,7 +67,7 @@ fn allocs_for_run(tree: &TaskTree) -> u64 {
     let memory = ao.sequential_peak(tree) * 2;
     let before = allocs();
     let sched = MemBooking::try_new(tree, &ao, &ao, memory).expect("feasible");
-    let cfg = RuntimeConfig {
+    let cfg = DriveConfig {
         workers: WORKERS,
         memory,
     };

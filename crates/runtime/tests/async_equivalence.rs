@@ -18,14 +18,12 @@
 //! `MEMTREE_TEST_WORKERS`, exactly as the threaded and sharded suites
 //! pin their worker counts.
 
-use memtree_runtime::{
-    AsyncPlatform, Platform, RuntimeConfig, SimPlatform, ThreadedPlatform, Workload,
-};
+use memtree_runtime::{AsyncPlatform, Platform, SimPlatform, ThreadedPlatform, Workload};
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
 use memtree_tree::TaskTree;
 
 fn thread_counts() -> Vec<usize> {
-    RuntimeConfig::worker_counts_from_env(&[1, 2])
+    memtree_runtime::worker_counts_from_env(&[1, 2])
 }
 
 /// The differential contract for one (tree, spec) point: the async run

@@ -15,11 +15,11 @@
 //! their gang reach the workers before the driver blocks.
 
 use memtree_order::mem_postorder;
-use memtree_runtime::{execute, RuntimeConfig, Workload};
+use memtree_runtime::{execute, worker_counts_from_env, Workload};
 use memtree_sched::{AllotmentCaps, MoldableMemBooking};
 use memtree_sim::{
-    simulate_with, validate::validate_trace, LiveStats, RescheduleAction, Rescheduler, Scheduler,
-    SimConfig,
+    simulate_with, validate::validate_trace, DriveConfig, LiveStats, RescheduleAction, Rescheduler,
+    Scheduler, SimConfig,
 };
 use memtree_tree::{NodeId, TaskSpec, TaskTree};
 use proptest::prelude::*;
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 /// Worker counts the properties draw from; the CI matrix narrows this to
 /// one count per job via `MEMTREE_TEST_WORKERS`.
 fn worker_pool() -> Vec<usize> {
-    RuntimeConfig::worker_counts_from_env(&[1, 2, 3, 4])
+    worker_counts_from_env(&[1, 2, 3, 4])
 }
 
 fn arb_workers() -> impl Strategy<Value = usize> {
@@ -233,7 +233,7 @@ proptest! {
         let mut grower = GrowAtLaunch { seen: vec![false; n], grows: 0 };
         let report = execute(
             &tree,
-            RuntimeConfig { workers: p, memory: m },
+            DriveConfig { workers: p, memory: m },
             sched,
             Workload::Noop,
             Some(&mut grower),
@@ -262,7 +262,7 @@ proptest! {
             .max(1);
         let report = execute(
             &tree,
-            RuntimeConfig { workers: p, memory: bound },
+            DriveConfig { workers: p, memory: bound },
             ChaosGang::new(&tree, bound, cap, seed),
             Workload::Noop,
             None,
@@ -298,7 +298,7 @@ proptest! {
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
         let report = execute(
             &tree,
-            RuntimeConfig { workers: p, memory: m },
+            DriveConfig { workers: p, memory: m },
             sched,
             Workload::Noop,
             None,
@@ -323,7 +323,7 @@ proptest! {
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
         let report = execute(
             &tree,
-            RuntimeConfig { workers: p, memory: m },
+            DriveConfig { workers: p, memory: m },
             sched,
             Workload::Noop,
             None,
@@ -353,7 +353,7 @@ proptest! {
         let mut chaos = ChaosRescheduler::new(seed.wrapping_mul(0x9E3779B97F4A7C15));
         let report = execute(
             &tree,
-            RuntimeConfig { workers: p, memory: bound },
+            DriveConfig { workers: p, memory: bound },
             ChaosGang::new(&tree, bound, cap, seed),
             Workload::Noop,
             Some(&mut chaos),

@@ -11,8 +11,8 @@
 //! first leaf's completion, long before the final step — and must die
 //! here.
 
-use memtree_runtime::executor::{RuntimeConfig, WorkerPool};
-use memtree_sim::Scheduler;
+use memtree_runtime::executor::WorkerPool;
+use memtree_sim::{DriveConfig, Scheduler};
 use memtree_tree::{NodeId, TaskSpec, TaskTree};
 use minloom::sync::Arc;
 use minloom::{thread, Config};
@@ -83,7 +83,7 @@ fn workers_step_the_core_to_completion() {
             reports: reports.clone(),
             leaves_done: 0,
         };
-        let cfg = RuntimeConfig {
+        let cfg = DriveConfig {
             workers: 2,
             memory: BOUND,
         };

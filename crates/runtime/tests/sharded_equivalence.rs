@@ -18,7 +18,9 @@
 //! `MEMTREE_TEST_WORKERS` pins executor worker counts.
 
 use memtree_multifrontal::{assembly_corpus, CorpusSpec};
-use memtree_runtime::{Platform, RuntimeConfig, ShardedPlatform, SimPlatform, ThreadedPlatform};
+use memtree_runtime::{
+    worker_counts_from_env, Platform, ShardedPlatform, SimPlatform, ThreadedPlatform,
+};
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec, ShardBudget};
 use memtree_tree::TaskTree;
 
@@ -40,7 +42,7 @@ fn shard_counts() -> Vec<usize> {
 }
 
 fn worker_counts() -> Vec<usize> {
-    RuntimeConfig::worker_counts_from_env(&[1, 2])
+    worker_counts_from_env(&[1, 2])
 }
 
 /// The differential contract for one (tree, spec) point: sharded runs

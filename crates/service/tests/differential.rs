@@ -13,15 +13,13 @@
 //! Worker counts are pinned per CI job through `MEMTREE_TEST_WORKERS`,
 //! like every other differential suite in the workspace.
 
-use memtree_runtime::{
-    AsyncPlatform, Platform, RuntimeConfig, SimPlatform, ThreadedPlatform, Workload,
-};
+use memtree_runtime::{AsyncPlatform, Platform, SimPlatform, ThreadedPlatform, Workload};
 use memtree_sched::{HeuristicKind, PolicySpec};
 use memtree_service::{ServicePlatform, SessionBackend};
 use memtree_tree::TaskTree;
 
 fn worker_counts() -> Vec<usize> {
-    RuntimeConfig::worker_counts_from_env(&[1, 2, 4])
+    memtree_runtime::worker_counts_from_env(&[1, 2, 4])
 }
 
 fn roomy(tree: &TaskTree) -> u64 {

@@ -26,7 +26,7 @@
 //! * capacity — the live allotments sum to at most `p` (at most `idle`
 //!   processors claimed per event), and no gang is ever launched without
 //!   its full processor complement free;
-//! * booking — `actual ≤ booked ≤ M` at every event (configurable);
+//! * booking — `actual ≤ booked ≤ M` at every event;
 //! * progress — no event may leave zero tasks in flight while the tree is
 //!   unfinished (the stall/deadlock check).
 
@@ -41,23 +41,12 @@ pub struct DriveConfig {
     pub workers: usize,
     /// Shared memory bound `M` (model units).
     pub memory: u64,
-    /// Check `actual ≤ booked ≤ M` at every event. Booking-sound
-    /// schedulers (all of the paper's) must pass; disable only for
-    /// deliberately unsound baselines.
-    pub enforce_booking: bool,
-    /// Measure wall-clock time spent inside scheduler callbacks.
-    pub measure_overhead: bool,
 }
 
 impl DriveConfig {
-    /// `workers` processors and memory `M`, all checks on.
+    /// `workers` processors and memory `M`.
     pub fn new(workers: usize, memory: u64) -> Self {
-        DriveConfig {
-            workers,
-            memory,
-            enforce_booking: true,
-            measure_overhead: true,
-        }
+        DriveConfig { workers, memory }
     }
 }
 
@@ -430,12 +419,10 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         self.to_start.clear();
         self.resizes.clear();
         let idle = self.cfg.workers - self.busy;
-        let t0 = self.cfg.measure_overhead.then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         self.scheduler
             .on_event(completions, idle, &mut self.to_start);
-        if let Some(t0) = t0 {
-            self.scheduling_seconds += t0.elapsed().as_secs_f64();
-        }
+        self.scheduling_seconds += t0.elapsed().as_secs_f64();
         self.events += 1;
         self.start_requested(idle)?;
 
@@ -443,16 +430,14 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         let booked = self.scheduler.booked();
         let actual = self.live.current();
         self.peak_booked = self.peak_booked.max(booked);
-        if self.cfg.enforce_booking {
-            if booked > self.cfg.memory {
-                return Err(DriveError::BookedOverBound {
-                    booked,
-                    bound: self.cfg.memory,
-                });
-            }
-            if actual > booked {
-                return Err(DriveError::ActualOverBooked { actual, booked });
-            }
+        if booked > self.cfg.memory {
+            return Err(DriveError::BookedOverBound {
+                booked,
+                bound: self.cfg.memory,
+            });
+        }
+        if actual > booked {
+            return Err(DriveError::ActualOverBooked { actual, booked });
         }
 
         if self.completed == tree.len() {
@@ -586,11 +571,9 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
             }
         }));
         self.actions.clear();
-        let t0 = self.cfg.measure_overhead.then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         resched.tick(&self.stats, &mut self.actions);
-        if let Some(t0) = t0 {
-            self.scheduling_seconds += t0.elapsed().as_secs_f64();
-        }
+        self.scheduling_seconds += t0.elapsed().as_secs_f64();
         for &action in &self.actions {
             let (node, grow, by) = match action {
                 RescheduleAction::Grow { node, extra } => (node, true, extra),
@@ -883,10 +866,7 @@ mod tests {
             seen: &mut seen,
         };
         let mut backend = Immediate::default();
-        let cfg = DriveConfig {
-            enforce_booking: false,
-            ..DriveConfig::new(2, u64::MAX)
-        };
+        let cfg = DriveConfig::new(2, u64::MAX);
         drive(&t, cfg, recorder, &mut backend, None).unwrap();
         assert_eq!(
             seen,
@@ -1055,10 +1035,7 @@ mod tests {
             ..Script::default()
         };
         let leaves = Once(vec![(NodeId(0), 1), (NodeId(1), 1)]);
-        let cfg = DriveConfig {
-            enforce_booking: false,
-            ..DriveConfig::new(3, u64::MAX)
-        };
+        let cfg = DriveConfig::new(3, u64::MAX);
         // The policy never starts the root, so the run ends stalled; the
         // first tick is what this test reads.
         drive(&t, cfg, leaves, &mut backend, Some(&mut script)).unwrap_err();
@@ -1080,10 +1057,7 @@ mod tests {
     fn precedence_enforced() {
         let t = fork();
         let mut backend = Immediate::default();
-        let cfg = DriveConfig {
-            enforce_booking: false,
-            ..DriveConfig::new(2, u64::MAX)
-        };
+        let cfg = DriveConfig::new(2, u64::MAX);
         let eager = Once(vec![(t.root(), 1)]);
         let err = drive(&t, cfg, eager, &mut backend, None).unwrap_err();
         assert!(matches!(err, DriveError::PrecedenceViolation { .. }));
@@ -1094,10 +1068,7 @@ mod tests {
     #[test]
     fn a_ticks_launches_come_out_in_launch_order() {
         let t = fork();
-        let cfg = DriveConfig {
-            enforce_booking: false,
-            ..DriveConfig::new(4, u64::MAX)
-        };
+        let cfg = DriveConfig::new(4, u64::MAX);
         let starts = Once(vec![(NodeId(2), 1), (NodeId(1), 3)]);
         let mut core: DriverCore<'_, _> = DriverCore::new(&t, cfg, starts, None).unwrap();
         let tick = core.step(&mut [], |_| None).unwrap();

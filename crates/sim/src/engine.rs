@@ -21,27 +21,18 @@ pub struct SimConfig {
     /// allotment under the default [`SpeedupModel::Linear`] runs in
     /// exactly `t_i`.
     pub speedup: SpeedupModel,
-    /// Check `actual ≤ booked ≤ M` at every event. Booking-sound
-    /// schedulers (all of the paper's) must pass; disable only for
-    /// deliberately unsound baselines.
-    pub enforce_booking: bool,
     /// Record a [`MemSample`] at every event (costs memory on big trees).
     pub record_profile: bool,
-    /// Measure wall-clock time spent in scheduler callbacks.
-    pub measure_overhead: bool,
 }
 
 impl SimConfig {
-    /// `p` processors, memory `M`, linear speedup, all checks on, no
-    /// profile.
+    /// `p` processors, memory `M`, linear speedup, no profile.
     pub fn new(processors: usize, memory: u64) -> Self {
         SimConfig {
             processors,
             memory,
             speedup: SpeedupModel::Linear,
-            enforce_booking: true,
             record_profile: false,
-            measure_overhead: true,
         }
     }
 
@@ -375,12 +366,7 @@ fn run<'t, S: Scheduler>(
     cfg.speedup.check().map_err(SimError::BadConfig)?;
     let name = scheduler.name().to_string();
     let mut backend = SimBackend::new(tree, &cfg, record_tasks, rescheduler.is_some());
-    let drive_cfg = DriveConfig {
-        workers: cfg.processors,
-        memory: cfg.memory,
-        enforce_booking: cfg.enforce_booking,
-        measure_overhead: cfg.measure_overhead,
-    };
+    let drive_cfg = DriveConfig::new(cfg.processors, cfg.memory);
     let stats = drive(tree, drive_cfg, scheduler, &mut backend, rescheduler)
         .map_err(|e| to_sim_error(e, tree))?;
     let summary = RunSummary {
@@ -529,18 +515,11 @@ mod tests {
         );
     }
 
-    fn unchecked(processors: usize) -> SimConfig {
-        SimConfig {
-            enforce_booking: false,
-            ..SimConfig::new(processors, u64::MAX)
-        }
-    }
-
     /// A scheduler that starts the root before its children.
     #[test]
     fn precedence_violation_detected() {
         let t = fork();
-        let err = simulate(&t, unchecked(2), Once(vec![(t.root(), 1)])).unwrap_err();
+        let err = simulate(&t, SimConfig::new(2, u64::MAX), Once(vec![(t.root(), 1)])).unwrap_err();
         assert!(matches!(err, SimError::PrecedenceViolation { .. }));
     }
 
@@ -553,13 +532,13 @@ mod tests {
             .unwrap();
         assert_eq!(t.root(), NodeId(2));
         assert_eq!(
-            simulate(&t, unchecked(2), Once(vec![(t.root(), 1)])).unwrap_err(),
+            simulate(&t, SimConfig::new(2, u64::MAX), Once(vec![(t.root(), 1)])).unwrap_err(),
             SimError::PrecedenceViolation { node: NodeId(0) }
         );
         // The same leaf started twice.
         let twice = Once(vec![(NodeId(0), 1), (NodeId(0), 1)]);
         assert_eq!(
-            simulate_summary(&t, unchecked(2), twice, None).unwrap_err(),
+            simulate_summary(&t, SimConfig::new(2, u64::MAX), twice, None).unwrap_err(),
             SimError::DoubleStart { node: NodeId(2) }
         );
     }

@@ -19,8 +19,7 @@ use memtree_tree::NodeId;
 /// * every allotment is at least 1 and the allotments pushed in one event
 ///   sum to at most `idle`;
 /// * [`Scheduler::booked`] reports the memory currently reserved by the
-///   policy — the engine checks `actual ≤ booked ≤ M` when
-///   [`crate::SimConfig::enforce_booking`] is set.
+///   policy — the driver checks `actual ≤ booked ≤ M` at every event.
 ///
 /// Schedulers only learn processing times through completions, matching the
 /// paper's assumption that `t_i` is unknown in advance.

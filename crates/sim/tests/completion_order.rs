@@ -71,10 +71,7 @@ fn pump_in_chosen_order(tree: &TaskTree, spec: &PolicySpec, p: usize, seed: u64)
     let exec = instance.exec_tree(tree);
     let scheduler = instance.scheduler(tree).expect("feasible at its floor");
     let m = spec.memory;
-    let cfg = DriveConfig {
-        measure_overhead: false,
-        ..DriveConfig::new(p, m)
-    };
+    let cfg = DriveConfig::new(p, m);
     let mut core: DriverCore<'_, _> = DriverCore::new(exec, cfg, scheduler, None).unwrap();
     let mut running: Vec<(NodeId, usize)> = Vec::new();
     let mut batch: Vec<NodeId> = Vec::new();

@@ -4,17 +4,19 @@
 use memtree::gen::synthetic::paper_tree;
 use memtree::multifrontal::{assembly_corpus, CorpusSpec};
 use memtree::order::{cp_order, mem_postorder, OrderKind};
-use memtree::runtime::{execute, Platform, RuntimeConfig, SimPlatform, ThreadedPlatform, Workload};
+use memtree::runtime::{
+    execute, worker_counts_from_env, Platform, SimPlatform, ThreadedPlatform, Workload,
+};
 use memtree::sched::{AllotmentCaps, HeuristicKind, MemBooking, MoldableMemBooking, PolicySpec};
 use memtree::sim::validate::validate_trace;
-use memtree::sim::{simulate, SimConfig, SpeedupModel};
+use memtree::sim::{simulate, DriveConfig, SimConfig, SpeedupModel};
 use memtree::tree::TaskTree;
 
 /// Worker counts the cross-platform cases sweep: the CI matrix pins one
 /// count per job via `MEMTREE_TEST_WORKERS`; locally the default covers
 /// p ∈ {1, 2, 4}.
 fn worker_counts() -> Vec<usize> {
-    RuntimeConfig::worker_counts_from_env(&[1, 2, 4])
+    worker_counts_from_env(&[1, 2, 4])
 }
 
 /// The moldable cross-platform contract for one tree: the same spec runs
@@ -88,7 +90,7 @@ fn threaded_and_simulated_agree_on_feasibility() {
 
         let report = execute(
             &tree,
-            RuntimeConfig {
+            DriveConfig {
                 workers: 4,
                 memory: m,
             },
