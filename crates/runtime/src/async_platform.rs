@@ -131,7 +131,7 @@ impl AsyncPlatform {
             &mut backend,
             rescheduler,
         )
-        .map_err(to_runtime_error)?;
+        .map_err(|e| to_runtime_error(e, exec))?;
         Ok(RuntimeReport {
             wall_seconds: started_at.elapsed().as_secs_f64(),
             tasks_run: stats.completed,
@@ -271,14 +271,16 @@ impl Platform for AsyncPlatform {
         tree: &TaskTree,
         instance: &memtree_sched::PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        let exec = instance.exec_tree(tree);
+        // In activation-order numbering, as on every platform (§6.3).
+        let relaid = instance.relaid(tree)?;
+        let exec = relaid.exec_tree(tree);
         // Allotment q spawns q member futures sharing the payload's shard
         // index; a sequential task is one future.
-        let sched = instance.scheduler(tree)?;
+        let sched = relaid.scheduler(tree)?;
         let policy = sched.name().to_string();
-        let mut resched = rescheduler_for(self.reschedule, instance, exec);
+        let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
         let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
-        let report = self.execute(exec, instance.memory(), sched, resched)?;
+        let report = self.execute(exec, relaid.memory(), sched, resched)?;
         Ok(RunReport {
             platform: self.name(),
             policy,

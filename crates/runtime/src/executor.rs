@@ -101,7 +101,11 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-pub(crate) fn to_runtime_error(e: DriveError) -> RuntimeError {
+/// Maps a driver failure onto the runtime's error type. Nodes are named
+/// by [`TaskTree::label`]: the id the caller knows them by, also when the
+/// run was over a renumbered tree.
+pub(crate) fn to_runtime_error(e: DriveError, tree: &TaskTree) -> RuntimeError {
+    let protocol = |e: DriveError| RuntimeError::Protocol(e.to_string());
     match e {
         DriveError::Stalled {
             completed, total, ..
@@ -109,10 +113,16 @@ pub(crate) fn to_runtime_error(e: DriveError) -> RuntimeError {
         DriveError::BookedOverBound { .. } | DriveError::ActualOverBooked { .. } => {
             RuntimeError::Ledger(e.to_string())
         }
-        DriveError::TooManyStarts { .. }
-        | DriveError::DoubleStart { .. }
-        | DriveError::ZeroAllotment { .. }
-        | DriveError::PrecedenceViolation { .. } => RuntimeError::Protocol(e.to_string()),
+        DriveError::TooManyStarts { .. } => protocol(e),
+        DriveError::DoubleStart { node } => protocol(DriveError::DoubleStart {
+            node: tree.label(node),
+        }),
+        DriveError::ZeroAllotment { node } => protocol(DriveError::ZeroAllotment {
+            node: tree.label(node),
+        }),
+        DriveError::PrecedenceViolation { node } => protocol(DriveError::PrecedenceViolation {
+            node: tree.label(node),
+        }),
         DriveError::BadConfig(msg) => RuntimeError::BadConfig(msg),
         DriveError::Backend(_) => RuntimeError::WorkerPanic,
     }
@@ -342,6 +352,7 @@ impl Drop for CloseOnExit<'_> {
 /// production protocol under minloom: `payload(task, shard, shards)` runs
 /// one shard of a task's payload.
 pub struct WorkerPool<'a, S, F> {
+    tree: &'a TaskTree,
     shared: Mutex<Shared<'a, S>>,
     tasks: BatchQueue<GangMember>,
     payload: F,
@@ -369,8 +380,10 @@ where
         payload: F,
     ) -> Result<Self, RuntimeError> {
         let malleable = rescheduler.is_some();
-        let core = DriverCore::new(tree, cfg, scheduler, rescheduler).map_err(to_runtime_error)?;
+        let core = DriverCore::new(tree, cfg, scheduler, rescheduler)
+            .map_err(|e| to_runtime_error(e, tree))?;
         Ok(WorkerPool {
+            tree,
             shared: Mutex::new(Shared {
                 core,
                 gangs: HashMap::new(),
@@ -430,7 +443,7 @@ where
     pub fn finish(&self, started_at: std::time::Instant) -> Result<RuntimeReport, RuntimeError> {
         let shared = self.shared.lock().map_err(|_| RuntimeError::WorkerPanic)?;
         if let Some(e) = &shared.error {
-            return Err(to_runtime_error(e.clone()));
+            return Err(to_runtime_error(e.clone(), self.tree));
         }
         if !shared.core.is_done() {
             return Err(RuntimeError::WorkerPanic);
@@ -815,6 +828,31 @@ mod tests {
                 execute(&tree, cfg, DoubleStarter { leaf }, Workload::Noop, None).unwrap_err();
             assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
         }
+    }
+
+    /// On a renumbered tree the protocol error names the caller's id, not
+    /// the layout's.
+    #[test]
+    fn protocol_errors_name_caller_ids() {
+        let caller = memtree_gen::synthetic::paper_tree(20, 9);
+        let layout = caller
+            .renumbered(memtree_tree::traverse::postorder(&caller))
+            .unwrap();
+        let leaf = layout
+            .leaves()
+            .find(|&l| layout.label(l) != l)
+            .expect("the postorder moves a leaf");
+        let cfg = DriveConfig {
+            workers: 2,
+            memory: u64::MAX / 2,
+        };
+        let err = execute(&layout, cfg, DoubleStarter { leaf }, Workload::Noop, None).unwrap_err();
+        let RuntimeError::Protocol(msg) = err else {
+            panic!("expected Protocol, got {err}");
+        };
+        let named = |i: NodeId| format!("task {i:?} started twice");
+        assert!(msg.contains(&named(layout.label(leaf))), "{msg}");
+        assert!(!msg.contains(&named(leaf)), "{msg}");
     }
 
     /// A moldable policy that over-claims processors must abort with a

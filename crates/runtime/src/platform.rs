@@ -358,14 +358,17 @@ impl Platform for ThreadedPlatform {
         tree: &TaskTree,
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        let exec = instance.exec_tree(tree);
-        let cfg = DriveConfig::new(self.workers, instance.memory());
+        // Relaid like the simulator's runs: payloads and `FailAt` name
+        // nodes by label, so only the per-node state moves.
+        let relaid = instance.relaid(tree)?;
+        let exec = relaid.exec_tree(tree);
+        let cfg = DriveConfig::new(self.workers, relaid.memory());
         // One pool for every spec: a moldable task claims its allotment
         // of workers and runs its payload shard-parallel, a sequential
         // one is a gang of one.
-        let sched = instance.scheduler(tree)?;
+        let sched = relaid.scheduler(tree)?;
         let policy = sched.name().to_string();
-        let mut resched = rescheduler_for(self.reschedule, instance, exec);
+        let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
         let resched = resched.as_mut().map(|r| r as &mut (dyn Rescheduler + Send));
         let report = execute(exec, cfg, sched, self.workload, resched)?;
         Ok(RunReport {

@@ -121,9 +121,19 @@ pub fn job_to_string(
 /// missing or duplicate directives, unknown directives, malformed
 /// values, unterminated frames and anything after `run` are all errors.
 pub fn parse_job(input: &str) -> Result<Job, String> {
-    let mut lines = input.lines();
+    // Every line with the byte range it spans, terminator included, so a
+    // frame's body can be sliced out of the input.
+    let mut lines = input.split_inclusive('\n').scan(0, |start, raw| {
+        let span = *start..*start + raw.len();
+        *start = span.end;
+        let line = raw
+            .strip_suffix('\n')
+            .map_or(raw, |l| l.strip_suffix('\r').unwrap_or(l));
+        Some((span, line))
+    });
     let header = lines
         .by_ref()
+        .map(|(_, line)| line)
         .find(|l| !l.trim().is_empty())
         .ok_or("empty job")?;
     if header.trim() != JOB_HEADER {
@@ -135,7 +145,7 @@ pub fn parse_job(input: &str) -> Result<Job, String> {
     let mut spec: Option<PolicySpec> = None;
     let mut tree: Option<TaskTree> = None;
     let mut ran = false;
-    while let Some(line) = lines.next() {
+    while let Some((span, line)) = lines.next() {
         let line = line.trim_end();
         if ran && !line.trim().is_empty() {
             return Err(format!("unexpected data after run: {line:?}"));
@@ -154,26 +164,18 @@ pub fn parse_job(input: &str) -> Result<Job, String> {
             } else {
                 "END TREE"
             };
-            let mut body = String::new();
-            let mut closed = false;
-            for inner in lines.by_ref() {
-                if inner.trim() == marker {
-                    closed = true;
-                    break;
-                }
-                body.push_str(inner);
-                body.push('\n');
-            }
-            if !closed {
-                return Err(format!("unterminated frame (missing {marker})"));
-            }
+            let (end, _) = lines
+                .by_ref()
+                .find(|(_, inner)| inner.trim() == marker)
+                .ok_or_else(|| format!("unterminated frame (missing {marker})"))?;
+            let body = &input[span.end..end.start];
             if marker == "END SPEC" {
-                let parsed = PolicySpec::spec_from_str(&body).map_err(|e| e.to_string())?;
+                let parsed = PolicySpec::spec_from_str(body).map_err(|e| e.to_string())?;
                 if spec.replace(parsed).is_some() {
                     return Err("duplicate SPEC frame".into());
                 }
             } else {
-                let parsed = memtree_tree::io::tree_from_str(&body).map_err(|e| format!("{e}"))?;
+                let parsed = memtree_tree::io::tree_from_str(body).map_err(|e| format!("{e}"))?;
                 if tree.replace(parsed).is_some() {
                     return Err("duplicate TREE frame".into());
                 }

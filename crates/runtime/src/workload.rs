@@ -48,7 +48,8 @@ pub enum Workload {
         chunks: u32,
     },
     /// Fault injection for chaos tests: panic when running task `node`
-    /// (an index into the executed tree), killing the worker mid-run. The
+    /// (an id of the executed tree as the caller numbers it: the task's
+    /// [`TaskTree::label`]), killing the worker mid-run. The
     /// executor and any sharded coordinator above it must surface a clean
     /// error instead of deadlocking.
     FailAt {
@@ -145,7 +146,7 @@ impl Workload {
                 }
             }
             Workload::FailAt { node } => {
-                if i.index() as u32 == node {
+                if tree.label(i).0 == node {
                     panic!("injected workload fault at task {node}");
                 }
             }
@@ -248,6 +249,25 @@ mod tests {
     #[should_panic(expected = "injected workload fault")]
     fn fail_at_panics_on_its_target() {
         Workload::FailAt { node: 0 }.run(&tree(), memtree_tree::NodeId(0));
+    }
+
+    /// On a renumbered tree `FailAt` targets the caller's node: it panics
+    /// on the layout id labelled `k` and nowhere else.
+    #[test]
+    fn fail_at_names_caller_ids_on_a_renumbered_tree() {
+        let caller = memtree_gen::synthetic::paper_tree(30, 4);
+        let layout = caller
+            .renumbered(memtree_tree::traverse::postorder(&caller))
+            .unwrap();
+        let k = 7;
+        let panics = |i: memtree_tree::NodeId| {
+            let run = || Workload::FailAt { node: k }.run(&layout, i);
+            std::panic::catch_unwind(run).is_err()
+        };
+        let hit: Vec<_> = layout.nodes().filter(|&i| panics(i)).collect();
+        assert_eq!(hit.len(), 1);
+        assert_eq!(layout.label(hit[0]).0, k);
+        assert_ne!(hit[0].0, k, "the layout moved node {k}");
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! report. The rescheduler sees caller ids on both sides — the driver
 //! publishes `LiveStats` by `label`.
 //!
+//! `ThreadedPlatform` relays too. On one worker its completions arrive
+//! in the simulator's order, so its relaid runs, from a plain or an
+//! already relaid instance, book exactly what `execute` books on the
+//! plain instance in caller ids.
+//!
 //! The order pairs cover the cases that matter to the renumbering:
 //! AO = EO (one shared identity order), AO ≠ EO (EO mapped through AO's
 //! ranks), an AO that is not a postorder (OptSeq), and an AO whose child
@@ -30,12 +35,12 @@
 
 use memtree_gen::large::{self, LargeShape};
 use memtree_order::OrderKind;
-use memtree_runtime::{Platform, SimPlatform};
+use memtree_runtime::{execute, Platform, SimPlatform, ThreadedPlatform, Workload};
 use memtree_sched::{
     AllotmentCaps, HeuristicKind, PolicyInstance, PolicySpec, ProportionalRescheduler,
     ReschedulePolicy,
 };
-use memtree_sim::{simulate, simulate_with, Rescheduler, SimConfig, Trace};
+use memtree_sim::{simulate, simulate_with, DriveConfig, Rescheduler, SimConfig, Trace};
 use memtree_tree::{TaskSpec, TaskTree};
 
 fn corpus() -> Vec<(String, TaskTree)> {
@@ -281,4 +286,52 @@ fn platform_reports_agree_for_plain_and_relaid_instances() {
             "{kind}"
         );
     }
+}
+
+/// The threaded column: on one worker, `ThreadedPlatform` (which relays)
+/// and `execute` in caller ids agree on peaks, tasks and events.
+#[test]
+fn threaded_relaid_runs_book_like_caller_space_runs() {
+    let mut cells = 0usize;
+    for (name, tree) in corpus() {
+        for kind in HeuristicKind::all() {
+            if kind == HeuristicKind::MemBookingRef && tree.len() > 1000 {
+                continue;
+            }
+            for (ao, eo) in ORDER_PAIRS {
+                let spec = PolicySpec::new(kind, 0).with_orders(ao, eo);
+                let min = spec.min_feasible(&tree);
+                for memory in [min, min + min / 2, min.saturating_mul(1000)] {
+                    let ctx = format!("{name} {kind} {ao}/{eo} M={memory}");
+                    let plain = spec.clone().with_memory(memory).instantiate(&tree).unwrap();
+                    let caller = execute(
+                        plain.exec_tree(&tree),
+                        DriveConfig::new(1, memory),
+                        plain.scheduler(&tree).unwrap(),
+                        Workload::Noop,
+                        None,
+                    )
+                    .unwrap_or_else(|e| panic!("{ctx} (caller ids): {e}"));
+                    let relaid = plain.relaid(&tree).unwrap();
+                    for instance in [&plain, &relaid] {
+                        let report = ThreadedPlatform::new(1)
+                            .run_instance(&tree, instance)
+                            .unwrap_or_else(|e| panic!("{ctx} (threaded): {e}"));
+                        assert_eq!(
+                            (report.peak_booked, report.peak_actual),
+                            (caller.peak_booked, caller.peak_actual),
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            (report.tasks_run, report.events),
+                            (caller.tasks_run, caller.events),
+                            "{ctx}"
+                        );
+                    }
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 10 * 5 * 12 - 12);
 }

@@ -21,7 +21,7 @@
 //! — all three are hard [`TreeError::Parse`] errors.
 
 use crate::error::TreeError;
-use crate::node::TaskSpec;
+use crate::node::{NodeId, TaskSpec};
 use crate::tree::TaskTree;
 use crate::Result;
 use std::io::{BufRead, Write};
@@ -48,90 +48,84 @@ pub fn tree_to_string(tree: &TaskTree) -> String {
     String::from_utf8(buf).expect("format is ASCII")
 }
 
-/// Parses a tree from `r` in the v1 text format.
+/// Parses a tree from `r` in the v1 text format: reads it to the end,
+/// then [`tree_from_str`].
 pub fn read_tree<R: BufRead>(r: &mut R) -> Result<TaskTree> {
-    let mut lines = r.lines().enumerate();
+    let mut text = String::new();
+    r.read_to_string(&mut text)?;
+    tree_from_str(&text)
+}
 
-    let next_data_line = |lines: &mut dyn Iterator<Item = (usize, std::io::Result<String>)>|
-     -> Result<Option<(usize, String)>> {
-        for (no, line) in lines {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            return Ok(Some((no + 1, trimmed.to_string())));
-        }
-        Ok(None)
-    };
+/// Parses a tree from a string in the v1 text format. Lines are borrowed
+/// slices of `s`, and error messages are only formatted for the error
+/// returned.
+pub fn tree_from_str(s: &str) -> Result<TaskTree> {
+    let parse_error = |line, msg: String| TreeError::Parse { line, msg };
+    // (1-based line number, trimmed text) of every non-comment line.
+    let mut data_lines = s.lines().enumerate().filter_map(|(no, line)| {
+        let line = line.trim();
+        (!line.is_empty() && !line.starts_with('#')).then_some((no + 1, line))
+    });
 
-    let (no, count_line) = next_data_line(&mut lines)?.ok_or(TreeError::Parse {
-        line: 0,
-        msg: "missing node count".into(),
-    })?;
-    let n: usize = count_line.parse().map_err(|_| TreeError::Parse {
-        line: no,
-        msg: format!("bad node count {count_line:?}"),
-    })?;
+    let (no, count) = data_lines
+        .next()
+        .ok_or_else(|| parse_error(0, "missing node count".into()))?;
+    let n: usize = count
+        .parse()
+        .map_err(|_| parse_error(no, format!("bad node count {count:?}")))?;
 
-    let mut builder = crate::builder::TreeBuilder::with_capacity(n);
+    let mut builder = crate::builder::TreeBuilder::with_capacity(n.min(s.len()));
     for _ in 0..n {
-        let (no, line) = next_data_line(&mut lines)?.ok_or(TreeError::Parse {
-            line: 0,
-            msg: format!("expected {n} node lines"),
-        })?;
+        let (no, line) = data_lines
+            .next()
+            .ok_or_else(|| parse_error(0, format!("expected {n} node lines")))?;
         let mut fields = line.split_whitespace();
-        let mut field = |name: &str| {
-            fields.next().ok_or(TreeError::Parse {
-                line: no,
-                msg: format!("missing field {name}"),
-            })
-        };
-        let parent: i64 = field("parent")?.parse().map_err(|_| TreeError::Parse {
-            line: no,
-            msg: "bad parent".into(),
-        })?;
-        let exec: u64 = field("exec")?.parse().map_err(|_| TreeError::Parse {
-            line: no,
-            msg: "bad exec size".into(),
-        })?;
-        let output: u64 = field("output")?.parse().map_err(|_| TreeError::Parse {
-            line: no,
-            msg: "bad output size".into(),
-        })?;
-        let time: f64 = field("time")?.parse().map_err(|_| TreeError::Parse {
-            line: no,
-            msg: "bad time".into(),
-        })?;
+        let parent: i64 = next_field(&mut fields, no, "parent", "bad parent")?;
+        let exec: u64 = next_field(&mut fields, no, "exec", "bad exec size")?;
+        let output: u64 = next_field(&mut fields, no, "output", "bad output size")?;
+        let time: f64 = next_field(&mut fields, no, "time", "bad time")?;
         if let Some(extra) = fields.next() {
-            return Err(TreeError::Parse {
-                line: no,
-                msg: format!("unexpected extra field {extra:?} after the four node fields"),
-            });
+            return Err(parse_error(
+                no,
+                format!("unexpected extra field {extra:?} after the four node fields"),
+            ));
         }
-        let parent = if parent < 0 {
-            None
-        } else {
-            Some(parent as usize)
-        };
-        builder.push_with_parent_index(parent, TaskSpec { exec, output, time });
+        // Negative is the root; an id must fit a `NodeId`, or it would wrap.
+        let parent = (parent >= 0)
+            .then(|| u32::try_from(parent).map(NodeId))
+            .transpose()
+            .map_err(|_| parse_error(no, "bad parent".into()))?;
+        builder.push(parent, TaskSpec { exec, output, time });
     }
-    // Drain the rest of the input: after the declared node count only
-    // comments and blank lines may follow. Anything else means the count
-    // was wrong or two documents were concatenated — either way the tree
-    // just parsed does not describe the input, so reject it.
-    if let Some((no, line)) = next_data_line(&mut lines)? {
-        return Err(TreeError::Parse {
-            line: no,
-            msg: format!("unexpected data {line:?} after the declared {n} node lines"),
-        });
+    // After the declared node count only comments and blank lines may
+    // follow. Anything else means the count was wrong or two documents
+    // were concatenated — either way the tree just parsed does not
+    // describe the input, so reject it.
+    if let Some((no, line)) = data_lines.next() {
+        return Err(parse_error(
+            no,
+            format!("unexpected data {line:?} after the declared {n} node lines"),
+        ));
     }
     builder.build()
 }
 
-/// Parses a tree from a string in the v1 text format.
-pub fn tree_from_str(s: &str) -> Result<TaskTree> {
-    read_tree(&mut s.as_bytes())
+/// The next field of node line `no`, parsed; `bad` is the message when it
+/// does not parse.
+fn next_field<T: std::str::FromStr>(
+    fields: &mut std::str::SplitWhitespace<'_>,
+    no: usize,
+    name: &str,
+    bad: &str,
+) -> Result<T> {
+    let text = fields.next().ok_or_else(|| TreeError::Parse {
+        line: no,
+        msg: format!("missing field {name}"),
+    })?;
+    text.parse().map_err(|_| TreeError::Parse {
+        line: no,
+        msg: bad.into(),
+    })
 }
 
 /// Adds the file path to an error raised while reading or writing it:
@@ -302,6 +296,19 @@ mod tests {
             "save error must name the path: {err}"
         );
         std::fs::remove_file(&corrupt).ok();
+    }
+
+    #[test]
+    fn parent_ids_beyond_u32_are_rejected_not_wrapped() {
+        // 2^32 would wrap to node 0 and parse as a valid two-node tree.
+        let err = tree_from_str("2\n-1 0 3 1\n4294967296 0 4 2\n").unwrap_err();
+        assert_eq!(
+            err,
+            TreeError::Parse {
+                line: 3,
+                msg: "bad parent".into()
+            }
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! The central type is [`TaskTree`], an immutable, cache-friendly CSR
 //! representation built through [`TreeBuilder`] or the convenience
 //! constructors. Structural statistics (heights, levels, critical paths) live
-//! in [`stats`], the sequential-memory semantics in [`memory`], traversal
-//! iterators in [`traverse`], a plain-text serialisation format in [`io`],
+//! in [`stats`], the sequential-memory semantics in [`memory`], sweeps and
+//! postorders in [`traverse`], a plain-text serialisation format in [`io`],
 //! canonical content hashing (the basis of sweep-level result caching)
 //! in [`hash`] and forest partitioning for sharded execution (disjoint
 //! shard subtrees plus a residual merge tree) in [`partition`].
@@ -54,7 +54,7 @@ pub use memory::{mem_needed_slice, LiveSet, SequentialProfile};
 pub use node::{NodeId, TaskSpec};
 pub use partition::{partition, Partition, PartitionPolicy, ResidualPart, ShardPart};
 pub use stats::TreeStats;
-pub use traverse::{ChildrenFirst, PostorderIter};
+pub use traverse::ChildrenFirst;
 pub use tree::TaskTree;
 
 /// Crate-wide result alias.

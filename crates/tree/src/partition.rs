@@ -6,13 +6,22 @@
 //! et al. (2014) parallelise independent subtrees: each shard is a whole
 //! subtree whose root's parent stays behind in the residual tree, so the
 //! only cross-shard dependency is "shard finished → its output is an input
-//! of the residual". The cut heuristic is a linear leaf-up sweep: walking
-//! the tree in postorder, the first untainted node whose subtree reaches
-//! the target weight (`⌈n / shards⌉ nodes`) becomes a shard root and
-//! taints its ancestors, which naturally cuts just below high fan-out
-//! nodes — the children of a bushy node are the heaviest disjoint
-//! subtrees available. A chain yields at most one shard (its subtrees are
-//! all nested); that is structural, not a heuristic failure.
+//! of the residual". The cut rule: a **candidate** is a proper subtree of
+//! at least the target weight (`n / shards` nodes, clamped to the heaviest
+//! proper subtree and floored at `min_shard_nodes`), and the shard roots
+//! are the **minimal** candidates — those with no candidate below them —
+//! which cuts just below high fan-out nodes, where the heaviest disjoint
+//! subtrees live. When there are more than `shards` of them, the first
+//! `shards` in postorder (children in id order) win. A chain yields at
+//! most one shard (its subtrees are all nested); that is structural, not
+//! a heuristic failure.
+//!
+//! Everything is an id sweep along [`TaskTree::children_first`]: one
+//! bottom-up sweep counts subtree sizes, a second finds the minimal
+//! candidates, postorder ranks are placed only when candidates outnumber
+//! shards, one top-down sweep hands every node its shard, and one
+//! id-ascending pass gives every node its local id, from which each
+//! part's arrays are gathered. No walk, stack or map.
 //!
 //! The partition is **lossless**: every global node lands in exactly one
 //! shard or the residual tree, each part is a real [`TaskTree`] in its own
@@ -28,8 +37,9 @@
 //! byte-identical parts (shard trees hash stably), which sharded result
 //! caching relies on.
 
+use crate::builder::TreeBuilder;
 use crate::node::{NodeId, TaskSpec};
-use crate::traverse::PostorderIter;
+use crate::traverse::{postorder_ranks, ChildrenFirst};
 use crate::tree::TaskTree;
 
 /// Shard-assignment sentinel: the node stays in the residual tree.
@@ -145,27 +155,70 @@ impl Partition {
     }
 }
 
-/// Extracts the subtree rooted at `root` into its own compact tree.
-fn extract_subtree(tree: &TaskTree, root: NodeId) -> (TaskTree, Vec<NodeId>) {
-    let mut to_global: Vec<NodeId> = PostorderIter::rooted(tree, root).collect();
-    to_global.sort_unstable();
-    let mut local_of = std::collections::HashMap::with_capacity(to_global.len());
-    for (local, &g) in to_global.iter().enumerate() {
-        local_of.insert(g, local);
+/// The shard roots in ascending id: the minimal candidates of the module
+/// docs, the first `policy.shards` of them in postorder.
+fn shard_roots(tree: &TaskTree, policy: &PartitionPolicy, sweep: &ChildrenFirst) -> Vec<NodeId> {
+    let (n, root) = (tree.len(), tree.root());
+    let mut size = vec![1u32; n];
+    for i in sweep.clone() {
+        if let Some(p) = tree.parent(i) {
+            size[p.index()] += size[i.index()];
+        }
     }
-    let parents: Vec<Option<usize>> = to_global
-        .iter()
-        .map(|&g| {
-            if g == root {
-                None
-            } else {
-                Some(local_of[&tree.parent(g).expect("non-root has a parent")])
-            }
-        })
-        .collect();
-    let specs: Vec<TaskSpec> = to_global.iter().map(|&g| tree.spec(g)).collect();
-    let sub = TaskTree::from_parents(&parents, &specs).expect("subtree is a valid tree");
-    (sub, to_global)
+    // The per-shard target weight, clamped to the heaviest proper subtree
+    // (one of the root's children): when `n / shards` exceeds every
+    // cuttable subtree (shards = 1, or a heavy root), the clamp keeps a
+    // cut possible instead of silently degenerating to an all-residual
+    // partition.
+    let max_proper = tree.children(root).iter().map(|c| size[c.index()]).max();
+    let target = (n / policy.shards)
+        .min(max_proper.unwrap_or(0) as usize)
+        .max(policy.min_shard_nodes.max(1));
+    // `below[i]`: some candidate lies strictly below `i`.
+    let mut below = vec![false; n];
+    let mut roots = Vec::new();
+    for i in sweep.clone() {
+        let candidate = i != root && size[i.index()] as usize >= target;
+        if candidate && !below[i.index()] {
+            roots.push(i);
+        }
+        if let Some(p) = tree.parent(i) {
+            below[p.index()] |= candidate || below[i.index()];
+        }
+    }
+    if roots.len() > policy.shards {
+        // Candidates are disjoint subtrees, so postorder ranks order them
+        // as a leaf-up walk would meet them.
+        let rank = postorder_ranks(tree, &tree.children);
+        roots.select_nth_unstable_by_key(policy.shards - 1, |r| rank[r.index()]);
+        roots.truncate(policy.shards);
+    }
+    // Canonical shard order: ascending global root id.
+    roots.sort_unstable();
+    roots
+}
+
+/// The part of `tree` on `nodes` (ascending global ids, numbered by
+/// `local`) followed by the `extra` leaves `(local parent, spec)`. A node
+/// whose parent has another `home` is the part's root.
+fn part_tree(
+    tree: &TaskTree,
+    nodes: &[NodeId],
+    local: &[u32],
+    home: &[u32],
+    extra: &[(u32, TaskSpec)],
+) -> TaskTree {
+    let mut b = TreeBuilder::with_capacity(nodes.len() + extra.len());
+    for &g in nodes {
+        let parent = tree
+            .parent(g)
+            .filter(|p| home[p.index()] == home[g.index()]);
+        b.push(parent.map(|p| NodeId(local[p.index()])), tree.spec(g));
+    }
+    for &(parent, spec) in extra {
+        b.push(Some(NodeId(parent)), spec);
+    }
+    b.build().expect("a part is a tree")
 }
 
 /// Cuts `tree` into up to `policy.shards` disjoint shard subtrees plus a
@@ -174,100 +227,59 @@ fn extract_subtree(tree: &TaskTree, root: NodeId) -> (TaskTree, Vec<NodeId>) {
 pub fn partition(tree: &TaskTree, policy: &PartitionPolicy) -> Partition {
     let n = tree.len();
     let mut assignment = vec![RESIDUAL; n];
-    let mut roots: Vec<NodeId> = Vec::new();
-
+    let mut roots = Vec::new();
     if policy.shards >= 1 && n >= 2 {
-        let mut size = vec![1u32; n];
-        for i in PostorderIter::new(tree) {
-            let ix = i.index();
-            for &c in tree.children(i) {
-                size[ix] += size[c.index()];
-            }
-        }
-        // The per-shard target weight, clamped to the heaviest proper
-        // subtree: when `n / shards` exceeds every cuttable subtree
-        // (shards = 1, or a heavy root), the clamp keeps a cut possible
-        // instead of silently degenerating to an all-residual partition.
-        let max_proper = tree
-            .nodes()
-            .filter(|&i| i != tree.root())
-            .map(|i| size[i.index()] as usize)
-            .max()
-            .unwrap_or(0);
-        let target = (n / policy.shards)
-            .min(max_proper)
-            .max(policy.min_shard_nodes.max(1));
-        // Leaf-up sweep: a node whose untainted subtree reaches the
-        // target becomes a shard root and taints its ancestors (shards
-        // are whole, disjoint subtrees).
-        let mut tainted = vec![false; n];
-        for i in PostorderIter::new(tree) {
-            let ix = i.index();
-            for &c in tree.children(i) {
-                tainted[ix] |= tainted[c.index()];
-            }
-            if i != tree.root()
-                && !tainted[ix]
-                && (size[ix] as usize) >= target
-                && roots.len() < policy.shards
-            {
-                roots.push(i);
-                tainted[ix] = true;
-            }
-        }
-        // Canonical shard order: ascending global root id, independent of
-        // traversal order.
-        roots.sort_unstable();
+        let sweep = tree.children_first();
+        roots = shard_roots(tree, policy, &sweep);
         for (k, &r) in roots.iter().enumerate() {
-            for i in PostorderIter::rooted(tree, r) {
-                assignment[i.index()] = k as u32;
+            assignment[r.index()] = k as u32;
+        }
+        // Top-down: every other node lives where its parent does.
+        for i in sweep.rev() {
+            if let Some(p) = tree.parent(i).filter(|_| assignment[i.index()] == RESIDUAL) {
+                assignment[i.index()] = assignment[p.index()];
             }
         }
     }
 
-    let shards: Vec<ShardPart> = roots
-        .iter()
-        .map(|&r| {
-            let (sub, to_global) = extract_subtree(tree, r);
-            ShardPart {
-                tree: sub,
-                to_global,
-                attach: tree.parent(r).expect("shard roots are never the tree root"),
-            }
-        })
-        .collect();
-
-    // Residual: real nodes in ascending global id, then one proxy leaf
-    // per shard carrying the shard root's output size.
-    let mut local_of = vec![usize::MAX; n];
-    let mut origin: Vec<Option<NodeId>> = Vec::new();
+    // Every part lists its nodes in ascending global id; the residual is
+    // part `roots.len()`.
+    let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); roots.len() + 1];
+    let mut local = vec![0u32; n];
     for i in tree.nodes() {
-        if assignment[i.index()] == RESIDUAL {
-            local_of[i.index()] = origin.len();
-            origin.push(Some(i));
-        }
+        let part = &mut members[(assignment[i.index()] as usize).min(roots.len())];
+        local[i.index()] = part.len() as u32;
+        part.push(i);
     }
-    let real = origin.len();
-    let mut parents: Vec<Option<usize>> = origin
-        .iter()
-        .map(|g| {
-            tree.parent(g.expect("real node"))
-                .map(|p| local_of[p.index()])
+    let real = members.pop().expect("the residual part");
+    let shards: Vec<ShardPart> = members
+        .into_iter()
+        .zip(&roots)
+        .map(|(to_global, &r)| ShardPart {
+            tree: part_tree(tree, &to_global, &local, &assignment, &[]),
+            to_global,
+            attach: tree.parent(r).expect("shard roots are never the tree root"),
         })
         .collect();
-    let mut specs: Vec<TaskSpec> = origin
+
+    // Residual: real nodes, then one proxy leaf per shard carrying the
+    // shard root's output size.
+    let proxy_leaves: Vec<(u32, TaskSpec)> = shards
         .iter()
-        .map(|g| tree.spec(g.expect("real node")))
+        .map(|s| {
+            let spec = TaskSpec::new(0, tree.output(s.root_global()), 0.0);
+            (local[s.attach.index()], spec)
+        })
         .collect();
-    let mut proxies = Vec::with_capacity(shards.len());
-    for shard in &shards {
-        proxies.push(NodeId::from_index(origin.len()));
-        origin.push(None);
-        parents.push(Some(local_of[shard.attach.index()]));
-        specs.push(TaskSpec::new(0, tree.output(shard.root_global()), 0.0));
-    }
-    debug_assert_eq!(real + shards.len(), origin.len());
-    let residual_tree = TaskTree::from_parents(&parents, &specs).expect("residual is a valid tree");
+    let residual_tree = part_tree(tree, &real, &local, &assignment, &proxy_leaves);
+    let proxies = (real.len()..residual_tree.len())
+        .map(NodeId::from_index)
+        .collect();
+    let origin = real
+        .into_iter()
+        .map(Some)
+        .chain(shards.iter().map(|_| None))
+        .collect();
 
     Partition {
         shards,

@@ -5,9 +5,8 @@
 //! that is `0..n` or its reverse and a pass walks its arrays front to back
 //! (DESIGN.md §3). Postorders are *placed*, not walked: subtree sizes from
 //! one children-first sweep, then every node's position from one top-down
-//! sweep. Nothing here recurses or keeps a stack of the tree's height —
-//! assembly trees can be 10⁵ deep — except [`PostorderIter`], the explicit-
-//! stack walk of a single subtree.
+//! sweep. Nothing here recurses or keeps a stack of the tree's height:
+//! assembly trees can be 10⁵ deep.
 
 use crate::node::NodeId;
 use crate::tree::{TaskTree, NO_PARENT};
@@ -93,50 +92,6 @@ pub(crate) fn breadth_first(tree: &TaskTree) -> Vec<NodeId> {
         next += 1;
     }
     seq
-}
-
-/// Iterative postorder traversal (children before parents) of one subtree.
-///
-/// Children are visited in id order. Whole-tree passes sweep
-/// [`TaskTree::children_first`] instead; this explicit-stack walk remains
-/// for the callers that need one subtree's nodes contiguously.
-pub struct PostorderIter<'a> {
-    tree: &'a TaskTree,
-    /// Stack of (node, next child rank to expand).
-    stack: Vec<(NodeId, u32)>,
-}
-
-impl<'a> PostorderIter<'a> {
-    /// Postorder over the whole tree.
-    pub fn new(tree: &'a TaskTree) -> Self {
-        Self::rooted(tree, tree.root())
-    }
-
-    /// Postorder over the subtree rooted at `root`.
-    pub fn rooted(tree: &'a TaskTree, root: NodeId) -> Self {
-        PostorderIter {
-            tree,
-            stack: vec![(root, 0)],
-        }
-    }
-}
-
-impl Iterator for PostorderIter<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        loop {
-            let &(node, next_child) = self.stack.last()?;
-            let children = self.tree.children(node);
-            if (next_child as usize) < children.len() {
-                self.stack.last_mut().unwrap().1 += 1;
-                self.stack.push((children[next_child as usize], 0));
-            } else {
-                self.stack.pop();
-                return Some(node);
-            }
-        }
-    }
 }
 
 /// Postorder of the whole tree as a vector (children in id order).
@@ -275,7 +230,9 @@ mod tests {
             p
         };
         for i in t.nodes() {
-            let sub: Vec<usize> = PostorderIter::rooted(&t, i)
+            let sub: Vec<usize> = t
+                .nodes()
+                .filter(|&n| n == i || t.is_ancestor(i, n))
                 .map(|n| pos[n.index()])
                 .collect();
             let min = *sub.iter().min().unwrap();

@@ -43,6 +43,30 @@ fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
         })
 }
 
+/// Strategy: nine or ten two-node chains hung on the nodes of a random
+/// skeleton of one to three nodes. At 8 shards the target weight is 2,
+/// so every chain is a minimal candidate and candidates outnumber shards
+/// at several depths: the case the postorder tie rule decides.
+fn arb_chains_on_a_skeleton() -> impl Strategy<Value = TaskTree> {
+    (1usize..4, 9usize..11)
+        .prop_flat_map(|(k, chains)| {
+            let skeleton = (1..k).map(|i| 0..i).collect::<Vec<_>>();
+            (skeleton, proptest::collection::vec(0..k, chains))
+        })
+        .prop_map(|(skeleton, hooks)| {
+            let mut parents: Vec<Option<usize>> = vec![None];
+            parents.extend(skeleton.into_iter().map(Some));
+            for hook in hooks {
+                parents.push(Some(hook));
+                parents.push(Some(parents.len() - 1));
+            }
+            let specs: Vec<TaskSpec> = (0..parents.len() as u64)
+                .map(|i| TaskSpec::new(1, 1 + i % 5, 1.0))
+                .collect();
+            TaskTree::from_parents(&parents, &specs).expect("generated tree is valid")
+        })
+}
+
 proptest! {
     #[test]
     fn generated_trees_are_consistent(tree in arb_tree(64)) {
@@ -386,6 +410,48 @@ proptest! {
         }
     }
 
+    /// The sweeps cut what the postorder walk cut and build the parts it
+    /// built, with parents numbered above, below, or on either side of
+    /// their children.
+    #[test]
+    fn partition_matches_the_walk_on_every_id_layout(tree in arb_tree(64), seed in 0u64..1000) {
+        for t in reference::id_layouts(&tree, seed) {
+            for shards in [1, 2, 3, 4, 8] {
+                assert_same_partition(&t, shards);
+            }
+        }
+    }
+
+    /// Where candidates outnumber shards, the sweeps pick the shards the
+    /// walk picked, whatever the ids of the candidates.
+    #[test]
+    fn partition_ties_match_the_walk(tree in arb_chains_on_a_skeleton(), seed in 0u64..1000) {
+        for t in reference::id_layouts(&tree, seed) {
+            prop_assert_eq!(partition(&t, &PartitionPolicy::balanced(8)).shard_count(), 8);
+            assert_same_partition(&t, 8);
+        }
+    }
+
+    /// Comments and blank lines anywhere in a document change nothing.
+    #[test]
+    fn io_roundtrip_ignores_interleaved_comments(tree in arb_tree(48), seed in 0u64..1000) {
+        let mut state = seed;
+        let mut text = String::new();
+        for line in tree_to_string(&tree).lines() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            match state >> 62 {
+                0 => text.push('\n'),
+                1 => text.push_str("# interleaved comment\n"),
+                2 => text.push_str("   \n  # indented\n"),
+                _ => {}
+            }
+            text.push_str(line);
+            text.push('\n');
+        }
+        let back = tree_from_str(&text).unwrap();
+        prop_assert_eq!(back.content_hash(), tree.content_hash());
+    }
+
     /// Re-stitching the parts rebuilds the original tree, hash-equal —
     /// the partition loses nothing and is canonical.
     #[test]
@@ -406,6 +472,56 @@ proptest! {
             again.residual.tree.content_hash()
         );
     }
+}
+
+/// `partition` and its walk-based reference agree part for part.
+fn assert_same_partition(tree: &TaskTree, shards: usize) {
+    let policy = PartitionPolicy::balanced(shards);
+    let (got, want) = (
+        partition(tree, &policy),
+        reference::partition::partition(tree, &policy),
+    );
+    assert_eq!(got.assignment, want.assignment, "{shards} shards");
+    assert_eq!(got.shard_count(), want.shard_count(), "{shards} shards");
+    for (a, b) in got.shards.iter().zip(&want.shards) {
+        assert_eq!(a.to_global, b.to_global, "{shards} shards");
+        assert_eq!(a.attach, b.attach, "{shards} shards");
+        assert_eq!(a.tree.content_hash(), b.tree.content_hash());
+        assert_eq!(a.tree, b.tree, "{shards} shards");
+    }
+    let (a, b) = (&got.residual, &want.residual);
+    assert_eq!(a.origin, b.origin, "{shards} shards");
+    assert_eq!(a.proxies, b.proxies, "{shards} shards");
+    assert_eq!(a.tree.content_hash(), b.tree.content_hash());
+    assert_eq!(a.tree, b.tree, "{shards} shards");
+}
+
+/// Four chains of ten under one root: with `shards` < 4, every chain is a
+/// minimal candidate and postorder picks which ones become shards.
+#[test]
+fn partition_breaks_candidate_ties_in_postorder() {
+    let mut parents: Vec<Option<usize>> = vec![None];
+    let mut specs = vec![TaskSpec::new(1, 2, 1.0)];
+    for _ in 0..4 {
+        let mut prev = 0;
+        for k in 0..10u64 {
+            parents.push(Some(prev));
+            specs.push(TaskSpec::new(1, 2 + k, 1.0));
+            prev = parents.len() - 1;
+        }
+    }
+    let star = TaskTree::from_parents(&parents, &specs).unwrap();
+    for t in reference::id_layouts(&star, 7) {
+        for shards in [1, 2] {
+            assert_eq!(
+                partition(&t, &PartitionPolicy::balanced(shards)).shard_count(),
+                shards
+            );
+            assert_same_partition(&t, shards);
+        }
+    }
+    assert_same_partition(&star, 1);
+    assert_same_partition(&star, 2);
 }
 
 #[test]

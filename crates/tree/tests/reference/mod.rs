@@ -3,14 +3,17 @@
 //!
 //! Each reference is a pass as the library computed it before it became
 //! an id sweep: explicit-stack depth-first walks and `VecDeque`
-//! breadth-first walks in caller ids, comparator sorts. The library must
-//! reproduce every value and sequence bit for bit, on any id layout.
+//! breadth-first walks in caller ids, comparator sorts, and the
+//! partitioner (`partition.rs`). The library must reproduce every value
+//! and sequence bit for bit, on any id layout.
 
 // Each suite that includes this file uses a different part of it.
 #![allow(dead_code)]
 
 use memtree_tree::{NodeId, TaskSpec, TaskTree};
 use std::collections::VecDeque;
+
+pub mod partition;
 
 /// Postorder with children in id order: an explicit-stack depth-first
 /// walk from the root.
