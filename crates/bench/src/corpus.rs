@@ -1,11 +1,10 @@
 //! Corpora for the experiments: assembly trees (multifrontal pipeline)
 //! and the paper's synthetic family.
 //!
-//! Each corpus comes in two shapes: the materialised `*_cases` (a `Vec`
-//! of built [`TreeCase`]s) and the streaming `*_source` (a lazy
-//! [`CaseSource`] of cheap descriptors realised on demand), which is what
-//! the windowed [`crate::Sweep`] consumes to keep peak RSS bounded by its
-//! in-flight window instead of the corpus size.
+//! Each corpus is a streaming `*_source` (a lazy [`CaseSource`] of cheap
+//! descriptors realised on demand), which is what the windowed
+//! [`crate::Sweep`] consumes to keep peak RSS bounded by its in-flight
+//! window instead of the corpus size.
 
 use crate::runner::{CaseSource, TreeCase};
 use memtree_multifrontal::CorpusSpec;
@@ -19,6 +18,16 @@ pub enum Scale {
     Quick,
     /// Paper-sized corpora (within laptop limits).
     Full,
+}
+
+impl Scale {
+    /// The CLI spelling: `quick` or `full`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
 }
 
 fn assembly_spec(scale: Scale) -> CorpusSpec {
@@ -35,8 +44,9 @@ fn assembly_spec(scale: Scale) -> CorpusSpec {
     }
 }
 
-/// The assembly-tree corpus as a streaming source: each tree runs the
-/// symbolic pipeline only when its sweep window arrives.
+/// The assembly-tree corpus (the UFL-collection stand-in; DESIGN.md §5)
+/// as a streaming source: each tree runs the symbolic pipeline only when
+/// its sweep window arrives.
 pub fn assembly_source(scale: Scale) -> CaseSource {
     let spec = Arc::new(assembly_spec(scale));
     let mut source = CaseSource::new();
@@ -48,15 +58,6 @@ pub fn assembly_source(scale: Scale) -> CaseSource {
         });
     }
     source
-}
-
-/// The assembly-tree corpus (the UFL-collection stand-in; DESIGN.md §5),
-/// fully materialised.
-pub fn assembly_cases(scale: Scale) -> Vec<TreeCase> {
-    memtree_multifrontal::assembly_corpus(&assembly_spec(scale))
-        .into_iter()
-        .map(|(name, tree)| TreeCase::new(name, tree))
-        .collect()
 }
 
 /// (node count, number of trees) per scale.
@@ -85,16 +86,6 @@ pub fn synthetic_source(scale: Scale) -> CaseSource {
     source
 }
 
-/// The synthetic corpus of Section 7.1, fully materialised.
-pub fn synthetic_cases(scale: Scale) -> Vec<TreeCase> {
-    let source = synthetic_source(scale);
-    (0..source.len())
-        .map(|i| {
-            Arc::try_unwrap(source.build(i)).unwrap_or_else(|_| unreachable!("fresh lazy build"))
-        })
-        .collect()
-}
-
 /// The memory factors swept by the makespan figures (the paper's x-axis
 /// "normalized memory bound", 1…20 for assembly trees, 1…10 synthetic).
 pub fn memory_factors(scale: Scale, max: f64) -> Vec<f64> {
@@ -113,31 +104,38 @@ mod tests {
 
     #[test]
     fn quick_corpora_build() {
-        let a = assembly_cases(Scale::Quick);
+        let a = assembly_source(Scale::Quick);
         assert!(a.len() >= 8);
-        let s = synthetic_cases(Scale::Quick);
+        let s = synthetic_source(Scale::Quick);
         assert_eq!(s.len(), 18);
-        for c in a.iter().chain(&s) {
+        for c in a.iter().chain(s.iter()) {
             assert!(c.min_memory > 0, "{} has zero minimum memory", c.name);
         }
     }
 
     #[test]
     fn sources_stream_the_same_corpora() {
-        let eager = synthetic_cases(Scale::Quick);
+        // The synthetic source realises exactly the seeded generator trees.
         let source = synthetic_source(Scale::Quick);
-        assert_eq!(source.len(), eager.len());
-        for (got, want) in source.iter().zip(&eager) {
-            assert_eq!(got.name, want.name);
-            assert_eq!(got.content_hash(), want.content_hash());
+        let plan = synthetic_plan(Scale::Quick);
+        let seeds = plan
+            .iter()
+            .flat_map(|&(n, count)| (0..count).map(move |k| (n, k, 1_000 * n as u64 + k as u64)));
+        for (got, (n, k, seed)) in source.iter().zip(seeds) {
+            assert_eq!(got.name, format!("synth-{n}-{k}"));
+            let want = memtree_gen::synthetic::paper_tree(n, seed);
+            assert_eq!(got.tree.content_hash(), want.content_hash());
         }
-        // Assembly: spot-check the first case without building the whole
-        // corpus twice.
+        // Assembly: the source streams the pipeline's corpus, in order.
         let asm_source = assembly_source(Scale::Quick);
+        let spec = assembly_spec(Scale::Quick);
+        assert_eq!(asm_source.len(), spec.case_ids().len());
         let first = asm_source.build(0);
         assert_eq!(first.name, "grid2d-20");
         assert!(first.min_memory > 0);
-        assert_eq!(asm_source.len(), assembly_cases(Scale::Quick).len());
+        let (name, tree) = spec.build_case(&spec.case_ids()[0]);
+        assert_eq!(first.name, name);
+        assert_eq!(first.tree.content_hash(), tree.content_hash());
     }
 
     #[test]

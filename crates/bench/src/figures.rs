@@ -1,19 +1,18 @@
-//! The experiment implementations behind every figure/table binary.
+//! The experiment implementations behind every figure and table.
 //!
-//! Each function returns a [`FigureOutput`]; binaries print it. The
-//! `notes` field carries the shape summary recorded in EXPERIMENTS.md.
+//! Each function returns a [`FigureOutput`]; the `memtree-bench` entries
+//! ([`crate::experiments`]) print it. The `notes` field carries the shape
+//! summary: who wins, by what factor, where the curves cross.
 //!
 //! Every simulator-backed figure runs its scenario grid through
 //! [`Sweep`], so the (tree × policy × p × memory) cells fan out across
-//! all cores and stream through a bounded case window; the caller's
-//! [`SweepCtx`] decides whether cells replay from the content-addressed
-//! cache. Aggregations read the report's cells and per-case metadata —
-//! never the trees themselves, which the streaming sweep has already
-//! dropped.
+//! all cores and stream through a bounded case window. Aggregations read
+//! the report's cells and per-case metadata — never the trees
+//! themselves, which the streaming sweep has already dropped.
 
 use crate::aggregate::Summary;
 use crate::runner::{Backend, CaseSource, OrderPair};
-use crate::sweep::{Sweep, SweepCtx, SweepReport};
+use crate::sweep::{Sweep, SweepReport};
 use memtree_sched::HeuristicKind;
 
 /// CSV payload plus human-readable findings.
@@ -48,12 +47,10 @@ fn main_heuristics() -> Vec<HeuristicKind> {
 /// The sweep-execution note shared by every figure.
 fn sweep_note(report: &SweepReport, p: usize) -> String {
     format!(
-        "corpus size: {} trees, p = {p}; {} sweep cells on {} threads ({} cached, {} computed)",
+        "corpus size: {} trees, p = {p}; {} sweep cells on {} threads",
         report.case_count(),
         report.cells.len(),
         report.threads_used,
-        report.cache_hits,
-        report.computed
     )
 }
 
@@ -74,12 +71,11 @@ fn scheduled_normalized(
 
 /// Figures 2 and 10: normalized makespan vs normalized memory bound for
 /// the three heuristics.
-pub fn fig_makespan(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx) -> FigureOutput {
+pub fn fig_makespan(cases: &CaseSource, p: usize, factors: &[f64]) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(main_heuristics())
         .processors(vec![p])
         .factors(factors.to_vec())
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut notes = Vec::new();
@@ -141,12 +137,11 @@ fn speedups_at(report: &SweepReport, p: usize, factor: f64) -> Vec<f64> {
 
 /// Figures 3 and 11: the speedup distribution of MemBooking over
 /// Activation per memory factor.
-pub fn fig_speedup(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx) -> FigureOutput {
+pub fn fig_speedup(cases: &CaseSource, p: usize, factors: &[f64]) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(vec![HeuristicKind::MemBooking, HeuristicKind::Activation])
         .processors(vec![p])
         .factors(factors.to_vec())
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut notes = Vec::new();
@@ -173,12 +168,11 @@ pub fn fig_speedup(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx
 }
 
 /// Figures 4 and 12: fraction of the memory bound actually used.
-pub fn fig_memfrac(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx) -> FigureOutput {
+pub fn fig_memfrac(cases: &CaseSource, p: usize, factors: &[f64]) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(main_heuristics())
         .processors(vec![p])
         .factors(factors.to_vec())
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut notes = Vec::new();
@@ -213,12 +207,11 @@ pub fn fig_memfrac(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx
 }
 
 /// Figures 5, 6 and 13: scheduling time against tree size and height.
-pub fn fig_schedtime(cases: &CaseSource, p: usize, factor: f64, ctx: &SweepCtx) -> FigureOutput {
+pub fn fig_schedtime(cases: &CaseSource, p: usize, factor: f64) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(main_heuristics())
         .processors(vec![p])
         .factors(vec![factor])
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut notes = Vec::new();
@@ -256,17 +249,11 @@ pub fn fig_schedtime(cases: &CaseSource, p: usize, factor: f64, ctx: &SweepCtx) 
 
 /// Figure 7: speedup of MemBooking over Activation against tree height at
 /// a fixed memory factor.
-pub fn fig_speedup_height(
-    cases: &CaseSource,
-    p: usize,
-    factor: f64,
-    ctx: &SweepCtx,
-) -> FigureOutput {
+pub fn fig_speedup_height(cases: &CaseSource, p: usize, factor: f64) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(vec![HeuristicKind::MemBooking, HeuristicKind::Activation])
         .processors(vec![p])
         .factors(vec![factor])
-        .ctx(ctx)
         .run();
     let pair = OrderPair::default_pair();
     let mut rows = Vec::new();
@@ -307,13 +294,12 @@ pub fn fig_speedup_height(
 }
 
 /// Figures 8 and 14: MemBooking under the six AO/EO combinations.
-pub fn fig_orders(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx) -> FigureOutput {
+pub fn fig_orders(cases: &CaseSource, p: usize, factors: &[f64]) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(vec![HeuristicKind::MemBooking])
         .pairs(OrderPair::paper_combinations())
         .processors(vec![p])
         .factors(factors.to_vec())
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut best_at_2: Option<(String, f64)> = None;
@@ -353,17 +339,11 @@ pub fn fig_orders(cases: &CaseSource, p: usize, factors: &[f64], ctx: &SweepCtx)
 }
 
 /// Figures 9 and 15: the heuristics across processor counts.
-pub fn fig_processors(
-    cases: &CaseSource,
-    processors: &[usize],
-    factors: &[f64],
-    ctx: &SweepCtx,
-) -> FigureOutput {
+pub fn fig_processors(cases: &CaseSource, processors: &[usize], factors: &[f64]) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(main_heuristics())
         .processors(processors.to_vec())
         .factors(factors.to_vec())
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut gaps: Vec<(usize, f64)> = Vec::new();
@@ -411,23 +391,14 @@ pub fn fig_processors(
 ///
 /// One MemBooking series per backend: the simulator baseline reports
 /// virtual-time makespans; the execution backends (threaded, async,
-/// sharded) report the run's wall-clock seconds — the scaling quantity
-/// `BENCH_sweep.json` tracks across PRs. Each backend is its own
-/// cache-key coordinate, so the rows carry the backend label rather than
-/// pretending the clocks compare.
-pub fn fig_shards(
-    cases: &CaseSource,
-    p: usize,
-    backends: &[Backend],
-    factor: f64,
-    ctx: &SweepCtx,
-) -> FigureOutput {
+/// sharded, process) report the run's wall-clock seconds, so the rows
+/// carry the backend label rather than pretending the clocks compare.
+pub fn fig_shards(cases: &CaseSource, p: usize, backends: &[Backend], factor: f64) -> FigureOutput {
     let report = Sweep::new(cases)
         .kinds(vec![HeuristicKind::MemBooking])
         .processors(vec![p])
         .backends(backends.to_vec())
         .factors(vec![factor])
-        .ctx(ctx)
         .run();
     let mut rows = Vec::new();
     let mut scaling: Vec<(usize, f64)> = Vec::new();
@@ -564,6 +535,33 @@ pub fn table_redtree_failures(cases: &CaseSource, factors: &[f64]) -> FigureOutp
     }
 }
 
+/// Corpus inventory: the structural spread of the trees behind every
+/// experiment (the reproduction's analogue of the paper's corpus
+/// description in Section 7.1). Streams each corpus — only one tree is
+/// alive at a time no matter the scale.
+pub fn table_corpus_stats(corpora: &[(&str, CaseSource)]) -> FigureOutput {
+    let mut rows = Vec::new();
+    for (corpus, source) in corpora {
+        for c in source.iter() {
+            rows.push(format!(
+                "{corpus},{},{},{},{},{},{},{:.1}",
+                c.name,
+                c.len(),
+                c.stats.height,
+                c.stats.max_degree,
+                c.tree.leaf_count(),
+                c.min_memory,
+                c.tree.total_time()
+            ));
+        }
+    }
+    FigureOutput {
+        header: "corpus,tree,nodes,height,max_degree,leaves,min_memory,total_time".into(),
+        rows,
+        notes: Vec::new(),
+    }
+}
+
 /// The Section 7.1 degree table, measured from the generator.
 pub fn table_degree_distribution(samples: usize, seed: u64) -> FigureOutput {
     use rand::SeedableRng;
@@ -613,7 +611,7 @@ mod tests {
     #[test]
     fn makespan_figure_has_all_series() {
         let cases = tiny_cases();
-        let out = fig_makespan(&cases, 4, &[1.0, 2.0], &SweepCtx::default());
+        let out = fig_makespan(&cases, 4, &[1.0, 2.0]);
         assert_eq!(out.rows.len(), 6, "2 factors x 3 heuristics");
         assert!(out.rows.iter().any(|r| r.contains("MemBooking")));
         assert!(!out.notes.is_empty());
@@ -622,7 +620,7 @@ mod tests {
     #[test]
     fn speedup_figure_is_sane() {
         let cases = tiny_cases();
-        let out = fig_speedup(&cases, 4, &[2.0], &SweepCtx::default());
+        let out = fig_speedup(&cases, 4, &[2.0]);
         assert_eq!(out.rows.len(), 1);
         let mean: f64 = out.rows[0].split(',').nth(1).unwrap().parse().unwrap();
         assert!(
@@ -634,14 +632,14 @@ mod tests {
     #[test]
     fn orders_figure_covers_six_pairs() {
         let cases = tiny_cases();
-        let out = fig_orders(&cases, 4, &[2.0], &SweepCtx::default());
+        let out = fig_orders(&cases, 4, &[2.0]);
         assert_eq!(out.rows.len(), 6);
     }
 
     #[test]
     fn schedtime_figure_uses_case_metadata() {
         let cases = tiny_cases();
-        let out = fig_schedtime(&cases, 4, 2.0, &SweepCtx::default());
+        let out = fig_schedtime(&cases, 4, 2.0);
         assert!(!out.rows.is_empty());
         // Rows carry the tree name and node count from the sweep metadata.
         assert!(out.rows.iter().all(|r| r.starts_with("tiny-")));
@@ -682,7 +680,7 @@ mod tests {
             });
         }
         let factors = memory_factors(Scale::Quick, 3.0);
-        let out = fig_makespan(&cases, 8, &factors, &SweepCtx::default());
+        let out = fig_makespan(&cases, 8, &factors);
         assert!(!out.rows.is_empty());
     }
 }

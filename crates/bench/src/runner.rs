@@ -53,7 +53,6 @@ pub struct TreeCase {
     /// Instances in activation-order numbering, bound unset — see
     /// [`TreeCase::relaid_instance`].
     relaid: Mutex<HashMap<(HeuristicKind, OrderPair), PolicyInstance>>,
-    content_hash: OnceLock<u64>,
 }
 
 struct RedCase {
@@ -118,13 +117,12 @@ impl OrderPair {
 }
 
 /// An execution backend a sweep cell can run on — the sweep's backend
-/// axis (`--backend sim|threaded|sharded|async` on the shared CLI).
+/// axis (`--backend sim,threaded,async,sharded:N,process:N` on the CLI).
 ///
 /// `Sim` reports virtual-time makespans with paper-normalised lower
-/// bounds; the execution backends (`Threaded`, `Async`, `Sharded`) report
-/// the run's wall-clock seconds and a `normalized` of 0 — different
-/// clocks are different measurements, and the cell cache keys them apart
-/// ([`crate::cache::cell_key`] hashes the backend label).
+/// bounds; the execution backends (`Threaded`, `Async`, `Sharded`,
+/// `Process`) report the run's wall-clock seconds and a `normalized` of
+/// 0 — different clocks are different measurements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// The discrete-event simulator (virtual time) — the default.
@@ -144,7 +142,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// CSV/cache label: `sim`, `threaded`, `async`, `sharded:N`,
+    /// CSV label: `sim`, `threaded`, `async`, `sharded:N`,
     /// `process:N`.
     pub fn label(&self) -> String {
         match self {
@@ -156,18 +154,7 @@ impl Backend {
         }
     }
 
-    /// The PR-4 shard-count encoding: `0` is the unsharded simulator,
-    /// `n ≥ 1` the sharded platform — what a bare `--shards` axis maps
-    /// through.
-    pub fn from_shards(shards: usize) -> Backend {
-        match shards {
-            0 => Backend::Sim,
-            n => Backend::Sharded(n),
-        }
-    }
-
-    /// The canonical backend-scaling axis (`fig16_shards`,
-    /// `all_experiments`): the simulator baseline, both single-machine
+    /// The canonical backend-scaling axis (`fig16_shards`): the simulator baseline, both single-machine
     /// execution backends, and the sharded platform at increasing shard
     /// counts.
     pub fn default_axis() -> Vec<Backend> {
@@ -183,9 +170,8 @@ impl Backend {
     }
 
     /// Parses one backend name: `sim`, `threaded`, `async`, `sharded:N`,
-    /// or `process:N` (N ≥ 1). A bare `sharded`/`process` is rejected
-    /// here — the CLI expands those against its `--shards` counts before
-    /// parsing.
+    /// or `process:N` (N ≥ 1). A bare `sharded`/`process` is rejected:
+    /// the shard count is part of the name.
     ///
     /// # Errors
     /// On an unknown name or a malformed/zero shard count.
@@ -262,7 +248,6 @@ impl TreeCase {
             orders: OrderCache::default(),
             redtree: OnceLock::new(),
             relaid: Mutex::default(),
-            content_hash: OnceLock::new(),
         };
         case.orders
             .orders
@@ -285,13 +270,6 @@ impl TreeCase {
     /// The order of `kind`, computed once and cached (thread-safe).
     pub fn order(&self, kind: OrderKind) -> Arc<Order> {
         self.orders.get(&self.tree, kind)
-    }
-
-    /// The tree's canonical content hash
-    /// ([`memtree_tree::hash::content_hash`]), computed once and cached —
-    /// the tree component of a sweep cell's cache key.
-    pub fn content_hash(&self) -> u64 {
-        *self.content_hash.get_or_init(|| self.tree.content_hash())
     }
 
     /// The memory bound for a normalized factor.
@@ -506,9 +484,7 @@ pub fn run_heuristic_backend(
 /// cheap descriptors (a seed, a grid side), the sweep builds the cases of
 /// its current in-flight window, and drops each case as soon as its last
 /// cell completes — peak RSS is proportional to the window, not the
-/// corpus. Builders must be deterministic (same index, same case): the
-/// sweep may rebuild a case after an interruption and relies on its
-/// content hash matching the cached cells.
+/// corpus. Builders must be deterministic (same index, same case).
 ///
 /// Cloning is cheap (`Arc`-shared entries) and never re-runs builders.
 #[derive(Clone, Default)]
@@ -714,13 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_is_cached_and_matches_tree() {
-        let c = case();
-        assert_eq!(c.content_hash(), c.tree.content_hash());
-        assert_eq!(c.content_hash(), c.content_hash());
-    }
-
-    #[test]
     fn case_source_builds_lazily_and_deterministically() {
         let mut source = CaseSource::new();
         source.push_case(case());
@@ -729,7 +698,7 @@ mod tests {
         let a = source.build(1);
         let b = source.build(1);
         assert_eq!(a.name, "lazy");
-        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(a.tree.content_hash(), b.tree.content_hash());
         assert!(!Arc::ptr_eq(&a, &b), "lazy builds are not memoised");
         // Ready entries share one Arc.
         assert!(Arc::ptr_eq(&source.build(0), &source.build(0)));

@@ -1,5 +1,5 @@
 //! Load generator for the multi-tenant scheduling service
-//! (`fig17_service`, DESIGN.md §6.9).
+//! (`memtree-bench fig17_service`, DESIGN.md §6.9).
 //!
 //! `N` tenant threads share one [`Service`] over a global memory bound
 //! `M`: every tenant submits a stream of sessions (its own tree, its own
@@ -17,12 +17,15 @@
 //! an excursion a crash, not a statistic), and admission-wait
 //! percentiles.
 
+use crate::corpus::Scale;
+use memtree_runtime::Workload;
 use memtree_sched::{HeuristicKind, PolicySpec};
 use memtree_service::{
     Admission, GrantPolicy, Service, ServiceConfig, ServiceStats, SessionBackend, SessionRequest,
     SubmitError,
 };
 use memtree_tree::TaskTree;
+use std::path::Path;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -75,12 +78,6 @@ impl LoadSpec {
             grant: GrantPolicy::AllAvailable,
             concurrency_target: 12,
         }
-    }
-
-    /// Overrides the grant policy.
-    pub fn with_grant(mut self, grant: GrantPolicy) -> Self {
-        self.grant = grant;
-        self
     }
 }
 
@@ -341,6 +338,125 @@ pub fn run_load(backend: SessionBackend, spec: &LoadSpec) -> LoadReport {
         wall_seconds,
         stats,
     }
+}
+
+/// The `fig17_service` experiment: the scale's load shape on the sim,
+/// threaded and async session backends.
+///
+/// Prints one CSV row per backend plus a shape summary, and writes
+/// `BENCH_service.json` into `out_dir` — arrival rate, admitted/refused
+/// counts, p99 admission latency, peak booked — the artifact the
+/// `service-smoke` CI job uploads.
+///
+/// # Errors
+/// When the JSON cannot be written, or when any acceptance gate fails:
+/// the concurrency target not sustained, a refusal count different from
+/// the injected infeasible set, any under-floor grant, any failed run, or
+/// a booking peak over the bound.
+pub fn fig17_service(scale: Scale, out_dir: &Path) -> Result<(), String> {
+    let spec = match scale {
+        Scale::Quick => LoadSpec::quick(),
+        Scale::Full => LoadSpec::full(),
+    };
+    // Sim sessions get a larger tree: virtual-time runs hold no real
+    // resources, so wall-clock session lifetime — what the concurrency
+    // gate needs to overlap — comes from tree size alone. The executor
+    // backends sleep per task instead.
+    let backends = [
+        (
+            SessionBackend::sim(4),
+            LoadSpec {
+                tree_nodes: spec.tree_nodes * 8,
+                ..spec
+            },
+        ),
+        (
+            SessionBackend::Threaded {
+                workers: 2,
+                workload: Workload::quick(),
+            },
+            spec,
+        ),
+        (
+            SessionBackend::Async {
+                workers: 2,
+                threads: 2,
+                workload: Workload::quick_io(),
+            },
+            spec,
+        ),
+    ];
+
+    let mut reports: Vec<LoadReport> = Vec::new();
+    let mut violations: Vec<String> = Vec::new();
+    for (backend, b_spec) in backends {
+        let report = run_load(backend, &b_spec);
+        violations.extend(report.violations(&b_spec));
+        reports.push(report);
+    }
+    let rows: Vec<String> = reports.iter().map(LoadReport::csv_row).collect();
+    crate::print_csv(LoadReport::csv_header(), &rows);
+
+    for r in &reports {
+        println!(
+            "fig17 {}: {} tenants peak (target {}), {}/{} admitted ({} queued), \
+             {} refused (expected {}), peak booked {}/{} ({:.0}% of M), \
+             admission wait p50 {}µs p99 {}µs at {:.0} sessions/s",
+            r.backend,
+            r.stats.peak_running,
+            spec.concurrency_target,
+            r.admitted_immediate + r.admitted_queued,
+            r.submitted,
+            r.admitted_queued,
+            r.refused,
+            r.expected_refusals,
+            r.stats.peak_reserved,
+            r.capacity,
+            100.0 * r.stats.peak_reserved as f64 / r.capacity as f64,
+            r.wait_p50_us,
+            r.wait_p99_us,
+            r.arrival_rate,
+        );
+    }
+
+    let entries: Vec<String> = reports
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\n      \"backend\": \"{}\",\n      \"grant\": \"{}\",\n      \
+                 \"capacity\": {},\n      \"submitted\": {},\n      \"admitted\": {},\n      \
+                 \"queued\": {},\n      \"refused\": {},\n      \"expected_refusals\": {},\n      \
+                 \"peak_tenants\": {},\n      \"peak_booked\": {},\n      \
+                 \"arrival_rate\": {:.2},\n      \"wait_p50_us\": {},\n      \
+                 \"wait_p99_us\": {},\n      \"wall_seconds\": {:.4}\n    }}",
+                r.backend,
+                r.grant,
+                r.capacity,
+                r.submitted,
+                r.admitted_immediate + r.admitted_queued,
+                r.admitted_queued,
+                r.refused,
+                r.expected_refusals,
+                r.stats.peak_running,
+                r.stats.peak_reserved,
+                r.arrival_rate,
+                r.wait_p50_us,
+                r.wait_p99_us,
+                r.wall_seconds,
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"scale\": \"{}\",\n  \"tenants\": {},\n  \"sessions_per_tenant\": {},\n  \
+         \"concurrency_target\": {},\n  \"backends\": [\n{}\n  ]\n}}\n",
+        scale.label(),
+        spec.tenants,
+        spec.sessions_per_tenant,
+        spec.concurrency_target,
+        entries.join(",\n"),
+    );
+    crate::write_artifact(out_dir, "BENCH_service.json", &json)?;
+    crate::gate(&violations)
 }
 
 #[cfg(test)]

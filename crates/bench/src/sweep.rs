@@ -1,5 +1,5 @@
-//! **`Sweep`** — streaming, resumable scenario grids fanned out over all
-//! cores (DESIGN.md §6.5/§6.6).
+//! **`Sweep`** — streaming scenario grids fanned out over all cores
+//! (DESIGN.md §6.5).
 //!
 //! A sweep is the cartesian product (trees × policies × order pairs ×
 //! processor counts × execution backends × memory factors); every figure
@@ -10,22 +10,12 @@
 //! trees generate concurrently, and each case is dropped as soon as its
 //! last cell completes. Peak RSS is O(window), not O(corpus), so
 //! full-scale sweeps (100k-node trees × thousands of cells) run under the
-//! same out-of-core discipline the paper's schedulers study.
-//!
-//! With a [`CellCache`] attached the sweep is also *resumable*: completed
-//! cells persist under content-addressed keys, a re-run after an
-//! interruption recomputes zero finished cells, and a policy change
-//! invalidates exactly its own series. Cells come back in deterministic
-//! grid order regardless of which thread (or which earlier run) produced
-//! them, so CSV output is byte-identical between cold and warm runs.
+//! same out-of-core discipline the paper's schedulers study. Cells come
+//! back in deterministic grid order regardless of which thread ran them.
 
-use crate::cache::{cell_key, CellCache};
 use crate::runner::{run_heuristic_backend, Backend, CaseSource, OrderPair, RunOutcome, TreeCase};
 use memtree_sched::HeuristicKind;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One point of the scenario grid with its outcome.
 #[derive(Clone, Debug)]
@@ -46,8 +36,6 @@ pub struct SweepCell {
     pub factor: f64,
     /// What happened.
     pub outcome: RunOutcome,
-    /// Whether the outcome was replayed from the cell cache.
-    pub from_cache: bool,
 }
 
 /// Per-tree structural metadata recorded by the sweep, so figures can
@@ -64,20 +52,6 @@ pub struct CaseMeta {
     pub min_memory: u64,
 }
 
-/// Execution knobs shared by every figure/table binary: where (and
-/// whether) to cache cells, and how wide the streaming window is.
-#[derive(Clone, Debug, Default)]
-pub struct SweepCtx {
-    /// Persist/replay cells here; `None` disables caching.
-    pub cache: Option<CellCache>,
-    /// Ignore existing cache entries (recompute and overwrite) — the
-    /// `--fresh` flag.
-    pub fresh: bool,
-    /// Override the in-flight case window (`None` = one case per available
-    /// core, min 2).
-    pub window: Option<usize>,
-}
-
 /// Result of a sweep: the cells in grid order plus execution metadata.
 #[derive(Debug)]
 pub struct SweepReport {
@@ -86,15 +60,11 @@ pub struct SweepReport {
     pub cells: Vec<SweepCell>,
     /// Structural metadata of every case, in case order.
     pub cases: Vec<CaseMeta>,
-    /// Distinct worker threads that executed cells (≥ 2 on multicore
-    /// machines for non-trivial grids).
+    /// The most worker threads that executed cells at once: the maximum
+    /// over the windows of the workers that claimed at least one cell
+    /// (≥ 2 on multicore machines for non-trivial grids, never above the
+    /// available parallelism).
     pub threads_used: usize,
-    /// Cells replayed from the cache.
-    pub cache_hits: usize,
-    /// Cells actually computed this run.
-    pub computed: usize,
-    /// Wall-clock duration of the whole sweep.
-    pub wall_seconds: f64,
     // The grid axes, kept so lookups are index arithmetic instead of
     // scans.
     kinds: Vec<HeuristicKind>,
@@ -108,15 +78,6 @@ impl SweepReport {
     /// Number of trees the sweep covered.
     pub fn case_count(&self) -> usize {
         self.cases.len()
-    }
-
-    /// Fraction of cells served from the cache (0 when nothing ran).
-    pub fn hit_rate(&self) -> f64 {
-        if self.cells.is_empty() {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cells.len() as f64
-        }
     }
 
     /// The cell for an exact grid point at the sweep's *first* backend
@@ -204,10 +165,7 @@ impl SweepReport {
          memory_fraction,scheduling_seconds"
     }
 
-    /// A full deterministic CSV dump of every cell, in grid order. With a
-    /// warm cache the rows are byte-identical to the cold run's (cached
-    /// outcomes round-trip `f64`s exactly) — what the `bench-smoke` CI job
-    /// asserts.
+    /// A full CSV dump of every cell, in grid order.
     pub fn cell_rows(&self) -> Vec<String> {
         self.cells
             .iter()
@@ -232,8 +190,7 @@ impl SweepReport {
 
     /// [`SweepReport::cell_rows`] with the trailing wall-clock
     /// `scheduling_seconds` column stripped — what equivalence tests
-    /// compare, since timing is nondeterministic between independent
-    /// computed runs (byte-identity is the *cache's* guarantee).
+    /// compare, since timing is nondeterministic between runs.
     ///
     /// # Errors
     /// On any row that does not have the header's column count — a
@@ -290,14 +247,12 @@ pub struct Sweep<'a> {
     backends: Vec<Backend>,
     factors: Vec<f64>,
     window: usize,
-    cache: Option<CellCache>,
-    fresh: bool,
 }
 
 impl<'a> Sweep<'a> {
     /// A sweep over `source` with the paper's defaults: MemBooking,
     /// memPO/memPO, 8 processors, the simulator backend, memory factor 2,
-    /// a window of one case per available core, no cache.
+    /// a window of one case per available core (at least two).
     pub fn new(source: &'a CaseSource) -> Self {
         Sweep {
             source,
@@ -307,8 +262,6 @@ impl<'a> Sweep<'a> {
             backends: vec![Backend::Sim],
             factors: vec![2.0],
             window: available_threads().max(2),
-            cache: None,
-            fresh: false,
         }
     }
 
@@ -370,33 +323,10 @@ impl<'a> Sweep<'a> {
     ///
     /// # Panics
     /// When `window == 0`.
-    pub fn window(mut self, window: usize) -> Self {
+    #[cfg(test)]
+    fn window(mut self, window: usize) -> Self {
         assert!(window >= 1, "Sweep: the in-flight window must be ≥ 1");
         self.window = window;
-        self
-    }
-
-    /// Attaches a cell cache: hits are replayed, misses computed and
-    /// persisted.
-    pub fn cache(mut self, cache: CellCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Ignores existing cache entries (recompute everything) while still
-    /// refreshing the store — the `--fresh` flag.
-    pub fn fresh(mut self, fresh: bool) -> Self {
-        self.fresh = fresh;
-        self
-    }
-
-    /// Applies the shared execution knobs of a figure binary.
-    pub fn ctx(mut self, ctx: &SweepCtx) -> Self {
-        self.cache = ctx.cache.clone();
-        self.fresh = ctx.fresh;
-        if let Some(w) = ctx.window {
-            self = self.window(w);
-        }
         self
     }
 
@@ -421,18 +351,14 @@ impl<'a> Sweep<'a> {
     /// dropped wholesale once its cells are in — so peak RSS tracks the
     /// window, not the corpus.
     pub fn run(&self) -> SweepReport {
-        let start_time = Instant::now();
         let n = self.source.len();
         let per_case = self.cells_per_case();
-        let threads: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let hits = AtomicUsize::new(0);
-        let computed = AtomicUsize::new(0);
-
+        let mut threads_used = 0;
         let mut cells: Vec<SweepCell> = Vec::with_capacity(n * per_case);
         let mut cases: Vec<CaseMeta> = Vec::with_capacity(n);
         let mut start = 0usize;
         // The initial window builds in parallel — nothing competes yet.
-        let mut current: Vec<Arc<TreeCase>> = par_map(self.window.min(n), |i| self.source.build(i));
+        let (mut current, _) = par_map(self.window.min(n), |i| self.source.build(i));
         while start < n {
             let end = start + current.len();
             let next_range = end..(end + self.window).min(n);
@@ -444,17 +370,12 @@ impl<'a> Sweep<'a> {
                     scope.spawn(|| next_range.map(|i| self.source.build(i)).collect::<Vec<_>>());
                 let cells = par_map(current.len() * per_case, |flat| {
                     let (local, rest) = (flat / per_case, flat % per_case);
-                    self.run_cell(
-                        start + local,
-                        &current[local],
-                        rest,
-                        &threads,
-                        &hits,
-                        &computed,
-                    )
+                    self.run_cell(start + local, &current[local], rest)
                 });
                 (cells, joined(next))
             });
+            let (window_cells, workers) = window_cells;
+            threads_used = threads_used.max(workers);
             cases.extend(current.iter().map(|c| CaseMeta {
                 name: c.name.clone(),
                 nodes: c.len(),
@@ -466,14 +387,10 @@ impl<'a> Sweep<'a> {
             start = end;
         }
 
-        let threads_used = threads.lock().expect("thread-set lock poisoned").len();
         SweepReport {
             cells,
             cases,
             threads_used,
-            cache_hits: hits.into_inner(),
-            computed: computed.into_inner(),
-            wall_seconds: start_time.elapsed().as_secs_f64(),
             kinds: self.kinds.clone(),
             pairs: self.pairs.clone(),
             processors: self.processors.clone(),
@@ -482,16 +399,8 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Executes (or replays) the cell at flat in-case offset `rest`.
-    fn run_cell(
-        &self,
-        case_index: usize,
-        case: &TreeCase,
-        rest: usize,
-        threads: &Mutex<HashSet<std::thread::ThreadId>>,
-        hits: &AtomicUsize,
-        computed: &AtomicUsize,
-    ) -> SweepCell {
+    /// Executes the cell at flat in-case offset `rest`.
+    fn run_cell(&self, case_index: usize, case: &TreeCase, rest: usize) -> SweepCell {
         // Decompose in grid order: factor varies fastest.
         let f = rest % self.factors.len();
         let rest = rest / self.factors.len();
@@ -503,51 +412,6 @@ impl<'a> Sweep<'a> {
         let k = rest / self.pairs.len();
         let (kind, pair) = (self.kinds[k], self.pairs[o]);
         let (processors, backend, factor) = (self.processors[p], self.backends[b], self.factors[f]);
-
-        threads
-            .lock()
-            .expect("thread-set lock poisoned")
-            .insert(std::thread::current().id());
-
-        let key = self.cache.as_ref().map(|_| {
-            cell_key(
-                case.content_hash(),
-                kind,
-                pair,
-                processors,
-                backend,
-                factor,
-                case.memory_at(factor),
-            )
-        });
-        if !self.fresh {
-            if let (Some(cache), Some(key)) = (&self.cache, &key) {
-                if let Some(outcome) = cache.lookup(key) {
-                    // ordering: Relaxed — statistics counter; read only
-                    // after the scoped threads are joined, which orders it.
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    return SweepCell {
-                        case_index,
-                        tree: case.name.clone(),
-                        kind,
-                        pair,
-                        processors,
-                        backend,
-                        factor,
-                        outcome,
-                        from_cache: true,
-                    };
-                }
-            }
-        }
-        let outcome = run_heuristic_backend(case, kind, pair, processors, factor, backend);
-        // ordering: Relaxed — statistics counter; read only after the
-        // scoped threads are joined, which orders it.
-        computed.fetch_add(1, Ordering::Relaxed);
-        if let (Some(cache), Some(key)) = (&self.cache, &key) {
-            // Best-effort: a full disk must not kill the sweep.
-            let _ = cache.store(key, &outcome);
-        }
         SweepCell {
             case_index,
             tree: case.name.clone(),
@@ -556,8 +420,7 @@ impl<'a> Sweep<'a> {
             processors,
             backend,
             factor,
-            outcome,
-            from_cache: false,
+            outcome: run_heuristic_backend(case, kind, pair, processors, factor, backend),
         }
     }
 }
@@ -568,12 +431,13 @@ fn available_threads() -> usize {
 }
 
 /// `(0..n).map(f)` on up to [`available_threads`] scoped threads, results
-/// in index order. Indices are claimed one at a time, so unevenly sized
-/// cells still balance across cores.
-fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+/// in index order, plus how many workers claimed at least one index.
+/// Indices are claimed one at a time, so unevenly sized cells still
+/// balance across cores.
+fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> (Vec<R>, usize) {
     let workers = available_threads().min(n);
     if workers <= 1 {
-        return (0..n).map(f).collect();
+        return ((0..n).map(f).collect(), workers);
     }
     let next = AtomicUsize::new(0);
     let claim = || {
@@ -588,12 +452,14 @@ fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
             out.push((i, f(i)));
         }
     };
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let spawned: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
-        spawned.into_iter().flat_map(joined).collect()
+        spawned.into_iter().map(joined).collect()
     });
+    let active = claimed.iter().filter(|out| !out.is_empty()).count();
+    let mut results: Vec<(usize, R)> = claimed.into_iter().flatten().collect();
     results.sort_unstable_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
+    (results.into_iter().map(|(_, r)| r).collect(), active)
 }
 
 /// Joins a scoped thread, re-raising its panic on the caller.
@@ -649,9 +515,6 @@ mod tests {
         assert_eq!(report.cells[4].case_index, 1);
         // Feasible policies at these factors all schedule.
         assert!(report.cells.iter().all(|c| c.outcome.scheduled));
-        // No cache attached: everything computed, nothing hit.
-        assert_eq!(report.cache_hits, 0);
-        assert_eq!(report.computed, report.cells.len());
     }
 
     #[test]
@@ -672,8 +535,7 @@ mod tests {
         let b = run(&lazy, 2);
         let c = run(&lazy, 1);
         // scheduling_seconds is wall-clock (nondeterministic between
-        // independent computed runs — byte-identity is the *cache's*
-        // guarantee); every simulated quantity must match exactly.
+        // runs); every simulated quantity must match exactly.
         let sans_timing = |r: &SweepReport| r.untimed_rows().expect("well-formed rows");
         assert_eq!(sans_timing(&a), sans_timing(&b));
         assert_eq!(sans_timing(&a), sans_timing(&c));
@@ -708,6 +570,24 @@ mod tests {
                 "sweep should use multiple threads, used {}",
                 report.threads_used
             );
+        }
+    }
+
+    #[test]
+    fn threads_used_counts_concurrent_workers_not_thread_ids() {
+        // Three windows, each fanned out over freshly spawned threads: the
+        // report counts the workers of one window, not every thread id the
+        // sweep ever saw.
+        let cs = lazy_cases(6);
+        let report = Sweep::new(&cs)
+            .kinds(vec![HeuristicKind::MemBooking, HeuristicKind::Activation])
+            .factors(vec![1.5, 3.0])
+            .processors(vec![2, 4])
+            .window(2)
+            .run();
+        assert!(report.threads_used <= available_threads());
+        if available_threads() > 1 {
+            assert!(report.threads_used > 1, "used {}", report.threads_used);
         }
     }
 
@@ -904,6 +784,6 @@ mod tests {
         let report = Sweep::new(&cs).run();
         assert_eq!(report.case_count(), 0);
         assert!(report.cells.is_empty());
-        assert_eq!(report.hit_rate(), 0.0);
+        assert_eq!(report.threads_used, 0);
     }
 }
