@@ -319,7 +319,7 @@ impl TreeCase {
             }
             _ => (None, self.order(orders.ao), self.order(orders.eo)),
         };
-        PolicyInstance::from_parts(kind, memory, transformed, ao, eo, None)
+        PolicyInstance::from_parts(kind, memory, &self.tree, transformed, ao, eo, None)
             .expect("cache-built parts are consistent")
     }
 

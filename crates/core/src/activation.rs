@@ -17,7 +17,7 @@ use crate::error::SchedError;
 use crate::readyset::RankQueue;
 use memtree_order::Order;
 use memtree_sim::Scheduler;
-use memtree_tree::{NodeId, TaskTree};
+use memtree_tree::{NodeId, TaskTree, TreeError};
 
 /// Algorithm 1.
 pub struct Activation<'a> {
@@ -46,14 +46,19 @@ impl<'a> Activation<'a> {
         eo: &'a Order,
         memory: u64,
     ) -> Result<Self, SchedError> {
-        check_orders(tree, ao, eo)?;
-        let required = ao.sequential_peak(tree);
-        if required > memory {
-            return Err(SchedError::InfeasibleMemory {
-                required,
-                available: memory,
-            });
-        }
+        Self::with_floor(tree, ao, eo, memory, None)
+    }
+
+    /// [`Activation::try_new`], given `peak(AO)` when the caller carries
+    /// it ([`check_feasible`]).
+    pub(crate) fn with_floor(
+        tree: &'a TaskTree,
+        ao: &'a Order,
+        eo: &'a Order,
+        memory: u64,
+        floor: Option<u64>,
+    ) -> Result<Self, SchedError> {
+        check_feasible(tree, ao, eo, memory, floor)?;
         Ok(Activation {
             tree,
             ao,
@@ -118,8 +123,8 @@ impl Scheduler for Activation<'_> {
     }
 }
 
-/// Shared order sanity check.
-pub(crate) fn check_orders(tree: &TaskTree, ao: &Order, eo: &Order) -> Result<(), SchedError> {
+/// Both orders cover the tree: [`SchedError::OrderMismatch`] otherwise.
+pub(crate) fn check_lengths(tree: &TaskTree, ao: &Order, eo: &Order) -> Result<(), SchedError> {
     for o in [ao, eo] {
         if o.len() != tree.len() {
             return Err(SchedError::OrderMismatch {
@@ -127,6 +132,57 @@ pub(crate) fn check_orders(tree: &TaskTree, ao: &Order, eo: &Order) -> Result<()
                 order_len: o.len(),
             });
         }
+    }
+    Ok(())
+}
+
+/// The error of an order of the right length that is not an order of the
+/// tree it was handed with.
+pub(crate) fn foreign_orders(e: TreeError) -> SchedError {
+    SchedError::InvalidSpec(format!("the orders do not belong to the tree: {e}"))
+}
+
+/// Shared order sanity check: [`check_lengths`], then that both orders
+/// are orders *of* `tree` ([`Order::check_tree`], one pass over the
+/// parent array; once when AO is EO).
+pub(crate) fn check_orders(tree: &TaskTree, ao: &Order, eo: &Order) -> Result<(), SchedError> {
+    check_lengths(tree, ao, eo)?;
+    ao.check_tree(tree).map_err(foreign_orders)?;
+    if !std::ptr::eq(ao, eo) {
+        eo.check_tree(tree).map_err(foreign_orders)?;
+    }
+    Ok(())
+}
+
+/// [`check_orders`], then Theorem 1's feasibility condition `M ≥
+/// peak(AO)` — the floor of every policy but RedTree, whose escrow raises
+/// it. `floor` is `peak(AO)` when the caller already holds it (a
+/// [`PolicyInstance`](crate::PolicyInstance) carries it from the pass
+/// that built AO); `None` replays AO here.
+pub(crate) fn check_feasible(
+    tree: &TaskTree,
+    ao: &Order,
+    eo: &Order,
+    memory: u64,
+    floor: Option<u64>,
+) -> Result<(), SchedError> {
+    check_orders(tree, ao, eo)?;
+    let required = match floor {
+        Some(floor) => {
+            debug_assert_eq!(
+                floor,
+                ao.sequential_peak(tree),
+                "the carried floor is AO's sequential peak"
+            );
+            floor
+        }
+        None => ao.sequential_peak(tree),
+    };
+    if required > memory {
+        return Err(SchedError::InfeasibleMemory {
+            required,
+            available: memory,
+        });
     }
     Ok(())
 }

@@ -18,8 +18,9 @@
 //! * [`MemBookingRef`] — literal transcription of Algorithms 2–4
 //!   (sets-and-scans, `O(n²·H)` worst case), the executable specification;
 //! * [`MemBooking`] — the optimised Appendix-B version (Algorithms 5–6)
-//!   with heaps for `CAND`/`ACTf`, counter arrays and lazily materialised
-//!   `BookedBySubtree`, running in `O(n(H + log n))` (Theorem 2).
+//!   with a rank queue for `ACTf`, a cursor into AO for `CAND`, counter
+//!   arrays and lazily materialised `BookedBySubtree`, running in
+//!   `O(n(H + log n))` (Theorem 2).
 //!
 //! They produce bit-identical schedules; a property test in
 //! `tests/equivalence.rs` enforces it.

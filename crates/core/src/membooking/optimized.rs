@@ -1,7 +1,7 @@
 //! The optimised MemBooking engine (Appendix B, Algorithms 5–6).
 
 use super::BBS_UNSET;
-use crate::activation::check_orders;
+use crate::activation::check_feasible;
 use crate::error::SchedError;
 use crate::readyset::RankQueue;
 use memtree_order::Order;
@@ -10,18 +10,25 @@ use memtree_tree::{NodeId, TaskTree};
 
 /// MemBooking with the Appendix-B data structures:
 ///
-/// * `CAND` — rank queue keyed by AO rank (candidates for activation);
+/// * `CAND` — the candidates for activation, as the AO position of the
+///   next node to activate (see below);
 /// * `ACTf` — rank queue keyed by EO rank (activated nodes whose children
 ///   all finished, i.e. the runnable pool);
-/// * `ChNotAct` / `ChNotFin` — per-node counters of children not yet
-///   activated / finished;
+/// * `ChNotFin` — per-node counters of children not yet finished;
 /// * `Booked` / `BookedBySubtree` — the booking ledgers, with
 ///   `BookedBySubtree` materialised lazily (the paper's `-1` sentinel).
 ///
-/// The Appendix prescribes binary heaps for `CAND`/`ACTf`; since both are
-/// keyed by ranks of a dense order, a [`RankQueue`] (hierarchical bitset,
+/// The Appendix prescribes binary heaps for `CAND`/`ACTf`. `ACTf` is keyed
+/// by ranks of a dense order, so a [`RankQueue`] (hierarchical bitset,
 /// O(1) insert / amortised-O(1) pop, zero steady-state allocations) pops
-/// in the identical order — pinned by the determinism regression suite.
+/// it in the identical order — pinned by the determinism regression
+/// suite. `CAND` needs no queue at all: every node's children come before
+/// it in AO, so once the nodes activated so far are a prefix of AO, the
+/// next node of AO has every child activated and is the smallest
+/// candidate; activating it extends the prefix (Lemma 1: activation
+/// follows AO). `CAND`'s minimum is therefore one cursor into AO, and the
+/// `ChNotAct` counters that feed the heap, and an `activated` flag
+/// (`rank < cursor`), are not stored.
 pub struct MemBooking<'a> {
     tree: &'a TaskTree,
     ao: &'a Order,
@@ -30,11 +37,10 @@ pub struct MemBooking<'a> {
     mem_needed: Vec<u64>,
     booked: Vec<u64>,
     bbs: Vec<u64>,
-    ch_not_act: Vec<u32>,
     ch_not_fin: Vec<u32>,
-    activated: Vec<bool>,
     mbooked: u64,
-    cand: RankQueue,
+    /// AO position of the next node to activate: `CAND`'s minimum.
+    next_ao: usize,
     actf: RankQueue,
 }
 
@@ -47,32 +53,44 @@ impl<'a> MemBooking<'a> {
         eo: &'a Order,
         memory: u64,
     ) -> Result<Self, SchedError> {
-        check_orders(tree, ao, eo)?;
-        let required = ao.sequential_peak(tree);
-        if required > memory {
-            return Err(SchedError::InfeasibleMemory {
-                required,
-                available: memory,
-            });
-        }
+        Self::with_floor(tree, ao, eo, memory, None)
+    }
+
+    /// [`MemBooking::try_new`], given `peak(AO)` when the caller carries
+    /// it.
+    pub(crate) fn with_floor(
+        tree: &'a TaskTree,
+        ao: &'a Order,
+        eo: &'a Order,
+        memory: u64,
+        floor: Option<u64>,
+    ) -> Result<Self, SchedError> {
+        check_feasible(tree, ao, eo, memory, floor)?;
         let n = tree.len();
-        let mut cand = RankQueue::with_universe(n);
-        for l in tree.leaves() {
-            cand.insert(ao.rank(l));
+        // `MemNeeded` and the child counts from one pass over the parent
+        // array: every node adds its output and itself to its parent's.
+        let mut mem_needed: Vec<u64> = tree
+            .nodes()
+            .map(|i| tree.exec(i) + tree.output(i))
+            .collect();
+        let mut ch_not_fin = vec![0u32; n];
+        for i in tree.nodes() {
+            if let Some(p) = tree.parent(i) {
+                mem_needed[p.index()] += tree.output(i);
+                ch_not_fin[p.index()] += 1;
+            }
         }
         Ok(MemBooking {
             tree,
             ao,
             eo,
             memory,
-            mem_needed: memtree_tree::memory::mem_needed_slice(tree),
+            mem_needed,
             booked: vec![0; n],
             bbs: vec![BBS_UNSET; n],
-            ch_not_act: tree.nodes().map(|i| tree.degree(i) as u32).collect(),
-            ch_not_fin: tree.nodes().map(|i| tree.degree(i) as u32).collect(),
-            activated: vec![false; n],
+            ch_not_fin,
             mbooked: 0,
-            cand,
+            next_ao: 0,
             actf: RankQueue::with_universe(n),
         })
     }
@@ -102,7 +120,7 @@ impl<'a> MemBooking<'a> {
         // The output f_j migrates into the parent's booking.
         let px = parent.index();
         self.ch_not_fin[px] -= 1;
-        if self.ch_not_fin[px] == 0 && self.activated[px] {
+        if self.ch_not_fin[px] == 0 && self.activated(parent) {
             self.actf.insert(self.eo.rank(parent));
         }
         let fj = self.tree.output(j);
@@ -134,12 +152,22 @@ impl<'a> MemBooking<'a> {
         // `mbooked` up front).
     }
 
+    /// Whether `i` is activated: the activated nodes are a prefix of AO.
+    #[inline]
+    fn activated(&self, i: NodeId) -> bool {
+        (self.ao.rank(i) as usize) < self.next_ao
+    }
+
     /// Algorithm 6, lines 18–30: activate candidates in AO order while the
     /// missing memory fits.
     fn update_cand_act(&mut self) {
-        while let Some(rank) = self.cand.peek_min() {
-            let i = self.ao.at(rank as usize);
+        while self.next_ao < self.ao.len() {
+            let i = self.ao.at(self.next_ao);
             let ix = i.index();
+            debug_assert!(
+                self.tree.children(i).iter().all(|&c| self.activated(c)),
+                "the next node of AO is a candidate"
+            );
             if self.bbs[ix] == BBS_UNSET {
                 let children_sum: u64 = self
                     .tree
@@ -153,11 +181,10 @@ impl<'a> MemBooking<'a> {
             if self.mbooked + missing > self.memory {
                 return; // WaitForMoreMem
             }
-            self.cand.pop_min();
+            self.next_ao += 1;
             self.booked[ix] += missing;
             self.mbooked += missing;
             self.bbs[ix] += missing;
-            self.activated[ix] = true;
             debug_assert!(self.bbs[ix] >= self.mem_needed[ix]);
             debug_assert_eq!(
                 self.bbs[ix],
@@ -172,14 +199,6 @@ impl<'a> MemBooking<'a> {
             );
             if self.ch_not_fin[ix] == 0 {
                 self.actf.insert(self.eo.rank(i));
-            }
-            if let Some(p) = self.tree.parent(i) {
-                self.ch_not_act[p.index()] -= 1;
-                if self.ch_not_act[p.index()] == 0 {
-                    // All children activated: the parent becomes a
-                    // candidate. AO rank keying keeps Lemma 1's order.
-                    self.cand.insert(self.ao.rank(p));
-                }
             }
         }
     }

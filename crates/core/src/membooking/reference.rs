@@ -6,7 +6,7 @@
 //! re-checking children. Worst-case `O(n²·H)`; used by tests (equivalence
 //! with [`super::MemBooking`]) and by the complexity ablation bench.
 
-use crate::activation::check_orders;
+use crate::activation::check_feasible;
 use crate::error::SchedError;
 use memtree_order::Order;
 use memtree_sim::Scheduler;
@@ -50,14 +50,19 @@ impl<'a> MemBookingRef<'a> {
         eo: &'a Order,
         memory: u64,
     ) -> Result<Self, SchedError> {
-        check_orders(tree, ao, eo)?;
-        let required = ao.sequential_peak(tree);
-        if required > memory {
-            return Err(SchedError::InfeasibleMemory {
-                required,
-                available: memory,
-            });
-        }
+        Self::with_floor(tree, ao, eo, memory, None)
+    }
+
+    /// [`MemBookingRef::try_new`], given `peak(AO)` when the caller
+    /// carries it.
+    pub(crate) fn with_floor(
+        tree: &'a TaskTree,
+        ao: &'a Order,
+        eo: &'a Order,
+        memory: u64,
+        floor: Option<u64>,
+    ) -> Result<Self, SchedError> {
+        check_feasible(tree, ao, eo, memory, floor)?;
         let n = tree.len();
         let state = tree
             .nodes()

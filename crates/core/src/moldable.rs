@@ -98,9 +98,22 @@ impl<'a> MoldableMemBooking<'a> {
         memory: u64,
         caps: AllotmentCaps,
     ) -> Result<Self, SchedError> {
+        Self::with_floor(tree, ao, eo, memory, caps, None)
+    }
+
+    /// [`MoldableMemBooking::try_new`], given `peak(AO)` when the caller
+    /// carries it.
+    pub(crate) fn with_floor(
+        tree: &'a TaskTree,
+        ao: &'a Order,
+        eo: &'a Order,
+        memory: u64,
+        caps: AllotmentCaps,
+        floor: Option<u64>,
+    ) -> Result<Self, SchedError> {
         assert_eq!(caps.caps.len(), tree.len(), "one cap per task required");
         Ok(MoldableMemBooking {
-            inner: MemBooking::try_new(tree, ao, eo, memory)?,
+            inner: MemBooking::with_floor(tree, ao, eo, memory, floor)?,
             caps,
         })
     }

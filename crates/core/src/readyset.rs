@@ -1,8 +1,8 @@
 //! **`RankQueue`** — the amortised-O(1) ready set behind the list
 //! schedulers (DESIGN.md §6.11).
 //!
-//! Activation and MemBooking keep their candidate/runnable pools ordered
-//! by AO/EO *rank*. A rank is a position in an [`memtree_order::Order`]:
+//! Activation, MemBooking and RedTree keep their runnable pools ordered
+//! by EO *rank*. A rank is a position in an [`memtree_order::Order`]:
 //! a dense permutation of `0..n`, unique per node. That makes a general
 //! priority queue overkill — membership is a bit per rank, and "pop the
 //! minimum" is "find the first set bit". `RankQueue` is that bitset,

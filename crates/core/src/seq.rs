@@ -1,6 +1,6 @@
 //! Sequential baseline: execute the activation order on one processor.
 
-use crate::activation::check_orders;
+use crate::activation::check_feasible;
 use crate::error::SchedError;
 use memtree_order::Order;
 use memtree_sim::Scheduler;
@@ -20,14 +20,18 @@ pub struct Sequential<'a> {
 impl<'a> Sequential<'a> {
     /// Builds the policy; requires `M ≥ peak(AO)` like every other policy.
     pub fn try_new(tree: &'a TaskTree, ao: &'a Order, memory: u64) -> Result<Self, SchedError> {
-        check_orders(tree, ao, ao)?;
-        let required = ao.sequential_peak(tree);
-        if required > memory {
-            return Err(SchedError::InfeasibleMemory {
-                required,
-                available: memory,
-            });
-        }
+        Self::with_floor(tree, ao, memory, None)
+    }
+
+    /// [`Sequential::try_new`], given `peak(AO)` when the caller carries
+    /// it.
+    pub(crate) fn with_floor(
+        tree: &'a TaskTree,
+        ao: &'a Order,
+        memory: u64,
+        floor: Option<u64>,
+    ) -> Result<Self, SchedError> {
+        check_feasible(tree, ao, ao, memory, floor)?;
         Ok(Sequential {
             tree,
             order: ao.sequence().to_vec(),

@@ -16,13 +16,13 @@
 //! executed on a simulator, on real threads, or fanned out across a
 //! parallel sweep.
 
-use crate::activation::check_orders;
+use crate::activation::{check_lengths, check_orders, foreign_orders};
 use crate::error::SchedError;
 use crate::moldable::{AllotmentCaps, MoldableMemBooking};
 use crate::redtree::to_reduction_tree;
 use crate::{Activation, HeuristicKind, MemBooking, MemBookingRef, RedTreeBooking, Sequential};
 use memtree_order::po_mem::min_postorder_peak;
-use memtree_order::{make_order, Order, OrderKind};
+use memtree_order::{make_order, make_order_with_peak, Order, OrderKind};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 use std::sync::Arc;
@@ -272,19 +272,21 @@ impl PolicySpec {
             _ => None,
         };
         let exec = transformed.as_deref().unwrap_or(tree);
-        let ao = Arc::new(make_order(exec, self.ao));
+        let (ao, ao_peak) = make_order_with_peak(exec, self.ao);
+        let ao = Arc::new(ao);
         let eo = if self.eo == self.ao {
             ao.clone()
         } else {
             Arc::new(make_order(exec, self.eo))
         };
-        PolicyInstance::from_parts(
+        PolicyInstance::assemble(
             self.kind,
             self.memory,
             transformed,
             ao,
             eo,
             self.caps.clone(),
+            ao_peak,
         )
     }
 }
@@ -319,6 +321,10 @@ pub struct PolicyInstance {
     ao: Arc<Order>,
     eo: Arc<Order>,
     caps: Option<AllotmentCaps>,
+    /// `peak(AO)`: the sequential peak of `ao` on the exec tree, from the
+    /// pass that built `ao` (memPO, OptSeq) or one replay of it. Every
+    /// mint checks `M` against it without replaying AO again.
+    ao_peak: u64,
     /// Whether this instance is in activation-order numbering
     /// ([`PolicyInstance::relaid`]).
     relaid: bool,
@@ -332,14 +338,42 @@ impl PolicyInstance {
     /// `transformed` must be `Some` exactly for
     /// [`HeuristicKind::MemBookingRedTree`], and `ao`/`eo` must be orders
     /// *of the tree the policy schedules* (the transformed tree for
-    /// RedTree, the original otherwise).
+    /// RedTree, `original` otherwise) — checked here, along with one
+    /// replay of AO for the instance's feasibility floor.
+    ///
+    /// # Errors
+    /// [`SchedError::InvalidSpec`] for a kind/parts mismatch or orders of
+    /// another tree, [`SchedError::OrderMismatch`] for orders of another
+    /// length.
     pub fn from_parts(
+        kind: HeuristicKind,
+        memory: u64,
+        original: &TaskTree,
+        transformed: Option<Arc<TaskTree>>,
+        ao: Arc<Order>,
+        eo: Arc<Order>,
+        caps: Option<AllotmentCaps>,
+    ) -> Result<Self, SchedError> {
+        let mut instance = Self::assemble(kind, memory, transformed, ao, eo, caps, 0)?;
+        instance.ao_peak = {
+            let exec = instance.exec_tree(original);
+            check_orders(exec, &instance.ao, &instance.eo)?;
+            instance.ao.sequential_peak(exec)
+        };
+        Ok(instance)
+    }
+
+    /// The instance of parts whose orders belong to the exec tree, with
+    /// `peak(AO)` there; checks only that kind, transform and caps go
+    /// together.
+    fn assemble(
         kind: HeuristicKind,
         memory: u64,
         transformed: Option<Arc<TaskTree>>,
         ao: Arc<Order>,
         eo: Arc<Order>,
         caps: Option<AllotmentCaps>,
+        ao_peak: u64,
     ) -> Result<Self, SchedError> {
         if transformed.is_some() != (kind == HeuristicKind::MemBookingRedTree) {
             return Err(SchedError::InvalidSpec(format!(
@@ -358,6 +392,7 @@ impl PolicyInstance {
             ao,
             eo,
             caps,
+            ao_peak,
             relaid: false,
         })
     }
@@ -393,19 +428,17 @@ impl PolicyInstance {
             return Ok(self.clone());
         }
         let exec = self.exec_tree(original);
-        check_orders(exec, &self.ao, &self.eo)?;
-        let foreign =
-            |e| SchedError::InvalidSpec(format!("the orders do not belong to the tree: {e}"));
-        let layout = exec
-            .renumbered(self.ao.shared_sequence())
-            .map_err(foreign)?;
-        let ao = Arc::new(Order::identity(&layout, self.ao.kind()).map_err(foreign)?);
+        // Topology is checked by the renumbering itself (AO) and by the
+        // construction of the layout's EO.
+        check_lengths(exec, &self.ao, &self.eo)?;
+        let layout = self.ao.layout(exec).map_err(foreign_orders)?;
+        let ao = Arc::new(Order::identity(&layout, self.ao.kind()).map_err(foreign_orders)?);
         let eo = if Arc::ptr_eq(&self.ao, &self.eo) {
             ao.clone()
         } else {
             let seq = self.eo.sequence().iter();
             let seq = seq.map(|&i| NodeId(self.ao.rank(i))).collect();
-            Arc::new(Order::new(&layout, seq, self.eo.kind()).map_err(foreign)?)
+            Arc::new(Order::new(&layout, seq, self.eo.kind()).map_err(foreign_orders)?)
         };
         let caps = match &self.caps {
             Some(caps) if caps.as_slice().len() != exec.len() => {
@@ -427,6 +460,8 @@ impl PolicyInstance {
             ao,
             eo,
             caps,
+            // The same sequence over the same specs.
+            ao_peak: self.ao_peak,
             relaid: true,
         })
     }
@@ -463,6 +498,13 @@ impl PolicyInstance {
         &self.eo
     }
 
+    /// The activation order's sequential peak on
+    /// [`PolicyInstance::exec_tree`] — the feasibility floor every mint
+    /// checks `M` against (RedTree's escrow raises its own above it).
+    pub fn ao_peak(&self) -> u64 {
+        self.ao_peak
+    }
+
     /// The tree the policy actually schedules: the reduction-tree
     /// transform for RedTree, the renumbered tree for a
     /// [relaid](Self::relaid) instance, `original` otherwise.
@@ -489,16 +531,21 @@ impl PolicyInstance {
     ) -> Result<Box<dyn Scheduler + Send + 't>, SchedError> {
         let tree = self.exec_tree(original);
         let (ao, eo, m) = (&*self.ao, &*self.eo, self.memory);
+        let floor = Some(self.ao_peak);
         Ok(match self.kind {
-            HeuristicKind::Activation => Box::new(Activation::try_new(tree, ao, eo, m)?),
+            HeuristicKind::Activation => Box::new(Activation::with_floor(tree, ao, eo, m, floor)?),
             // Caps ride on MemBooking only (`from_parts` refuses the rest).
             HeuristicKind::MemBooking => match self.caps.clone() {
-                Some(caps) => Box::new(MoldableMemBooking::try_new(tree, ao, eo, m, caps)?),
-                None => Box::new(MemBooking::try_new(tree, ao, eo, m)?),
+                Some(caps) => Box::new(MoldableMemBooking::with_floor(
+                    tree, ao, eo, m, caps, floor,
+                )?),
+                None => Box::new(MemBooking::with_floor(tree, ao, eo, m, floor)?),
             },
-            HeuristicKind::MemBookingRef => Box::new(MemBookingRef::try_new(tree, ao, eo, m)?),
+            HeuristicKind::MemBookingRef => {
+                Box::new(MemBookingRef::with_floor(tree, ao, eo, m, floor)?)
+            }
             HeuristicKind::MemBookingRedTree => Box::new(RedTreeBooking::try_new(tree, ao, eo, m)?),
-            HeuristicKind::Sequential => Box::new(Sequential::try_new(tree, ao, m)?),
+            HeuristicKind::Sequential => Box::new(Sequential::with_floor(tree, ao, m, floor)?),
         })
     }
 }

@@ -58,3 +58,22 @@ pub fn make_order(tree: &TaskTree, kind: OrderKind) -> Order {
         .expect("natural postorder is topological"),
     }
 }
+
+/// [`make_order`] and the order's sequential peak
+/// ([`Order::sequential_peak`]). memPO and OptSeq compute that peak while
+/// they build the order, so it comes from the same pass; the other kinds
+/// replay their sequence once.
+pub fn make_order_with_peak(tree: &TaskTree, kind: OrderKind) -> (Order, u64) {
+    match kind {
+        OrderKind::MemPostorder => po_mem::mem_postorder_with_peak(tree),
+        OrderKind::OptSeq => {
+            let opt = optimal_traversal(tree);
+            (opt.order, opt.peak)
+        }
+        _ => {
+            let order = make_order(tree, kind);
+            let peak = order.sequential_peak(tree);
+            (order, peak)
+        }
+    }
+}

@@ -56,14 +56,25 @@ pub fn min_postorder_peak(tree: &TaskTree) -> u64 {
 /// Builds the `memPO` order: a postorder whose children are expanded by
 /// non-increasing `P(c) − f(c)`, placed by one top-down sweep.
 pub fn mem_postorder(tree: &TaskTree) -> Order {
+    mem_postorder_with_peak(tree).0
+}
+
+/// [`mem_postorder`] and its sequential peak, Liu's `P(root)` from the
+/// same sweep: the order is built to achieve it, so no replay is needed.
+pub fn mem_postorder_with_peak(tree: &TaskTree) -> (Order, u64) {
     // The peaks and child lists are freed before the order's own arrays
     // are allocated: transients left below a long-lived order would stay
     // resident as heap holes (≈ 4 MB of peak RSS at 10⁶ nodes).
-    let rank = {
-        let (_, child_order) = peaks_and_child_order(tree);
-        postorder_ranks(tree, &child_order)
+    let (rank, peak) = {
+        let (peaks, child_order) = peaks_and_child_order(tree);
+        (
+            postorder_ranks(tree, &child_order),
+            peaks[tree.root().index()],
+        )
     };
-    Order::from_ranks(tree, rank, OrderKind::MemPostorder).expect("postorder is topological")
+    let order =
+        Order::from_ranks(tree, rank, OrderKind::MemPostorder).expect("postorder is topological");
+    (order, peak)
 }
 
 #[cfg(test)]

@@ -307,13 +307,11 @@ pub struct DriverCore<'a, S, R: Rescheduler + ?Sized + 'a = dyn Rescheduler + 'a
     rescheduler: Option<&'a mut R>,
     started: BitSet,
     finished: BitSet,
-    /// Live allotment of each running task, for gang release on completion.
-    allotment: Vec<u32>,
-    /// Running tasks, unordered; `run_pos[i]` is task i's slot in `running`
-    /// (u32::MAX when not running), so completion removal is a swap-remove.
-    /// Every gang needs ≥ 1 processor, so at most `workers` tasks run.
-    running: Vec<NodeId>,
-    run_pos: Vec<u32>,
+    /// Running tasks with their live allotments, unordered. Every gang
+    /// needs ≥ 1 processor, so at most `workers` tasks run: a completion
+    /// finds its task by a scan of at most `p` entries and swap-removes
+    /// it, and no per-node array is kept for the running set.
+    running: Vec<(NodeId, u32)>,
     live: LiveSet<'a>,
     peak_booked: u64,
     completed: usize,
@@ -334,7 +332,7 @@ pub struct DriverCore<'a, S, R: Rescheduler + ?Sized + 'a = dyn Rescheduler + 'a
     /// ordering contract is met by sorting a scratch copy of `running`
     /// only when a snapshot is actually published.
     stats: LiveStats,
-    snapshot_order: Vec<NodeId>,
+    snapshot_order: Vec<(NodeId, u32)>,
 }
 
 impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
@@ -361,9 +359,7 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
             rescheduler,
             started: BitSet::new(n),
             finished: BitSet::new(n),
-            allotment: vec![0; n],
             running: Vec::with_capacity(slots),
-            run_pos: vec![u32::MAX; n],
             live: LiveSet::new(tree),
             peak_booked: 0,
             completed: 0,
@@ -488,16 +484,13 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         self.finished.set(i.index());
         self.live.finish(i);
         self.completed += 1;
-        self.busy -= self.allotment[i.index()] as usize;
-        // Swap-remove from the unordered running set, patching the moved
-        // task's position index.
-        let pos = self.run_pos[i.index()] as usize;
-        debug_assert!(pos < self.running.len() && self.running[pos] == i);
-        self.run_pos[i.index()] = u32::MAX;
-        self.running.swap_remove(pos);
-        if let Some(&moved) = self.running.get(pos) {
-            self.run_pos[moved.index()] = pos as u32;
-        }
+        let pos = self
+            .running
+            .iter()
+            .position(|&(r, _)| r == i)
+            .expect("a completed task was running");
+        let (_, q) = self.running.swap_remove(pos);
+        self.busy -= q as usize;
     }
 
     /// Checks and books the scheduler's starts. The capacity check counts
@@ -524,11 +517,9 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
                 return Err(DriveError::PrecedenceViolation { node: i });
             }
             self.started.set(i.index());
-            self.allotment[i.index()] = q as u32;
             self.live.start(i);
             self.busy += q;
-            self.run_pos[i.index()] = self.running.len() as u32;
-            self.running.push(i);
+            self.running.push((i, q as u32));
         }
         self.peak_busy = self.peak_busy.max(self.busy);
         Ok(())
@@ -551,7 +542,8 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         // unordered for O(1) completion removal.
         self.snapshot_order.clear();
         self.snapshot_order.extend_from_slice(&self.running);
-        self.snapshot_order.sort_unstable_by_key(|&i| tree.label(i));
+        self.snapshot_order
+            .sort_unstable_by_key(|&(i, _)| tree.label(i));
         let stats = &mut self.stats;
         stats.event = self.events as u64;
         stats.busy = self.busy;
@@ -560,16 +552,17 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         stats.booked = booked;
         stats.actual = actual;
         stats.gangs.clear();
-        let allotment = &self.allotment;
-        stats.gangs.extend(self.snapshot_order.iter().map(|&i| {
-            let (done, shards) = progress(i).unwrap_or((0, 0));
-            GangSnapshot {
-                node: tree.label(i),
-                allotment: allotment[i.index()],
-                shards,
-                shards_done: done,
-            }
-        }));
+        stats
+            .gangs
+            .extend(self.snapshot_order.iter().map(|&(i, allotment)| {
+                let (done, shards) = progress(i).unwrap_or((0, 0));
+                GangSnapshot {
+                    node: tree.label(i),
+                    allotment,
+                    shards,
+                    shards_done: done,
+                }
+            }));
         self.actions.clear();
         let t0 = std::time::Instant::now();
         resched.tick(&self.stats, &mut self.actions);
@@ -584,17 +577,16 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
             }
             // Actions name tasks as the snapshot did; at most `workers`
             // tasks run, so resolving the label is a short scan.
-            let Some(i) = self
+            let Some(slot) = self
                 .running
-                .iter()
-                .copied()
-                .find(|&i| tree.label(i) == node)
+                .iter_mut()
+                .find(|(i, _)| tree.label(*i) == node)
             else {
                 return Err(DriveError::Backend(format!(
                     "rescheduler resized {node:?}, which is not running"
                 )));
             };
-            let from = self.allotment[i.index()] as usize;
+            let (i, from) = (slot.0, slot.1 as usize);
             let to = if grow {
                 let idle_now = self.cfg.workers - self.busy;
                 if by > idle_now {
@@ -613,7 +605,7 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
                 from - by
             };
             self.resizes.push(Resize { node: i, from, to });
-            self.allotment[i.index()] = to as u32;
+            slot.1 = to as u32;
             self.busy = self.busy + to - from;
         }
         // One tick's resizes are atomic for the occupancy ledger: the peak

@@ -27,7 +27,10 @@ pub struct LiveSet<'a> {
     live_outputs: u64,
     /// Σ (n_i + f_i) over currently running tasks.
     running_extra: u64,
-    /// Whether each node's output is currently resident.
+    /// Whether each node's output is currently resident — the precedence
+    /// cross-check of debug builds. Release builds would only ever write
+    /// it; a driver checks precedence on its own `finished` set.
+    #[cfg(debug_assertions)]
     output_live: Vec<bool>,
     peak: u64,
 }
@@ -39,6 +42,7 @@ impl<'a> LiveSet<'a> {
             tree,
             live_outputs: 0,
             running_extra: 0,
+            #[cfg(debug_assertions)]
             output_live: vec![false; tree.len()],
             peak: 0,
         }
@@ -63,11 +67,17 @@ impl<'a> LiveSet<'a> {
     pub fn finish(&mut self, i: NodeId) {
         self.running_extra -= self.tree.exec(i) + self.tree.output(i);
         for &c in self.tree.children(i) {
-            debug_assert!(self.output_live[c.index()]);
-            self.output_live[c.index()] = false;
+            #[cfg(debug_assertions)]
+            {
+                debug_assert!(self.output_live[c.index()]);
+                self.output_live[c.index()] = false;
+            }
             self.live_outputs -= self.tree.output(c);
         }
-        self.output_live[i.index()] = true;
+        #[cfg(debug_assertions)]
+        {
+            self.output_live[i.index()] = true;
+        }
         self.live_outputs += self.tree.output(i);
         self.bump();
     }

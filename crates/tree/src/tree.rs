@@ -266,6 +266,37 @@ impl TaskTree {
         Ok(())
     }
 
+    /// Whether every node is ranked below its parent: `rank[i] <
+    /// rank[parent(i)]` for every non-root `i`, or, for `None`, every
+    /// parent id above its children's.
+    ///
+    /// For a rank table that is a permutation of `0..n` — the inverse of
+    /// a sequence — this accepts exactly what
+    /// [`check_topological`](TaskTree::check_topological) accepts on that
+    /// sequence, in one pass over the parent array instead of a scan of
+    /// every child list in sequence order. `memtree_order::Order` detects
+    /// the permutation while it fills its table and asks
+    /// `check_topological` only for the error of an input this rejects.
+    ///
+    /// # Panics
+    /// When `rank` does not hold one entry per node.
+    pub fn ranks_children_first(&self, rank: Option<&[u32]>) -> bool {
+        match rank {
+            // The root's sentinel is above every id.
+            None => (0..self.len() as u32)
+                .zip(&self.parent)
+                .all(|(i, &p)| i < p),
+            Some(rank) => {
+                assert_eq!(rank.len(), self.len(), "one rank per node");
+                // The root's sentinel is out of range: nothing to compare.
+                self.parent
+                    .iter()
+                    .zip(rank)
+                    .all(|(&p, &r)| rank.get(p as usize).is_none_or(|&rp| r < rp))
+            }
+        }
+    }
+
     /// The id the caller knows node `i` by: `i` itself, unless this tree
     /// was [`renumbered`](TaskTree::renumbered), in which case it is the
     /// node's id in the tree the (first) renumbering started from.
@@ -311,14 +342,40 @@ impl TaskTree {
                 _ => return Err(bad_permutation()),
             }
         }
+        self.renumbered_by_rank(seq, &new_id)
+    }
+
+    /// [`TaskTree::renumbered`] along `seq` when its inverse is already at
+    /// hand: `rank[seq[k]] == k`, as an order's rank table is. Saves
+    /// building that inverse; the inverse property and topology are still
+    /// checked, inline in the pass that renames the parent array.
+    ///
+    /// # Errors
+    /// [`TreeError::BadPermutation`] when `seq` and `rank` are not a
+    /// permutation and its inverse, [`TreeError::NotTopological`] when a
+    /// parent precedes one of its children.
+    pub fn renumbered_by_rank(&self, seq: Arc<[NodeId]>, rank: &[u32]) -> Result<TaskTree> {
+        let n = self.len();
+        let bad_permutation = || TreeError::BadPermutation {
+            expected: n,
+            got: seq.len(),
+        };
+        if seq.len() != n || rank.len() != n {
+            return Err(bad_permutation());
+        }
         let mut parent = Vec::with_capacity(n);
         for (k, &i) in seq.iter().enumerate() {
+            // `rank[i] == k` for every k makes `seq` injective, hence a
+            // permutation, with `rank` its inverse.
+            if rank.get(i.index()) != Some(&(k as u32)) {
+                return Err(bad_permutation());
+            }
             let p = self.parent[i.index()];
             // The root keeps the sentinel, which is above every position.
             let new_parent = if p == NO_PARENT {
                 NO_PARENT
             } else {
-                new_id[p as usize]
+                rank[p as usize]
             };
             if new_parent as usize <= k {
                 return Err(TreeError::NotTopological {
@@ -328,15 +385,18 @@ impl TaskTree {
             }
             parent.push(new_parent);
         }
+        let exec = gather(&self.exec, &seq);
+        let output = gather(&self.output, &seq);
+        let time = gather(&self.time, &seq);
         let (child_ptr, children) = csr_children(&parent);
         Ok(TaskTree {
             parent,
             child_ptr,
             children,
-            exec: gather(&self.exec, &seq),
-            output: gather(&self.output, &seq),
-            time: gather(&self.time, &seq),
-            root: NodeId(new_id[self.root.index()]),
+            exec,
+            output,
+            time,
+            root: NodeId(rank[self.root.index()]),
             labels: Some(match &self.labels {
                 None => seq,
                 Some(old) => gather(old, &seq).into(),
