@@ -22,12 +22,12 @@
 //! `platform_conformance!` pin the equivalence with `SimPlatform` and
 //! `ThreadedPlatform`.
 
-use crate::executor::{to_runtime_error, GangState, RuntimeError, RuntimeReport, MALLEABLE_CHUNKS};
-use crate::platform::{rescheduler_for, Platform, PlatformError, RunReport};
+use crate::executor::{GangState, MALLEABLE_CHUNKS};
+use crate::platform::{run_driven, Platform, PlatformError, RunReport};
 use crate::workload::Workload;
 use crossbeam::channel::{self, RecvTimeoutError};
 use memtree_sched::ReschedulePolicy;
-use memtree_sim::driver::{drive, Backend, DriveConfig, DriveError, Rescheduler};
+use memtree_sim::driver::{drive, Backend, DriveConfig, DriveError, DriveStats, Rescheduler};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 use std::collections::HashMap;
@@ -94,18 +94,18 @@ impl AsyncPlatform {
         self
     }
 
+    /// Drives `scheduler` over `exec` on a fresh executor and returns the
+    /// wall clock beside the driver's stats. The driver rejects zero
+    /// workers; zero executor threads is this platform's own check.
     fn execute(
         &self,
         exec: &TaskTree,
         memory: u64,
         scheduler: impl Scheduler,
         rescheduler: Option<&mut dyn Rescheduler>,
-    ) -> Result<RuntimeReport, RuntimeError> {
-        if self.workers == 0 {
-            return Err(RuntimeError::BadConfig("zero workers".into()));
-        }
+    ) -> Result<(f64, DriveStats), DriveError> {
         if self.threads == 0 {
-            return Err(RuntimeError::BadConfig("zero executor threads".into()));
+            return Err(DriveError::BadConfig("zero executor threads".into()));
         }
         let started_at = std::time::Instant::now();
         let malleable = rescheduler.is_some();
@@ -124,23 +124,9 @@ impl AsyncPlatform {
             workers: self.workers,
             malleable,
         };
-        let stats = drive(
-            exec,
-            DriveConfig::new(self.workers, memory),
-            scheduler,
-            &mut backend,
-            rescheduler,
-        )
-        .map_err(|e| to_runtime_error(e, exec))?;
-        Ok(RuntimeReport {
-            wall_seconds: started_at.elapsed().as_secs_f64(),
-            tasks_run: stats.completed,
-            peak_actual: stats.peak_actual,
-            peak_booked: stats.peak_booked,
-            events: stats.events,
-            scheduling_seconds: stats.scheduling_seconds,
-            peak_busy: stats.peak_busy,
-        })
+        let cfg = DriveConfig::new(self.workers, memory);
+        let stats = drive(exec, cfg, scheduler, &mut backend, rescheduler)?;
+        Ok((started_at.elapsed().as_secs_f64(), stats))
         // `rt` drops here: the queue closes and the executor threads join.
     }
 }
@@ -266,33 +252,24 @@ impl Platform for AsyncPlatform {
         "async"
     }
 
+    /// In activation-order numbering, as on every platform (§6.3).
+    /// Allotment q spawns q member futures sharing the payload's shard
+    /// index; a sequential task is one future.
     fn run_instance(
         &self,
         tree: &TaskTree,
         instance: &memtree_sched::PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        // In activation-order numbering, as on every platform (§6.3).
-        let relaid = instance.relaid(tree)?;
-        let exec = relaid.exec_tree(tree);
-        // Allotment q spawns q member futures sharing the payload's shard
-        // index; a sequential task is one future.
-        let sched = relaid.scheduler(tree)?;
-        let policy = sched.name().to_string();
-        let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
-        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
-        let report = self.execute(exec, relaid.memory(), sched, resched)?;
-        Ok(RunReport {
-            platform: self.name(),
-            policy,
-            makespan: report.wall_seconds,
-            wall_seconds: report.wall_seconds,
-            peak_booked: report.peak_booked,
-            peak_actual: report.peak_actual,
-            events: report.events,
-            scheduling_seconds: report.scheduling_seconds,
-            tasks_run: report.tasks_run,
-            quarantined: 0,
-        })
+        run_driven(
+            self.name(),
+            tree,
+            instance,
+            self.reschedule,
+            |exec, memory, sched, resched| {
+                let resched = resched.map(|r| r as &mut dyn Rescheduler);
+                self.execute(exec, memory, sched, resched)
+            },
+        )
     }
 }
 
@@ -364,10 +341,7 @@ mod tests {
             }
             .run(&tree, &spec)
             .unwrap_err();
-            assert!(matches!(
-                err,
-                PlatformError::Runtime(RuntimeError::BadConfig(_))
-            ));
+            assert!(matches!(err, PlatformError::Run(DriveError::BadConfig(_))));
         }
     }
 
@@ -379,7 +353,7 @@ mod tests {
         let platform = AsyncPlatform::new(2).with_workload(Workload::FailAt { node: 3 });
         let err = platform.run(&tree, &spec).unwrap_err();
         assert!(
-            matches!(err, PlatformError::Runtime(RuntimeError::WorkerPanic)),
+            matches!(err, PlatformError::Run(DriveError::Backend(_))),
             "got {err}"
         );
         // The platform value is reusable after the failure.

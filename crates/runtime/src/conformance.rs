@@ -63,8 +63,9 @@ pub fn worker_counts_from_env(default: &[usize]) -> Vec<usize> {
 /// then also asserts, for every worker count of
 /// [`worker_counts_from_env`]:
 ///
-/// * a panicking payload is a `WorkerPanic` error, never a hang or a
-///   propagated panic, and the same platform value runs cleanly after it.
+/// * a panicking payload is a `DriveError::Backend` error, never a hang
+///   or a propagated panic, and the same platform value runs cleanly
+///   after it.
 #[macro_export]
 macro_rules! platform_conformance {
     ($suite:ident, $platform:expr $(, payload_panic: $pool:expr)?) => {
@@ -177,7 +178,7 @@ macro_rules! platform_conformance {
                     assert!(
                         matches!(
                             err,
-                            $crate::PlatformError::Runtime($crate::RuntimeError::WorkerPanic)
+                            $crate::PlatformError::Run($crate::DriveError::Backend(_))
                         ),
                         "{} with {workers} workers: {err}",
                         platform.name()

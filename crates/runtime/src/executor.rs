@@ -25,11 +25,10 @@ use crate::dispatch::BatchQueue;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crate::workload::Workload;
-use memtree_sim::driver::{DriveConfig, DriveError, DriverCore, Rescheduler};
+use memtree_sim::driver::{DriveConfig, DriveError, DriveStats, DriverCore, Rescheduler};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
 use std::collections::HashMap;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -39,94 +38,6 @@ use std::sync::Arc;
 /// oversubscription factor, so retirement (which only happens at shard
 /// boundaries) stays responsive and grown members find work to claim.
 pub(crate) const MALLEABLE_CHUNKS: usize = 4;
-
-/// Outcome of a threaded execution.
-#[derive(Clone, Debug)]
-pub struct RuntimeReport {
-    /// Wall-clock duration of the whole run.
-    pub wall_seconds: f64,
-    /// Tasks executed (always the full tree on success).
-    pub tasks_run: usize,
-    /// Peak model-level resident memory.
-    pub peak_actual: u64,
-    /// Peak booked memory.
-    pub peak_booked: u64,
-    /// Scheduler events processed: one per completion, plus the initial
-    /// one.
-    pub events: usize,
-    /// Wall-clock seconds spent inside scheduler callbacks.
-    pub scheduling_seconds: f64,
-    /// Peak number of worker threads concurrently inside a payload,
-    /// measured by the workers themselves (not the driver's ledger). Never
-    /// exceeds the configured worker count — the observable half of the
-    /// gang-pool capacity invariant.
-    pub peak_busy: usize,
-}
-
-/// Failures of a threaded execution.
-#[derive(Debug)]
-pub enum RuntimeError {
-    /// The scheduler stopped issuing work with tasks outstanding.
-    Stalled {
-        /// Completed task count.
-        completed: usize,
-        /// Total task count.
-        total: usize,
-    },
-    /// The memory ledger caught a booking violation
-    /// (`booked > M` or `actual > booked`).
-    Ledger(String),
-    /// The scheduler broke the start protocol (double start, precedence
-    /// violation, or more starts than idle workers).
-    Protocol(String),
-    /// Zero workers or another unusable configuration.
-    BadConfig(String),
-    /// A worker thread panicked.
-    WorkerPanic,
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::Stalled { completed, total } => {
-                write!(f, "runtime stalled after {completed}/{total} tasks")
-            }
-            RuntimeError::Ledger(msg) => write!(f, "memory ledger violation: {msg}"),
-            RuntimeError::Protocol(msg) => write!(f, "scheduler protocol violation: {msg}"),
-            RuntimeError::BadConfig(msg) => write!(f, "bad runtime config: {msg}"),
-            RuntimeError::WorkerPanic => write!(f, "a worker thread panicked"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
-/// Maps a driver failure onto the runtime's error type. Nodes are named
-/// by [`TaskTree::label`]: the id the caller knows them by, also when the
-/// run was over a renumbered tree.
-pub(crate) fn to_runtime_error(e: DriveError, tree: &TaskTree) -> RuntimeError {
-    let protocol = |e: DriveError| RuntimeError::Protocol(e.to_string());
-    match e {
-        DriveError::Stalled {
-            completed, total, ..
-        } => RuntimeError::Stalled { completed, total },
-        DriveError::BookedOverBound { .. } | DriveError::ActualOverBooked { .. } => {
-            RuntimeError::Ledger(e.to_string())
-        }
-        DriveError::TooManyStarts { .. } => protocol(e),
-        DriveError::DoubleStart { node } => protocol(DriveError::DoubleStart {
-            node: tree.label(node),
-        }),
-        DriveError::ZeroAllotment { node } => protocol(DriveError::ZeroAllotment {
-            node: tree.label(node),
-        }),
-        DriveError::PrecedenceViolation { node } => protocol(DriveError::PrecedenceViolation {
-            node: tree.label(node),
-        }),
-        DriveError::BadConfig(msg) => RuntimeError::BadConfig(msg),
-        DriveError::Backend(_) => RuntimeError::WorkerPanic,
-    }
-}
 
 /// Shared state of one gang: the payload shards its members claim and the
 /// member ledger that decides who reports the completion. One protocol
@@ -306,6 +217,11 @@ impl GangState {
     }
 }
 
+/// How a run that lost a worker to a panic fails.
+fn worker_panicked() -> DriveError {
+    DriveError::Backend("a worker thread panicked".into())
+}
+
 /// One worker's membership in a gang-scheduled task.
 struct GangMember {
     task: NodeId,
@@ -352,7 +268,6 @@ impl Drop for CloseOnExit<'_> {
 /// production protocol under minloom: `payload(task, shard, shards)` runs
 /// one shard of a task's payload.
 pub struct WorkerPool<'a, S, F> {
-    tree: &'a TaskTree,
     shared: Mutex<Shared<'a, S>>,
     tasks: BatchQueue<GangMember>,
     payload: F,
@@ -378,12 +293,10 @@ where
         scheduler: S,
         rescheduler: Option<&'a mut (dyn Rescheduler + Send + 'a)>,
         payload: F,
-    ) -> Result<Self, RuntimeError> {
+    ) -> Result<Self, DriveError> {
         let malleable = rescheduler.is_some();
-        let core = DriverCore::new(tree, cfg, scheduler, rescheduler)
-            .map_err(|e| to_runtime_error(e, tree))?;
+        let core = DriverCore::new(tree, cfg, scheduler, rescheduler)?;
         Ok(WorkerPool {
-            tree,
             shared: Mutex::new(Shared {
                 core,
                 gangs: HashMap::new(),
@@ -421,7 +334,7 @@ where
             // would re-panic on join, and the other workers would never
             // learn): it ends this worker and fails the run.
             let Ok(retired) = self.run_member(&member) else {
-                self.fail(DriveError::Backend("a worker thread panicked".into()));
+                self.fail(worker_panicked());
                 return;
             };
             // Retired members never report: the member ledger keeps at
@@ -439,30 +352,26 @@ where
     }
 
     /// The run's verdict once every worker has returned: the first error,
-    /// or the report (`started_at` dates the wall clock).
-    pub fn finish(&self, started_at: std::time::Instant) -> Result<RuntimeReport, RuntimeError> {
-        let shared = self.shared.lock().map_err(|_| RuntimeError::WorkerPanic)?;
+    /// or the wall clock since `started_at` beside the driver's stats,
+    /// whose `peak_busy` is the workers' own occupancy measurement.
+    pub fn finish(&self, started_at: std::time::Instant) -> Result<(f64, DriveStats), DriveError> {
+        let shared = self.shared.lock().map_err(|_| worker_panicked())?;
         if let Some(e) = &shared.error {
-            return Err(to_runtime_error(e.clone(), self.tree));
+            return Err(e.clone());
         }
         if !shared.core.is_done() {
-            return Err(RuntimeError::WorkerPanic);
+            return Err(worker_panicked());
         }
         debug_assert_eq!(
             self.busy.load(Ordering::Acquire),
             0,
             "every gang member left its payload before the pool shut down"
         );
-        let stats = shared.core.stats();
-        Ok(RuntimeReport {
-            wall_seconds: started_at.elapsed().as_secs_f64(),
-            tasks_run: stats.completed,
-            peak_actual: stats.peak_actual,
-            peak_booked: stats.peak_booked,
-            events: stats.events,
-            scheduling_seconds: stats.scheduling_seconds,
+        let stats = DriveStats {
             peak_busy: self.peak_busy.load(Ordering::Acquire),
-        })
+            ..shared.core.stats()
+        };
+        Ok((started_at.elapsed().as_secs_f64(), stats))
     }
 
     /// Runs `member` until the payload is exhausted (`Ok(false)`) or the
@@ -590,13 +499,17 @@ where
 /// grow/shrink actions land on the running gangs through the shared
 /// [`GangState`] — growing stages extra member entries, shrinking retires
 /// surplus members at their next shard boundary.
+///
+/// Returns the run's wall-clock seconds beside the driver's
+/// [`DriveStats`], whose `peak_busy` is the number of workers the pool
+/// itself saw inside a payload at once (never more than `cfg.workers`).
 pub fn execute<S: Scheduler + Send>(
     tree: &TaskTree,
     cfg: DriveConfig,
     scheduler: S,
     workload: Workload,
     rescheduler: Option<&mut (dyn Rescheduler + Send)>,
-) -> Result<RuntimeReport, RuntimeError> {
+) -> Result<(f64, DriveStats), DriveError> {
     let started_at = std::time::Instant::now();
     // Shorten the rescheduler's object lifetime to the tree's borrow.
     let rescheduler = rescheduler.map(|r| -> &mut (dyn Rescheduler + Send) { r });
@@ -627,7 +540,7 @@ mod tests {
             let ao = mem_postorder(&tree);
             let m = ao.sequential_peak(&tree);
             let sched = MemBooking::try_new(&tree, &ao, &ao, m).unwrap();
-            let report = execute(
+            let (_, stats) = execute(
                 &tree,
                 DriveConfig {
                     workers: 4,
@@ -638,9 +551,9 @@ mod tests {
                 None,
             )
             .unwrap();
-            assert_eq!(report.tasks_run, tree.len());
-            assert!(report.peak_booked <= m);
-            assert!(report.peak_actual <= report.peak_booked);
+            assert_eq!(stats.completed, tree.len());
+            assert!(stats.peak_booked <= m);
+            assert!(stats.peak_actual <= stats.peak_booked);
         }
     }
 
@@ -650,7 +563,7 @@ mod tests {
         let ao = mem_postorder(&tree);
         let m = ao.sequential_peak(&tree) * 2;
         let sched = Activation::try_new(&tree, &ao, &ao, m).unwrap();
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig {
                 workers: 3,
@@ -661,10 +574,10 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(report.tasks_run, tree.len());
+        assert_eq!(stats.completed, tree.len());
         // The reporter of each completion steps the core with it alone:
         // one event per task plus the initial one.
-        assert_eq!(report.events, tree.len() + 1);
+        assert_eq!(stats.events, tree.len() + 1);
     }
 
     #[test]
@@ -673,7 +586,7 @@ mod tests {
         let ao = mem_postorder(&tree);
         let m = ao.sequential_peak(&tree);
         let sched = MemBooking::try_new(&tree, &ao, &ao, m).unwrap();
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig {
                 workers: 2,
@@ -687,7 +600,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(report.tasks_run, 60);
+        assert_eq!(stats.completed, 60);
     }
 
     #[test]
@@ -707,7 +620,7 @@ mod tests {
                 Workload::Noop,
                 None,
             ),
-            Err(RuntimeError::BadConfig(_))
+            Err(DriveError::BadConfig(_))
         ));
     }
 
@@ -720,7 +633,7 @@ mod tests {
             let m = ao.sequential_peak(&tree);
             let caps = AllotmentCaps::uniform(&tree, 4);
             let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-            let report = execute(
+            let (_, stats) = execute(
                 &tree,
                 DriveConfig {
                     workers: 4,
@@ -731,10 +644,10 @@ mod tests {
                 None,
             )
             .unwrap();
-            assert_eq!(report.tasks_run, tree.len());
-            assert!(report.peak_booked <= m);
-            assert!(report.peak_actual <= report.peak_booked);
-            assert!(report.peak_busy <= 4, "gang pool oversubscribed");
+            assert_eq!(stats.completed, tree.len());
+            assert!(stats.peak_booked <= m);
+            assert!(stats.peak_actual <= stats.peak_booked);
+            assert!(stats.peak_busy <= 4, "gang pool oversubscribed");
         }
     }
 
@@ -767,7 +680,7 @@ mod tests {
         let p = 4;
         let tree = memtree_gen::shapes::chain(20, memtree_tree::TaskSpec::new(1, 2, 4.0));
         let order = memtree_tree::traverse::postorder(&tree);
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig {
                 workers: p,
@@ -787,12 +700,12 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(report.tasks_run, tree.len());
-        assert!(report.peak_busy <= p);
+        assert_eq!(stats.completed, tree.len());
+        assert!(stats.peak_busy <= p);
         assert!(
-            report.peak_busy >= 2,
+            stats.peak_busy >= 2,
             "a whole-machine gang must occupy several workers, got {}",
-            report.peak_busy
+            stats.peak_busy
         );
     }
 
@@ -826,37 +739,12 @@ mod tests {
             };
             let err =
                 execute(&tree, cfg, DoubleStarter { leaf }, Workload::Noop, None).unwrap_err();
-            assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
+            assert_eq!(err, DriveError::DoubleStart { node: leaf });
         }
     }
 
-    /// On a renumbered tree the protocol error names the caller's id, not
-    /// the layout's.
-    #[test]
-    fn protocol_errors_name_caller_ids() {
-        let caller = memtree_gen::synthetic::paper_tree(20, 9);
-        let layout = caller
-            .renumbered(memtree_tree::traverse::postorder(&caller))
-            .unwrap();
-        let leaf = layout
-            .leaves()
-            .find(|&l| layout.label(l) != l)
-            .expect("the postorder moves a leaf");
-        let cfg = DriveConfig {
-            workers: 2,
-            memory: u64::MAX / 2,
-        };
-        let err = execute(&layout, cfg, DoubleStarter { leaf }, Workload::Noop, None).unwrap_err();
-        let RuntimeError::Protocol(msg) = err else {
-            panic!("expected Protocol, got {err}");
-        };
-        let named = |i: NodeId| format!("task {i:?} started twice");
-        assert!(msg.contains(&named(layout.label(leaf))), "{msg}");
-        assert!(!msg.contains(&named(leaf)), "{msg}");
-    }
-
-    /// A moldable policy that over-claims processors must abort with a
-    /// protocol error, and one that issues empty gangs likewise.
+    /// A moldable policy that claims `procs` processors for one leaf at
+    /// every event: more than the machine, or an empty gang.
     struct OverClaimer {
         leaf: NodeId,
         procs: usize,
@@ -878,10 +766,7 @@ mod tests {
     fn gang_overclaim_and_zero_allotment_rejected() {
         let tree = memtree_gen::synthetic::paper_tree(20, 9);
         let leaf = tree.leaves().next().unwrap();
-        let cfg = DriveConfig {
-            workers: 2,
-            memory: u64::MAX / 2,
-        };
+        let cfg = DriveConfig::new(2, u64::MAX / 2);
         let err = execute(
             &tree,
             cfg,
@@ -890,7 +775,13 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
+        assert_eq!(
+            err,
+            DriveError::TooManyStarts {
+                requested: 3,
+                idle: 2
+            }
+        );
         let err = execute(
             &tree,
             cfg,
@@ -899,7 +790,76 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert!(matches!(err, RuntimeError::Protocol(_)), "got {err}");
+        assert_eq!(err, DriveError::ZeroAllotment { node: leaf });
+    }
+
+    /// A policy that never starts anything.
+    struct Idle;
+
+    impl memtree_sim::Scheduler for Idle {
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn on_event(&mut self, _: &[NodeId], _: usize, _: &mut Vec<(NodeId, usize)>) {}
+        fn booked(&self) -> u64 {
+            0
+        }
+    }
+
+    /// The simulator and the threaded executor fail a broken policy with
+    /// the same [`DriveError`], naming the caller's ids on a renumbered
+    /// tree: one verdict, checked once, in the driver.
+    #[test]
+    fn protocol_errors_name_caller_ids() {
+        let caller = memtree_gen::synthetic::paper_tree(20, 9);
+        let layout = caller
+            .renumbered(memtree_tree::traverse::postorder(&caller))
+            .unwrap();
+        let moved = layout
+            .leaves()
+            .find(|&l| layout.label(l) != l)
+            .expect("the postorder moves a leaf");
+        let named = layout.label(moved);
+        let leaf = caller.leaves().next().unwrap();
+        type Mint<'t> = Box<dyn Fn() -> Box<dyn memtree_sim::Scheduler + Send + 't> + 't>;
+        let cases: [(&TaskTree, Mint<'_>, DriveError); 4] = [
+            (
+                &layout,
+                Box::new(move || Box::new(DoubleStarter { leaf: moved })),
+                DriveError::DoubleStart { node: named },
+            ),
+            (
+                &caller,
+                Box::new(move || Box::new(OverClaimer { leaf, procs: 3 })),
+                DriveError::TooManyStarts {
+                    requested: 3,
+                    idle: 2,
+                },
+            ),
+            (
+                &caller,
+                Box::new(move || Box::new(OverClaimer { leaf, procs: 0 })),
+                DriveError::ZeroAllotment { node: leaf },
+            ),
+            (
+                &caller,
+                Box::new(|| Box::new(Idle)),
+                DriveError::Stalled {
+                    completed: 0,
+                    total: caller.len(),
+                    booked: 0,
+                },
+            ),
+        ];
+        for (tree, mint, want) in cases {
+            let cfg = DriveConfig::new(2, u64::MAX / 2);
+            let sim = memtree_sim::SimConfig::new(cfg.workers, cfg.memory);
+            let simulated = memtree_sim::simulate_summary(tree, sim, mint(), None).unwrap_err();
+            let threaded = execute(tree, cfg, mint(), Workload::Noop, None).unwrap_err();
+            assert_eq!(simulated, threaded, "{want}");
+            assert_eq!(threaded, want);
+        }
+        assert_ne!(named, moved, "the double start names the caller's id");
     }
 
     /// A policy that books correctly but stops issuing work after the
@@ -948,7 +908,9 @@ mod tests {
         )
         .unwrap_err();
         match err {
-            RuntimeError::Stalled { completed, total } => {
+            DriveError::Stalled {
+                completed, total, ..
+            } => {
                 assert_eq!(completed, 1);
                 assert_eq!(total, tree.len());
             }
@@ -998,12 +960,10 @@ mod tests {
             None,
         )
         .unwrap_err();
-        match err {
-            RuntimeError::Ledger(msg) => {
-                assert!(msg.contains("exceeds booked"), "unexpected message: {msg}")
-            }
-            other => panic!("expected Ledger, got {other}"),
-        }
+        assert!(
+            matches!(err, DriveError::ActualOverBooked { booked: 0, .. }),
+            "got {err}"
+        );
         // The tree itself is fine: leaves exist and hold output memory.
         assert!(tree.leaves().next().is_some());
     }
@@ -1052,6 +1012,9 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert!(matches!(err, RuntimeError::Ledger(_)), "got {err}");
+        assert!(
+            matches!(err, DriveError::BookedOverBound { bound: 1_000, .. }),
+            "got {err}"
+        );
     }
 }

@@ -26,13 +26,14 @@
 //! assert_eq!(sim.tasks_run, real.tasks_run);
 //! ```
 
-use crate::executor::{execute, RuntimeError};
+use crate::executor::execute;
 use crate::workload::Workload;
 use memtree_sched::{
     LedgerError, PolicyInstance, PolicySpec, ProportionalRescheduler, ReschedulePolicy, SchedError,
 };
 use memtree_sim::{
-    simulate_summary, simulate_with, DriveConfig, Rescheduler, SimConfig, SimError, SpeedupModel,
+    simulate_summary, simulate_with, DriveConfig, DriveError, DriveStats, Rescheduler, Scheduler,
+    SimConfig, SpeedupModel,
 };
 use memtree_tree::TaskTree;
 use std::fmt;
@@ -40,15 +41,18 @@ use std::fmt;
 /// The common outcome of running a policy on any platform.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Platform name (`"sim"`, `"threaded"`, `"sharded"` or `"async"`).
+    /// Platform name: `"sim"`, `"threaded"`, `"async"`, `"sharded"`,
+    /// `"process"` or `"service"`, and `"process-worker"` for a shard
+    /// report that crossed the worker-process wire.
     pub platform: &'static str,
     /// Scheduler name as reported by the policy.
     pub policy: String,
     /// Completion time in the platform's own clock: virtual time on the
     /// simulator, wall-clock seconds on the threaded runtime.
     pub makespan: f64,
-    /// Wall-clock duration of the run (== `makespan` on the threaded
-    /// runtime).
+    /// Wall-clock duration of the whole run call, set-up (relay, policy
+    /// minting, partitioning) included. On the real-time platforms
+    /// `makespan` is the executor's share of it.
     pub wall_seconds: f64,
     /// Peak memory booked by the policy.
     pub peak_booked: u64,
@@ -76,10 +80,10 @@ pub enum PlatformError {
     /// The policy could not be constructed (infeasible memory, order
     /// mismatch).
     Sched(SchedError),
-    /// The simulator rejected the run.
-    Sim(SimError),
-    /// The threaded runtime rejected the run.
-    Runtime(RuntimeError),
+    /// The driven run failed: a broken policy, a booking violation, a
+    /// stall, a bad configuration, or a backend that lost a worker — the
+    /// same [`DriveError`] on every platform.
+    Run(DriveError),
     /// The forest partitioner produced an invalid shard plan (caught by
     /// shard-aware validation before any worker launches).
     Partition(String),
@@ -124,8 +128,7 @@ impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlatformError::Sched(e) => write!(f, "policy construction failed: {e}"),
-            PlatformError::Sim(e) => write!(f, "simulation failed: {e}"),
-            PlatformError::Runtime(e) => write!(f, "threaded execution failed: {e}"),
+            PlatformError::Run(e) => write!(f, "run failed: {e}"),
             PlatformError::Partition(msg) => write!(f, "invalid shard plan: {msg}"),
             PlatformError::Ledger(e) => write!(f, "budget accounting failed: {e}"),
             PlatformError::Process(msg) => write!(f, "worker process failed: {msg}"),
@@ -155,15 +158,9 @@ impl From<SchedError> for PlatformError {
     }
 }
 
-impl From<SimError> for PlatformError {
-    fn from(e: SimError) -> Self {
-        PlatformError::Sim(e)
-    }
-}
-
-impl From<RuntimeError> for PlatformError {
-    fn from(e: RuntimeError) -> Self {
-        PlatformError::Runtime(e)
+impl From<DriveError> for PlatformError {
+    fn from(e: DriveError) -> Self {
+        PlatformError::Run(e)
     }
 }
 
@@ -208,18 +205,49 @@ pub trait Platform {
     }
 }
 
-/// The malleability a platform applies to `instance`: a
-/// [`ProportionalRescheduler`] over the tree the run executes when a
-/// policy is configured *and* the instance is moldable — sequential
-/// policies ignore it.
-pub(crate) fn rescheduler_for(
-    policy: Option<ReschedulePolicy>,
+/// The one `run_instance` body of the single-ledger platforms (sim,
+/// threaded, async). It relays `instance` into activation-order
+/// numbering (DESIGN.md §6.11), mints the scheduler and — when
+/// `reschedule` is set *and* the instance is moldable — a
+/// [`ProportionalRescheduler`] over the executed tree, and builds the
+/// report from what `run`, the platform's own part, returns: its clock
+/// beside the driver's [`DriveStats`]. Nothing in the report names a
+/// node, and a rescheduler sees caller ids through the driver, so the
+/// ids can be AO ranks.
+pub(crate) fn run_driven(
+    platform: &'static str,
+    tree: &TaskTree,
     instance: &PolicyInstance,
-    exec: &TaskTree,
-) -> Option<ProportionalRescheduler> {
-    policy
-        .filter(|_| instance.is_moldable())
-        .map(|policy| ProportionalRescheduler::new(exec, policy))
+    reschedule: Option<ReschedulePolicy>,
+    run: impl FnOnce(
+        &TaskTree,
+        u64,
+        Box<dyn Scheduler + Send + '_>,
+        Option<&mut (dyn Rescheduler + Send)>,
+    ) -> Result<(f64, DriveStats), DriveError>,
+) -> Result<RunReport, PlatformError> {
+    let started_at = std::time::Instant::now();
+    let relaid = instance.relaid(tree)?;
+    let exec = relaid.exec_tree(tree);
+    let sched = relaid.scheduler(tree)?;
+    let policy = sched.name().to_string();
+    let mut resched = reschedule
+        .filter(|_| relaid.is_moldable())
+        .map(|policy| ProportionalRescheduler::new(exec, policy));
+    let resched = resched.as_mut().map(|r| r as &mut (dyn Rescheduler + Send));
+    let (makespan, stats) = run(exec, relaid.memory(), sched, resched)?;
+    Ok(RunReport {
+        platform,
+        policy,
+        makespan,
+        wall_seconds: started_at.elapsed().as_secs_f64(),
+        peak_booked: stats.peak_booked,
+        peak_actual: stats.peak_actual,
+        events: stats.events,
+        scheduling_seconds: stats.scheduling_seconds,
+        tasks_run: stats.completed,
+        quarantined: 0,
+    })
 }
 
 /// The discrete-event simulator as a platform.
@@ -276,37 +304,26 @@ impl Platform for SimPlatform {
         tree: &TaskTree,
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        let started_at = std::time::Instant::now();
-        // Nothing in the report names a node, and a rescheduler sees
-        // caller ids through the driver, so the ids can be AO ranks.
-        let relaid = instance.relaid(tree)?;
-        let exec = relaid.exec_tree(tree);
-        let sched = relaid.scheduler(tree)?;
-        let cfg = SimConfig::new(self.processors, relaid.memory()).with_speedup(self.speedup);
-        let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
-        let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
-        // The report reads only aggregates, so release builds keep no
-        // per-task record or allotment segment; debug builds record the
-        // trace and re-validate it.
-        let summary = if cfg!(debug_assertions) {
-            let trace = simulate_with(exec, cfg, sched, resched)?;
-            debug_assert_eq!(memtree_sim::validate::validate_trace(exec, &trace), Ok(()));
-            trace.summary()
-        } else {
-            simulate_summary(exec, cfg, sched, resched)?
-        };
-        Ok(RunReport {
-            platform: self.name(),
-            policy: summary.scheduler,
-            makespan: summary.makespan,
-            wall_seconds: started_at.elapsed().as_secs_f64(),
-            peak_booked: summary.peak_booked,
-            peak_actual: summary.peak_actual,
-            events: summary.events,
-            scheduling_seconds: summary.scheduling_seconds,
-            tasks_run: summary.tasks_run,
-            quarantined: 0,
-        })
+        run_driven(
+            self.name(),
+            tree,
+            instance,
+            self.reschedule,
+            |exec, memory, sched, resched| {
+                let cfg = SimConfig::new(self.processors, memory).with_speedup(self.speedup);
+                let resched = resched.map(|r| r as &mut dyn Rescheduler);
+                // The report reads only aggregates, so release builds keep
+                // no per-task record or allotment segment; debug builds
+                // record the trace and re-validate it.
+                if cfg!(debug_assertions) {
+                    let trace = simulate_with(exec, cfg, sched, resched)?;
+                    debug_assert_eq!(memtree_sim::validate::validate_trace(exec, &trace), Ok(()));
+                    Ok((trace.makespan, trace.stats()))
+                } else {
+                    simulate_summary(exec, cfg, sched, resched)
+                }
+            },
+        )
     }
 }
 
@@ -353,36 +370,25 @@ impl Platform for ThreadedPlatform {
         "threaded"
     }
 
+    /// One pool for every spec: a moldable task claims its allotment of
+    /// workers and runs its payload shard-parallel, a sequential one is a
+    /// gang of one. Payloads and `FailAt` name nodes by label, so the
+    /// relay moves only the per-node state.
     fn run_instance(
         &self,
         tree: &TaskTree,
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        // Relaid like the simulator's runs: payloads and `FailAt` name
-        // nodes by label, so only the per-node state moves.
-        let relaid = instance.relaid(tree)?;
-        let exec = relaid.exec_tree(tree);
-        let cfg = DriveConfig::new(self.workers, relaid.memory());
-        // One pool for every spec: a moldable task claims its allotment
-        // of workers and runs its payload shard-parallel, a sequential
-        // one is a gang of one.
-        let sched = relaid.scheduler(tree)?;
-        let policy = sched.name().to_string();
-        let mut resched = rescheduler_for(self.reschedule, &relaid, exec);
-        let resched = resched.as_mut().map(|r| r as &mut (dyn Rescheduler + Send));
-        let report = execute(exec, cfg, sched, self.workload, resched)?;
-        Ok(RunReport {
-            platform: self.name(),
-            policy,
-            makespan: report.wall_seconds,
-            wall_seconds: report.wall_seconds,
-            peak_booked: report.peak_booked,
-            peak_actual: report.peak_actual,
-            events: report.events,
-            scheduling_seconds: report.scheduling_seconds,
-            tasks_run: report.tasks_run,
-            quarantined: 0,
-        })
+        run_driven(
+            self.name(),
+            tree,
+            instance,
+            self.reschedule,
+            |exec, memory, sched, resched| {
+                let cfg = DriveConfig::new(self.workers, memory);
+                execute(exec, cfg, sched, self.workload, resched)
+            },
+        )
     }
 }
 

@@ -32,7 +32,7 @@
 //! ready
 //! heartbeat
 //! done <makespan:x> <wall:x> <booked> <actual> <events> <sched:x> <tasks> <quarantined> <policy…>
-//! failed panic
+//! failed backend <message…>
 //! failed infeasible <required> <available>
 //! failed error <message…>
 //! ```
@@ -40,16 +40,18 @@
 //! `ready` acknowledges a fully-parsed job; `heartbeat` lines prove
 //! liveness to the coordinator's idle watchdog; exactly one `done` or
 //! `failed` verdict ends the stream (`<policy…>` and `<message…>` run to
-//! end of line). A worker that dies instead — nonzero exit, signal,
-//! closed pipe — never produced a verdict, which is precisely how the
+//! end of line). `failed backend` carries a [`DriveError::Backend`] — a
+//! panicking payload — so it arrives as the same error a thread-backed
+//! run returns. A worker that dies instead — nonzero exit, signal, closed
+//! pipe — never produced a verdict, which is precisely how the
 //! supervisor distinguishes retryable *death* from a deterministic
 //! *refusal*. Any line outside this grammar is a protocol violation and
 //! fails the shard without retry.
 
-use crate::executor::RuntimeError;
 use crate::platform::{PlatformError, RunReport};
 use crate::workload::Workload;
 use memtree_sched::{PolicySpec, SchedError};
+use memtree_sim::DriveError;
 use memtree_tree::TaskTree;
 use std::time::Duration;
 
@@ -231,7 +233,9 @@ pub fn parse_job(input: &str) -> Result<Job, String> {
 pub fn verdict_line(outcome: &Result<RunReport, PlatformError>) -> String {
     match outcome {
         Ok(report) => done_line(report),
-        Err(PlatformError::Runtime(RuntimeError::WorkerPanic)) => "failed panic".into(),
+        Err(PlatformError::Run(DriveError::Backend(msg))) => {
+            format!("failed backend {}", single_line(msg))
+        }
         Err(PlatformError::Sched(SchedError::InfeasibleMemory {
             required,
             available,
@@ -297,10 +301,8 @@ pub fn parse_report_line(line: &str) -> Result<WorkerMsg, String> {
         }));
     }
     if let Some(rest) = line.strip_prefix("failed ") {
-        if rest == "panic" {
-            return Ok(WorkerMsg::Failed(PlatformError::Runtime(
-                RuntimeError::WorkerPanic,
-            )));
+        if let Some(msg) = rest.strip_prefix("backend ") {
+            return Ok(WorkerMsg::Failed(DriveError::Backend(msg.into()).into()));
         }
         if let Some(rest) = rest.strip_prefix("infeasible ") {
             let (r, a) = rest
@@ -538,11 +540,12 @@ mod tests {
             other => panic!("wrong message {other:?}"),
         }
 
-        let panic_line = verdict_line(&Err(PlatformError::Runtime(RuntimeError::WorkerPanic)));
-        assert!(matches!(
-            parse_report_line(&panic_line).unwrap(),
-            WorkerMsg::Failed(PlatformError::Runtime(RuntimeError::WorkerPanic))
-        ));
+        let lost = DriveError::Backend("a worker thread panicked".into());
+        let panic_line = verdict_line(&Err(lost.clone().into()));
+        match parse_report_line(&panic_line).unwrap() {
+            WorkerMsg::Failed(PlatformError::Run(e)) => assert_eq!(e, lost),
+            other => panic!("wrong message {other:?}"),
+        }
 
         let inf = verdict_line(&Err(PlatformError::Sched(SchedError::InfeasibleMemory {
             required: 70,

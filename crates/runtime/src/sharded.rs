@@ -27,7 +27,6 @@
 //! cannot be killed, so a stalled shard thread is quarantined; a worker
 //! process is killed and reaped, so it never is.
 
-use crate::executor::RuntimeError;
 use crate::platform::{Platform, PlatformError, RunReport, ThreadedPlatform};
 use crate::process::wire::WorkerMsg;
 use crate::sync::thread::{Builder, JoinHandle};
@@ -35,6 +34,7 @@ use crate::workload::Workload;
 use crossbeam::channel::{self, Receiver, Sender};
 use memtree_sched::{AllotmentCaps, BudgetLedger, PolicyInstance, PolicySpec, ShardBudget};
 use memtree_sim::validate::validate_shard_plan;
+use memtree_sim::DriveError;
 use memtree_tree::partition::{partition, Partition, PartitionPolicy};
 use memtree_tree::TaskTree;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -166,7 +166,7 @@ impl ShardTransport for ShardedPlatform {
             })
             // No thread for this shard (resource exhaustion): it fails
             // like a dead worker instead of aborting the phase mid-launch.
-            .map_err(|_| PlatformError::Runtime(RuntimeError::WorkerPanic))
+            .map_err(|e| DriveError::Backend(format!("shard thread spawn failed: {e}")).into())
     }
 
     fn stop(&self, handle: JoinHandle<()>, reported: bool) -> Stop {
@@ -220,7 +220,7 @@ shard_platform!(crate::ProcessPlatform, "process");
 /// Runs one part of a sharded tree — a shard subtree or the residual
 /// merge tree — on `workers` local threads. This is the body of every
 /// shard worker, thread or process: a panic anywhere in the run becomes
-/// [`RuntimeError::WorkerPanic`], never a silent death, because the
+/// a [`DriveError::Backend`] verdict, never a silent death, because the
 /// coordinator's only view of a worker is its messages.
 pub fn run_part(
     tree: &TaskTree,
@@ -230,7 +230,7 @@ pub fn run_part(
 ) -> Result<RunReport, PlatformError> {
     let platform = ThreadedPlatform::new(workers).with_workload(workload);
     catch_unwind(AssertUnwindSafe(|| platform.run(tree, spec)))
-        .unwrap_or(Err(PlatformError::Runtime(RuntimeError::WorkerPanic)))
+        .unwrap_or_else(|_| Err(DriveError::Backend("the shard run panicked".into()).into()))
 }
 
 /// How the coordinator reaches its shard workers.
@@ -759,7 +759,7 @@ mod tests {
     // Scripted terminal messages, in the worker's wire lines (a death
     // has none: the supervisor synthesises it).
     const DONE: &str = "done 0 0 0 0 0 0 1 0 scripted";
-    const FAIL: &str = "failed panic";
+    const FAIL: &str = "failed backend a worker thread panicked";
     const DIE: &str = "died";
 
     fn msg(line: &str) -> WorkerMsg {
@@ -868,7 +868,10 @@ mod tests {
         let (outcome, reserved) = run_phase(&t, 0, None);
         let (shard, source) = failed_shard(outcome);
         assert_eq!(shard, 1);
-        assert!(matches!(source, PlatformError::Runtime(_)), "{source}");
+        assert!(
+            matches!(source, PlatformError::Run(DriveError::Backend(_))),
+            "{source}"
+        );
         assert_eq!(reserved, 0);
     }
 

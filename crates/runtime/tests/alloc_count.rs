@@ -93,9 +93,9 @@ fn allocs_for_run(tree: &TaskTree) -> u64 {
         workers: WORKERS,
         memory,
     };
-    let report = execute(tree, cfg, sched, Workload::Noop, None).expect("run completes");
+    let (_, stats) = execute(tree, cfg, sched, Workload::Noop, None).expect("run completes");
     let after = allocs();
-    assert_eq!(report.tasks_run, tree.len());
+    assert_eq!(stats.completed, tree.len());
     after - before
 }
 

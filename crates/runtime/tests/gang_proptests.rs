@@ -231,7 +231,7 @@ proptest! {
         let caps = AllotmentCaps::uniform(&tree, 1);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
         let mut grower = GrowAtLaunch { seen: vec![false; n], grows: 0 };
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: m },
             sched,
@@ -239,8 +239,8 @@ proptest! {
             Some(&mut grower),
         )
         .unwrap();
-        prop_assert_eq!(report.tasks_run, n);
-        prop_assert!(report.peak_busy <= p);
+        prop_assert_eq!(stats.completed, n);
+        prop_assert!(stats.peak_busy <= p);
         // Every tick had idle processors to grow into (none when p = 1).
         prop_assert_eq!(grower.grows, if p > 1 { n } else { 0 });
     }
@@ -260,7 +260,7 @@ proptest! {
             .map(|i| tree.exec(i) + tree.output(i))
             .sum::<u64>()
             .max(1);
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: bound },
             ChaosGang::new(&tree, bound, cap, seed),
@@ -269,14 +269,14 @@ proptest! {
         )
         .unwrap();
         // Every launched gang was released: the whole tree completed.
-        prop_assert_eq!(report.tasks_run, tree.len());
+        prop_assert_eq!(stats.completed, tree.len());
         // Live allotments never exceeded the worker count, as measured by
         // the workers' own occupancy counter.
         prop_assert!(
-            report.peak_busy <= p,
-            "{} members busy on {} workers", report.peak_busy, p
+            stats.peak_busy <= p,
+            "{} members busy on {} workers", stats.peak_busy, p
         );
-        prop_assert!(report.peak_busy >= 1);
+        prop_assert!(stats.peak_busy >= 1);
     }
 
     /// The paper policy under gangs: MoldableMemBooking with any uniform
@@ -296,7 +296,7 @@ proptest! {
         let caps = AllotmentCaps::uniform(&tree, cap);
         prop_assert!(caps.max_cap() <= p as u32);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: m },
             sched,
@@ -304,10 +304,10 @@ proptest! {
             None,
         )
         .unwrap();
-        prop_assert_eq!(report.tasks_run, tree.len());
-        prop_assert!(report.peak_busy <= p);
-        prop_assert!(report.peak_booked <= m);
-        prop_assert!(report.peak_actual <= report.peak_booked);
+        prop_assert_eq!(stats.completed, tree.len());
+        prop_assert!(stats.peak_busy <= p);
+        prop_assert!(stats.peak_booked <= m);
+        prop_assert!(stats.peak_actual <= stats.peak_booked);
     }
 
     /// Time-scaled caps (the sqrt-of-time heuristic) behave identically:
@@ -321,7 +321,7 @@ proptest! {
         let m = ao.sequential_peak(&tree);
         let caps = AllotmentCaps::sqrt_of_time(&tree, p as u32);
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: m },
             sched,
@@ -329,8 +329,8 @@ proptest! {
             None,
         )
         .unwrap();
-        prop_assert_eq!(report.tasks_run, tree.len());
-        prop_assert!(report.peak_busy <= p);
+        prop_assert_eq!(stats.completed, tree.len());
+        prop_assert!(stats.peak_busy <= p);
     }
 
     /// Mid-run grow/shrink under maximal churn: a chaos policy crossed with
@@ -351,7 +351,7 @@ proptest! {
             .sum::<u64>()
             .max(1);
         let mut chaos = ChaosRescheduler::new(seed.wrapping_mul(0x9E3779B97F4A7C15));
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: bound },
             ChaosGang::new(&tree, bound, cap, seed),
@@ -359,14 +359,14 @@ proptest! {
             Some(&mut chaos),
         )
         .unwrap();
-        prop_assert_eq!(report.tasks_run, tree.len());
+        prop_assert_eq!(stats.completed, tree.len());
         prop_assert!(
-            report.peak_busy <= p,
-            "{} members busy on {} workers", report.peak_busy, p
+            stats.peak_busy <= p,
+            "{} members busy on {} workers", stats.peak_busy, p
         );
-        prop_assert!(report.peak_busy >= 1);
-        prop_assert!(report.peak_booked <= bound);
-        prop_assert!(report.peak_actual <= report.peak_booked);
+        prop_assert!(stats.peak_busy >= 1);
+        prop_assert!(stats.peak_booked <= bound);
+        prop_assert!(stats.peak_actual <= stats.peak_booked);
     }
 
     /// The same churn through the simulator: the resulting malleable trace

@@ -104,9 +104,10 @@ fn assert_cell(ctx: &str, tree: &TaskTree, spec: &PolicySpec, p: usize) -> usize
             layout.label(k)
         );
     }
-    let mut summary = trace.summary();
-    summary.scheduling_seconds = caller.scheduling_seconds; // wall clock
-    assert_eq!(summary, caller.summary(), "{ctx}");
+    let mut stats = trace.stats();
+    stats.scheduling_seconds = caller.scheduling_seconds; // wall clock
+    assert_eq!(stats, caller.stats(), "{ctx}");
+    assert_eq!(trace.makespan, caller.makespan, "{ctx}");
 
     let report = SimPlatform::new(p)
         .run_instance(tree, &plain)
@@ -191,9 +192,10 @@ fn assert_capped_cell(
         mine.node = layout.label(mine.node);
         assert_eq!(mine, *theirs, "{ctx}");
     }
-    let mut summary = trace.summary();
-    summary.scheduling_seconds = caller.scheduling_seconds; // wall clock
-    assert_eq!(summary, caller.summary(), "{ctx} (peak_busy included)");
+    let mut stats = trace.stats();
+    stats.scheduling_seconds = caller.scheduling_seconds; // wall clock
+    assert_eq!(stats, caller.stats(), "{ctx} (peak_busy included)");
+    assert_eq!(trace.makespan, caller.makespan, "{ctx}");
 
     let mut platform = SimPlatform::new(p);
     platform.reschedule = reschedule;
@@ -304,7 +306,7 @@ fn threaded_relaid_runs_book_like_caller_space_runs() {
                 for memory in [min, min + min / 2, min.saturating_mul(1000)] {
                     let ctx = format!("{name} {kind} {ao}/{eo} M={memory}");
                     let plain = spec.clone().with_memory(memory).instantiate(&tree).unwrap();
-                    let caller = execute(
+                    let (_, caller) = execute(
                         plain.exec_tree(&tree),
                         DriveConfig::new(1, memory),
                         plain.scheduler(&tree).unwrap(),
@@ -324,7 +326,7 @@ fn threaded_relaid_runs_book_like_caller_space_runs() {
                         );
                         assert_eq!(
                             (report.tasks_run, report.events),
-                            (caller.tasks_run, caller.events),
+                            (caller.completed, caller.events),
                             "{ctx}"
                         );
                     }

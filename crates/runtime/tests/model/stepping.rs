@@ -99,15 +99,15 @@ fn workers_step_the_core_to_completion() {
         pool.work();
         worker.join().expect("worker panicked");
 
-        let report = pool
+        let (_, stats) = pool
             .finish(std::time::Instant::now())
             .expect("the tree completes: the queue closed after the final step");
-        assert_eq!(report.tasks_run, 3);
+        assert_eq!(stats.completed, 3);
         assert_eq!(
-            report.events, 4,
+            stats.events, 4,
             "one step per completion plus the initial one"
         );
-        assert!(report.peak_busy <= 2, "more members ran than workers exist");
+        assert!(stats.peak_busy <= 2, "more members ran than workers exist");
         for (s, runs) in shard_runs.iter().enumerate() {
             assert_eq!(runs.load(Ordering::Relaxed), 1, "shard slot {s} ran once");
         }

@@ -13,7 +13,7 @@
 //! through `MEMTREE_TEST_SHARDS`, like the thread-backed sharded suite.
 
 use memtree_runtime::{
-    ChaosKill, Platform, PlatformError, ProcessPlatform, RuntimeError, SimPlatform, Workload,
+    ChaosKill, DriveError, Platform, PlatformError, ProcessPlatform, SimPlatform, Workload,
 };
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
 use memtree_tree::partition::{partition, PartitionPolicy};
@@ -139,9 +139,10 @@ fn retry_exhaustion_surfaces_shard_failed() {
     assert_eq!(report.tasks_run, tree.len());
 }
 
-/// A worker whose *payload* panics reports `failed panic` — a clean,
-/// deterministic verdict that is NOT retried: the shard fails as
-/// `WorkerPanic` exactly like the thread-backed platforms.
+/// A worker whose *payload* panics reports `failed backend …` — a clean,
+/// deterministic verdict that is NOT retried: the shard fails with the
+/// threaded pool's own `DriveError::Backend`, exactly like the
+/// thread-backed platforms.
 #[test]
 fn payload_panic_is_a_clean_verdict_not_a_retry() {
     let tree = chaos_tree();
@@ -151,8 +152,11 @@ fn payload_panic_is_a_clean_verdict_not_a_retry() {
     match platform.run(&tree, &spec).unwrap_err() {
         PlatformError::ShardFailed { shard, source } => {
             assert!(
-                matches!(*source, PlatformError::Runtime(RuntimeError::WorkerPanic)),
-                "expected WorkerPanic inside shard {shard}, got {source}"
+                matches!(
+                    &*source,
+                    PlatformError::Run(DriveError::Backend(msg)) if msg == "a worker thread panicked"
+                ),
+                "expected the pool's backend failure inside shard {shard}, got {source}"
             );
         }
         other => panic!("expected ShardFailed, got {other}"),

@@ -9,13 +9,15 @@
 //! so the report is the direct backend run's report bit-for-bit (modulo
 //! wall-clock fields) — the single-tenant differential contract of
 //! DESIGN.md §6.9. Admission refusals surface as
-//! [`SchedError::InfeasibleMemory`], making `is_infeasible()` true just
-//! as on every other platform.
+//! [`memtree_sched::SchedError::InfeasibleMemory`], making
+//! `is_infeasible()` true just as on every other platform; a service that
+//! cannot take or finish the session is a `DriveError::Backend` naming
+//! the cause.
 
-use crate::service::{Service, ServiceConfig, SessionBackend, SessionRequest, SubmitError};
+use crate::service::{Service, ServiceConfig, SessionBackend, SessionRequest, SessionTicket};
 use crate::GrantPolicy;
-use memtree_runtime::{Platform, PlatformError, RunReport, RuntimeError};
-use memtree_sched::{PolicyInstance, PolicySpec, ReschedulePolicy, SchedError};
+use memtree_runtime::{Platform, PlatformError, RunReport};
+use memtree_sched::{PolicyInstance, PolicySpec, ReschedulePolicy};
 use memtree_tree::TaskTree;
 use std::sync::Arc;
 
@@ -69,30 +71,8 @@ impl Platform for ServicePlatform {
         tree: &TaskTree,
         instance: &PolicyInstance,
     ) -> Result<RunReport, PlatformError> {
-        let mut report = match self.backend {
-            SessionBackend::Sim { processors } => {
-                let mut sim = memtree_runtime::SimPlatform::new(processors);
-                sim.reschedule = self.reschedule;
-                sim.run_instance(tree, instance)?
-            }
-            SessionBackend::Threaded { workers, workload } => memtree_runtime::ThreadedPlatform {
-                workers,
-                workload,
-                reschedule: self.reschedule,
-            }
-            .run_instance(tree, instance)?,
-            SessionBackend::Async {
-                workers,
-                threads,
-                workload,
-            } => memtree_runtime::AsyncPlatform {
-                workers,
-                threads,
-                workload,
-                reschedule: self.reschedule,
-            }
-            .run_instance(tree, instance)?,
-        };
+        let platform = self.backend.platform(self.reschedule);
+        let mut report = platform.run_instance(tree, instance)?;
         report.platform = self.name();
         Ok(report)
     }
@@ -103,20 +83,11 @@ impl Platform for ServicePlatform {
             .with_grant(self.grant);
         config.reschedule = self.reschedule;
         let service = Service::start(config);
-        let submitted = service.submit(SessionRequest::new(spec.clone(), Arc::new(tree.clone())));
-        let result = match submitted {
-            Ok(ticket) => match ticket.wait() {
-                Ok(outcome) => outcome.result,
-                Err(_) => Err(PlatformError::Runtime(RuntimeError::WorkerPanic)),
-            },
-            Err(SubmitError::Infeasible(refusal)) => {
-                Err(PlatformError::Sched(SchedError::InfeasibleMemory {
-                    required: refusal.required(),
-                    available: refusal.limit(),
-                }))
-            }
-            Err(_) => Err(PlatformError::Runtime(RuntimeError::WorkerPanic)),
-        };
+        let result = service
+            .submit(SessionRequest::new(spec.clone(), Arc::new(tree.clone())))
+            .and_then(SessionTicket::wait)
+            .map_err(PlatformError::from)
+            .and_then(|outcome| outcome.result);
         service.shutdown();
         let mut report = result?;
         report.platform = self.name();

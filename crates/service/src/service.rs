@@ -27,7 +27,8 @@ use crate::admission::{
 };
 use crossbeam::channel::{self, Receiver, Sender};
 use memtree_runtime::{
-    AsyncPlatform, Platform, PlatformError, RunReport, SimPlatform, ThreadedPlatform, Workload,
+    AsyncPlatform, DriveError, Platform, PlatformError, RunReport, SimPlatform, ThreadedPlatform,
+    Workload,
 };
 use memtree_sched::{PolicySpec, ReschedulePolicy};
 use memtree_tree::TaskTree;
@@ -134,39 +135,30 @@ impl SessionBackend {
         }
     }
 
-    /// Runs one session's spec over its tree on this regime. A
-    /// `reschedule` policy makes moldable sessions malleable — the
-    /// backend's feedback rescheduler resizes gangs mid-run; non-moldable
-    /// specs ignore it.
-    fn run(
-        &self,
-        tree: &TaskTree,
-        spec: &PolicySpec,
-        reschedule: Option<ReschedulePolicy>,
-    ) -> Result<RunReport, PlatformError> {
+    /// The platform this regime runs a session on. A `reschedule` policy
+    /// makes moldable sessions malleable — the backend's feedback
+    /// rescheduler resizes gangs mid-run; non-moldable specs ignore it.
+    pub(crate) fn platform(&self, reschedule: Option<ReschedulePolicy>) -> Box<dyn Platform> {
         match *self {
-            SessionBackend::Sim { processors } => {
-                let mut sim = SimPlatform::new(processors);
-                sim.reschedule = reschedule;
-                sim.run(tree, spec)
-            }
-            SessionBackend::Threaded { workers, workload } => ThreadedPlatform {
+            SessionBackend::Sim { processors } => Box::new(SimPlatform {
+                reschedule,
+                ..SimPlatform::new(processors)
+            }),
+            SessionBackend::Threaded { workers, workload } => Box::new(ThreadedPlatform {
                 workers,
                 workload,
                 reschedule,
-            }
-            .run(tree, spec),
+            }),
             SessionBackend::Async {
                 workers,
                 threads,
                 workload,
-            } => AsyncPlatform {
+            } => Box::new(AsyncPlatform {
                 workers,
                 threads,
                 workload,
                 reschedule,
-            }
-            .run(tree, spec),
+            }),
         }
     }
 }
@@ -258,6 +250,25 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
+
+/// A refusal is the policy's feasibility refusal, as on every platform; a
+/// service that cannot take or finish the session is a backend failure
+/// carrying the cause.
+impl From<SubmitError> for PlatformError {
+    fn from(e: SubmitError) -> Self {
+        match e {
+            SubmitError::Infeasible(refusal) => {
+                PlatformError::Sched(memtree_sched::SchedError::InfeasibleMemory {
+                    required: refusal.required(),
+                    available: refusal.limit(),
+                })
+            }
+            SubmitError::Draining | SubmitError::ServiceDown => {
+                DriveError::Backend(e.to_string()).into()
+            }
+        }
+    }
+}
 
 /// The final outcome of one session.
 #[derive(Debug)]
@@ -667,11 +678,10 @@ impl Coordinator {
         let spawned = std::thread::Builder::new()
             .name(format!("memtree-session-{id}"))
             .spawn(move || {
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| backend.run(&tree, &spec, reschedule)))
-                        .unwrap_or(Err(PlatformError::Runtime(
-                            memtree_runtime::RuntimeError::WorkerPanic,
-                        )));
+                let run = || backend.platform(reschedule).run(&tree, &spec);
+                let result = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+                    Err(DriveError::Backend("the session run panicked".into()).into())
+                });
                 let _ = tx.send(Msg::Done {
                     id,
                     result: Box::new(result),
@@ -685,13 +695,10 @@ impl Coordinator {
                 // resolves, instead of panicking the coordinator or
                 // leaking a granted-but-never-run session.
                 eprintln!("memtree-service: session worker spawn failed for {id}: {err}");
+                let lost = DriveError::Backend(format!("session worker spawn failed: {err}"));
                 let _ = self_tx.send(Msg::Done {
                     id,
-                    result: Box::new(Err(PlatformError::Runtime(
-                        memtree_runtime::RuntimeError::Protocol(format!(
-                            "session worker spawn failed: {err}"
-                        )),
-                    ))),
+                    result: Box::new(Err(lost.into())),
                 });
             }
         }
@@ -849,6 +856,28 @@ mod tests {
         let stats = service.stats().unwrap();
         assert_eq!(stats.admission.submitted, 1);
         ticket.wait().unwrap().result.unwrap();
+        service.shutdown();
+    }
+
+    /// A service that cannot take or finish a session reports the cause,
+    /// not a worker panic; a refusal stays the feasibility refusal.
+    #[test]
+    fn submit_errors_keep_their_cause() {
+        for (e, msg) in [
+            (SubmitError::Draining, "service is draining"),
+            (SubmitError::ServiceDown, "service coordinator is gone"),
+        ] {
+            match PlatformError::from(e) {
+                PlatformError::Run(DriveError::Backend(m)) => assert_eq!(m, msg),
+                other => panic!("expected a backend failure, got {other}"),
+            }
+        }
+        let tree = arc_tree(60, 3);
+        let floor = memtree_sched::min_feasible_memory(&tree);
+        let service = Service::start(ServiceConfig::new(floor * 4));
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, floor - 1);
+        let refused = service.submit(SessionRequest::new(spec, tree)).unwrap_err();
+        assert!(PlatformError::from(refused).is_infeasible());
         service.shutdown();
     }
 }

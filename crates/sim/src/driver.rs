@@ -145,8 +145,11 @@ impl<R: Rescheduler + ?Sized> Rescheduler for &mut R {
     }
 }
 
-/// What the driver learned from a completed run.
-#[derive(Clone, Copy, Debug)]
+/// What the driver learned from a completed run: the one aggregates
+/// record every platform returns beside its own clock (the makespan of
+/// [`crate::simulate_summary`], the wall clock of a threaded run) and
+/// builds its report from.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DriveStats {
     /// Events processed (steps: completion batches + the initial event).
     pub events: usize,
@@ -160,11 +163,16 @@ pub struct DriveStats {
     pub completed: usize,
     /// Peak sum of live allotments (busy processors). Always ≤ the
     /// configured worker count — the driver rejects the start otherwise.
+    /// The threaded executor reports its workers' own measurement here
+    /// instead of the ledger's.
     pub peak_busy: usize,
 }
 
-/// Errors raised by [`DriverCore::step`] and [`drive`]; the platforms map
-/// these onto their public error types.
+/// How a driven run fails, on every platform: raised by
+/// [`DriverCore::new`], [`DriverCore::step`] and the backends, and
+/// returned unchanged by [`crate::simulate`], the threaded executor and
+/// the platforms. Nodes are named by [`TaskTree::label`], the id the
+/// caller knows them by, also when the run is over a renumbered tree.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DriveError {
     /// The scheduler requested more starts than idle workers.
@@ -216,8 +224,9 @@ pub enum DriveError {
     },
     /// Zero workers or an otherwise unusable configuration.
     BadConfig(String),
-    /// The backend lost its ability to complete tasks (e.g. a worker
-    /// thread panicked).
+    /// The backend lost its ability to complete tasks: a payload or a
+    /// worker panicked, a thread could not be spawned, a service session
+    /// was lost.
     Backend(String),
 }
 
@@ -501,20 +510,26 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         if requested > idle {
             return Err(DriveError::TooManyStarts { requested, idle });
         }
+        let tree = self.tree;
         for &(i, q) in &self.to_start {
             if q == 0 {
-                return Err(DriveError::ZeroAllotment { node: i });
+                return Err(DriveError::ZeroAllotment {
+                    node: tree.label(i),
+                });
             }
             if self.started.get(i.index()) {
-                return Err(DriveError::DoubleStart { node: i });
+                return Err(DriveError::DoubleStart {
+                    node: tree.label(i),
+                });
             }
-            if self
-                .tree
+            if tree
                 .children(i)
                 .iter()
                 .any(|c| !self.finished.get(c.index()))
             {
-                return Err(DriveError::PrecedenceViolation { node: i });
+                return Err(DriveError::PrecedenceViolation {
+                    node: tree.label(i),
+                });
             }
             self.started.set(i.index());
             self.live.start(i);
@@ -600,7 +615,7 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
                 if by >= from {
                     // Shrinking to zero members is starting a gang with
                     // none: the same contract violation.
-                    return Err(DriveError::ZeroAllotment { node: i });
+                    return Err(DriveError::ZeroAllotment { node });
                 }
                 from - by
             };
@@ -865,6 +880,22 @@ mod tests {
             [vec![], vec![NodeId(1), NodeId(2)], vec![NodeId(0)]],
             "completions are ordered by the ids the caller knows"
         );
+    }
+
+    #[test]
+    fn display_messages() {
+        let e = DriveError::Stalled {
+            completed: 3,
+            total: 10,
+            booked: 42,
+        };
+        assert!(e.to_string().contains("3/10"));
+        assert!(e.to_string().contains("42"));
+        let e = DriveError::TooManyStarts {
+            requested: 5,
+            idle: 2,
+        };
+        assert!(e.to_string().contains('5'));
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! The discrete-event engine: the virtual-clock [`Backend`] under the
 //! shared [`crate::driver`] loop.
 
-use crate::driver::{drive, Backend, DriveConfig, DriveError, Rescheduler};
-use crate::error::SimError;
+use crate::driver::{drive, Backend, DriveConfig, DriveError, DriveStats, Rescheduler};
 use crate::moldable::SpeedupModel;
 use crate::scheduler::Scheduler;
-use crate::trace::{AllotmentSegment, MemSample, RunSummary, TaskRecord, Trace};
+use crate::trace::{AllotmentSegment, MemSample, TaskRecord, Trace};
 use memtree_tree::{NodeId, TaskTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -233,9 +232,9 @@ impl Backend for SimBackend<'_> {
     }
 
     fn resize(&mut self, i: NodeId, from: usize, to: usize, epoch: u64) -> Result<(), DriveError> {
-        let lane = self
-            .lane_of(i)
-            .ok_or_else(|| DriveError::Backend(format!("resize of idle task {i:?}")))?;
+        let lane = self.lane_of(i).ok_or_else(|| {
+            DriveError::Backend(format!("resize of idle task {:?}", self.tree.label(i)))
+        })?;
         let mut l = self.lanes[lane];
         debug_assert_eq!(l.procs as usize, from, "driver and backend agree");
         self.close_segment(l);
@@ -317,69 +316,21 @@ impl Backend for SimBackend<'_> {
     }
 }
 
-/// Maps a driver failure onto the simulator's error type. Nodes are named
-/// by [`TaskTree::label`]: the id the caller knows them by, also when the
-/// run was over a renumbered tree.
-fn to_sim_error(e: DriveError, tree: &TaskTree) -> SimError {
-    match e {
-        DriveError::TooManyStarts { requested, idle } => {
-            SimError::TooManyStarts { requested, idle }
-        }
-        DriveError::DoubleStart { node } => SimError::DoubleStart {
-            node: tree.label(node),
-        },
-        DriveError::PrecedenceViolation { node } => SimError::PrecedenceViolation {
-            node: tree.label(node),
-        },
-        DriveError::ZeroAllotment { node } => {
-            SimError::BadConfig(format!("zero allotment for {:?}", tree.label(node)))
-        }
-        DriveError::BookedOverBound { booked, bound } => {
-            SimError::BookedOverBound { booked, bound }
-        }
-        DriveError::ActualOverBooked { actual, booked } => {
-            SimError::ActualOverBooked { actual, booked }
-        }
-        DriveError::Stalled {
-            completed,
-            total,
-            booked,
-        } => SimError::Stalled {
-            completed,
-            total,
-            booked,
-        },
-        DriveError::BadConfig(msg) | DriveError::Backend(msg) => SimError::BadConfig(msg),
-    }
-}
-
 /// The one run core: drives `scheduler` over `tree` on a fresh
 /// virtual-clock backend and returns the aggregates plus the backend,
-/// which holds whatever the run was asked to record.
+/// which holds the makespan and whatever the run was asked to record.
 fn run<'t, S: Scheduler>(
     tree: &'t TaskTree,
     cfg: SimConfig,
     scheduler: S,
     rescheduler: Option<&mut dyn Rescheduler>,
     record_tasks: bool,
-) -> Result<(RunSummary, SimBackend<'t>), SimError> {
-    cfg.speedup.check().map_err(SimError::BadConfig)?;
-    let name = scheduler.name().to_string();
+) -> Result<(DriveStats, SimBackend<'t>), DriveError> {
+    cfg.speedup.check().map_err(DriveError::BadConfig)?;
     let mut backend = SimBackend::new(tree, &cfg, record_tasks, rescheduler.is_some());
     let drive_cfg = DriveConfig::new(cfg.processors, cfg.memory);
-    let stats = drive(tree, drive_cfg, scheduler, &mut backend, rescheduler)
-        .map_err(|e| to_sim_error(e, tree))?;
-    let summary = RunSummary {
-        scheduler: name,
-        makespan: backend.now,
-        peak_actual: stats.peak_actual,
-        peak_booked: stats.peak_booked,
-        peak_busy: stats.peak_busy,
-        scheduling_seconds: stats.scheduling_seconds,
-        events: stats.events,
-        tasks_run: stats.completed,
-    };
-    Ok((summary, backend))
+    let stats = drive(tree, drive_cfg, scheduler, &mut backend, rescheduler)?;
+    Ok((stats, backend))
 }
 
 /// Runs `scheduler` on `tree` under `cfg` and returns the trace.
@@ -393,7 +344,7 @@ pub fn simulate<S: Scheduler>(
     tree: &TaskTree,
     cfg: SimConfig,
     scheduler: S,
-) -> Result<Trace, SimError> {
+) -> Result<Trace, DriveError> {
     simulate_with(tree, cfg, scheduler, None)
 }
 
@@ -407,20 +358,21 @@ pub fn simulate_with<S: Scheduler>(
     cfg: SimConfig,
     scheduler: S,
     rescheduler: Option<&mut dyn Rescheduler>,
-) -> Result<Trace, SimError> {
-    let (summary, backend) = run(tree, cfg, scheduler, rescheduler, true)?;
+) -> Result<Trace, DriveError> {
+    let name = scheduler.name().to_string();
+    let (stats, backend) = run(tree, cfg, scheduler, rescheduler, true)?;
     Ok(Trace {
-        scheduler: summary.scheduler,
+        scheduler: name,
         processors: cfg.processors,
         memory: cfg.memory,
         speedup: cfg.speedup,
-        makespan: summary.makespan,
+        makespan: backend.now,
         records: backend.records.expect("asked to record"),
-        peak_actual: summary.peak_actual,
-        peak_booked: summary.peak_booked,
-        peak_busy: summary.peak_busy,
-        scheduling_seconds: summary.scheduling_seconds,
-        events: summary.events,
+        peak_actual: stats.peak_actual,
+        peak_booked: stats.peak_booked,
+        peak_busy: stats.peak_busy,
+        scheduling_seconds: stats.scheduling_seconds,
+        events: stats.events,
         profile: backend.profile,
         segments: backend.segments.unwrap_or_default(),
     })
@@ -429,14 +381,14 @@ pub fn simulate_with<S: Scheduler>(
 /// [`simulate_with`] for callers that read only the aggregates: the same
 /// run, schedule and checks, but no per-task record (40 bytes a node, and
 /// two fewer cache lines touched per task) and no allotment segment is
-/// kept.
+/// kept. Returns the makespan and the driver's [`DriveStats`].
 pub fn simulate_summary<S: Scheduler>(
     tree: &TaskTree,
     cfg: SimConfig,
     scheduler: S,
     rescheduler: Option<&mut dyn Rescheduler>,
-) -> Result<RunSummary, SimError> {
-    run(tree, cfg, scheduler, rescheduler, false).map(|(summary, _)| summary)
+) -> Result<(f64, DriveStats), DriveError> {
+    run(tree, cfg, scheduler, rescheduler, false).map(|(stats, backend)| (backend.now, stats))
 }
 
 #[cfg(test)]
@@ -483,7 +435,7 @@ mod tests {
         let t = fork();
         // Scheduler books 1000 but the bound is 10.
         let err = simulate(&t, SimConfig::new(2, 10), Greedy::new(&t, 1000)).unwrap_err();
-        assert!(matches!(err, SimError::BookedOverBound { .. }));
+        assert!(matches!(err, DriveError::BookedOverBound { .. }));
     }
 
     #[test]
@@ -491,14 +443,14 @@ mod tests {
         let t = fork();
         // Books 1 — less than the actual resident memory.
         let err = simulate(&t, SimConfig::new(2, 10), Greedy::new(&t, 1)).unwrap_err();
-        assert!(matches!(err, SimError::ActualOverBooked { .. }));
+        assert!(matches!(err, DriveError::ActualOverBooked { .. }));
     }
 
     #[test]
     fn zero_processors_rejected() {
         let t = fork();
         let err = simulate(&t, SimConfig::new(0, 10), Greedy::new(&t, 10)).unwrap_err();
-        assert!(matches!(err, SimError::BadConfig(_)));
+        assert!(matches!(err, DriveError::BadConfig(_)));
     }
 
     /// A scheduler that never starts anything stalls.
@@ -507,7 +459,7 @@ mod tests {
         let err = simulate(&fork(), SimConfig::new(2, 10), Lazy(0)).unwrap_err();
         assert_eq!(
             err,
-            SimError::Stalled {
+            DriveError::Stalled {
                 completed: 0,
                 total: 3,
                 booked: 0
@@ -520,7 +472,7 @@ mod tests {
     fn precedence_violation_detected() {
         let t = fork();
         let err = simulate(&t, SimConfig::new(2, u64::MAX), Once(vec![(t.root(), 1)])).unwrap_err();
-        assert!(matches!(err, SimError::PrecedenceViolation { .. }));
+        assert!(matches!(err, DriveError::PrecedenceViolation { .. }));
     }
 
     #[test]
@@ -533,13 +485,13 @@ mod tests {
         assert_eq!(t.root(), NodeId(2));
         assert_eq!(
             simulate(&t, SimConfig::new(2, u64::MAX), Once(vec![(t.root(), 1)])).unwrap_err(),
-            SimError::PrecedenceViolation { node: NodeId(0) }
+            DriveError::PrecedenceViolation { node: NodeId(0) }
         );
         // The same leaf started twice.
         let twice = Once(vec![(NodeId(0), 1), (NodeId(0), 1)]);
         assert_eq!(
             simulate_summary(&t, SimConfig::new(2, u64::MAX), twice, None).unwrap_err(),
-            SimError::DoubleStart { node: NodeId(2) }
+            DriveError::DoubleStart { node: NodeId(2) }
         );
     }
 
@@ -547,11 +499,12 @@ mod tests {
     fn summary_is_the_trace_without_its_records() {
         let t = fork();
         let trace = simulate(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000)).unwrap();
-        let mut summary =
+        let (makespan, mut stats) =
             simulate_summary(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000), None).unwrap();
-        summary.scheduling_seconds = trace.scheduling_seconds; // wall clock
-        assert_eq!(summary, trace.summary());
-        assert_eq!(summary.tasks_run, t.len());
+        stats.scheduling_seconds = trace.scheduling_seconds; // wall clock
+        assert_eq!(makespan, trace.makespan);
+        assert_eq!(stats, trace.stats());
+        assert_eq!(stats.completed, t.len());
     }
 
     #[test]

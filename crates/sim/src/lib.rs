@@ -35,7 +35,6 @@
 
 pub mod driver;
 pub mod engine;
-pub mod error;
 pub mod moldable;
 pub mod scheduler;
 #[cfg(test)]
@@ -48,7 +47,6 @@ pub use driver::{
     RescheduleAction, Rescheduler, Resize, Tick,
 };
 pub use engine::{simulate, simulate_summary, simulate_with, SimConfig};
-pub use error::SimError;
 pub use moldable::SpeedupModel;
 pub use scheduler::Scheduler;
-pub use trace::{AllotmentSegment, RunSummary, TaskRecord, Trace};
+pub use trace::{AllotmentSegment, TaskRecord, Trace};

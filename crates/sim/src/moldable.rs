@@ -25,7 +25,7 @@ pub enum SpeedupModel {
     /// `t(q) = t · (f + (1 − f)/q)`.
     Amdahl {
         /// Serial fraction in `[0, 1]`; a run under anything else is
-        /// refused with [`crate::SimError::BadConfig`].
+        /// refused with [`crate::DriveError::BadConfig`].
         serial_fraction: f64,
     },
 }
@@ -65,7 +65,7 @@ impl SpeedupModel {
 mod tests {
     use super::*;
     use crate::testutil::{InOrder, Once};
-    use crate::{simulate, validate::validate_trace, SimConfig, SimError};
+    use crate::{simulate, validate::validate_trace, DriveError, SimConfig};
     use memtree_tree::{NodeId, TaskSpec, TaskTree};
 
     #[test]
@@ -104,7 +104,7 @@ mod tests {
         let tree = TaskTree::from_parents(&[None], &[TaskSpec::default()]).unwrap();
         assert!(matches!(
             simulate(&tree, SimConfig::new(2, 10), Once(vec![(NodeId(0), 3)])),
-            Err(SimError::TooManyStarts { .. })
+            Err(DriveError::TooManyStarts { .. })
         ));
     }
 
@@ -124,7 +124,9 @@ mod tests {
             assert!(model.check().is_err());
             let cfg = SimConfig::new(2, 1_000).with_speedup(model);
             match simulate(&tree, cfg, all_procs_chain(&tree)) {
-                Err(SimError::BadConfig(msg)) => assert!(msg.contains("serial fraction"), "{msg}"),
+                Err(DriveError::BadConfig(msg)) => {
+                    assert!(msg.contains("serial fraction"), "{msg}")
+                }
                 other => panic!("expected BadConfig, got {other:?}"),
             }
         }

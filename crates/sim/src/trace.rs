@@ -1,5 +1,6 @@
 //! Execution traces produced by the engine.
 
+use crate::driver::DriveStats;
 use crate::moldable::SpeedupModel;
 use memtree_tree::NodeId;
 
@@ -93,40 +94,17 @@ pub struct Trace {
     pub segments: Vec<AllotmentSegment>,
 }
 
-/// The aggregates of a simulation — a [`Trace`] without its per-task
-/// records and profile ([`crate::simulate_summary`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunSummary {
-    /// Scheduler name.
-    pub scheduler: String,
-    /// Total completion time.
-    pub makespan: f64,
-    /// Peak of the actual resident memory.
-    pub peak_actual: u64,
-    /// Peak of the scheduler's booked memory.
-    pub peak_booked: u64,
-    /// Peak sum of live allotments, from the driver's processor ledger.
-    pub peak_busy: usize,
-    /// Wall-clock seconds spent inside scheduler callbacks.
-    pub scheduling_seconds: f64,
-    /// Number of events processed.
-    pub events: usize,
-    /// Tasks completed (the whole tree on success).
-    pub tasks_run: usize,
-}
-
 impl Trace {
-    /// The aggregates of this trace.
-    pub fn summary(&self) -> RunSummary {
-        RunSummary {
-            scheduler: self.scheduler.clone(),
-            makespan: self.makespan,
-            peak_actual: self.peak_actual,
-            peak_booked: self.peak_booked,
-            peak_busy: self.peak_busy,
-            scheduling_seconds: self.scheduling_seconds,
+    /// The driver's aggregates of this run, as
+    /// [`crate::simulate_summary`] returns them beside the makespan.
+    pub fn stats(&self) -> DriveStats {
+        DriveStats {
             events: self.events,
-            tasks_run: self.records.len(),
+            scheduling_seconds: self.scheduling_seconds,
+            peak_booked: self.peak_booked,
+            peak_actual: self.peak_actual,
+            completed: self.records.len(),
+            peak_busy: self.peak_busy,
         }
     }
 

@@ -116,9 +116,9 @@ fn allocs_for_malleable_run(tree: &TaskTree, p: usize, cap: u32) -> u64 {
     let sched = instance.scheduler(tree).expect("feasible");
     let mut resched = ProportionalRescheduler::new(tree, ReschedulePolicy::new());
     let cfg = SimConfig::new(p, memory);
-    let summary = simulate_summary(tree, cfg, sched, Some(&mut resched)).expect("run completes");
+    let (_, stats) = simulate_summary(tree, cfg, sched, Some(&mut resched)).expect("run completes");
     let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(summary.tasks_run, tree.len());
+    assert_eq!(stats.completed, tree.len());
     after - before
 }
 

@@ -287,9 +287,10 @@ proptest! {
 /// reservation released — never a deadlock, never a poisoned
 /// coordinator.
 mod shard_chaos {
-    use memtree_runtime::{Platform, PlatformError, RuntimeError, ShardedPlatform, Workload};
+    use memtree_runtime::{Platform, PlatformError, ShardedPlatform, Workload};
     use memtree_sched::{HeuristicKind, PolicySpec};
     use memtree_sim::validate::validate_shard_plan;
+    use memtree_sim::DriveError;
     use memtree_tree::partition::{partition, PartitionPolicy};
     use memtree_tree::{TaskSpec, TaskTree};
 
@@ -339,7 +340,7 @@ mod shard_chaos {
     }
 
     /// Kill: the injected payload panic takes down one shard worker; the
-    /// coordinator reports `ShardFailed(WorkerPanic)` cleanly and a
+    /// coordinator reports `ShardFailed(Run(Backend))` cleanly and a
     /// subsequent run of the same platform value succeeds — no leaked
     /// reservations, no poisoned state (the post-phase ledger audit runs
     /// on the failure path too).
@@ -352,8 +353,8 @@ mod shard_chaos {
         match err {
             PlatformError::ShardFailed { shard, source } => {
                 assert!(
-                    matches!(*source, PlatformError::Runtime(RuntimeError::WorkerPanic)),
-                    "expected WorkerPanic inside shard {shard}, got {source}"
+                    matches!(*source, PlatformError::Run(DriveError::Backend(_))),
+                    "expected a backend failure inside shard {shard}, got {source}"
                 );
             }
             other => panic!("expected ShardFailed, got {other}"),
@@ -390,7 +391,7 @@ mod shard_chaos {
                         "round {round}: first_err must pick the lowest failed shard"
                     );
                     assert!(
-                        matches!(*source, PlatformError::Runtime(RuntimeError::WorkerPanic)),
+                        matches!(*source, PlatformError::Run(DriveError::Backend(_))),
                         "round {round}: got {source}"
                     );
                 }

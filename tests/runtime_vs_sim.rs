@@ -88,7 +88,7 @@ fn threaded_and_simulated_agree_on_feasibility() {
         .unwrap();
         assert_eq!(sim_trace.records.len(), tree.len());
 
-        let report = execute(
+        let (_, stats) = execute(
             &tree,
             DriveConfig {
                 workers: 4,
@@ -99,11 +99,11 @@ fn threaded_and_simulated_agree_on_feasibility() {
             None,
         )
         .unwrap();
-        assert_eq!(report.tasks_run, tree.len());
+        assert_eq!(stats.completed, tree.len());
         // The simulator's booking peak is a valid upper bound domain for
         // the threaded run too: both ≤ M.
         assert!(sim_trace.peak_booked <= m);
-        assert!(report.peak_booked <= m);
+        assert!(stats.peak_booked <= m);
     }
 }
 
