@@ -181,7 +181,6 @@ pub fn ablation_malleable(scale: Scale, out_dir: &Path) -> Result<(), String> {
         nanos_per_time_unit: 1_000_000.0,
         max_nanos: 4_000_000,
     };
-    let policy = ReschedulePolicy::default();
 
     let mut entries: Vec<String> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
@@ -198,7 +197,7 @@ pub fn ablation_malleable(scale: Scale, out_dir: &Path) -> Result<(), String> {
         validate_trace(&c.tree, &sim_static).unwrap();
 
         let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps.clone()).unwrap();
-        let mut resched = ProportionalRescheduler::new(&c.tree, policy);
+        let mut resched = ProportionalRescheduler::new(&c.tree);
         let sim_malleable =
             simulate_with(&c.tree, SimConfig::new(p, m), sched, Some(&mut resched)).unwrap();
         validate_trace(&c.tree, &sim_malleable).unwrap();
@@ -213,7 +212,7 @@ pub fn ablation_malleable(scale: Scale, out_dir: &Path) -> Result<(), String> {
         let threads = ThreadedPlatform::new(p).with_workload(payload);
         let thr_static = threads.run(&c.tree, &spec).unwrap().makespan;
         let thr_malleable = threads
-            .with_rescheduler(policy)
+            .with_rescheduler(ReschedulePolicy::new())
             .run(&c.tree, &spec)
             .unwrap()
             .makespan;

@@ -21,8 +21,7 @@ use crate::corpus::Scale;
 use memtree_runtime::Workload;
 use memtree_sched::{HeuristicKind, PolicySpec};
 use memtree_service::{
-    Admission, GrantPolicy, Service, ServiceConfig, ServiceStats, SessionBackend, SessionRequest,
-    SubmitError,
+    Admission, Service, ServiceConfig, ServiceStats, SessionBackend, SessionRequest, SubmitError,
 };
 use memtree_tree::TaskTree;
 use std::path::Path;
@@ -45,8 +44,6 @@ pub struct LoadSpec {
     pub tree_nodes: usize,
     /// Corpus seed (tenant `t` builds `paper_tree(tree_nodes, seed+t)`).
     pub seed: u64,
-    /// The grant policy under test.
-    pub grant: GrantPolicy,
     /// The gate: `peak_running` must reach this many concurrent tenants.
     /// The capacity is sized so this many full requests always fit.
     pub concurrency_target: usize,
@@ -62,7 +59,6 @@ impl LoadSpec {
             rate_per_sec: 400.0,
             tree_nodes: 1_500,
             seed: 17_000,
-            grant: GrantPolicy::AllAvailable,
             concurrency_target: 8,
         }
     }
@@ -75,7 +71,6 @@ impl LoadSpec {
             rate_per_sec: 200.0,
             tree_nodes: 4_000,
             seed: 17_000,
-            grant: GrantPolicy::AllAvailable,
             concurrency_target: 12,
         }
     }
@@ -94,8 +89,6 @@ fn inject_infeasible(t: usize, s: usize) -> bool {
 pub struct LoadReport {
     /// Backend label (`sim`/`threaded`/`async`).
     pub backend: &'static str,
-    /// Grant-policy label.
-    pub grant: &'static str,
     /// The global memory bound `M` the run shared.
     pub capacity: u64,
     /// Sessions submitted (feasible + injected infeasible).
@@ -128,7 +121,7 @@ pub struct LoadReport {
 impl LoadReport {
     /// CSV header matching [`LoadReport::csv_row`].
     pub fn csv_header() -> &'static str {
-        "backend,grant,capacity,tenants_peak,submitted,admitted_immediate,admitted_queued,\
+        "backend,capacity,tenants_peak,submitted,admitted_immediate,admitted_queued,\
          refused,expected_refusals,underfloor_grants,run_failures,peak_reserved,\
          arrival_rate,wait_p50_us,wait_p99_us,wall_seconds"
     }
@@ -136,9 +129,8 @@ impl LoadReport {
     /// One CSV row of the aggregate outcome.
     pub fn csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{:.1},{},{},{:.3}",
+            "{},{},{},{},{},{},{},{},{},{},{},{:.1},{},{},{:.3}",
             self.backend,
-            self.grant,
             self.capacity,
             self.stats.peak_running,
             self.submitted,
@@ -233,9 +225,7 @@ pub fn run_load(backend: SessionBackend, spec: &LoadSpec) -> LoadReport {
     let capacity = max_request * spec.concurrency_target as u64;
 
     let service = Arc::new(Service::start(
-        ServiceConfig::new(capacity)
-            .with_backend(backend)
-            .with_grant(spec.grant),
+        ServiceConfig::new(capacity).with_backend(backend),
     ));
     let barrier = Arc::new(Barrier::new(spec.tenants));
     let pace = Duration::from_secs_f64(spec.tenants as f64 / spec.rate_per_sec.max(1.0));
@@ -319,7 +309,6 @@ pub fn run_load(backend: SessionBackend, spec: &LoadSpec) -> LoadReport {
 
     LoadReport {
         backend: backend.label(),
-        grant: spec.grant.label(),
         capacity,
         submitted,
         admitted_immediate: total.immediate,
@@ -423,14 +412,13 @@ pub fn fig17_service(scale: Scale, out_dir: &Path) -> Result<(), String> {
         .iter()
         .map(|r| {
             format!(
-                "    {{\n      \"backend\": \"{}\",\n      \"grant\": \"{}\",\n      \
+                "    {{\n      \"backend\": \"{}\",\n      \
                  \"capacity\": {},\n      \"submitted\": {},\n      \"admitted\": {},\n      \
                  \"queued\": {},\n      \"refused\": {},\n      \"expected_refusals\": {},\n      \
                  \"peak_tenants\": {},\n      \"peak_booked\": {},\n      \
                  \"arrival_rate\": {:.2},\n      \"wait_p50_us\": {},\n      \
                  \"wait_p99_us\": {},\n      \"wall_seconds\": {:.4}\n    }}",
                 r.backend,
-                r.grant,
                 r.capacity,
                 r.submitted,
                 r.admitted_immediate + r.admitted_queued,
@@ -475,7 +463,6 @@ mod tests {
             rate_per_sec: 1_000.0,
             tree_nodes: 400,
             seed: 99,
-            grant: GrantPolicy::AllAvailable,
             concurrency_target: 3,
         };
         let backend = memtree_service::SessionBackend::Threaded {

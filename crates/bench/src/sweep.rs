@@ -330,11 +330,6 @@ impl<'a> Sweep<'a> {
         self
     }
 
-    /// Number of grid cells this sweep will run.
-    pub fn cell_count(&self) -> usize {
-        self.source.len() * self.cells_per_case()
-    }
-
     fn cells_per_case(&self) -> usize {
         self.kinds.len()
             * self.pairs.len()

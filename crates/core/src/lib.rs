@@ -56,7 +56,7 @@ pub use redtree::{to_reduction_tree, RedTreeBooking, ReductionTransform};
 pub use rescheduler::{ProportionalRescheduler, ReschedulePolicy};
 pub use seq::Sequential;
 pub use shard::{min_feasible_memory, ShardBudget};
-pub use spec::{spec_from_str, spec_to_string, PolicyInstance, PolicySpec};
+pub use spec::{PolicyInstance, PolicySpec};
 
 /// Which heuristic to instantiate — the legend of Figures 2/9/10/15.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -13,8 +13,7 @@
 //!    processor is pushed into the single largest-backlog gang (there is
 //!    no history yet to apportion by);
 //! 2. **proportional** — targets are `p · backlog_i / Σ backlog`, floored
-//!    at one processor per gang, with a hysteresis threshold so tiny
-//!    imbalances don't thrash members across gangs;
+//!    at one processor per gang;
 //! 3. **static** — after two consecutive quiet ticks the policy stops
 //!    issuing actions; any change in the running-gang set re-arms it.
 //!
@@ -26,52 +25,16 @@
 use memtree_sim::{LiveStats, RescheduleAction, Rescheduler};
 use memtree_tree::TaskTree;
 
-/// Configuration of [`ProportionalRescheduler`] — a plain `Copy` value so
-/// platforms stay `Copy` while carrying one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReschedulePolicy {
-    /// Act every `interval` driver events (≥ 1; ticks in between observe
-    /// but do not move processors).
-    pub interval: u64,
-    /// Hysteresis: a gang's allotment only changes by at least this many
-    /// processors at once (≥ 1). Larger values trade reaction speed for
-    /// fewer member migrations.
-    pub min_move: usize,
-}
-
-impl Default for ReschedulePolicy {
-    fn default() -> Self {
-        ReschedulePolicy {
-            interval: 1,
-            min_move: 1,
-        }
-    }
-}
+/// The token that turns a platform's moldable runs malleable under
+/// [`ProportionalRescheduler`]. It carries no settings: the policy acts
+/// at every driver event and moves any imbalance.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReschedulePolicy;
 
 impl ReschedulePolicy {
-    /// The default policy: act every event, move any imbalance.
+    /// The policy token.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the acting interval (in driver events).
-    ///
-    /// # Panics
-    /// When `interval` is 0.
-    pub fn with_interval(mut self, interval: u64) -> Self {
-        assert!(interval >= 1, "the policy must act at least sometimes");
-        self.interval = interval;
-        self
-    }
-
-    /// Overrides the hysteresis threshold.
-    ///
-    /// # Panics
-    /// When `min_move` is 0.
-    pub fn with_min_move(mut self, min_move: usize) -> Self {
-        assert!(min_move >= 1, "a move of zero processors is not a move");
-        self.min_move = min_move;
-        self
+        ReschedulePolicy
     }
 }
 
@@ -84,7 +47,6 @@ enum Stage {
 
 /// The staged proportional feedback policy; see the module docs.
 pub struct ProportionalRescheduler {
-    policy: ReschedulePolicy,
     /// Per-task sequential-work weights (the backlog numerator). Indexed
     /// by the ids [`LiveStats`] names tasks by: the caller's, also when
     /// the run executes a renumbered tree.
@@ -105,20 +67,17 @@ impl ProportionalRescheduler {
     /// A policy weighing backlog by the sequential times of `tree` — the
     /// tree the run executes, in whatever numbering: weights are filed
     /// under [`TaskTree::label`], the ids the driver publishes.
-    pub fn new(tree: &TaskTree, policy: ReschedulePolicy) -> Self {
+    pub fn new(tree: &TaskTree) -> Self {
         let mut weights = vec![0.0; tree.len()];
         for i in tree.nodes() {
             weights[tree.label(i).index()] = tree.time(i).max(0.0);
         }
-        Self::with_weights(weights, policy)
+        Self::with_weights(weights)
     }
 
-    /// A policy with explicit per-task weights (by caller id) — how a
-    /// caller whose work estimates differ from the tree's recorded times
-    /// injects them.
-    pub fn with_weights(weights: Vec<f64>, policy: ReschedulePolicy) -> Self {
+    /// A policy with explicit per-task weights, by caller id.
+    fn with_weights(weights: Vec<f64>) -> Self {
         ProportionalRescheduler {
-            policy,
             weights,
             stage: Stage::RootFirst,
             quiet_ticks: 0,
@@ -167,9 +126,6 @@ impl Rescheduler for ProportionalRescheduler {
             }
         }
         if self.stage == Stage::Static {
-            return;
-        }
-        if self.policy.interval > 1 && !stats.event.is_multiple_of(self.policy.interval) {
             return;
         }
 
@@ -243,23 +199,21 @@ impl Rescheduler for ProportionalRescheduler {
         }
 
         // Shrinks first (they free processors), then grows largest-backlog
-        // first, both gated by the hysteresis threshold. Grows never
-        // exceed what is actually free: the idle pool plus what the
-        // shrinks this tick released.
+        // first. Grows never exceed what is actually free: the idle pool
+        // plus what the shrinks this tick released, so a grow can come to
+        // nothing when no processor is idle.
         let mut moved = false;
         let mut available = stats.idle;
         for (gi, s) in stats.gangs.iter().enumerate() {
             let cur = s.allotment as usize;
             if target[gi] < cur {
                 let release = cur - target[gi];
-                if release >= self.policy.min_move {
-                    actions.push(RescheduleAction::Shrink {
-                        node: s.node,
-                        release,
-                    });
-                    available += release;
-                    moved = true;
-                }
+                actions.push(RescheduleAction::Shrink {
+                    node: s.node,
+                    release,
+                });
+                available += release;
+                moved = true;
             }
         }
         for &gi in order.iter() {
@@ -267,7 +221,7 @@ impl Rescheduler for ProportionalRescheduler {
             let cur = s.allotment as usize;
             if target[gi] > cur {
                 let extra = (target[gi] - cur).min(available);
-                if extra >= self.policy.min_move {
+                if extra > 0 {
                     actions.push(RescheduleAction::Grow {
                         node: s.node,
                         extra,
@@ -321,10 +275,7 @@ mod tests {
 
     #[test]
     fn root_first_concentrates_the_idle_pool() {
-        let mut r = ProportionalRescheduler::with_weights(
-            vec![1.0, 10.0, 1.0],
-            ReschedulePolicy::default(),
-        );
+        let mut r = ProportionalRescheduler::with_weights(vec![1.0, 10.0, 1.0]);
         let mut actions = Vec::new();
         r.tick(
             &stats(1, 8, 0, vec![gang(1, 1, 0, 8), gang(2, 1, 0, 8)]),
@@ -343,8 +294,7 @@ mod tests {
 
     #[test]
     fn proportional_redistributes_toward_backlog() {
-        let mut r =
-            ProportionalRescheduler::with_weights(vec![0.0, 3.0, 1.0], ReschedulePolicy::default());
+        let mut r = ProportionalRescheduler::with_weights(vec![0.0, 3.0, 1.0]);
         let mut actions = Vec::new();
         // First completion flips the stage; gang 1 has 3× the backlog of
         // gang 2 but the allotments are even.
@@ -372,8 +322,7 @@ mod tests {
     fn progress_discounts_backlog() {
         // Equal weights, but gang 1 is 75% done: gang 2's effective
         // backlog is 4× larger and draws the processors.
-        let mut r =
-            ProportionalRescheduler::with_weights(vec![0.0, 4.0, 4.0], ReschedulePolicy::default());
+        let mut r = ProportionalRescheduler::with_weights(vec![0.0, 4.0, 4.0]);
         let mut actions = Vec::new();
         r.tick(
             &stats(3, 10, 1, vec![gang(1, 5, 6, 8), gang(2, 5, 0, 8)]),
@@ -389,24 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn hysteresis_blocks_tiny_moves() {
-        let mut r = ProportionalRescheduler::with_weights(
-            vec![0.0, 5.0, 4.0],
-            ReschedulePolicy::default().with_min_move(2),
-        );
-        let mut actions = Vec::new();
-        // Targets differ from current by one processor — under min_move.
-        r.tick(
-            &stats(3, 8, 1, vec![gang(1, 4, 0, 8), gang(2, 4, 0, 8)]),
-            &mut actions,
-        );
-        assert!(actions.is_empty(), "got {actions:?}");
-    }
-
-    #[test]
     fn converges_to_static_and_rearms_on_gang_change() {
-        let mut r =
-            ProportionalRescheduler::with_weights(vec![0.0, 1.0, 1.0], ReschedulePolicy::default());
+        let mut r = ProportionalRescheduler::with_weights(vec![0.0, 1.0, 1.0]);
         let balanced = vec![gang(1, 4, 0, 8), gang(2, 4, 0, 8)];
         let mut actions = Vec::new();
         for e in 1..=3 {
@@ -446,7 +379,7 @@ mod tests {
         let fixed = simulate(&tree, SimConfig::new(p, m), sched).unwrap();
 
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let mut resched = ProportionalRescheduler::new(&tree, ReschedulePolicy::default());
+        let mut resched = ProportionalRescheduler::new(&tree);
         let malleable =
             simulate_with(&tree, SimConfig::new(p, m), sched, Some(&mut resched)).unwrap();
 

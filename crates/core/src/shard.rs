@@ -2,8 +2,8 @@
 //! per-shard booking ledgers (DESIGN.md §6.7).
 //!
 //! A sharded platform runs disjoint subtrees concurrently, each under its
-//! own booking ledger; the split policy decides how much of the global
-//! bound `M` each ledger gets. Whatever the policy, the contract is:
+//! own booking ledger; the split decides how much of the global bound `M`
+//! each ledger gets. The contract is:
 //!
 //! * every shard gets at least its minimum feasible memory (the
 //!   sequential peak of its memPO activation order — Theorem 1's
@@ -45,23 +45,9 @@ pub enum ShardBudget {
     /// proportional to that minimum — big shards get big ledgers.
     #[default]
     Proportional,
-    /// Each shard gets its minimum plus an equal share of the headroom.
-    Even,
-    /// Each shard gets exactly its minimum; all headroom stays with the
-    /// parent ledger (maximal budget left for the residual phase).
-    Minimum,
 }
 
 impl ShardBudget {
-    /// Stable label for reports and cache keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShardBudget::Proportional => "proportional",
-            ShardBudget::Even => "even",
-            ShardBudget::Minimum => "minimum",
-        }
-    }
-
     /// Splits `memory` over shards whose minimum feasible memories are
     /// `mins`. On success every budget is ≥ its min and the budgets sum
     /// to at most `memory`.
@@ -81,49 +67,23 @@ impl ShardBudget {
             });
         }
         let headroom = memory - total_min;
-        let budgets = match self {
-            ShardBudget::Minimum => mins.to_vec(),
-            ShardBudget::Even => {
-                let share = headroom / mins.len() as u64;
-                mins.iter().map(|&m| m + share).collect()
-            }
-            ShardBudget::Proportional => mins
-                .iter()
-                .map(|&m| {
-                    // u128 intermediate: headroom · min can overflow u64.
-                    let share = (headroom as u128 * m as u128 / total_min as u128) as u64;
-                    m + share
-                })
-                .collect(),
-        };
+        let budgets: Vec<u64> = mins
+            .iter()
+            .map(|&m| {
+                // u128 intermediate: headroom · min can overflow u64.
+                let share = (headroom as u128 * m as u128 / total_min as u128) as u64;
+                m + share
+            })
+            .collect();
         debug_assert!(budgets.iter().sum::<u64>() <= memory);
         debug_assert!(budgets.iter().zip(mins).all(|(b, m)| b >= m));
         Ok(budgets)
     }
 }
 
-impl std::fmt::Display for ShardBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn minimum_keeps_all_headroom() {
-        let b = ShardBudget::Minimum.split(100, &[10, 20, 30]).unwrap();
-        assert_eq!(b, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn even_spreads_headroom_equally() {
-        let b = ShardBudget::Even.split(100, &[10, 20, 30]).unwrap();
-        assert_eq!(b, vec![23, 33, 43]);
-        assert!(b.iter().sum::<u64>() <= 100);
-    }
 
     #[test]
     fn proportional_spreads_by_min() {
@@ -136,19 +96,10 @@ mod tests {
     #[test]
     fn split_is_exhaustive_over_policies_and_never_overcommits() {
         let mins = [7, 13, 1, 64];
-        for policy in [
-            ShardBudget::Proportional,
-            ShardBudget::Even,
-            ShardBudget::Minimum,
-        ] {
-            for memory in [85u64, 86, 100, 1_000, u64::MAX / 2] {
-                let b = policy.split(memory, &mins).unwrap();
-                assert!(b.iter().sum::<u64>() <= memory, "{policy} at {memory}");
-                assert!(
-                    b.iter().zip(&mins).all(|(b, m)| b >= m),
-                    "{policy} at {memory}"
-                );
-            }
+        for memory in [85u64, 86, 100, 1_000, u64::MAX / 2] {
+            let b = ShardBudget::Proportional.split(memory, &mins).unwrap();
+            assert!(b.iter().sum::<u64>() <= memory, "at {memory}");
+            assert!(b.iter().zip(&mins).all(|(b, m)| b >= m), "at {memory}");
         }
     }
 
@@ -168,7 +119,7 @@ mod tests {
 
     #[test]
     fn empty_split_is_empty() {
-        assert!(ShardBudget::Even.split(10, &[]).unwrap().is_empty());
+        assert!(ShardBudget::Proportional.split(10, &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -243,6 +243,9 @@ impl PolicySpec {
                     if parsed.is_empty() {
                         return Err(bad("empty caps list".into()));
                     }
+                    if parsed.contains(&0) {
+                        return Err(bad(format!("zero cap on line {}", no + 1)));
+                    }
                     if caps.replace(AllotmentCaps::from_caps(parsed)).is_some() {
                         return Err(dup("caps"));
                     }
@@ -272,6 +275,7 @@ impl PolicySpec {
             _ => None,
         };
         let exec = transformed.as_deref().unwrap_or(tree);
+        check_caps(exec, self.caps.as_ref())?;
         let (ao, ao_peak) = make_order_with_peak(exec, self.ao);
         let ao = Arc::new(ao);
         let eo = if self.eo == self.ao {
@@ -291,18 +295,17 @@ impl PolicySpec {
     }
 }
 
-/// Free-function spelling of [`PolicySpec::spec_to_string`].
-pub fn spec_to_string(spec: &PolicySpec) -> String {
-    spec.spec_to_string()
-}
-
-/// Free-function spelling of [`PolicySpec::spec_from_str`].
-///
-/// # Errors
-/// [`SchedError::InvalidSpec`] on any malformed, missing, duplicate or
-/// trailing input — see [`PolicySpec::spec_from_str`].
-pub fn spec_from_str(s: &str) -> Result<PolicySpec, SchedError> {
-    PolicySpec::spec_from_str(s)
+/// Allotment caps must name every task of the tree the policy
+/// schedules, one cap each.
+fn check_caps(exec: &TaskTree, caps: Option<&AllotmentCaps>) -> Result<(), SchedError> {
+    match caps {
+        Some(caps) if caps.as_slice().len() != exec.len() => Err(SchedError::InvalidSpec(format!(
+            "{} allotment caps for {} tasks",
+            caps.as_slice().len(),
+            exec.len()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// A [`PolicySpec`] resolved against a concrete tree: the (possibly
@@ -358,6 +361,7 @@ impl PolicyInstance {
         instance.ao_peak = {
             let exec = instance.exec_tree(original);
             check_orders(exec, &instance.ao, &instance.eo)?;
+            check_caps(exec, instance.caps.as_ref())?;
             instance.ao.sequential_peak(exec)
         };
         Ok(instance)
@@ -440,19 +444,10 @@ impl PolicyInstance {
             let seq = seq.map(|&i| NodeId(self.ao.rank(i))).collect();
             Arc::new(Order::new(&layout, seq, self.eo.kind()).map_err(foreign_orders)?)
         };
-        let caps = match &self.caps {
-            Some(caps) if caps.as_slice().len() != exec.len() => {
-                return Err(SchedError::InvalidSpec(format!(
-                    "{} allotment caps for {} tasks",
-                    caps.as_slice().len(),
-                    exec.len()
-                )));
-            }
-            Some(caps) => Some(AllotmentCaps::from_caps(
-                self.ao.sequence().iter().map(|&i| caps.cap(i)).collect(),
-            )),
-            None => None,
-        };
+        check_caps(exec, self.caps.as_ref())?;
+        let caps = self.caps.as_ref().map(|caps| {
+            AllotmentCaps::from_caps(self.ao.sequence().iter().map(|&i| caps.cap(i)).collect())
+        });
         Ok(PolicyInstance {
             kind: self.kind,
             memory: self.memory,
@@ -652,6 +647,25 @@ mod tests {
             .instantiate(&tree)
             .unwrap_err();
         assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
+        // Caps of another tree: refused when the instance is made, through
+        // both construction paths, not at the mint.
+        let other = memtree_gen::synthetic::paper_tree(41, 1);
+        let foreign = AllotmentCaps::uniform(&other, 2);
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, 1_000).with_caps(foreign.clone());
+        let err = spec.instantiate(&tree).unwrap_err();
+        assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
+        let ao = Arc::new(memtree_order::mem_postorder(&tree));
+        let err = PolicyInstance::from_parts(
+            HeuristicKind::MemBooking,
+            1_000,
+            &tree,
+            None,
+            ao.clone(),
+            ao,
+            Some(foreign),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
     }
 
     #[test]
@@ -693,12 +707,6 @@ mod tests {
             let back = PolicySpec::spec_from_str(&text)
                 .unwrap_or_else(|e| panic!("reparse of {text:?}: {e}"));
             assert_eq!(spec.fingerprint(), back.fingerprint(), "{text}");
-            // The free-function spellings agree with the methods.
-            assert_eq!(super::spec_to_string(spec), text);
-            assert_eq!(
-                super::spec_from_str(&text).unwrap().fingerprint(),
-                spec.fingerprint()
-            );
         }
     }
 
@@ -720,6 +728,7 @@ mod tests {
         reject("kind\n".into(), "key without value");
         reject(format!("{good}caps 1 2 x\n"), "bad caps entry");
         reject(format!("{good}caps\n"), "caps without value");
+        reject(format!("{good}caps 0 1\n"), "zero cap");
         // Comments and blank lines remain legal anywhere.
         PolicySpec::spec_from_str(&format!("# c\n\n{good}# tail\n")).unwrap();
     }

@@ -4,7 +4,7 @@
 //! its sender meant.
 
 use memtree_order::OrderKind;
-use memtree_sched::{spec_from_str, spec_to_string, AllotmentCaps, HeuristicKind, PolicySpec};
+use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
 use proptest::prelude::*;
 
 const ORDERS: [OrderKind; 6] = [
@@ -57,12 +57,12 @@ fn arb_spec() -> impl Strategy<Value = PolicySpec> {
 proptest! {
     #[test]
     fn spec_wire_roundtrip_is_fingerprint_equal(spec in arb_spec()) {
-        let text = spec_to_string(&spec);
-        let back = spec_from_str(&text).unwrap();
+        let text = spec.spec_to_string();
+        let back = PolicySpec::spec_from_str(&text).unwrap();
         prop_assert_eq!(back.fingerprint(), spec.fingerprint());
         // And the round trip is textually stable (a fixpoint): the
         // re-serialisation is byte-identical.
-        prop_assert_eq!(spec_to_string(&back), text);
+        prop_assert_eq!(back.spec_to_string(), text);
     }
 
     #[test]
@@ -71,13 +71,13 @@ proptest! {
         // value — strictly rejected either way (the charset cannot spell
         // a legal key, which would be a *duplicate*-key rejection or, for
         // caps on a caps-less spec, a silent acceptance).
-        let text = format!("{}{garbage} 1\n", spec_to_string(&spec));
-        prop_assert!(spec_from_str(&text).is_err());
+        let text = format!("{}{garbage} 1\n", spec.spec_to_string());
+        prop_assert!(PolicySpec::spec_from_str(&text).is_err());
     }
 
     #[test]
     fn spec_wire_rejects_duplicated_documents(spec in arb_spec()) {
-        let text = spec_to_string(&spec);
-        prop_assert!(spec_from_str(&format!("{text}{text}")).is_err());
+        let text = spec.spec_to_string();
+        prop_assert!(PolicySpec::spec_from_str(&format!("{text}{text}")).is_err());
     }
 }

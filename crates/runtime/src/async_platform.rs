@@ -17,7 +17,7 @@
 //! backend — the driver's capacity ledger still counts `workers` logical
 //! processors, booking is still audited at every event, and completions
 //! arrive through a channel exactly as they do from real threads. Every
-//! [`PolicySpec`] — moldable and `MemBookingRedTree` included — runs
+//! [`PolicySpec`](memtree_sched::PolicySpec) — moldable and `MemBookingRedTree` included — runs
 //! unmodified; the differential suite (`tests/async_equivalence.rs`) and
 //! `platform_conformance!` pin the equivalence with `SimPlatform` and
 //! `ThreadedPlatform`.
@@ -53,7 +53,7 @@ pub struct AsyncPlatform {
     /// their async interpretation, [`Workload::run_shard_async`]).
     pub workload: Workload,
     /// When set, moldable runs become **malleable**: a
-    /// [`ProportionalRescheduler`] built from the executed tree resizes
+    /// [`ProportionalRescheduler`](memtree_sched::ProportionalRescheduler) built from the executed tree resizes
     /// running gangs from live backlog (DESIGN.md §6.10). Ignored by
     /// sequential policies.
     pub reschedule: Option<ReschedulePolicy>,

@@ -693,7 +693,7 @@ mod tests {
             },
             // Long enough shards (1 ms each) that gang members overlap
             // rather than one member draining the shard index alone.
-            Workload::Spin {
+            Workload::Sleep {
                 nanos_per_time_unit: 1_000_000.0,
                 max_nanos: 4_000_000,
             },

@@ -233,7 +233,7 @@ pub(crate) fn run_driven(
     let policy = sched.name().to_string();
     let mut resched = reschedule
         .filter(|_| relaid.is_moldable())
-        .map(|policy| ProportionalRescheduler::new(exec, policy));
+        .map(|_| ProportionalRescheduler::new(exec));
     let resched = resched.as_mut().map(|r| r as &mut (dyn Rescheduler + Send));
     let (makespan, stats) = run(exec, relaid.memory(), sched, resched)?;
     Ok(RunReport {

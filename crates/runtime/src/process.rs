@@ -25,7 +25,7 @@ use crate::platform::{Platform, PlatformError};
 use crate::sharded::{coordinate, ShardTransport, ShardedPlatform, ShardedReport, Stop};
 use crate::workload::Workload;
 use crossbeam::channel::Sender;
-use memtree_sched::{PolicySpec, ShardBudget};
+use memtree_sched::PolicySpec;
 use memtree_tree::partition::Partition;
 use memtree_tree::TaskTree;
 use std::io::{BufRead, BufReader, Write};
@@ -52,20 +52,11 @@ pub struct ChaosKill {
 /// The process-backed shard platform; see the module docs.
 #[derive(Clone, Debug)]
 pub struct ProcessPlatform {
-    /// Maximum shard count the partitioner may cut (≥ 1).
-    pub shards: usize,
-    /// Worker threads inside each worker process's executor.
-    pub workers_per_shard: usize,
-    /// How the global memory bound splits into per-shard ledgers.
-    pub budget: ShardBudget,
-    /// Per-task payload run by the worker processes (and the local
-    /// residual phase).
-    pub workload: Workload,
-    /// Idle watchdog: no worker message (reports *or* heartbeats) for
-    /// this long fails the run as [`PlatformError::ShardStalled`].
-    pub shard_timeout: Option<Duration>,
-    /// Overall deadline for the whole shard phase.
-    pub shard_deadline: Option<Duration>,
+    /// The coordinator settings — shard count, threads per worker
+    /// process, payload (also of the local residual phase), watchdog and
+    /// deadline — exactly a thread-backed platform's. The watchdog counts
+    /// heartbeats as well as reports.
+    pub coordinator: ShardedPlatform,
     /// How many times a shard is requeued onto a fresh worker process
     /// after its worker *dies* (exit without a verdict). Clean `failed`
     /// verdicts are never retried — the policy's refusal is
@@ -85,21 +76,14 @@ pub struct ProcessPlatform {
 }
 
 impl ProcessPlatform {
-    /// Up to `shards` worker processes of one thread each, proportional
-    /// budget split, no-op payload, no watchdog, one retry, 50 ms
-    /// heartbeats.
+    /// Up to `shards` worker processes of one thread each, no-op payload,
+    /// no watchdog, one retry, 50 ms heartbeats.
     ///
     /// # Panics
     /// When `shards` is 0.
     pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "a process platform needs at least one shard");
         ProcessPlatform {
-            shards,
-            workers_per_shard: 1,
-            budget: ShardBudget::Proportional,
-            workload: Workload::Noop,
-            shard_timeout: None,
-            shard_deadline: None,
+            coordinator: ShardedPlatform::new(shards),
             retries: 1,
             heartbeat: Duration::from_millis(50),
             worker_bin: None,
@@ -109,31 +93,25 @@ impl ProcessPlatform {
 
     /// Overrides the per-process worker-thread count.
     pub fn with_workers_per_shard(mut self, workers: usize) -> Self {
-        self.workers_per_shard = workers;
-        self
-    }
-
-    /// Overrides the budget split policy.
-    pub fn with_budget(mut self, budget: ShardBudget) -> Self {
-        self.budget = budget;
+        self.coordinator = self.coordinator.with_workers_per_shard(workers);
         self
     }
 
     /// Overrides the per-task payload.
     pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.workload = workload;
+        self.coordinator = self.coordinator.with_workload(workload);
         self
     }
 
     /// Enables the idle watchdog.
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.shard_timeout = Some(timeout);
+        self.coordinator = self.coordinator.with_timeout(timeout);
         self
     }
 
     /// Enables the overall shard-phase deadline.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.shard_deadline = Some(deadline);
+        self.coordinator = self.coordinator.with_deadline(deadline);
         self
     }
 
@@ -160,12 +138,6 @@ impl ProcessPlatform {
     pub fn with_chaos_kill(mut self, chaos: ChaosKill) -> Self {
         self.chaos_kill = Some(chaos);
         self
-    }
-
-    /// The machine this platform models: every worker process's threads.
-    /// The residual phase reclaims the whole machine locally.
-    pub fn total_workers(&self) -> usize {
-        self.shards * self.workers_per_shard
     }
 
     fn resolve_worker_bin(&self) -> Result<PathBuf, PlatformError> {
@@ -207,16 +179,14 @@ impl ProcessPlatform {
         tree: &TaskTree,
         spec: &PolicySpec,
     ) -> Result<ShardedReport, PlatformError> {
-        // The coordinator settings are exactly a thread-backed platform's.
-        let settings = ShardedPlatform {
-            shards: self.shards,
-            workers_per_shard: self.workers_per_shard,
-            budget: self.budget,
-            workload: self.workload,
-            shard_timeout: self.shard_timeout,
-            shard_deadline: self.shard_deadline,
-        };
-        coordinate(&settings, self.name(), self.retries, self, tree, spec)
+        coordinate(
+            &self.coordinator,
+            self.name(),
+            self.retries,
+            self,
+            tree,
+            spec,
+        )
     }
 }
 
@@ -242,8 +212,8 @@ impl ShardTransport for ProcessPlatform {
                 wire::job_to_string(
                     &shard.tree,
                     spec,
-                    self.workers_per_shard,
-                    self.workload,
+                    self.coordinator.workers_per_shard,
+                    self.coordinator.workload,
                     self.heartbeat,
                 )
             })

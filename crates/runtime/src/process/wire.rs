@@ -20,7 +20,7 @@
 //! ```
 //!
 //! The embedded documents reuse the crate-standard text formats verbatim
-//! ([`memtree_sched::spec_to_string`], [`memtree_tree::io::tree_to_string`])
+//! ([`PolicySpec::spec_to_string`], [`memtree_tree::io::tree_to_string`])
 //! between `BEGIN`/`END` frames — both parsers are strict, and neither
 //! format can produce a line equal to a frame marker. Floating-point
 //! workload parameters travel as the hex of their IEEE-754 bits, so the
@@ -110,7 +110,7 @@ pub fn job_to_string(
     out.push_str(&format!("heartbeat-ms {}\n", heartbeat.as_millis()));
     out.push_str(&format!("workload {}\n", encode_workload(workload)));
     out.push_str("BEGIN SPEC\n");
-    out.push_str(&memtree_sched::spec_to_string(spec));
+    out.push_str(&spec.spec_to_string());
     out.push_str("END SPEC\n");
     out.push_str("BEGIN TREE\n");
     out.push_str(&memtree_tree::io::tree_to_string(tree));
@@ -333,10 +333,6 @@ pub fn encode_workload(w: Workload) -> String {
             nanos_per_time_unit,
             max_nanos,
         } => format!("sleep {} {max_nanos}", encode_f64(nanos_per_time_unit)),
-        Workload::Spin {
-            nanos_per_time_unit,
-            max_nanos,
-        } => format!("spin {} {max_nanos}", encode_f64(nanos_per_time_unit)),
         Workload::AllocTouch {
             bytes_per_output_unit,
             max_bytes,
@@ -371,10 +367,6 @@ pub fn decode_workload(s: &str) -> Result<Workload, String> {
             nanos_per_time_unit: decode_f64(next("rate")?)?,
             max_nanos: parse_u64(next("cap")?)?,
         },
-        "spin" => Workload::Spin {
-            nanos_per_time_unit: decode_f64(next("rate")?)?,
-            max_nanos: parse_u64(next("cap")?)?,
-        },
         "alloctouch" => Workload::AllocTouch {
             bytes_per_output_unit: decode_f64(next("rate")?)?,
             max_bytes: parse_u64(next("cap")?)? as usize,
@@ -382,10 +374,10 @@ pub fn decode_workload(s: &str) -> Result<Workload, String> {
         "iobound" => Workload::IoBound {
             nanos_per_time_unit: decode_f64(next("rate")?)?,
             max_nanos: parse_u64(next("cap")?)?,
-            chunks: parse_u64(next("chunks")?)? as u32,
+            chunks: parse_u32(next("chunks")?)?,
         },
         "failat" => Workload::FailAt {
-            node: parse_u64(next("node")?)? as u32,
+            node: parse_u32(next("node")?)?,
         },
         other => return Err(format!("unknown workload {other:?}")),
     };
@@ -408,6 +400,12 @@ fn decode_f64(s: &str) -> Result<f64, String> {
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     s.parse::<u64>().map_err(|_| format!("bad integer {s:?}"))
+}
+
+/// A `u32` field: a value past `u32::MAX` is an error, never wrapped
+/// into another value.
+fn parse_u32(s: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(s)?).map_err(|_| format!("integer {s:?} out of range"))
 }
 
 fn single_line(s: &str) -> String {
@@ -456,10 +454,6 @@ mod tests {
         for w in [
             Workload::Noop,
             Workload::quick(),
-            Workload::Spin {
-                nanos_per_time_unit: 0.25,
-                max_nanos: 77,
-            },
             Workload::AllocTouch {
                 bytes_per_output_unit: 16.5,
                 max_bytes: 4096,
@@ -510,6 +504,13 @@ mod tests {
             parse_job(&good.replace("workload noop\n", "workload noop\nbogus 1\n")).is_err(),
             "unknown directive"
         );
+        // 32-bit fields beyond u32 are rejected, not wrapped (2^32 + 1
+        // would otherwise decode as node 1).
+        let job_with = |w: &str| good.replace("workload noop", &format!("workload {w}"));
+        assert!(parse_job(&job_with("failat 4294967295")).is_ok());
+        for workload in ["failat 4294967297", "iobound 0 1 4294967297"] {
+            assert!(parse_job(&job_with(workload)).is_err(), "{workload}");
+        }
     }
 
     #[test]

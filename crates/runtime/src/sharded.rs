@@ -3,7 +3,7 @@
 //! ([`crate::ProcessPlatform`] is the process one).
 //!
 //! The coordinator cuts the tree at subtree-weight frontiers
-//! ([`memtree_tree::partition`]) into disjoint shard subtrees plus a
+//! ([`partition()`]) into disjoint shard subtrees plus a
 //! residual merge tree. In the **shard phase** every shard runs
 //! concurrently on its own worker, connected to the coordinator only by
 //! a channel, through [`run_part`]: each shard has an independent booking
@@ -49,8 +49,6 @@ pub struct ShardedPlatform {
     pub shards: usize,
     /// Worker threads inside each shard's executor.
     pub workers_per_shard: usize,
-    /// How the global memory bound splits into per-shard ledgers.
-    pub budget: ShardBudget,
     /// Per-task payload, as on [`ThreadedPlatform`].
     pub workload: Workload,
     /// Idle watchdog: no shard report for this long fails the run with
@@ -66,8 +64,8 @@ pub struct ShardedPlatform {
 }
 
 impl ShardedPlatform {
-    /// Up to `shards` shard workers of one thread each, proportional
-    /// budget split, no-op payload, no watchdog, no deadline.
+    /// Up to `shards` shard workers of one thread each, no-op payload,
+    /// no watchdog, no deadline.
     ///
     /// # Panics
     /// When `shards` is 0.
@@ -76,7 +74,6 @@ impl ShardedPlatform {
         ShardedPlatform {
             shards,
             workers_per_shard: 1,
-            budget: ShardBudget::Proportional,
             workload: Workload::Noop,
             shard_timeout: None,
             shard_deadline: None,
@@ -86,12 +83,6 @@ impl ShardedPlatform {
     /// Overrides the per-shard worker-thread count.
     pub fn with_workers_per_shard(mut self, workers: usize) -> Self {
         self.workers_per_shard = workers;
-        self
-    }
-
-    /// Overrides the budget split policy.
-    pub fn with_budget(mut self, budget: ShardBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -305,7 +296,7 @@ pub(crate) fn coordinate<T: ShardTransport>(
         .iter()
         .map(|s| spec.min_feasible(&s.tree))
         .collect();
-    let mut specs = spec.shard_specs(settings.budget, &mins)?;
+    let mut specs = spec.shard_specs(ShardBudget::Proportional, &mins)?;
     for (shard_spec, shard) in specs.iter_mut().zip(&part.shards) {
         shard_spec.caps = project_caps(spec, shard.to_global.iter().map(|&g| Some(g)));
     }
@@ -552,7 +543,7 @@ pub struct ShardedReport {
     pub report: RunReport,
     /// Per-shard reports, in shard order.
     pub shard_reports: Vec<RunReport>,
-    /// Per-shard ledger budgets granted by the split policy.
+    /// Per-shard ledger budgets granted by the budget split.
     pub budgets: Vec<u64>,
     /// The residual (merge-phase) report.
     pub residual: RunReport,

@@ -15,14 +15,6 @@ pub enum Workload {
         /// Hard cap per task, nanoseconds.
         max_nanos: u64,
     },
-    /// Busy-spin for `nanos_per_time_unit · t_i` nanoseconds (capped) —
-    /// keeps workers genuinely busy for contention tests.
-    Spin {
-        /// Nanoseconds per model time unit.
-        nanos_per_time_unit: f64,
-        /// Hard cap per task, nanoseconds.
-        max_nanos: u64,
-    },
     /// Allocate and touch a buffer of `bytes_per_output_unit · f_i` bytes
     /// (capped), then free it — exercises the allocator under the
     /// scheduler's memory envelope.
@@ -84,8 +76,8 @@ impl Workload {
 
     /// Runs shard `shard` of task `i`'s payload split `of` ways — the
     /// intra-task parallelism unit executed by one gang member. Shards
-    /// partition the payload evenly (each is a `1/of` slice of the sleep /
-    /// spin duration or the touched buffer), so a full gang of `of`
+    /// partition the payload evenly (each is a `1/of` slice of the sleep
+    /// duration or the touched buffer), so a full gang of `of`
     /// members realises the linear speedup the moldable engine predicts.
     pub fn run_shard(&self, tree: &TaskTree, i: NodeId, shard: u32, of: u32) {
         debug_assert!(shard < of, "shard index out of range");
@@ -99,16 +91,6 @@ impl Workload {
                 let nanos = ((tree.time(i) * nanos_per_time_unit) as u64).min(max_nanos) / of64;
                 if nanos > 0 {
                     std::thread::sleep(std::time::Duration::from_nanos(nanos));
-                }
-            }
-            Workload::Spin {
-                nanos_per_time_unit,
-                max_nanos,
-            } => {
-                let nanos = ((tree.time(i) * nanos_per_time_unit) as u64).min(max_nanos) / of64;
-                let deadline = std::time::Instant::now() + std::time::Duration::from_nanos(nanos);
-                while std::time::Instant::now() < deadline {
-                    std::hint::spin_loop();
                 }
             }
             Workload::AllocTouch {
@@ -156,8 +138,8 @@ impl Workload {
     /// The async interpretation of [`Workload::run_shard`], polled by the
     /// [`AsyncPlatform`](crate::AsyncPlatform) executor. Timed payloads
     /// (`Sleep`, `IoBound`) await `minitok` timers instead of blocking, so
-    /// a waiting task releases its executor thread; compute-shaped
-    /// payloads (`Spin`, `AllocTouch`) run inline in the poll — they are
+    /// a waiting task releases its executor thread; the compute-shaped
+    /// payload (`AllocTouch`) runs inline in the poll — they are
     /// CPU work, and blocking an executor thread is their honest cost.
     pub async fn run_shard_async(&self, tree: &TaskTree, i: NodeId, shard: u32, of: u32) {
         debug_assert!(shard < of, "shard index out of range");
@@ -190,7 +172,7 @@ impl Workload {
                     minitok::yield_now().await;
                 }
             }
-            // Noop, Spin, AllocTouch and FailAt behave exactly as in the
+            // Noop, AllocTouch and FailAt behave exactly as in the
             // synchronous regime (FailAt panics inside the poll; the
             // executor catches it and the platform surfaces a clean error).
             _ => self.run_shard(tree, i, shard, of),
@@ -225,10 +207,6 @@ mod tests {
         for w in [
             Workload::Noop,
             Workload::quick(),
-            Workload::Spin {
-                nanos_per_time_unit: 10.0,
-                max_nanos: 10_000,
-            },
             Workload::AllocTouch {
                 bytes_per_output_unit: 16.0,
                 max_bytes: 1 << 16,

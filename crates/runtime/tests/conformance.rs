@@ -66,18 +66,16 @@ memtree_runtime::platform_conformance!(
 // holds unchanged.
 memtree_runtime::platform_conformance!(
     sim_rescheduled,
-    memtree_runtime::SimPlatform::new(4)
-        .with_rescheduler(memtree_sched::ReschedulePolicy::default())
+    memtree_runtime::SimPlatform::new(4).with_rescheduler(memtree_sched::ReschedulePolicy::new())
 );
 
 memtree_runtime::platform_conformance!(
     threaded_rescheduled,
     memtree_runtime::ThreadedPlatform::new(4)
-        .with_rescheduler(memtree_sched::ReschedulePolicy::default())
+        .with_rescheduler(memtree_sched::ReschedulePolicy::new())
 );
 
 memtree_runtime::platform_conformance!(
     async_rescheduled,
-    memtree_runtime::AsyncPlatform::new(4)
-        .with_rescheduler(memtree_sched::ReschedulePolicy::default())
+    memtree_runtime::AsyncPlatform::new(4).with_rescheduler(memtree_sched::ReschedulePolicy::new())
 );

@@ -165,7 +165,7 @@ fn assert_capped_cell(
     let cfg = SimConfig::new(p, spec.memory);
     let run = |instance: &PolicyInstance| -> Trace {
         let exec = instance.exec_tree(tree);
-        let mut resched = reschedule.map(|policy| ProportionalRescheduler::new(exec, policy));
+        let mut resched = reschedule.map(|_| ProportionalRescheduler::new(exec));
         let resched = resched.as_mut().map(|r| r as &mut dyn Rescheduler);
         simulate_with(exec, cfg, instance.scheduler(tree).unwrap(), resched)
             .unwrap_or_else(|e| panic!("{ctx}: {e}"))

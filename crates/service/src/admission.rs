@@ -20,15 +20,16 @@
 //!    feasibility refusal, and what keeps the machine from thrashing on
 //!    work it can never finish.
 //! 2. **Admit** when the floor fits the currently-free budget, granting
-//!    between the floor and the free budget per the [`GrantPolicy`]
-//!    (never more than the session asked for), reserved against the
+//!    `min(requested, available)` — a lone session gets exactly the bound
+//!    a direct `Platform::run` would use, which is what makes the
+//!    single-tenant differential test bit-for-bit — reserved against the
 //!    shared hard-error [`BudgetLedger`].
 //! 3. **Queue** otherwise: feasible, just not now.
 //! 4. On **completion** the grant returns to the ledger and the freed
 //!    budget is immediately rebalanced to the queue: waiting sessions are
-//!    scanned in priority-then-arrival order and every one whose floor
-//!    now fits is admitted (work-conserving backfill — a small session
-//!    behind a big one does not hold budget idle). Since every completed
+//!    scanned in arrival order and every one whose floor now fits is
+//!    admitted (work-conserving backfill — a small session behind a big
+//!    one does not hold budget idle). Since every completed
 //!    session returns its whole grant, once arrivals cease the ledger
 //!    drains and every queued session eventually fits: no feasible
 //!    session starves.
@@ -39,54 +40,6 @@ use std::fmt;
 
 /// A service-wide session identity (assigned by the service front door).
 pub type SessionId = u64;
-
-/// How much of the free budget an admitted session is granted, between
-/// its floor and what it requested.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum GrantPolicy {
-    /// Everything currently free (capped at the request) — single-tenant
-    /// runs get exactly the bound a direct `Platform::run` would use,
-    /// which is what makes the differential test bit-for-bit. Later
-    /// arrivals queue behind the generosity.
-    #[default]
-    AllAvailable,
-    /// Exactly the floor — maximal concurrent admission, each tenant on
-    /// the leanest (slowest) feasible schedule.
-    Minimum,
-    /// The floor scaled by a factor (≥ 1), capped at the request and the
-    /// free budget — headroom above the floor buys schedule parallelism
-    /// without one tenant monopolising the machine.
-    Scaled(f64),
-}
-
-impl GrantPolicy {
-    /// Stable label for reports and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            GrantPolicy::AllAvailable => "all-available",
-            GrantPolicy::Minimum => "minimum",
-            GrantPolicy::Scaled(_) => "scaled",
-        }
-    }
-
-    /// The budget granted to a session with `floor`, given `cap` =
-    /// `min(requested, available)`. Callers guarantee `floor ≤ cap`.
-    fn budget(&self, floor: u64, cap: u64) -> u64 {
-        debug_assert!(floor <= cap);
-        match *self {
-            GrantPolicy::AllAvailable => cap,
-            GrantPolicy::Minimum => floor,
-            GrantPolicy::Scaled(factor) => {
-                let target = floor as f64 * factor.max(1.0);
-                if target >= cap as f64 {
-                    cap
-                } else {
-                    (target as u64).max(floor)
-                }
-            }
-        }
-    }
-}
 
 /// Why a submission was refused outright (never queued): it could not
 /// run even with nothing else on the machine.
@@ -165,7 +118,7 @@ pub enum Decision {
     Admitted(Grant),
     /// Feasible but not now; parked in the wait queue.
     Queued {
-        /// Sessions ahead of it in (priority, arrival) order.
+        /// Sessions ahead of it in arrival order.
         position: usize,
     },
     /// Infeasible even alone; never queued.
@@ -237,36 +190,28 @@ struct Waiting {
     id: SessionId,
     floor: u64,
     requested: u64,
-    priority: u8,
-    arrival: u64,
 }
 
 /// The budgeted admission state machine; see the module docs.
 #[derive(Clone, Debug)]
 pub struct AdmissionController {
     ledger: BudgetLedger,
-    grant: GrantPolicy,
-    /// Kept sorted by (priority desc, arrival asc) — the admission scan
-    /// order.
+    /// In arrival order — the admission scan order.
     queue: Vec<Waiting>,
     /// Running sessions and their reservations.
     running: HashMap<SessionId, u64>,
     peak_running: usize,
-    arrivals: u64,
     stats: AdmissionStats,
 }
 
 impl AdmissionController {
-    /// A controller over `capacity` memory units with the given grant
-    /// policy.
-    pub fn new(capacity: u64, grant: GrantPolicy) -> Self {
+    /// A controller over `capacity` memory units.
+    pub fn new(capacity: u64) -> Self {
         AdmissionController {
             ledger: BudgetLedger::new(capacity),
-            grant,
             queue: Vec::new(),
             running: HashMap::new(),
             peak_running: 0,
-            arrivals: 0,
             stats: AdmissionStats::default(),
         }
     }
@@ -326,8 +271,7 @@ impl AdmissionController {
     }
 
     /// Submits a session: `floor` is its spec's feasibility minimum on
-    /// its tree, `requested` the bound it asked for, higher `priority`
-    /// admits sooner from the queue.
+    /// its tree, `requested` the bound it asked for.
     ///
     /// # Errors
     /// [`AdmissionError::DuplicateSession`] when `id` is already running
@@ -337,7 +281,6 @@ impl AdmissionController {
         id: SessionId,
         floor: u64,
         requested: u64,
-        priority: u8,
     ) -> Result<Decision, AdmissionError> {
         if self.running.contains_key(&id) || self.queue.iter().any(|w| w.id == id) {
             return Err(AdmissionError::DuplicateSession(id));
@@ -359,28 +302,15 @@ impl AdmissionController {
             }));
         }
         if floor <= self.available() {
-            let grant = self.admit(id, floor, requested)?;
+            let grant = self.admit(id, requested)?;
             return Ok(Decision::Admitted(grant));
         }
-        let arrival = self.arrivals;
-        self.arrivals += 1;
-        let waiting = Waiting {
+        let position = self.queue.len();
+        self.queue.push(Waiting {
             id,
             floor,
             requested,
-            priority,
-            arrival,
-        };
-        // Insert in (priority desc, arrival asc) order; arrivals are
-        // strictly increasing, so equal-priority entries stay FIFO.
-        let position = self
-            .queue
-            .iter()
-            .position(|w| {
-                (std::cmp::Reverse(w.priority), w.arrival) > (std::cmp::Reverse(priority), arrival)
-            })
-            .unwrap_or(self.queue.len());
-        self.queue.insert(position, waiting);
+        });
         self.stats.queued += 1;
         Ok(Decision::Queued { position })
     }
@@ -407,8 +337,8 @@ impl AdmissionController {
     }
 
     /// Admits every queued session whose floor fits the free budget, in
-    /// (priority desc, arrival asc) order — the rebalance step run after
-    /// every completion. Work-conserving: non-fitting sessions are
+    /// arrival order — the rebalance step run after every completion.
+    /// Work-conserving: non-fitting sessions are
     /// skipped, not blocking the budget for fitting ones behind them.
     fn rebalance(&mut self) -> Result<Vec<Grant>, AdmissionError> {
         let mut admitted = Vec::new();
@@ -416,7 +346,7 @@ impl AdmissionController {
         while k < self.queue.len() {
             if self.queue[k].floor <= self.available() {
                 let w = self.queue.remove(k);
-                admitted.push(self.admit(w.id, w.floor, w.requested)?);
+                admitted.push(self.admit(w.id, w.requested)?);
             } else {
                 k += 1;
             }
@@ -424,14 +354,10 @@ impl AdmissionController {
         Ok(admitted)
     }
 
-    fn admit(
-        &mut self,
-        id: SessionId,
-        floor: u64,
-        requested: u64,
-    ) -> Result<Grant, AdmissionError> {
-        let cap = requested.min(self.available());
-        let budget = self.grant.budget(floor, cap);
+    /// Reserves `min(requested, available)` for `id`; callers have checked
+    /// that its floor fits both.
+    fn admit(&mut self, id: SessionId, requested: u64) -> Result<Grant, AdmissionError> {
+        let budget = requested.min(self.available());
         self.ledger.reserve(budget)?;
         self.running.insert(id, budget);
         self.peak_running = self.peak_running.max(self.running.len());
@@ -449,17 +375,17 @@ mod tests {
 
     #[test]
     fn admit_queue_refuse_and_rebalance() {
-        let mut c = AdmissionController::new(100, GrantPolicy::Minimum);
-        // Two tenants fit at their floors.
+        let mut c = AdmissionController::new(100);
+        // Two tenants fit, each granted its whole request.
         assert_eq!(
-            c.submit(1, 40, 100, 0).unwrap(),
+            c.submit(1, 40, 40).unwrap(),
             Decision::Admitted(Grant {
                 session: 1,
                 budget: 40
             })
         );
         assert_eq!(
-            c.submit(2, 60, 100, 0).unwrap(),
+            c.submit(2, 60, 60).unwrap(),
             Decision::Admitted(Grant {
                 session: 2,
                 budget: 60
@@ -468,11 +394,11 @@ mod tests {
         assert_eq!(c.available(), 0);
         // The third queues; the fourth is refused (floor over capacity).
         assert_eq!(
-            c.submit(3, 10, 100, 0).unwrap(),
+            c.submit(3, 10, 10).unwrap(),
             Decision::Queued { position: 0 }
         );
         assert_eq!(
-            c.submit(4, 101, 200, 0).unwrap(),
+            c.submit(4, 101, 200).unwrap(),
             Decision::Refused(Refusal::MachineInfeasible {
                 required: 101,
                 capacity: 100
@@ -495,11 +421,11 @@ mod tests {
 
     #[test]
     fn spec_infeasible_is_refused_like_a_direct_run() {
-        let mut c = AdmissionController::new(1_000, GrantPolicy::AllAvailable);
+        let mut c = AdmissionController::new(1_000);
         // Floor 50 but the tenant only asked for 49: a direct
         // Platform::run at 49 would refuse with InfeasibleMemory too.
         assert_eq!(
-            c.submit(1, 50, 49, 0).unwrap(),
+            c.submit(1, 50, 49).unwrap(),
             Decision::Refused(Refusal::SpecInfeasible {
                 required: 50,
                 requested: 49
@@ -511,75 +437,49 @@ mod tests {
 
     #[test]
     fn all_available_grants_the_request_when_alone() {
-        let mut c = AdmissionController::new(1_000, GrantPolicy::AllAvailable);
+        let mut c = AdmissionController::new(1_000);
         // Capped at the request, not the machine: the tenant's own bound
         // is what a direct run would use.
-        let Decision::Admitted(g) = c.submit(1, 10, 300, 0).unwrap() else {
+        let Decision::Admitted(g) = c.submit(1, 10, 300).unwrap() else {
             panic!("should admit")
         };
         assert_eq!(g.budget, 300);
         // A second tenant gets everything still free (capped at request).
-        let Decision::Admitted(g) = c.submit(2, 10, 10_000, 0).unwrap() else {
+        let Decision::Admitted(g) = c.submit(2, 10, 10_000).unwrap() else {
             panic!("should admit")
         };
         assert_eq!(g.budget, 700);
     }
 
     #[test]
-    fn scaled_grants_between_floor_and_cap() {
-        let mut c = AdmissionController::new(1_000, GrantPolicy::Scaled(1.5));
-        let Decision::Admitted(g) = c.submit(1, 100, 1_000, 0).unwrap() else {
-            panic!("should admit")
-        };
-        assert_eq!(g.budget, 150);
-        // A factor below 1 is clamped to the floor, and the grant never
-        // exceeds min(requested, available).
-        let mut c = AdmissionController::new(1_000, GrantPolicy::Scaled(0.5));
-        let Decision::Admitted(g) = c.submit(1, 100, 120, 0).unwrap() else {
-            panic!("should admit")
-        };
-        assert_eq!(g.budget, 100);
-        let mut c = AdmissionController::new(130, GrantPolicy::Scaled(10.0));
-        let Decision::Admitted(g) = c.submit(1, 100, 10_000, 0).unwrap() else {
-            panic!("should admit")
-        };
-        assert_eq!(g.budget, 130);
-    }
-
-    #[test]
-    fn priority_orders_the_queue_fifo_within_a_level() {
-        let mut c = AdmissionController::new(100, GrantPolicy::Minimum);
-        c.submit(1, 100, 100, 0).unwrap();
-        c.submit(2, 30, 100, 1).unwrap();
-        c.submit(3, 30, 100, 5).unwrap();
-        c.submit(4, 30, 100, 1).unwrap();
-        c.submit(5, 40, 100, 5).unwrap();
-        // Queue order: priority desc, FIFO within a level.
+    fn the_queue_admits_in_arrival_order() {
+        let mut c = AdmissionController::new(100);
+        c.submit(1, 100, 100).unwrap();
+        for (id, floor, position) in [(2, 30, 0), (3, 30, 1), (4, 50, 2), (5, 40, 3)] {
+            assert_eq!(
+                c.submit(id, floor, floor).unwrap(),
+                Decision::Queued { position }
+            );
+        }
+        // Scanned in arrival order: 2 and 3 fit, 4 does not fit the 40
+        // left and is skipped, 5 takes the rest.
         let done = c.complete(1).unwrap();
         let order: Vec<SessionId> = done.admitted.iter().map(|g| g.session).collect();
-        assert_eq!(
-            order,
-            vec![3, 5, 2],
-            "3 and 5 (prio 5) first, then 2 (prio 1)"
-        );
+        assert_eq!(order, vec![2, 3, 5]);
         assert_eq!(c.queue_len(), 1, "4 still waiting (no budget left)");
     }
 
     #[test]
     fn backfill_skips_a_blocked_head() {
-        let mut c = AdmissionController::new(100, GrantPolicy::Minimum);
-        c.submit(1, 80, 100, 0).unwrap();
+        let mut c = AdmissionController::new(100);
+        c.submit(1, 80, 80).unwrap();
         // Both queue behind the running 80: floors 90 and 30 exceed the
         // free 20.
-        c.submit(2, 90, 100, 9).unwrap();
-        c.submit(3, 30, 100, 0).unwrap();
+        c.submit(2, 90, 90).unwrap();
+        c.submit(3, 30, 30).unwrap();
         let done = c.complete(1).unwrap();
         let order: Vec<SessionId> = done.admitted.iter().map(|g| g.session).collect();
-        assert_eq!(
-            order,
-            vec![2],
-            "high-priority head admitted once budget freed"
-        );
+        assert_eq!(order, vec![2], "the head admitted once budget freed");
         // 3 does not fit next to 2 (available 10 < 30) and stays queued —
         // but only until the next completion frees budget.
         assert_eq!(c.queue_len(), 1);
@@ -592,10 +492,10 @@ mod tests {
     fn a_fitting_newcomer_is_admitted_even_with_a_blocked_queue() {
         // Work-conserving admission: free budget never idles waiting for
         // a big queued session when a small newcomer fits right now.
-        let mut c = AdmissionController::new(100, GrantPolicy::Minimum);
-        c.submit(1, 80, 100, 0).unwrap();
-        c.submit(2, 90, 100, 9).unwrap(); // queued: 90 > 20 free
-        let decision = c.submit(3, 20, 100, 0).unwrap();
+        let mut c = AdmissionController::new(100);
+        c.submit(1, 80, 80).unwrap();
+        c.submit(2, 90, 90).unwrap(); // queued: 90 > 20 free
+        let decision = c.submit(3, 20, 20).unwrap();
         assert!(
             matches!(decision, Decision::Admitted(_)),
             "got {decision:?}"
@@ -605,10 +505,10 @@ mod tests {
 
     #[test]
     fn duplicate_and_phantom_ids_are_hard_errors() {
-        let mut c = AdmissionController::new(100, GrantPolicy::Minimum);
-        c.submit(7, 10, 100, 0).unwrap();
+        let mut c = AdmissionController::new(100);
+        c.submit(7, 10, 10).unwrap();
         assert_eq!(
-            c.submit(7, 10, 100, 0).unwrap_err(),
+            c.submit(7, 10, 10).unwrap_err(),
             AdmissionError::DuplicateSession(7)
         );
         c.complete(7).unwrap();
@@ -624,10 +524,18 @@ mod tests {
 
     #[test]
     fn zero_floor_is_clamped_to_one() {
-        let mut c = AdmissionController::new(10, GrantPolicy::Minimum);
-        let Decision::Admitted(g) = c.submit(1, 0, 10, 0).unwrap() else {
+        let mut c = AdmissionController::new(10);
+        let Decision::Admitted(g) = c.submit(1, 0, 1).unwrap() else {
             panic!("should admit")
         };
-        assert!(g.budget >= 1, "a session always reserves something");
+        assert_eq!(g.budget, 1, "a session always reserves something");
+        // Asking for nothing is below the clamped floor.
+        assert_eq!(
+            c.submit(2, 0, 0).unwrap(),
+            Decision::Refused(Refusal::SpecInfeasible {
+                required: 1,
+                requested: 0
+            })
+        );
     }
 }

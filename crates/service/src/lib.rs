@@ -11,7 +11,7 @@
 //! Three layers:
 //!
 //! * [`AdmissionController`] — the pure policy: a promoted
-//!   [`BudgetLedger`](memtree_sched::BudgetLedger) plus a priority wait
+//!   [`BudgetLedger`](memtree_sched::BudgetLedger) plus a FIFO wait
 //!   queue. Every admitted session's budget is at least its
 //!   [`PolicySpec::min_feasible`](memtree_sched::PolicySpec::min_feasible)
 //!   floor; `Σ` budgets never exceeds `M` (the ledger hard-errors);
@@ -33,8 +33,7 @@ pub mod platform;
 pub mod service;
 
 pub use admission::{
-    AdmissionController, AdmissionError, AdmissionStats, Decision, Grant, GrantPolicy, Refusal,
-    SessionId,
+    AdmissionController, AdmissionError, AdmissionStats, Decision, Grant, Refusal, SessionId,
 };
 pub use platform::ServicePlatform;
 pub use service::{

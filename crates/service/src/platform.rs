@@ -1,21 +1,19 @@
-//! **`ServicePlatform`** — the service as a
-//! [`Platform`](memtree_runtime::Platform), so the conformance suite and
-//! differential tests can drive it exactly like sim/threaded/async.
+//! **`ServicePlatform`** — the service as a [`Platform`], so the
+//! conformance suite and differential tests can drive it exactly like
+//! sim/threaded/async.
 //!
-//! `run` starts a one-shot [`Service`](crate::Service) over `spec.memory`,
-//! submits the tree as the only tenant, waits for the outcome, and
-//! relabels the report `"service"`. Under [`GrantPolicy::AllAvailable`]
-//! (the default) the lone tenant is granted exactly its requested bound,
-//! so the report is the direct backend run's report bit-for-bit (modulo
-//! wall-clock fields) — the single-tenant differential contract of
-//! DESIGN.md §6.9. Admission refusals surface as
+//! `run` starts a one-shot [`Service`] over `spec.memory`, submits the
+//! tree as the only tenant, waits for the outcome, and relabels the
+//! report `"service"`. The lone tenant is granted exactly its requested
+//! bound, so the report is the direct backend run's report bit-for-bit
+//! (modulo wall-clock fields) — the single-tenant differential contract
+//! of DESIGN.md §6.9. Admission refusals surface as
 //! [`memtree_sched::SchedError::InfeasibleMemory`], making
 //! `is_infeasible()` true just as on every other platform; a service that
 //! cannot take or finish the session is a `DriveError::Backend` naming
 //! the cause.
 
 use crate::service::{Service, ServiceConfig, SessionBackend, SessionRequest, SessionTicket};
-use crate::GrantPolicy;
 use memtree_runtime::{Platform, PlatformError, RunReport};
 use memtree_sched::{PolicyInstance, PolicySpec, ReschedulePolicy};
 use memtree_tree::TaskTree;
@@ -27,28 +25,17 @@ use std::sync::Arc;
 pub struct ServicePlatform {
     /// The execution regime sessions run on.
     pub backend: SessionBackend,
-    /// The grant policy — keep [`GrantPolicy::AllAvailable`] for
-    /// bit-for-bit single-tenant equivalence.
-    pub grant: GrantPolicy,
     /// When set, moldable sessions run malleable (DESIGN.md §6.10).
     pub reschedule: Option<ReschedulePolicy>,
 }
 
 impl ServicePlatform {
-    /// A service platform over `backend` with the default
-    /// (all-available) grant policy and no rescheduler.
+    /// A service platform over `backend` with no rescheduler.
     pub fn new(backend: SessionBackend) -> Self {
         ServicePlatform {
             backend,
-            grant: GrantPolicy::AllAvailable,
             reschedule: None,
         }
-    }
-
-    /// Overrides the grant policy.
-    pub fn with_grant(mut self, grant: GrantPolicy) -> Self {
-        self.grant = grant;
-        self
     }
 
     /// Makes moldable sessions malleable under `policy`.
@@ -78,9 +65,7 @@ impl Platform for ServicePlatform {
     }
 
     fn run(&self, tree: &TaskTree, spec: &PolicySpec) -> Result<RunReport, PlatformError> {
-        let mut config = ServiceConfig::new(spec.memory)
-            .with_backend(self.backend)
-            .with_grant(self.grant);
+        let mut config = ServiceConfig::new(spec.memory).with_backend(self.backend);
         config.reschedule = self.reschedule;
         let service = Service::start(config);
         let result = service

@@ -8,7 +8,7 @@
 //! coordinator's [`AdmissionController`] admits, queues or refuses, and
 //! the caller gets a [`SessionTicket`] it can block on for the final
 //! [`SessionOutcome`]. Admitted sessions run on their own OS thread
-//! through an unmodified [`Platform`](memtree_runtime::Platform) backend
+//! through an unmodified [`Platform`] backend
 //! — the same sim/threaded/async regimes every other entry point uses —
 //! with the session's spec re-bounded to its granted budget, so the
 //! session's own driver ledger enforces `actual ≤ booked ≤ grant` while
@@ -22,9 +22,7 @@
 //! submit, done, stats, shutdown — so admission latency is one channel
 //! round trip, measured per session and reported in the outcome.
 
-use crate::admission::{
-    AdmissionController, AdmissionStats, Decision, Grant, GrantPolicy, Refusal, SessionId,
-};
+use crate::admission::{AdmissionController, AdmissionStats, Decision, Grant, Refusal, SessionId};
 use crossbeam::channel::{self, Receiver, Sender};
 use memtree_runtime::{
     AsyncPlatform, DriveError, Platform, PlatformError, RunReport, SimPlatform, ThreadedPlatform,
@@ -38,8 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One tenant's submission: a policy spec, the tree it should schedule,
-/// and a queueing priority (higher admits sooner from the wait queue).
+/// One tenant's submission: a policy spec and the tree it should
+/// schedule.
 #[derive(Clone, Debug)]
 pub struct SessionRequest {
     /// The policy to run — any kind, moldable caps and RedTree included;
@@ -49,25 +47,12 @@ pub struct SessionRequest {
     /// The tenant's task tree, shared so the service can run it without
     /// copying.
     pub tree: Arc<TaskTree>,
-    /// Queueing priority; higher leaves the wait queue first (FIFO
-    /// within a level).
-    pub priority: u8,
 }
 
 impl SessionRequest {
-    /// A priority-0 request.
+    /// A request to run `spec` over `tree`.
     pub fn new(spec: PolicySpec, tree: Arc<TaskTree>) -> Self {
-        SessionRequest {
-            spec,
-            tree,
-            priority: 0,
-        }
-    }
-
-    /// Overrides the queueing priority.
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
+        SessionRequest { spec, tree }
     }
 }
 
@@ -171,8 +156,6 @@ pub struct ServiceConfig {
     pub memory: u64,
     /// The execution regime admitted sessions run on.
     pub backend: SessionBackend,
-    /// How much of the free budget an admitted session is granted.
-    pub grant: GrantPolicy,
     /// When set, moldable sessions run malleable: the backend's feedback
     /// rescheduler resizes their gangs mid-run (DESIGN.md §6.10).
     pub reschedule: Option<ReschedulePolicy>,
@@ -180,12 +163,11 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A service over `memory` units: simulator sessions on 4 virtual
-    /// processors, [`GrantPolicy::AllAvailable`] grants, no rescheduler.
+    /// processors, no rescheduler.
     pub fn new(memory: u64) -> Self {
         ServiceConfig {
             memory,
             backend: SessionBackend::sim(4),
-            grant: GrantPolicy::AllAvailable,
             reschedule: None,
         }
     }
@@ -193,12 +175,6 @@ impl ServiceConfig {
     /// Overrides the execution backend.
     pub fn with_backend(mut self, backend: SessionBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Overrides the grant policy.
-    pub fn with_grant(mut self, grant: GrantPolicy) -> Self {
-        self.grant = grant;
         self
     }
 
@@ -491,7 +467,7 @@ struct Coordinator {
 impl Coordinator {
     fn new(config: ServiceConfig, self_tx: Sender<Msg>) -> Self {
         Coordinator {
-            controller: AdmissionController::new(config.memory, config.grant),
+            controller: AdmissionController::new(config.memory),
             config,
             sessions: HashMap::new(),
             self_tx,
@@ -560,10 +536,7 @@ impl Coordinator {
             let _ = reply.send(Err(SubmitError::Draining));
             return;
         }
-        let decision = match self
-            .controller
-            .submit(id, floor, req.spec.memory, req.priority)
-        {
+        let decision = match self.controller.submit(id, floor, req.spec.memory) {
             Ok(d) => d,
             // Ids are coordinator-assigned and unique; a controller error
             // here is a service bug — surface it as a refused submission
@@ -745,7 +718,7 @@ mod tests {
                     workers,
                     workload: Workload::Noop,
                 })
-                .with_rescheduler(ReschedulePolicy::default()),
+                .with_rescheduler(ReschedulePolicy::new()),
         );
         let caps = memtree_sched::AllotmentCaps::uniform(&tree, workers as u32);
         let spec = PolicySpec::new(HeuristicKind::MemBooking, floor * 4).with_caps(caps);
@@ -789,22 +762,20 @@ mod tests {
     fn contended_tenants_queue_and_all_complete() {
         let tree = arc_tree(150, 11);
         let floor = memtree_sched::min_feasible_memory(&tree);
-        // Room for ~2 minimum-grant tenants at a time, 6 tenants total.
-        // Sessions sleep per task so they are still running when later
-        // tenants arrive — queueing is then guaranteed, not a race.
-        let service = Service::start(
-            ServiceConfig::new(floor * 2 + 1)
-                .with_backend(SessionBackend::Threaded {
-                    workers: 2,
-                    workload: Workload::quick(),
-                })
-                .with_grant(GrantPolicy::Minimum),
-        );
+        // Each tenant requests its floor: room for 2 at a time, 6 tenants
+        // total. Sessions sleep per task so they are still running when
+        // later tenants arrive — queueing is then guaranteed, not a race.
+        let service = Service::start(ServiceConfig::new(floor * 2 + 1).with_backend(
+            SessionBackend::Threaded {
+                workers: 2,
+                workload: Workload::quick(),
+            },
+        ));
         let tickets: Vec<SessionTicket> = (0..6)
-            .map(|k| {
-                let spec = PolicySpec::new(HeuristicKind::MemBooking, floor * 2);
+            .map(|_| {
+                let spec = PolicySpec::new(HeuristicKind::MemBooking, floor);
                 service
-                    .submit(SessionRequest::new(spec, tree.clone()).with_priority(k as u8))
+                    .submit(SessionRequest::new(spec, tree.clone()))
                     .unwrap()
             })
             .collect();

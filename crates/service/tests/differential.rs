@@ -2,9 +2,9 @@
 //! the direct `Platform::run` — same completion set, same policy
 //! decisions, same booking peaks (DESIGN.md §6.9).
 //!
-//! Under [`GrantPolicy::AllAvailable`] a lone tenant is granted exactly
-//! the bound it requested, so the spec the session thread executes is the
-//! very spec a direct run would execute. On the deterministic regimes —
+//! Admission grants `min(requested, available)`, so a lone tenant is
+//! granted exactly the bound it requested, and the spec the session
+//! thread executes is the very spec a direct run would execute. On the deterministic regimes —
 //! the simulator at any `p`, the threaded and async executors at one
 //! worker — the comparison is bit-for-bit on makespan and both peaks; on
 //! multi-worker regimes execution interleaving moves bookings around, so

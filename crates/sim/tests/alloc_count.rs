@@ -50,9 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 use memtree_runtime::{Platform, SimPlatform};
-use memtree_sched::{
-    AllotmentCaps, HeuristicKind, PolicySpec, ProportionalRescheduler, ReschedulePolicy,
-};
+use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec, ProportionalRescheduler};
 use memtree_sim::{simulate, simulate_summary, SimConfig};
 use memtree_tree::{TaskSpec, TaskTree};
 
@@ -114,7 +112,7 @@ fn allocs_for_malleable_run(tree: &TaskTree, p: usize, cap: u32) -> u64 {
         .expect("spec instantiates");
     let before = ALLOCS.load(Ordering::Relaxed);
     let sched = instance.scheduler(tree).expect("feasible");
-    let mut resched = ProportionalRescheduler::new(tree, ReschedulePolicy::new());
+    let mut resched = ProportionalRescheduler::new(tree);
     let cfg = SimConfig::new(p, memory);
     let (_, stats) = simulate_summary(tree, cfg, sched, Some(&mut resched)).expect("run completes");
     let after = ALLOCS.load(Ordering::Relaxed);

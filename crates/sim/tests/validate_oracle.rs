@@ -5,9 +5,7 @@
 
 mod reference;
 
-use memtree_sched::{
-    AllotmentCaps, HeuristicKind, PolicySpec, ProportionalRescheduler, ReschedulePolicy,
-};
+use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec, ProportionalRescheduler};
 use memtree_sim::validate::validate_trace;
 use memtree_sim::{simulate, simulate_with, SimConfig, Trace};
 use memtree_tree::{TaskSpec, TaskTree};
@@ -53,7 +51,7 @@ fn run(tree: &TaskTree, mode: usize, p: usize) -> (TaskTree, Trace) {
     let sched = instance.scheduler(tree).unwrap();
     let cfg = SimConfig::new(p, m);
     let trace = if mode == 4 {
-        let mut resched = ProportionalRescheduler::new(exec, ReschedulePolicy::default());
+        let mut resched = ProportionalRescheduler::new(exec);
         simulate_with(exec, cfg, sched, Some(&mut resched)).unwrap()
     } else {
         simulate(exec, cfg, sched).unwrap()

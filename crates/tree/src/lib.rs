@@ -26,7 +26,7 @@
 //! postorders in [`traverse`], a plain-text serialisation format in [`io`],
 //! canonical content hashing (the basis of sweep-level result caching)
 //! in [`hash`] and forest partitioning for sharded execution (disjoint
-//! shard subtrees plus a residual merge tree) in [`partition`].
+//! shard subtrees plus a residual merge tree) in [`partition`](mod@partition).
 //!
 //! All algorithms in this crate are iterative, never recursive: assembly
 //! trees of sparse factorizations routinely reach heights of 10⁵, which

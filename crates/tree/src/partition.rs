@@ -8,7 +8,7 @@
 //! only cross-shard dependency is "shard finished → its output is an input
 //! of the residual". The cut rule: a **candidate** is a proper subtree of
 //! at least the target weight (`n / shards` nodes, clamped to the heaviest
-//! proper subtree and floored at `min_shard_nodes`), and the shard roots
+//! proper subtree and floored at two nodes), and the shard roots
 //! are the **minimal** candidates — those with no candidate below them —
 //! which cuts just below high fan-out nodes, where the heaviest disjoint
 //! subtrees live. When there are more than `shards` of them, the first
@@ -45,24 +45,22 @@ use crate::tree::TaskTree;
 /// Shard-assignment sentinel: the node stays in the residual tree.
 pub const RESIDUAL: u32 = u32::MAX;
 
+/// Smallest subtree (in nodes) worth shipping to a worker; subtrees
+/// below this never become shards.
+const MIN_SHARD_NODES: usize = 2;
+
 /// How aggressively to cut a tree into shards.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionPolicy {
     /// Maximum number of shards to cut (the partitioner may produce fewer
     /// when the structure does not admit that many disjoint subtrees).
     pub shards: usize,
-    /// Smallest subtree (in nodes) worth shipping to a worker; subtrees
-    /// below this never become shards.
-    pub min_shard_nodes: usize,
 }
 
 impl PartitionPolicy {
     /// Up to `shards` shards of roughly `n / shards` nodes each.
     pub fn balanced(shards: usize) -> Self {
-        PartitionPolicy {
-            shards,
-            min_shard_nodes: 2,
-        }
+        PartitionPolicy { shards }
     }
 }
 
@@ -113,12 +111,6 @@ impl Partition {
     /// Number of shards actually cut.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Total nodes across all parts, proxies excluded — always the
-    /// original tree's length.
-    pub fn node_count(&self) -> usize {
-        self.assignment.len()
     }
 
     /// Reassembles the original tree from the parts alone (shard trees,
@@ -173,7 +165,7 @@ fn shard_roots(tree: &TaskTree, policy: &PartitionPolicy, sweep: &ChildrenFirst)
     let max_proper = tree.children(root).iter().map(|c| size[c.index()]).max();
     let target = (n / policy.shards)
         .min(max_proper.unwrap_or(0) as usize)
-        .max(policy.min_shard_nodes.max(1));
+        .max(MIN_SHARD_NODES);
     // `below[i]`: some candidate lies strictly below `i`.
     let mut below = vec![false; n];
     let mut roots = Vec::new();

@@ -6,6 +6,9 @@
 use memtree_tree::partition::{Partition, PartitionPolicy, ResidualPart, ShardPart, RESIDUAL};
 use memtree_tree::{NodeId, TaskSpec, TaskTree};
 
+/// Smallest subtree (in nodes) that becomes a shard.
+const MIN_SHARD_NODES: usize = 2;
+
 /// Iterative postorder traversal (children before parents) of one subtree.
 ///
 /// Children are visited in id order.
@@ -96,9 +99,7 @@ pub fn partition(tree: &TaskTree, policy: &PartitionPolicy) -> Partition {
             .map(|i| size[i.index()] as usize)
             .max()
             .unwrap_or(0);
-        let target = (n / policy.shards)
-            .min(max_proper)
-            .max(policy.min_shard_nodes.max(1));
+        let target = (n / policy.shards).min(max_proper).max(MIN_SHARD_NODES);
         // Leaf-up sweep: a node whose untainted subtree reaches the
         // target becomes a shard root and taints its ancestors (shards
         // are whole, disjoint subtrees).

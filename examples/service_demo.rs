@@ -50,18 +50,14 @@ fn main() {
     // that could never run: its requested bound is below its own floor.
     let mut tickets = Vec::new();
     for (t, (tree, spec)) in tenants.iter().zip(&specs).enumerate() {
-        let priority = (t % 3) as u8;
         let ticket = service
-            .submit(SessionRequest::new(spec.clone(), tree.clone()).with_priority(priority))
+            .submit(SessionRequest::new(spec.clone(), tree.clone()))
             .expect("feasible tenants are admitted or queued");
         let how = match ticket.admission {
             Admission::Immediate { budget } => format!("admitted with budget {budget}"),
             Admission::Queued { position } => format!("queued at position {position}"),
         };
-        println!(
-            "tenant {t} (prio {priority}, request {}): {how}",
-            spec.memory
-        );
+        println!("tenant {t} (request {}): {how}", spec.memory);
         tickets.push((t, ticket));
     }
     let hopeless = PolicySpec::new(HeuristicKind::MemBooking, 1);
