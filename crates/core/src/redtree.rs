@@ -48,13 +48,6 @@ pub struct ReductionTransform {
     pub fictitious_of: Vec<Option<NodeId>>,
 }
 
-impl ReductionTransform {
-    /// Whether `i` (in the transformed tree) is a fictitious node.
-    pub fn is_fictitious(&self, i: NodeId) -> bool {
-        i.index() >= self.original
-    }
-}
-
 /// Transforms `tree` into a reduction tree: every node gets `n'_i = 0`, and
 /// a fictitious leaf child of size `max(n_i, f_i − Σ f_children)` absorbs
 /// both the execution data and any output excess. Fictitious tasks take
@@ -265,7 +258,6 @@ mod tests {
         // Node 1 (leaf, n=5, f=10): fictitious child max(5, 10-0) = 10.
         let f1 = tr.fictitious_of[1].unwrap();
         assert_eq!(tr.tree.output(f1), 10);
-        assert!(tr.is_fictitious(f1));
         // Node 0 (n=4, f=3, inputs 10): max(4, 3-10<0 -> 0) = 4.
         let f0 = tr.fictitious_of[0].unwrap();
         assert_eq!(tr.tree.output(f0), 4);

@@ -1,6 +1,6 @@
 //! Deterministic tree families for tests, adversarial cases and ablations.
 
-use memtree_tree::{NodeId, TaskSpec, TaskTree, TreeBuilder};
+use memtree_tree::{TaskSpec, TaskTree, TreeBuilder};
 
 /// A chain of `n` nodes: node 0 is the root, node `n-1` the single leaf.
 /// Every node gets `spec`.
@@ -158,14 +158,6 @@ pub fn binary_reduction(leaves: usize, leaf_output: u64, time: f64) -> TaskTree 
     TaskTree::from_parents(&parents, &specs).expect("reduction tree is valid")
 }
 
-/// Id of the deepest leaf of `tree` (ties broken by smallest id).
-pub fn deepest_leaf(tree: &TaskTree) -> NodeId {
-    let depth = memtree_tree::traverse::depths(tree);
-    tree.leaves()
-        .max_by_key(|l| (depth[l.index()], std::cmp::Reverse(l.index())))
-        .expect("trees always have a leaf")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,14 +249,5 @@ mod tests {
             }
             assert_eq!(t.output(t.root()), 4 * leaves as u64);
         }
-    }
-
-    #[test]
-    fn deepest_leaf_found() {
-        let t = caterpillar(3, 1, spec(), spec());
-        let l = deepest_leaf(&t);
-        let s = TreeStats::compute(&t);
-        let maxd = t.leaves().map(|x| s.depth[x.index()]).max().unwrap();
-        assert_eq!(s.depth[l.index()], maxd);
     }
 }

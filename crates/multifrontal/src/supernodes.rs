@@ -19,13 +19,6 @@ pub struct Supernode {
     pub front: u64,
 }
 
-impl Supernode {
-    /// Rows of the contribution block (`front − width`).
-    pub fn cb_rows(&self) -> u64 {
-        self.front - self.width as u64
-    }
-}
-
 /// Partitions a postordered matrix into fundamental supernodes.
 ///
 /// `parent` and `cc` must come from the **postordered** pattern (columns of
@@ -156,7 +149,6 @@ mod tests {
                 front: 4
             }]
         );
-        assert_eq!(sn[0].cb_rows(), 0);
     }
 
     #[test]

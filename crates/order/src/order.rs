@@ -199,12 +199,6 @@ impl Order {
         &self.seq
     }
 
-    /// The sequence as a shared allocation, for holders that outlive the
-    /// borrow (a tree renumbered along this order keeps it as its labels).
-    pub fn shared_sequence(&self) -> Arc<[NodeId]> {
-        self.seq.clone()
-    }
-
     /// Position of `i` in the sequence (0 = first).
     #[inline]
     pub fn rank(&self, i: NodeId) -> u32 {

@@ -12,31 +12,31 @@
 //! occupies **no** executor thread, so `p` logical workers' worth of
 //! in-flight IO rides on a single-threaded executor.
 //!
-//! The scheduling contract is untouched: the platform runs the very same
-//! gang-aware driver loop (`memtree_sim::drive`) as every other
-//! backend — the driver's capacity ledger still counts `workers` logical
-//! processors, booking is still audited at every event, and completions
-//! arrive through a channel exactly as they do from real threads. Every
+//! The scheduling contract is untouched: the calling thread takes the
+//! threaded pool's very gang step (`executor::GangStep`) — the same
+//! driver core, gang registry, grows and shrinks — spawns every member it
+//! stages as a future, and blocks on the completion channel for the next
+//! batch. The driver's capacity ledger still counts `workers` logical
+//! processors, and booking is still audited at every event. A panicking
+//! payload ends its member with a notice on that same channel, so the
+//! failure arrives as promptly as a completion. Every
 //! [`PolicySpec`](memtree_sched::PolicySpec) — moldable and `MemBookingRedTree` included — runs
 //! unmodified; the differential suite (`tests/async_equivalence.rs`) and
 //! `platform_conformance!` pin the equivalence with `SimPlatform` and
 //! `ThreadedPlatform`.
 
-use crate::executor::{GangState, MALLEABLE_CHUNKS};
+use crate::executor::{GangMember, GangStep};
 use crate::platform::{run_driven, Platform, PlatformError, RunReport};
 use crate::workload::Workload;
-use crossbeam::channel::{self, RecvTimeoutError};
+use crossbeam::channel::{self, Sender};
 use memtree_sched::ReschedulePolicy;
-use memtree_sim::driver::{drive, Backend, DriveConfig, DriveError, DriveStats, Rescheduler};
+use memtree_sim::driver::{DriveConfig, DriveError, DriveStats, Rescheduler};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
-use std::collections::HashMap;
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How often `await_batch` wakes to check for dead (panicked) payload
-/// futures while blocked on the completion channel.
-const PANIC_POLL: Duration = Duration::from_millis(25);
+use std::task::Poll;
 
 /// The futures-backed execution regime; see the module docs.
 #[derive(Clone, Copy, Debug)]
@@ -102,149 +102,88 @@ impl AsyncPlatform {
         exec: &TaskTree,
         memory: u64,
         scheduler: impl Scheduler,
-        rescheduler: Option<&mut dyn Rescheduler>,
+        rescheduler: Option<&mut (dyn Rescheduler + Send)>,
     ) -> Result<(f64, DriveStats), DriveError> {
         if self.threads == 0 {
             return Err(DriveError::BadConfig("zero executor threads".into()));
         }
         let started_at = std::time::Instant::now();
-        let malleable = rescheduler.is_some();
+        // Shorten the rescheduler's object lifetime to the tree's borrow.
+        let rescheduler = rescheduler.map(|r| -> &mut (dyn Rescheduler + Send) { r });
+        let cfg = DriveConfig::new(self.workers, memory);
+        let mut step = GangStep::new(exec, cfg, scheduler, rescheduler)?;
         // Spawned member futures are `'static`, so they share the tree by
         // `Arc` — one O(n) clone per run, amortised over the whole tree.
         let tree = Arc::new(exec.clone());
+        // Dropped on return: the queue closes and the executor threads join.
         let rt = minitok::Runtime::new(self.threads);
-        let (done_tx, done_rx) = channel::unbounded::<NodeId>();
-        let mut backend = AsyncBackend {
-            rt: &rt,
-            tree,
-            workload: self.workload,
-            done_tx,
-            done_rx,
-            gangs: HashMap::new(),
-            workers: self.workers,
-            malleable,
-        };
-        let cfg = DriveConfig::new(self.workers, memory);
-        let stats = drive(exec, cfg, scheduler, &mut backend, rescheduler)?;
-        Ok((started_at.elapsed().as_secs_f64(), stats))
-        // `rt` drops here: the queue closes and the executor threads join.
-    }
-}
-
-/// The futures gang backend: launching a task with allotment `q` spawns
-/// `q` member futures onto the executor; awaiting blocks on the
-/// completion channel, waking periodically to notice panicked payloads.
-/// Running gangs live in a registry so a [`Rescheduler`] can resize them:
-/// growing spawns extra member futures over the shared [`GangState`],
-/// shrinking retires members at their next shard boundary.
-struct AsyncBackend<'rt> {
-    rt: &'rt minitok::Runtime,
-    tree: Arc<TaskTree>,
-    workload: Workload,
-    done_tx: channel::Sender<NodeId>,
-    done_rx: channel::Receiver<NodeId>,
-    gangs: HashMap<NodeId, Arc<GangState>>,
-    workers: usize,
-    malleable: bool,
-}
-
-impl AsyncBackend<'_> {
-    /// Spawns `n` member futures running the same claim-retire-report
-    /// protocol as the threaded pool's worker loop.
-    fn spawn_members(&self, i: NodeId, gang: &Arc<GangState>, n: usize) {
-        for _ in 0..n {
-            let gang = gang.clone();
-            let tree = self.tree.clone();
-            let workload = self.workload;
-            let done_tx = self.done_tx.clone();
-            self.rt.spawn(async move {
-                let mut retired = false;
-                loop {
-                    // Shard boundaries are the only malleability points:
-                    // check for retirement before claiming.
-                    if gang.try_retire() {
-                        retired = true;
-                        break;
-                    }
-                    let Some(shard) = gang.claim() else { break };
-                    workload.run_shard_async(&tree, i, shard, gang.shards).await;
-                    gang.finish_shard();
-                }
-                // Retired members never report: the member ledger keeps at
-                // least one member who exits via payload exhaustion, and
-                // the last such exit is the one completion that releases
-                // the whole gang.
-                if !retired && gang.member_exit() {
-                    let _ = done_tx.send(i);
-                }
-            });
-        }
-    }
-}
-
-impl Backend for AsyncBackend<'_> {
-    fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
-        let shards = if self.malleable {
-            (self.workers * MALLEABLE_CHUNKS) as u32
-        } else {
-            procs as u32
-        };
-        let gang = Arc::new(GangState::new(procs, shards));
-        self.gangs.insert(i, gang.clone());
-        self.spawn_members(i, &gang, procs);
-        Ok(())
-    }
-
-    fn resize(&mut self, i: NodeId, from: usize, to: usize, _epoch: u64) -> Result<(), DriveError> {
-        let gang = self
-            .gangs
-            .get(&i)
-            .cloned()
-            .ok_or_else(|| DriveError::Backend(format!("resize of unknown gang {i:?}")))?;
-        if to > from {
-            // Admit before spawning: the active count covers the not-yet-
-            // polled futures, so the completion countdown cannot race them.
-            gang.admit(to - from);
-            self.spawn_members(i, &gang, to - from);
-        } else if to < from {
-            gang.release(from - to);
-        }
-        Ok(())
-    }
-
-    fn progress(&self, i: NodeId) -> Option<(u32, u32)> {
-        self.gangs.get(&i).map(|g| g.progress())
-    }
-
-    fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-        // Block for one completion, then drain whatever else arrived. The
-        // backend keeps a live sender, so a panicked payload future never
-        // disconnects the channel — instead the executor counts the death
-        // and the periodic check below turns it into a loud error.
+        // `Some(task)` reports a gang's completion, `None` a panicked member.
+        let (done_tx, done_rx) = channel::unbounded::<Option<NodeId>>();
+        let mut completions = Vec::with_capacity(self.workers);
+        let mut staged = Vec::with_capacity(self.workers);
         loop {
-            match self.done_rx.recv_timeout(PANIC_POLL) {
-                Ok(i) => {
-                    batch.push(i);
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.rt.panicked_tasks() > 0 {
-                        return Err(DriveError::Backend("a payload future panicked".into()));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(DriveError::Backend("the executor exited early".into()));
-                }
+            let stepped = step.step(&mut completions, &mut staged)?;
+            for member in staged.drain(..) {
+                spawn_member(&rt, &tree, self.workload, &done_tx, member);
+            }
+            if stepped.over {
+                return Ok((started_at.elapsed().as_secs_f64(), step.stats()));
+            }
+            // Block for one notice, then drain whatever else arrived. The
+            // pump holds a sender, so the channel never disconnects.
+            completions.clear();
+            let mut next = Some(done_rx.recv().unwrap_or(None));
+            while let Some(notice) = next {
+                let task = notice
+                    .ok_or_else(|| DriveError::Backend("a payload future panicked".into()))?;
+                completions.push(task);
+                next = done_rx.try_recv().ok();
             }
         }
-        while let Ok(i) = self.done_rx.try_recv() {
-            batch.push(i);
-        }
-        for i in batch.iter() {
-            self.gangs.remove(i);
-        }
-        Ok(())
     }
+}
+
+/// Spawns `member` as a future running the same claim-retire-report
+/// protocol as the threaded pool's worker loop. A panic in its payload is
+/// caught at the poll and sent as a `None` notice instead.
+fn spawn_member(
+    rt: &minitok::Runtime,
+    tree: &Arc<TaskTree>,
+    workload: Workload,
+    done_tx: &Sender<Option<NodeId>>,
+    GangMember { task, gang }: GangMember,
+) {
+    let (tree, done_tx) = (tree.clone(), done_tx.clone());
+    let mut member = Box::pin(async move {
+        let mut retired = false;
+        loop {
+            // Shard boundaries are the only malleability points: check for
+            // retirement before claiming.
+            if gang.try_retire() {
+                retired = true;
+                break;
+            }
+            let Some(shard) = gang.claim() else { break };
+            workload
+                .run_shard_async(&tree, task, shard, gang.shards)
+                .await;
+            gang.finish_shard();
+        }
+        // Retired members never report: the member ledger keeps at least
+        // one member who exits via payload exhaustion, and the last such
+        // exit is the one completion that releases the whole gang.
+        (!retired && gang.member_exit()).then_some(task)
+    });
+    rt.spawn(std::future::poll_fn(move |cx| {
+        let notice = match catch_unwind(AssertUnwindSafe(|| member.as_mut().poll(cx))) {
+            Ok(Poll::Pending) => return Poll::Pending,
+            Ok(Poll::Ready(None)) => return Poll::Ready(()),
+            Ok(Poll::Ready(Some(task))) => Some(task),
+            Err(_) => None,
+        };
+        let _ = done_tx.send(notice);
+        Poll::Ready(())
+    }));
 }
 
 impl Platform for AsyncPlatform {
@@ -265,10 +204,7 @@ impl Platform for AsyncPlatform {
             tree,
             instance,
             self.reschedule,
-            |exec, memory, sched, resched| {
-                let resched = resched.map(|r| r as &mut dyn Rescheduler);
-                self.execute(exec, memory, sched, resched)
-            },
+            |exec, memory, sched, resched| self.execute(exec, memory, sched, resched),
         )
     }
 }
@@ -277,6 +213,7 @@ impl Platform for AsyncPlatform {
 mod tests {
     use super::*;
     use memtree_sched::{HeuristicKind, PolicySpec};
+    use std::time::Duration;
 
     fn min_memory(tree: &TaskTree) -> u64 {
         memtree_sched::min_feasible_memory(tree)

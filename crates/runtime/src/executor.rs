@@ -1,19 +1,25 @@
 //! The threaded executor: real worker threads that step the shared
-//! [`DriverCore`] themselves — there is no driver thread.
+//! [`DriverCore`] themselves — there is no driver thread — through the one
+//! gang step that the futures platform steps too.
 //!
-//! The core (the scheduler, every check and ledger) sits behind one lock
-//! in a [`WorkerPool`]. A moldable task with allotment `q` is launched as
-//! `q` member entries sharing one [`GangState`]: the core only launches
-//! when `q` processors are idle, so all members are picked up without any
-//! hold-and-wait — no partial gangs, no deadlock. Members claim payload
-//! shards from a shared atomic index, so a member delayed by the OS
-//! donates its shards to its gang mates, and the last member out reports
-//! the gang's completion by stepping the core under the lock (DESIGN.md
-//! §6.4). The
-//! step's launches and grows become member entries: the reporter keeps one
-//! member of the first launched gang and runs it next itself — a chain
-//! never leaves its worker — and flushes the rest to the other workers
-//! through a [`BatchQueue`] in one batch.
+//! The gang step (`GangStep`) owns the core (the scheduler, every check
+//! and ledger) and the running-gang registry, and turns each tick into
+//! gang members: a moldable task with allotment `q` is launched as `q`
+//! member entries sharing one [`GangState`]; a grow admits and stages
+//! extra members, a shrink retires members at their next shard boundary.
+//! The core only launches when `q` processors are idle, so all members
+//! are picked up without any hold-and-wait — no partial gangs, no
+//! deadlock. Members claim payload shards from a shared atomic index, so
+//! a member delayed by the OS donates its shards to its gang mates, and
+//! the last member out reports the gang's completion.
+//!
+//! In a [`WorkerPool`] the gang step sits behind one lock, and the worker
+//! whose member reports a completion takes the step itself (DESIGN.md
+//! §6.4): it keeps one member of the first launched gang and runs it next
+//! — a chain never leaves its worker — and flushes the rest to the other
+//! workers through a [`BatchQueue`] in one batch.
+//! [`AsyncPlatform`](crate::AsyncPlatform) takes the same step on its
+//! calling thread and spawns every staged member as a future (§6.8).
 //!
 //! Sequential policies ride the very same pool: they start every task on
 //! an allotment of 1, a gang of one. The scheduler sees completions in
@@ -37,7 +43,7 @@ use std::sync::Arc;
 /// whole machine shards its payload at machine granularity times this
 /// oversubscription factor, so retirement (which only happens at shard
 /// boundaries) stays responsive and grown members find work to claim.
-pub(crate) const MALLEABLE_CHUNKS: usize = 4;
+const MALLEABLE_CHUNKS: usize = 4;
 
 /// Shared state of one gang: the payload shards its members claim and the
 /// member ledger that decides who reports the completion. One protocol
@@ -54,7 +60,7 @@ pub(crate) const MALLEABLE_CHUNKS: usize = 4;
 pub struct GangState {
     /// Fixed payload shard count. Equals the launch allotment for a
     /// fixed gang; a malleable gang shards at machine granularity
-    /// (workers × [`MALLEABLE_CHUNKS`]) so any allotment in `1..=p`
+    /// (workers × `MALLEABLE_CHUNKS`, 4) so any allotment in `1..=p`
     /// divides the payload usefully.
     pub(crate) shards: u32,
     /// Next unclaimed payload shard (dynamic claiming: a member delayed
@@ -64,9 +70,9 @@ pub struct GangState {
     /// the rescheduler's [`memtree_sim::LiveStats`] snapshot reports.
     shards_done: AtomicUsize,
     /// Members the gang is entitled to — the driver's current allotment.
-    /// Only the driver side moves it (via resize: the async pump, or the
-    /// worker stepping the core under the pool lock), and it never drops
-    /// below 1 while the gang runs.
+    /// Only the driver side moves it (a resize in the gang step, taken by
+    /// the async pump or by a worker under the pool lock), and it never
+    /// drops below 1 while the gang runs.
     target: AtomicUsize,
     /// Members admitted and not yet exited. Counts buffered and queued
     /// member entries too: admission increments on the driver side
@@ -222,10 +228,11 @@ fn worker_panicked() -> DriveError {
     DriveError::Backend("a worker thread panicked".into())
 }
 
-/// One worker's membership in a gang-scheduled task.
-struct GangMember {
-    task: NodeId,
-    gang: Arc<GangState>,
+/// One member of a gang-scheduled task: the unit a gang step stages and a
+/// worker thread or a spawned future runs.
+pub(crate) struct GangMember {
+    pub(crate) task: NodeId,
+    pub(crate) gang: Arc<GangState>,
 }
 
 /// Pushes `n` member entries of `task`'s gang onto `staged`.
@@ -236,13 +243,126 @@ fn stage(staged: &mut Vec<GangMember>, task: NodeId, gang: &Arc<GangState>, n: u
     }));
 }
 
-/// What the pool's one lock guards.
-struct Shared<'a, S> {
+/// What one [`GangStep::step`] leaves its caller to do beside running the
+/// staged members.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stepped {
+    /// The tick launched a gang: the staged entries open with its members.
+    pub(crate) launched: bool,
+    /// The run is over: no completion will ever come again.
+    pub(crate) over: bool,
+}
+
+/// The gang step: turns one [`DriverCore`] tick into gang members, for
+/// both wall clocks — the [`WorkerPool`]'s workers take it under
+/// the pool lock, [`AsyncPlatform`](crate::AsyncPlatform)'s pump on its
+/// calling thread. It owns the core and the running-gang registry; it
+/// mints each launched gang's [`GangState`], admits grows before staging
+/// their members, and releases shrunk members at their next shard
+/// boundary (DESIGN.md §6.4).
+pub(crate) struct GangStep<'a, S> {
     core: DriverCore<'a, S, dyn Rescheduler + Send + 'a>,
     /// Running gangs by task, for resizes and progress — the rescheduler's
     /// hooks and the registry's only readers, so it stays empty without
     /// one.
     gangs: HashMap<NodeId, Arc<GangState>>,
+    /// Payload shards of every gang of a malleable run; `None` when gangs
+    /// keep their launch allotment and shard one per member.
+    malleable_shards: Option<u32>,
+}
+
+impl<'a, S: Scheduler> GangStep<'a, S> {
+    /// The step of one run of `scheduler` over `tree`. With a rescheduler,
+    /// gangs shard their payload at machine granularity so any allotment
+    /// divides it usefully.
+    pub(crate) fn new(
+        tree: &'a TaskTree,
+        cfg: DriveConfig,
+        scheduler: S,
+        rescheduler: Option<&'a mut (dyn Rescheduler + Send + 'a)>,
+    ) -> Result<Self, DriveError> {
+        let malleable_shards = rescheduler
+            .is_some()
+            .then_some((cfg.workers * MALLEABLE_CHUNKS) as u32);
+        Ok(GangStep {
+            core: DriverCore::new(tree, cfg, scheduler, rescheduler)?,
+            gangs: HashMap::new(),
+            malleable_shards,
+        })
+    }
+
+    /// Steps the core with `completions`, stages the members of the
+    /// tick's launches (in launch order) and then of its grows onto
+    /// `staged` — admitting before staging — and applies its shrinks. An
+    /// `Err` is the run's verdict: the step must not be called again.
+    pub(crate) fn step(
+        &mut self,
+        completions: &mut [NodeId],
+        staged: &mut Vec<GangMember>,
+    ) -> Result<Stepped, DriveError> {
+        let GangStep {
+            core,
+            gangs,
+            malleable_shards,
+        } = self;
+        if malleable_shards.is_some() {
+            for i in completions.iter() {
+                gangs.remove(i);
+            }
+        }
+        let tick = core.step(completions, |i| gangs.get(&i).map(|g| g.progress()))?;
+        for &(task, procs) in tick.launches {
+            let gang = Arc::new(GangState::new(
+                procs,
+                malleable_shards.unwrap_or(procs as u32),
+            ));
+            if malleable_shards.is_some() {
+                gangs.insert(task, gang.clone());
+            }
+            stage(staged, task, &gang, procs);
+        }
+        for r in tick.resizes {
+            let gang = gangs.get(&r.node).ok_or_else(|| {
+                DriveError::Backend(format!("resize of unknown gang {:?}", r.node))
+            })?;
+            if r.to > r.from {
+                // Admit before staging: the active count covers the staged
+                // entries, so the completion countdown cannot race them.
+                gang.admit(r.to - r.from);
+                stage(staged, r.node, gang, r.to - r.from);
+            } else {
+                gang.release(r.from - r.to);
+            }
+        }
+        // Seeded regression (CI teeth check): taking "this step launched
+        // nothing" for "the run is over" makes the pool close its queue at
+        // the first completion that readies no task, under the feet of the
+        // gangs still to come — model/stepping.rs must see the tree
+        // unfinished.
+        #[cfg(memtree_loom_mutate_early_close)]
+        let over = tick.done || tick.launches.is_empty();
+        #[cfg(not(memtree_loom_mutate_early_close))]
+        let over = tick.done;
+        Ok(Stepped {
+            launched: !tick.launches.is_empty(),
+            over,
+        })
+    }
+
+    /// Whether every task has completed.
+    pub(crate) fn is_done(&self) -> bool {
+        self.core.is_done()
+    }
+
+    /// The run's aggregates so far (final once the run is over).
+    pub(crate) fn stats(&self) -> DriveStats {
+        self.core.stats()
+    }
+}
+
+/// What the pool's one lock guards.
+struct Shared<'a, S> {
+    step: GangStep<'a, S>,
     /// The run's first error; later ones are dropped.
     error: Option<DriveError>,
 }
@@ -258,10 +378,9 @@ impl Drop for CloseOnExit<'_> {
     }
 }
 
-/// The worker pool of one threaded run, with no driver thread: the
-/// [`DriverCore`] and the gang registry sit behind one lock, and the
-/// worker whose member reports a gang's completion steps the core itself
-/// (DESIGN.md §6.4).
+/// The worker pool of one threaded run, with no driver thread: the gang
+/// step (`GangStep`) sits behind one lock, and the worker whose member
+/// reports a gang's completion takes it itself (DESIGN.md §6.4).
 ///
 /// [`execute`] is the way to run one. The pool is public so the
 /// `memtree_loom` model suite (`tests/model/stepping.rs`) can drive the
@@ -272,7 +391,6 @@ pub struct WorkerPool<'a, S, F> {
     tasks: BatchQueue<GangMember>,
     payload: F,
     workers: usize,
-    malleable: bool,
     /// Worker-side occupancy measurement, independent of the core's
     /// processor ledger.
     busy: AtomicUsize,
@@ -294,18 +412,14 @@ where
         rescheduler: Option<&'a mut (dyn Rescheduler + Send + 'a)>,
         payload: F,
     ) -> Result<Self, DriveError> {
-        let malleable = rescheduler.is_some();
-        let core = DriverCore::new(tree, cfg, scheduler, rescheduler)?;
         Ok(WorkerPool {
             shared: Mutex::new(Shared {
-                core,
-                gangs: HashMap::new(),
+                step: GangStep::new(tree, cfg, scheduler, rescheduler)?,
                 error: None,
             }),
             tasks: BatchQueue::with_capacity(cfg.workers),
             payload,
             workers: cfg.workers,
-            malleable,
             busy: AtomicUsize::new(0),
             peak_busy: AtomicUsize::new(0),
         })
@@ -359,7 +473,7 @@ where
         if let Some(e) = &shared.error {
             return Err(e.clone());
         }
-        if !shared.core.is_done() {
+        if !shared.step.is_done() {
             return Err(worker_panicked());
         }
         debug_assert_eq!(
@@ -369,7 +483,7 @@ where
         );
         let stats = DriveStats {
             peak_busy: self.peak_busy.load(Ordering::Acquire),
-            ..shared.core.stats()
+            ..shared.step.stats()
         };
         Ok((started_at.elapsed().as_secs_f64(), stats))
     }
@@ -396,11 +510,10 @@ where
         retired
     }
 
-    /// Steps the core under the lock with `completions`, stages the
-    /// tick's launches and grows onto `staged` (admitting before staging)
-    /// and applies its shrinks. Returns one member of the first launched
-    /// gang, for the caller to run itself. Closes the queue when the run
-    /// is over: on the final step, or on the first error.
+    /// Takes the gang step under the lock with `completions`, staging its
+    /// members onto `staged`, and returns one member of the first launched
+    /// gang for the caller to run itself. Closes the queue when the run is
+    /// over: on the final step, or on the first error.
     fn step(&self, completions: &mut [NodeId], staged: &mut Vec<GangMember>) -> Option<GangMember> {
         // A poisoned lock means a scheduler panicked mid-step on another
         // worker: the run is over, and the scope re-raises the panic.
@@ -408,74 +521,22 @@ where
             self.tasks.close();
             return None;
         };
-        let Shared { core, gangs, error } = &mut *guard;
+        let Shared { step, error } = &mut *guard;
         if error.is_some() {
             return None;
         }
-        if self.malleable {
-            for i in completions.iter() {
-                gangs.remove(i);
-            }
-        }
-        let tick = match core.step(completions, |i| gangs.get(&i).map(|g| g.progress())) {
-            Ok(tick) => tick,
+        let stepped = match step.step(completions, staged) {
+            Ok(stepped) => stepped,
             Err(e) => {
                 *error = Some(e);
                 self.tasks.close();
                 return None;
             }
         };
-        let mut kept = None;
-        for &(task, procs) in tick.launches {
-            let shards = if self.malleable {
-                (self.workers * MALLEABLE_CHUNKS) as u32
-            } else {
-                procs as u32
-            };
-            let gang = Arc::new(GangState::new(procs, shards));
-            if self.malleable {
-                gangs.insert(task, gang.clone());
-            }
-            let mut members = procs;
-            if kept.is_none() {
-                kept = Some(GangMember {
-                    task,
-                    gang: gang.clone(),
-                });
-                members -= 1;
-            }
-            stage(staged, task, &gang, members);
-        }
-        for r in tick.resizes {
-            let Some(gang) = gangs.get(&r.node) else {
-                *error = Some(DriveError::Backend(format!(
-                    "resize of unknown gang {:?}",
-                    r.node
-                )));
-                self.tasks.close();
-                return None;
-            };
-            if r.to > r.from {
-                // Admit before staging: the active count covers the staged
-                // entries, so the completion countdown cannot race them.
-                gang.admit(r.to - r.from);
-                stage(staged, r.node, gang, r.to - r.from);
-            } else {
-                gang.release(r.from - r.to);
-            }
-        }
-        // Seeded regression (CI teeth check): taking "this step launched
-        // nothing" for "the run is over" closes the queue at the first
-        // completion that readies no task, under the feet of the gangs
-        // still to come — model/stepping.rs must see the tree unfinished.
-        #[cfg(memtree_loom_mutate_early_close)]
-        let over = tick.done || tick.launches.is_empty();
-        #[cfg(not(memtree_loom_mutate_early_close))]
-        let over = tick.done;
-        if over {
+        if stepped.over {
             self.tasks.close();
         }
-        kept
+        stepped.launched.then(|| staged.remove(0))
     }
 
     /// Records `e` unless an error came first, and ends the run.

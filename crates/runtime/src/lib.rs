@@ -9,9 +9,10 @@
 //! gang-scheduled, moldable ones — with genuine threads instead of
 //! simulated time. Completion order is whatever the OS
 //! makes of it, exercising the schedulers' dynamic behaviour; the shared
-//! `memtree_sim::DriverCore`, which the workers step themselves,
-//! re-asserts `actual ≤ booked ≤ M` at every event, so a booking bug
-//! aborts the run rather than silently overcommitting.
+//! `memtree_sim::DriverCore` — stepped through one gang step, by the
+//! workers themselves or by the futures platform's pump — re-asserts
+//! `actual ≤ booked ≤ M` at every event, so a booking bug aborts the run
+//! rather than silently overcommitting.
 //!
 //! The [`platform`] module is the one entry point for running a
 //! `memtree_sched::PolicySpec` in any regime — [`SimPlatform`] (virtual

@@ -6,7 +6,7 @@
 //! virtual time) and a real threaded runtime (OS-ordered completions,
 //! wall-clock time). A [`Platform`] abstracts the regime: hand it a spec
 //! and a tree, get back a common [`RunReport`]. Both implementations share
-//! the `memtree_sim::driver` event loop, so the scheduler contract —
+//! the `memtree_sim::driver` core, so the scheduler contract —
 //! precedence, capacity, `actual ≤ booked ≤ M` — is enforced identically
 //! on both. **Every** spec runs on every platform, moldable ones
 //! included: on the simulator a moldable task's duration shrinks by the

@@ -174,7 +174,8 @@ impl Workload {
             }
             // Noop, AllocTouch and FailAt behave exactly as in the
             // synchronous regime (FailAt panics inside the poll; the
-            // executor catches it and the platform surfaces a clean error).
+            // member's poll wrapper catches it and the platform surfaces a
+            // clean error).
             _ => self.run_shard(tree, i, shard, of),
         }
     }

@@ -97,23 +97,41 @@ fn moldable_spec_equivalent_across_thread_counts() {
     assert_async_equivalence("moldable", &tree, &spec);
 }
 
-/// At the minimum feasible bound — the tightest booking regime — the
-/// async backend still completes with the exact booking peak the
-/// simulator predicts for the single-worker schedule.
+/// At the minimum feasible bound — the tightest booking regime — a
+/// single-worker run is the simulator's run on every in-process backend:
+/// the same event count, booking and actual peaks and task count, for the
+/// sequential spec and for a moldable one (whose gangs p = 1 caps at one
+/// processor). A pump that dropped or re-stepped a completion would
+/// change the event count.
 #[test]
 fn tight_memory_single_worker_matches_sim_peak() {
     let tree = memtree_gen::synthetic::paper_tree(120, 13);
     let m = memtree_sched::min_feasible_memory(&tree);
-    let spec = PolicySpec::new(HeuristicKind::MemBooking, m);
-    let sim = SimPlatform::new(1).run(&tree, &spec).unwrap();
-    let report = AsyncPlatform::new(1)
-        .with_threads(1)
-        .run(&tree, &spec)
-        .unwrap();
-    // One logical worker: completions are a deterministic sequence, so
-    // the booking trajectory — hence its peak — matches exactly.
-    assert_eq!(report.peak_booked, sim.peak_booked);
-    assert_eq!(report.tasks_run, sim.tasks_run);
+    let sequential = PolicySpec::new(HeuristicKind::MemBooking, m);
+    let moldable = sequential
+        .clone()
+        .with_caps(AllotmentCaps::uniform(&tree, 4));
+    for spec in [sequential, moldable] {
+        let sim = SimPlatform::new(1).run(&tree, &spec).unwrap();
+        let want = (sim.events, sim.peak_booked, sim.peak_actual, sim.tasks_run);
+        let backends: [&dyn Platform; 2] = [
+            &AsyncPlatform::new(1).with_threads(1),
+            &ThreadedPlatform::new(1),
+        ];
+        // One logical worker: completions are a deterministic sequence, so
+        // the booking trajectory — hence every aggregate — matches exactly.
+        for platform in backends {
+            let r = platform.run(&tree, &spec).unwrap();
+            let got = (r.events, r.peak_booked, r.peak_actual, r.tasks_run);
+            assert_eq!(
+                got,
+                want,
+                "{} vs sim, caps {:?}",
+                platform.name(),
+                spec.caps.is_some()
+            );
+        }
+    }
 }
 
 /// The IO-bound payload changes timing, never the contract: the

@@ -1,7 +1,8 @@
 //! Worker-stepping model (`memtree_runtime::executor::WorkerPool`): the
-//! production worker loop — pop a member, run its shards, step the driver
-//! core under the pool lock on the gang's last exit, keep one member of
-//! the first launched gang, flush the rest to the `BatchQueue` — on a
+//! production worker loop — pop a member, run its shards, take the gang
+//! step (the tick application the async platform shares) under the pool
+//! lock on the gang's last exit, keep one member of the first launched
+//! gang, flush the rest to the `BatchQueue` — on a
 //! three-node tree with two workers: both leaves are gangs of 1, the root
 //! a gang of 2. Every schedule must run each payload shard exactly once,
 //! report each gang exactly once and finish the tree, which means the

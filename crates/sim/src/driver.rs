@@ -1,5 +1,5 @@
 //! The shared driver behind every execution platform: one step core that
-//! never blocks, and a short blocking pump over it.
+//! never blocks, and two steppers over it.
 //!
 //! Every regime runs the same loop: deliver a completion batch to the
 //! scheduler, start the requested tasks, re-check the booking invariants,
@@ -8,10 +8,10 @@
 //! one iteration of that loop and every check and ledger in it: its
 //! [`DriverCore::step`] takes the completions, runs the scheduler and
 //! returns the tick's launches and resizes for the caller to apply, and
-//! never waits for anything. [`drive`] is the pump for backends that hand
-//! completions to a blocking [`Backend::await_batch`]; the threaded
-//! executor has no pump at all — the worker that finishes a task steps the
-//! core itself (DESIGN.md §6.4).
+//! never waits for anything. It has one stepper per clock: the engine's
+//! run loop over the virtual clock ([`crate::engine`]), and the runtime's
+//! gang step, which the threaded pool's workers and the futures
+//! platform's pump both call (DESIGN.md §6.4, §6.8).
 //!
 //! The core is **gang-aware**: every start carries a processor allotment
 //! `q ≥ 1`, and the capacity ledger counts processors, not tasks. The
@@ -303,9 +303,10 @@ pub struct Tick<'c> {
 
 /// One run's scheduler, optional rescheduler and every ledger and check
 /// of the driver, stepped one completion batch at a time. `step` never
-/// blocks and never touches a backend: it returns what to launch and
-/// resize, so the caller can be a pump around a blocking backend
-/// ([`drive`]) or a worker thread that has just finished a task.
+/// blocks and never touches a clock: it returns what to launch and
+/// resize, so the caller can be the simulator's event loop, a pump
+/// blocked on a completion channel, or a worker thread that has just
+/// finished a task.
 ///
 /// `R` is the rescheduler's type — `dyn Rescheduler` by default; a core
 /// that must cross threads names `dyn Rescheduler + Send`.
@@ -631,144 +632,47 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
     }
 }
 
-/// An execution vehicle that [`drive`] pumps: it applies a tick's
-/// launches and resizes and blocks for completions. (The threaded
-/// executor steps [`DriverCore`] from its workers instead.)
-pub trait Backend {
-    /// Starts task `i` on a gang of `procs` workers at the current
-    /// instant. `epoch` is the driver's event index (useful for trace
-    /// records; `u64` — a million-node tree clears 2^32 events without
-    /// wrapping). The driver guarantees `procs ≥ 1` and that at least
-    /// `procs` workers are idle, so the backend may claim the whole gang
-    /// unconditionally — no partial gangs, no hold-and-wait deadlock.
-    fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError>;
-
-    /// Observation hook, called once per event after the launches with
-    /// the current memory state (used for memory profiles).
-    fn observe(&mut self, actual: u64, booked: u64) {
-        let _ = (actual, booked);
-    }
-
-    /// Changes the running gang of `i` from `from` to `to` members — the
-    /// malleable hook behind [`Rescheduler`]. Growing enrols `to − from`
-    /// extra members into the gang; shrinking retires `from − to` members
-    /// at their next chunk boundary. The default declines: a backend that
-    /// never sees a rescheduler never needs this.
-    fn resize(&mut self, i: NodeId, from: usize, to: usize, epoch: u64) -> Result<(), DriveError> {
-        let _ = (i, from, to, epoch);
-        Err(DriveError::Backend(
-            "backend does not support malleable resize".into(),
-        ))
-    }
-
-    /// Shard progress of the running task `i` as `(done, total)`, for
-    /// [`LiveStats`] snapshots. `None` (the default) means the backend
-    /// does not track progress; the snapshot then reports the whole
-    /// payload as remaining.
-    fn progress(&self, i: NodeId) -> Option<(u32, u32)> {
-        let _ = i;
-        None
-    }
-
-    /// Blocks until at least one launched task completes and pushes the
-    /// completions into `batch` (the core sorts them). `epoch` is the
-    /// event index the completions will take effect at, minus one. The
-    /// driver guarantees at least one task is in flight. A completion
-    /// releases the task's whole gang at once.
-    fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError>;
-}
-
-/// Runs `scheduler` over `tree` on `backend` until the whole tree has
-/// completed or an invariant breaks: the blocking pump over
-/// [`DriverCore`]. Each step's launches, memory state and resizes go to
-/// the backend, then the pump blocks in [`Backend::await_batch`] for the
-/// next completion batch.
-///
-/// With a [`Rescheduler`] attached, once per event — after starts are
-/// issued and the invariants re-checked, before the pump blocks — the
-/// rescheduler sees a [`LiveStats`] snapshot and may grow or shrink
-/// running gangs. The processor ledger stays exact through every
-/// transition, and booking is untouched: memory is booked per task, not
-/// per processor.
-///
-/// The hook is a parameter rather than a `DriveConfig` field because the
-/// config is a plain `Copy` value shared by every platform; a trait
-/// object would poison that.
-pub fn drive<S: Scheduler, B: Backend>(
-    tree: &TaskTree,
-    cfg: DriveConfig,
-    scheduler: S,
-    backend: &mut B,
-    rescheduler: Option<&mut dyn Rescheduler>,
-) -> Result<DriveStats, DriveError> {
-    // Shorten the rescheduler's object lifetime to the tree's borrow.
-    let rescheduler = rescheduler.map(|r| -> &mut dyn Rescheduler { r });
-    let mut core: DriverCore<'_, S> = DriverCore::new(tree, cfg, scheduler, rescheduler)?;
-    let mut batch = Vec::with_capacity(cfg.workers.min(tree.len()));
-    loop {
-        let tick = core.step(&mut batch, |i| backend.progress(i))?;
-        for &(i, q) in tick.launches {
-            backend.launch(i, q, tick.epoch)?;
-        }
-        backend.observe(tick.actual, tick.booked);
-        for r in tick.resizes {
-            backend.resize(r.node, r.from, r.to, tick.epoch)?;
-        }
-        if tick.done {
-            return Ok(core.stats());
-        }
-        batch.clear();
-        backend.await_batch(tick.epoch, &mut batch)?;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{fork, Greedy, InOrder, Lazy, Once, Script};
 
-    /// A trivial backend: tasks complete immediately, one batch per event,
-    /// in launch order. It keeps the trait's defaults: no resize, no
-    /// progress.
+    /// What [`pump`] handed out: every launch and every resize.
     #[derive(Default)]
-    struct Immediate {
-        pending: Vec<NodeId>,
+    struct Pumped {
         launched: Vec<(NodeId, usize)>,
-    }
-
-    impl Backend for Immediate {
-        fn launch(&mut self, i: NodeId, procs: usize, _epoch: u64) -> Result<(), DriveError> {
-            self.pending.push(i);
-            self.launched.push((i, procs));
-            Ok(())
-        }
-        fn await_batch(&mut self, _epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-            batch.append(&mut self.pending);
-            Ok(())
-        }
-    }
-
-    /// [`Immediate`] plus resize support and canned progress — the
-    /// minimal malleable backend.
-    #[derive(Default)]
-    struct Resizable {
-        inner: Immediate,
         resized: Vec<(NodeId, usize, usize)>,
     }
 
-    impl Backend for Resizable {
-        fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError> {
-            self.inner.launch(i, procs, epoch)
-        }
-        fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
-            self.inner.await_batch(epoch, batch)
-        }
-        fn resize(&mut self, i: NodeId, from: usize, to: usize, _: u64) -> Result<(), DriveError> {
-            self.resized.push((i, from, to));
-            Ok(())
-        }
-        fn progress(&self, _i: NodeId) -> Option<(u32, u32)> {
-            Some((1, 4))
+    /// Steps a core to the end of its run on a trivial clock: every task
+    /// completes immediately, one batch per event, in launch order, and
+    /// every running task reports canned progress (1 of 4 shards).
+    fn pump<S: Scheduler>(
+        tree: &TaskTree,
+        cfg: DriveConfig,
+        scheduler: S,
+        rescheduler: Option<&mut dyn Rescheduler>,
+    ) -> (Result<DriveStats, DriveError>, Pumped) {
+        let mut seen = Pumped::default();
+        let rescheduler = rescheduler.map(|r| -> &mut dyn Rescheduler { r });
+        let mut core: DriverCore<'_, S> = match DriverCore::new(tree, cfg, scheduler, rescheduler) {
+            Ok(core) => core,
+            Err(e) => return (Err(e), seen),
+        };
+        let mut batch = Vec::new();
+        loop {
+            let tick = match core.step(&mut batch, |_| Some((1, 4))) {
+                Ok(tick) => tick,
+                Err(e) => return (Err(e), seen),
+            };
+            batch.clear();
+            batch.extend(tick.launches.iter().map(|&(i, _)| i));
+            seen.launched.extend_from_slice(tick.launches);
+            let resized = tick.resizes.iter().map(|r| (r.node, r.from, r.to));
+            seen.resized.extend(resized);
+            if tick.done {
+                return (Ok(core.stats()), seen);
+            }
         }
     }
 
@@ -778,33 +682,28 @@ mod tests {
         workers: usize,
         memory: u64,
         scheduler: S,
-    ) -> (Result<DriveStats, DriveError>, Immediate) {
-        let mut backend = Immediate::default();
-        let cfg = DriveConfig::new(workers, memory);
-        let outcome = drive(&fork(), cfg, scheduler, &mut backend, None);
-        (outcome, backend)
+    ) -> (Result<DriveStats, DriveError>, Pumped) {
+        pump(&fork(), DriveConfig::new(workers, memory), scheduler, None)
     }
 
     /// Drives the fork one gang of `procs` at a time, in the order 1, 2, 0,
     /// under a rescheduler that applies `action` at event 1.
-    fn drive_fork_resized<B: Backend + Default>(
+    fn drive_fork_resized(
         workers: usize,
         procs: usize,
         action: RescheduleAction,
-    ) -> (Result<DriveStats, DriveError>, B, Script) {
-        let mut backend = B::default();
+    ) -> (Result<DriveStats, DriveError>, Pumped, Script) {
         let mut script = Script {
             plan: vec![(1, action)],
             ..Script::default()
         };
-        let outcome = drive(
+        let (outcome, seen) = pump(
             &fork(),
             DriveConfig::new(workers, 1_000),
             InOrder::new(vec![NodeId(1), NodeId(2), NodeId(0)], Some(procs), 1_000),
-            &mut backend,
             Some(&mut script),
         );
-        (outcome, backend, script)
+        (outcome, seen, script)
     }
 
     fn grow(node: u32, extra: usize) -> RescheduleAction {
@@ -872,9 +771,8 @@ mod tests {
             tree: &t,
             seen: &mut seen,
         };
-        let mut backend = Immediate::default();
         let cfg = DriveConfig::new(2, u64::MAX);
-        drive(&t, cfg, recorder, &mut backend, None).unwrap();
+        pump(&t, cfg, recorder, None).0.unwrap();
         assert_eq!(
             seen,
             [vec![], vec![NodeId(1), NodeId(2)], vec![NodeId(0)]],
@@ -931,11 +829,11 @@ mod tests {
     #[test]
     fn gangs_claim_and_release_whole_allotments() {
         let order = vec![NodeId(1), NodeId(2), NodeId(0)];
-        let (stats, backend) = drive_fork(3, 1_000, InOrder::new(order, Some(3), 1_000));
+        let (stats, seen) = drive_fork(3, 1_000, InOrder::new(order, Some(3), 1_000));
         let stats = stats.unwrap();
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.peak_busy, 3);
-        assert!(backend.launched.iter().all(|&(_, q)| q == 3));
+        assert!(seen.launched.iter().all(|&(_, q)| q == 3));
         // One gang at a time: each event starts one task on the whole
         // machine, so there are n + 1 events.
         assert_eq!(stats.events, 4);
@@ -945,7 +843,7 @@ mod tests {
     fn gang_capacity_counts_processors_not_tasks() {
         // Two tasks of 2 processors each on a 3-worker machine: 4 > 3.
         let greedy = Once(vec![(NodeId(1), 2), (NodeId(2), 2)]);
-        let (err, backend) = drive_fork(3, 1_000, greedy);
+        let (err, seen) = drive_fork(3, 1_000, greedy);
         assert_eq!(
             err.unwrap_err(),
             DriveError::TooManyStarts {
@@ -954,7 +852,7 @@ mod tests {
             }
         );
         assert!(
-            backend.launched.is_empty(),
+            seen.launched.is_empty(),
             "capacity is checked before any launch: no partial gangs"
         );
     }
@@ -969,14 +867,14 @@ mod tests {
 
     #[test]
     fn rescheduler_tick_sees_settled_state_and_grows() {
-        let (stats, backend, script) = drive_fork_resized::<Resizable>(4, 2, grow(1, 2));
+        let (stats, seen, script) = drive_fork_resized(4, 2, grow(1, 2));
         let stats = stats.unwrap();
         assert_eq!(stats.completed, 3);
         // The grown gang held 4 processors before its completion event.
         assert_eq!(stats.peak_busy, 4);
-        assert_eq!(backend.resized, vec![(NodeId(1), 2, 4)]);
+        assert_eq!(seen.resized, vec![(NodeId(1), 2, 4)]);
         // The first tick saw the just-launched gang with its launch
-        // allotment and the backend's progress, booking settled.
+        // allotment and the clock's progress, booking settled.
         let snap = &script.snapshots[0];
         assert_eq!(snap.event, 1);
         assert_eq!((snap.workers, snap.busy, snap.idle), (4, 2, 2));
@@ -989,9 +887,9 @@ mod tests {
 
     #[test]
     fn rescheduler_shrink_frees_capacity_in_the_ledger() {
-        let (stats, backend, script) = drive_fork_resized::<Resizable>(3, 3, shrink(1, 2));
+        let (stats, seen, script) = drive_fork_resized(3, 3, shrink(1, 2));
         assert_eq!(stats.unwrap().completed, 3);
-        assert_eq!(backend.resized, vec![(NodeId(1), 3, 1)]);
+        assert_eq!(seen.resized, vec![(NodeId(1), 3, 1)]);
         // The completion after the shrink released the *current*
         // allotment (1), not the launch allotment (3): the ledger would
         // underflow otherwise, and the next gang still fit.
@@ -1005,7 +903,7 @@ mod tests {
 
     #[test]
     fn rescheduler_overgrow_rejected() {
-        let (err, backend, _) = drive_fork_resized::<Resizable>(4, 2, grow(1, 3));
+        let (err, seen, _) = drive_fork_resized(4, 2, grow(1, 3));
         assert_eq!(
             err.unwrap_err(),
             DriveError::TooManyStarts {
@@ -1013,12 +911,12 @@ mod tests {
                 idle: 2
             }
         );
-        assert!(backend.resized.is_empty(), "no resize past the ledger");
+        assert!(seen.resized.is_empty(), "no resize past the ledger");
     }
 
     #[test]
     fn rescheduler_shrink_to_zero_rejected() {
-        let (err, ..) = drive_fork_resized::<Resizable>(4, 2, shrink(1, 2));
+        let (err, ..) = drive_fork_resized(4, 2, shrink(1, 2));
         assert_eq!(
             err.unwrap_err(),
             DriveError::ZeroAllotment { node: NodeId(1) }
@@ -1028,18 +926,9 @@ mod tests {
     #[test]
     fn rescheduler_resize_of_not_running_task_rejected() {
         // Node 0 (the root) has not started at event 1.
-        let (err, ..) = drive_fork_resized::<Resizable>(4, 2, grow(0, 1));
+        let (err, ..) = drive_fork_resized(4, 2, grow(0, 1));
         match err.unwrap_err() {
             DriveError::Backend(msg) => assert!(msg.contains("not running"), "{msg}"),
-            other => panic!("expected Backend, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn backend_without_resize_support_errors_loudly() {
-        let (err, ..) = drive_fork_resized::<Immediate>(4, 2, grow(1, 1));
-        match err.unwrap_err() {
-            DriveError::Backend(msg) => assert!(msg.contains("resize"), "{msg}"),
             other => panic!("expected Backend, got {other:?}"),
         }
     }
@@ -1052,7 +941,6 @@ mod tests {
         let t = fork()
             .renumbered(vec![NodeId(2), NodeId(1), NodeId(0)])
             .unwrap();
-        let mut backend = Resizable::default();
         let mut script = Script {
             plan: vec![(1, grow(2, 1))],
             ..Script::default()
@@ -1061,11 +949,12 @@ mod tests {
         let cfg = DriveConfig::new(3, u64::MAX);
         // The policy never starts the root, so the run ends stalled; the
         // first tick is what this test reads.
-        drive(&t, cfg, leaves, &mut backend, Some(&mut script)).unwrap_err();
+        let (err, seen) = pump(&t, cfg, leaves, Some(&mut script));
+        err.unwrap_err();
         let gangs: Vec<NodeId> = script.snapshots[0].gangs.iter().map(|g| g.node).collect();
         assert_eq!(gangs, [NodeId(1), NodeId(2)], "ascending caller id");
         // Growing the caller's leaf 2 resized the layout's node 0.
-        assert_eq!(backend.resized, vec![(NodeId(0), 1, 2)]);
+        assert_eq!(seen.resized, vec![(NodeId(0), 1, 2)]);
     }
 
     #[test]
@@ -1079,10 +968,9 @@ mod tests {
     #[test]
     fn precedence_enforced() {
         let t = fork();
-        let mut backend = Immediate::default();
         let cfg = DriveConfig::new(2, u64::MAX);
         let eager = Once(vec![(t.root(), 1)]);
-        let err = drive(&t, cfg, eager, &mut backend, None).unwrap_err();
+        let err = pump(&t, cfg, eager, None).0.unwrap_err();
         assert!(matches!(err, DriveError::PrecedenceViolation { .. }));
     }
 
@@ -1109,14 +997,14 @@ mod tests {
     #[test]
     fn an_aborted_step_returns_no_launches() {
         let twice = Once(vec![(NodeId(1), 1), (NodeId(2), 1), (NodeId(1), 1)]);
-        let (err, backend) = drive_fork(3, 1_000, twice);
+        let (err, seen) = drive_fork(3, 1_000, twice);
         assert_eq!(
             err.unwrap_err(),
             DriveError::DoubleStart { node: NodeId(1) }
         );
         assert!(
-            backend.launched.is_empty(),
-            "an aborted tick reached the backend"
+            seen.launched.is_empty(),
+            "an aborted tick reached the clock"
         );
     }
 }

@@ -1,10 +1,11 @@
-//! The discrete-event engine: the virtual-clock [`Backend`] under the
-//! shared [`crate::driver`] loop.
+//! The discrete-event engine: a virtual clock under the shared
+//! [`DriverCore`], stepped by the engine's own run loop — the simulator's
+//! stepper of the core (the runtime's gang step is the other).
 
-use crate::driver::{drive, Backend, DriveConfig, DriveError, DriveStats, Rescheduler};
+use crate::driver::{DriveConfig, DriveError, DriveStats, DriverCore, Rescheduler};
 use crate::moldable::SpeedupModel;
 use crate::scheduler::Scheduler;
-use crate::trace::{AllotmentSegment, MemSample, TaskRecord, Trace};
+use crate::trace::{AllotmentSegment, TaskRecord, Trace};
 use memtree_tree::{NodeId, TaskTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,25 +21,16 @@ pub struct SimConfig {
     /// allotment under the default [`SpeedupModel::Linear`] runs in
     /// exactly `t_i`.
     pub speedup: SpeedupModel,
-    /// Record a [`MemSample`] at every event (costs memory on big trees).
-    pub record_profile: bool,
 }
 
 impl SimConfig {
-    /// `p` processors, memory `M`, linear speedup, no profile.
+    /// `p` processors, memory `M`, linear speedup.
     pub fn new(processors: usize, memory: u64) -> Self {
         SimConfig {
             processors,
             memory,
             speedup: SpeedupModel::Linear,
-            record_profile: false,
         }
-    }
-
-    /// Enables memory-profile recording.
-    pub fn with_profile(mut self) -> Self {
-        self.record_profile = true;
-        self
     }
 
     /// Overrides the speedup model.
@@ -100,7 +92,7 @@ struct Lane {
     gen: u32,
 }
 
-/// The virtual-clock backend: tasks "run" on a completion-time heap with
+/// The virtual clock: tasks "run" on a completion-time heap with
 /// the speedup model applied, and a batch is everything finishing at the
 /// next instant. Every running task holds one *lane* — a processor id off
 /// the free list, its [`TaskRecord::processor`] — and its state lives in
@@ -108,7 +100,7 @@ struct Lane {
 /// per-node array at all. Resizes are exact: the model is linear in the
 /// sequential time, so the work a segment consumed is `len / t(1, q)` and
 /// the remainder reruns at the new allotment from the resize instant.
-struct SimBackend<'t> {
+struct Clock<'t> {
     tree: &'t TaskTree,
     model: SpeedupModel,
     now: f64,
@@ -120,11 +112,9 @@ struct SimBackend<'t> {
     records: Option<Vec<TaskRecord>>,
     /// Allotment history, kept only for a recorded run that can resize.
     segments: Option<Vec<AllotmentSegment>>,
-    record_profile: bool,
-    profile: Vec<MemSample>,
 }
 
-impl<'t> SimBackend<'t> {
+impl<'t> Clock<'t> {
     fn new(tree: &'t TaskTree, cfg: &SimConfig, record_tasks: bool, malleable: bool) -> Self {
         let free = Lane {
             node: None,
@@ -134,7 +124,7 @@ impl<'t> SimBackend<'t> {
             procs: 0,
             gen: 0,
         };
-        SimBackend {
+        Clock {
             tree,
             model: cfg.speedup,
             now: 0.0,
@@ -158,8 +148,6 @@ impl<'t> SimBackend<'t> {
                 ]
             }),
             segments: (record_tasks && malleable).then(Vec::new),
-            record_profile: cfg.record_profile,
-            profile: Vec::new(),
         }
     }
 
@@ -193,10 +181,10 @@ impl<'t> SimBackend<'t> {
             });
         }
     }
-}
 
-impl Backend for SimBackend<'_> {
-    fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) -> Result<(), DriveError> {
+    /// Starts task `i` on a gang of `procs` processors at the current
+    /// instant, on a free lane; `epoch` is the driver event that started it.
+    fn launch(&mut self, i: NodeId, procs: usize, epoch: u64) {
         let lane = self
             .free_lanes
             .pop()
@@ -228,15 +216,16 @@ impl Backend for SimBackend<'_> {
             lane,
             gen: 0,
         }));
-        Ok(())
     }
 
-    fn resize(&mut self, i: NodeId, from: usize, to: usize, epoch: u64) -> Result<(), DriveError> {
-        let lane = self.lane_of(i).ok_or_else(|| {
-            DriveError::Backend(format!("resize of idle task {:?}", self.tree.label(i)))
-        })?;
+    /// Moves the running task `i` to `to` processors from the current
+    /// instant: the work left reruns at the new allotment.
+    fn resize(&mut self, i: NodeId, from: usize, to: usize, epoch: u64) {
+        let lane = self
+            .lane_of(i)
+            .expect("the core resizes running tasks only");
         let mut l = self.lanes[lane];
-        debug_assert_eq!(l.procs as usize, from, "driver and backend agree");
+        debug_assert_eq!(l.procs as usize, from, "the core and the clock agree");
         self.close_segment(l);
         l.remaining = self.remaining_now(&l);
         l.segment_start = self.now;
@@ -257,9 +246,10 @@ impl Backend for SimBackend<'_> {
             lane: lane as u32,
             gen: l.gen,
         }));
-        Ok(())
     }
 
+    /// Progress of the running task `i` as `(done, total)` in thousandths
+    /// of its work, for the rescheduler's snapshot.
     fn progress(&self, i: NodeId) -> Option<(u32, u32)> {
         const GRAIN: u32 = 1_000;
         let l = &self.lanes[self.lane_of(i)?];
@@ -271,26 +261,19 @@ impl Backend for SimBackend<'_> {
         Some(((done * GRAIN as f64).round() as u32, GRAIN))
     }
 
-    fn observe(&mut self, actual: u64, booked: u64) {
-        if self.record_profile {
-            self.profile.push(MemSample {
-                time: self.now,
-                actual,
-                booked,
-            });
-        }
-    }
-
-    fn await_batch(&mut self, epoch: u64, batch: &mut Vec<NodeId>) -> Result<(), DriveError> {
+    /// Advances the clock to the next completion instant and pushes every
+    /// task finishing then into `batch`; `epoch` is the event the batch
+    /// takes effect at, minus one. The core guarantees a task in flight.
+    fn advance(&mut self, epoch: u64, batch: &mut Vec<NodeId>) {
         // The clock advances to the next *genuine* completion: drop the
         // predictions resizes have outdated first.
         while self.running.peek().is_some_and(|r| !self.is_live(&r.0)) {
             self.running.pop();
         }
-        let Some(&Reverse(Running { finish, .. })) = self.running.peek() else {
-            // Unreachable through `drive` (it checks in-flight > 0 first).
-            return Err(DriveError::Backend("no task is running".into()));
-        };
+        let Reverse(Running { finish, .. }) = *self
+            .running
+            .peek()
+            .expect("the core checks a task is in flight");
         self.now = finish.0;
         while let Some(&Reverse(next)) = self.running.peek() {
             if next.finish > finish {
@@ -312,25 +295,42 @@ impl Backend for SimBackend<'_> {
                 r.finish_epoch = epoch + 1;
             }
         }
-        Ok(())
     }
 }
 
-/// The one run core: drives `scheduler` over `tree` on a fresh
-/// virtual-clock backend and returns the aggregates plus the backend,
-/// which holds the makespan and whatever the run was asked to record.
+/// The one run loop: steps a [`DriverCore`] for `scheduler` over `tree`
+/// against a fresh virtual clock — each tick's launches, then its
+/// resizes, then the clock advances to the next completion batch — and
+/// returns the aggregates plus the clock, which holds the makespan and
+/// whatever the run was asked to record.
 fn run<'t, S: Scheduler>(
     tree: &'t TaskTree,
     cfg: SimConfig,
     scheduler: S,
     rescheduler: Option<&mut dyn Rescheduler>,
     record_tasks: bool,
-) -> Result<(DriveStats, SimBackend<'t>), DriveError> {
+) -> Result<(DriveStats, Clock<'t>), DriveError> {
     cfg.speedup.check().map_err(DriveError::BadConfig)?;
-    let mut backend = SimBackend::new(tree, &cfg, record_tasks, rescheduler.is_some());
+    let mut clock = Clock::new(tree, &cfg, record_tasks, rescheduler.is_some());
+    // Shorten the rescheduler's object lifetime to the tree's borrow.
+    let rescheduler = rescheduler.map(|r| -> &mut dyn Rescheduler { r });
     let drive_cfg = DriveConfig::new(cfg.processors, cfg.memory);
-    let stats = drive(tree, drive_cfg, scheduler, &mut backend, rescheduler)?;
-    Ok((stats, backend))
+    let mut core: DriverCore<'_, S> = DriverCore::new(tree, drive_cfg, scheduler, rescheduler)?;
+    let mut batch = Vec::with_capacity(cfg.processors.min(tree.len()));
+    loop {
+        let tick = core.step(&mut batch, |i| clock.progress(i))?;
+        for &(i, q) in tick.launches {
+            clock.launch(i, q, tick.epoch);
+        }
+        for r in tick.resizes {
+            clock.resize(r.node, r.from, r.to, tick.epoch);
+        }
+        if tick.done {
+            return Ok((core.stats(), clock));
+        }
+        batch.clear();
+        clock.advance(tick.epoch, &mut batch);
+    }
 }
 
 /// Runs `scheduler` on `tree` under `cfg` and returns the trace.
@@ -360,21 +360,20 @@ pub fn simulate_with<S: Scheduler>(
     rescheduler: Option<&mut dyn Rescheduler>,
 ) -> Result<Trace, DriveError> {
     let name = scheduler.name().to_string();
-    let (stats, backend) = run(tree, cfg, scheduler, rescheduler, true)?;
+    let (stats, clock) = run(tree, cfg, scheduler, rescheduler, true)?;
     Ok(Trace {
         scheduler: name,
         processors: cfg.processors,
         memory: cfg.memory,
         speedup: cfg.speedup,
-        makespan: backend.now,
-        records: backend.records.expect("asked to record"),
+        makespan: clock.now,
+        records: clock.records.expect("asked to record"),
         peak_actual: stats.peak_actual,
         peak_booked: stats.peak_booked,
         peak_busy: stats.peak_busy,
         scheduling_seconds: stats.scheduling_seconds,
         events: stats.events,
-        profile: backend.profile,
-        segments: backend.segments.unwrap_or_default(),
+        segments: clock.segments.unwrap_or_default(),
     })
 }
 
@@ -388,7 +387,7 @@ pub fn simulate_summary<S: Scheduler>(
     scheduler: S,
     rescheduler: Option<&mut dyn Rescheduler>,
 ) -> Result<(f64, DriveStats), DriveError> {
-    run(tree, cfg, scheduler, rescheduler, false).map(|(stats, backend)| (backend.now, stats))
+    run(tree, cfg, scheduler, rescheduler, false).map(|(stats, clock)| (clock.now, stats))
 }
 
 #[cfg(test)]
@@ -418,16 +417,10 @@ mod tests {
     #[test]
     fn actual_memory_tracked() {
         let t = fork();
-        let trace = simulate(
-            &t,
-            SimConfig::new(2, 1000).with_profile(),
-            Greedy::new(&t, 1000),
-        )
-        .unwrap();
+        let trace = simulate(&t, SimConfig::new(2, 1000), Greedy::new(&t, 1000)).unwrap();
         // Both leaves running: (0+2) + (0+3) = 5; then root with inputs:
         // 2 + 3 + 1 = 6.
         assert_eq!(trace.peak_actual, 6);
-        assert!(!trace.profile.is_empty());
     }
 
     #[test]

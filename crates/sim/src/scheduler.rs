@@ -11,7 +11,7 @@ use memtree_tree::NodeId;
 /// the driver starts them immediately at the current instant. A
 /// sequential task is the allotment `q = 1`: the paper's five policies
 /// push `(task, 1)`, a moldable policy pushes larger gangs, and both run
-/// under the one loop ([`crate::drive`]).
+/// under the one core ([`crate::DriverCore`]).
 ///
 /// Contract:
 /// * a pushed task must have all children finished (be *available*) and

@@ -28,17 +28,6 @@ pub struct TaskRecord {
     pub finish_epoch: u64,
 }
 
-/// One sampled point of the memory profile (taken at every event).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MemSample {
-    /// Simulated time of the sample.
-    pub time: f64,
-    /// Actual resident memory.
-    pub actual: u64,
-    /// Memory booked by the scheduler.
-    pub booked: u64,
-}
-
 /// One constant-allotment stretch of a task's execution on a malleable
 /// run. A task that was never resized has exactly one segment spanning
 /// start to finish.
@@ -85,8 +74,6 @@ pub struct Trace {
     pub scheduling_seconds: f64,
     /// Number of events processed (task completions + the initial event).
     pub events: usize,
-    /// Memory profile sampled at each event (empty unless requested).
-    pub profile: Vec<MemSample>,
     /// Per-task allotment history, in execution order. Empty unless a
     /// [`crate::Rescheduler`] was attached (no resizes possible); on a
     /// malleable run every task contributes one segment per
@@ -123,19 +110,6 @@ impl Trace {
         self.peak_actual as f64 / self.memory as f64
     }
 
-    /// Fraction of the memory bound booked at peak.
-    pub fn booked_fraction(&self) -> f64 {
-        if self.memory == 0 {
-            return 0.0;
-        }
-        self.peak_booked as f64 / self.memory as f64
-    }
-
-    /// Average scheduling time per node, in seconds (Figure 6's y-axis).
-    pub fn scheduling_seconds_per_node(&self) -> f64 {
-        self.scheduling_seconds / self.records.len() as f64
-    }
-
     /// Maximum number of tasks running simultaneously, recomputed from the
     /// records by a sweep.
     pub fn max_concurrency(&self) -> usize {
@@ -154,37 +128,6 @@ impl Trace {
             max = max.max(cur);
         }
         max as usize
-    }
-
-    /// Serialises the per-task records as CSV
-    /// (`task,start,finish,processor`), ordered by start time — ready for
-    /// Gantt plotting.
-    pub fn records_to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut rows: Vec<(usize, &TaskRecord)> = self.records.iter().enumerate().collect();
-        rows.sort_by(|a, b| {
-            a.1.start
-                .partial_cmp(&b.1.start)
-                .unwrap()
-                .then(a.0.cmp(&b.0))
-        });
-        let mut out = String::from("task,start,finish,processor\n");
-        for (id, r) in rows {
-            let _ = writeln!(out, "{id},{},{},{}", r.start, r.finish, r.processor);
-        }
-        out
-    }
-
-    /// Serialises the memory profile as CSV (`time,actual,booked`);
-    /// empty unless the simulation recorded a profile
-    /// ([`crate::SimConfig::with_profile`]).
-    pub fn profile_to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("time,actual,booked\n");
-        for s in &self.profile {
-            let _ = writeln!(out, "{},{},{}", s.time, s.actual, s.booked);
-        }
-        out
     }
 }
 
@@ -216,7 +159,6 @@ mod tests {
             peak_busy: 2,
             scheduling_seconds: 1e-3,
             events: 3,
-            profile: Vec::new(),
             segments: Vec::new(),
         }
     }
@@ -225,8 +167,6 @@ mod tests {
     fn fractions() {
         let t = trace(vec![rec(0.0, 1.0, 0)]);
         assert_eq!(t.memory_fraction_used(), 0.6);
-        assert_eq!(t.booked_fraction(), 0.8);
-        assert_eq!(t.scheduling_seconds_per_node(), 1e-3);
     }
 
     #[test]

@@ -172,9 +172,9 @@ fn steady_state_is_allocation_free() {
     }
 
     // Gangs ride the very same loop: a capped (moldable) static run keeps
-    // its running-task state in the p-sized lane table and records a
-    // profile or allotment segments only when asked to, so q > 1 costs no
-    // allocation per event either.
+    // its running-task state in the p-sized lane table and records
+    // allotment segments only when a rescheduler is attached, so q > 1
+    // costs no allocation per event either.
     for (p, cap) in [(4usize, 2u32), (8, 4)] {
         let kind = HeuristicKind::MemBooking;
         allocs_for_platform_run(&small, kind, p, Some(cap));

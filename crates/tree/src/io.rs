@@ -333,65 +333,3 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 }
-
-/// Renders `tree` in Graphviz DOT format, one node per task labelled with
-/// its sizes, edges from child to parent (the data-flow direction).
-///
-/// Node fill encodes relative output size so memory hot-spots stand out
-/// when rendered with `dot -Tsvg`.
-pub fn tree_to_dot(tree: &TaskTree) -> String {
-    use std::fmt::Write as _;
-    let max_f = tree
-        .nodes()
-        .map(|i| tree.output(i))
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let mut out = String::with_capacity(tree.len() * 64);
-    out.push_str("digraph memtree {\n  rankdir=BT;\n  node [shape=box, style=filled];\n");
-    for i in tree.nodes() {
-        let s = tree.spec(i);
-        // Grey level by output share: big outputs are darker.
-        let level = 95 - (55 * tree.output(i) / max_f) as u8;
-        let _ = writeln!(
-            out,
-            "  n{} [label=\"{}\\nn={} f={} t={}\", fillcolor=\"gray{}\"];",
-            i, i, s.exec, s.output, s.time, level
-        );
-    }
-    for i in tree.nodes() {
-        if let Some(p) = tree.parent(i) {
-            let _ = writeln!(out, "  n{i} -> n{p};");
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use crate::node::TaskSpec;
-
-    #[test]
-    fn dot_output_structure() {
-        let t = TaskTree::from_parents(
-            &[None, Some(0), Some(0)],
-            &[
-                TaskSpec::new(0, 1, 1.0),
-                TaskSpec::new(2, 9, 1.0),
-                TaskSpec::new(0, 3, 1.0),
-            ],
-        )
-        .unwrap();
-        let dot = tree_to_dot(&t);
-        assert!(dot.starts_with("digraph memtree {"));
-        assert!(dot.trim_end().ends_with('}'));
-        // One node statement per task, one edge per non-root.
-        assert_eq!(dot.matches("label=").count(), 3);
-        assert_eq!(dot.matches("->").count(), 2);
-        assert!(dot.contains("n1 -> n0;"));
-        // The biggest output is the darkest node (gray40).
-        assert!(dot.contains("fillcolor=\"gray40\""));
-    }
-}

@@ -120,13 +120,6 @@ pub struct SequentialProfile {
     pub peak: u64,
 }
 
-impl SequentialProfile {
-    /// Memory resident at the very end (the root's output).
-    pub fn final_memory(&self) -> u64 {
-        self.steps.last().map_or(0, |s| s.after)
-    }
-}
-
 /// Computes the memory profile of executing `order` sequentially.
 ///
 /// `order` must be a topological order of `tree` (children first); this is
@@ -239,7 +232,6 @@ mod tests {
             }
         );
         assert_eq!(p.peak, 52);
-        assert_eq!(p.final_memory(), 10);
         assert_eq!(sequential_peak(&t, &order).unwrap(), 52);
     }
 
