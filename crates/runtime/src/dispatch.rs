@@ -19,18 +19,32 @@
 //!   per entry.
 //! * **No syscall without a sleeper.** A push that finds nobody parked
 //!   never touches the condvar.
+//! * **A receiver yields once before it sleeps.** A receiver that finds
+//!   the queue empty drops the lock, yields its CPU once, and re-checks
+//!   the queue and `closed` before it parks; while it yields it is not
+//!   counted as parked. On a pinned or oversubscribed CPU the thread that
+//!   will push next is usually runnable right there, so the yield hands
+//!   it the CPU: its push finds nobody parked and makes no syscall, and
+//!   the receiver takes the entry when it runs again. Parking at once
+//!   instead costs a futex wait and a futex wake per handoff, and the
+//!   woken receiver preempts the pusher and claims every shard of a gang
+//!   alone (on `exec-gang`, every task a gang of 4, that round trip was
+//!   about three quarters of the op). On idle cores the yield returns at
+//!   once and the receiver parks as before. Two or four yields measured
+//!   no better than one.
 //!
 //! Built on the [`crate::sync`] façade, so the minloom suite
 //! (`tests/model/dispatch.rs`, DESIGN.md §6.13) checks the wake protocol
 //! over every bounded interleaving: each entry is popped exactly once, no
 //! receiver stays parked while work is queued, and `close` wakes every
-//! parked receiver.
+//! parked receiver, including one that yields in between its empty check
+//! and its park.
 
-use crate::sync::{Condvar, Mutex, MutexGuard};
+use crate::sync::{thread, Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::PoisonError;
 
-/// Returned by the push operations once [`BatchQueue::close`] has been
+/// Returned by [`BatchQueue::push_batch`] once [`BatchQueue::close`] has been
 /// called.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Closed;
@@ -75,11 +89,6 @@ impl<T> BatchQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues one entry, waking a parked receiver only if there is one.
-    pub fn push(&self, item: T) -> Result<(), Closed> {
-        self.push_with(|queue| queue.push_back(item))
-    }
-
     /// Moves every entry of `items` into the queue, in order, under one
     /// lock, and leaves `items` empty with its capacity intact. An empty
     /// batch is a no-op.
@@ -87,13 +96,6 @@ impl<T> BatchQueue<T> {
         if items.is_empty() {
             return Ok(());
         }
-        let pushed = self.push_with(|queue| queue.extend(items.drain(..)));
-        // A refused batch never reached the drain: drop it here.
-        items.clear();
-        pushed
-    }
-
-    fn push_with(&self, fill: impl FnOnce(&mut VecDeque<T>)) -> Result<(), Closed> {
         // Seeded regression (CI teeth check): the parked count is read in
         // a critical section of its own, before the one that enqueues. A
         // receiver that parks between the two is never woken — the model
@@ -102,9 +104,11 @@ impl<T> BatchQueue<T> {
         let nobody_parked = self.lock().parked == 0;
         let mut st = self.lock();
         if st.closed {
+            // A refused batch never reaches the queue: drop it here.
+            items.clear();
             return Err(Closed);
         }
-        fill(&mut st.queue);
+        st.queue.extend(items.drain(..));
         #[cfg(memtree_loom_mutate_dispatch_wake)]
         if nobody_parked {
             return Ok(());
@@ -143,12 +147,31 @@ impl<T> BatchQueue<T> {
     /// empty.
     pub fn pop(&self) -> Option<T> {
         let mut st = self.lock();
+        let mut yielded = false;
         loop {
             if let Some(item) = st.queue.pop_front() {
                 return Some(item);
             }
             if st.closed {
                 return None;
+            }
+            if !yielded {
+                // Yield once, uncounted, before parking: a push that lands
+                // meanwhile finds nobody parked and makes no syscall, and
+                // this receiver takes its entry when it runs again.
+                yielded = true;
+                drop(st);
+                thread::yield_now();
+                st = self.lock();
+                // Seeded regression (CI teeth check): the receiver parks
+                // without re-checking the queue and `closed`, so an entry
+                // or a close that landed during the yield is never seen —
+                // the model suite must report the deadlock.
+                #[cfg(memtree_loom_mutate_yield_recheck)]
+                {
+                    st = self.park(st);
+                }
+                continue;
             }
             st = self.park(st);
         }
@@ -174,7 +197,7 @@ mod tests {
         let mut batch = vec![1, 2, 3];
         q.push_batch(&mut batch).unwrap();
         assert!(batch.is_empty() && batch.capacity() >= 3);
-        q.push(4).unwrap();
+        q.push_batch(&mut vec![4]).unwrap();
         batch.extend([5, 6]);
         q.push_batch(&mut batch).unwrap();
         for want in 1..=6 {
@@ -185,10 +208,10 @@ mod tests {
     #[test]
     fn close_keeps_the_backlog_and_refuses_new_entries() {
         let q = BatchQueue::with_capacity(2);
-        q.push(1).unwrap();
+        q.push_batch(&mut vec![1]).unwrap();
         q.close();
         q.close();
-        assert_eq!(q.push(2), Err(Closed));
+        assert_eq!(q.push_batch(&mut vec![2]), Err(Closed));
         let mut batch = vec![3, 4];
         assert_eq!(q.push_batch(&mut batch), Err(Closed));
         assert!(batch.is_empty(), "a refused batch is dropped, not kept");

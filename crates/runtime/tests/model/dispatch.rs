@@ -3,7 +3,11 @@
 //! and nobody left parked while work is queued, and `close` wakes every
 //! parked receiver. A lost wake shows up as a minloom deadlock report —
 //! which is how the `memtree_loom_mutate_dispatch_wake` teeth check
-//! (parked count read outside the pushing critical section) must die.
+//! (parked count read outside the pushing critical section) and the
+//! `memtree_loom_mutate_yield_recheck` one (a receiver that parks after
+//! its yield without re-checking the queue) must die. The yield is a
+//! scheduling point, so every model here explores pushes and closes that
+//! land while a receiver yields.
 //! The queue inside the executor's whole worker loop is modelled in
 //! `stepping.rs`.
 
@@ -90,6 +94,10 @@ fn close_wakes_every_parked_receiver() {
         for popper in poppers {
             assert_eq!(popper.join().expect("popper panicked"), None);
         }
-        assert_eq!(queue.push(7), Err(Closed), "closed for good");
+        assert_eq!(
+            queue.push_batch(&mut vec![7]),
+            Err(Closed),
+            "closed for good"
+        );
     });
 }

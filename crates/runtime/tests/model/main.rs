@@ -16,7 +16,7 @@
 //! Every test picks the smallest configuration that still contains the
 //! race it guards, and a CHESS-style preemption bound where the full
 //! interleaving space is infeasible (most concurrency bugs — including
-//! all five seeded `memtree_loom_mutate_*` regressions — need at most
+//! all six seeded `memtree_loom_mutate_*` regressions — need at most
 //! two forced preemptions). Failures print a `MINLOOM_REPLAY` seed.
 #![cfg(memtree_loom)]
 
