@@ -218,7 +218,9 @@ pub struct RunOutcome {
     pub normalized: f64,
     /// Peak actual memory / bound (Figures 4 and 12).
     pub memory_fraction: f64,
-    /// Wall-clock seconds spent in scheduler callbacks (Figures 5/6/13).
+    /// Estimated wall-clock seconds spent in scheduler callbacks (Figures
+    /// 5/6/13; sampled as [`memtree_sim::DriveStats::scheduling_seconds`]
+    /// describes).
     pub scheduling_seconds: f64,
 }
 

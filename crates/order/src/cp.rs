@@ -76,7 +76,8 @@ mod tests {
                 .map_specs(|i, mut s| {
                     s.time = ((i.index() * 17) % 4) as f64; // include zeros
                     s
-                });
+                })
+                .unwrap();
             let o = cp_order(&t);
             t.check_topological(o.sequence()).unwrap();
         }

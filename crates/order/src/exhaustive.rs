@@ -188,13 +188,13 @@ mod tests {
     #[test]
     fn dp_beats_or_equals_any_sampled_order() {
         for seed in 0..10 {
-            let t = memtree_gen::shapes::random_recursive(9, TaskSpec::default(), seed).map_specs(
-                |i, mut s| {
+            let t = memtree_gen::shapes::random_recursive(9, TaskSpec::default(), seed)
+                .map_specs(|i, mut s| {
                     s.exec = (i.index() as u64 * 7) % 6;
                     s.output = 1 + (i.index() as u64 * 3) % 9;
                     s
-                },
-            );
+                })
+                .unwrap();
             let best = min_topological_peak(&t);
             let po = memtree_tree::traverse::postorder(&t);
             let peak = sequential_peak(&t, &po).unwrap();

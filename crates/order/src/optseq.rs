@@ -180,13 +180,13 @@ mod tests {
     #[test]
     fn never_worse_than_best_postorder() {
         for seed in 0..40 {
-            let t = memtree_gen::shapes::random_recursive(40, TaskSpec::default(), seed).map_specs(
-                |i, mut s| {
+            let t = memtree_gen::shapes::random_recursive(40, TaskSpec::default(), seed)
+                .map_specs(|i, mut s| {
                     s.exec = (i.index() as u64 * 7) % 10;
                     s.output = 1 + (i.index() as u64 * 13) % 20;
                     s
-                },
-            );
+                })
+                .unwrap();
             let opt = optimal_peak(&t);
             let po = min_postorder_peak(&t);
             assert!(opt <= po, "seed {seed}: OptSeq {opt} worse than memPO {po}");
@@ -272,13 +272,13 @@ mod tests {
     #[test]
     fn reported_peak_matches_replayed_order() {
         for seed in 0..30 {
-            let t = memtree_gen::shapes::random_recursive(50, TaskSpec::default(), seed).map_specs(
-                |i, mut s| {
+            let t = memtree_gen::shapes::random_recursive(50, TaskSpec::default(), seed)
+                .map_specs(|i, mut s| {
                     s.exec = (i.index() as u64 * 3) % 8;
                     s.output = 1 + (i.index() as u64 * 5) % 12;
                     s
-                },
-            );
+                })
+                .unwrap();
             let o = optimal_traversal(&t);
             assert_eq!(
                 o.peak,

@@ -84,7 +84,8 @@ mod tests {
                     s.output = 1 + (i.index() as u64 * 13) % 7;
                     s.time = 1.0 + ((i.index() * 29) % 5) as f64;
                     s
-                });
+                })
+                .unwrap();
             let best = avg_mem_postorder(&t);
             let best_avg = sequential_average_memory(&t, best.sequence()).unwrap();
             for po in all_postorders(&t, 5000) {

@@ -152,7 +152,8 @@ mod tests {
                     s.exec = (i.index() as u64 * 7) % 13;
                     s.output = 1 + (i.index() as u64 * 11) % 17;
                     s
-                });
+                })
+                .unwrap();
             let order = mem_postorder(&t);
             assert_eq!(
                 min_postorder_peak(&t),

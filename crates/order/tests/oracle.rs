@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn avg_mem_postorder_is_optimal(tree in arb_tree(8)) {
         // Average memory needs positive times to be meaningful; remap zeros.
-        let tree = tree.map_specs(|_, mut s| { s.time = s.time.max(1.0); s.output = s.output.max(1); s });
+        let tree = tree.map_specs(|_, mut s| { s.time = s.time.max(1.0); s.output = s.output.max(1); s }).unwrap();
         let best = avg_mem_postorder(&tree);
         let best_avg = sequential_average_memory(&tree, best.sequence()).unwrap();
         for po in memtree_order::exhaustive::all_postorders(&tree, 100_000) {

@@ -60,7 +60,8 @@ pub struct RunReport {
     pub peak_actual: u64,
     /// Scheduler events processed.
     pub events: usize,
-    /// Wall-clock seconds spent inside scheduler callbacks.
+    /// Estimated wall-clock seconds spent inside scheduler callbacks
+    /// ([`memtree_sim::DriveStats::scheduling_seconds`]).
     pub scheduling_seconds: f64,
     /// Tasks executed — the node count of the policy's
     /// [`PolicyInstance::exec_tree`] on success (larger than the original

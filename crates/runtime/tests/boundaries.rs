@@ -13,8 +13,9 @@
 //! overwrites, duplicated or dropped lines, a number swapped for an edge
 //! value — and feeds the result to the parser under `catch_unwind`. An
 //! `Err` is the expected answer; a panic fails the test with the input. A
-//! spec that parses (alone or inside a job) is also resolved against its
-//! base's valid tree through `instantiate` and `min_feasible`.
+//! spec that parses is also resolved through `instantiate` and
+//! `min_feasible`: a job's against the job's own (possibly mutated) tree,
+//! a bare spec against its base's valid tree.
 //!
 //! The tier-1 tests run 500 cases per boundary; the ignored test runs
 //! 10 000 per boundary:
@@ -119,8 +120,8 @@ const WORKLOADS: [Workload; 5] = [
     Workload::FailAt { node: 12 },
 ];
 
-/// An encoder's output, paired with the valid tree a spec parsed from it
-/// is resolved against.
+/// An encoder's output, paired with the valid tree a bare spec parsed
+/// from it is resolved against.
 type Base = (String, TaskTree);
 
 /// The bases a case starts from, one list per boundary.
@@ -252,17 +253,15 @@ fn use_spec(spec: &PolicySpec, tree: &TaskTree) {
     let _ = spec.min_feasible(tree);
 }
 
-/// Parses `text` at `boundary` and resolves a parsed spec against
-/// `valid`; returns the re-encoding of the parsed value, `None` for a
-/// parse error. A job's spec is resolved against `valid`, not against
-/// the job's own (possibly mutated) tree: resolving a policy on a tree
-/// with extreme sizes is ROADMAP Y's constructor half, not a text
-/// boundary.
+/// Parses `text` at `boundary` and resolves a parsed spec the way its
+/// reader would: a job's against the job's own tree, a bare spec against
+/// `valid`. Returns the re-encoding of the parsed value, `None` for a
+/// parse error.
 fn parse(boundary: Boundary, text: &str, valid: &TaskTree) -> Option<String> {
     match boundary {
         Boundary::Job => {
             let job = wire::parse_job(text).ok()?;
-            use_spec(&job.spec, valid);
+            use_spec(&job.spec, &job.tree);
             Some(wire::job_to_string(
                 &job.tree,
                 &job.spec,
@@ -309,6 +308,27 @@ fn check(boundary: Boundary, (base, mutations): &Case) {
         outcome.is_ok(),
         "{boundary:?}: panicked on {mutated:?} (mutations {mutations:?})"
     );
+}
+
+/// The job that first showed a spec resolved against its own extreme
+/// tree: `OptSeq` orders over a tree whose root outputs `u64::MAX`. The
+/// tree's total memory overflows `u64`, so the tree, and with it the job,
+/// is refused before any peak is computed.
+#[test]
+fn a_job_whose_tree_outputs_u64_max_is_refused() {
+    let tree = &trees()[1];
+    let mut spec = PolicySpec::new(HeuristicKind::MemBooking, u64::MAX);
+    spec.ao = OrderKind::OptSeq;
+    spec.eo = OrderKind::OptSeq;
+    let text = wire::job_to_string(tree, &spec, 2, Workload::Noop, Duration::ZERO);
+    let root = tree.spec(tree.root());
+    let line = format!("\n-1 {} {} ", root.exec, root.output);
+    let huge = format!("\n-1 {} {} ", root.exec, u64::MAX);
+    assert_eq!(text.matches(&line).count(), 1, "one root line in {text:?}");
+    let text = text.replace(&line, &huge);
+    assert!(wire::parse_job(&text).is_err(), "accepted {text:?}");
+    let outcome = catch_unwind(AssertUnwindSafe(|| parse(Boundary::Job, &text, tree)));
+    assert_eq!(outcome.ok(), Some(None), "panicked or accepted on {text:?}");
 }
 
 proptest! {

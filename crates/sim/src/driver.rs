@@ -33,6 +33,7 @@
 use crate::scheduler::Scheduler;
 use memtree_tree::memory::LiveSet;
 use memtree_tree::{BitSet, NodeId, TaskTree};
+use std::time::Instant;
 
 /// Driver configuration shared by all platforms.
 #[derive(Clone, Copy, Debug)]
@@ -153,7 +154,11 @@ impl<R: Rescheduler + ?Sized> Rescheduler for &mut R {
 pub struct DriveStats {
     /// Events processed (steps: completion batches + the initial event).
     pub events: usize,
-    /// Wall-clock seconds spent inside scheduler callbacks.
+    /// Estimated wall-clock seconds spent inside scheduler and rescheduler
+    /// callbacks. The callbacks of the first 61 steps are timed exactly;
+    /// after them one step in 61 is timed, and the sampled mean stands for
+    /// every step it samples. A run of at most 61 events reports its exact
+    /// sum.
     pub scheduling_seconds: f64,
     /// Peak memory booked by the policy.
     pub peak_booked: u64,
@@ -303,10 +308,11 @@ pub struct Tick<'c> {
 
 /// One run's scheduler, optional rescheduler and every ledger and check
 /// of the driver, stepped one completion batch at a time. `step` never
-/// blocks and never touches a clock: it returns what to launch and
-/// resize, so the caller can be the simulator's event loop, a pump
-/// blocked on a completion channel, or a worker thread that has just
-/// finished a task.
+/// blocks: it returns what to launch and resize, so the caller can be the
+/// simulator's event loop, a pump blocked on a completion channel, or a
+/// worker thread that has just finished a task. No decision reads a
+/// clock; the clock is read only around the callbacks of the steps that
+/// [`DriveStats::scheduling_seconds`] times.
 ///
 /// `R` is the rescheduler's type — `dyn Rescheduler` by default; a core
 /// that must cross threads names `dyn Rescheduler + Send`.
@@ -330,7 +336,7 @@ pub struct DriverCore<'a, S, R: Rescheduler + ?Sized + 'a = dyn Rescheduler + 'a
     busy: usize,
     peak_busy: usize,
     events: usize,
-    scheduling_seconds: f64,
+    callbacks: CallbackClock,
     done: bool,
     // Step scratch, recycled across every step: the steady state
     // allocates nothing (asserted by tests/alloc_count.rs).
@@ -376,7 +382,7 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
             busy: 0,
             peak_busy: 0,
             events: 0,
-            scheduling_seconds: 0.0,
+            callbacks: CallbackClock::default(),
             done: false,
             to_start: Vec::with_capacity(slots),
             resizes: Vec::new(),
@@ -425,10 +431,10 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
         self.to_start.clear();
         self.resizes.clear();
         let idle = self.cfg.workers - self.busy;
-        let t0 = std::time::Instant::now();
-        self.scheduler
-            .on_event(completions, idle, &mut self.to_start);
-        self.scheduling_seconds += t0.elapsed().as_secs_f64();
+        self.callbacks.call(self.events, || {
+            self.scheduler
+                .on_event(completions, idle, &mut self.to_start)
+        });
         self.events += 1;
         self.start_requested(idle)?;
 
@@ -479,7 +485,7 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
     pub fn stats(&self) -> DriveStats {
         DriveStats {
             events: self.events,
-            scheduling_seconds: self.scheduling_seconds,
+            scheduling_seconds: self.callbacks.seconds(self.events),
             peak_booked: self.peak_booked,
             peak_actual: self.live.peak(),
             completed: self.completed,
@@ -580,9 +586,10 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
                 }
             }));
         self.actions.clear();
-        let t0 = std::time::Instant::now();
-        resched.tick(&self.stats, &mut self.actions);
-        self.scheduling_seconds += t0.elapsed().as_secs_f64();
+        // The step's 0-based index: `events` already counts it.
+        self.callbacks.call(self.events - 1, || {
+            resched.tick(&self.stats, &mut self.actions)
+        });
         for &action in &self.actions {
             let (node, grow, by) = match action {
                 RescheduleAction::Grow { node, extra } => (node, true, extra),
@@ -632,10 +639,60 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
     }
 }
 
+/// Steps the callback clock times exactly before it starts sampling, and
+/// the sampling period after them. Prime, so a period in the run (the
+/// power-of-two shapes of `memtree_gen::shapes`, a scheduler's cost that
+/// recurs every 2ᵏ events) cannot alias with it.
+const STRIDE: usize = 61;
+
+/// The estimate behind [`DriveStats::scheduling_seconds`]. A clock read
+/// pair costs about as much as a cheap scheduler callback, so only the
+/// steps `0..STRIDE` and every `STRIDE`-th step after them are timed; on a
+/// timed step both callbacks are.
+#[derive(Default)]
+struct CallbackClock {
+    /// Seconds in the callbacks of steps `0..STRIDE`.
+    exact: f64,
+    /// Seconds in the callbacks of the sampled steps `STRIDE`, `2·STRIDE`, ….
+    sampled: f64,
+}
+
+impl CallbackClock {
+    /// Runs a callback of the 0-based step `step`, timing it if the step
+    /// is timed.
+    fn call(&mut self, step: usize, callback: impl FnOnce()) {
+        if step >= STRIDE && !step.is_multiple_of(STRIDE) {
+            callback();
+            return;
+        }
+        let t0 = Instant::now();
+        callback();
+        let seconds = t0.elapsed().as_secs_f64();
+        if step < STRIDE {
+            self.exact += seconds;
+        } else {
+            self.sampled += seconds;
+        }
+    }
+
+    /// Estimated seconds in the callbacks of the first `steps` steps: the
+    /// exact prefix, plus the sampled mean for every step after it.
+    fn seconds(&self, steps: usize) -> f64 {
+        if steps <= STRIDE {
+            return self.exact;
+        }
+        // The sampled steps below `steps`: STRIDE, 2·STRIDE, …, at least one.
+        let samples = (steps - 1) / STRIDE;
+        self.exact + self.sampled * (steps - STRIDE) as f64 / samples as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{fork, Greedy, InOrder, Lazy, Once, Script};
+    use memtree_tree::TaskSpec;
+    use std::time::Duration;
 
     /// What [`pump`] handed out: every launch and every resize.
     #[derive(Default)]
@@ -1005,6 +1062,101 @@ mod tests {
         assert!(
             seen.launched.is_empty(),
             "an aborted tick reached the clock"
+        );
+    }
+
+    /// Runs `inner`, and busy-waits `cost(step)` in the `on_event` of
+    /// every 0-based step, adding the time it waited to `injected`.
+    struct Costly<S> {
+        inner: S,
+        cost: fn(usize) -> Duration,
+        step: usize,
+        injected: Duration,
+    }
+
+    impl<S: Scheduler> Scheduler for Costly<S> {
+        fn name(&self) -> &str {
+            "costly-test"
+        }
+        fn on_event(
+            &mut self,
+            finished: &[NodeId],
+            idle: usize,
+            to_start: &mut Vec<(NodeId, usize)>,
+        ) {
+            let wait = (self.cost)(self.step);
+            self.step += 1;
+            if !wait.is_zero() {
+                let t0 = Instant::now();
+                while t0.elapsed() < wait {}
+                self.injected += t0.elapsed();
+            }
+            self.inner.on_event(finished, idle, to_start)
+        }
+        fn booked(&self) -> u64 {
+            self.inner.booked()
+        }
+    }
+
+    /// Drives a chain of `n` nodes on one worker (`n + 1` events) with
+    /// `cost` injected; returns the estimate, the injected seconds and
+    /// the events.
+    fn injected_chain(n: usize, cost: fn(usize) -> Duration) -> (f64, f64, usize) {
+        let t = memtree_gen::shapes::chain(n, TaskSpec::new(0, 1, 1.0));
+        let mut costly = Costly {
+            inner: Greedy::new(&t, 2),
+            cost,
+            step: 0,
+            injected: Duration::ZERO,
+        };
+        let stats = pump(&t, DriveConfig::new(1, 2), &mut costly, None)
+            .0
+            .unwrap();
+        assert_eq!(stats.events, n + 1);
+        let injected = costly.injected.as_secs_f64();
+        (stats.scheduling_seconds, injected, stats.events)
+    }
+
+    #[test]
+    fn a_run_past_the_stride_is_estimated_from_samples() {
+        let (estimate, injected, _) = injected_chain(3_000, |_| Duration::from_micros(20));
+        let ratio = estimate / injected;
+        assert!(
+            (0.9..=3.0).contains(&ratio),
+            "estimated {estimate} s of {injected} s"
+        );
+    }
+
+    #[test]
+    fn a_run_shorter_than_the_stride_is_timed_exactly() {
+        let (estimate, injected, events) = injected_chain(40, |_| Duration::from_micros(100));
+        assert!(events < STRIDE);
+        // Every callback was timed, so the estimate holds every wait, and
+        // nothing was scaled.
+        assert!(
+            estimate >= injected,
+            "estimated {estimate} s of {injected} s"
+        );
+        assert!(
+            estimate <= injected * 1.2,
+            "estimated {estimate} s of {injected} s"
+        );
+    }
+
+    /// A cost that recurs every 2ᵏ steps cannot line up with a prime
+    /// sampling period: one sample in 64 lands on it, as one step in 64
+    /// pays it.
+    #[test]
+    fn a_power_of_two_period_does_not_alias_with_the_stride() {
+        let every_64th = |step: usize| {
+            let wait = if step.is_multiple_of(64) { 200 } else { 0 };
+            Duration::from_micros(wait)
+        };
+        let (estimate, injected, _) = injected_chain(50_000, every_64th);
+        let ratio = estimate / injected;
+        assert!(
+            (0.75..=1.25).contains(&ratio),
+            "estimated {estimate} s of {injected} s"
         );
     }
 }

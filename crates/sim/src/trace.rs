@@ -69,8 +69,8 @@ pub struct Trace {
     pub peak_booked: u64,
     /// Peak sum of live allotments, from the driver's processor ledger.
     pub peak_busy: usize,
-    /// Wall-clock seconds spent inside scheduler callbacks — the paper's
-    /// "scheduling time".
+    /// Estimated wall-clock seconds spent inside scheduler callbacks — the
+    /// paper's "scheduling time" ([`crate::DriveStats::scheduling_seconds`]).
     pub scheduling_seconds: f64,
     /// Number of events processed (task completions + the initial event).
     pub events: usize,

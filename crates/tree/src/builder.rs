@@ -11,7 +11,7 @@ use crate::Result;
 /// future id explicitly via [`TreeBuilder::push_with_parent_index`]), so
 /// trees can be entered in any order. [`TreeBuilder::build`] validates the
 /// structure: exactly one root, no cycles, in-range parents, finite
-/// non-negative times.
+/// non-negative times, and a total memory Σᵢ(nᵢ + fᵢ) that fits in `u64`.
 ///
 /// ```
 /// use memtree_tree::{TreeBuilder, TaskSpec};
@@ -102,12 +102,7 @@ impl TreeBuilder {
         }
         let root = root.ok_or(TreeError::NoRoot)?;
 
-        // Times must be finite and non-negative.
-        for (ix, &t) in self.time.iter().enumerate() {
-            if !t.is_finite() || t < 0.0 {
-                return Err(TreeError::BadTime(NodeId::from_index(ix)));
-            }
-        }
+        check_specs(&self.exec, &self.output, &self.time)?;
 
         // Cycle detection: every node must reach the root. Iterative
         // colouring with path marking: 0 = unvisited, 1 = on current path,
@@ -153,6 +148,21 @@ impl TreeBuilder {
             labels: None,
         })
     }
+}
+
+/// The per-task invariants every [`TaskTree`] keeps: times are finite
+/// and non-negative, and the total memory Σᵢ(nᵢ + fᵢ) fits in `u64`.
+/// Every memory peak of the tree is bounded by that total, so no peak a
+/// traversal or a policy computes can overflow.
+pub(crate) fn check_specs(exec: &[u64], output: &[u64], time: &[f64]) -> Result<()> {
+    if let Some(ix) = time.iter().position(|&t| !t.is_finite() || t < 0.0) {
+        return Err(TreeError::BadTime(NodeId::from_index(ix)));
+    }
+    exec.iter()
+        .chain(output)
+        .try_fold(0u64, |total, &m| total.checked_add(m))
+        .ok_or(TreeError::MemoryOverflow)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -228,6 +238,18 @@ mod tests {
                 "time {bad} accepted"
             );
         }
+    }
+
+    #[test]
+    fn memory_total_past_u64_rejected() {
+        let mut b = TreeBuilder::new();
+        let r = b.push(None, TaskSpec::new(1, u64::MAX - 1, 1.0));
+        assert!(
+            b.clone().build().is_ok(),
+            "a total of exactly u64::MAX fits"
+        );
+        b.push(Some(r), TaskSpec::new(0, 1, 1.0));
+        assert_eq!(b.build().unwrap_err(), TreeError::MemoryOverflow);
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub enum TreeError {
     },
     /// A processing time is negative, NaN or infinite.
     BadTime(NodeId),
+    /// The total memory Σᵢ(nᵢ + fᵢ) of the tasks does not fit in `u64`.
+    MemoryOverflow,
     /// Parse error in the text format.
     Parse {
         /// 1-based line number.
@@ -78,6 +80,9 @@ impl fmt::Display for TreeError {
             }
             TreeError::BadTime(n) => {
                 write!(f, "node {n:?} has a negative or non-finite processing time")
+            }
+            TreeError::MemoryOverflow => {
+                write!(f, "the tasks' total memory does not fit in 64 bits")
             }
             TreeError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             TreeError::Io(msg) => write!(f, "i/o error: {msg}"),

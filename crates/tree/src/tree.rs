@@ -405,8 +405,11 @@ impl TaskTree {
     }
 
     /// Replaces every task description through `f(id, old) -> new`,
-    /// preserving the structure. Useful to rescale corpora.
-    pub fn map_specs(&self, mut f: impl FnMut(NodeId, TaskSpec) -> TaskSpec) -> TaskTree {
+    /// preserving the structure. Useful to rescale corpora. The new specs
+    /// are checked as [`crate::TreeBuilder::build`] checks them:
+    /// [`TreeError::BadTime`] for a bad time, [`TreeError::MemoryOverflow`]
+    /// when the total memory no longer fits in `u64`.
+    pub fn map_specs(&self, mut f: impl FnMut(NodeId, TaskSpec) -> TaskSpec) -> Result<TaskTree> {
         let mut out = self.clone();
         for i in 0..self.len() {
             let id = NodeId::from_index(i);
@@ -415,7 +418,8 @@ impl TaskTree {
             out.output[i] = s.output;
             out.time[i] = s.time;
         }
-        out
+        crate::builder::check_specs(&out.exec, &out.output, &out.time)?;
+        Ok(out)
     }
 }
 
@@ -536,12 +540,29 @@ mod tests {
     }
 
     #[test]
-    fn map_specs_rescales() {
+    fn map_specs_keeps_the_spec_invariants() {
         let t = chain3();
-        let t2 = t.map_specs(|_, mut s| {
-            s.output *= 2;
+        let huge = t.map_specs(|_, mut s| {
+            s.output = u64::MAX / 2;
             s
         });
+        assert_eq!(huge.unwrap_err(), TreeError::MemoryOverflow);
+        let nan = t.map_specs(|_, mut s| {
+            s.time = f64::NAN;
+            s
+        });
+        assert_eq!(nan.unwrap_err(), TreeError::BadTime(NodeId(0)));
+    }
+
+    #[test]
+    fn map_specs_rescales() {
+        let t = chain3();
+        let t2 = t
+            .map_specs(|_, mut s| {
+                s.output *= 2;
+                s
+            })
+            .unwrap();
         assert_eq!(t2.output(NodeId(2)), 60);
         assert_eq!(t2.exec(NodeId(2)), 3);
         assert_eq!(t2.parent(NodeId(2)), Some(NodeId(1)));
