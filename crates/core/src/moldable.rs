@@ -17,6 +17,7 @@
 
 use crate::error::SchedError;
 use crate::membooking::MemBooking;
+use crate::spec::check_caps;
 use memtree_order::Order;
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
@@ -91,6 +92,10 @@ pub struct MoldableMemBooking<'a> {
 impl<'a> MoldableMemBooking<'a> {
     /// Builds the policy; the feasibility condition is the same as
     /// sequential MemBooking's (`M ≥ peak(AO)`).
+    ///
+    /// # Errors
+    /// As [`MemBooking::try_new`], and [`SchedError::InvalidSpec`] when
+    /// `caps` does not hold exactly one cap per task.
     pub fn try_new(
         tree: &'a TaskTree,
         ao: &'a Order,
@@ -111,7 +116,7 @@ impl<'a> MoldableMemBooking<'a> {
         caps: AllotmentCaps,
         floor: Option<u64>,
     ) -> Result<Self, SchedError> {
-        assert_eq!(caps.caps.len(), tree.len(), "one cap per task required");
+        check_caps(tree, Some(&caps))?;
         Ok(MoldableMemBooking {
             inner: MemBooking::with_floor(tree, ao, eo, memory, floor)?,
             caps,

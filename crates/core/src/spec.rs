@@ -297,7 +297,7 @@ impl PolicySpec {
 
 /// Allotment caps must name every task of the tree the policy
 /// schedules, one cap each.
-fn check_caps(exec: &TaskTree, caps: Option<&AllotmentCaps>) -> Result<(), SchedError> {
+pub(crate) fn check_caps(exec: &TaskTree, caps: Option<&AllotmentCaps>) -> Result<(), SchedError> {
     match caps {
         Some(caps) if caps.as_slice().len() != exec.len() => Err(SchedError::InvalidSpec(format!(
             "{} allotment caps for {} tasks",

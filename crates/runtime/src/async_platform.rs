@@ -25,7 +25,7 @@
 //! `platform_conformance!` pin the equivalence with `SimPlatform` and
 //! `ThreadedPlatform`.
 
-use crate::executor::{GangMember, GangStep};
+use crate::executor::{GangMember, GangStep, MemberStep};
 use crate::platform::{run_driven, Platform, PlatformError, RunReport};
 use crate::workload::Workload;
 use crossbeam::channel::{self, Sender};
@@ -143,9 +143,10 @@ impl AsyncPlatform {
     }
 }
 
-/// Spawns `member` as a future running the same claim-retire-report
-/// protocol as the threaded pool's worker loop. A panic in its payload is
-/// caught at the poll and sent as a `None` notice instead.
+/// Spawns `member` as a future that lives by
+/// [`GangState::step`](crate::executor::GangState::step), as the threaded
+/// pool's members do. A panic in its payload is caught at the poll and
+/// sent as a `None` notice instead.
 fn spawn_member(
     rt: &minitok::Runtime,
     tree: &Arc<TaskTree>,
@@ -155,24 +156,23 @@ fn spawn_member(
 ) {
     let (tree, done_tx) = (tree.clone(), done_tx.clone());
     let mut member = Box::pin(async move {
-        let mut retired = false;
+        let mut next = gang.step(None);
         loop {
-            // Shard boundaries are the only malleability points: check for
-            // retirement before claiming.
-            if gang.try_retire() {
-                retired = true;
-                break;
+            match next {
+                MemberStep::Run(shard) => {
+                    workload
+                        .run_shard_async(&tree, task, shard, gang.shards)
+                        .await;
+                    next = gang.step(Some(shard));
+                }
+                // Retired members never report: the member ledger keeps at
+                // least one member who exits via payload exhaustion, and
+                // the last such exit is the one completion that releases
+                // the whole gang.
+                MemberStep::Retire => return None,
+                MemberStep::Exit => return gang.member_exit().then_some(task),
             }
-            let Some(shard) = gang.claim() else { break };
-            workload
-                .run_shard_async(&tree, task, shard, gang.shards)
-                .await;
-            gang.finish_shard();
         }
-        // Retired members never report: the member ledger keeps at least
-        // one member who exits via payload exhaustion, and the last such
-        // exit is the one completion that releases the whole gang.
-        (!retired && gang.member_exit()).then_some(task)
     });
     rt.spawn(std::future::poll_fn(move |cx| {
         let notice = match catch_unwind(AssertUnwindSafe(|| member.as_mut().poll(cx))) {

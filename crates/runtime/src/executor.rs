@@ -13,6 +13,15 @@
 //! a member delayed by the OS donates its shards to its gang mates, and
 //! the last member out reports the gang's completion.
 //!
+//! Every member, threaded or a future, lives by one method,
+//! [`GangState::step`]: given the shard it just ran, run the next one,
+//! retire or exit. Only a gang of a run with a rescheduler pays for
+//! malleability at each shard boundary (a progress count and a retirement
+//! check); a fixed gang only claims, and a member that finds every shard
+//! claimed leaves with one load. The pool counts a member as busy from
+//! its first claimed shard until it leaves, so its `peak_busy` is the
+//! number of workers inside a payload at once.
+//!
 //! In a [`WorkerPool`] the gang step sits behind one lock, and the worker
 //! whose member reports a completion takes the step itself (DESIGN.md
 //! §6.4): it keeps one member of the first launched gang and runs it next
@@ -45,6 +54,19 @@ use std::sync::Arc;
 /// boundaries) stays responsive and grown members find work to claim.
 const MALLEABLE_CHUNKS: usize = 4;
 
+/// What a gang member does next, as [`GangState::step`] decides it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MemberStep {
+    /// Run payload shard `j`, then step again with `Some(j)`.
+    Run(u32),
+    /// Retire at this shard boundary: a shrink made this member surplus.
+    /// A retired member never reports.
+    Retire,
+    /// The payload is exhausted: leave through [`GangState::member_exit`],
+    /// which names the one member that reports the completion.
+    Exit,
+}
+
 /// Shared state of one gang: the payload shards its members claim and the
 /// member ledger that decides who reports the completion. One protocol
 /// for both gang pools — threaded members here, futures in
@@ -52,6 +74,14 @@ const MALLEABLE_CHUNKS: usize = 4;
 /// [`Rescheduler`] grows a gang by admitting extra members that share this
 /// state, and shrinks it by lowering `target` so surplus members retire
 /// at their next shard boundary.
+///
+/// A member lives by [`GangState::step`], one call per shard boundary,
+/// and leaves through [`GangState::member_exit`]. A gang of a run with a
+/// rescheduler is *malleable*: at each boundary it counts the shard just
+/// run (the backlog [`GangState::progress`] reports) and checks for
+/// retirement. A *fixed* gang does neither — nobody can shrink it, and
+/// nobody reads its progress — and a member that has just run its last
+/// shard index leaves without another claim.
 ///
 /// Public (not `pub(crate)`) so the `memtree_loom` model suite in
 /// `tests/model/` can drive the protocol directly under minloom's
@@ -63,11 +93,15 @@ pub struct GangState {
     /// (workers × `MALLEABLE_CHUNKS`, 4) so any allotment in `1..=p`
     /// divides the payload usefully.
     pub(crate) shards: u32,
+    /// Whether a rescheduler may resize the gang: only then does a member
+    /// count its shards and check for retirement.
+    malleable: bool,
     /// Next unclaimed payload shard (dynamic claiming: a member delayed
     /// by the OS donates its shards to its gang mates).
     next_shard: AtomicUsize,
     /// Shards whose payload has finished executing — the backlog signal
     /// the rescheduler's [`memtree_sim::LiveStats`] snapshot reports.
+    /// Kept by malleable gangs only.
     shards_done: AtomicUsize,
     /// Members the gang is entitled to — the driver's current allotment.
     /// Only the driver side moves it (a resize in the gang step, taken by
@@ -88,10 +122,24 @@ pub struct GangState {
 }
 
 impl GangState {
-    /// A fresh gang of `procs` members over `shards` payload shards.
-    pub fn new(procs: usize, shards: u32) -> Self {
+    /// A gang of `procs` members over `shards` payload shards that keeps
+    /// its allotment: no retirement checks and no progress count.
+    pub fn fixed(procs: usize, shards: u32) -> Self {
+        Self::new(procs, shards, false)
+    }
+
+    /// A gang of `procs` members over `shards` payload shards that a
+    /// rescheduler may grow ([`GangState::admit`]) and shrink
+    /// ([`GangState::release`]), and whose [`GangState::progress`] it
+    /// reads.
+    pub fn malleable(procs: usize, shards: u32) -> Self {
+        Self::new(procs, shards, true)
+    }
+
+    fn new(procs: usize, shards: u32, malleable: bool) -> Self {
         GangState {
             shards,
+            malleable,
             next_shard: AtomicUsize::new(0),
             shards_done: AtomicUsize::new(0),
             target: AtomicUsize::new(procs),
@@ -100,19 +148,45 @@ impl GangState {
         }
     }
 
+    /// One member's shard boundary: given the shard it just ran (`None`
+    /// before its first), what it does next. A malleable gang records the
+    /// finished shard, then checks for retirement, then claims; a fixed
+    /// gang only claims, and not even that after its last shard index.
+    pub fn step(&self, ran: Option<u32>) -> MemberStep {
+        if self.malleable {
+            if ran.is_some() {
+                self.finish_shard();
+            }
+            if self.try_retire() {
+                return MemberStep::Retire;
+            }
+        } else if ran.is_some_and(|shard| shard + 1 == self.shards) {
+            // Indices are handed out in order, so whoever ran the last
+            // one knows every shard is claimed.
+            return MemberStep::Exit;
+        }
+        self.claim().map_or(MemberStep::Exit, MemberStep::Run)
+    }
+
     /// Claims the next unexecuted payload shard, or `None` when the
     /// payload is exhausted (the member should exit).
-    pub fn claim(&self) -> Option<u32> {
-        // ordering: Relaxed — the fetch_add only allocates a unique shard
-        // index; the payload it indexes was published to every member by
-        // the spawn/queue-push edge before the gang started. Model-
-        // checked by model/gang.rs::claim_complete_exhaustive.
+    fn claim(&self) -> Option<u32> {
+        // ordering: Relaxed ×2 — the load only spares a member that finds
+        // the payload exhausted an RMW (the index only grows, so a load
+        // at or past the end means the fetch_add would be too); the
+        // fetch_add only allocates a unique shard index; the payload it
+        // indexes was published to every member by the spawn/queue-push
+        // edge before the gang started. Model-checked by
+        // model/gang.rs::claim_complete_exhaustive and ::fixed_gang_*.
+        if self.next_shard.load(Ordering::Relaxed) >= self.shards as usize {
+            return None;
+        }
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed);
         (shard < self.shards as usize).then_some(shard as u32)
     }
 
     /// Records one shard's payload as finished (progress accounting).
-    pub fn finish_shard(&self) {
+    fn finish_shard(&self) {
         // ordering: AcqRel — the release half publishes the shard's
         // payload effects to whoever observes the count ([`progress`]
         // loads Acquire); the acquire half chains prior finishers so the
@@ -121,6 +195,8 @@ impl GangState {
     }
 
     /// `(shards finished, total shards)` for the rescheduler's backlog.
+    /// Only a malleable gang counts its finished shards; a fixed gang
+    /// always reads 0 finished.
     pub fn progress(&self) -> (u32, u32) {
         // ordering: Acquire — pairs with the release in [`finish_shard`]:
         // a count of n implies n shards' payload effects are visible.
@@ -133,7 +209,7 @@ impl GangState {
     /// member won the CAS race to be the one that leaves. The CAS floor
     /// guarantees `active` never drops below `max(target, 1)`, so a gang
     /// always keeps a member to finish the payload and report completion.
-    pub fn try_retire(&self) -> bool {
+    fn try_retire(&self) -> bool {
         // ordering: Acquire on both loads — the retire decision must see
         // the freshest entitlement a driver-side release published; the
         // CAS below revalidates anyway, so these could arguably relax,
@@ -206,11 +282,13 @@ impl GangState {
     pub fn member_exit(&self) -> bool {
         // ordering: AcqRel — the acquire half is load-bearing: the member
         // whose decrement lands on 1 synchronizes with every earlier
-        // exit's release, which carries those members' finish_shard
-        // writes, so the reporter provably observes the whole payload
-        // complete. Model-checked by model/gang.rs (the
-        // memtree_loom_mutate_relaxed_exit teeth check downgrades this
-        // to Relaxed and the suite must fail on the stale progress read).
+        // exit's release, which carries those members' payload (and, in
+        // a malleable gang, finish_shard) writes, so the reporter
+        // provably observes the whole payload complete. Model-checked by
+        // model/gang.rs (the memtree_loom_mutate_relaxed_exit teeth check
+        // downgrades this to Relaxed and the suite must fail on the stale
+        // progress read, and the fixed-gang models on a stale payload
+        // effect).
         #[cfg(not(memtree_loom_mutate_relaxed_exit))]
         let last_out = self.active.fetch_sub(1, Ordering::AcqRel) == 1;
         #[cfg(memtree_loom_mutate_relaxed_exit)]
@@ -235,12 +313,10 @@ pub(crate) struct GangMember {
     pub(crate) gang: Arc<GangState>,
 }
 
-/// Pushes `n` member entries of `task`'s gang onto `staged`.
-fn stage(staged: &mut Vec<GangMember>, task: NodeId, gang: &Arc<GangState>, n: usize) {
-    staged.extend((0..n).map(|_| GangMember {
-        task,
-        gang: gang.clone(),
-    }));
+/// Pushes `n` member entries of `task`'s gang onto `staged`; the last
+/// one takes `gang` itself.
+fn stage(staged: &mut Vec<GangMember>, task: NodeId, gang: Arc<GangState>, n: usize) {
+    staged.extend(std::iter::repeat_n(gang, n).map(|gang| GangMember { task, gang }));
 }
 
 /// What one [`GangStep::step`] leaves its caller to do beside running the
@@ -312,14 +388,15 @@ impl<'a, S: Scheduler> GangStep<'a, S> {
         }
         let tick = core.step(completions, |i| gangs.get(&i).map(|g| g.progress()))?;
         for &(task, procs) in tick.launches {
-            let gang = Arc::new(GangState::new(
-                procs,
-                malleable_shards.unwrap_or(procs as u32),
-            ));
-            if malleable_shards.is_some() {
-                gangs.insert(task, gang.clone());
-            }
-            stage(staged, task, &gang, procs);
+            let gang = match *malleable_shards {
+                Some(shards) => {
+                    let gang = Arc::new(GangState::malleable(procs, shards));
+                    gangs.insert(task, gang.clone());
+                    gang
+                }
+                None => Arc::new(GangState::fixed(procs, procs as u32)),
+            };
+            stage(staged, task, gang, procs);
         }
         for r in tick.resizes {
             let gang = gangs.get(&r.node).ok_or_else(|| {
@@ -329,7 +406,7 @@ impl<'a, S: Scheduler> GangStep<'a, S> {
                 // Admit before staging: the active count covers the staged
                 // entries, so the completion countdown cannot race them.
                 gang.admit(r.to - r.from);
-                stage(staged, r.node, gang, r.to - r.from);
+                stage(staged, r.node, gang.clone(), r.to - r.from);
             } else {
                 gang.release(r.from - r.to);
             }
@@ -392,7 +469,8 @@ pub struct WorkerPool<'a, S, F> {
     payload: F,
     workers: usize,
     /// Worker-side occupancy measurement, independent of the core's
-    /// processor ledger.
+    /// processor ledger: members that have claimed a shard and not yet
+    /// left, so a member that finds every shard claimed never counts.
     busy: AtomicUsize,
     peak_busy: AtomicUsize,
 }
@@ -489,22 +567,30 @@ where
     }
 
     /// Runs `member` until the payload is exhausted (`Ok(false)`) or the
-    /// member retires at a shard boundary (`Ok(true)`).
+    /// member retires at a shard boundary (`Ok(true)`). The member counts
+    /// as busy from its first claimed shard until it leaves.
     fn run_member(&self, member: &GangMember) -> std::thread::Result<bool> {
         let gang = &member.gang;
+        let mut next = gang.step(None);
+        if !matches!(next, MemberStep::Run(_)) {
+            return Ok(next == MemberStep::Retire);
+        }
         let now_busy = self.busy.fetch_add(1, Ordering::AcqRel) + 1;
-        self.peak_busy.fetch_max(now_busy, Ordering::AcqRel);
+        // ordering: Relaxed — a filter only: the peak only grows, so a
+        // load at or above `now_busy` proves the fetch_max would change
+        // nothing, and a stale one only costs that RMW.
+        if now_busy > self.peak_busy.load(Ordering::Relaxed) {
+            self.peak_busy.fetch_max(now_busy, Ordering::AcqRel);
+        }
         let retired = catch_unwind(AssertUnwindSafe(|| loop {
-            // Shard boundaries are the only malleability points: check for
-            // retirement before claiming.
-            if gang.try_retire() {
-                break true;
+            match next {
+                MemberStep::Run(shard) => {
+                    (self.payload)(member.task, shard, gang.shards);
+                    next = gang.step(Some(shard));
+                }
+                MemberStep::Retire => break true,
+                MemberStep::Exit => break false,
             }
-            let Some(shard) = gang.claim() else {
-                break false;
-            };
-            (self.payload)(member.task, shard, gang.shards);
-            gang.finish_shard();
         }));
         self.busy.fetch_sub(1, Ordering::AcqRel);
         retired
@@ -768,6 +854,76 @@ mod tests {
             "a whole-machine gang must occupy several workers, got {}",
             stats.peak_busy
         );
+    }
+
+    /// A member whose mates already claimed every shard runs no payload
+    /// and never counts as busy; a member that runs shards counts once.
+    #[test]
+    fn a_member_that_finds_every_shard_claimed_stays_out_of_peak_busy() {
+        let tree = memtree_gen::shapes::chain(2, memtree_tree::TaskSpec::new(1, 2, 4.0));
+        let scheduler = WholeMachineChain {
+            order: memtree_tree::traverse::postorder(&tree),
+            next: 0,
+            procs: 2,
+        };
+        let payloads = AtomicUsize::new(0);
+        let payload = |_, _, _| {
+            payloads.fetch_add(1, Ordering::Relaxed);
+        };
+        let cfg = DriveConfig::new(2, u64::MAX / 2);
+        let pool = WorkerPool::new(&tree, cfg, scheduler, None, payload).unwrap();
+        let task = tree.root();
+
+        let drained = Arc::new(GangState::fixed(2, 2));
+        assert_eq!(drained.step(None), MemberStep::Run(0));
+        assert_eq!(drained.step(Some(0)), MemberStep::Run(1));
+        let late = GangMember {
+            task,
+            gang: drained,
+        };
+        assert!(!pool.run_member(&late).unwrap(), "an exit, not a retire");
+        assert_eq!(payloads.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.peak_busy.load(Ordering::Relaxed), 0);
+
+        let fresh = GangMember {
+            task,
+            gang: Arc::new(GangState::fixed(2, 2)),
+        };
+        assert!(!pool.run_member(&fresh).unwrap());
+        assert_eq!(payloads.load(Ordering::Relaxed), 2);
+        assert_eq!(pool.peak_busy.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.busy.load(Ordering::Relaxed), 0);
+    }
+
+    /// A fixed gang run to completion claims each shard once and makes no
+    /// claim that fails: the member that ran the last index stops, and a
+    /// member that finds the payload exhausted only loads the index. It
+    /// keeps no progress count either.
+    #[test]
+    fn a_fixed_gang_makes_exactly_one_claim_per_shard() {
+        let gang = GangState::fixed(4, 4);
+        // Two members interleave over the four shards; two arrive late.
+        assert_eq!(gang.step(None), MemberStep::Run(0));
+        assert_eq!(gang.step(None), MemberStep::Run(1));
+        assert_eq!(gang.step(Some(0)), MemberStep::Run(2));
+        assert_eq!(gang.step(Some(1)), MemberStep::Run(3));
+        assert_eq!(gang.step(Some(2)), MemberStep::Exit);
+        assert_eq!(gang.step(Some(3)), MemberStep::Exit);
+        assert_eq!(gang.step(None), MemberStep::Exit);
+        assert_eq!(gang.step(None), MemberStep::Exit);
+        assert_eq!(gang.next_shard.load(Ordering::Relaxed), 4, "a claim failed");
+        assert_eq!(gang.progress(), (0, 4));
+        let reports: Vec<bool> = (0..4).map(|_| gang.member_exit()).collect();
+        assert_eq!(reports, [false, false, false, true]);
+
+        // A malleable gang counts every shard, and its member claims once
+        // more after the last one: only a load, the payload is exhausted.
+        let gang = GangState::malleable(1, 2);
+        assert_eq!(gang.step(None), MemberStep::Run(0));
+        assert_eq!(gang.step(Some(0)), MemberStep::Run(1));
+        assert_eq!(gang.step(Some(1)), MemberStep::Exit);
+        assert_eq!(gang.progress(), (2, 2));
+        assert_eq!(gang.next_shard.load(Ordering::Relaxed), 2);
     }
 
     /// A legal start followed by a double start in one event.

@@ -17,22 +17,31 @@
 //! `min_feasible`: a job's against the job's own (possibly mutated) tree,
 //! a bare spec against its base's valid tree.
 //!
-//! The tier-1 tests run 500 cases per boundary; the ignored test runs
+//! Constructors are total too (ROADMAP Y, constructor half): for random
+//! trees, orders of that tree or of another one, any memory bound and caps
+//! of any length, every policy's `try_new`, `PolicyInstance::from_parts`,
+//! `relaid` and the scheduler an instance mints return a value or an
+//! error, and never panic.
+//!
+//! The tier-1 tests run 500 cases per boundary; the ignored tests run
 //! 10 000 per boundary:
 //!
 //! ```text
 //! cargo test --release -p memtree_runtime --test boundaries -- --ignored
 //! ```
 
-use memtree_order::OrderKind;
+use memtree_order::{make_order, OrderKind};
 use memtree_runtime::process::wire::{self, WorkerMsg};
 use memtree_runtime::{DriveError, PlatformError, RunReport, Workload};
-use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec, SchedError};
+use memtree_sched::{
+    to_reduction_tree, Activation, AllotmentCaps, HeuristicKind, MemBooking, MemBookingRef,
+    MoldableMemBooking, PolicyInstance, PolicySpec, RedTreeBooking, SchedError, Sequential,
+};
 use memtree_tree::io::{tree_from_str, tree_to_string};
-use memtree_tree::TaskTree;
+use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// What a number token may be swapped for: zero, the edges of `u32` and
@@ -310,6 +319,134 @@ fn check(boundary: Boundary, (base, mutations): &Case) {
     );
 }
 
+/// Every choice of one constructor case, drawn from its seed
+/// (splitmix64).
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())]
+    }
+}
+
+/// Every order strategy.
+const ORDER_KINDS: [OrderKind; 6] = [
+    OrderKind::MemPostorder,
+    OrderKind::OptSeq,
+    OrderKind::CriticalPath,
+    OrderKind::PerfPostorder,
+    OrderKind::AvgMemPostorder,
+    OrderKind::NaturalPostorder,
+];
+
+/// Data sizes a random tree's tasks draw from: empty, small, and large
+/// enough that sums near `u64::MAX`.
+const SIZES: [u64; 6] = [0, 1, 7, 1 << 20, u64::MAX >> 7, u64::MAX >> 5];
+
+/// A tree of 1 to 24 tasks: a paper tree, or random parents with sizes
+/// from `SIZES` (a paper tree of the same size when their total memory
+/// overflows and the builder refuses them).
+fn random_tree(d: &mut Draw) -> TaskTree {
+    let n = 1 + d.below(24);
+    let seed = d.next();
+    if d.below(2) == 0 {
+        return memtree_gen::synthetic::paper_tree(n, seed);
+    }
+    let parents: Vec<_> = (0..n).map(|i| (i > 0).then(|| d.below(i))).collect();
+    let specs: Vec<_> = (0..n)
+        .map(|_| TaskSpec::new(d.pick(&SIZES), d.pick(&SIZES), 1.0 + d.below(9) as f64))
+        .collect();
+    TaskTree::from_parents(&parents, &specs)
+        .unwrap_or_else(|_| memtree_gen::synthetic::paper_tree(n, seed))
+}
+
+/// One constructor case: two random trees and the reduction tree of the
+/// first; orders of any of the three, mostly of the first; a memory bound from the edges or
+/// the first tree's floor; caps of any length, each ≥ 1. Every
+/// constructor gets the first tree (or, one time in four, its reduction
+/// tree) and answers with a value or an error.
+fn construct(seed: u64) {
+    let mut d = Draw(seed);
+    let a = random_tree(&mut d);
+    let b = random_tree(&mut d);
+    let red = to_reduction_tree(&a).tree;
+    // Orders of the first tree half the time, so that some cases build.
+    let trees = [&a, &a, &b, &red];
+    let ao = make_order(d.pick(&trees), d.pick(&ORDER_KINDS));
+    let eo = make_order(d.pick(&trees), d.pick(&ORDER_KINDS));
+    let floor = memtree_sched::min_feasible_memory(&a);
+    let any = d.next();
+    let memory = d.pick(&[0, 1, floor.saturating_sub(1), floor, u64::MAX, any]);
+    let any = 1 + d.below(2 * a.len() + 1);
+    let len = d.pick(&[a.len(), red.len(), any]);
+    let caps: Vec<u32> = (0..len)
+        .map(|_| {
+            let any = 1 + d.below(64) as u32;
+            d.pick(&[1, 2, 4, u32::MAX, any])
+        })
+        .collect();
+    let t = if d.below(4) == 0 { &red } else { &a };
+
+    let _ = Activation::try_new(t, &ao, &eo, memory);
+    let _ = MemBooking::try_new(t, &ao, &eo, memory);
+    let _ = MemBookingRef::try_new(t, &ao, &eo, memory);
+    let moldable = AllotmentCaps::from_caps(caps.clone());
+    let _ = MoldableMemBooking::try_new(t, &ao, &eo, memory, moldable);
+    let _ = RedTreeBooking::try_new(t, &ao, &eo, memory);
+    let _ = Sequential::try_new(t, &ao, memory);
+
+    let kind = d.pick(&HeuristicKind::all());
+    let transformed = match d.below(4) {
+        0 | 1 => None,
+        2 => Some(Arc::new(red.clone())),
+        _ => Some(Arc::new(b.clone())),
+    };
+    let caps = (d.below(2) == 0).then(|| AllotmentCaps::from_caps(caps));
+    let (ao, eo) = (Arc::new(ao), Arc::new(eo));
+    let Ok(instance) = PolicyInstance::from_parts(kind, memory, &a, transformed, ao, eo, caps)
+    else {
+        return;
+    };
+    let _ = instance.scheduler(&a);
+    for original in [&a, &b] {
+        if let Ok(relaid) = instance.relaid(original) {
+            let _ = relaid.scheduler(original);
+        }
+    }
+}
+
+/// The constructor property: case `seed` builds or errs, never panics.
+fn check_constructors(seed: u64) {
+    let outcome = catch_unwind(AssertUnwindSafe(|| construct(seed)));
+    assert!(outcome.is_ok(), "a constructor panicked on case {seed:#x}");
+}
+
+/// Moldable caps of the wrong length are an error, not a panic (two caps
+/// for a three-task tree used to trip an `assert_eq!`).
+#[test]
+fn moldable_caps_of_the_wrong_length_are_refused() {
+    let tree = memtree_gen::synthetic::paper_tree(3, 1);
+    let ao = make_order(&tree, OrderKind::MemPostorder);
+    let caps = AllotmentCaps::from_caps(vec![2, 2]);
+    let err = MoldableMemBooking::try_new(&tree, &ao, &ao, u64::MAX, caps).err();
+    assert!(
+        matches!(err, Some(SchedError::InvalidSpec(_))),
+        "got {err:?}"
+    );
+}
+
 /// The job that first showed a spec resolved against its own extreme
 /// tree: `OptSeq` orders over a tree whose root outputs `u64::MAX`. The
 /// tree's total memory overflows `u64`, so the tree, and with it the job,
@@ -353,6 +490,11 @@ proptest! {
     fn spec_parser_never_panics(case in arb_case()) {
         check(Boundary::Spec, &case);
     }
+
+    #[test]
+    fn constructors_never_panic(seed in 0u64..=u64::MAX) {
+        check_constructors(seed);
+    }
 }
 
 proptest! {
@@ -364,5 +506,11 @@ proptest! {
         for boundary in [Boundary::Job, Boundary::Report, Boundary::Tree, Boundary::Spec] {
             check(boundary, &case);
         }
+    }
+
+    #[test]
+    #[ignore = "10 000 constructor cases; run in release"]
+    fn constructors_never_panic_at_scale(seed in 0u64..=u64::MAX) {
+        check_constructors(seed);
     }
 }

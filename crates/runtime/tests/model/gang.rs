@@ -1,41 +1,55 @@
 //! Gang member-ledger models: every payload shard runs exactly once,
 //! exactly one completion report per gang, the retire CAS floor, and the
-//! grow-after-completion latch. Mirrors the worker protocol in
-//! `executor.rs` (`try_retire` → `claim` → payload → `finish_shard`,
-//! then `member_exit` for non-retired members) with the payload replaced
-//! by a per-shard run counter.
+//! grow-after-completion latch. Every member runs the production member
+//! step, `GangState::step` (malleable: `finish_shard` → `try_retire` →
+//! `claim`; fixed: `claim` only), then `member_exit` unless it retired,
+//! with the payload replaced by a per-shard run counter.
 
-use memtree_runtime::executor::GangState;
+use memtree_runtime::executor::{GangState, MemberStep};
 use minloom::sync::atomic::{AtomicUsize, Ordering};
 use minloom::sync::Arc;
 use minloom::{thread, Config};
 
-/// One gang member's whole life, as in the executor's worker loop.
-/// Returns `(retired, reported)`.
-fn member(gang: &GangState, shard_runs: &[AtomicUsize]) -> (bool, bool) {
+/// One gang member's whole life, as in the executor's worker loop; a
+/// `malleable` gang's reporter also checks the progress count. Returns
+/// `(retired, reported)`.
+fn member(gang: &GangState, shard_runs: &[AtomicUsize], malleable: bool) -> (bool, bool) {
+    let mut next = gang.step(None);
     loop {
-        if gang.try_retire() {
-            return (true, false);
+        match next {
+            MemberStep::Run(shard) => {
+                // The payload: visible, countable effect per shard.
+                shard_runs[shard as usize].fetch_add(1, Ordering::Relaxed);
+                next = gang.step(Some(shard));
+            }
+            MemberStep::Retire => return (true, false),
+            MemberStep::Exit => break,
         }
-        let Some(shard) = gang.claim() else { break };
-        // The payload: visible, countable effect per shard.
-        shard_runs[shard as usize].fetch_add(1, Ordering::Relaxed);
-        gang.finish_shard();
     }
     let reported = gang.member_exit();
     if reported {
         // The invariant the executor's completion step rides on, and it
         // must hold HERE, on the reporter thread, at report time: the
         // exit chain's AcqRel decrements are the only edges carrying the
-        // other members' finish_shard writes to the reporter. (Asserting
-        // this after join() on the main thread would prove nothing —
-        // joins synchronize everything.) The relaxed-exit teeth check
-        // breaks exactly this read.
-        let (done, total) = gang.progress();
-        assert_eq!(
-            done, total,
-            "reporter must observe the whole payload finished"
-        );
+        // other members' payload writes to the reporter. (Asserting this
+        // after join() on the main thread would prove nothing — joins
+        // synchronize everything.) The relaxed-exit teeth check breaks
+        // exactly this read: of `shards_done` in a malleable gang, of the
+        // payload counters themselves in a fixed one.
+        if malleable {
+            let (done, total) = gang.progress();
+            assert_eq!(
+                done, total,
+                "reporter must observe the whole payload finished"
+            );
+        }
+        for (s, runs) in shard_runs.iter().enumerate() {
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                1,
+                "reporter must observe shard {s}'s payload"
+            );
+        }
     }
     (false, reported)
 }
@@ -58,13 +72,13 @@ fn check_all_shards_ran_once(shard_runs: &[AtomicUsize]) {
 #[test]
 fn claim_complete_exhaustive() {
     let iterations = minloom::model_with(Config::with_preemption_bound(2), || {
-        let gang = Arc::new(GangState::new(2, 3));
+        let gang = Arc::new(GangState::malleable(2, 3));
         let shard_runs: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         let members: Vec<_> = (0..2)
             .map(|_| {
                 let gang = gang.clone();
                 let shard_runs = shard_runs.clone();
-                thread::spawn(move || member(&gang, &shard_runs[..]))
+                thread::spawn(move || member(&gang, &shard_runs[..], true))
             })
             .collect();
         let mut reports = 0;
@@ -92,13 +106,13 @@ fn claim_complete_exhaustive() {
 #[test]
 fn shrink_retires_exact_surplus() {
     minloom::model_with(Config::with_preemption_bound(2), || {
-        let gang = Arc::new(GangState::new(2, 3));
+        let gang = Arc::new(GangState::malleable(2, 3));
         let shard_runs: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
         let members: Vec<_> = (0..2)
             .map(|_| {
                 let gang = gang.clone();
                 let shard_runs = shard_runs.clone();
-                thread::spawn(move || member(&gang, &shard_runs[..]))
+                thread::spawn(move || member(&gang, &shard_runs[..], true))
             })
             .collect();
         // Driver thread: shrink the entitlement to 1 mid-flight.
@@ -125,12 +139,12 @@ fn shrink_retires_exact_surplus() {
 #[test]
 fn grow_after_final_shard_reports_once() {
     minloom::model_with(Config::with_preemption_bound(2), || {
-        let gang = Arc::new(GangState::new(1, 1));
+        let gang = Arc::new(GangState::malleable(1, 1));
         let shard_runs: Arc<[AtomicUsize; 1]> = Arc::new(Default::default());
         let first = {
             let gang = gang.clone();
             let shard_runs = shard_runs.clone();
-            thread::spawn(move || member(&gang, &shard_runs[..]))
+            thread::spawn(move || member(&gang, &shard_runs[..], true))
         };
         // Driver side: admit before staging the member entry, as the
         // stepping worker applies a grow — racing the first member's
@@ -139,7 +153,7 @@ fn grow_after_final_shard_reports_once() {
         let second = {
             let gang = gang.clone();
             let shard_runs = shard_runs.clone();
-            thread::spawn(move || member(&gang, &shard_runs[..]))
+            thread::spawn(move || member(&gang, &shard_runs[..], true))
         };
         let mut reports = 0;
         for m in [first, second] {
@@ -150,4 +164,44 @@ fn grow_after_final_shard_reports_once() {
         check_all_shards_ran_once(&shard_runs[..]);
         assert_eq!(reports, 1, "the reported latch must stop the second drain");
     });
+}
+
+/// `members` members of a fixed gang over 3 shards, no resizing — the
+/// gang of every run without a rescheduler, which keeps no progress
+/// count and makes no retirement check. Every shard runs exactly once,
+/// nobody retires, exactly one member reports, and the reporter observes
+/// every shard's payload effect through the per-shard counters alone (the
+/// `memtree_loom_mutate_relaxed_exit` teeth check must fail here by name:
+/// without the exit chain's edges the reporter reads a stale counter).
+fn fixed_gang(members: usize) {
+    let iterations = minloom::model_with(Config::with_preemption_bound(2), move || {
+        let gang = Arc::new(GangState::fixed(members, 3));
+        let shard_runs: Arc<[AtomicUsize; 3]> = Arc::new(Default::default());
+        let handles: Vec<_> = (0..members)
+            .map(|_| {
+                let gang = gang.clone();
+                let shard_runs = shard_runs.clone();
+                thread::spawn(move || member(&gang, &shard_runs[..], false))
+            })
+            .collect();
+        let mut reports = 0;
+        for m in handles {
+            let (retired, reported) = m.join().expect("member panicked");
+            assert!(!retired, "nobody retires from a fixed gang");
+            reports += usize::from(reported);
+        }
+        check_all_shards_ran_once(&shard_runs[..]);
+        assert_eq!(reports, 1, "exactly one completion report");
+    });
+    assert!(iterations > 1, "model explored more than one schedule");
+}
+
+#[test]
+fn fixed_gang_two_members_three_shards() {
+    fixed_gang(2);
+}
+
+#[test]
+fn fixed_gang_three_members_three_shards() {
+    fixed_gang(3);
 }

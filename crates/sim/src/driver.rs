@@ -33,6 +33,7 @@
 use crate::scheduler::Scheduler;
 use memtree_tree::memory::LiveSet;
 use memtree_tree::{BitSet, NodeId, TaskTree};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Driver configuration shared by all platforms.
@@ -158,7 +159,8 @@ pub struct DriveStats {
     /// callbacks. The callbacks of the first 61 steps are timed exactly;
     /// after them one step in 61 is timed, and the sampled mean stands for
     /// every step it samples. A run of at most 61 events reports its exact
-    /// sum.
+    /// sum. Each timing has the stopwatch's own reading, calibrated once
+    /// per process, taken off it.
     pub scheduling_seconds: f64,
     /// Peak memory booked by the policy.
     pub peak_booked: u64,
@@ -169,7 +171,9 @@ pub struct DriveStats {
     /// Peak sum of live allotments (busy processors). Always ≤ the
     /// configured worker count — the driver rejects the start otherwise.
     /// The threaded executor reports its workers' own measurement here
-    /// instead of the ledger's.
+    /// instead of the ledger's: workers inside a payload at once. A gang
+    /// member counts from the first shard it claims until it leaves, so
+    /// one that finds every shard already claimed never counts.
     pub peak_busy: usize,
 }
 
@@ -645,10 +649,33 @@ impl<'a, S: Scheduler, R: Rescheduler + ?Sized + 'a> DriverCore<'a, S, R> {
 /// recurs every 2ᵏ events) cannot alias with it.
 const STRIDE: usize = 61;
 
+/// Empty clock-read pairs whose minimum is the stopwatch's own reading.
+const FLOOR_PAIRS: usize = 32;
+
+/// Seconds `callback` takes, as the callback clock reads them: the
+/// stopwatch's own cost included.
+fn time(callback: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    callback();
+    t0.elapsed().as_secs_f64()
+}
+
+/// What the callback clock reads around nothing: the minimum over
+/// `FLOOR_PAIRS` empty timings, calibrated once per process.
+fn stopwatch_floor() -> f64 {
+    static FLOOR: OnceLock<f64> = OnceLock::new();
+    *FLOOR.get_or_init(|| {
+        (0..FLOOR_PAIRS)
+            .map(|_| time(|| {}))
+            .fold(f64::INFINITY, f64::min)
+    })
+}
+
 /// The estimate behind [`DriveStats::scheduling_seconds`]. A clock read
 /// pair costs about as much as a cheap scheduler callback, so only the
 /// steps `0..STRIDE` and every `STRIDE`-th step after them are timed; on a
-/// timed step both callbacks are.
+/// timed step both callbacks are, and each timing has the stopwatch's own
+/// reading (`stopwatch_floor`) taken off, clamped at zero.
 #[derive(Default)]
 struct CallbackClock {
     /// Seconds in the callbacks of steps `0..STRIDE`.
@@ -665,9 +692,7 @@ impl CallbackClock {
             callback();
             return;
         }
-        let t0 = Instant::now();
-        callback();
-        let seconds = t0.elapsed().as_secs_f64();
+        let seconds = (time(callback) - stopwatch_floor()).max(0.0);
         if step < STRIDE {
             self.exact += seconds;
         } else {
@@ -1140,6 +1165,59 @@ mod tests {
         assert!(
             estimate <= injected * 1.2,
             "estimated {estimate} s of {injected} s"
+        );
+    }
+
+    /// Starts a chain built root first (`memtree_gen::shapes::chain`)
+    /// leaf first, one node per event: about the least a callback can do
+    /// and still drive the run.
+    struct ChainWalker(usize);
+
+    impl Scheduler for ChainWalker {
+        fn name(&self) -> &str {
+            "chain-walker-test"
+        }
+        fn on_event(&mut self, _: &[NodeId], _: usize, to_start: &mut Vec<(NodeId, usize)>) {
+            if let Some(next) = self.0.checked_sub(1) {
+                self.0 = next;
+                to_start.push((NodeId(next as u32), 1));
+            }
+        }
+        fn booked(&self) -> u64 {
+            2
+        }
+    }
+
+    /// A callback that does next to nothing reads next to nothing: less
+    /// than half the stopwatch floor per event. Counted in, the stopwatch
+    /// alone would read about the floor per event or more (the floor is
+    /// the fastest of a few dozen empty pairs; a typical pair is slower).
+    /// A run whose thread was preempted inside a sampled step reads that
+    /// preemption 61-fold, so the best of a few runs is what is compared.
+    /// Unoptimised, the callback alone costs about the floor (≈ 40 ns per
+    /// event against a floor of 35–50 ns), so the claim is checked in
+    /// release builds.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "ns-scale timing; run with --release")]
+    fn the_stopwatch_is_not_counted() {
+        let n = 100_000;
+        let t = memtree_gen::shapes::chain(n, TaskSpec::new(0, 1, 1.0));
+        let floor = stopwatch_floor();
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let stats = pump(&t, DriveConfig::new(1, 2), ChainWalker(n), None)
+                .0
+                .unwrap();
+            assert_eq!(stats.events, n + 1);
+            best = best.min(stats.scheduling_seconds / stats.events as f64);
+            if best < floor / 2.0 {
+                return;
+            }
+        }
+        panic!(
+            "{:.1} ns per event, stopwatch floor {:.1} ns",
+            best * 1e9,
+            floor * 1e9
         );
     }
 
