@@ -14,9 +14,9 @@
 //!
 //! The scheduling contract is untouched: the calling thread takes the
 //! threaded pool's very gang step (`executor::GangStep`) — the same
-//! driver core, gang registry, grows and shrinks — spawns every member it
-//! stages as a future, and blocks on the completion channel for the next
-//! batch. The driver's capacity ledger still counts `workers` logical
+//! driver core, gang registry, grows and shrinks — spawns one future per
+//! member of every entry it stages, and blocks on the completion channel
+//! for the next batch. The driver's capacity ledger still counts `workers` logical
 //! processors, and booking is still audited at every event. A panicking
 //! payload ends its member with a notice on that same channel, so the
 //! failure arrives as promptly as a completion. Every
@@ -123,7 +123,10 @@ impl AsyncPlatform {
         let mut staged = Vec::with_capacity(self.workers);
         loop {
             let stepped = step.step(&mut completions, &mut staged)?;
-            for member in staged.drain(..) {
+            for (member, members) in staged.drain(..) {
+                for _ in 1..members {
+                    spawn_member(&rt, &tree, self.workload, &done_tx, member.clone());
+                }
                 spawn_member(&rt, &tree, self.workload, &done_tx, member);
             }
             if stepped.over {
@@ -170,7 +173,7 @@ fn spawn_member(
                 // the last such exit is the one completion that releases
                 // the whole gang.
                 MemberStep::Retire => return None,
-                MemberStep::Exit => return gang.member_exit().then_some(task),
+                MemberStep::Exit => return gang.member_exit(1).then_some(task),
             }
         }
     });

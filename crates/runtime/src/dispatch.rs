@@ -1,22 +1,32 @@
 //! [`BatchQueue`]: the threaded executor's dispatch queue (DESIGN.md
 //! §6.4).
 //!
-//! A worker that steps the driver core hands the gang-member entries of
-//! the tasks it launched — all but the one it keeps to run itself — to
-//! the rest of the pool. On a general-purpose MPMC channel each entry is
-//! one `send` — one lock and one unconditional condvar notify, i.e. one
-//! futex syscall — and on a busy CPU every such wake preempts the sender.
-//! This queue is shaped for the protocol instead:
+//! A worker that steps the driver core hands the gang members of the
+//! tasks it launched — all but the one it keeps to run itself — to the
+//! rest of the pool. On a general-purpose MPMC channel each member is one
+//! `send` — one lock and one unconditional condvar notify, i.e. one futex
+//! syscall — and on a busy CPU every such wake preempts the sender. This
+//! queue is shaped for the protocol instead:
 //!
+//! * **One entry per gang.** An entry stands for `k ≥ 1` members of one
+//!   item: [`BatchQueue::pop`] splits one member off the front entry and
+//!   clones the item only when others stay behind, so a gang of `q`
+//!   costs one queue slot and one clone per member actually popped.
+//! * **Withdrawal.** [`BatchQueue::withdraw`] removes, under the lock,
+//!   every entry a predicate picks and returns how many members they
+//!   held. A gang member that finds the payload exhausted takes its
+//!   still-queued mates back this way and leaves for all of them at once
+//!   (`executor::WorkerPool`), instead of each mate paying a pop, a
+//!   claim load and an exit of its own.
 //! * **One lock per step.** [`BatchQueue::push_batch`] moves a whole
-//!   step's member entries in under one lock.
-//! * **Wakes follow demand.** The queue counts its parked receivers. A
-//!   push wakes one while there is both unclaimed work and a parked
-//!   receiver, and re-checks under the lock after every wake: when the
-//!   woken receiver gets to run first (an oversubscribed CPU) it drains
-//!   the batch and the loop stops after one wake; when it does not (idle
-//!   cores) the next parked receiver is woken straight away, up to one
-//!   per entry.
+//!   step's entries in under one lock.
+//! * **Wakes follow demand.** The queue counts its parked receivers and
+//!   its queued members. A push wakes one receiver while there is both an
+//!   unclaimed member and a parked receiver, and re-checks under the lock
+//!   after every wake: when the woken receiver gets to run first (an
+//!   oversubscribed CPU) it drains the batch and the loop stops after one
+//!   wake; when it does not (idle cores) the next parked receiver is
+//!   woken straight away, up to one per member.
 //! * **No syscall without a sleeper.** A push that finds nobody parked
 //!   never touches the condvar.
 //! * **A receiver yields once before it sleeps.** A receiver that finds
@@ -35,10 +45,10 @@
 //!
 //! Built on the [`crate::sync`] façade, so the minloom suite
 //! (`tests/model/dispatch.rs`, DESIGN.md §6.13) checks the wake protocol
-//! over every bounded interleaving: each entry is popped exactly once, no
-//! receiver stays parked while work is queued, and `close` wakes every
-//! parked receiver, including one that yields in between its empty check
-//! and its park.
+//! over every bounded interleaving: each member is popped or withdrawn
+//! exactly once, no receiver stays parked while members are queued, and
+//! `close` wakes every parked receiver, including one that yields in
+//! between its empty check and its park.
 
 use crate::sync::{thread, Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -50,7 +60,11 @@ use std::sync::PoisonError;
 pub struct Closed;
 
 struct State<T> {
-    queue: VecDeque<T>,
+    /// Entries in FIFO order, each an item and its member count (≥ 1).
+    queue: VecDeque<(T, usize)>,
+    /// Members of every queued entry: the work the wakes are counted
+    /// against.
+    members: usize,
     /// Receivers blocked in `ready.wait` that no push has picked to wake
     /// yet. `parked + wakes` is the number of threads inside the wait.
     parked: usize,
@@ -60,20 +74,21 @@ struct State<T> {
     closed: bool,
 }
 
-/// An unbounded FIFO queue with batch push and demand-counted wakes; see
-/// the module docs.
+/// An unbounded FIFO queue of counted entries with batch push, withdrawal
+/// and demand-counted wakes; see the module docs.
 pub struct BatchQueue<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
 }
 
-impl<T> BatchQueue<T> {
+impl<T: Clone> BatchQueue<T> {
     /// An open, empty queue with room for `capacity` entries before its
     /// ring buffer has to grow.
     pub fn with_capacity(capacity: usize) -> Self {
         BatchQueue {
             state: Mutex::new(State {
                 queue: VecDeque::with_capacity(capacity),
+                members: 0,
                 parked: 0,
                 wakes: 0,
                 closed: false,
@@ -84,15 +99,16 @@ impl<T> BatchQueue<T> {
 
     fn lock(&self) -> MutexGuard<'_, State<T>> {
         // Every critical section leaves the state valid at each step
-        // (a counter bump or a ring-buffer push/pop), so a poisoned lock
-        // still guards a usable queue.
+        // (a counter bump, or a ring-buffer push/pop with its member
+        // count), so a poisoned lock still guards a usable queue.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Moves every entry of `items` into the queue, in order, under one
-    /// lock, and leaves `items` empty with its capacity intact. An empty
-    /// batch is a no-op.
-    pub fn push_batch(&self, items: &mut Vec<T>) -> Result<(), Closed> {
+    /// Moves every `(item, members)` entry of `items` into the queue, in
+    /// order, under one lock, and leaves `items` empty with its capacity
+    /// intact. Every entry stands for `members ≥ 1` pops of its item. An
+    /// empty batch is a no-op.
+    pub fn push_batch(&self, items: &mut Vec<(T, usize)>) -> Result<(), Closed> {
         if items.is_empty() {
             return Ok(());
         }
@@ -108,17 +124,21 @@ impl<T> BatchQueue<T> {
             items.clear();
             return Err(Closed);
         }
-        st.queue.extend(items.drain(..));
+        for (item, members) in items.drain(..) {
+            debug_assert!(members >= 1, "an entry stands for at least one member");
+            st.members += members;
+            st.queue.push_back((item, members));
+        }
         #[cfg(memtree_loom_mutate_dispatch_wake)]
         if nobody_parked {
             return Ok(());
         }
-        // Wake while there is both unclaimed work (entries beyond those
+        // Wake while there is both unclaimed work (members beyond those
         // the in-flight wakes already cover) and a parked receiver. The
         // notify happens outside the lock, so a receiver that preempts
         // this thread finds the mutex free; the state is then re-read,
         // because that receiver may already have drained the batch.
-        while st.parked > 0 && st.queue.len() > st.wakes {
+        while st.parked > 0 && st.members > st.wakes {
             st.parked -= 1;
             st.wakes += 1;
             drop(st);
@@ -143,14 +163,24 @@ impl<T> BatchQueue<T> {
         st
     }
 
-    /// Blocks for the next entry; `None` once the queue is closed and
-    /// empty.
+    /// Blocks for the next member: splits one off the front entry, cloning
+    /// its item only while other members stay queued. `None` once the
+    /// queue is closed and empty.
     pub fn pop(&self) -> Option<T> {
         let mut st = self.lock();
         let mut yielded = false;
         loop {
-            if let Some(item) = st.queue.pop_front() {
-                return Some(item);
+            let popped = match st.queue.front_mut() {
+                Some((item, members)) if *members > 1 => {
+                    let item = item.clone();
+                    *members -= 1;
+                    Some(item)
+                }
+                _ => st.queue.pop_front().map(|(item, _)| item),
+            };
+            if popped.is_some() {
+                st.members -= 1;
+                return popped;
             }
             if st.closed {
                 return None;
@@ -158,7 +188,7 @@ impl<T> BatchQueue<T> {
             if !yielded {
                 // Yield once, uncounted, before parking: a push that lands
                 // meanwhile finds nobody parked and makes no syscall, and
-                // this receiver takes its entry when it runs again.
+                // this receiver takes its member when it runs again.
                 yielded = true;
                 drop(st);
                 thread::yield_now();
@@ -177,6 +207,27 @@ impl<T> BatchQueue<T> {
         }
     }
 
+    /// Removes every queued entry whose item `pick` selects, keeping the
+    /// others in order, and returns how many members the removed entries
+    /// held. Works on a closed queue too. A wake already issued for a
+    /// withdrawn member only sends its receiver back to the empty check.
+    pub fn withdraw(&self, mut pick: impl FnMut(&T) -> bool) -> usize {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let mut withdrawn = 0;
+        st.queue.retain(|&(ref item, members)| {
+            let keep = !pick(item);
+            if !keep {
+                // Counted entry by entry, so a panicking `pick` leaves the
+                // total in step with the queue.
+                st.members -= members;
+                withdrawn += members;
+            }
+            keep
+        });
+        withdrawn
+    }
+
     /// Refuses further pushes and wakes every parked receiver; the
     /// backlog stays poppable. Idempotent.
     pub fn close(&self) {
@@ -191,14 +242,19 @@ impl<T> BatchQueue<T> {
 mod tests {
     use super::*;
 
+    /// Entries of one member each.
+    fn units(items: impl IntoIterator<Item = u32>) -> Vec<(u32, usize)> {
+        items.into_iter().map(|v| (v, 1)).collect()
+    }
+
     #[test]
     fn fifo_within_and_across_batches() {
         let q = BatchQueue::with_capacity(4);
-        let mut batch = vec![1, 2, 3];
+        let mut batch = units([1, 2, 3]);
         q.push_batch(&mut batch).unwrap();
         assert!(batch.is_empty() && batch.capacity() >= 3);
-        q.push_batch(&mut vec![4]).unwrap();
-        batch.extend([5, 6]);
+        q.push_batch(&mut units([4])).unwrap();
+        batch.extend(units([5, 6]));
         q.push_batch(&mut batch).unwrap();
         for want in 1..=6 {
             assert_eq!(q.pop(), Some(want));
@@ -206,13 +262,54 @@ mod tests {
     }
 
     #[test]
+    fn a_counted_entry_is_popped_once_per_member_in_place() {
+        let q = BatchQueue::with_capacity(4);
+        q.push_batch(&mut vec![(1, 1), (2, 3), (3, 1)]).unwrap();
+        q.push_batch(&mut vec![(4, 2)]).unwrap();
+        q.close();
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped, [1, 2, 2, 2, 3, 4, 4]);
+    }
+
+    #[test]
+    fn withdrawal_counts_members_and_keeps_the_others_in_order() {
+        let q = BatchQueue::with_capacity(4);
+        q.push_batch(&mut vec![(1, 2), (7, 3), (2, 1), (7, 1), (3, 4)])
+            .unwrap();
+        // One member of the front entry is already out: only the queued
+        // ones are withdrawn.
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.withdraw(|&v| v == 1), 1);
+        assert_eq!(q.withdraw(|&v| v == 7), 4, "both entries, every member");
+        assert_eq!(q.withdraw(|&v| v == 7), 0, "nothing left to withdraw");
+        q.close();
+        let popped: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            popped,
+            [2, 3, 3, 3, 3],
+            "a withdrawn member is never popped"
+        );
+    }
+
+    #[test]
+    fn withdrawal_works_on_a_closed_queue() {
+        let q = BatchQueue::with_capacity(2);
+        q.push_batch(&mut vec![(5, 3), (6, 1)]).unwrap();
+        q.close();
+        assert_eq!(q.withdraw(|&v| v == 5), 3);
+        assert_eq!(q.pop(), Some(6));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.withdraw(|_| true), 0);
+    }
+
+    #[test]
     fn close_keeps_the_backlog_and_refuses_new_entries() {
         let q = BatchQueue::with_capacity(2);
-        q.push_batch(&mut vec![1]).unwrap();
+        q.push_batch(&mut units([1])).unwrap();
         q.close();
         q.close();
-        assert_eq!(q.push_batch(&mut vec![2]), Err(Closed));
-        let mut batch = vec![3, 4];
+        assert_eq!(q.push_batch(&mut units([2])), Err(Closed));
+        let mut batch = units([3, 4]);
         assert_eq!(q.push_batch(&mut batch), Err(Closed));
         assert!(batch.is_empty(), "a refused batch is dropped, not kept");
         assert_eq!(
@@ -257,7 +354,7 @@ mod tests {
                 .collect();
             let mut batch = Vec::with_capacity(per_batch);
             for b in 0..batches {
-                batch.extend((0..per_batch).map(|k| b * per_batch + k));
+                batch.extend((0..per_batch).map(|k| (b * per_batch + k, 1)));
                 q.push_batch(&mut batch).unwrap();
             }
             q.close();
@@ -272,5 +369,46 @@ mod tests {
         });
         seen.sort_unstable();
         assert_eq!(seen, (0..batches * per_batch).collect::<Vec<_>>());
+    }
+
+    /// Gang-shaped traffic: every batch is one entry of several members,
+    /// and a pusher withdraws whatever of the previous one is still
+    /// queued. Every member is popped or withdrawn exactly once.
+    #[test]
+    fn counted_entries_reach_contending_receivers_or_come_back_exactly_once() {
+        let q = BatchQueue::with_capacity(8);
+        let batches = 500usize;
+        let members = 3usize;
+        let (popped, withdrawn) = std::thread::scope(|scope| {
+            let receivers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut got = vec![0usize; batches];
+                        while let Some(b) = q.pop() {
+                            got[b] += 1;
+                        }
+                        got
+                    })
+                })
+                .collect();
+            let mut withdrawn = vec![0usize; batches];
+            for b in 0..batches {
+                q.push_batch(&mut vec![(b, members)]).unwrap();
+                if b > 0 {
+                    withdrawn[b - 1] = q.withdraw(|&v| v == b - 1);
+                }
+            }
+            q.close();
+            let mut popped = vec![0usize; batches];
+            for r in receivers {
+                for (total, got) in popped.iter_mut().zip(r.join().unwrap()) {
+                    *total += got;
+                }
+            }
+            (popped, withdrawn)
+        });
+        for b in 0..batches {
+            assert_eq!(popped[b] + withdrawn[b], members, "entry {b}");
+        }
     }
 }

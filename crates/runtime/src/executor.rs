@@ -4,9 +4,10 @@
 //!
 //! The gang step (`GangStep`) owns the core (the scheduler, every check
 //! and ledger) and the running-gang registry, and turns each tick into
-//! gang members: a moldable task with allotment `q` is launched as `q`
-//! member entries sharing one [`GangState`]; a grow admits and stages
-//! extra members, a shrink retires members at their next shard boundary.
+//! gang members: a moldable task with allotment `q` is launched as one
+//! staged entry of `q` members sharing one [`GangState`]; a grow admits
+//! and stages an entry of its extra members, a shrink retires members at
+//! their next shard boundary.
 //! The core only launches when `q` processors are idle, so all members
 //! are picked up without any hold-and-wait — no partial gangs, no
 //! deadlock. Members claim payload shards from a shared atomic index, so
@@ -26,9 +27,13 @@
 //! whose member reports a completion takes the step itself (DESIGN.md
 //! §6.4): it keeps one member of the first launched gang and runs it next
 //! — a chain never leaves its worker — and flushes the rest to the other
-//! workers through a [`BatchQueue`] in one batch.
+//! workers through a [`BatchQueue`] in one batch, one counted entry per
+//! gang. A member that finds the payload exhausted withdraws its gang's
+//! still-queued entry and leaves for itself and those mates with one
+//! decrement of the member ledger, so mates that would find nothing to do
+//! cost nothing; a gang of one has no mates and skips the withdrawal.
 //! [`AsyncPlatform`](crate::AsyncPlatform) takes the same step on its
-//! calling thread and spawns every staged member as a future (§6.8).
+//! calling thread and spawns one future per staged member (§6.8).
 //!
 //! Sequential policies ride the very same pool: they start every task on
 //! an allotment of 1, a gang of one. The scheduler sees completions in
@@ -62,8 +67,9 @@ pub enum MemberStep {
     /// Retire at this shard boundary: a shrink made this member surplus.
     /// A retired member never reports.
     Retire,
-    /// The payload is exhausted: leave through [`GangState::member_exit`],
-    /// which names the one member that reports the completion.
+    /// The payload is exhausted: leave through [`GangState::member_exit`]
+    /// (with any still-queued mates withdrawn), which names the one member
+    /// that reports the completion.
     Exit,
 }
 
@@ -108,10 +114,11 @@ pub struct GangState {
     /// the async pump or by a worker under the pool lock), and it never
     /// drops below 1 while the gang runs.
     target: AtomicUsize,
-    /// Members admitted and not yet exited. Counts buffered and queued
-    /// member entries too: admission increments on the driver side
-    /// *before* the entry is staged, so a slow pickup can never let the
-    /// count touch zero early and double-report the completion.
+    /// Members admitted and not yet exited. Counts staged and queued
+    /// members too: admission increments on the driver side *before* the
+    /// entry is staged, so a slow pickup can never let the count touch
+    /// zero early and double-report the completion, and a withdrawal
+    /// never takes back a member the count does not cover.
     active: AtomicUsize,
     /// Latches the single completion report. A grow can land on a gang
     /// whose completion is already in flight (a resize can land before
@@ -275,24 +282,43 @@ impl GangState {
         self.target.fetch_sub(members, Ordering::AcqRel);
     }
 
-    /// Records a non-retirement member exit (payload exhausted); true for
-    /// the last member out, who must report the gang's completion — at
-    /// that point every claimed shard has finished and every member has
-    /// already left the occupancy counter.
-    pub fn member_exit(&self) -> bool {
+    /// Whether members other than the caller are admitted and not yet
+    /// exited: only then can mates of the caller still be queued. An
+    /// exiting member of a gang of one skips the withdrawal on this.
+    pub fn has_mates(&self) -> bool {
+        // ordering: Relaxed — a filter only, which no outcome depends on:
+        // a withdrawal that finds no mate queued withdraws nothing, and a
+        // skipped one (a stale read that misses a grow's admission) leaves
+        // the queued mates to pop and exit on their own, as before.
+        self.active.load(Ordering::Relaxed) > 1
+    }
+
+    /// Records the non-retirement exit (payload exhausted) of `members`
+    /// members at once: the caller and the mates it withdrew from the
+    /// queue before they ran. True for the last member out, who must
+    /// report the gang's completion — at that point every claimed shard
+    /// has finished and every member has already left the occupancy
+    /// counter.
+    pub fn member_exit(&self, members: usize) -> bool {
+        // Seeded regression (CI teeth check): a withdrawing exit that
+        // leaves only for itself strands its withdrawn mates in `active`,
+        // so the gang never reaches zero and never reports — the model
+        // suite must see the missing report.
+        #[cfg(memtree_loom_mutate_withdraw_count)]
+        let members = members.min(1);
         // ordering: AcqRel — the acquire half is load-bearing: the member
-        // whose decrement lands on 1 synchronizes with every earlier
-        // exit's release, which carries those members' payload (and, in
-        // a malleable gang, finish_shard) writes, so the reporter
+        // whose decrement takes `active` to zero synchronizes with every
+        // earlier exit's release, which carries those members' payload
+        // (and, in a malleable gang, finish_shard) writes, so the reporter
         // provably observes the whole payload complete. Model-checked by
         // model/gang.rs (the memtree_loom_mutate_relaxed_exit teeth check
         // downgrades this to Relaxed and the suite must fail on the stale
         // progress read, and the fixed-gang models on a stale payload
         // effect).
         #[cfg(not(memtree_loom_mutate_relaxed_exit))]
-        let last_out = self.active.fetch_sub(1, Ordering::AcqRel) == 1;
+        let last_out = self.active.fetch_sub(members, Ordering::AcqRel) == members;
         #[cfg(memtree_loom_mutate_relaxed_exit)]
-        let last_out = self.active.fetch_sub(1, Ordering::Relaxed) == 1;
+        let last_out = self.active.fetch_sub(members, Ordering::Relaxed) == members;
         // ordering: AcqRel — the latch must be a single atomic
         // read-modify-write: a grow landing after completion re-raises
         // `active` from zero and drains it again, and only the swap keeps
@@ -306,24 +332,24 @@ fn worker_panicked() -> DriveError {
     DriveError::Backend("a worker thread panicked".into())
 }
 
-/// One member of a gang-scheduled task: the unit a gang step stages and a
-/// worker thread or a spawned future runs.
+/// One member of a gang-scheduled task: the unit a worker thread or a
+/// spawned future runs. A gang step stages one entry per gang, an
+/// [`Entry`].
+#[derive(Clone)]
 pub(crate) struct GangMember {
     pub(crate) task: NodeId,
     pub(crate) gang: Arc<GangState>,
 }
 
-/// Pushes `n` member entries of `task`'s gang onto `staged`; the last
-/// one takes `gang` itself.
-fn stage(staged: &mut Vec<GangMember>, task: NodeId, gang: Arc<GangState>, n: usize) {
-    staged.extend(std::iter::repeat_n(gang, n).map(|gang| GangMember { task, gang }));
-}
+/// A staged or queued entry: a member and how many members of its gang
+/// it stands for (≥ 1), all sharing the one `Arc<GangState>`.
+pub(crate) type Entry = (GangMember, usize);
 
 /// What one [`GangStep::step`] leaves its caller to do beside running the
 /// staged members.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Stepped {
-    /// The tick launched a gang: the staged entries open with its members.
+    /// The tick launched a gang: the staged entries open with its entry.
     pub(crate) launched: bool,
     /// The run is over: no completion will ever come again.
     pub(crate) over: bool,
@@ -367,14 +393,14 @@ impl<'a, S: Scheduler> GangStep<'a, S> {
         })
     }
 
-    /// Steps the core with `completions`, stages the members of the
-    /// tick's launches (in launch order) and then of its grows onto
-    /// `staged` — admitting before staging — and applies its shrinks. An
-    /// `Err` is the run's verdict: the step must not be called again.
+    /// Steps the core with `completions`, stages one entry per launch (in
+    /// launch order) and then one per grow onto `staged` — admitting
+    /// before staging — and applies its shrinks. An `Err` is the run's
+    /// verdict: the step must not be called again.
     pub(crate) fn step(
         &mut self,
         completions: &mut [NodeId],
-        staged: &mut Vec<GangMember>,
+        staged: &mut Vec<Entry>,
     ) -> Result<Stepped, DriveError> {
         let GangStep {
             core,
@@ -396,7 +422,7 @@ impl<'a, S: Scheduler> GangStep<'a, S> {
                 }
                 None => Arc::new(GangState::fixed(procs, procs as u32)),
             };
-            stage(staged, task, gang, procs);
+            staged.push((GangMember { task, gang }, procs));
         }
         for r in tick.resizes {
             let gang = gangs.get(&r.node).ok_or_else(|| {
@@ -406,7 +432,11 @@ impl<'a, S: Scheduler> GangStep<'a, S> {
                 // Admit before staging: the active count covers the staged
                 // entries, so the completion countdown cannot race them.
                 gang.admit(r.to - r.from);
-                stage(staged, r.node, gang.clone(), r.to - r.from);
+                let member = GangMember {
+                    task: r.node,
+                    gang: gang.clone(),
+                };
+                staged.push((member, r.to - r.from));
             } else {
                 gang.release(r.from - r.to);
             }
@@ -507,8 +537,7 @@ where
     /// every member it launches to the queue.
     pub fn start(&self) {
         let mut staged = Vec::with_capacity(self.workers);
-        let kept = self.step(&mut [], &mut staged);
-        staged.extend(kept);
+        self.step(&mut [], &mut staged);
         // A refused flush means the run already failed.
         let _ = self.tasks.push_batch(&mut staged);
     }
@@ -533,10 +562,12 @@ where
             // least one member who exits via payload exhaustion, and the
             // last such exit is the completion — every shard claimed and
             // finished, every member already out of the occupancy count.
-            if retired || !member.gang.member_exit() {
+            if retired || !self.exit(&member.gang) {
                 continue;
             }
-            next = self.step(&mut [member.task], &mut staged);
+            if self.step(&mut [member.task], &mut staged) {
+                next = Some(keep_one(&mut staged));
+            }
             if self.tasks.push_batch(&mut staged).is_err() {
                 return;
             }
@@ -596,33 +627,46 @@ where
         retired
     }
 
+    /// The exit of a member that found the payload exhausted: withdraws
+    /// its gang's still-queued mates, which would find nothing to run
+    /// either, and leaves for all of them at once. True for the gang's
+    /// reporter.
+    fn exit(&self, gang: &Arc<GangState>) -> bool {
+        let withdrawn = if gang.has_mates() {
+            self.tasks.withdraw(|mate| Arc::ptr_eq(&mate.gang, gang))
+        } else {
+            0
+        };
+        gang.member_exit(1 + withdrawn)
+    }
+
     /// Takes the gang step under the lock with `completions`, staging its
-    /// members onto `staged`, and returns one member of the first launched
-    /// gang for the caller to run itself. Closes the queue when the run is
-    /// over: on the final step, or on the first error.
-    fn step(&self, completions: &mut [NodeId], staged: &mut Vec<GangMember>) -> Option<GangMember> {
+    /// entries onto `staged`; true when the staged entries open with a
+    /// launched gang's. Closes the queue when the run is over: on the
+    /// final step, or on the first error.
+    fn step(&self, completions: &mut [NodeId], staged: &mut Vec<Entry>) -> bool {
         // A poisoned lock means a scheduler panicked mid-step on another
         // worker: the run is over, and the scope re-raises the panic.
         let Ok(mut guard) = self.shared.lock() else {
             self.tasks.close();
-            return None;
+            return false;
         };
         let Shared { step, error } = &mut *guard;
         if error.is_some() {
-            return None;
+            return false;
         }
         let stepped = match step.step(completions, staged) {
             Ok(stepped) => stepped,
             Err(e) => {
                 *error = Some(e);
                 self.tasks.close();
-                return None;
+                return false;
             }
         };
         if stepped.over {
             self.tasks.close();
         }
-        stepped.launched.then(|| staged.remove(0))
+        stepped.launched
     }
 
     /// Records `e` unless an error came first, and ends the run.
@@ -631,6 +675,18 @@ where
             shared.error.get_or_insert(e);
         }
         self.tasks.close();
+    }
+}
+
+/// Takes one member off the first staged entry for the stepping worker to
+/// run itself; the entry keeps the rest of its gang.
+fn keep_one(staged: &mut Vec<Entry>) -> GangMember {
+    match staged.first_mut() {
+        Some((member, members)) if *members > 1 => {
+            *members -= 1;
+            member.clone()
+        }
+        _ => staged.remove(0).0,
     }
 }
 
@@ -895,6 +951,40 @@ mod tests {
         assert_eq!(pool.busy.load(Ordering::Relaxed), 0);
     }
 
+    /// A single worker drives a chain of fixed gangs of 4: its keeper
+    /// runs every shard, withdraws the three queued mates and reports for
+    /// the gang at once, so each gang reports once and nothing is left in
+    /// the queue.
+    #[test]
+    fn a_keeper_that_drains_its_gang_withdraws_the_queued_mates() {
+        let n = 12;
+        let tree = memtree_gen::shapes::chain(n, memtree_tree::TaskSpec::new(1, 2, 4.0));
+        let scheduler = WholeMachineChain {
+            order: memtree_tree::traverse::postorder(&tree),
+            next: 0,
+            procs: 4,
+        };
+        let shard_runs: Vec<AtomicUsize> = (0..n * 4).map(|_| AtomicUsize::new(0)).collect();
+        let payload = |task: NodeId, shard: u32, shards: u32| {
+            assert_eq!(shards, 4);
+            shard_runs[task.index() * 4 + shard as usize].fetch_add(1, Ordering::Relaxed);
+        };
+        let cfg = DriveConfig::new(4, u64::MAX / 2);
+        let pool = WorkerPool::new(&tree, cfg, scheduler, None, payload).unwrap();
+        pool.start();
+        // The one thread that works: nobody else could pop a mate.
+        pool.work();
+        let (_, stats) = pool.finish(std::time::Instant::now()).unwrap();
+        assert_eq!(stats.completed, n);
+        assert_eq!(stats.events, n + 1, "one step per report plus the first");
+        assert_eq!(stats.peak_busy, 1);
+        for (slot, runs) in shard_runs.iter().enumerate() {
+            assert_eq!(runs.load(Ordering::Relaxed), 1, "shard slot {slot}");
+        }
+        assert_eq!(pool.tasks.withdraw(|_| true), 0, "the queue ends empty");
+        assert!(pool.tasks.pop().is_none());
+    }
+
     /// A fixed gang run to completion claims each shard once and makes no
     /// claim that fails: the member that ran the last index stops, and a
     /// member that finds the payload exhausted only loads the index. It
@@ -913,8 +1003,14 @@ mod tests {
         assert_eq!(gang.step(None), MemberStep::Exit);
         assert_eq!(gang.next_shard.load(Ordering::Relaxed), 4, "a claim failed");
         assert_eq!(gang.progress(), (0, 4));
-        let reports: Vec<bool> = (0..4).map(|_| gang.member_exit()).collect();
+        let reports: Vec<bool> = (0..4).map(|_| gang.member_exit(1)).collect();
         assert_eq!(reports, [false, false, false, true]);
+        // One exit may leave for withdrawn mates as well.
+        let gang = GangState::fixed(4, 4);
+        assert!(gang.has_mates());
+        assert!(!gang.member_exit(1));
+        assert!(gang.member_exit(3), "the last three out at once");
+        assert!(!gang.has_mates());
 
         // A malleable gang counts every shard, and its member claims once
         // more after the last one: only a load, the payload is exhausted.

@@ -388,3 +388,140 @@ fn supervise(
         let _ = tx.send((shard, wire::WorkerMsg::Died(reason)));
     }
 }
+
+// Real-process tests; the loom build has no processes to model.
+#[cfg(all(test, not(memtree_loom)))]
+mod tests {
+    use super::*;
+    use memtree_sched::HeuristicKind;
+    use std::time::Instant;
+
+    /// The real process transport, except that every prepared job is
+    /// corrupted — `mutation` picks how, `seed` where — before any worker
+    /// reads it. Retries re-send the same corrupted bytes.
+    struct Corrupting {
+        inner: ProcessPlatform,
+        mutation: u64,
+        seed: u64,
+    }
+
+    impl ShardTransport for Corrupting {
+        type Jobs = <ProcessPlatform as ShardTransport>::Jobs;
+        type Attempt = Supervisor;
+
+        fn prepare(
+            &self,
+            part: &Arc<Partition>,
+            specs: Vec<PolicySpec>,
+        ) -> Result<Self::Jobs, PlatformError> {
+            let (worker_bin, mut jobs) = self.inner.prepare(part, specs)?;
+            for (shard, job) in jobs.iter_mut().enumerate() {
+                *job = corrupt(job, self.mutation, self.seed ^ shard as u64);
+            }
+            Ok((worker_bin, jobs))
+        }
+
+        fn launch(
+            &self,
+            jobs: &Self::Jobs,
+            shard: usize,
+            attempt: usize,
+            tx: &Sender<(usize, wire::WorkerMsg)>,
+        ) -> Result<Supervisor, PlatformError> {
+            self.inner.launch(jobs, shard, attempt, tx)
+        }
+
+        fn stop(&self, attempt: Supervisor, reported: bool) -> Stop {
+            self.inner.stop(attempt, reported)
+        }
+    }
+
+    /// splitmix64: `seed`'s `k`-th draw.
+    fn draw(seed: u64, k: u64) -> usize {
+        let mut z = seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize
+    }
+
+    /// `job` with one seeded mutation: 0 truncates it, 1 flips a bit of
+    /// one byte, 2 duplicates a line, 3 drops one. A flip of an ASCII
+    /// byte stays ASCII, so a number can only become another digit or
+    /// a non-digit: a worker count stays below 10.
+    fn corrupt(job: &str, mutation: u64, seed: u64) -> String {
+        let mut bytes = job.as_bytes().to_vec();
+        let at = draw(seed, 1);
+        match mutation {
+            0 => bytes.truncate(at % bytes.len()),
+            1 => {
+                let i = at % bytes.len();
+                bytes[i] ^= 1 << (draw(seed, 2) % 7);
+            }
+            _ => {
+                let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+                let i = at % lines.len();
+                if mutation == 2 {
+                    lines.insert(i, lines[i]);
+                } else {
+                    lines.remove(i);
+                }
+                bytes = lines.concat();
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// ROADMAP Y(3), coordinator half: whatever a corrupted job does to
+    /// the real worker — refuse it, crash on it, or run a different but
+    /// valid job — the run ends as `Ok` or `ShardFailed` within the
+    /// watchdog, never as a stall, and nothing stays quarantined. The
+    /// coordinator asserts its own ledger balanced on every such path
+    /// (a debug assertion, so this suite checks it in debug builds).
+    #[test]
+    fn corrupted_jobs_end_as_a_verdict_never_a_hang() {
+        let tree = memtree_gen::synthetic::paper_tree(60, 21);
+        let memory = memtree_sched::min_feasible_memory(&tree) * 20;
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, memory);
+        let platform = ProcessPlatform::new(2)
+            .with_timeout(Duration::from_secs(5))
+            .with_deadline(Duration::from_secs(10));
+        let (mut ok, mut failed) = (0, 0);
+        for mutation in 0..4u64 {
+            for seed in 0..6u64 {
+                let transport = Corrupting {
+                    inner: platform.clone(),
+                    mutation,
+                    seed: draw(mutation, seed) as u64,
+                };
+                let started = Instant::now();
+                let outcome = coordinate(
+                    &platform.coordinator,
+                    "process",
+                    platform.retries,
+                    &transport,
+                    &tree,
+                    &spec,
+                );
+                let case = format!("mutation {mutation}, seed {seed}");
+                match outcome {
+                    Ok(report) => {
+                        assert!(report.report.peak_booked <= memory, "{case}");
+                        ok += 1;
+                    }
+                    Err(PlatformError::ShardFailed { .. }) => failed += 1,
+                    Err(other) => panic!("{case}: {other}"),
+                }
+                assert!(started.elapsed() < Duration::from_secs(5), "{case}");
+            }
+        }
+        assert!(failed > 0, "no corruption reached a worker ({ok} ok)");
+        // Process attempts always confirm their exit, so this run holds
+        // nothing; the gauge is process-global, so wait out any other
+        // test's quarantined workers.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while crate::quarantine::held() > 0 {
+            assert!(Instant::now() < deadline, "quarantine never drained");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}

@@ -102,17 +102,23 @@ fn allocs_for_run(tree: &TaskTree) -> u64 {
 #[test]
 fn dispatch_steady_state_does_not_allocate() {
     // The queue's side of one step, on the executor's own sizing: stage a
-    // machine's worth of members, flush them under one lock, pop each as
-    // the workers do. After the first cycle nothing here may allocate.
-    // All of it runs on this thread, so this thread's count is exact.
+    // machine's worth of unit members and a whole-machine gang's counted
+    // entry, flush them under one lock, pop each member as the workers
+    // do, and withdraw a gang's leftover mates as its exiting member
+    // does. After the first cycle nothing here may allocate. All of it
+    // runs on this thread, so this thread's count is exact.
     let tasks = BatchQueue::<u32>::with_capacity(WORKERS);
-    let mut staged: Vec<u32> = Vec::with_capacity(WORKERS);
+    let mut staged: Vec<(u32, usize)> = Vec::with_capacity(WORKERS);
     let mut step = |round: u32| {
-        staged.extend((0..WORKERS as u32).map(|k| round + k));
+        staged.extend((0..WORKERS as u32).map(|k| (round + k, 1)));
         tasks.push_batch(&mut staged).expect("open");
         for _ in 0..WORKERS {
             tasks.pop().expect("flushed");
         }
+        staged.push((round, WORKERS));
+        tasks.push_batch(&mut staged).expect("open");
+        tasks.pop().expect("flushed");
+        assert_eq!(tasks.withdraw(|&gang| gang == round), WORKERS - 1);
     };
     step(0);
     let before = thread_allocs();
