@@ -3,7 +3,7 @@
 //! moldable caps (`ablation_malleable`, DESIGN.md §6.10).
 
 use crate::corpus::Scale;
-use crate::runner::TreeCase;
+use crate::runner::{OrderPair, TreeCase};
 use memtree_runtime::{Platform, ThreadedPlatform, Workload};
 use memtree_sched::{
     AllotmentCaps, HeuristicKind, MemBooking, MoldableMemBooking, PolicySpec,
@@ -54,12 +54,13 @@ pub fn ablation_moldable() {
     };
     println!("tree,model,platform,seq_makespan,moldable_makespan,gain");
     for c in &cases {
-        let ao = c.order(memtree_order::OrderKind::MemPostorder);
         let m = c.min_memory * 2;
+        let mem_po = c.instance(HeuristicKind::MemBooking, OrderPair::default_pair(), m);
+        let ao = mem_po.ao();
         let seq = simulate(
             &c.tree,
             SimConfig::new(p, m),
-            MemBooking::try_new(&c.tree, &ao, &ao, m).unwrap(),
+            MemBooking::try_new(&c.tree, ao, ao, m).unwrap(),
         )
         .unwrap()
         .makespan;
@@ -73,7 +74,7 @@ pub fn ablation_moldable() {
             ),
         ] {
             let caps = AllotmentCaps::uniform(&c.tree, p as u32);
-            let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps).unwrap();
+            let sched = MoldableMemBooking::try_new(&c.tree, ao, ao, m, caps).unwrap();
             let t = simulate(&c.tree, SimConfig::new(p, m).with_speedup(model), sched).unwrap();
             validate_trace(&c.tree, &t).unwrap();
             println!(
@@ -186,17 +187,18 @@ pub fn ablation_malleable(scale: Scale, out_dir: &Path) -> Result<(), String> {
     let mut violations: Vec<String> = Vec::new();
     println!("tree,platform,static_makespan,malleable_makespan,gain");
     for (c, gated) in &skewed_cases(scale) {
-        let ao = c.order(memtree_order::OrderKind::MemPostorder);
         let m = c.min_memory * 2;
+        let mem_po = c.instance(HeuristicKind::MemBooking, OrderPair::default_pair(), m);
+        let ao = mem_po.ao();
         // The skewed estimate: every task looks tiny, so every cap is 1
         // and the static moldable schedule degenerates to sequential.
         let caps = AllotmentCaps::uniform(&c.tree, 1);
 
-        let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps.clone()).unwrap();
+        let sched = MoldableMemBooking::try_new(&c.tree, ao, ao, m, caps.clone()).unwrap();
         let sim_static = simulate(&c.tree, SimConfig::new(p, m), sched).unwrap();
         validate_trace(&c.tree, &sim_static).unwrap();
 
-        let sched = MoldableMemBooking::try_new(&c.tree, &ao, &ao, m, caps.clone()).unwrap();
+        let sched = MoldableMemBooking::try_new(&c.tree, ao, ao, m, caps.clone()).unwrap();
         let mut resched = ProportionalRescheduler::new(&c.tree);
         let sim_malleable =
             simulate_with(&c.tree, SimConfig::new(p, m), sched, Some(&mut resched)).unwrap();

@@ -13,7 +13,7 @@
 use crate::aggregate::Summary;
 use crate::runner::{Backend, CaseSource, OrderPair};
 use crate::sweep::{Sweep, SweepReport};
-use memtree_sched::HeuristicKind;
+use memtree_sched::{HeuristicKind, PolicySpec};
 
 /// CSV payload plus human-readable findings.
 pub struct FigureOutput {
@@ -504,7 +504,7 @@ pub fn table_lowerbound(cases: &CaseSource, p: usize, factors: &[f64]) -> Figure
 pub fn table_redtree_failures(cases: &CaseSource, factors: &[f64]) -> FigureOutput {
     let mut failed = vec![0usize; factors.len()];
     for c in cases.iter() {
-        let red_min = c.redtree_min_memory();
+        let red_min = PolicySpec::new(HeuristicKind::MemBookingRedTree, 0).min_feasible(&c.tree);
         for (fi, &factor) in factors.iter().enumerate() {
             if red_min > c.memory_at(factor) {
                 failed[fi] += 1;

@@ -1,41 +1,18 @@
 //! Per-tree experiment execution.
 //!
-//! A [`TreeCase`] is a corpus tree with its precomputed analysis plus
-//! thread-safe caches of orders and of the reduction-tree transform, so a
-//! parallel sweep ([`crate::sweep::Sweep`]) can fan cells out across cores
-//! while sharing the expensive per-tree preprocessing.
+//! A [`TreeCase`] is a corpus tree with its precomputed analysis plus one
+//! held [`PolicyInstance`] per (kind, order pair). Holding them keeps the
+//! tree's plans alive ([`memtree_sched::spec`]), so a parallel sweep
+//! ([`crate::sweep::Sweep`]) fans cells out across cores while every
+//! order, transform and activation-order layout of the tree is computed
+//! once, and freed with the case.
 
-use memtree_order::{make_order, Order, OrderKind};
+use memtree_order::OrderKind;
 use memtree_runtime::{AsyncPlatform, Platform, PlatformError, SimPlatform, ThreadedPlatform};
-use memtree_sched::to_reduction_tree;
-use memtree_sched::{HeuristicKind, LowerBounds, PolicyInstance, RedTreeBooking};
+use memtree_sched::{HeuristicKind, LowerBounds, PolicyInstance, PolicySpec};
 use memtree_tree::{TaskTree, TreeStats};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// A thread-safe, compute-once cache of orders for one tree.
-#[derive(Default)]
-struct OrderCache {
-    orders: Mutex<HashMap<OrderKind, Arc<Order>>>,
-}
-
-impl OrderCache {
-    fn get(&self, tree: &TaskTree, kind: OrderKind) -> Arc<Order> {
-        if let Some(o) = self.orders.lock().expect("order cache poisoned").get(&kind) {
-            return o.clone();
-        }
-        // Computed outside the lock: order construction is the expensive
-        // part and must not serialise the sweep. A racing thread may
-        // compute the same order; first insert wins.
-        let fresh = Arc::new(make_order(tree, kind));
-        self.orders
-            .lock()
-            .expect("order cache poisoned")
-            .entry(kind)
-            .or_insert(fresh)
-            .clone()
-    }
-}
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A corpus tree with its precomputed analysis.
 pub struct TreeCase {
@@ -48,17 +25,9 @@ pub struct TreeCase {
     /// Minimum memory: the peak of the peak-minimising postorder — the
     /// unit of the "normalized memory bound" axis.
     pub min_memory: u64,
-    orders: OrderCache,
-    redtree: OnceLock<RedCase>,
-    /// Instances in activation-order numbering, bound unset — see
-    /// [`TreeCase::relaid_instance`].
-    relaid: Mutex<HashMap<(HeuristicKind, OrderPair), PolicyInstance>>,
-}
-
-struct RedCase {
-    tree: Arc<TaskTree>,
-    orders: OrderCache,
-    min_memory: u64,
+    /// The instances [`TreeCase::instance`] hands out, one per (kind,
+    /// orders); each call stamps its own bound on a copy.
+    held: Mutex<HashMap<(HeuristicKind, OrderPair), PolicyInstance>>,
 }
 
 /// A pair of order kinds: activation and execution.
@@ -237,26 +206,21 @@ impl RunOutcome {
 }
 
 impl TreeCase {
-    /// Analyses `tree` (stats + memPO peak).
+    /// Analyses `tree` (stats + memPO peak). The memPO instance is held
+    /// from the start, so every later spec with a memPO order shares it.
     pub fn new(name: impl Into<String>, tree: TaskTree) -> Self {
-        let stats = TreeStats::compute(&tree);
-        let mem_po = memtree_order::mem_postorder(&tree);
-        let min_memory = mem_po.sequential_peak(&tree).max(1);
         let case = TreeCase {
             name: name.into(),
+            stats: TreeStats::compute(&tree),
             tree,
-            stats,
-            min_memory,
-            orders: OrderCache::default(),
-            redtree: OnceLock::new(),
-            relaid: Mutex::default(),
+            min_memory: 0,
+            held: Mutex::default(),
         };
-        case.orders
-            .orders
-            .lock()
-            .expect("order cache poisoned")
-            .insert(OrderKind::MemPostorder, Arc::new(mem_po));
-        case
+        let mem_po = case.instance(HeuristicKind::MemBooking, OrderPair::default_pair(), 0);
+        TreeCase {
+            min_memory: mem_po.ao_peak().max(1),
+            ..case
+        }
     }
 
     /// Number of nodes.
@@ -269,11 +233,6 @@ impl TreeCase {
         self.tree.is_empty()
     }
 
-    /// The order of `kind`, computed once and cached (thread-safe).
-    pub fn order(&self, kind: OrderKind) -> Arc<Order> {
-        self.orders.get(&self.tree, kind)
-    }
-
     /// The memory bound for a normalized factor.
     pub fn memory_at(&self, factor: f64) -> u64 {
         ((self.min_memory as f64) * factor).ceil() as u64
@@ -284,70 +243,22 @@ impl TreeCase {
         LowerBounds::compute_with_stats(&self.tree, &self.stats, processors, self.memory_at(factor))
     }
 
-    fn red_case(&self) -> &RedCase {
-        self.redtree.get_or_init(|| {
-            let tr = to_reduction_tree(&self.tree);
-            let tree = Arc::new(tr.tree);
-            let orders = OrderCache::default();
-            let ao = orders.get(&tree, OrderKind::MemPostorder);
-            let min_memory = RedTreeBooking::min_memory(&tree, &ao);
-            RedCase {
-                tree,
-                orders,
-                min_memory,
-            }
-        })
-    }
-
-    /// Minimum memory the RedTree baseline needs on this tree (after the
-    /// transform) — used by the failure-rate table.
-    pub fn redtree_min_memory(&self) -> u64 {
-        self.red_case().min_memory
-    }
-
-    /// A [`PolicyInstance`] for `kind` over this tree, built from the
-    /// case's caches (shared orders, shared transformed tree) — the
-    /// fast path that lets sweeps run thousands of cells without
-    /// recomputing per-tree preprocessing.
+    /// The instance of `kind` under `orders` at bound `memory`. The first
+    /// call per (kind, orders) instantiates it and holds it for the
+    /// case's lifetime, so the tree's plan serves every later call — and
+    /// every platform run's relay — without planning again: a sweep pays
+    /// for the orders and the layout once per tree, not once per cell.
     pub fn instance(&self, kind: HeuristicKind, orders: OrderPair, memory: u64) -> PolicyInstance {
-        let (transformed, ao, eo) = match kind {
-            HeuristicKind::MemBookingRedTree => {
-                let red = self.red_case();
-                (
-                    Some(red.tree.clone()),
-                    red.orders.get(&red.tree, orders.ao),
-                    red.orders.get(&red.tree, orders.eo),
-                )
-            }
-            _ => (None, self.order(orders.ao), self.order(orders.eo)),
-        };
-        PolicyInstance::from_parts(kind, memory, &self.tree, transformed, ao, eo, None)
-            .expect("cache-built parts are consistent")
-    }
-
-    /// [`TreeCase::instance`] in activation-order numbering
-    /// ([`PolicyInstance::relaid`]) — what the simulator runs on. Relaid
-    /// once per (kind, orders) and cached, so on in-cache trees, where
-    /// the renumbering is a visible share of a run, a sweep pays it once
-    /// per tree instead of once per cell: every later cell stamps its
-    /// bound onto the cached instance, and the platform's own `relaid`
-    /// is then a clone.
-    pub fn relaid_instance(
-        &self,
-        kind: HeuristicKind,
-        orders: OrderPair,
-        memory: u64,
-    ) -> PolicyInstance {
-        let lock = || self.relaid.lock().expect("relaid cache poisoned");
-        if let Some(hit) = lock().get(&(kind, orders)) {
+        let held = || self.held.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = held().get(&(kind, orders)) {
             return hit.with_memory(memory);
         }
-        // Relaid outside the lock, like the orders: first insert wins.
-        let fresh = self
-            .instance(kind, orders, memory)
-            .relaid(&self.tree)
-            .expect("cache-built parts are consistent");
-        lock()
+        // Instantiated outside the lock: a racing thread shares the plan.
+        let fresh = PolicySpec::new(kind, memory)
+            .with_orders(orders.ao, orders.eo)
+            .instantiate(&self.tree)
+            .expect("a spec without caps instantiates on a corpus tree");
+        held()
             .entry((kind, orders))
             .or_insert(fresh)
             .with_memory(memory)
@@ -371,25 +282,7 @@ pub fn run_heuristic(
     processors: usize,
     factor: f64,
 ) -> RunOutcome {
-    let memory = case.memory_at(factor);
-    let instance = case.relaid_instance(kind, orders, memory);
-    let report = match SimPlatform::new(processors).run_instance(&case.tree, &instance) {
-        Ok(report) => report,
-        Err(e) if e.is_infeasible() => return RunOutcome::unscheduled(),
-        Err(e) => panic!("{}: {kind} must not fail mid-run: {e}", case.name),
-    };
-    let lb = case.lower_bounds(processors, factor);
-    RunOutcome {
-        scheduled: true,
-        makespan: report.makespan,
-        normalized: report.makespan / lb.best(),
-        memory_fraction: if memory == 0 {
-            0.0
-        } else {
-            report.peak_actual as f64 / memory as f64
-        },
-        scheduling_seconds: report.scheduling_seconds,
-    }
+    run_heuristic_backend(case, kind, orders, processors, factor, Backend::Sim)
 }
 
 /// Runs `kind` on `case` through the execution `backend` — the cell
@@ -424,38 +317,19 @@ pub fn run_heuristic_backend(
     backend: Backend,
 ) -> RunOutcome {
     let memory = case.memory_at(factor);
+    let run = |platform: &dyn Platform| run_on_platform(case, platform, kind, orders, factor);
+    let spec = PolicySpec::new(kind, memory).with_orders(orders.ao, orders.eo);
+    let shards = |s: usize| s.min(processors).max(1);
     let report = match backend {
-        Backend::Sim => return run_heuristic(case, kind, orders, processors, factor),
-        Backend::Threaded => run_on_platform(
-            case,
-            &ThreadedPlatform::new(processors.max(1)),
-            kind,
-            orders,
-            factor,
-        ),
-        Backend::Async => run_on_platform(
-            case,
-            &AsyncPlatform::new(processors.max(1)),
-            kind,
-            orders,
-            factor,
-        ),
-        Backend::Sharded(s) => {
-            let spec =
-                memtree_sched::PolicySpec::new(kind, memory).with_orders(orders.ao, orders.eo);
-            let shard_count = s.min(processors).max(1);
-            memtree_runtime::ShardedPlatform::new(shard_count)
-                .with_workers_per_shard(processors / shard_count)
-                .run(&case.tree, &spec)
-        }
-        Backend::Process(s) => {
-            let spec =
-                memtree_sched::PolicySpec::new(kind, memory).with_orders(orders.ao, orders.eo);
-            let shard_count = s.min(processors).max(1);
-            memtree_runtime::ProcessPlatform::new(shard_count)
-                .with_workers_per_shard((processors / shard_count).max(1))
-                .run(&case.tree, &spec)
-        }
+        Backend::Sim => run(&SimPlatform::new(processors)),
+        Backend::Threaded => run(&ThreadedPlatform::new(processors.max(1))),
+        Backend::Async => run(&AsyncPlatform::new(processors.max(1))),
+        Backend::Sharded(s) => memtree_runtime::ShardedPlatform::new(shards(s))
+            .with_workers_per_shard(processors / shards(s))
+            .run(&case.tree, &spec),
+        Backend::Process(s) => memtree_runtime::ProcessPlatform::new(shards(s))
+            .with_workers_per_shard((processors / shards(s)).max(1))
+            .run(&case.tree, &spec),
     };
     let report = match report {
         Ok(report) => report,
@@ -465,10 +339,17 @@ pub fn run_heuristic_backend(
             case.name
         ),
     };
+    let (makespan, normalized) = match backend {
+        Backend::Sim => {
+            let lb = case.lower_bounds(processors, factor);
+            (report.makespan, report.makespan / lb.best())
+        }
+        _ => (report.wall_seconds, 0.0),
+    };
     RunOutcome {
         scheduled: true,
-        makespan: report.wall_seconds,
-        normalized: 0.0,
+        makespan,
+        normalized,
         memory_fraction: if memory == 0 {
             0.0
         } else {
@@ -583,7 +464,7 @@ impl std::fmt::Debug for CaseSource {
 }
 
 /// Convenience wrapper: runs `kind` on any [`Platform`] (not just the
-/// simulator), using the case's caches.
+/// simulator), using the case's held instances.
 pub fn run_on_platform(
     case: &TreeCase,
     platform: &dyn Platform,
@@ -661,25 +542,53 @@ mod tests {
     #[test]
     fn order_cache_returns_same_instance() {
         let c = case();
-        let a = c.order(OrderKind::CriticalPath);
-        let b = c.order(OrderKind::CriticalPath);
-        assert!(Arc::ptr_eq(&a, &b));
+        let cp = OrderPair {
+            ao: OrderKind::CriticalPath,
+            eo: OrderKind::CriticalPath,
+        };
+        let a = c.instance(HeuristicKind::MemBooking, cp, 1);
+        let b = c.instance(HeuristicKind::Activation, cp, 2);
+        assert!(std::ptr::eq(a.ao(), b.ao()));
+        // The memPO order of `TreeCase::new` serves every memPO pair.
+        let pair = OrderPair {
+            ao: OrderKind::MemPostorder,
+            eo: OrderKind::CriticalPath,
+        };
+        let mem_po = c.instance(HeuristicKind::MemBooking, OrderPair::default_pair(), 1);
+        let mixed = c.instance(HeuristicKind::Sequential, pair, 1);
+        assert!(std::ptr::eq(mem_po.ao(), mixed.ao()));
+        assert!(std::ptr::eq(a.eo(), mixed.eo()), "CP once, as AO or as EO");
     }
 
     #[test]
     fn relaid_instances_are_cached_per_kind_and_orders() {
         let c = case();
         let pair = OrderPair::default_pair();
-        let a = c.relaid_instance(HeuristicKind::MemBooking, pair, c.memory_at(1.0));
-        let b = c.relaid_instance(HeuristicKind::MemBooking, pair, c.memory_at(2.0));
+        let relaid = |kind, factor| {
+            let instance = c.instance(kind, pair, c.memory_at(factor));
+            instance.relaid(&c.tree).unwrap()
+        };
+        let a = relaid(HeuristicKind::MemBooking, 1.0);
+        let b = relaid(HeuristicKind::MemBooking, 2.0);
         assert!(std::ptr::eq(a.exec_tree(&c.tree), b.exec_tree(&c.tree)));
         assert_eq!(b.memory(), c.memory_at(2.0), "each cell's own bound");
-        // The platform's relayout of a cached instance is a clone.
+        // The platform's relayout of a relaid instance is a clone.
         let again = b.relaid(&c.tree).unwrap();
         assert!(std::ptr::eq(again.exec_tree(&c.tree), b.exec_tree(&c.tree)));
-        let other = c.relaid_instance(HeuristicKind::Activation, pair, c.memory_at(1.0));
+        // The layout belongs to the order pair: every kind shares it, and
+        // another pair has its own.
+        let other = relaid(HeuristicKind::Activation, 1.0);
+        assert!(std::ptr::eq(other.exec_tree(&c.tree), a.exec_tree(&c.tree)));
+        let cp = OrderPair {
+            ao: OrderKind::MemPostorder,
+            eo: OrderKind::CriticalPath,
+        };
+        let apart = c
+            .instance(HeuristicKind::MemBooking, cp, 1)
+            .relaid(&c.tree)
+            .unwrap();
         assert!(!std::ptr::eq(
-            other.exec_tree(&c.tree),
+            apart.exec_tree(&c.tree),
             a.exec_tree(&c.tree)
         ));
     }

@@ -23,8 +23,8 @@ pub enum SchedError {
         order_len: usize,
     },
     /// The policy-spec combination is invalid (e.g. moldable allotment
-    /// caps on a policy other than MemBooking, or a transformed tree
-    /// supplied for a non-transforming kind).
+    /// caps on a policy other than MemBooking, or orders of another
+    /// tree).
     InvalidSpec(String),
 }
 

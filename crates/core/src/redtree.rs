@@ -52,7 +52,11 @@ pub struct ReductionTransform {
 /// a fictitious leaf child of size `max(n_i, f_i − Σ f_children)` absorbs
 /// both the execution data and any output excess. Fictitious tasks take
 /// zero time, so makespans remain comparable with the original tree.
-pub fn to_reduction_tree(tree: &TaskTree) -> ReductionTransform {
+///
+/// # Errors
+/// [`SchedError::InvalidSpec`] when the fictitious leaves take the tree's
+/// total memory past `u64`.
+pub fn to_reduction_tree(tree: &TaskTree) -> Result<ReductionTransform, SchedError> {
     let n = tree.len();
     let mut b = TreeBuilder::with_capacity(n * 2);
     for i in tree.nodes() {
@@ -69,15 +73,17 @@ pub fn to_reduction_tree(tree: &TaskTree) -> ReductionTransform {
             fictitious_of[i.index()] = Some(b.push(Some(i), TaskSpec::new(0, c, 0.0)));
         }
     }
-    let out = b.build().expect("transform preserves tree structure");
+    let out = b
+        .build()
+        .map_err(|e| SchedError::InvalidSpec(format!("reduction tree: {e}")))?;
     debug_assert!(out
         .nodes()
         .all(|i| { out.exec(i) == 0 && (out.is_leaf(i) || out.output(i) <= out.input_size(i)) }));
-    ReductionTransform {
+    Ok(ReductionTransform {
         tree: out,
         original: n,
         fictitious_of,
-    }
+    })
 }
 
 /// The static escrow bookings of a tree (usually a transformed one).
@@ -229,7 +235,7 @@ mod tests {
     fn transform_produces_reduction_tree() {
         for seed in 0..10 {
             let t = memtree_gen::synthetic::paper_tree(100, seed);
-            let tr = to_reduction_tree(&t);
+            let tr = to_reduction_tree(&t).unwrap();
             check_consistency(&tr.tree).unwrap();
             for i in tr.tree.nodes() {
                 assert_eq!(tr.tree.exec(i), 0, "execution data folded away");
@@ -254,7 +260,7 @@ mod tests {
             &[TaskSpec::new(4, 3, 1.0), TaskSpec::new(5, 10, 1.0)],
         )
         .unwrap();
-        let tr = to_reduction_tree(&t);
+        let tr = to_reduction_tree(&t).unwrap();
         // Node 1 (leaf, n=5, f=10): fictitious child max(5, 10-0) = 10.
         let f1 = tr.fictitious_of[1].unwrap();
         assert_eq!(tr.tree.output(f1), 10);
@@ -275,7 +281,7 @@ mod tests {
         let mut inflated = 0;
         for seed in 0..10 {
             let t = memtree_gen::synthetic::paper_tree(200, 50 + seed);
-            let tr = to_reduction_tree(&t);
+            let tr = to_reduction_tree(&t).unwrap();
             let orig = mem_postorder(&t).sequential_peak(&t);
             let trans = mem_postorder(&tr.tree).sequential_peak(&tr.tree);
             assert!(trans >= orig);
@@ -293,7 +299,7 @@ mod tests {
     fn schedules_correctly_with_ample_memory() {
         for seed in 0..8 {
             let t = memtree_gen::synthetic::paper_tree(120, seed);
-            let tr = to_reduction_tree(&t);
+            let tr = to_reduction_tree(&t).unwrap();
             let ao = mem_postorder(&tr.tree);
             let need = RedTreeBooking::min_memory(&tr.tree, &ao);
             let s = RedTreeBooking::try_new(&tr.tree, &ao, &ao, need).unwrap();
@@ -309,7 +315,7 @@ mod tests {
         let mut strictly_more = 0;
         for seed in 0..10 {
             let t = memtree_gen::synthetic::paper_tree(150, 10 + seed);
-            let tr = to_reduction_tree(&t);
+            let tr = to_reduction_tree(&t).unwrap();
             let ao_t = mem_postorder(&t);
             let ao_tr = mem_postorder(&tr.tree);
             let mb_min = ao_t.sequential_peak(&t);
@@ -325,7 +331,7 @@ mod tests {
     #[test]
     fn infeasible_memory_rejected_up_front() {
         let t = memtree_gen::synthetic::paper_tree(60, 2);
-        let tr = to_reduction_tree(&t);
+        let tr = to_reduction_tree(&t).unwrap();
         let ao = mem_postorder(&tr.tree);
         let need = RedTreeBooking::min_memory(&tr.tree, &ao);
         assert!(matches!(
@@ -337,7 +343,7 @@ mod tests {
     #[test]
     fn pure_reduction_tree_untouched_by_transform() {
         let t = memtree_gen::shapes::binary_reduction(8, 16, 1.0);
-        let tr = to_reduction_tree(&t);
+        let tr = to_reduction_tree(&t).unwrap();
         // Only the leaves need fictitious children (their output comes from
         // nowhere); internal nodes are already reductions.
         for i in t.nodes() {

@@ -4,19 +4,27 @@
 //! A spec is a plain value: policy kind, activation/execution order kinds,
 //! memory bound, optional moldable allotment caps. [`PolicySpec::instantiate`]
 //! turns it into a [`PolicyInstance`] against a concrete tree, **owning any
-//! tree transformation the policy needs**. That absorbs the old
-//! `MemBookingRedTree` special case — the reduction-tree transform
+//! tree transformation the policy needs**: the reduction-tree transform
 //! (Section 3.2) happens inside `instantiate`, so the red-tree baseline is
-//! constructible through exactly the same call as every other policy and
-//! the old `SchedError::NeedsTransformedTree` escape hatch is gone.
+//! constructible through the same call as every other policy.
 //!
 //! A [`PolicyInstance`] is cheap to clone (`Arc`-shared tree and orders)
 //! and can mint any number of independent scheduler states via
 //! [`PolicyInstance::scheduler`] — one per run, so the same instance can be
 //! executed on a simulator, on real threads, or fanned out across a
 //! parallel sweep.
+//!
+//! **One plan per tree and order pair.** The orders, `peak(AO)`, RedTree's
+//! transform and the activation-order layout depend only on the tree and
+//! the (AO, EO) kinds, so the instances of a pair over one tree share them
+//! through a plan in the tree's [registry](TaskTree::plans): `instantiate`
+//! takes a live plan, `relaid` (so every platform run) lays the tree out
+//! once per plan, and RedTree's `min_feasible` shares a live transform.
+//! Plans are held weakly — a plan lives exactly as long as an instance (a
+//! clone, a `with_memory` copy, a relaid one) holds it — and builds are
+//! deterministic, so a shared plan is what a fresh build would give.
 
-use crate::activation::{check_lengths, check_orders, foreign_orders};
+use crate::activation::{check_lengths, foreign_orders};
 use crate::error::SchedError;
 use crate::moldable::{AllotmentCaps, MoldableMemBooking};
 use crate::redtree::to_reduction_tree;
@@ -25,7 +33,8 @@ use memtree_order::po_mem::min_postorder_peak;
 use memtree_order::{make_order, make_order_with_peak, Order, OrderKind};
 use memtree_sim::Scheduler;
 use memtree_tree::{NodeId, TaskTree};
-use std::sync::Arc;
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 
 /// A declarative description of a scheduling policy: everything needed to
 /// construct it against any tree.
@@ -111,12 +120,17 @@ impl PolicySpec {
     ///
     /// A memPO activation order needs no order at all: its sequential
     /// peak is Liu's `P(root)`, which the peak sweep computes directly.
+    /// RedTree's comes from its instance, so a live transform is shared;
+    /// `u64::MAX` when the transform does not fit in `u64`, so no bound
+    /// constructs.
     pub fn min_feasible(&self, tree: &TaskTree) -> u64 {
         match (self.kind, self.ao) {
             (HeuristicKind::MemBookingRedTree, _) => {
-                let tr = to_reduction_tree(tree);
-                let ao = make_order(&tr.tree, self.ao);
-                RedTreeBooking::min_memory(&tr.tree, &ao).max(1)
+                let spec = PolicySpec::new(self.kind, 0).with_orders(self.ao, self.ao);
+                match spec.instantiate(tree) {
+                    Ok(red) => RedTreeBooking::min_memory(red.exec_tree(tree), red.ao()).max(1),
+                    Err(_) => u64::MAX,
+                }
             }
             (_, OrderKind::MemPostorder) => min_postorder_peak(tree).max(1),
             _ => {
@@ -263,35 +277,137 @@ impl PolicySpec {
     }
 
     /// Resolves the spec against `tree`: applies any tree transformation
-    /// the policy needs and computes its orders on the tree the policy
-    /// will actually schedule.
+    /// the policy needs and takes its orders on the tree the policy will
+    /// actually schedule from a live [plan](TaskTree::plans), computing
+    /// only what no instance over `tree` holds.
     ///
     /// Feasibility (`M ≥` the policy's sequential booking peak) is checked
     /// when a scheduler state is minted, not here — an instance is pure
     /// preprocessed data.
     pub fn instantiate(&self, tree: &TaskTree) -> Result<PolicyInstance, SchedError> {
+        if self.caps.is_some() && self.kind != HeuristicKind::MemBooking {
+            return Err(SchedError::InvalidSpec(format!(
+                "moldable allotment caps only apply to MemBooking, not {}",
+                self.kind
+            )));
+        }
         let transformed = match self.kind {
-            HeuristicKind::MemBookingRedTree => Some(Arc::new(to_reduction_tree(tree).tree)),
+            HeuristicKind::MemBookingRedTree => Some(tree.plans().get_or_try_insert_with(
+                |_: &TaskTree| true,
+                || Ok(to_reduction_tree(tree)?.tree),
+            )?),
             _ => None,
         };
         let exec = transformed.as_deref().unwrap_or(tree);
         check_caps(exec, self.caps.as_ref())?;
-        let (ao, ao_peak) = make_order_with_peak(exec, self.ao);
-        let ao = Arc::new(ao);
-        let eo = if self.eo == self.ao {
+        Ok(PolicyInstance {
+            kind: self.kind,
+            memory: self.memory,
+            caps: self.caps.clone(),
+            plan: Plan::of(exec, transformed.clone(), self.ao, self.eo),
+            layout: None,
+        })
+    }
+}
+
+/// What the instances of one (AO, EO) pair over one tree share (DESIGN.md
+/// §6.11), registered weakly in the [plans](TaskTree::plans) of the tree
+/// it orders (RedTree's transform, for RedTree). The layout is laid out
+/// the first time an instance of the plan is [relaid](PolicyInstance::relaid).
+#[derive(Debug)]
+struct Plan {
+    /// Declared first, so a dying plan frees the layout before the
+    /// orders: the other way round left a heap hole that raised
+    /// `shard-merge`'s `peak_rss_mb` by ≈ 1.8 MB.
+    layout: OnceLock<Arc<Layout>>,
+    /// RedTree's reduction tree, which the orders are orders of.
+    transformed: Option<Arc<TaskTree>>,
+    ao: Arc<Order>,
+    eo: Arc<Order>,
+    /// `peak(AO)` on the exec tree, from the pass that built `ao` (memPO,
+    /// OptSeq) or one replay: no mint replays AO for it.
+    ao_peak: u64,
+}
+
+/// A plan's exec tree [renumbered](TaskTree::renumbered) along AO, with
+/// AO (the identity) and EO in its ids, and `peak(AO)` there.
+#[derive(Debug)]
+struct Layout {
+    tree: TaskTree,
+    ao: Arc<Order>,
+    eo: Arc<Order>,
+    ao_peak: u64,
+}
+
+impl Plan {
+    /// The live plan of `(ao, eo)` over `exec`, or a new one that shares
+    /// the orders of other live plans: a live order of either kind, with
+    /// its peak when it is that plan's AO.
+    fn of(
+        exec: &TaskTree,
+        transformed: Option<Arc<TaskTree>>,
+        ao: OrderKind,
+        eo: OrderKind,
+    ) -> Arc<Plan> {
+        let live = |kind: OrderKind| {
+            let p = exec
+                .plans()
+                .find(|p: &Plan| p.ao.kind() == kind || p.eo.kind() == kind)?;
+            Some(match p.ao.kind() == kind {
+                true => (p.ao.clone(), Some(p.ao_peak)),
+                false => (p.eo.clone(), None),
+            })
+        };
+        // RedTree's plans carry their transform: a plan over a tree that is
+        // itself some instance's transform must not serve the other kind.
+        let red = transformed.is_some();
+        let same = |p: &Plan| (p.ao.kind(), p.eo.kind(), p.transformed.is_some()) == (ao, eo, red);
+        let Ok(plan) = exec.plans().get_or_try_insert_with(same, || {
+            let (ao_order, ao_peak) = live(ao).unwrap_or_else(|| {
+                let (order, peak) = make_order_with_peak(exec, ao);
+                (Arc::new(order), Some(peak))
+            });
+            let ao_peak = ao_peak.unwrap_or_else(|| ao_order.sequential_peak(exec));
+            let eo = match eo == ao {
+                true => ao_order.clone(),
+                false => live(eo).map_or_else(|| Arc::new(make_order(exec, eo)), |(o, _)| o),
+            };
+            Ok::<_, Infallible>(Plan {
+                transformed,
+                ao: ao_order,
+                eo,
+                ao_peak,
+                layout: OnceLock::new(),
+            })
+        });
+        plan
+    }
+
+    /// The layout over `exec`, checking that the orders are orders of it
+    /// (the renumbering checks AO, the layout's EO checks EO). Unless
+    /// `exec` is `planned`, the tree of the plan's peak, AO is replayed.
+    fn lay_out(&self, exec: &TaskTree, planned: bool) -> Result<Layout, SchedError> {
+        check_lengths(exec, &self.ao, &self.eo)?;
+        let tree = self.ao.layout(exec).map_err(foreign_orders)?;
+        let ao = Arc::new(Order::identity(&tree, self.ao.kind()).map_err(foreign_orders)?);
+        let eo = if Arc::ptr_eq(&self.ao, &self.eo) {
             ao.clone()
         } else {
-            Arc::new(make_order(exec, self.eo))
+            let seq = self.eo.sequence().iter();
+            let seq = seq.map(|&i| NodeId(self.ao.rank(i))).collect();
+            Arc::new(Order::new(&tree, seq, self.eo.kind()).map_err(foreign_orders)?)
         };
-        PolicyInstance::assemble(
-            self.kind,
-            self.memory,
-            transformed,
+        let ao_peak = if planned {
+            self.ao_peak
+        } else {
+            self.ao.sequential_peak(exec)
+        };
+        Ok(Layout {
+            tree,
             ao,
             eo,
-            self.caps.clone(),
             ao_peak,
-        )
+        })
     }
 }
 
@@ -309,7 +425,9 @@ pub(crate) fn check_caps(exec: &TaskTree, caps: Option<&AllotmentCaps>) -> Resul
 }
 
 /// A [`PolicySpec`] resolved against a concrete tree: the (possibly
-/// transformed) tree the policy schedules plus its precomputed orders.
+/// transformed) tree the policy schedules plus its orders, shared with
+/// every other instance of the same order pair over that tree through
+/// their plan.
 ///
 /// Cheap to clone; mint fresh scheduler state per run with
 /// [`PolicyInstance::scheduler`].
@@ -317,90 +435,14 @@ pub(crate) fn check_caps(exec: &TaskTree, caps: Option<&AllotmentCaps>) -> Resul
 pub struct PolicyInstance {
     kind: HeuristicKind,
     memory: u64,
-    /// `Some` when the policy schedules a tree of its own rather than the
-    /// caller's: RedTree's transform, and any [relaid](Self::relaid)
-    /// instance's renumbered tree.
-    transformed: Option<Arc<TaskTree>>,
-    ao: Arc<Order>,
-    eo: Arc<Order>,
     caps: Option<AllotmentCaps>,
-    /// `peak(AO)`: the sequential peak of `ao` on the exec tree, from the
-    /// pass that built `ao` (memPO, OptSeq) or one replay of it. Every
-    /// mint checks `M` against it without replaying AO again.
-    ao_peak: u64,
-    /// Whether this instance is in activation-order numbering
+    plan: Arc<Plan>,
+    /// `Some` when the instance is in activation-order numbering
     /// ([`PolicyInstance::relaid`]).
-    relaid: bool,
+    layout: Option<Arc<Layout>>,
 }
 
 impl PolicyInstance {
-    /// Assembles an instance from preprocessed parts — the cache-friendly
-    /// construction path used by sweep harnesses that share orders and
-    /// transformed trees across many cells.
-    ///
-    /// `transformed` must be `Some` exactly for
-    /// [`HeuristicKind::MemBookingRedTree`], and `ao`/`eo` must be orders
-    /// *of the tree the policy schedules* (the transformed tree for
-    /// RedTree, `original` otherwise) — checked here, along with one
-    /// replay of AO for the instance's feasibility floor.
-    ///
-    /// # Errors
-    /// [`SchedError::InvalidSpec`] for a kind/parts mismatch or orders of
-    /// another tree, [`SchedError::OrderMismatch`] for orders of another
-    /// length.
-    pub fn from_parts(
-        kind: HeuristicKind,
-        memory: u64,
-        original: &TaskTree,
-        transformed: Option<Arc<TaskTree>>,
-        ao: Arc<Order>,
-        eo: Arc<Order>,
-        caps: Option<AllotmentCaps>,
-    ) -> Result<Self, SchedError> {
-        let mut instance = Self::assemble(kind, memory, transformed, ao, eo, caps, 0)?;
-        instance.ao_peak = {
-            let exec = instance.exec_tree(original);
-            check_orders(exec, &instance.ao, &instance.eo)?;
-            check_caps(exec, instance.caps.as_ref())?;
-            instance.ao.sequential_peak(exec)
-        };
-        Ok(instance)
-    }
-
-    /// The instance of parts whose orders belong to the exec tree, with
-    /// `peak(AO)` there; checks only that kind, transform and caps go
-    /// together.
-    fn assemble(
-        kind: HeuristicKind,
-        memory: u64,
-        transformed: Option<Arc<TaskTree>>,
-        ao: Arc<Order>,
-        eo: Arc<Order>,
-        caps: Option<AllotmentCaps>,
-        ao_peak: u64,
-    ) -> Result<Self, SchedError> {
-        if transformed.is_some() != (kind == HeuristicKind::MemBookingRedTree) {
-            return Err(SchedError::InvalidSpec(format!(
-                "a transformed tree is required exactly for MemBookingRedTree, not {kind}"
-            )));
-        }
-        if caps.is_some() && kind != HeuristicKind::MemBooking {
-            return Err(SchedError::InvalidSpec(format!(
-                "moldable allotment caps only apply to MemBooking, not {kind}"
-            )));
-        }
-        Ok(PolicyInstance {
-            kind,
-            memory,
-            transformed,
-            ao,
-            eo,
-            caps,
-            ao_peak,
-            relaid: false,
-        })
-    }
-
     /// The same instance under another memory bound — how a sweep stamps
     /// each cell's `M` onto preprocessing it shares across cells.
     pub fn with_memory(&self, memory: u64) -> Self {
@@ -424,41 +466,44 @@ impl PolicyInstance {
     /// break id ties by label, so a relaid run produces the caller-space
     /// schedule record for record. Relaying a relaid instance is a clone.
     ///
+    /// The layout is laid out once per plan: when `original`'s registry
+    /// holds this instance's plan, every relay of every instance over it
+    /// shares the first one's layout. Handed another tree, the instance
+    /// takes the checked path and gets a layout of its own.
+    ///
     /// # Errors
     /// [`SchedError::OrderMismatch`] / [`SchedError::InvalidSpec`] when
     /// the instance's orders or caps do not belong to `original`.
     pub fn relaid(&self, original: &TaskTree) -> Result<PolicyInstance, SchedError> {
-        if self.relaid {
+        if self.layout.is_some() {
             return Ok(self.clone());
         }
         let exec = self.exec_tree(original);
-        // Topology is checked by the renumbering itself (AO) and by the
-        // construction of the layout's EO.
-        check_lengths(exec, &self.ao, &self.eo)?;
-        let layout = self.ao.layout(exec).map_err(foreign_orders)?;
-        let ao = Arc::new(Order::identity(&layout, self.ao.kind()).map_err(foreign_orders)?);
-        let eo = if Arc::ptr_eq(&self.ao, &self.eo) {
-            ao.clone()
-        } else {
-            let seq = self.eo.sequence().iter();
-            let seq = seq.map(|&i| NodeId(self.ao.rank(i))).collect();
-            Arc::new(Order::new(&layout, seq, self.eo.kind()).map_err(foreign_orders)?)
-        };
         check_caps(exec, self.caps.as_ref())?;
+        let (plan, planned) = (&self.plan, self.planned_on(original));
+        let layout = match (planned, plan.layout.get()) {
+            (true, Some(layout)) => layout.clone(),
+            (true, None) => {
+                let fresh = Arc::new(plan.lay_out(exec, true)?);
+                plan.layout.get_or_init(|| fresh).clone()
+            }
+            (false, _) => Arc::new(plan.lay_out(exec, false)?),
+        };
         let caps = self.caps.as_ref().map(|caps| {
-            AllotmentCaps::from_caps(self.ao.sequence().iter().map(|&i| caps.cap(i)).collect())
+            AllotmentCaps::from_caps(plan.ao.sequence().iter().map(|&i| caps.cap(i)).collect())
         });
         Ok(PolicyInstance {
-            kind: self.kind,
-            memory: self.memory,
-            transformed: Some(Arc::new(layout)),
-            ao,
-            eo,
             caps,
-            // The same sequence over the same specs.
-            ao_peak: self.ao_peak,
-            relaid: true,
+            layout: Some(layout),
+            ..self.clone()
         })
+    }
+
+    /// Whether the plan's peak and layout hold on `original`: its registry
+    /// holds the plan, or the plan orders RedTree's own transform.
+    fn planned_on(&self, original: &TaskTree) -> bool {
+        let ours = |p: &Plan| std::ptr::eq(p, &*self.plan);
+        self.plan.transformed.is_some() || original.plans().find(ours).is_some()
     }
 
     /// Which heuristic this instance runs.
@@ -485,19 +530,21 @@ impl PolicyInstance {
 
     /// The activation order (on [`PolicyInstance::exec_tree`]).
     pub fn ao(&self) -> &Order {
-        &self.ao
+        self.layout.as_ref().map_or(&self.plan.ao, |l| &l.ao)
     }
 
     /// The execution priority (on [`PolicyInstance::exec_tree`]).
     pub fn eo(&self) -> &Order {
-        &self.eo
+        self.layout.as_ref().map_or(&self.plan.eo, |l| &l.eo)
     }
 
     /// The activation order's sequential peak on
     /// [`PolicyInstance::exec_tree`] — the feasibility floor every mint
     /// checks `M` against (RedTree's escrow raises its own above it).
     pub fn ao_peak(&self) -> u64 {
-        self.ao_peak
+        self.layout
+            .as_ref()
+            .map_or(self.plan.ao_peak, |l| l.ao_peak)
     }
 
     /// The tree the policy actually schedules: the reduction-tree
@@ -506,7 +553,10 @@ impl PolicyInstance {
     ///
     /// Platforms must simulate/execute *this* tree, not `original`.
     pub fn exec_tree<'t>(&'t self, original: &'t TaskTree) -> &'t TaskTree {
-        self.transformed.as_deref().unwrap_or(original)
+        match &self.layout {
+            Some(layout) => &layout.tree,
+            None => self.plan.transformed.as_deref().unwrap_or(original),
+        }
     }
 
     /// Mints a fresh scheduler state for one run over `original` — the
@@ -519,17 +569,22 @@ impl PolicyInstance {
     /// Fails with [`SchedError::InfeasibleMemory`] when the bound is below
     /// the policy's sequential booking peak (Theorem 1's feasibility
     /// condition), and [`SchedError::OrderMismatch`] when the instance's
-    /// orders do not belong to the tree.
+    /// orders do not belong to the tree. The carried floor is trusted
+    /// only on the tree it was computed on; handed another tree of the
+    /// same shape, the mint replays AO there.
     pub fn scheduler<'t>(
         &'t self,
         original: &'t TaskTree,
     ) -> Result<Box<dyn Scheduler + Send + 't>, SchedError> {
         let tree = self.exec_tree(original);
-        let (ao, eo, m) = (&*self.ao, &*self.eo, self.memory);
-        let floor = Some(self.ao_peak);
+        let (ao, eo, m) = (self.ao(), self.eo(), self.memory);
+        let floor = match &self.layout {
+            Some(layout) => Some(layout.ao_peak),
+            None => self.planned_on(original).then_some(self.plan.ao_peak),
+        };
         Ok(match self.kind {
             HeuristicKind::Activation => Box::new(Activation::with_floor(tree, ao, eo, m, floor)?),
-            // Caps ride on MemBooking only (`from_parts` refuses the rest).
+            // Caps ride on MemBooking only (`instantiate` refuses the rest).
             HeuristicKind::MemBooking => match self.caps.clone() {
                 Some(caps) => Box::new(MoldableMemBooking::with_floor(
                     tree, ao, eo, m, caps, floor,
@@ -647,24 +702,12 @@ mod tests {
             .instantiate(&tree)
             .unwrap_err();
         assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
-        // Caps of another tree: refused when the instance is made, through
-        // both construction paths, not at the mint.
+        // Caps of another tree: refused when the instance is made, not at
+        // the mint.
         let other = memtree_gen::synthetic::paper_tree(41, 1);
         let foreign = AllotmentCaps::uniform(&other, 2);
-        let spec = PolicySpec::new(HeuristicKind::MemBooking, 1_000).with_caps(foreign.clone());
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, 1_000).with_caps(foreign);
         let err = spec.instantiate(&tree).unwrap_err();
-        assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
-        let ao = Arc::new(memtree_order::mem_postorder(&tree));
-        let err = PolicyInstance::from_parts(
-            HeuristicKind::MemBooking,
-            1_000,
-            &tree,
-            None,
-            ao.clone(),
-            ao,
-            Some(foreign),
-        )
-        .unwrap_err();
         assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
     }
 
@@ -807,6 +850,140 @@ mod tests {
             inst.relaid(&chain),
             Err(SchedError::InvalidSpec(_))
         ));
+    }
+
+    #[test]
+    fn a_plan_lives_as_long_as_an_instance_holds_it() {
+        let tree = memtree_gen::synthetic::paper_tree(90, 6);
+        let spec = PolicySpec::new(HeuristicKind::Activation, u64::MAX / 4)
+            .with_orders(OrderKind::OptSeq, OrderKind::CriticalPath);
+        let first = spec.instantiate(&tree).unwrap();
+        let relaid = first.relaid(&tree).unwrap();
+        // Every holder shares the plan: another kind, a copy, a relay.
+        let other = PolicySpec {
+            kind: HeuristicKind::MemBooking,
+            ..spec.clone()
+        };
+        let shared = other.instantiate(&tree).unwrap();
+        assert!(Arc::ptr_eq(&first.plan, &shared.plan));
+        assert!(std::ptr::eq(
+            shared.relaid(&tree).unwrap().exec_tree(&tree),
+            relaid.exec_tree(&tree)
+        ));
+        let plan = Arc::downgrade(&first.plan);
+        drop((first, shared));
+        assert!(
+            plan.upgrade().is_some(),
+            "the relaid instance still holds it"
+        );
+        drop(relaid);
+        assert!(plan.upgrade().is_none(), "the tree keeps nothing alive");
+        assert!(tree.plans().find(|_: &Plan| true).is_none());
+        // The dead entry pins its address, so a fresh plan is a new one.
+        let fresh = spec.instantiate(&tree).unwrap();
+        assert!(!std::ptr::addr_eq(Arc::as_ptr(&fresh.plan), plan.as_ptr()));
+        let registered = tree.plans().find(|p: &Plan| std::ptr::eq(p, &*fresh.plan));
+        assert!(registered.is_some());
+        assert!(fresh.plan.layout.get().is_none(), "laid out on first use");
+    }
+
+    #[test]
+    fn redtree_plans_share_one_live_transform() {
+        let tree = memtree_gen::synthetic::paper_tree(80, 3);
+        let spec = PolicySpec::new(HeuristicKind::MemBookingRedTree, u64::MAX / 4);
+        let a = spec.instantiate(&tree).unwrap();
+        let b = spec
+            .clone()
+            .with_orders(OrderKind::MemPostorder, OrderKind::CriticalPath)
+            .instantiate(&tree)
+            .unwrap();
+        assert!(std::ptr::eq(a.exec_tree(&tree), b.exec_tree(&tree)));
+        assert!(std::ptr::eq(a.ao(), b.ao()), "memPO of the transform once");
+        assert_eq!(spec.min_feasible(&tree), {
+            let red = to_reduction_tree(&tree).unwrap().tree;
+            let ao = make_order(&red, OrderKind::MemPostorder);
+            RedTreeBooking::min_memory(&red, &ao).max(1)
+        });
+        // The layout is the transform's, laid out once per order pair,
+        // whatever tree the instance is handed.
+        let relaid = a.relaid(&tree).unwrap();
+        let other_pair = b.relaid(&tree).unwrap();
+        assert!(!std::ptr::eq(
+            other_pair.exec_tree(&tree),
+            relaid.exec_tree(&tree)
+        ));
+        let copy = tree.clone();
+        let apart = a.relaid(&copy).unwrap();
+        assert!(std::ptr::eq(
+            apart.exec_tree(&copy),
+            relaid.exec_tree(&tree)
+        ));
+        assert!(std::ptr::eq(
+            spec.instantiate(&tree)
+                .unwrap()
+                .relaid(&tree)
+                .unwrap()
+                .exec_tree(&tree),
+            relaid.exec_tree(&tree)
+        ));
+    }
+
+    #[test]
+    fn a_floor_is_trusted_only_on_its_own_tree() {
+        let tree = memtree_gen::synthetic::paper_tree(90, 2);
+        let doubled = tree
+            .map_specs(|_, s| memtree_tree::TaskSpec {
+                output: s.output * 2,
+                ..s
+            })
+            .unwrap();
+        let floor = PolicySpec::new(HeuristicKind::MemBooking, 0).min_feasible(&tree);
+        let inst = PolicySpec::new(HeuristicKind::MemBooking, floor)
+            .instantiate(&tree)
+            .unwrap();
+        inst.scheduler(&tree).unwrap();
+        // The same shape with other specs: the mint and the relay replay
+        // AO there instead of carrying this tree's peak over.
+        let peak = inst.ao().sequential_peak(&doubled);
+        assert!(peak > floor);
+        assert!(matches!(
+            inst.scheduler(&doubled),
+            Err(SchedError::InfeasibleMemory { required, .. }) if required == peak
+        ));
+        let relaid = inst.relaid(&doubled).unwrap();
+        assert_eq!(relaid.ao_peak(), peak);
+        assert!(relaid.scheduler(&doubled).is_err());
+    }
+
+    #[test]
+    fn a_transform_handed_back_is_planned_as_a_tree_of_its_own() {
+        let tree = memtree_gen::synthetic::paper_tree(70, 8);
+        let red = PolicySpec::new(HeuristicKind::MemBookingRedTree, u64::MAX / 4)
+            .instantiate(&tree)
+            .unwrap();
+        let transform = red.exec_tree(&tree);
+        let plain = PolicySpec::new(HeuristicKind::MemBooking, u64::MAX / 4)
+            .instantiate(transform)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&plain.plan, &red.plan));
+        assert!(std::ptr::eq(plain.ao(), red.ao()), "the orders are shared");
+        assert!(std::ptr::eq(plain.exec_tree(transform), transform));
+        let again = PolicySpec::new(HeuristicKind::MemBookingRedTree, u64::MAX / 4)
+            .instantiate(&tree)
+            .unwrap();
+        assert!(Arc::ptr_eq(&again.plan, &red.plan));
+        assert!(std::ptr::eq(again.exec_tree(&tree), transform));
+    }
+
+    #[test]
+    fn a_reduction_tree_past_u64_is_an_error() {
+        // The fictitious leaf doubles the root's output: past `u64`.
+        let spec = memtree_tree::TaskSpec::new(0, u64::MAX / 2 + 1, 1.0);
+        let tree = TaskTree::from_parents(&[None], &[spec]).unwrap();
+        let spec = PolicySpec::new(HeuristicKind::MemBookingRedTree, u64::MAX);
+        let err = spec.instantiate(&tree).unwrap_err();
+        assert!(matches!(err, SchedError::InvalidSpec(_)), "got {err}");
+        assert_eq!(spec.min_feasible(&tree), u64::MAX);
     }
 
     #[test]

@@ -126,7 +126,7 @@ proptest! {
             ] {
                 let expected = match kind {
                     HeuristicKind::MemBookingRedTree => {
-                        let red = to_reduction_tree(&tree).tree;
+                        let red = to_reduction_tree(&tree).unwrap().tree;
                         RedTreeBooking::min_memory(&red, &make_order(&red, ao))
                     }
                     _ => make_order(&tree, ao).sequential_peak(&tree),

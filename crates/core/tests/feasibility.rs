@@ -2,7 +2,7 @@
 //! `PolicyInstance` carries exactly its activation order's sequential
 //! peak as its feasibility floor.
 
-use memtree_order::{make_order, mem_postorder, OrderKind};
+use memtree_order::{mem_postorder, OrderKind};
 use memtree_sched::{
     Activation, AllotmentCaps, HeuristicKind, MemBooking, MemBookingRef, MoldableMemBooking,
     PolicyInstance, PolicySpec, RedTreeBooking, SchedError, Sequential,
@@ -10,7 +10,6 @@ use memtree_sched::{
 use memtree_tree::memory::sequential_peak;
 use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
     (1..=max_n)
@@ -60,37 +59,13 @@ fn orders_of_another_tree_of_the_same_size_are_an_error() {
             "MoldableMemBooking",
             MoldableMemBooking::try_new(&chain, a, e, m, caps),
         );
-        let parts = PolicyInstance::from_parts(
-            HeuristicKind::MemBooking,
-            m,
-            &chain,
-            None,
-            Arc::new(a.clone()),
-            Arc::new(e.clone()),
-            None,
-        );
-        assert_foreign("from_parts", parts);
     }
     assert_foreign("Sequential", Sequential::try_new(&chain, &ao, m));
+    // An instance of the other tree, relaid against the chain.
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, m);
+    assert_foreign("relaid", spec.instantiate(&other).unwrap().relaid(&chain));
     // The chain's own order passes every check.
     MemBooking::try_new(&chain, &own, &own, m).unwrap();
-}
-
-/// `from_parts` with orders of another length keeps its old error.
-#[test]
-fn from_parts_refuses_orders_of_another_length() {
-    let tree = memtree_gen::synthetic::paper_tree(60, 5);
-    let shorter = Arc::new(mem_postorder(&memtree_gen::synthetic::paper_tree(40, 5)));
-    let parts = PolicyInstance::from_parts(
-        HeuristicKind::Activation,
-        1_000,
-        &tree,
-        None,
-        shorter.clone(),
-        shorter,
-        None,
-    );
-    assert!(matches!(parts, Err(SchedError::OrderMismatch { .. })));
 }
 
 /// The floor of an instance, checked against a replay of its AO on the
@@ -119,7 +94,8 @@ proptest! {
 
     /// Every kind × {memPO, OptSeq, CP, naturalPO}: the instance carries
     /// AO's sequential peak, in caller ids and after `relaid` (RedTree on
-    /// its transformed tree), and `from_parts` computes the same floor.
+    /// its transformed tree), and a plan whose AO was live only as
+    /// another plan's EO replays it to the same floor.
     #[test]
     fn the_carried_floor_is_the_activation_orders_peak(tree in arb_tree(30)) {
         for kind in HeuristicKind::all() {
@@ -133,19 +109,15 @@ proptest! {
                 let inst = spec.instantiate(&tree).unwrap();
                 check_floor(&tree, &inst);
                 check_floor(&tree, &inst.relaid(&tree).unwrap());
-                if kind != HeuristicKind::MemBookingRedTree {
-                    let parts = PolicyInstance::from_parts(
-                        kind,
-                        0,
-                        &tree,
-                        None,
-                        Arc::new(make_order(&tree, ao)),
-                        Arc::new(make_order(&tree, OrderKind::CriticalPath)),
-                        None,
-                    )
+                let copy = tree.clone();
+                let eo_first = PolicySpec::new(kind, 0)
+                    .with_orders(OrderKind::CriticalPath, ao)
+                    .instantiate(&copy)
                     .unwrap();
-                    prop_assert_eq!(parts.ao_peak(), inst.ao_peak());
-                }
+                let replayed = spec.instantiate(&copy).unwrap();
+                prop_assert!(std::ptr::eq(replayed.ao(), eo_first.eo()));
+                prop_assert_eq!(replayed.ao_peak(), inst.ao_peak());
+                check_floor(&copy, &replayed);
             }
         }
     }

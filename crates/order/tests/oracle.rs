@@ -177,7 +177,7 @@ proptest! {
     #[test]
     fn orders_match_the_references_on_every_id_layout(tree in arb_tree(40), seed in 0u64..1000) {
         let [up, down, mixed] = reference::id_layouts(&tree, seed);
-        let red = to_reduction_tree(&tree).tree;
+        let red = to_reduction_tree(&tree).unwrap().tree;
         for t in [&up, &down, &mixed, &red] {
             let (peaks, mem) = reference::mem_postorder(t);
             prop_assert_eq!(memtree_order::postorder_peaks(t), peaks);

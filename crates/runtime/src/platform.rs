@@ -208,7 +208,8 @@ pub trait Platform {
 
 /// The one `run_instance` body of the single-ledger platforms (sim,
 /// threaded, async). It relays `instance` into activation-order
-/// numbering (DESIGN.md §6.11), mints the scheduler and — when
+/// numbering (DESIGN.md §6.11) — a lookup of its plan's layout once the
+/// plan has one — mints the scheduler and — when
 /// `reschedule` is set *and* the instance is moldable — a
 /// [`ProportionalRescheduler`] over the executed tree, and builds the
 /// report from what `run`, the platform's own part, returns: its clock
@@ -256,9 +257,9 @@ pub(crate) fn run_driven(
 /// Every instance — sequential, moldable or malleable — is run
 /// [relaid](PolicyInstance::relaid): in activation-order numbering, the
 /// layout that keeps a 10⁶-node run in cache (DESIGN.md §6.11), and
-/// scheduling exactly as it would in the caller's ids. Handing
-/// `run_instance` an instance that is already relaid skips the
-/// renumbering, which is how sweeps pay for it once per tree.
+/// scheduling exactly as it would in the caller's ids. The relay reuses
+/// the layout of the instance's plan, so every run of every instance
+/// over one tree and order pair pays for the renumbering once.
 #[derive(Clone, Copy, Debug)]
 pub struct SimPlatform {
     /// Simulated processor count `p`.

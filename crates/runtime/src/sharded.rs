@@ -677,12 +677,14 @@ mod tests {
         let tree = memtree_gen::synthetic::paper_tree(60, 13);
         let m = min_memory(&tree) * 8;
         let spec = PolicySpec::new(HeuristicKind::MemBooking, m);
-        // Every task sleeps ~1 s, so no shard reports within the 150 ms
-        // watchdog: the run stalls with both workers still mid-subtree.
+        // Every task sleeps the 30 ms cap (its time is ≥ 10 units), and
+        // the split's shard subtree holds 36 tasks, so its worker sleeps
+        // ≈ 1.08 s, over 6× the 150 ms watchdog: the run stalls with the
+        // shard still mid-subtree, and the drain below waits that out.
         let platform = ShardedPlatform::new(2)
             .with_workload(Workload::Sleep {
                 nanos_per_time_unit: 1_000_000_000.0,
-                max_nanos: 1_000_000_000,
+                max_nanos: 30_000_000,
             })
             .with_timeout(Duration::from_millis(150));
         let cpu_before = thread_cpu_ticks();

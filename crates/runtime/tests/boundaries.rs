@@ -19,9 +19,10 @@
 //!
 //! Constructors are total too (ROADMAP Y, constructor half): for random
 //! trees, orders of that tree or of another one, any memory bound and caps
-//! of any length, every policy's `try_new`, `PolicyInstance::from_parts`,
-//! `relaid` and the scheduler an instance mints return a value or an
-//! error, and never panic.
+//! of any length, every policy's `try_new`, `PolicySpec::instantiate` on
+//! either tree or the reduction tree, `relaid` against a tree that may
+//! not be the instance's own, and the scheduler an instance mints return
+//! a value or an error, and never panic.
 //!
 //! The tier-1 tests run 500 cases per boundary; the ignored tests run
 //! 10 000 per boundary:
@@ -35,13 +36,13 @@ use memtree_runtime::process::wire::{self, WorkerMsg};
 use memtree_runtime::{DriveError, PlatformError, RunReport, Workload};
 use memtree_sched::{
     to_reduction_tree, Activation, AllotmentCaps, HeuristicKind, MemBooking, MemBookingRef,
-    MoldableMemBooking, PolicyInstance, PolicySpec, RedTreeBooking, SchedError, Sequential,
+    MoldableMemBooking, PolicySpec, RedTreeBooking, SchedError, Sequential,
 };
 use memtree_tree::io::{tree_from_str, tree_to_string};
 use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// What a number token may be swapped for: zero, the edges of `u32` and
@@ -381,7 +382,7 @@ fn construct(seed: u64) {
     let mut d = Draw(seed);
     let a = random_tree(&mut d);
     let b = random_tree(&mut d);
-    let red = to_reduction_tree(&a).tree;
+    let red = to_reduction_tree(&a).unwrap().tree;
     // Orders of the first tree half the time, so that some cases build.
     let trees = [&a, &a, &b, &red];
     let ao = make_order(d.pick(&trees), d.pick(&ORDER_KINDS));
@@ -408,15 +409,16 @@ fn construct(seed: u64) {
     let _ = Sequential::try_new(t, &ao, memory);
 
     let kind = d.pick(&HeuristicKind::all());
-    let transformed = match d.below(4) {
-        0 | 1 => None,
-        2 => Some(Arc::new(red.clone())),
-        _ => Some(Arc::new(b.clone())),
-    };
     let caps = (d.below(2) == 0).then(|| AllotmentCaps::from_caps(caps));
-    let (ao, eo) = (Arc::new(ao), Arc::new(eo));
-    let Ok(instance) = PolicyInstance::from_parts(kind, memory, &a, transformed, ao, eo, caps)
-    else {
+    let (ao, eo) = (ao.kind(), eo.kind());
+    let spec = PolicySpec {
+        kind,
+        ao,
+        eo,
+        memory,
+        caps,
+    };
+    let Ok(instance) = spec.instantiate(d.pick(&trees)) else {
         return;
     };
     let _ = instance.scheduler(&a);

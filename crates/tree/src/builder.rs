@@ -146,6 +146,7 @@ impl TreeBuilder {
             time: self.time,
             root,
             labels: None,
+            plans: Default::default(),
         })
     }
 }

@@ -41,6 +41,7 @@ pub mod io;
 pub mod memory;
 pub mod node;
 pub mod partition;
+pub mod plans;
 pub mod stats;
 pub mod traverse;
 pub mod tree;
@@ -53,6 +54,7 @@ pub use hash::Fnv64;
 pub use memory::{mem_needed_slice, LiveSet, SequentialProfile};
 pub use node::{NodeId, TaskSpec};
 pub use partition::{partition, Partition, PartitionPolicy, ResidualPart, ShardPart};
+pub use plans::Plans;
 pub use stats::TreeStats;
 pub use traverse::ChildrenFirst;
 pub use tree::TaskTree;

@@ -41,6 +41,9 @@ pub struct TaskTree {
     /// ids are its caller's.
     #[cfg_attr(feature = "serde", serde(skip))]
     pub(crate) labels: Option<Arc<[NodeId]>>,
+    /// What callers derived from this tree, held weakly ([`crate::Plans`]).
+    #[cfg_attr(feature = "serde", serde(skip))]
+    pub(crate) plans: crate::Plans,
 }
 
 /// The CSR children arrays of a parent array: `(child_ptr, children)`.
@@ -297,6 +300,13 @@ impl TaskTree {
         }
     }
 
+    /// The tree's plan registry: orders, transforms and layouts its
+    /// callers derived from it, each shared for as long as one of them
+    /// holds it.
+    pub fn plans(&self) -> &crate::Plans {
+        &self.plans
+    }
+
     /// The id the caller knows node `i` by: `i` itself, unless this tree
     /// was [`renumbered`](TaskTree::renumbered), in which case it is the
     /// node's id in the tree the (first) renumbering started from.
@@ -401,6 +411,7 @@ impl TaskTree {
                 None => seq,
                 Some(old) => gather(old, &seq).into(),
             }),
+            plans: Default::default(),
         })
     }
 

@@ -76,7 +76,7 @@ fn redtree_requires_more_memory() {
         let tree = paper_tree(400, 200 + seed);
         let ao = mem_postorder(&tree);
         let min_m = ao.sequential_peak(&tree);
-        let tr = memtree::sched::to_reduction_tree(&tree);
+        let tr = memtree::sched::to_reduction_tree(&tree).unwrap();
         let red_ao = mem_postorder(&tr.tree);
         let red_min = RedTreeBooking::min_memory(&tr.tree, &red_ao);
         assert!(red_min >= min_m);
