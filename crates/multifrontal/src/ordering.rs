@@ -137,7 +137,7 @@ pub fn nested_dissection_grid3d(k: usize) -> Vec<usize> {
 /// 2. for each member `a` of `L_v`: removes `L_v ∪ {v}` from `A_a`, drops
 ///    the absorbed elements from `E_a`, absorbs any other `e ∈ E_a` with
 ///    `L_e ⊆ L_v` (it adds nothing `v` does not), adds `v` to `E_a`, and
-///    recounts the degree of `a` with a marker array.
+///    recounts the degree of `a`.
 ///
 /// **Exactness and tie-breaks.** The recount is the true external degree
 /// `|L_v| − 1 + |A_a| + |⋃_{e∈E_a∖{v}} L_e ∖ L_v|` (`A_a` is disjoint from
@@ -155,13 +155,18 @@ pub fn nested_dissection_grid3d(k: usize) -> Vec<usize> {
 /// **Cost.** Clique elimination inserts `|L_v|²` hash-set edges per step.
 /// Step 2 instead reads each element next to `L_v` once, moving `L_e ∖ L_v`
 /// to the front of `L_e`; a member with one such element takes its count,
-/// and only members with several scan those prefixes for the size of their
-/// union — which is where the time goes. Adjacency storage
-/// (`A`, `E` and `L` together) starts at `nnz(A)` and never grows: `L_v`
-/// fits in the space `A_v` and the absorbed lists give up, and a member
-/// gains `v` in `E_a` only after losing `v` from `A_a` or an absorbed
-/// element from `E_a`. Only the bucket queue, with one `u32` per re-push
-/// (`nnz(L)` in total), can exceed that.
+/// and a member with several ORs their bitsets (`Union`) and counts the
+/// bits. Adjacency storage (`A`, `E` and `L` together) starts at `nnz(A)`
+/// and never grows: `L_v` fits in the space `A_v` and the absorbed lists
+/// give up, and a member gains `v` in `E_a` only after losing `v` from
+/// `A_a` or an absorbed element from `E_a`. Beside it are `O(n)` arrays,
+/// the bucket queue, with one `u32` per re-push (`nnz(L)` in total), and
+/// the union's word arena, at most the step's bitsets times its universe's
+/// words: it peaked at 869, 6 744 and 18 717 words on
+/// `random_connected(n, 3n/2, ·)` at n = 2 000, 8 000 and 16 000. On one
+/// core of a 2-vCPU cloud VM those orderings take ≈ 9.4 ms, 89 ms and
+/// 0.31 s, against 12.8 ms, 0.26 s and 1.37 s for the stamp-array scan of
+/// the prefixes that the bitsets replaced.
 pub fn minimum_degree(pattern: &SparsePattern) -> Vec<usize> {
     minimum_degree_with_degrees(pattern).0
 }
@@ -187,13 +192,14 @@ pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<
     let mut elems: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut degree: Vec<usize> = (0..n).map(|j| a_end[j] - a_start[j]).collect();
-    // For a variable x, mark[x] == in_lv: x ∈ L_v ∪ {v}; mark[x] == seen:
-    // x already counted for the member being recounted. For an element e,
-    // mark[e] == in_lv: this step has put L_e ∖ L_v in members[e][..ext[e]].
-    // Stamps only increase, so nothing is ever reset.
+    // For a variable x, mark[x] == in_lv: x ∈ L_v ∪ {v}. For an element e,
+    // mark[e] ≥ in_lv: this step has put L_e ∖ L_v in members[e][..ext[e]].
+    // `Union` stamps with in_lv + 1 (see there). Stamps only increase, so
+    // nothing is ever reset.
     let mut mark = vec![0u64; n];
     let mut stamp = 0u64;
     let mut ext = vec![0usize; n];
+    let mut union = Union::new(n);
 
     let mut eliminated = vec![false; n];
     let mut perm = Vec::with_capacity(n);
@@ -228,8 +234,9 @@ pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<
         degrees.push(cursor);
 
         // Step 1: L_v, sorted; A_v, E_v and the absorbed lists are freed.
-        stamp += 1;
-        let in_lv = stamp;
+        stamp += 2;
+        let in_lv = stamp - 1;
+        union.clear();
         mark[v] = in_lv;
         let mut lv = a[a_start[v]..a_end[v]].to_vec();
         a_end[v] = a_start[v];
@@ -254,10 +261,8 @@ pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<
             let mut end = a_start[m];
             for r in a_start[m]..a_end[m] {
                 let x = a[r];
-                if mark[x as usize] != in_lv {
-                    a[end] = x;
-                    end += 1;
-                }
+                a[end] = x;
+                end += usize::from(mark[x as usize] != in_lv);
             }
             a_end[m] = end;
 
@@ -265,14 +270,13 @@ pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<
             es.retain(|&e| {
                 let e = e as usize;
                 let le = &mut members[e];
-                if mark[e] != in_lv && !le.is_empty() {
+                if mark[e] < in_lv && !le.is_empty() {
                     // First visit this step: move L_e ∖ L_v to the front.
                     let mut k = 0;
                     for i in 0..le.len() {
-                        if mark[le[i] as usize] != in_lv {
-                            le.swap(k, i);
-                            k += 1;
-                        }
+                        let x = le[i];
+                        le.swap(k, i);
+                        k += usize::from(mark[x as usize] != in_lv);
                     }
                     mark[e] = in_lv;
                     ext[e] = k;
@@ -285,21 +289,7 @@ pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<
             let outside = match es[..] {
                 [] => 0,
                 [e] => ext[e as usize],
-                _ => {
-                    stamp += 1;
-                    let seen = stamp;
-                    let mut outside = 0;
-                    for &e in &es {
-                        for &x in &members[e as usize][..ext[e as usize]] {
-                            let mx = &mut mark[x as usize];
-                            if *mx != seen {
-                                *mx = seen;
-                                outside += 1;
-                            }
-                        }
-                    }
-                    outside
-                }
+                _ => union.size(&es, &members, &ext, &mut mark, stamp),
             };
             es.push(v as u32);
             elems[m] = es;
@@ -321,6 +311,98 @@ pub fn minimum_degree_with_degrees(pattern: &SparsePattern) -> (Vec<usize>, Vec<
         );
     }
     (perm, degrees)
+}
+
+/// Step 2's count of `|⋃_{e∈E_a} L_e ∖ L_v|` for a member with two or
+/// more elements: the popcount of the OR of per-element bitsets. The
+/// bitsets are over a per-step local universe — each vertex of some
+/// `L_e ∖ L_v` gets the next local id the first time the step meets it —
+/// and each element's bitset is built once per step, at its first use
+/// here, into `words`, which every step reuses. An element built while the
+/// universe was small has fewer words than one built later; the OR runs
+/// over each element's own words.
+///
+/// With `ids` the step's second stamp (`in_lv + 1`): `mark[x] == ids`
+/// means the variable `x` has local id `local[x]`, and `mark[e] == ids`
+/// means the element `e`'s bitset is `words[span[e].0..][..span[e].1]`.
+struct Union {
+    local: Vec<u32>,
+    span: Vec<(usize, usize)>,
+    words: Vec<u64>,
+    /// The OR being counted.
+    acc: Vec<u64>,
+    /// The size of the step's universe so far.
+    next: u32,
+}
+
+impl Union {
+    fn new(n: usize) -> Self {
+        Union {
+            local: vec![0; n],
+            span: vec![(0, 0); n],
+            words: Vec::new(),
+            acc: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Starts a step: an empty universe and no bitsets.
+    fn clear(&mut self) {
+        self.words.clear();
+        self.next = 0;
+    }
+
+    /// `|⋃_{e∈es} members[e][..ext[e]]|`, stamping with `ids`.
+    fn size(
+        &mut self,
+        es: &[u32],
+        members: &[Vec<u32>],
+        ext: &[usize],
+        mark: &mut [u64],
+        ids: u64,
+    ) -> usize {
+        self.acc.clear();
+        for &e in es {
+            let e = e as usize;
+            if mark[e] != ids {
+                mark[e] = ids;
+                self.span[e] = self.build(&members[e][..ext[e]], mark, ids);
+            }
+            let (at, len) = self.span[e];
+            let bits = &self.words[at..][..len];
+            if self.acc.len() < bits.len() {
+                self.acc.resize(bits.len(), 0);
+            }
+            for (a, b) in self.acc.iter_mut().zip(bits) {
+                *a |= b;
+            }
+        }
+        self.acc.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Appends the bitset of `xs` to `words`, giving each vertex not yet
+    /// in the universe the next id; returns its span.
+    fn build(&mut self, xs: &[u32], mark: &mut [u64], ids: u64) -> (usize, usize) {
+        let mut top = 0;
+        for &x in xs {
+            let x = x as usize;
+            if mark[x] != ids {
+                mark[x] = ids;
+                self.local[x] = self.next;
+                self.next += 1;
+            }
+            top = top.max(self.local[x]);
+        }
+        let at = self.words.len();
+        let len = top as usize / 64 + 1;
+        self.words.resize(at + len, 0);
+        let bits = &mut self.words[at..];
+        for &x in xs {
+            let id = self.local[x as usize] as usize;
+            bits[id / 64] |= 1 << (id % 64);
+        }
+        (at, len)
+    }
 }
 
 /// Checks `perm` is a permutation of `0..n`.
@@ -392,6 +474,35 @@ mod tests {
             h.write_u64(v as u64);
         }
         assert_eq!(h.finish(), 0x2d17_a101_3a39_6405);
+    }
+
+    #[test]
+    fn a_one_word_bitset_ors_with_one_built_past_64_ids() {
+        // Elements 0, 1 and 2 over the variables 100..195. Element 1's
+        // prefix L_e ∖ L_v is its first 75 members, 105..180; the rest
+        // stand in for members inside L_v and must not count.
+        let n = 200;
+        let mut members = vec![Vec::new(); n];
+        members[0] = (100..110).collect();
+        members[1] = (105..180).chain(190..195).collect();
+        members[2] = (120..130).collect();
+        let mut ext = vec![0; n];
+        ext[0] = 10;
+        ext[1] = 75;
+        ext[2] = 10;
+        let mut mark = vec![0u64; n];
+        let mut union = Union::new(n);
+        union.clear();
+        // 0 and 2 are built first: 20 ids, one word each.
+        assert_eq!(union.size(&[0, 2], &members, &ext, &mut mark, 1), 20);
+        // 1 is built past 64 ids, so it spans two words; 0 keeps its one.
+        assert_eq!(union.size(&[0, 1], &members, &ext, &mut mark, 1), 80);
+        assert_eq!(union.size(&[1, 0, 2], &members, &ext, &mut mark, 1), 80);
+        assert_eq!((union.span[0].1, union.span[1].1), (1, 2));
+        // The next step starts over: new ids, new bitsets.
+        union.clear();
+        assert_eq!(union.size(&[2, 1], &members, &ext, &mut mark, 2), 75);
+        assert_eq!(union.next, 75);
     }
 
     #[test]

@@ -15,6 +15,26 @@ fn arb_pattern() -> impl Strategy<Value = SparsePattern> {
         .prop_map(|(n, extra, seed)| SparsePattern::random_connected(n, extra, seed))
 }
 
+/// Patterns in the hundreds, with extra edges in proportion: one to two
+/// per vertex, as in the `plan-irregular` benchmark. Most of them have a
+/// minimum-degree step whose union counts more than 64 local ids, so its
+/// bitsets span several words; `arb_pattern` is too small for that.
+fn arb_wide_pattern() -> impl Strategy<Value = SparsePattern> {
+    (200usize..500, 2usize..5, 0u64..1000)
+        .prop_map(|(n, halves, seed)| SparsePattern::random_connected(n, n * halves / 2, seed))
+}
+
+/// The degree each vertex is eliminated at is the off-diagonal count of
+/// its column of the factor.
+fn assert_degrees_are_column_counts(p: &SparsePattern) {
+    let (perm, degrees) = minimum_degree_with_degrees(p);
+    let q = p.permute(&perm);
+    let cc = column_counts(&q, &elimination_tree(&q));
+    for (k, (&d, &c)) in degrees.iter().zip(&cc).enumerate() {
+        assert_eq!(d as u64 + 1, c, "step {}", k);
+    }
+}
+
 proptest! {
     /// The elimination tree of a connected pattern is a tree rooted at the
     /// last column, with parents strictly above children.
@@ -75,12 +95,18 @@ proptest! {
     /// eliminated at is the off-diagonal count of its column of the factor.
     #[test]
     fn elimination_degrees_are_column_counts(p in arb_pattern()) {
-        let (perm, degrees) = minimum_degree_with_degrees(&p);
-        let q = p.permute(&perm);
-        let cc = column_counts(&q, &elimination_tree(&q));
-        for (k, (&d, &c)) in degrees.iter().zip(&cc).enumerate() {
-            prop_assert_eq!(d as u64 + 1, c, "step {}", k);
-        }
+        assert_degrees_are_column_counts(&p);
+    }
+
+    /// Both oracles again, on universes wider than one word.
+    #[test]
+    fn minimum_degree_matches_reference_on_wide_patterns(p in arb_wide_pattern()) {
+        prop_assert_eq!(minimum_degree(&p), reference::minimum_degree(&p));
+    }
+
+    #[test]
+    fn elimination_degrees_are_column_counts_on_wide_patterns(p in arb_wide_pattern()) {
+        assert_degrees_are_column_counts(&p);
     }
 
     /// `permute` builds its CSC directly; relabelling the edge list and

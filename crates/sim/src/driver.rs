@@ -34,7 +34,12 @@ use crate::scheduler::Scheduler;
 use memtree_tree::memory::LiveSet;
 use memtree_tree::{BitSet, NodeId, TaskTree};
 use std::sync::OnceLock;
+// The callback clock's time source. This crate's unit tests swap in one
+// they can script (`tests::Instant`), so the estimator is checked exactly.
+#[cfg(not(test))]
 use std::time::Instant;
+#[cfg(test)]
+use tests::Instant;
 
 /// Driver configuration shared by all platforms.
 #[derive(Clone, Copy, Debug)]
@@ -717,6 +722,7 @@ mod tests {
     use super::*;
     use crate::testutil::{fork, Greedy, InOrder, Lazy, Once, Script};
     use memtree_tree::TaskSpec;
+    use std::cell::Cell;
     use std::time::Duration;
 
     /// What [`pump`] handed out: every launch and every resize.
@@ -1090,17 +1096,61 @@ mod tests {
         );
     }
 
-    /// Runs `inner`, and busy-waits `cost(step)` in the `on_event` of
-    /// every 0-based step, adding the requested wait to `injected` and
-    /// the time it actually waited to `waited`. A preemption inside the
-    /// wait lands in `waited` only: a sampled estimate cannot see one in
-    /// a step it does not time, so it is held to the requested cost.
+    thread_local! {
+        /// This thread's scripted time in nanoseconds, or `None` while
+        /// no script runs and [`Instant`] reads the real clock.
+        static SCRIPT: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// The callback clock's `Instant` in this crate's unit tests: the
+    /// real clock, or, inside [`scripted`], a point of the thread's script.
+    #[derive(Clone, Copy)]
+    pub(super) enum Instant {
+        Real(std::time::Instant),
+        Scripted(u64),
+    }
+
+    impl Instant {
+        pub(super) fn now() -> Self {
+            match SCRIPT.get() {
+                Some(ns) => Instant::Scripted(ns),
+                None => Instant::Real(std::time::Instant::now()),
+            }
+        }
+
+        pub(super) fn elapsed(&self) -> Duration {
+            match *self {
+                Instant::Real(t0) => t0.elapsed(),
+                Instant::Scripted(t0) => {
+                    Duration::from_nanos(SCRIPT.get().expect("a reading outlived its script") - t0)
+                }
+            }
+        }
+    }
+
+    /// Runs `f` on scripted time, which stands still but for [`advance`].
+    /// The stopwatch floor is calibrated on the real clock first, as any
+    /// other run of the process would find it.
+    fn scripted<T>(f: impl FnOnce() -> T) -> T {
+        stopwatch_floor();
+        SCRIPT.set(Some(0));
+        let out = f();
+        SCRIPT.set(None);
+        out
+    }
+
+    fn advance(by: Duration) {
+        let now = SCRIPT.get().expect("advance outside a script");
+        SCRIPT.set(Some(now + by.as_nanos() as u64));
+    }
+
+    /// Runs `inner`, and spends `cost(step)` of scripted time in the
+    /// `on_event` of every 0-based step, adding it to `injected`.
     struct Costly<S> {
         inner: S,
         cost: fn(usize) -> Duration,
         step: usize,
         injected: Duration,
-        waited: Duration,
     }
 
     impl<S: Scheduler> Scheduler for Costly<S> {
@@ -1113,14 +1163,10 @@ mod tests {
             idle: usize,
             to_start: &mut Vec<(NodeId, usize)>,
         ) {
-            let wait = (self.cost)(self.step);
+            let cost = (self.cost)(self.step);
             self.step += 1;
-            if !wait.is_zero() {
-                let t0 = Instant::now();
-                while t0.elapsed() < wait {}
-                self.injected += wait;
-                self.waited += t0.elapsed();
-            }
+            advance(cost);
+            self.injected += cost;
             self.inner.on_event(finished, idle, to_start)
         }
         fn booked(&self) -> u64 {
@@ -1128,30 +1174,46 @@ mod tests {
         }
     }
 
-    /// Drives a chain of `n` nodes on one worker (`n + 1` events) with
-    /// `cost` injected; returns the estimate, the injected seconds, the
-    /// waited seconds and the events.
-    fn injected_chain(n: usize, cost: fn(usize) -> Duration) -> (f64, f64, f64, usize) {
+    /// Drives a chain of `n` nodes on one worker (`n + 1` events) on
+    /// scripted time with `cost` injected; returns the estimate, the
+    /// injected seconds, and the estimate worked out by hand: each timed
+    /// step reads its cost less the stopwatch floor, the steps below
+    /// `STRIDE` count as read, and the mean of the sampled steps
+    /// `STRIDE`, `2·STRIDE`, … stands for every step past `STRIDE`.
+    fn injected_chain(n: usize, cost: fn(usize) -> Duration) -> (f64, f64, f64) {
         let t = memtree_gen::shapes::chain(n, TaskSpec::new(0, 1, 1.0));
         let mut costly = Costly {
             inner: Greedy::new(&t, 2),
             cost,
             step: 0,
             injected: Duration::ZERO,
-            waited: Duration::ZERO,
         };
-        let stats = pump(&t, DriveConfig::new(1, 2), &mut costly, None)
-            .0
-            .unwrap();
-        assert_eq!(stats.events, n + 1);
+        let stats = scripted(|| pump(&t, DriveConfig::new(1, 2), &mut costly, None).0).unwrap();
+        let steps = n + 1;
+        assert_eq!(stats.events, steps);
+        let read = |step: usize| (cost(step).as_secs_f64() - stopwatch_floor()).max(0.0);
+        let exact: f64 = (0..steps.min(STRIDE)).map(read).sum();
+        let sampled: Vec<f64> = (STRIDE..steps).step_by(STRIDE).map(read).collect();
+        let expected = match sampled.len() {
+            0 => exact,
+            k => exact + sampled.iter().sum::<f64>() / k as f64 * (steps - STRIDE) as f64,
+        };
         let injected = costly.injected.as_secs_f64();
-        let waited = costly.waited.as_secs_f64();
-        (stats.scheduling_seconds, injected, waited, stats.events)
+        (stats.scheduling_seconds, injected, expected)
+    }
+
+    /// The estimate is the hand-worked one, to rounding.
+    fn assert_exact(estimate: f64, expected: f64) {
+        assert!(
+            (estimate - expected).abs() <= 1e-9 * expected,
+            "estimated {estimate} s, worked out {expected} s"
+        );
     }
 
     #[test]
     fn a_run_past_the_stride_is_estimated_from_samples() {
-        let (estimate, injected, _, _) = injected_chain(3_000, |_| Duration::from_micros(20));
+        let (estimate, injected, expected) = injected_chain(3_000, |_| Duration::from_micros(20));
+        assert_exact(estimate, expected);
         let ratio = estimate / injected;
         assert!(
             (0.9..=3.0).contains(&ratio),
@@ -1161,15 +1223,11 @@ mod tests {
 
     #[test]
     fn a_run_shorter_than_the_stride_is_timed_exactly() {
-        let (estimate, _, waited, events) = injected_chain(40, |_| Duration::from_micros(100));
-        assert!(events < STRIDE);
-        // Every callback was timed, so the estimate holds every wait as
-        // it was measured, preemptions included, and nothing was scaled.
-        assert!(estimate >= waited, "estimated {estimate} s of {waited} s");
-        assert!(
-            estimate <= waited * 1.2,
-            "estimated {estimate} s of {waited} s"
-        );
+        let (estimate, _, expected) = injected_chain(40, |_| Duration::from_micros(100));
+        const { assert!(40 + 1 < STRIDE) };
+        // Every step was timed, so nothing was scaled: the estimate is the
+        // injected time less one stopwatch floor per step.
+        assert_exact(estimate, expected);
     }
 
     /// Starts a chain built root first (`memtree_gen::shapes::chain`)
@@ -1234,7 +1292,8 @@ mod tests {
             let wait = if step.is_multiple_of(64) { 200 } else { 0 };
             Duration::from_micros(wait)
         };
-        let (estimate, injected, _, _) = injected_chain(50_000, every_64th);
+        let (estimate, injected, expected) = injected_chain(50_000, every_64th);
+        assert_exact(estimate, expected);
         let ratio = estimate / injected;
         assert!(
             (0.75..=1.25).contains(&ratio),
