@@ -8,26 +8,9 @@ use memtree_sched::{
     RedTreeBooking, SchedError,
 };
 use memtree_sim::{simulate, validate::validate_trace, SimConfig};
-use memtree_tree::{TaskSpec, TaskTree};
+use memtree_testkit::{arb_tree, footprint};
+use memtree_tree::TaskSpec;
 use proptest::prelude::*;
-
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..30, 0u64..30, 0u32..6), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -155,11 +138,7 @@ proptest! {
         // With unbounded memory every policy degenerates to plain list
         // scheduling by EO; MemBooking must reach it.
         let ao = mem_postorder(&tree);
-        let total: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
+        let total = footprint(&tree);
         let s = MemBooking::try_new(&tree, &ao, &ao, total).unwrap();
         let a = simulate(&tree, SimConfig::new(p, total), s).unwrap();
         let s2 = Activation::try_new(&tree, &ao, &ao, total).unwrap();

@@ -7,27 +7,10 @@ use memtree_sched::{
     Activation, AllotmentCaps, HeuristicKind, MemBooking, MemBookingRef, MoldableMemBooking,
     PolicyInstance, PolicySpec, RedTreeBooking, SchedError, Sequential,
 };
+use memtree_testkit::arb_tree;
 use memtree_tree::memory::sequential_peak;
 use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
-
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..30, 0u64..30, 0u32..6), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
 
 fn assert_foreign<T>(what: &str, got: Result<T, SchedError>) {
     match got {

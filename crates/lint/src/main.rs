@@ -2,7 +2,7 @@
 //! `memtree_lint` — text-based repo lints, run from the workspace root
 //! (CI's `lint-repo` job; locally `cargo run -p memtree_lint`).
 //!
-//! Three rules, all enforced as plain line scans (no parsing, no deps —
+//! Four rules, all enforced as plain line scans (no parsing, no deps —
 //! the point is a fast, dependency-free gate that cannot rot):
 //!
 //! 1. **ordering-justification** — every `Ordering::Relaxed` /
@@ -22,6 +22,11 @@
 //! 3. **design-sections** — every `§N[.M]` reference in sources and
 //!    root-level docs must name a section heading that actually exists
 //!    in DESIGN.md (stale refs are how design docs die).
+//! 4. **one-test-kit** — a `fn arb_tree`, a `fn roomy`, or a
+//!    `"MEMTREE_TEST_…"` string (a read of a CI-pinned test variable)
+//!    outside `crates/testkit` fails: properties draw their trees, bounds
+//!    and counts from `memtree_testkit` (DESIGN.md §7), not from a copy.
+//!    The scan covers whole files, unit-test modules included.
 //!
 //! Scope conventions the scans rely on (checked by rule violations, not
 //! by magic): unit-test modules sit at the end of a file behind a
@@ -69,8 +74,14 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[(
      #[test] functions where panicking on a failed run is the point",
 )];
 
-/// Roots scanned for `.rs` library code (ordering rule).
-const RS_ROOTS: &[&str] = &["crates", "vendor", "src"];
+/// What the one-test-kit rule bans outside [`TESTKIT`].
+const TESTKIT_NEEDLES: [&str; 3] = ["fn arb_tree", "fn roomy", "\"MEMTREE_TEST_"];
+
+/// The one crate the test-kit needles belong in.
+const TESTKIT: &str = "crates/testkit/";
+
+/// Roots scanned for `.rs` files.
+const RS_ROOTS: &[&str] = &["crates", "vendor", "src", "tests", "examples"];
 
 /// Root-level docs scanned for `§` references, besides every `.rs` file.
 /// Paper/corpus notes (PAPERS.md, SNIPPETS.md, …) quote external text
@@ -98,6 +109,9 @@ fn main() {
         }
         if is_no_unwrap_scope(&rel) {
             check_unwrap(&rel, &text, &mut violations);
+        }
+        if !rel.starts_with(TESTKIT) && !rel.starts_with("crates/lint/") {
+            check_testkit(&rel, &text, &mut violations);
         }
         check_sections(&rel, &text, &sections, &mut violations);
     }
@@ -228,6 +242,22 @@ fn check_unwrap(rel: &str, text: &str, violations: &mut Vec<String>) {
                     i + 1
                 );
                 violations.push(v);
+            }
+        }
+    }
+}
+
+fn check_testkit(rel: &str, text: &str, violations: &mut Vec<String>) {
+    for (i, line) in text.lines().enumerate() {
+        if is_comment(line) {
+            continue;
+        }
+        for needle in TESTKIT_NEEDLES {
+            if line.contains(needle) {
+                violations.push(format!(
+                    "{rel}:{}: `{needle}` outside {TESTKIT} — draw it from memtree_testkit",
+                    i + 1
+                ));
             }
         }
     }

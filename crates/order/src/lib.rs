@@ -20,10 +20,10 @@
 //! * [`po_avg`] — the average-memory-minimising postorder of Appendix A
 //!   (Smith's rule on `T_i / f_i`).
 //!
-//! [`exhaustive`] contains brute-force oracles used by property tests.
+//! The brute-force oracles the property tests check these against live in
+//! the dev-only `memtree_testkit::exhaustive`.
 
 pub mod cp;
-pub mod exhaustive;
 pub mod optseq;
 pub mod order;
 pub mod po_avg;

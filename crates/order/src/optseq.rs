@@ -25,7 +25,8 @@
 //!
 //! The result at the root is the optimal peak and an explicit traversal.
 //! Correctness is cross-checked against an exhaustive search over all
-//! topological orders in this crate's tests (`exhaustive` module).
+//! topological orders in this crate's tests
+//! (`memtree_testkit::exhaustive::min_topological_peak`).
 
 use crate::order::{Order, OrderKind};
 use memtree_tree::{NodeId, TaskTree};

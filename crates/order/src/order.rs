@@ -319,19 +319,15 @@ mod tests {
         assert_eq!(o.sequential_peak(&t), 6);
     }
 
-    /// A random tree (parent ids below their children's) and a random
-    /// topological order of it, from per-node priorities.
-    fn arb_tree_and_order(max_n: usize) -> impl Strategy<Value = (TaskTree, Vec<NodeId>)> {
-        (1..=max_n)
-            .prop_flat_map(|n| {
-                let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-                (parents, proptest::collection::vec(0u32..1_000, n))
+    /// A kit tree and a random topological order of it, from per-node
+    /// priorities.
+    fn tree_and_order(max_n: usize) -> impl Strategy<Value = (TaskTree, Vec<NodeId>)> {
+        memtree_testkit::arb_tree(max_n)
+            .prop_flat_map(|tree| {
+                let keys = proptest::collection::vec(0u32..1_000, tree.len());
+                (Just(tree), keys)
             })
-            .prop_map(|(parents, keys)| {
-                let mut full: Vec<Option<usize>> = vec![None];
-                full.extend(parents.into_iter().map(Some));
-                let specs = vec![TaskSpec::default(); full.len()];
-                let tree = TaskTree::from_parents(&full, &specs).unwrap();
+            .prop_map(|(tree, keys)| {
                 // Kahn's algorithm, the smallest key among the ready first.
                 let mut left: Vec<usize> = tree.nodes().map(|i| tree.degree(i)).collect();
                 let mut ready: BinaryHeap<_> = tree
@@ -378,7 +374,7 @@ mod tests {
         /// `check_tree`.
         #[test]
         fn the_rank_form_check_is_check_topological(
-            case in arb_tree_and_order(24),
+            case in tree_and_order(24),
             a in 0usize..24,
             b in 0usize..24,
             beyond in 0u32..3,

@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn beats_or_ties_every_other_postorder_on_small_trees() {
         // Exhaustive check of Theorem 4 on all child permutations.
-        use crate::exhaustive::all_postorders;
+        use memtree_testkit::exhaustive::all_postorders;
         for seed in 0..15 {
             let t = memtree_gen::shapes::random_recursive(7, TaskSpec::new(0, 1, 1.0), seed)
                 .map_specs(|i, mut s| {

@@ -1,38 +1,18 @@
 //! Oracle tests: the clever traversal algorithms against brute force.
 
 use memtree_gen::large::LargeShape;
-use memtree_order::exhaustive::{min_enumerated_postorder_peak, min_topological_peak};
 use memtree_order::{
     avg_mem_postorder, cp_order, make_order, mem_postorder, optimal_traversal, perf_postorder,
     Order, OrderKind,
 };
 use memtree_sched::to_reduction_tree;
+use memtree_testkit::exhaustive::{
+    all_postorders, min_enumerated_postorder_peak, min_topological_peak,
+};
+use memtree_testkit::{arb_tree, id_layouts, random_topological, reference};
 use memtree_tree::memory::{sequential_average_memory, sequential_peak};
-use memtree_tree::{TaskSpec, TaskTree, TreeStats};
+use memtree_tree::{NodeId, TreeStats};
 use proptest::prelude::*;
-
-#[path = "../../tree/tests/reference/mod.rs"]
-mod reference;
-
-/// Random tree of up to `max_n` nodes with small, adversarial data sizes
-/// (zeros included).
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..12, 0u64..12, 0u32..4), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -67,7 +47,7 @@ proptest! {
         let tree = tree.map_specs(|_, mut s| { s.time = s.time.max(1.0); s.output = s.output.max(1); s }).unwrap();
         let best = avg_mem_postorder(&tree);
         let best_avg = sequential_average_memory(&tree, best.sequence()).unwrap();
-        for po in memtree_order::exhaustive::all_postorders(&tree, 100_000) {
+        for po in all_postorders(&tree, 100_000) {
             let avg = sequential_average_memory(&tree, &po).unwrap();
             prop_assert!(
                 best_avg <= avg + 1e-9,
@@ -151,7 +131,7 @@ proptest! {
     /// *is* that order: rank = id, same sequential peak.
     #[test]
     fn identity_order_of_a_renumbered_tree(tree in arb_tree(40), seed in 0u64..1000) {
-        let seq = reference::random_topological(&tree, seed);
+        let seq = random_topological(&tree, seed);
         let peak = sequential_peak(&tree, &seq).unwrap();
         let layout = tree.renumbered(seq).unwrap();
         let identity = Order::identity(&layout, OrderKind::OptSeq).unwrap();
@@ -162,11 +142,12 @@ proptest! {
             prop_assert_eq!(identity.rank(i) as usize, k);
             prop_assert_eq!(identity.at(k), i);
         }
-        // The strategy numbers parents below their children: no identity
-        // order there.
+        // The drawn tree has an identity order exactly when its ids are
+        // topological.
+        let ids: Vec<NodeId> = tree.nodes().collect();
         prop_assert_eq!(
             Order::identity(&tree, OrderKind::OptSeq).is_err(),
-            tree.len() > 1
+            tree.check_topological(&ids).is_err()
         );
     }
 
@@ -176,9 +157,9 @@ proptest! {
     /// the RedTree transform (original ids, fictitious leaves appended).
     #[test]
     fn orders_match_the_references_on_every_id_layout(tree in arb_tree(40), seed in 0u64..1000) {
-        let [up, down, mixed] = reference::id_layouts(&tree, seed);
+        let [down, up, mixed] = id_layouts(&tree, seed);
         let red = to_reduction_tree(&tree).unwrap().tree;
-        for t in [&up, &down, &mixed, &red] {
+        for t in [&down, &up, &mixed, &red] {
             let (peaks, mem) = reference::mem_postorder(t);
             prop_assert_eq!(memtree_order::postorder_peaks(t), peaks);
             prop_assert_eq!(mem_postorder(t).sequence(), &mem[..]);

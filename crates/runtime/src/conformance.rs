@@ -14,32 +14,11 @@
 //! memtree_runtime::platform_conformance!(sharded, memtree_runtime::ShardedPlatform::new(2));
 //! ```
 //!
-//! The expansion site must have `memtree_gen` and `memtree_sched`
-//! available (they are dev-dependencies wherever platforms are tested).
-
-/// Worker counts a cross-platform test sweep should cover: the
-/// comma-separated `MEMTREE_TEST_WORKERS` environment variable when set
-/// (the CI matrix pins one count per job), `default` otherwise.
-///
-/// # Panics
-/// When `MEMTREE_TEST_WORKERS` is set but contains no count ≥ 1.
-pub fn worker_counts_from_env(default: &[usize]) -> Vec<usize> {
-    match std::env::var("MEMTREE_TEST_WORKERS") {
-        Ok(v) => {
-            let counts: Vec<usize> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&p| p >= 1)
-                .collect();
-            assert!(
-                !counts.is_empty(),
-                "MEMTREE_TEST_WORKERS has no counts: {v}"
-            );
-            counts
-        }
-        Err(_) => default.to_vec(),
-    }
-}
+//! The expansion site must have `memtree_gen`, `memtree_sched` and
+//! `memtree_testkit` available (they are dev-dependencies wherever
+//! platforms are tested): the suite's trees come from `memtree_gen`, its
+//! memory bound is `memtree_testkit::roomy`, and its worker counts are
+//! `memtree_testkit::counts_from_env` over `MEMTREE_TEST_WORKERS`.
 
 /// Stamps out the platform invariant suite as a test module named
 /// `$suite`, running every check against the platform built by the
@@ -60,8 +39,8 @@ pub fn worker_counts_from_env(default: &[usize]) -> Vec<usize> {
 /// Platforms that run payloads on an in-process worker pool add
 /// `payload_panic: <constructor>` — a `fn(workers) -> Platform` whose
 /// result has the no-op payload and a `with_workload` builder. The suite
-/// then also asserts, for every worker count of
-/// [`worker_counts_from_env`]:
+/// then also asserts, for every worker count `MEMTREE_TEST_WORKERS` pins
+/// (1, 2 and 4 when unset):
 ///
 /// * a panicking payload is a `DriveError::Backend` error, never a hang
 ///   or a propagated panic, and the same platform value runs cleanly
@@ -71,13 +50,7 @@ macro_rules! platform_conformance {
     ($suite:ident, $platform:expr $(, payload_panic: $pool:expr)?) => {
         mod $suite {
             use $crate::platform::Platform as _;
-
-            /// Roomy bound: enough headroom that every kind — including
-            /// the reduction-tree baseline after a per-shard split — is
-            /// feasible on any conforming platform.
-            fn roomy(tree: &::memtree_tree::TaskTree) -> u64 {
-                ::memtree_sched::min_feasible_memory(tree) * 1000
-            }
+            use ::memtree_testkit::roomy;
 
             #[test]
             fn every_kind_completes_within_the_envelope() {
@@ -167,7 +140,11 @@ macro_rules! platform_conformance {
                     ::memtree_sched::HeuristicKind::MemBooking,
                     roomy(&tree),
                 );
-                for workers in $crate::worker_counts_from_env(&[1, 2, 4]) {
+                let workers = ::memtree_testkit::counts_from_env(
+                    ::memtree_testkit::WORKERS,
+                    &[1, 2, 4],
+                );
+                for workers in workers {
                     let platform = ($pool)(workers);
                     // Task 7 is in every schedule of this tree, so the
                     // fault fires on every run, whatever the order.

@@ -38,7 +38,6 @@ pub mod sync;
 pub mod workload;
 
 pub use async_platform::AsyncPlatform;
-pub use conformance::worker_counts_from_env;
 pub use executor::execute;
 pub use memtree_sim::{DriveError, DriveStats};
 pub use platform::{Platform, PlatformError, RunReport, SimPlatform, ThreadedPlatform};

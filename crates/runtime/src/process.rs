@@ -394,6 +394,7 @@ fn supervise(
 mod tests {
     use super::*;
     use memtree_sched::HeuristicKind;
+    use memtree_testkit::{mutate, Mutation, SplitMix};
     use std::time::Instant;
 
     /// The real process transport, except that every prepared job is
@@ -436,39 +437,20 @@ mod tests {
         }
     }
 
-    /// splitmix64: `seed`'s `k`-th draw.
-    fn draw(seed: u64, k: u64) -> usize {
-        let mut z = seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as usize
-    }
-
-    /// `job` with one seeded mutation: 0 truncates it, 1 flips a bit of
-    /// one byte, 2 duplicates a line, 3 drops one. A flip of an ASCII
-    /// byte stays ASCII, so a number can only become another digit or
-    /// a non-digit: a worker count stays below 10.
+    /// `job` with one seeded edit: 0 truncates it, 1 flips a bit of one
+    /// byte, 2 duplicates a line, 3 drops one. The flip leaves bit 7
+    /// alone, so an ASCII byte stays ASCII and a number can only become
+    /// another digit or a non-digit: a worker count stays below 10.
     fn corrupt(job: &str, mutation: u64, seed: u64) -> String {
-        let mut bytes = job.as_bytes().to_vec();
-        let at = draw(seed, 1);
-        match mutation {
-            0 => bytes.truncate(at % bytes.len()),
-            1 => {
-                let i = at % bytes.len();
-                bytes[i] ^= 1 << (draw(seed, 2) % 7);
-            }
-            _ => {
-                let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
-                let i = at % lines.len();
-                if mutation == 2 {
-                    lines.insert(i, lines[i]);
-                } else {
-                    lines.remove(i);
-                }
-                bytes = lines.concat();
-            }
-        }
-        String::from_utf8_lossy(&bytes).into_owned()
+        let mut draw = SplitMix(seed);
+        let at = draw.below(job.len());
+        let edit = match mutation {
+            0 => Mutation::Truncate(at),
+            1 => Mutation::FlipBit(at, draw.below(7)),
+            2 => Mutation::DuplicateLine(at),
+            _ => Mutation::DropLine(at),
+        };
+        mutate(job, &[edit])
     }
 
     /// ROADMAP Y(3), coordinator half: whatever a corrupted job does to
@@ -487,11 +469,12 @@ mod tests {
             .with_deadline(Duration::from_secs(10));
         let (mut ok, mut failed) = (0, 0);
         for mutation in 0..4u64 {
+            let mut seeds = SplitMix(mutation);
             for seed in 0..6u64 {
                 let transport = Corrupting {
                     inner: platform.clone(),
                     mutation,
-                    seed: draw(mutation, seed) as u64,
+                    seed: seeds.next(),
                 };
                 let started = Instant::now();
                 let outcome = coordinate(

@@ -20,11 +20,8 @@
 
 use memtree_runtime::{AsyncPlatform, Platform, SimPlatform, ThreadedPlatform, Workload};
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
+use memtree_testkit::{counts_from_env, roomy, WORKERS};
 use memtree_tree::TaskTree;
-
-fn thread_counts() -> Vec<usize> {
-    memtree_runtime::worker_counts_from_env(&[1, 2])
-}
 
 /// The differential contract for one (tree, spec) point: the async run
 /// completes the same task set as both established platforms, inside the
@@ -34,7 +31,7 @@ fn assert_async_equivalence(name: &str, tree: &TaskTree, spec: &PolicySpec) {
     let sim = SimPlatform::new(4).run(tree, spec).unwrap();
     let thr = ThreadedPlatform::new(4).run(tree, spec).unwrap();
     assert_eq!(sim.tasks_run, thr.tasks_run, "{name}: sim vs threaded");
-    for threads in thread_counts() {
+    for threads in counts_from_env(WORKERS, &[1, 2]) {
         for p in [1usize, 2, 4] {
             let ctx = format!("{name} p={p} threads={threads}");
             let report = AsyncPlatform::new(p)
@@ -51,12 +48,6 @@ fn assert_async_equivalence(name: &str, tree: &TaskTree, spec: &PolicySpec) {
             assert_eq!(report.platform, "async", "{ctx}");
         }
     }
-}
-
-/// Roomy bound: headroom for every kind, RedTree's transformed minimum
-/// included.
-fn roomy(tree: &TaskTree) -> u64 {
-    memtree_sched::min_feasible_memory(tree) * 1000
 }
 
 /// Every policy kind is observationally equivalent on synthetic trees

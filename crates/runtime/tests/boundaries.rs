@@ -38,27 +38,13 @@ use memtree_sched::{
     to_reduction_tree, Activation, AllotmentCaps, HeuristicKind, MemBooking, MemBookingRef,
     MoldableMemBooking, PolicySpec, RedTreeBooking, SchedError, Sequential,
 };
+use memtree_testkit::{arb_mutations, mutate, Mutation, SplitMix};
 use memtree_tree::io::{tree_from_str, tree_to_string};
 use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Duration;
-
-/// What a number token may be swapped for: zero, the edges of `u32` and
-/// `u64`, a negative and a float.
-const EDGES: [&str; 6] = [
-    "0",
-    "4294967295",
-    "4294967296",
-    "18446744073709551615",
-    "-1",
-    "2.5",
-];
-
-/// Bytes an overwrite writes: separators, signs, comment and frame
-/// characters, and a byte that is not ASCII.
-const BYTES: [u8; 8] = [b' ', b'\n', b'\r', b'-', b'#', b'0', b'.', 0xC3];
 
 #[derive(Clone, Copy, Debug)]
 enum Boundary {
@@ -68,20 +54,11 @@ enum Boundary {
     Spec,
 }
 
-/// One mutation: its kind, where it lands and its argument, reduced
-/// modulo whatever they index.
-type Mutation = (u8, usize, usize);
-
 /// A case: which encoder output to start from, and the mutations.
 type Case = (usize, Vec<Mutation>);
 
 fn arb_case() -> impl Strategy<Value = Case> {
-    (0usize..=usize::MAX, 1usize..=4).prop_flat_map(|(base, n)| {
-        (
-            Just(base),
-            proptest::collection::vec((0u8..6, 0usize..=usize::MAX, 0usize..=usize::MAX), n),
-        )
-    })
+    (0usize..=usize::MAX, arb_mutations(4))
 }
 
 fn trees() -> Vec<TaskTree> {
@@ -195,67 +172,6 @@ fn bases() -> &'static Bases {
     })
 }
 
-/// `text` with `mutations` applied; invalid UTF-8 is replaced, as a
-/// reader that decodes lossily would.
-fn mutate(text: &str, mutations: &[Mutation]) -> String {
-    let mut bytes = text.as_bytes().to_vec();
-    for &(kind, at, arg) in mutations {
-        match kind {
-            0 => bytes.truncate(at % (bytes.len() + 1)),
-            1 | 2 if !bytes.is_empty() => {
-                let i = at % bytes.len();
-                bytes[i] = if kind == 1 {
-                    bytes[i] ^ (1 << (arg % 8))
-                } else {
-                    BYTES[arg % BYTES.len()]
-                };
-            }
-            3 | 4 => {
-                let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
-                if !lines.is_empty() {
-                    let i = at % lines.len();
-                    if kind == 3 {
-                        lines.insert(i, lines[i]);
-                    } else {
-                        lines.remove(i);
-                    }
-                }
-                bytes = lines.concat();
-            }
-            5 => {
-                let numbers = digit_runs(&bytes);
-                if !numbers.is_empty() {
-                    let (start, end) = numbers[at % numbers.len()];
-                    let edge = EDGES[arg % EDGES.len()].as_bytes();
-                    bytes.splice(start..end, edge.iter().copied());
-                }
-            }
-            _ => {}
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-/// The byte ranges of the maximal runs of ASCII digits in `bytes`.
-fn digit_runs(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut start = None;
-    for (i, b) in bytes.iter().enumerate() {
-        match (b.is_ascii_digit(), start) {
-            (true, None) => start = Some(i),
-            (false, Some(s)) => {
-                runs.push((s, i));
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(s) = start {
-        runs.push((s, bytes.len()));
-    }
-    runs
-}
-
 /// Resolves a parsed spec against a tree the way a worker does; either
 /// answer is fine, a panic is not.
 fn use_spec(spec: &PolicySpec, tree: &TaskTree) {
@@ -320,28 +236,6 @@ fn check(boundary: Boundary, (base, mutations): &Case) {
     );
 }
 
-/// Every choice of one constructor case, drawn from its seed
-/// (splitmix64).
-struct Draw(u64);
-
-impl Draw {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
-        from[self.below(from.len())]
-    }
-}
-
 /// Every order strategy.
 const ORDER_KINDS: [OrderKind; 6] = [
     OrderKind::MemPostorder,
@@ -359,7 +253,7 @@ const SIZES: [u64; 6] = [0, 1, 7, 1 << 20, u64::MAX >> 7, u64::MAX >> 5];
 /// A tree of 1 to 24 tasks: a paper tree, or random parents with sizes
 /// from `SIZES` (a paper tree of the same size when their total memory
 /// overflows and the builder refuses them).
-fn random_tree(d: &mut Draw) -> TaskTree {
+fn random_tree(d: &mut SplitMix) -> TaskTree {
     let n = 1 + d.below(24);
     let seed = d.next();
     if d.below(2) == 0 {
@@ -379,7 +273,7 @@ fn random_tree(d: &mut Draw) -> TaskTree {
 /// constructor gets the first tree (or, one time in four, its reduction
 /// tree) and answers with a value or an error.
 fn construct(seed: u64) {
-    let mut d = Draw(seed);
+    let mut d = SplitMix(seed);
     let a = random_tree(&mut d);
     let b = random_tree(&mut d);
     let red = to_reduction_tree(&a).unwrap().tree;

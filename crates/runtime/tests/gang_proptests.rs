@@ -15,144 +15,28 @@
 //! their gang reach the workers before the driver blocks.
 
 use memtree_order::mem_postorder;
-use memtree_runtime::{execute, worker_counts_from_env, Workload};
+use memtree_runtime::{execute, Workload};
 use memtree_sched::{AllotmentCaps, MoldableMemBooking};
 use memtree_sim::{
     simulate_with, validate::validate_trace, DriveConfig, LiveStats, RescheduleAction, Rescheduler,
-    Scheduler, SimConfig,
+    SimConfig,
 };
-use memtree_tree::{NodeId, TaskSpec, TaskTree};
+use memtree_testkit::{arb_tree, counts_from_env, footprint, MoldChaos, SplitMix, WORKERS};
+use memtree_tree::{NodeId, TaskSpec};
 use proptest::prelude::*;
 
 /// Worker counts the properties draw from; the CI matrix narrows this to
 /// one count per job via `MEMTREE_TEST_WORKERS`.
-fn worker_pool() -> Vec<usize> {
-    worker_counts_from_env(&[1, 2, 3, 4])
-}
-
 fn arb_workers() -> impl Strategy<Value = usize> {
-    (0usize..worker_pool().len()).prop_map(|k| worker_pool()[k])
-}
-
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..20, 0u64..20, 0u32..5), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
-
-/// A randomized-but-legal moldable policy: books the whole bound, starts a
-/// pseudo-random subset of the available tasks with pseudo-random
-/// allotments in `1..=cap` (never claiming more than the idle budget, and
-/// never stalling with nothing running).
-struct ChaosGang<'a> {
-    tree: &'a TaskTree,
-    bound: u64,
-    cap: usize,
-    rng_state: u64,
-    ready: Vec<NodeId>,
-    remaining_children: Vec<usize>,
-    running: usize,
-}
-
-impl<'a> ChaosGang<'a> {
-    fn new(tree: &'a TaskTree, bound: u64, cap: usize, seed: u64) -> Self {
-        ChaosGang {
-            tree,
-            bound,
-            cap: cap.max(1),
-            rng_state: seed | 1,
-            ready: tree.leaves().collect(),
-            remaining_children: tree.nodes().map(|i| tree.degree(i)).collect(),
-            running: 0,
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-}
-
-impl Scheduler for ChaosGang<'_> {
-    fn name(&self) -> &str {
-        "chaos-gang"
-    }
-
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-        self.running -= finished.len();
-        for &j in finished {
-            if let Some(p) = self.tree.parent(j) {
-                self.remaining_children[p.index()] -= 1;
-                if self.remaining_children[p.index()] == 0 {
-                    self.ready.push(p);
-                }
-            }
-        }
-        if !self.ready.is_empty() {
-            let k = (self.next_rand() as usize) % self.ready.len();
-            self.ready.rotate_left(k);
-        }
-        let mut budget = idle;
-        while budget > 0 && !self.ready.is_empty() {
-            // Randomly stop early — but never leave the machine idle with
-            // nothing running (that would be a stall, not a bug).
-            if self.running + to_start.len() > 0 && self.next_rand().is_multiple_of(3) {
-                break;
-            }
-            let i = self.ready.pop().expect("nonempty");
-            let q = 1 + (self.next_rand() as usize) % self.cap.min(budget);
-            to_start.push((i, q));
-            budget -= q;
-        }
-        self.running += to_start.len();
-    }
-
-    fn booked(&self) -> u64 {
-        self.bound
-    }
+    let pool = counts_from_env(WORKERS, &[1, 2, 3, 4]);
+    (0..pool.len()).prop_map(move |k| pool[k])
 }
 
 /// A randomized-but-legal rescheduler: every tick it may shrink any
 /// running gang (never to zero) or grow it out of the idle pool, with the
 /// same sequential bookkeeping the driver applies — maximal grow/shrink
 /// churn while staying inside the contract.
-struct ChaosRescheduler {
-    rng_state: u64,
-}
-
-impl ChaosRescheduler {
-    fn new(seed: u64) -> Self {
-        ChaosRescheduler {
-            rng_state: seed | 1,
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-}
+struct ChaosRescheduler(SplitMix);
 
 impl Rescheduler for ChaosRescheduler {
     fn tick(&mut self, stats: &LiveStats, actions: &mut Vec<RescheduleAction>) {
@@ -167,15 +51,15 @@ impl Rescheduler for ChaosRescheduler {
         for _ in 0..2 {
             for slot in cur.iter_mut() {
                 let (node, allot) = *slot;
-                match self.next_rand() % 4 {
+                match self.0.below(4) {
                     0 if allot > 1 => {
-                        let release = 1 + (self.next_rand() as usize) % (allot - 1);
+                        let release = 1 + self.0.below(allot - 1);
                         actions.push(RescheduleAction::Shrink { node, release });
                         slot.1 -= release;
                         idle += release;
                     }
                     1 if idle > 0 => {
-                        let extra = 1 + (self.next_rand() as usize) % idle;
+                        let extra = 1 + self.0.below(idle);
                         actions.push(RescheduleAction::Grow { node, extra });
                         slot.1 += extra;
                         idle -= extra;
@@ -255,15 +139,11 @@ proptest! {
         cap in 1usize..5,
         p in arb_workers(),
     ) {
-        let bound: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
+        let bound = footprint(&tree);
         let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: bound },
-            ChaosGang::new(&tree, bound, cap, seed),
+            MoldChaos::new(&tree, bound, seed, cap),
             Workload::Noop,
             None,
         )
@@ -345,16 +225,12 @@ proptest! {
         cap in 1usize..5,
         p in arb_workers(),
     ) {
-        let bound: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
-        let mut chaos = ChaosRescheduler::new(seed.wrapping_mul(0x9E3779B97F4A7C15));
+        let bound = footprint(&tree);
+        let mut chaos = ChaosRescheduler(SplitMix(seed.rotate_left(29)));
         let (_, stats) = execute(
             &tree,
             DriveConfig { workers: p, memory: bound },
-            ChaosGang::new(&tree, bound, cap, seed),
+            MoldChaos::new(&tree, bound, seed, cap),
             Workload::Noop,
             Some(&mut chaos),
         )
@@ -386,7 +262,7 @@ proptest! {
         let m = ao.sequential_peak(&tree);
         let caps = AllotmentCaps::uniform(&tree, cap.min(p as u32));
         let sched = MoldableMemBooking::try_new(&tree, &ao, &ao, m, caps).unwrap();
-        let mut chaos = ChaosRescheduler::new(seed);
+        let mut chaos = ChaosRescheduler(SplitMix(seed));
         let trace = simulate_with(&tree, SimConfig::new(p, m), sched, Some(&mut chaos)).unwrap();
         validate_trace(&tree, &trace).unwrap();
         prop_assert!(trace.peak_busy <= p);

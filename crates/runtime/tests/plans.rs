@@ -23,6 +23,7 @@ use memtree_order::OrderKind;
 use memtree_runtime::{Platform, SimPlatform, ThreadedPlatform};
 use memtree_sched::{HeuristicKind, PolicyInstance, PolicySpec};
 use memtree_sim::{simulate, SimConfig, Trace};
+use memtree_testkit::arb_tree;
 use memtree_tree::{TaskSpec, TaskTree};
 use proptest::prelude::*;
 
@@ -32,24 +33,6 @@ const ORDER_PAIRS: [(OrderKind, OrderKind); 4] = [
     (OrderKind::OptSeq, OrderKind::CriticalPath),
     (OrderKind::NaturalPostorder, OrderKind::PerfPostorder),
 ];
-
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..20, 1u64..20, 1u32..5), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
 
 /// Everything an instance derives from its plan, in comparable form:
 /// both orders, the floor, the layout (content, labels, orders) and a

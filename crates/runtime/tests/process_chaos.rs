@@ -16,8 +16,8 @@ use memtree_runtime::{
     ChaosKill, DriveError, Platform, PlatformError, ProcessPlatform, SimPlatform, Workload,
 };
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
+use memtree_testkit::{counts_from_env, roomy, shard_chaos_tree as chaos_tree, SHARDS};
 use memtree_tree::partition::{partition, PartitionPolicy};
-use memtree_tree::{TaskSpec, TaskTree};
 use std::time::Duration;
 
 fn worker_bin() -> &'static str {
@@ -26,51 +26,6 @@ fn worker_bin() -> &'static str {
 
 fn process_platform(shards: usize) -> ProcessPlatform {
     ProcessPlatform::new(shards).with_worker_bin(worker_bin())
-}
-
-/// Root 0; a bushy 21-node subtree plus two 13-node chains — partitioned
-/// 4 ways this yields exactly three shards, so chaos coordinates aimed at
-/// shard 1 always hit a real worker process (pinned below).
-fn chaos_tree() -> TaskTree {
-    let mut parents: Vec<Option<usize>> = vec![None, Some(0)];
-    for _ in 0..2 {
-        let mut prev = 1usize;
-        for _ in 0..10 {
-            parents.push(Some(prev));
-            prev = parents.len() - 1;
-        }
-    }
-    for _ in 0..2 {
-        let mut prev = 0usize;
-        for _ in 0..13 {
-            parents.push(Some(prev));
-            prev = parents.len() - 1;
-        }
-    }
-    let specs = vec![TaskSpec::new(1, 3, 1.0); parents.len()];
-    TaskTree::from_parents(&parents, &specs).unwrap()
-}
-
-fn roomy_spec(tree: &TaskTree) -> PolicySpec {
-    PolicySpec::new(
-        HeuristicKind::MemBooking,
-        memtree_sched::min_feasible_memory(tree) * 100,
-    )
-}
-
-fn shard_counts() -> Vec<usize> {
-    match std::env::var("MEMTREE_TEST_SHARDS") {
-        Ok(v) => {
-            let counts: Vec<usize> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&s| s >= 1)
-                .collect();
-            assert!(!counts.is_empty(), "MEMTREE_TEST_SHARDS has no counts: {v}");
-            counts
-        }
-        Err(_) => vec![1, 2, 4],
-    }
 }
 
 #[test]
@@ -88,7 +43,7 @@ fn chaos_tree_partitions_as_documented() {
 #[test]
 fn killed_worker_is_requeued_and_the_run_completes() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     let platform = process_platform(4).with_chaos_kill(ChaosKill {
         shard: 1,
         attempt: 0,
@@ -118,7 +73,7 @@ fn killed_worker_is_requeued_and_the_run_completes() {
 #[test]
 fn retry_exhaustion_surfaces_shard_failed() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     let platform = process_platform(4)
         .with_retries(0)
         .with_chaos_kill(ChaosKill {
@@ -146,7 +101,7 @@ fn retry_exhaustion_surfaces_shard_failed() {
 #[test]
 fn payload_panic_is_a_clean_verdict_not_a_retry() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     // Local index 15 exists in exactly one shard subtree.
     let platform = process_platform(4).with_workload(Workload::FailAt { node: 15 });
     match platform.run(&tree, &spec).unwrap_err() {
@@ -171,7 +126,7 @@ fn payload_panic_is_a_clean_verdict_not_a_retry() {
 #[test]
 fn stall_kills_waits_and_releases_everything() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     let platform = process_platform(4)
         .with_workload(Workload::Sleep {
             nanos_per_time_unit: 1_000_000_000.0,
@@ -205,7 +160,7 @@ fn stall_kills_waits_and_releases_everything() {
 #[test]
 fn heartbeats_keep_the_watchdog_from_firing() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     let report = process_platform(4)
         .with_workload(Workload::Sleep {
             nanos_per_time_unit: 30_000_000.0, // ~30 ms per task
@@ -223,7 +178,7 @@ fn heartbeats_keep_the_watchdog_from_firing() {
 #[test]
 fn deadline_bounds_the_phase_despite_heartbeats() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     let started = std::time::Instant::now();
     let err = process_platform(4)
         .with_workload(Workload::Sleep {
@@ -255,7 +210,7 @@ fn every_kind_equivalent_through_worker_processes() {
     for kind in HeuristicKind::all() {
         let spec = PolicySpec::new(kind, m);
         let sim = SimPlatform::new(4).run(&tree, &spec).unwrap();
-        for shards in shard_counts() {
+        for shards in counts_from_env(SHARDS, &[1, 2, 4]) {
             let detailed = process_platform(shards)
                 .run_detailed(&tree, &spec)
                 .unwrap_or_else(|e| panic!("{kind} s={shards}: {e}"));
@@ -298,7 +253,7 @@ fn moldable_spec_runs_through_worker_processes() {
 #[test]
 fn missing_worker_binary_fails_loudly() {
     let tree = chaos_tree();
-    let spec = roomy_spec(&tree);
+    let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
     let err = ProcessPlatform::new(2)
         .with_worker_bin("/nonexistent/memtree-shard-worker")
         .run(&tree, &spec)

@@ -18,32 +18,10 @@
 //! `MEMTREE_TEST_WORKERS` pins executor worker counts.
 
 use memtree_multifrontal::{assembly_corpus, CorpusSpec};
-use memtree_runtime::{
-    worker_counts_from_env, Platform, ShardedPlatform, SimPlatform, ThreadedPlatform,
-};
+use memtree_runtime::{Platform, ShardedPlatform, SimPlatform, ThreadedPlatform};
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
+use memtree_testkit::{counts_from_env, roomy, SHARDS, WORKERS};
 use memtree_tree::TaskTree;
-
-/// Shard counts the differential cases sweep: `MEMTREE_TEST_SHARDS` when
-/// set (the CI matrix pins one count per job), {1, 2, 4, 8} otherwise.
-fn shard_counts() -> Vec<usize> {
-    match std::env::var("MEMTREE_TEST_SHARDS") {
-        Ok(v) => {
-            let counts: Vec<usize> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&s| s >= 1)
-                .collect();
-            assert!(!counts.is_empty(), "MEMTREE_TEST_SHARDS has no counts: {v}");
-            counts
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-fn worker_counts() -> Vec<usize> {
-    worker_counts_from_env(&[1, 2])
-}
 
 /// The differential contract for one (tree, spec) point: sharded runs
 /// complete the same task set as both single platforms, inside the same
@@ -53,8 +31,8 @@ fn assert_sharded_equivalence(name: &str, tree: &TaskTree, spec: &PolicySpec) {
     let sim = SimPlatform::new(4).run(tree, spec).unwrap();
     let thr = ThreadedPlatform::new(4).run(tree, spec).unwrap();
     assert_eq!(sim.tasks_run, thr.tasks_run, "{name}: sim vs threaded");
-    for shards in shard_counts() {
-        for workers in worker_counts() {
+    for shards in counts_from_env(SHARDS, &[1, 2, 4, 8]) {
+        for workers in counts_from_env(WORKERS, &[1, 2]) {
             let platform = ShardedPlatform::new(shards).with_workers_per_shard(workers);
             let detailed = platform
                 .run_detailed(tree, spec)
@@ -107,12 +85,6 @@ fn assert_sharded_equivalence(name: &str, tree: &TaskTree, spec: &PolicySpec) {
             }
         }
     }
-}
-
-/// Roomy bound: headroom for the per-shard split of every kind, RedTree's
-/// transformed minima included.
-fn roomy(tree: &TaskTree) -> u64 {
-    memtree_sched::min_feasible_memory(tree) * 1000
 }
 
 /// Every policy kind is observationally equivalent on synthetic trees

@@ -16,15 +16,7 @@
 use memtree_runtime::{AsyncPlatform, Platform, SimPlatform, ThreadedPlatform, Workload};
 use memtree_sched::{HeuristicKind, PolicySpec};
 use memtree_service::{ServicePlatform, SessionBackend};
-use memtree_tree::TaskTree;
-
-fn worker_counts() -> Vec<usize> {
-    memtree_runtime::worker_counts_from_env(&[1, 2, 4])
-}
-
-fn roomy(tree: &TaskTree) -> u64 {
-    memtree_sched::min_feasible_memory(tree) * 1000
-}
+use memtree_testkit::{counts_from_env, roomy, WORKERS};
 
 /// Bit-for-bit: identical policy decisions, completion set, event count
 /// and both booking peaks. The executors' makespan is wall-clock (only
@@ -74,7 +66,7 @@ fn sim_single_tenant_is_bit_for_bit() {
 fn threaded_single_tenant_matches_direct_runs() {
     let tree = memtree_gen::synthetic::paper_tree(120, 8);
     let m = roomy(&tree);
-    for workers in worker_counts() {
+    for workers in counts_from_env(WORKERS, &[1, 2, 4]) {
         let backend = SessionBackend::Threaded {
             workers,
             workload: Workload::Noop,
@@ -101,7 +93,7 @@ fn threaded_single_tenant_matches_direct_runs() {
 fn async_single_tenant_matches_direct_runs() {
     let tree = memtree_gen::synthetic::paper_tree(100, 12);
     let m = roomy(&tree);
-    for workers in worker_counts() {
+    for workers in counts_from_env(WORKERS, &[1, 2, 4]) {
         let backend = SessionBackend::Async {
             workers,
             threads: 2,

@@ -1,5 +1,5 @@
 //! Chaos testing: drive the engine with a randomized-but-legal scheduler
-//! and check that the engine's incremental bookkeeping always agrees with
+//! (`memtree_testkit::Chaos`, and `MoldChaos` for gangs) and check that the engine's incremental bookkeeping always agrees with
 //! the independent trace validator — for unit allotments (sequential
 //! tasks) and gangs alike, on the one engine.
 //!
@@ -9,154 +9,9 @@
 //! reservations — the same failure-path discipline the `Stalled`/`Ledger`
 //! executor tests pin down for the threaded runtime.
 
-use memtree_sim::{simulate, validate::validate_trace, Scheduler, SimConfig};
-use memtree_tree::{NodeId, TaskSpec, TaskTree};
+use memtree_sim::{simulate, validate::validate_trace, SimConfig};
+use memtree_testkit::{arb_tree, footprint, Chaos, MoldChaos};
 use proptest::prelude::*;
-
-/// A scheduler that books the whole bound and starts a pseudo-random legal
-/// subset of the available tasks at every event — sometimes nothing at all
-/// (as long as something is running), sometimes everything.
-struct Chaos<'a> {
-    tree: &'a TaskTree,
-    bound: u64,
-    rng_state: u64,
-    ready: Vec<NodeId>,
-    remaining_children: Vec<usize>,
-    running: usize,
-}
-
-impl<'a> Chaos<'a> {
-    fn new(tree: &'a TaskTree, bound: u64, seed: u64) -> Self {
-        Chaos {
-            tree,
-            bound,
-            rng_state: seed | 1,
-            ready: tree.leaves().collect(),
-            remaining_children: tree.nodes().map(|i| tree.degree(i)).collect(),
-            running: 0,
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-}
-
-impl Scheduler for Chaos<'_> {
-    fn name(&self) -> &str {
-        "chaos"
-    }
-
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-        self.running -= finished.len();
-        for &j in finished {
-            if let Some(p) = self.tree.parent(j) {
-                self.remaining_children[p.index()] -= 1;
-                if self.remaining_children[p.index()] == 0 {
-                    self.ready.push(p);
-                }
-            }
-        }
-        // Shuffle-ish: rotate the ready list by a random amount.
-        if !self.ready.is_empty() {
-            let k = (self.next_rand() as usize) % self.ready.len();
-            self.ready.rotate_left(k);
-        }
-        let mut budget = idle;
-        while budget > 0 && !self.ready.is_empty() {
-            // Randomly stop early — but never leave the machine idle with
-            // nothing running (that would be a stall, not a bug).
-            if self.running + to_start.len() > 0 && self.next_rand().is_multiple_of(3) {
-                break;
-            }
-            let i = self.ready.pop().expect("nonempty");
-            to_start.push((i, 1));
-            budget -= 1;
-        }
-        self.running += to_start.len();
-    }
-
-    fn booked(&self) -> u64 {
-        self.bound
-    }
-}
-
-/// The chaos policy lifted to moldable tasks: the inner [`Chaos`] picks
-/// which tasks start (its RNG untouched), and a *separate* RNG spreads the
-/// leftover idle processors as random allotments in `1..=cap`. With
-/// `cap == 1` no allotment randomness is drawn at all, so the decision
-/// sequence is bit-for-bit the sequential chaos policy's.
-struct MoldChaos<'a> {
-    inner: Chaos<'a>,
-    cap: usize,
-    allot_state: u64,
-}
-
-impl<'a> MoldChaos<'a> {
-    fn new(tree: &'a TaskTree, bound: u64, seed: u64, cap: usize) -> Self {
-        MoldChaos {
-            inner: Chaos::new(tree, bound, seed),
-            cap: cap.max(1),
-            allot_state: seed.rotate_left(17) | 1,
-        }
-    }
-
-    fn next_allot_rand(&mut self) -> u64 {
-        let mut x = self.allot_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.allot_state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-}
-
-impl Scheduler for MoldChaos<'_> {
-    fn name(&self) -> &str {
-        "mold-chaos"
-    }
-
-    fn on_event(&mut self, finished: &[NodeId], idle: usize, to_start: &mut Vec<(NodeId, usize)>) {
-        self.inner.on_event(finished, idle, to_start);
-        // Every pick holds one processor; spread the rest randomly.
-        let mut leftover = idle - to_start.len();
-        if self.cap > 1 {
-            for (_, q) in to_start.iter_mut() {
-                let extra = (self.next_allot_rand() as usize) % ((self.cap - 1).min(leftover) + 1);
-                *q += extra;
-                leftover -= extra;
-            }
-        }
-    }
-
-    fn booked(&self) -> u64 {
-        self.inner.booked()
-    }
-}
-
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..20, 0u64..20, 0u32..5), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -166,12 +21,7 @@ proptest! {
     /// agree.
     #[test]
     fn chaos_traces_always_validate(tree in arb_tree(60), seed in 1u64..500, p in 1usize..6) {
-        // Bound big enough that actual memory always fits: Σ everything.
-        let bound: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
+        let bound = footprint(&tree);
         let trace = simulate(&tree, SimConfig::new(p, bound), Chaos::new(&tree, bound, seed))
             .unwrap();
         validate_trace(&tree, &trace).unwrap();
@@ -184,11 +34,7 @@ proptest! {
     #[test]
     fn chaos_makespan_respects_classical_bounds(tree in arb_tree(50), seed in 1u64..200) {
         let p = 3;
-        let bound: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
+        let bound = footprint(&tree);
         let trace = simulate(&tree, SimConfig::new(p, bound), Chaos::new(&tree, bound, seed))
             .unwrap();
         let stats = memtree_tree::TreeStats::compute(&tree);
@@ -208,11 +54,7 @@ proptest! {
         p in 1usize..6,
         cap in 1usize..6,
     ) {
-        let bound: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
+        let bound = footprint(&tree);
         let trace = simulate(
             &tree,
             SimConfig::new(p, bound),
@@ -234,11 +76,7 @@ proptest! {
         seed in 1u64..400,
         p in 1usize..6,
     ) {
-        let bound: u64 = tree
-            .nodes()
-            .map(|i| tree.exec(i) + tree.output(i))
-            .sum::<u64>()
-            .max(1);
+        let bound = footprint(&tree);
         let seq = simulate(
             &tree,
             SimConfig::new(p, bound),
@@ -276,40 +114,8 @@ mod shard_chaos {
     use memtree_sched::{HeuristicKind, PolicySpec};
     use memtree_sim::validate::validate_shard_plan;
     use memtree_sim::DriveError;
+    use memtree_testkit::{roomy, shard_chaos_tree as chaos_tree};
     use memtree_tree::partition::{partition, PartitionPolicy};
-    use memtree_tree::{TaskSpec, TaskTree};
-
-    /// Root 0; a bushy 21-node subtree (node 1 with two chains of 10)
-    /// plus two 13-node chains. Partitioned 4 ways this yields exactly
-    /// three shards — one of 21 nodes, two of 12 — and a 3-node residual,
-    /// so a fault at local index 15 exists in exactly one shard worker.
-    fn chaos_tree() -> TaskTree {
-        let mut parents: Vec<Option<usize>> = vec![None, Some(0)];
-        for k in 0..2 {
-            let mut prev = 1usize;
-            for _ in 0..10 {
-                parents.push(Some(prev));
-                prev = parents.len() - 1;
-            }
-            let _ = k;
-        }
-        for _ in 0..2 {
-            let mut prev = 0usize;
-            for _ in 0..13 {
-                parents.push(Some(prev));
-                prev = parents.len() - 1;
-            }
-        }
-        let specs = vec![TaskSpec::new(1, 3, 1.0); parents.len()];
-        TaskTree::from_parents(&parents, &specs).unwrap()
-    }
-
-    fn roomy_spec(tree: &TaskTree) -> PolicySpec {
-        PolicySpec::new(
-            HeuristicKind::MemBooking,
-            memtree_sched::min_feasible_memory(tree) * 100,
-        )
-    }
 
     /// Pins the partition shape the fault injection below relies on: the
     /// plan validates, and local index 15 exists in exactly one part.
@@ -332,7 +138,7 @@ mod shard_chaos {
     #[test]
     fn killed_shard_worker_surfaces_shard_failed() {
         let tree = chaos_tree();
-        let spec = roomy_spec(&tree);
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
         let platform = ShardedPlatform::new(4).with_workload(Workload::FailAt { node: 15 });
         let err = platform.run(&tree, &spec).unwrap_err();
         match err {
@@ -361,7 +167,7 @@ mod shard_chaos {
     #[test]
     fn two_failed_shards_pick_the_lowest_shard_index() {
         let tree = chaos_tree();
-        let spec = roomy_spec(&tree);
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
         // Sanity: the fault index exists in at least two shards.
         let part = partition(&tree, &PartitionPolicy::balanced(4));
         let hit = part.shards.iter().filter(|s| s.tree.len() > 5).count();
@@ -401,7 +207,7 @@ mod shard_chaos {
     #[test]
     fn overall_deadline_bounds_the_shard_phase() {
         let tree = chaos_tree();
-        let spec = roomy_spec(&tree);
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
         let platform = ShardedPlatform::new(4)
             .with_workload(Workload::Sleep {
                 nanos_per_time_unit: 2e8, // 200 ms per task, every task
@@ -437,7 +243,7 @@ mod shard_chaos {
     #[test]
     fn stalled_shard_worker_trips_the_watchdog() {
         let tree = chaos_tree();
-        let spec = roomy_spec(&tree);
+        let spec = PolicySpec::new(HeuristicKind::MemBooking, roomy(&tree));
         let platform = ShardedPlatform::new(4)
             .with_workload(Workload::Sleep {
                 nanos_per_time_unit: 2e8, // 200 ms per task, every task

@@ -15,40 +15,9 @@
 use memtree_order::OrderKind;
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec};
 use memtree_sim::{DriveConfig, DriverCore};
-use memtree_tree::{NodeId, TaskSpec, TaskTree};
+use memtree_testkit::{arb_tree, SplitMix};
+use memtree_tree::{NodeId, TaskTree};
 use proptest::prelude::*;
-
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..20, 0u64..20), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f)| TaskSpec::new(e, f, 1.0))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
-
-/// SplitMix64 over one seed: the completion choices of one run.
-struct Choices(u64);
-
-impl Choices {
-    /// A choice in `0..bound` (`bound ≥ 1`).
-    fn below(&mut self, bound: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % bound as u64) as usize
-    }
-}
 
 /// `spec` at its own feasibility floor, with memPO activation and CP
 /// execution orders.
@@ -75,7 +44,7 @@ fn pump_in_chosen_order(tree: &TaskTree, spec: &PolicySpec, p: usize, seed: u64)
     let mut core: DriverCore<'_, _> = DriverCore::new(exec, cfg, scheduler, None).unwrap();
     let mut running: Vec<(NodeId, usize)> = Vec::new();
     let mut batch: Vec<NodeId> = Vec::new();
-    let mut choices = Choices(seed);
+    let mut choices = SplitMix(seed);
     let mut steps = 0;
     loop {
         let tick = core

@@ -8,28 +8,9 @@ mod reference;
 use memtree_sched::{AllotmentCaps, HeuristicKind, PolicySpec, ProportionalRescheduler};
 use memtree_sim::validate::validate_trace;
 use memtree_sim::{simulate, simulate_with, SimConfig, Trace};
-use memtree_tree::{TaskSpec, TaskTree};
+use memtree_testkit::arb_tree;
+use memtree_tree::TaskTree;
 use proptest::prelude::*;
-
-/// Random tree of up to `max_n` nodes, parents below children, with small
-/// sizes and integer times (zeros included, so ties are common).
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n).map(|i| 0..i).collect::<Vec<_>>();
-            let specs = proptest::collection::vec((0u64..8, 0u64..8, 0u32..4), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full: Vec<Option<usize>> = vec![None];
-            full.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full, &specs).unwrap()
-        })
-}
 
 /// One simulator trace: `mode` picks Activation, MemBooking, RedTree, a
 /// moldable MemBooking or a malleable one, at 1.5 × the policy's floor.

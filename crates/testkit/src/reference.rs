@@ -1,19 +1,11 @@
-//! Test-side references shared by the `memtree_tree` and `memtree_order`
-//! property suites (the latter includes this file by `#[path]`).
-//!
-//! Each reference is a pass as the library computed it before it became
-//! an id sweep: explicit-stack depth-first walks and `VecDeque`
-//! breadth-first walks in caller ids, comparator sorts, and the
-//! partitioner (`partition.rs`). The library must reproduce every value
-//! and sequence bit for bit, on any id layout.
+//! The sequential passes as `memtree_tree` and `memtree_order` computed
+//! them before they became id sweeps: explicit-stack depth-first walks
+//! and `VecDeque` breadth-first walks in caller ids, and comparator
+//! sorts. The libraries must reproduce every value and sequence bit for
+//! bit, on any id layout.
 
-// Each suite that includes this file uses a different part of it.
-#![allow(dead_code)]
-
-use memtree_tree::{NodeId, TaskSpec, TaskTree};
+use memtree_tree::{NodeId, TaskTree};
 use std::collections::VecDeque;
-
-pub mod partition;
 
 /// Postorder with children in id order: an explicit-stack depth-first
 /// walk from the root.
@@ -74,15 +66,23 @@ pub fn postorder_with_child_order(tree: &TaskTree, child_rank: &[u64]) -> Vec<No
 /// breadth-first, subtree totals and critical paths in postorder.
 #[derive(Debug, PartialEq)]
 pub struct Stats {
+    /// Edges from the root.
     pub depth: Vec<u32>,
+    /// Nodes in the subtree.
     pub subtree_size: Vec<u32>,
+    /// Total time of the subtree.
     pub subtree_time: Vec<f64>,
+    /// Critical path of the subtree, from its root down.
     pub subtree_cp: Vec<f64>,
+    /// Time from the root down to the end of the node, inclusive.
     pub bottom_level: Vec<f64>,
+    /// The largest depth.
     pub height: u32,
+    /// The largest number of children.
     pub max_degree: u32,
 }
 
+/// [`Stats`] of `tree`.
 pub fn stats(tree: &TaskTree) -> Stats {
     let n = tree.len();
     let mut depth = vec![0u32; n];
@@ -246,71 +246,4 @@ pub fn optimal_traversal(tree: &TaskTree) -> (Vec<NodeId>, u64) {
     let root = reprs[tree.root().index()].take().expect("root processed");
     let peak = root.iter().map(|p| p.hill).max().unwrap_or(0);
     (root.into_iter().flat_map(|p| p.nodes).collect(), peak)
-}
-
-/// A topological order of `tree` drawn from `seed`: repeatedly emits a
-/// pseudo-randomly chosen node whose children have all been emitted. Not
-/// a postorder in general.
-pub fn random_topological(tree: &TaskTree, seed: u64) -> Vec<NodeId> {
-    let mut pending: Vec<usize> = tree.nodes().map(|i| tree.degree(i)).collect();
-    let mut ready: Vec<NodeId> = tree.leaves().collect();
-    let mut out = Vec::with_capacity(tree.len());
-    let mut state = seed;
-    while !ready.is_empty() {
-        let pick = (splitmix(&mut state) % ready.len() as u64) as usize;
-        let i = ready.swap_remove(pick);
-        out.push(i);
-        if let Some(p) = tree.parent(i) {
-            pending[p.index()] -= 1;
-            if pending[p.index()] == 0 {
-                ready.push(p);
-            }
-        }
-    }
-    out
-}
-
-/// One SplitMix64 step.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// `tree` with node `i` renamed `perm[i]`: the same shape and specs, built
-/// afresh (no labels), so its children lists are in the new ids' order.
-pub fn relabelled(tree: &TaskTree, perm: &[usize]) -> TaskTree {
-    let n = tree.len();
-    let mut parents = vec![None; n];
-    let mut specs = vec![TaskSpec::default(); n];
-    for i in tree.nodes() {
-        parents[perm[i.index()]] = tree.parent(i).map(|p| perm[p.index()]);
-        specs[perm[i.index()]] = tree.spec(i);
-    }
-    TaskTree::from_parents(&parents, &specs).expect("a relabelling is a tree")
-}
-
-/// `tree` under three id layouts drawn from `seed`: every parent id above
-/// its children's, every parent id below them, and a uniformly shuffled
-/// (in general mixed) numbering.
-pub fn id_layouts(tree: &TaskTree, seed: u64) -> [TaskTree; 3] {
-    let n = tree.len();
-    let seq = random_topological(tree, seed);
-    let (mut up, mut down) = (vec![0; n], vec![0; n]);
-    for (k, &i) in seq.iter().enumerate() {
-        up[i.index()] = k;
-        down[i.index()] = n - 1 - k;
-    }
-    let mut shuffled: Vec<usize> = (0..n).collect();
-    let mut state = seed ^ 0x5EED;
-    for k in (1..n).rev() {
-        shuffled.swap(k, (splitmix(&mut state) % (k as u64 + 1)) as usize);
-    }
-    [
-        relabelled(tree, &up),
-        relabelled(tree, &down),
-        relabelled(tree, &shuffled),
-    ]
 }

@@ -1,7 +1,8 @@
 //! Property-based tests of the tree substrate.
 
-mod reference;
+mod partition_reference;
 
+use memtree_testkit::{arb_tree, id_layouts, random_topological, reference, SplitMix};
 use memtree_tree::io::{tree_from_str, tree_to_string};
 use memtree_tree::memory::{sequential_peak, sequential_profile, LiveSet};
 use memtree_tree::partition::{partition, PartitionPolicy, RESIDUAL};
@@ -9,7 +10,6 @@ use memtree_tree::traverse::{depths, postorder, postorder_with_child_order};
 use memtree_tree::validate::check_consistency;
 use memtree_tree::{NodeId, TaskSpec, TaskTree, TreeError, TreeStats};
 use proptest::prelude::*;
-use reference::random_topological;
 
 /// Short lowercase/digit garbage for strictness tests — built from index
 /// vectors because the vendored proptest has no string-regex strategies.
@@ -18,29 +18,6 @@ fn arb_garbage() -> impl Strategy<Value = String> {
     (1usize..13)
         .prop_flat_map(|len| proptest::collection::vec(0usize..CHARSET.len(), len))
         .prop_map(|ixs| ixs.into_iter().map(|i| CHARSET[i] as char).collect())
-}
-
-/// Strategy: a random tree of `1..=max_n` nodes where node `i`'s parent is a
-/// uniformly random earlier node — the classic random recursive tree.
-fn arb_tree(max_n: usize) -> impl Strategy<Value = TaskTree> {
-    (1..=max_n)
-        .prop_flat_map(|n| {
-            let parents = (1..n)
-                .map(|i| 0..i)
-                .collect::<Vec<_>>()
-                .prop_map(move |ps| ps);
-            let specs = proptest::collection::vec((0u64..64, 0u64..64, 0u32..8), n);
-            (parents, specs)
-        })
-        .prop_map(|(parents, specs)| {
-            let mut full_parents: Vec<Option<usize>> = vec![None];
-            full_parents.extend(parents.into_iter().map(Some));
-            let specs: Vec<TaskSpec> = specs
-                .into_iter()
-                .map(|(e, f, t)| TaskSpec::new(e, f, t as f64))
-                .collect();
-            TaskTree::from_parents(&full_parents, &specs).expect("generated tree is valid")
-        })
 }
 
 /// Strategy: nine or ten two-node chains hung on the nodes of a random
@@ -294,7 +271,7 @@ proptest! {
     #[test]
     fn sweeps_match_the_walks_on_every_id_layout(tree in arb_tree(64), seed in 0u64..1000) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        for t in reference::id_layouts(&tree, seed) {
+        for t in id_layouts(&tree, seed) {
             let sweep: Vec<NodeId> = t.children_first().collect();
             t.check_topological(&sweep).unwrap();
             let (s, r) = (TreeStats::compute(&t), reference::stats(&t));
@@ -415,7 +392,7 @@ proptest! {
     /// their children.
     #[test]
     fn partition_matches_the_walk_on_every_id_layout(tree in arb_tree(64), seed in 0u64..1000) {
-        for t in reference::id_layouts(&tree, seed) {
+        for t in id_layouts(&tree, seed) {
             for shards in [1, 2, 3, 4, 8] {
                 assert_same_partition(&t, shards);
             }
@@ -426,7 +403,7 @@ proptest! {
     /// walk picked, whatever the ids of the candidates.
     #[test]
     fn partition_ties_match_the_walk(tree in arb_chains_on_a_skeleton(), seed in 0u64..1000) {
-        for t in reference::id_layouts(&tree, seed) {
+        for t in id_layouts(&tree, seed) {
             prop_assert_eq!(partition(&t, &PartitionPolicy::balanced(8)).shard_count(), 8);
             assert_same_partition(&t, 8);
         }
@@ -435,11 +412,10 @@ proptest! {
     /// Comments and blank lines anywhere in a document change nothing.
     #[test]
     fn io_roundtrip_ignores_interleaved_comments(tree in arb_tree(48), seed in 0u64..1000) {
-        let mut state = seed;
+        let mut draw = SplitMix(seed);
         let mut text = String::new();
         for line in tree_to_string(&tree).lines() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            match state >> 62 {
+            match draw.below(4) {
                 0 => text.push('\n'),
                 1 => text.push_str("# interleaved comment\n"),
                 2 => text.push_str("   \n  # indented\n"),
@@ -479,7 +455,7 @@ fn assert_same_partition(tree: &TaskTree, shards: usize) {
     let policy = PartitionPolicy::balanced(shards);
     let (got, want) = (
         partition(tree, &policy),
-        reference::partition::partition(tree, &policy),
+        partition_reference::partition(tree, &policy),
     );
     assert_eq!(got.assignment, want.assignment, "{shards} shards");
     assert_eq!(got.shard_count(), want.shard_count(), "{shards} shards");
@@ -511,7 +487,7 @@ fn partition_breaks_candidate_ties_in_postorder() {
         }
     }
     let star = TaskTree::from_parents(&parents, &specs).unwrap();
-    for t in reference::id_layouts(&star, 7) {
+    for t in id_layouts(&star, 7) {
         for shards in [1, 2] {
             assert_eq!(
                 partition(&t, &PartitionPolicy::balanced(shards)).shard_count(),

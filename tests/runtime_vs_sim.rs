@@ -4,27 +4,19 @@
 use memtree::gen::synthetic::paper_tree;
 use memtree::multifrontal::{assembly_corpus, CorpusSpec};
 use memtree::order::{cp_order, mem_postorder, OrderKind};
-use memtree::runtime::{
-    execute, worker_counts_from_env, Platform, SimPlatform, ThreadedPlatform, Workload,
-};
+use memtree::runtime::{execute, Platform, SimPlatform, ThreadedPlatform, Workload};
 use memtree::sched::{AllotmentCaps, HeuristicKind, MemBooking, MoldableMemBooking, PolicySpec};
 use memtree::sim::validate::validate_trace;
 use memtree::sim::{simulate, DriveConfig, SimConfig, SpeedupModel};
 use memtree::tree::TaskTree;
-
-/// Worker counts the cross-platform cases sweep: the CI matrix pins one
-/// count per job via `MEMTREE_TEST_WORKERS`; locally the default covers
-/// p ∈ {1, 2, 4}.
-fn worker_counts() -> Vec<usize> {
-    worker_counts_from_env(&[1, 2, 4])
-}
+use memtree_testkit::{counts_from_env, WORKERS};
 
 /// The moldable cross-platform contract for one tree: the same spec runs
 /// the identical task set on the simulator and on gang-scheduled threads;
 /// both stay inside the booking envelope; and with one worker — where the
 /// completion order is forced — the booking trajectories coincide exactly.
 fn assert_moldable_equivalence(name: &str, tree: &TaskTree, m: u64) {
-    for p in worker_counts() {
+    for p in counts_from_env(WORKERS, &[1, 2, 4]) {
         let caps = AllotmentCaps::uniform(tree, p as u32);
         let spec = PolicySpec::new(HeuristicKind::MemBooking, m).with_caps(caps);
         let sim = SimPlatform::new(p).run(tree, &spec).unwrap();
